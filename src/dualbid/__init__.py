@@ -8,9 +8,9 @@ from .bidding import (
     BidDecision,
     MultiplierVector,
     adjusted_value,
-    invert_markup,
     make_bid,
     optimal_bid,
+    shade_bids,
     surplus,
 )
 from .coldstart import (
@@ -27,10 +27,12 @@ from .mechanisms import (
     LognormalBids,
     MechanismError,
     MechanismSpec,
+    MechanismTable,
     RealizedLandscape,
     UniformBids,
     cost_derivative,
     expected_cost,
+    resolve,
     simulate_outcome,
     win_density,
     win_prob,

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import (
-    EmpiricalBids,
+    EMPIRICAL,
+    UNIFORM,
     MechanismSpec,
+    MechanismTable,
     cost_derivative,
     expected_cost,
     win_density,
@@ -29,7 +31,7 @@ LAMBDA_FLOOR = 1e-9
 DEFAULT_BID_CAP = 1e4
 
 _INVERT_REL_TOL = 1e-9
-_INVERT_MAX_ITER = 64
+_HALVINGS = 48
 _GRID_POINTS = 10_001
 
 
@@ -86,117 +88,113 @@ def surplus(mech: MechanismSpec, adjusted: float, b) -> float:
     return adjusted * win_prob(mech, b) - expected_cost(mech, b)
 
 
-def _markup(mech: MechanismSpec, b):
-    """b + G(b)/g(b), the map inverted for first price bidding.
-
-    The ratio is 0 where the bid cannot win and +inf above the support top,
-    which keeps the map monotone for log-concave bid models.
-    """
-    arr = np.asarray(b, dtype=float)
-    G = np.asarray(win_prob(mech, arr))
-    g = np.asarray(win_density(mech, arr))
-    ratio = np.where(G <= 0.0, 0.0, np.where(g <= 0.0, np.inf, G / np.maximum(g, 1e-300)))
-    return arr + ratio
-
-
-def _refine_peak(mech: MechanismSpec, adjusted: float, lo: float, hi: float) -> float:
-    """Golden-section polish of the surplus maximum inside [lo, hi]."""
+def _refine_peak(table: MechanismTable, adjusted: float, lo: float, hi: float) -> float:
+    """Golden-section polish of a one-row table's surplus maximum in [lo, hi]."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc = surplus(mech, adjusted, c)
-    fd = surplus(mech, adjusted, d)
+    fc = table.surplus(adjusted, c)
+    fd = table.surplus(adjusted, d)
     for _ in range(80):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = surplus(mech, adjusted, c)
+            fc = table.surplus(adjusted, c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = surplus(mech, adjusted, d)
-    return 0.5 * (a + b)
+            fd = table.surplus(adjusted, d)
+    return float(0.5 * (a + b))
 
 
-def _grid_best_bid(mech: MechanismSpec, adjusted: float, hi: float) -> float:
+def _grid_best_bid(table: MechanismTable, adjusted: float, hi: float) -> float:
+    """Surplus maximum of a one-row table over a grid on [0, hi], polished."""
     grid = np.linspace(0.0, hi, _GRID_POINTS)
-    if isinstance(mech.competitor, EmpiricalBids):
-        # step win curves peak exactly at the sample atoms
-        atoms = np.asarray(mech.competitor.samples)
-        grid = np.concatenate([grid, atoms[atoms <= hi]])
-    values = surplus(mech, adjusted, grid)
+    values = table.surplus(adjusted, grid)
     i = int(np.argmax(values))
-    refined = _refine_peak(
-        mech,
-        adjusted,
-        max(grid[i] - hi / (_GRID_POINTS - 1), 0.0),
-        min(grid[i] + hi / (_GRID_POINTS - 1), hi),
-    )
-    if surplus(mech, adjusted, refined) >= values[i]:
-        return float(refined)
+    step = hi / (_GRID_POINTS - 1)
+    refined = _refine_peak(table, adjusted, max(grid[i] - step, 0.0), min(grid[i] + step, hi))
+    if table.surplus(adjusted, refined) >= values[i]:
+        return refined
     return float(grid[i])
 
 
-def _empirical_markup_monotone(mech: MechanismSpec, hi: float) -> bool:
-    probe = _markup(mech, np.linspace(0.0, hi, 64))
-    finite = probe[np.isfinite(probe)]
-    return bool(np.all(np.diff(finite) >= -1e-12))
+def _step_bids(table: MechanismTable, xs: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """First-price bids for empirical rows, exactly.
+
+    Their win curve is a step function, flat except at the reserve and the
+    sample atoms, so on [0, hi] the surplus (x - b) * G(b) peaks at 0, at the
+    reserve or at an atom.  A root of the markup inside a flat step is never
+    the optimum: the step's left end wins as often and pays less.
+    """
+    bids = np.empty_like(xs)
+    for k in np.unique(table.model):
+        rows = np.flatnonzero(table.model == k)
+        atoms = np.unique(table.models[k].samples)
+        candidates = np.concatenate(
+            [np.zeros((rows.size, 1)), table.reserve[rows, None], np.tile(atoms, (rows.size, 1))],
+            axis=1,
+        )
+        values = table.take(rows).surplus(xs[rows, None], candidates)
+        values = np.where(candidates <= hi[rows, None], values, -np.inf)
+        bids[rows] = candidates[np.arange(rows.size), np.argmax(values, axis=1)]
+    return bids
 
 
-def shade_bids(mech: MechanismSpec, adjusted, bid_cap: float = DEFAULT_BID_CAP):
-    """Vectorized first-price shading: solve b + G(b)/g(b) = adjusted.
+def _bisect(table: MechanismTable, xs: np.ndarray, hi: np.ndarray, bid_cap: float):
+    lo = np.zeros_like(xs)
+    up = hi.copy()
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (lo + up)
+        below = table.markup(mid) < xs
+        lo = np.where(below, mid, lo)
+        up = np.where(below, up, mid)
+    bids = 0.5 * (lo + up)
+    ok = np.abs(table.markup(bids) - xs) <= _INVERT_REL_TOL * np.maximum(1.0, xs)
+    if ok.all():
+        return bids, False
+    # finite support: certain win at the top once the target clears it
+    top = table.support_top
+    finite = np.isfinite(top)
+    certain = ~ok & finite & (top <= bid_cap) & (xs >= table.markup(np.where(finite, top, 1.0)))
+    bids = np.where(certain, top, bids)
+    missed = np.flatnonzero(~ok & ~certain)
+    for j in missed:
+        bids[j] = _grid_best_bid(table.take([j]), float(xs[j]), float(hi[j]))
+    return bids, bool(missed.size)
 
-    Elements whose target exceeds the markup at the support top win with
-    certainty at the top; anything else that fails the residual check
-    (non-monotone empirical maps, reserve discontinuities) falls back to a
-    grid maximization of the surplus.
+
+def shade_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP):
+    """First-price shading of every table row: the bid in
+    [0, min(adjusted, bid_cap)] that solves b + G(b)/g(b) = adjusted.
+    Returns (bids, fell_back).
+
+    Uniform rows with the reserve at or below the support bottom invert in
+    closed form (the map is 2b - lo on the support).  Empirical rows take
+    their best atom (see _step_bids).  The rest bisect; a row whose
+    bisection fails the residual check (reserve discontinuities,
+    non-monotone maps) wins with certainty at a finite support top once its
+    target clears the markup there, and otherwise falls back to a grid
+    maximization of the surplus, which sets fell_back.
     """
     xs = np.atleast_1d(np.asarray(adjusted, dtype=float))
-    scalar = np.ndim(adjusted) == 0
     hi = np.minimum(xs, bid_cap)
-    lo = np.zeros_like(xs)
-    positive = xs > 0
-
-    lo_w = lo.copy()
-    hi_w = hi.copy()
-    for _ in range(_INVERT_MAX_ITER):
-        mid = 0.5 * (lo_w + hi_w)
-        below = _markup(mech, mid) < xs
-        lo_w = np.where(below, mid, lo_w)
-        hi_w = np.where(below, hi_w, mid)
-    bids = np.where(positive, 0.5 * (lo_w + hi_w), 0.0)
-
-    residual = np.abs(_markup(mech, bids) - xs)
-    ok = ~positive | (residual <= _INVERT_REL_TOL * np.maximum(1.0, xs))
-
-    top = mech.competitor.support_top
-    if np.isfinite(top) and top <= bid_cap:
-        markup_top = float(_markup(mech, top))
-        certain = positive & ~ok & (xs >= markup_top)
-        bids = np.where(certain, top, bids)
-        ok |= certain
-
-    for i in np.flatnonzero(~ok):
-        bids[i] = _grid_best_bid(mech, float(xs[i]), float(hi[i]))
-
-    fell_back = bool(np.any(~ok))
-    out = float(bids[0]) if scalar else bids
-    return out, fell_back
-
-
-def invert_markup(mech: MechanismSpec, x: float, bid_cap: float = DEFAULT_BID_CAP) -> float:
-    """Inverse of the first-price markup map at x (scalar convenience)."""
-    if x < 0:
-        raise ValueError("markup target must be >= 0")
-    if not mech.is_first_price:
-        raise ValueError("markup inversion applies to first price auctions only")
-    if isinstance(mech.competitor, EmpiricalBids) and not _empirical_markup_monotone(
-        mech, min(x, bid_cap)
-    ):
-        return _grid_best_bid(mech, x, min(x, bid_cap))
-    bid, _ = shade_bids(mech, x, bid_cap)
-    return bid
+    bids = np.zeros_like(xs)
+    closed = (table.family == UNIFORM) & (table.reserve <= table.p1)
+    steps = table.family == EMPIRICAL
+    rest = ~closed & ~steps & (xs > 0)
+    fell_back = False
+    if closed.any():
+        lo, top, x = table.p1[closed], table.p2[closed], xs[closed]
+        bids[closed] = np.where(x >= 2.0 * top - lo, top, np.where(x >= lo, 0.5 * (x + lo), x))
+    if steps.any():
+        bids[steps] = _step_bids(table.take(steps), xs[steps], hi[steps])
+    if rest.any():
+        bids[rest], fell_back = _bisect(
+            table if rest.all() else table.take(rest), xs[rest], hi[rest], bid_cap
+        )
+    return np.minimum(bids, hi), fell_back
 
 
 def optimal_bid(
@@ -205,7 +203,7 @@ def optimal_bid(
     """Surplus-maximizing bid for an adjusted value.
 
     Second price bids the adjusted value itself (capped); first price shades
-    it through the inverse markup map.
+    it (shade_bids on the mechanism's one-row table).
     """
     if adjusted < 0:
         raise ValueError("adjusted value must be >= 0")
@@ -213,16 +211,10 @@ def optimal_bid(
     if adjusted == 0.0:
         return BidDecision(bid=0.0, adjusted_value=0.0, surplus_at_bid=0.0)
     if mech.is_first_price:
-        if isinstance(mech.competitor, EmpiricalBids) and not _empirical_markup_monotone(
-            mech, min(adjusted, bid_cap)
-        ):
-            bid = _grid_best_bid(mech, adjusted, min(adjusted, bid_cap))
+        bids, fell_back = shade_bids(mech.table, adjusted, bid_cap)
+        bid = float(bids[0])
+        if fell_back:
             flags = ("inversion_fallback",)
-        else:
-            bid, fell_back = shade_bids(mech, adjusted, bid_cap)
-            if fell_back:
-                flags = ("inversion_fallback",)
-        bid = min(bid, adjusted, bid_cap)
     else:
         bid = adjusted
         if bid > bid_cap:
@@ -236,13 +228,15 @@ def optimal_bid(
     )
 
 
-def optimal_bids(mech: MechanismSpec, adjusted, bid_cap: float = DEFAULT_BID_CAP):
-    """Vectorized optimal_bid over an array of adjusted values (bids only)."""
+def optimal_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP):
+    """Bids for every table row at its adjusted value: second price bids the
+    value (capped), first price shades it."""
     xs = np.asarray(adjusted, dtype=float)
-    if mech.is_first_price:
-        bids, _ = shade_bids(mech, xs, bid_cap)
-        return np.minimum(np.atleast_1d(np.asarray(bids)), np.minimum(xs, bid_cap))
-    return np.minimum(xs, bid_cap)
+    bids = np.minimum(xs, bid_cap)
+    rows, first_price = table.first_price_rows
+    if rows.size:
+        bids[rows], _ = shade_bids(first_price, xs[rows], bid_cap)
+    return bids
 
 
 def make_bid(

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -98,7 +99,7 @@ def _write_kv_csv(path: Path, rows: list[tuple[str, object]]) -> None:
     _write_csv(
         path,
         ["key", "value"],
-        [(k, repr(v) if isinstance(v, float) else str(v)) for k, v in rows],
+        [(k, repr(float(v)) if isinstance(v, float) else str(v)) for k, v in rows],
     )
 
 
@@ -346,6 +347,9 @@ def _sweep_one(scenario_path: str, out_dir: str, seed: int, force: bool) -> tupl
 
 
 def cmd_sweep(args) -> int:
+    for flag, n in (("--jobs", args.jobs), ("--sweep-seeds", args.sweep_seeds)):
+        if n < 1:
+            raise CliError(f"{flag} must be >= 1, got {n}", EXIT_VALIDATION)
     try:
         load_scenario(args.scenario)
     except (ScenarioError, FileNotFoundError) as exc:
@@ -354,8 +358,9 @@ def cmd_sweep(args) -> int:
     seeds = [base + i for i in range(args.sweep_seeds)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, os.cpu_count() or 1, len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     _sweep_one,
@@ -388,7 +393,6 @@ _LOG_COLUMNS = [
 
 def load_log_csv(path: str | Path) -> OpportunityLog:
     """Read an opportunity log CSV (schema in the module docstring)."""
-    mechanisms: dict[tuple, MechanismSpec] = {}
     records = []
     with Path(path).open(newline="") as fh:
         reader = csv.DictReader(fh)
@@ -407,21 +411,19 @@ def load_log_csv(path: str | Path) -> OpportunityLog:
                     f"{path}: row {i + 1}: unsupported competitor family {family!r}",
                     EXIT_VALIDATION,
                 )
-            key = (row["auction_type"], row["reserve"], family, row["competitor_p1"], row["competitor_p2"])
             try:
-                if key not in mechanisms:
-                    mechanisms[key] = MechanismSpec(
-                        auction_type=row["auction_type"],
-                        reserve=float(row["reserve"]),
-                        competitor=competitor_from_dict(comp),
-                    )
+                mechanism = MechanismSpec(
+                    auction_type=row["auction_type"],
+                    reserve=float(row["reserve"]),
+                    competitor=competitor_from_dict(comp),
+                )
                 windows = tuple(w for w in row["windows"].split(";") if w)
                 records.append(
                     LogRecord(
                         time=float(row["time"]),
                         placement=row["placement_id"],
                         value=float(row["value"]),
-                        mechanism=mechanisms[key],
+                        mechanism=mechanism,
                         clearing_bid=float(row["clearing_bid"]) if row["clearing_bid"] else None,
                         windows=windows,
                     )

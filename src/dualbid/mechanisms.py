@@ -1,27 +1,32 @@
-"""Parametric auction mechanism models.
+"""Auction mechanism models and the table that evaluates them.
 
 A mechanism couples an auction format (first or second price, with an
 optional reserve) to a model of the highest competing bid.  From those two
 ingredients it derives the quantities every other part of the system is
 built on: the win probability ``G(b)``, the expected cost ``H(b)``, their
-derivatives ``g`` and ``h``, and sampled auction outcomes.
+derivatives ``g`` and ``h``, the first-price markup ``b + G/g``, and
+realized auction outcomes.
 
 Competing bids come in three flavours:
 
 * ``LognormalBids(mu, sigma)`` -- heavy-tailed market, closed forms available.
 * ``UniformBids(lo, hi)`` -- bounded support, closed forms available.
 * ``EmpiricalBids(samples)`` -- step CDF from observed bids; the density is
-  kernel-smoothed because bid inversion needs a derivative.
+  kernel-smoothed so that ``g`` and ``h`` exist.
 
-All functions accept a scalar bid or a numpy array of bids and return the
-matching shape.  Nothing here holds random state: outcome simulation takes
-the uniform draw as an argument.
+All of that math lives in ``MechanismTable``: many mechanisms as parallel
+arrays, evaluated on whole arrays of bids.  ``win_prob``, ``expected_cost``
+and the other per-mechanism functions are one-row views of it, accepting a
+scalar bid or a numpy array of bids and returning the matching shape.
+Nothing here holds random state: outcome simulation takes the uniform draw
+as an argument.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -62,28 +67,6 @@ class LognormalBids:
         if not self.sigma > 0:
             raise MechanismError(f"lognormal sigma must be > 0, got {self.sigma}")
 
-    def cdf(self, b):
-        arr, scalar = _as_array(b)
-        with np.errstate(divide="ignore"):
-            z = (np.log(np.where(arr > 0, arr, 1.0)) - self.mu) / self.sigma
-        out = np.where(arr > 0, ndtr(z), 0.0)
-        return _ret(out, scalar)
-
-    def pdf(self, b):
-        arr, scalar = _as_array(b)
-        safe = np.where(arr > 0, arr, 1.0)
-        z = (np.log(safe) - self.mu) / self.sigma
-        out = np.where(arr > 0, np.exp(-0.5 * z * z) / (safe * self.sigma * _SQRT_2PI), 0.0)
-        return _ret(out, scalar)
-
-    def partial_expectation(self, b):
-        """Integral of z dF(z) from 0 to b (partial mean of the bid)."""
-        arr, scalar = _as_array(b)
-        safe = np.where(arr > 0, arr, 1.0)
-        z = (np.log(safe) - self.mu - self.sigma**2) / self.sigma
-        out = np.where(arr > 0, math.exp(self.mu + 0.5 * self.sigma**2) * ndtr(z), 0.0)
-        return _ret(out, scalar)
-
     def quantile(self, u):
         arr, scalar = _as_array(u)
         out = np.exp(self.mu + self.sigma * ndtri(np.clip(arr, 1e-300, 1.0 - 1e-16)))
@@ -111,24 +94,6 @@ class UniformBids:
         if not (0 <= self.lo < self.hi):
             raise MechanismError(f"uniform bounds need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
 
-    def cdf(self, b):
-        arr, scalar = _as_array(b)
-        out = np.clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return _ret(out, scalar)
-
-    def pdf(self, b):
-        arr, scalar = _as_array(b)
-        inside = (arr >= self.lo) & (arr <= self.hi)
-        out = np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-        return _ret(out, scalar)
-
-    def partial_expectation(self, b):
-        arr, scalar = _as_array(b)
-        x = np.clip(arr, self.lo, self.hi)
-        out = (x**2 - self.lo**2) / (2.0 * (self.hi - self.lo))
-        out = np.where(arr < self.lo, 0.0, out)
-        return _ret(out, scalar)
-
     def quantile(self, u):
         arr, scalar = _as_array(u)
         return _ret(self.lo + np.clip(arr, 0.0, 1.0) * (self.hi - self.lo), scalar)
@@ -146,8 +111,8 @@ class EmpiricalBids:
     """Highest competing bid drawn from an observed sample.
 
     The CDF is the sample step function; the density is a Gaussian kernel
-    estimate (Silverman bandwidth 1.06 * s * n^(-1/5)) because downstream
-    bid inversion needs a derivative.  Partial expectations integrate the
+    estimate (Silverman bandwidth 1.06 * s * n^(-1/5)), so that g and h
+    exist.  Partial expectations integrate the
     step measure exactly so that simulated outcomes match expected cost.
     """
 
@@ -249,6 +214,11 @@ class MechanismSpec:
     def is_first_price(self) -> bool:
         return self.auction_type == FIRST_PRICE
 
+    @cached_property
+    def table(self) -> MechanismTable:
+        """This mechanism as a one-row table."""
+        return MechanismTable.from_specs([self])
+
 
 @dataclass(frozen=True)
 class RealizedLandscape:
@@ -259,56 +229,251 @@ class RealizedLandscape:
     cost_if_won: float
 
 
-def _check_nonnegative(b):
+# MechanismTable family codes.  Empirical and any other competing-bid models
+# are evaluated through their own cdf / pdf / partial_expectation methods.
+LOGNORMAL, UNIFORM, EMPIRICAL, OTHER = range(4)
+
+
+def _lognormal_cdf(b, mu, sigma):
+    safe = np.where(b > 0, b, 1.0)
+    return np.where(b > 0, ndtr((np.log(safe) - mu) / sigma), 0.0)
+
+
+def _lognormal_pdf(b, mu, sigma):
+    safe = np.where(b > 0, b, 1.0)
+    z = (np.log(safe) - mu) / sigma
+    return np.where(b > 0, np.exp(-0.5 * z * z) / (safe * sigma * _SQRT_2PI), 0.0)
+
+
+def _lognormal_partial_expectation(b, mu, sigma):
+    """Integral of z dF(z) from 0 to b (partial mean of the bid)."""
+    safe = np.where(b > 0, b, 1.0)
+    z = (np.log(safe) - mu - sigma**2) / sigma
+    return np.where(b > 0, np.exp(mu + 0.5 * sigma**2) * ndtr(z), 0.0)
+
+
+def _uniform_cdf(b, lo, hi):
+    return np.clip((b - lo) / (hi - lo), 0.0, 1.0)
+
+
+def _uniform_pdf(b, lo, hi):
+    return np.where((b >= lo) & (b <= hi), 1.0 / (hi - lo), 0.0)
+
+
+def _uniform_partial_expectation(b, lo, hi):
+    x = np.clip(b, lo, hi)
+    return np.where(b < lo, 0.0, (x**2 - lo**2) / (2.0 * (hi - lo)))
+
+
+_CURVES = {
+    "cdf": (_lognormal_cdf, _uniform_cdf),
+    "pdf": (_lognormal_pdf, _uniform_pdf),
+    "partial_expectation": (_lognormal_partial_expectation, _uniform_partial_expectation),
+}
+
+
+class MechanismTable:
+    """Many mechanisms as parallel arrays, one row each.
+
+    Columns: ``family`` (a code above), ``p1``/``p2`` ((mu, sigma) for
+    lognormal rows, (lo, hi) for uniform ones), ``reserve``, the
+    ``first_price`` mask, and ``model``, the index into ``models`` of the
+    competing-bid object behind an empirical or other row (-1 elsewhere).
+
+    Curves take bids whose first axis runs over the rows (any further axes
+    are extra bids per row); a one-row table takes bids of any shape.
+    """
+
+    def __init__(self, family, p1, p2, reserve, first_price, support_top, model, models):
+        self.family = family
+        self.p1 = p1
+        self.p2 = p2
+        self.reserve = reserve
+        self.first_price = first_price
+        self.support_top = support_top
+        self.model = model
+        self.models = models
+        # evaluation plan: (family, model, rows); rows None means every row
+        plan = [(code, None, np.flatnonzero(family == code)) for code in (LOGNORMAL, UNIFORM)]
+        plan += [(None, m, np.flatnonzero(model == k)) for k, m in enumerate(models)]
+        plan = [entry for entry in plan if entry[2].size]
+        if len(plan) == 1:
+            plan = [plan[0][:2] + (None,)]
+        self._plan = plan
+
+    @classmethod
+    def from_specs(cls, specs) -> MechanismTable:
+        """One row per MechanismSpec.  Rows are deduplicated by value: equal
+        specs are read once, and equal competing-bid models are evaluated
+        once per call, however many objects carry them."""
+        index: dict[MechanismSpec, int] = {}
+        rows = []
+        last = last_row = None
+        for spec in specs:
+            if spec is not last:
+                last, last_row = spec, index.setdefault(spec, len(index))
+            rows.append(last_row)
+        models: dict[object, int] = {}
+        columns = []
+        for spec in index:
+            comp = spec.competitor
+            if isinstance(comp, LognormalBids):
+                code, p1, p2, k = LOGNORMAL, comp.mu, comp.sigma, -1
+            elif isinstance(comp, UniformBids):
+                code, p1, p2, k = UNIFORM, comp.lo, comp.hi, -1
+            else:
+                code = EMPIRICAL if isinstance(comp, EmpiricalBids) else OTHER
+                p1, p2, k = math.nan, math.nan, models.setdefault(comp, len(models))
+            columns.append((code, p1, p2, spec.reserve, spec.is_first_price, comp.support_top, k))
+        unique = [np.array(c) for c in zip(*columns)] if columns else [np.empty(0)] * 7
+        family, p1, p2, reserve, first_price, top, model = unique
+        table = cls(
+            family.astype(int), p1.astype(float), p2.astype(float), reserve.astype(float),
+            first_price.astype(bool), top.astype(float), model.astype(int), tuple(models),
+        )  # fmt: skip
+        return table.take(np.array(rows, dtype=np.intp))
+
+    def __len__(self) -> int:
+        return len(self.family)
+
+    def take(self, rows) -> MechanismTable:
+        """The table restricted to rows (an index array, mask or slice)."""
+        return MechanismTable(
+            self.family[rows], self.p1[rows], self.p2[rows], self.reserve[rows],
+            self.first_price[rows], self.support_top[rows], self.model[rows], self.models,
+        )  # fmt: skip
+
+    @cached_property
+    def first_price_rows(self) -> tuple[np.ndarray, MechanismTable]:
+        """Indices of the first-price rows and the table restricted to them."""
+        rows = np.flatnonzero(self.first_price)
+        return rows, self.take(rows)
+
+    def _column(self, values, b, rows=None):
+        """values (one per row) shaped to broadcast against the bids b."""
+        if rows is not None:
+            values = values[rows]
+        if len(values) == 1:
+            return values[0]
+        return values.reshape(values.shape + (1,) * (b.ndim - 1))
+
+    def _curve(self, name: str, b):
+        b = np.asarray(b, dtype=float)
+        out = None if self._plan and self._plan[0][2] is None else np.zeros(b.shape)
+        for code, model, rows in self._plan:
+            sub = b if rows is None else b[rows]
+            if model is not None:
+                values = getattr(model, name)(sub)
+            else:
+                fn = _CURVES[name][code]
+                values = fn(sub, self._column(self.p1, sub, rows), self._column(self.p2, sub, rows))
+            if out is None:
+                return values
+            out[rows] = values
+        return out
+
+    def cdf(self, b):
+        """Competing-bid CDF per row."""
+        return self._curve("cdf", b)
+
+    def pdf(self, b):
+        """Competing-bid density per row."""
+        return self._curve("pdf", b)
+
+    def partial_expectation(self, b):
+        """Integral of z dF(z) from 0 to b per row."""
+        return self._curve("partial_expectation", b)
+
+    @cached_property
+    def _at_reserve(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.cdf(self.reserve), self.partial_expectation(self.reserve)
+
+    def win_prob(self, b):
+        """G(b): probability the bid wins, zero below the reserve."""
+        b = np.asarray(b, dtype=float)
+        return np.where(b >= self._column(self.reserve, b), self.cdf(b), 0.0)
+
+    def win_density(self, b):
+        """g(b): derivative of the win probability on the support interior."""
+        b = np.asarray(b, dtype=float)
+        return np.where(b >= self._column(self.reserve, b), self.pdf(b), 0.0)
+
+    def expected_cost(self, b):
+        """H(b): expected payment at bid b.
+
+        First price pays the bid itself: H = b * G(b).  Second price pays the
+        larger of the competing bid and the reserve, so H accumulates the
+        partial expectation of the competing bid above the reserve plus the
+        reserve-price mass below it.
+        """
+        b = np.asarray(b, dtype=float)
+        cdf_r, pe_r = (self._column(v, b) for v in self._at_reserve)
+        reserve = self._column(self.reserve, b)
+        tail = np.maximum(self.partial_expectation(b) - pe_r, 0.0)
+        second = np.where(b >= reserve, reserve * cdf_r + tail, 0.0)
+        return np.where(self._column(self.first_price, b), b * self.win_prob(b), second)
+
+    def cost_derivative(self, b):
+        """h(b): b*g for second price, G + b*g for first price."""
+        b = np.asarray(b, dtype=float)
+        bg = b * self.win_density(b)
+        return np.where(self._column(self.first_price, b), self.win_prob(b) + bg, bg)
+
+    def surplus(self, adjusted, b):
+        """adjusted * G(b) - H(b): the objective each bid maximizes."""
+        return adjusted * self.win_prob(b) - self.expected_cost(b)
+
+    def markup(self, b):
+        """b + G(b)/g(b), the map inverted for first price bidding.
+
+        The ratio is 0 where the bid cannot win and +inf where it wins with
+        no density left, which keeps the map monotone for log-concave bid
+        models.
+        """
+        b = np.asarray(b, dtype=float)
+        G = self.win_prob(b)
+        g = self.win_density(b)
+        return b + np.where(G <= 0.0, 0.0, np.where(g <= 0.0, np.inf, G / np.maximum(g, 1e-300)))
+
+
+def resolve(table: MechanismTable, bids, clearing):
+    """Realized auctions, one per row: (won, cost).
+
+    Ties win (bid >= max(clearing, reserve)).  Second price pays
+    max(clearing, reserve), first price pays the bid.  A NaN clearing bid
+    never wins.
+    """
+    bids = np.asarray(bids, dtype=float)
+    price = np.maximum(clearing, table.reserve)
+    won = bids >= price
+    return won, np.where(won, np.where(table.first_price, bids, price), 0.0)
+
+
+def _view(curve, mech: MechanismSpec, b):
     arr, scalar = _as_array(b)
     if np.any(arr < 0):
         raise MechanismError("bid must be >= 0")
-    return arr, scalar
+    return _ret(curve(mech.table, arr), scalar)
 
 
 def win_prob(mech: MechanismSpec, b):
-    """G(b): probability the bid wins, zero below the reserve."""
-    arr, scalar = _check_nonnegative(b)
-    out = np.where(arr >= mech.reserve, mech.competitor.cdf(arr), 0.0)
-    return _ret(out, scalar)
+    """G(b) of one mechanism (see MechanismTable.win_prob)."""
+    return _view(MechanismTable.win_prob, mech, b)
 
 
 def win_density(mech: MechanismSpec, b):
-    """g(b): derivative of the win probability on the support interior."""
-    arr, scalar = _check_nonnegative(b)
-    out = np.where(arr >= mech.reserve, mech.competitor.pdf(arr), 0.0)
-    return _ret(out, scalar)
+    """g(b) of one mechanism (see MechanismTable.win_density)."""
+    return _view(MechanismTable.win_density, mech, b)
 
 
 def expected_cost(mech: MechanismSpec, b):
-    """H(b): expected payment at bid b.
-
-    First price pays the bid itself: H = b * G(b).  Second price pays the
-    larger of the competing bid and the reserve, so H accumulates the
-    partial expectation of the competing bid above the reserve plus the
-    reserve-price mass below it.
-    """
-    arr, scalar = _check_nonnegative(b)
-    if mech.is_first_price:
-        out = arr * win_prob(mech, arr)
-        return _ret(out, scalar)
-    comp = mech.competitor
-    floor_mass = mech.reserve * comp.cdf(mech.reserve)
-    tail = comp.partial_expectation(arr) - comp.partial_expectation(mech.reserve)
-    out = np.where(arr >= mech.reserve, floor_mass + np.maximum(tail, 0.0), 0.0)
-    return _ret(out, scalar)
+    """H(b) of one mechanism (see MechanismTable.expected_cost)."""
+    return _view(MechanismTable.expected_cost, mech, b)
 
 
 def cost_derivative(mech: MechanismSpec, b):
-    """h(b): derivative of expected cost; b*g for second price,
-    G + b*g for first price."""
-    arr, scalar = _check_nonnegative(b)
-    g = win_density(mech, arr)
-    if mech.is_first_price:
-        out = win_prob(mech, arr) + arr * g
-    else:
-        out = arr * g
-    return _ret(out, scalar)
+    """h(b) of one mechanism (see MechanismTable.cost_derivative)."""
+    return _view(MechanismTable.cost_derivative, mech, b)
 
 
 def simulate_outcome(mech: MechanismSpec, b: float, draw: float):

@@ -13,22 +13,14 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtr
 
-from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, _grid_best_bid, shade_bids
-from .mechanisms import (
-    LognormalBids,
-    MechanismSpec,
-    UniformBids,
-    expected_cost,
-    win_prob,
-)
-
-_SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, shade_bids
+from .mechanisms import MechanismSpec, MechanismTable, resolve
 
 
 class OracleError(ValueError):
@@ -54,193 +46,8 @@ class LogRecord:
             raise OracleError(f"clearing bid must be >= 0, got {self.clearing_bid}")
 
 
-@dataclass(frozen=True)
-class _Group:
-    mechanism: MechanismSpec
-    windows: tuple[str, ...]
-    placement: str
-    realized: bool
-    values: np.ndarray
-    prices: np.ndarray | None  # max(clearing, reserve) in realized mode
-    indices: np.ndarray
-
-
-class _Columns:
-    """Flat per-record arrays for closed-form bid models.
-
-    p1/p2 hold (mu, sigma) for lognormal rows and (lo, hi) for uniform
-    rows; win curves, costs, and first-price shading all evaluate in a
-    handful of whole-log vector operations.
-    """
-
-    def __init__(self, log: OpportunityLog, idx: list[int]):
-        records = [log.records[i] for i in idx]
-        n = len(records)
-        self._log = log
-        self._idx = list(idx)
-        self._fp_subset: _Columns | None = None
-        self.indices = np.array(idx, dtype=int)
-        self.values = np.array([r.value for r in records])
-        self.reserves = np.array([r.mechanism.reserve for r in records])
-        self.is_logn = np.array(
-            [isinstance(r.mechanism.competitor, LognormalBids) for r in records]
-        )
-        self.p1 = np.array(
-            [
-                r.mechanism.competitor.mu if isinstance(r.mechanism.competitor, LognormalBids)
-                else r.mechanism.competitor.lo
-                for r in records
-            ]
-        )
-        self.p2 = np.array(
-            [
-                r.mechanism.competitor.sigma if isinstance(r.mechanism.competitor, LognormalBids)
-                else r.mechanism.competitor.hi
-                for r in records
-            ]
-        )
-        self.first_price = np.array([r.mechanism.is_first_price for r in records])
-        self.realized = np.array([r.clearing_bid is not None for r in records])
-        clearing = np.array(
-            [r.clearing_bid if r.clearing_bid is not None else np.nan for r in records]
-        )
-        self.prices = np.maximum(clearing, self.reserves)
-        self.support_top = np.where(self.is_logn, np.inf, self.p2)
-        self.cdf_at_reserve = self._cdf(self.reserves)
-        self.pe_at_reserve = self._partial_expectation(self.reserves)
-
-        names: dict[str, int] = {}
-        codes = np.empty(n, dtype=int)
-        for j, r in enumerate(records):
-            codes[j] = names.setdefault(r.placement, len(names))
-        self.placement_names = list(names)
-        self.placement_codes = codes
-
-        combos: dict[tuple[str, ...], int] = {}
-        combo_codes = np.empty(n, dtype=int)
-        for j, r in enumerate(records):
-            combo_codes[j] = combos.setdefault(r.windows, len(combos))
-        self.window_combos = list(combos)
-        self.combo_codes = combo_codes
-        self.window_masks: dict[str, np.ndarray] = {}
-        for j, r in enumerate(records):
-            for w in r.windows:
-                self.window_masks.setdefault(w, np.zeros(n, dtype=bool))[j] = True
-        self.mechanisms = [r.mechanism for r in records]
-
-    @classmethod
-    def build(cls, log: OpportunityLog, idx: list[int]) -> _Columns:
-        return cls(log, idx)
-
-    def fp_subset(self) -> _Columns:
-        """Columns restricted to the first-price rows (shading is the
-        expensive part, so it runs on as few rows as possible)."""
-        if self._fp_subset is None:
-            fp_idx = [self._idx[j] for j in np.flatnonzero(self.first_price)]
-            self._fp_subset = _Columns(self._log, fp_idx)
-        return self._fp_subset
-
-    def _cdf(self, b: np.ndarray) -> np.ndarray:
-        out = np.empty_like(b)
-        m = self.is_logn
-        if m.any():
-            safe = np.where(b[m] > 0, b[m], 1.0)
-            z = (np.log(safe) - self.p1[m]) / self.p2[m]
-            out[m] = np.where(b[m] > 0, ndtr(z), 0.0)
-        u = ~m
-        if u.any():
-            out[u] = np.clip((b[u] - self.p1[u]) / (self.p2[u] - self.p1[u]), 0.0, 1.0)
-        return out
-
-    def _pdf(self, b: np.ndarray) -> np.ndarray:
-        out = np.empty_like(b)
-        m = self.is_logn
-        if m.any():
-            safe = np.where(b[m] > 0, b[m], 1.0)
-            z = (np.log(safe) - self.p1[m]) / self.p2[m]
-            dens = np.exp(-0.5 * z * z) / (safe * self.p2[m] * _SQRT_2PI)
-            out[m] = np.where(b[m] > 0, dens, 0.0)
-        u = ~m
-        if u.any():
-            inside = (b[u] >= self.p1[u]) & (b[u] <= self.p2[u])
-            out[u] = np.where(inside, 1.0 / (self.p2[u] - self.p1[u]), 0.0)
-        return out
-
-    def _partial_expectation(self, b: np.ndarray) -> np.ndarray:
-        out = np.empty_like(b)
-        m = self.is_logn
-        if m.any():
-            safe = np.where(b[m] > 0, b[m], 1.0)
-            z = (np.log(safe) - self.p1[m] - self.p2[m] ** 2) / self.p2[m]
-            pe = np.exp(self.p1[m] + 0.5 * self.p2[m] ** 2) * ndtr(z)
-            out[m] = np.where(b[m] > 0, pe, 0.0)
-        u = ~m
-        if u.any():
-            x = np.clip(b[u], self.p1[u], self.p2[u])
-            pe = (x**2 - self.p1[u] ** 2) / (2.0 * (self.p2[u] - self.p1[u]))
-            out[u] = np.where(b[u] < self.p1[u], 0.0, pe)
-        return out
-
-    def win_prob(self, b: np.ndarray) -> np.ndarray:
-        return np.where(b >= self.reserves, self._cdf(b), 0.0)
-
-    def expected_cost(self, b: np.ndarray) -> np.ndarray:
-        first = b * self.win_prob(b)
-        tail = np.maximum(self._partial_expectation(b) - self.pe_at_reserve, 0.0)
-        second = np.where(b >= self.reserves, self.reserves * self.cdf_at_reserve + tail, 0.0)
-        return np.where(self.first_price, first, second)
-
-    def _markup(self, b: np.ndarray) -> np.ndarray:
-        G = self.win_prob(b)
-        g = np.where(b >= self.reserves, self._pdf(b), 0.0)
-        ratio = np.where(G <= 0.0, 0.0, np.where(g <= 0.0, np.inf, G / np.maximum(g, 1e-300)))
-        return b + ratio
-
-    def shade(self, adjusted: np.ndarray, bid_cap: float) -> np.ndarray:
-        """First-price shading for the whole log at once; rows that are not
-        first price pass through untouched by the caller."""
-        # uniform bids invert in closed form: b + G/g = 2b - lo on support
-        analytic = ~self.is_logn & (self.reserves <= self.p1)
-        bids = np.zeros_like(adjusted)
-        rest = ~analytic
-        if rest.any():
-            hi = np.minimum(adjusted, bid_cap)
-            lo = np.zeros_like(adjusted)
-            for _ in range(48):
-                mid = 0.5 * (lo + hi)
-                below = self._markup(mid) < adjusted
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            bids = np.where(adjusted > 0, 0.5 * (lo + hi), 0.0)
-            residual = np.abs(self._markup(bids) - adjusted)
-            ok = analytic | (adjusted <= 0) | (residual <= 1e-9 * np.maximum(1.0, adjusted))
-            # finite support: certain win at the top once the target clears it
-            finite = np.isfinite(self.support_top) & ~ok
-            if finite.any():
-                certain = (
-                    finite & (adjusted >= self._markup_at_top()) & (self.support_top <= bid_cap)
-                )
-                bids = np.where(certain, self.support_top, bids)
-                ok |= certain
-            for j in np.flatnonzero(~ok & self.first_price):
-                bids[j] = _grid_best_bid(
-                    self.mechanisms[j], float(adjusted[j]), float(min(adjusted[j], bid_cap))
-                )
-        if analytic.any():
-            lo_a, hi_a = self.p1[analytic], self.p2[analytic]
-            x = adjusted[analytic]
-            bids[analytic] = np.where(
-                x >= 2.0 * hi_a - lo_a, hi_a, np.where(x >= lo_a, 0.5 * (x + lo_a), x)
-            )
-        return np.minimum(np.minimum(bids, adjusted), bid_cap)
-
-    def _markup_at_top(self) -> np.ndarray:
-        top = np.where(np.isfinite(self.support_top), self.support_top, 1.0)
-        return np.where(np.isfinite(self.support_top), self._markup(top), np.inf)
-
-
 class OpportunityLog:
-    """Ordered opportunity records with cached per-mechanism group arrays."""
+    """Ordered opportunity records, with their columns built once for replay."""
 
     def __init__(self, records: list[LogRecord]):
         if not records:
@@ -249,8 +56,6 @@ class OpportunityLog:
         if any(b < a for a, b in zip(times, times[1:])):
             raise OracleError("record times must be nondecreasing")
         self.records = list(records)
-        self._groups: list[_Group] | None = None
-        self._columns_cache: tuple[_Columns | None, list[_Group]] | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -276,52 +81,36 @@ class OpportunityLog:
             raise OracleError(f"no records for placement {placement!r}")
         return OpportunityLog(subset)
 
-    def groups(self) -> list[_Group]:
-        if self._groups is None:
-            buckets: dict[tuple, list[int]] = {}
-            for i, r in enumerate(self.records):
-                key = (id(r.mechanism), r.windows, r.placement, r.clearing_bid is None)
-                buckets.setdefault(key, []).append(i)
-            groups = []
-            for idx in buckets.values():
-                first = self.records[idx[0]]
-                realized = first.clearing_bid is not None
-                values = np.array([self.records[i].value for i in idx], dtype=float)
-                prices = None
-                if realized:
-                    prices = np.maximum(
-                        np.array([self.records[i].clearing_bid for i in idx], dtype=float),
-                        first.mechanism.reserve,
-                    )
-                groups.append(
-                    _Group(
-                        mechanism=first.mechanism,
-                        windows=first.windows,
-                        placement=first.placement,
-                        realized=realized,
-                        values=values,
-                        prices=prices,
-                        indices=np.array(idx, dtype=int),
-                    )
-                )
-            self._groups = groups
-        return self._groups
+    @cached_property
+    def arrays(self) -> _LogArrays:
+        return _LogArrays(self.records)
 
-    def columns(self) -> tuple[_Columns | None, list[_Group]]:
-        """Columnar view of the lognormal/uniform records (one flat array
-        pass per replay, however many mechanisms drift created) plus the
-        leftover groups that need per-mechanism handling."""
-        if self._columns_cache is None:
-            flat_idx = [
-                i
-                for i, r in enumerate(self.records)
-                if isinstance(r.mechanism.competitor, (LognormalBids, UniformBids))
-            ]
-            flat = _Columns.build(self, flat_idx) if flat_idx else None
-            rest = set(range(len(self.records))) - set(flat_idx)
-            residual = [g for g in self.groups() if g.indices[0] in rest]
-            self._columns_cache = (flat, residual)
-        return self._columns_cache
+
+class _LogArrays:
+    """Per-record columns of a log: values, clearing bids (NaN in
+    distributional records), the mechanism table, and codes for the
+    placement and the window combination of each record."""
+
+    def __init__(self, records: list[LogRecord]):
+        self.values = np.array([r.value for r in records], dtype=float)
+        self.clearing = np.array(
+            [np.nan if r.clearing_bid is None else r.clearing_bid for r in records], dtype=float
+        )
+        self.realized = ~np.isnan(self.clearing)
+        self.table = MechanismTable.from_specs([r.mechanism for r in records])
+        placements: dict[str, int] = {}
+        self.placement_codes = np.array(
+            [placements.setdefault(r.placement, len(placements)) for r in records]
+        )
+        self.placement_names = list(placements)
+        combos: dict[tuple[str, ...], int] = {}
+        self.combo_codes = np.array([combos.setdefault(r.windows, len(combos)) for r in records])
+        self.window_combos = list(combos)
+        windows = dict.fromkeys(w for ws in self.window_combos for w in ws)
+        self.window_masks = {
+            w: np.isin(self.combo_codes, [c for c, ws in enumerate(self.window_combos) if w in ws])
+            for w in windows
+        }
 
 
 @dataclass(frozen=True)
@@ -368,54 +157,24 @@ class ReplayResult:
     per_window: dict[str, tuple[float, float]]
 
 
-def _group_bids(group: _Group, vector: MultiplierVector, bid_cap: float) -> np.ndarray:
-    factor = vector.numerator / max(vector.denominator, LAMBDA_FLOOR)
-    adjusted = factor * group.values
-    if group.mechanism.is_first_price:
-        bids, _ = shade_bids(group.mechanism, adjusted, bid_cap)
-        return np.minimum(np.atleast_1d(bids), adjusted)
-    return np.minimum(adjusted, bid_cap)
-
-
-def _group_spend_value(
-    group: _Group, profile: MultiplierProfile, bid_cap: float
+def _spend_value(
+    log: OpportunityLog, profile: MultiplierProfile, bid_cap: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    vector = profile.vector_for(group.windows)
-    bids = _group_bids(group, vector, bid_cap)
-    if group.realized:
-        won = bids >= group.prices
-        pay = bids if group.mechanism.is_first_price else group.prices
-        spend = np.where(won, pay, 0.0)
-        value = np.where(won, group.values, 0.0)
-    else:
-        spend = np.asarray(expected_cost(group.mechanism, bids), dtype=float)
-        value = group.values * np.asarray(win_prob(group.mechanism, bids), dtype=float)
-    return spend, value
-
-
-def _columns_spend_value(
-    cols: _Columns, profile: MultiplierProfile, bid_cap: float
-) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record spend and value at the given multipliers."""
+    cols = log.arrays
     vectors = [profile.vector_for(c) for c in cols.window_combos]
-    combo_factors = np.array(
-        [v.numerator / max(v.denominator, LAMBDA_FLOOR) for v in vectors]
-    )
-    adjusted = combo_factors[cols.combo_codes] * cols.values
+    factors = np.array([v.numerator / max(v.denominator, LAMBDA_FLOOR) for v in vectors])
+    adjusted = factors[cols.combo_codes] * cols.values
     bids = np.minimum(adjusted, bid_cap)
-    fp = cols.first_price
-    if fp.any():
-        bids[fp] = cols.fp_subset().shade(adjusted[fp], bid_cap)
-    spend = np.zeros_like(bids)
-    value = np.zeros_like(bids)
-    realized = cols.realized
-    if realized.any():
-        won = realized & (bids >= cols.prices)
-        spend[won] = np.where(cols.first_price, bids, cols.prices)[won]
-        value[won] = cols.values[won]
-    dist = ~realized
-    if dist.any():
-        spend[dist] = cols.expected_cost(bids)[dist]
-        value[dist] = (cols.values * cols.win_prob(bids))[dist]
+    rows, first_price = cols.table.first_price_rows
+    if rows.size:
+        bids[rows], _ = shade_bids(first_price, adjusted[rows], bid_cap)
+    won, spend = resolve(cols.table, bids, cols.clearing)
+    value = np.where(won, cols.values, 0.0)
+    model = ~cols.realized
+    if model.any():
+        spend[model] = cols.table.expected_cost(bids)[model]
+        value[model] = (cols.values * cols.table.win_prob(bids))[model]
     return spend, value
 
 
@@ -424,65 +183,22 @@ def replay(
 ) -> ReplayResult:
     """Total and per-placement/per-window spend and value at the given
     multipliers; exact in distributional mode, deterministic in realized."""
-    spend_total = 0.0
-    value_total = 0.0
-    per_placement: dict[str, list[float]] = {}
-    per_window: dict[str, list[float]] = {}
-
-    cols, residual = log.columns()
-    if cols is not None:
-        spend, value = _columns_spend_value(cols, profile, bid_cap)
-        spend_total += float(spend.sum())
-        value_total += float(value.sum())
-        p_spend = np.bincount(
-            cols.placement_codes, weights=spend, minlength=len(cols.placement_names)
-        )
-        p_value = np.bincount(
-            cols.placement_codes, weights=value, minlength=len(cols.placement_names)
-        )
-        for name, s, v in zip(cols.placement_names, p_spend, p_value):
-            acc = per_placement.setdefault(name, [0.0, 0.0])
-            acc[0] += float(s)
-            acc[1] += float(v)
-        for w, mask in cols.window_masks.items():
-            acc = per_window.setdefault(w, [0.0, 0.0])
-            acc[0] += float(spend[mask].sum())
-            acc[1] += float(value[mask].sum())
-
-    for group in residual:
-        spend, value = _group_spend_value(group, profile, bid_cap)
-        s = float(spend.sum())
-        v = float(value.sum())
-        spend_total += s
-        value_total += v
-        acc = per_placement.setdefault(group.placement, [0.0, 0.0])
-        acc[0] += s
-        acc[1] += v
-        for w in group.windows:
-            acc = per_window.setdefault(w, [0.0, 0.0])
-            acc[0] += s
-            acc[1] += v
-
+    cols = log.arrays
+    spend, value = _spend_value(log, profile, bid_cap)
+    n = len(cols.placement_names)
+    p_spend = np.bincount(cols.placement_codes, weights=spend, minlength=n)
+    p_value = np.bincount(cols.placement_codes, weights=value, minlength=n)
     return ReplayResult(
-        spend=spend_total,
-        value=value_total,
-        per_placement={k: (a, b) for k, (a, b) in per_placement.items()},
-        per_window={k: (a, b) for k, (a, b) in per_window.items()},
+        spend=float(spend.sum()),
+        value=float(value.sum()),
+        per_placement={
+            name: (float(s), float(v)) for name, s, v in zip(cols.placement_names, p_spend, p_value)
+        },
+        per_window={
+            w: (float(spend[mask].sum()), float(value[mask].sum()))
+            for w, mask in cols.window_masks.items()
+        },
     )
-
-
-def _per_record_spend(
-    log: OpportunityLog, profile: MultiplierProfile, bid_cap: float
-) -> np.ndarray:
-    out = np.zeros(len(log))
-    cols, residual = log.columns()
-    if cols is not None:
-        spend, _ = _columns_spend_value(cols, profile, bid_cap)
-        out[cols.indices] = spend
-    for group in residual:
-        spend, _ = _group_spend_value(group, profile, bid_cap)
-        out[group.indices] = spend
-    return out
 
 
 class _SpendCurve:
@@ -515,8 +231,8 @@ class _SpendCurve:
         return result
 
     def _raise_non_monotone(self, lo: float, hi: float) -> None:
-        s_lo = _per_record_spend(self.log, self.profile.with_lam(lo), self.bid_cap)
-        s_hi = _per_record_spend(self.log, self.profile.with_lam(hi), self.bid_cap)
+        s_lo, _ = _spend_value(self.log, self.profile.with_lam(lo), self.bid_cap)
+        s_hi, _ = _spend_value(self.log, self.profile.with_lam(hi), self.bid_cap)
         worst = int(np.argmax(s_hi - s_lo))
         raise OracleError(
             f"replayed spend increases with the multiplier between {lo:g} and {hi:g}; "
@@ -855,16 +571,11 @@ def fixed_bid_baseline(
     hindsight to the largest level whose realized spend fits the budget."""
     if log.mode != "realized":
         raise OracleError("the fixed-bid baseline needs a realized log")
+    cols = log.arrays
 
     def outcome(bid: float) -> tuple[float, float]:
-        spend = 0.0
-        value = 0.0
-        for group in log.groups():
-            won = bid >= group.prices
-            pay = np.where(won, bid if group.mechanism.is_first_price else group.prices, 0.0)
-            spend += float(pay.sum())
-            value += float(np.where(won, group.values, 0.0).sum())
-        return spend, value
+        won, spend = resolve(cols.table, np.full(len(log), bid), cols.clearing)
+        return float(spend.sum()), float(np.where(won, cols.values, 0.0).sum())
 
     lo, hi = 0.0, bid_cap
     if outcome(hi)[0] <= budget:

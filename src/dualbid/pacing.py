@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, shade_bids
-from .mechanisms import MechanismSpec
+from .mechanisms import MechanismSpec, MechanismTable, resolve
 
 LAMBDA_TILDE_MIN = 1e-9
 LAMBDA_TILDE_MAX = 1e9
@@ -536,26 +536,6 @@ class FtlResult:
     unconstrained: bool
 
 
-def _replay_spend(entries: list[FtlEntry], lam: float, bid_cap: float = DEFAULT_BID_CAP) -> float:
-    by_mech: dict[int, list[FtlEntry]] = {}
-    for e in entries:
-        by_mech.setdefault(id(e.mechanism), []).append(e)
-    total = 0.0
-    for group in by_mech.values():
-        mech = group[0].mechanism
-        values = np.array([e.value for e in group])
-        price = np.maximum(np.array([e.clearing_bid for e in group]), mech.reserve)
-        adjusted = values / lam
-        if mech.is_first_price:
-            bids, _ = shade_bids(mech, adjusted, bid_cap)
-            bids = np.minimum(np.atleast_1d(bids), adjusted)
-            total += float(np.sum(np.where(bids >= price, bids, 0.0)))
-        else:
-            bids = np.minimum(adjusted, bid_cap)
-            total += float(np.sum(np.where(bids >= price, price, 0.0)))
-    return total
-
-
 def ftl_update(
     entries: list[FtlEntry],
     budget: float,
@@ -572,14 +552,25 @@ def ftl_update(
         raise PacingError("ftl update needs at least one logged auction")
     scope = entries[-window:] if window is not None else entries
     target = budget / expected_total * len(scope)
+    values = np.array([e.value for e in scope])
+    clearing = np.array([e.clearing_bid for e in scope])
+    table = MechanismTable.from_specs([e.mechanism for e in scope])
+    rows, first_price = table.first_price_rows
 
-    if _replay_spend(scope, LAMBDA_FLOOR) <= target:
+    def replay_spend(lam: float) -> float:
+        adjusted = values / lam
+        bids = np.minimum(adjusted, DEFAULT_BID_CAP)
+        if rows.size:
+            bids[rows], _ = shade_bids(first_price, adjusted[rows], DEFAULT_BID_CAP)
+        return float(resolve(table, bids, clearing)[1].sum())
+
+    if replay_spend(LAMBDA_FLOOR) <= target:
         return FtlResult(lam=LAMBDA_FLOOR, unconstrained=True)
 
     lo = LAMBDA_FLOOR
     hi = 1.0
     for _ in range(200):
-        if _replay_spend(scope, hi) <= target:
+        if replay_spend(hi) <= target:
             break
         hi *= 4.0
     else:
@@ -587,7 +578,7 @@ def ftl_update(
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _replay_spend(scope, mid) <= target:
+        if replay_spend(mid) <= target:
             hi = mid
         else:
             lo = mid

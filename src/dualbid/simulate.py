@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bidding import BidDecision, make_bid, optimal_bids
+from .bidding import LAMBDA_FLOOR, optimal_bids
 from .coldstart import ColdStartResult, PlacementPriors, solve_lambda0_multi
-from .mechanisms import LognormalBids, MechanismSpec
+from .mechanisms import LognormalBids, MechanismSpec, MechanismTable, resolve
 from .oracle import LogRecord, OpportunityLog, marginal_roi
 from .pacing import (
     ForecastModel,
@@ -75,7 +75,6 @@ def generate_stream(scenario: ScenarioConfig) -> list[Opportunity]:
     """All opportunities for the scenario, interleaved across placements by
     a within-interval jitter and fully reproducible from the seed."""
     out: list[Opportunity] = []
-    mechanisms: dict[tuple[int, int], MechanismSpec] = {}
     for p_idx, placement in enumerate(scenario.placements):
         for interval in range(scenario.intervals):
             intensity = placement.intensity_at(interval)
@@ -85,9 +84,7 @@ def generate_stream(scenario: ScenarioConfig) -> list[Opportunity]:
             n = int(rng.poisson(intensity))
             if n == 0:
                 continue
-            mech = mechanisms.setdefault(
-                (p_idx, interval), drifted_mechanism(placement, interval)
-            )
+            mech = drifted_mechanism(placement, interval)
             jitter = rng.random(n)
             values = rng.lognormal(
                 mean=drifted_value_mu(placement, interval), sigma=placement.value_sigma, size=n
@@ -320,9 +317,11 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
     normalize(state, scenario.agent.lambda_prime or lambda0)
 
     stream = generate_stream(scenario)
-    by_interval: dict[int, list[Opportunity]] = {}
-    for o in stream:
-        by_interval.setdefault(o.interval, []).append(o)
+    values = np.array([o.value for o in stream])
+    table = MechanismTable.from_specs([o.mechanism for o in stream])
+    clearing = np.array([o.clearing_bid for o in stream])
+    # the stream is ordered by interval: interval i is stream[starts[i]:starts[i + 1]]
+    starts = np.searchsorted([o.interval for o in stream], np.arange(scenario.intervals + 1))
 
     trace: list[TraceRow] = []
     trajectory: list[float] = []
@@ -330,48 +329,31 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
     placement_spend: dict[str, float] = {p.id: 0.0 for p in scenario.placements}
     placement_value: dict[str, float] = {p.id: 0.0 for p in scenario.placements}
     max_single_cost = 0.0
-    index = 0
 
     for interval in range(scenario.intervals):
         try:
             windows = constraints.window_ids_at(interval)
-            interval_opps = by_interval.get(interval, ())
-            # with interval-boundary batches the multiplier snapshot is fixed
-            # for the whole interval, so bids can be computed in bulk
-            precomputed: dict[int, tuple[float, np.ndarray]] | None = None
-            if cfg.batch_size is None and interval_opps:
-                snapshot = state.multipliers_at(constraints, interval)
-                factor = snapshot.numerator / max(snapshot.denominator, 1e-9)
-                precomputed = {}
-                by_mech: dict[int, list[int]] = {}
-                for j, o in enumerate(interval_opps):
-                    by_mech.setdefault(id(o.mechanism), []).append(j)
-                for positions in by_mech.values():
-                    mech = interval_opps[positions[0]].mechanism
-                    adjusted = factor * np.array(
-                        [interval_opps[j].value for j in positions]
-                    )
-                    bids = np.atleast_1d(
-                        optimal_bids(mech, adjusted, scenario.agent.bid_cap)
-                    )
-                    for slot, j in enumerate(positions):
-                        precomputed[j] = (float(adjusted[slot]), float(bids[slot]))
-            for j, o in enumerate(interval_opps):
-                snapshot = state.multipliers_at(constraints, interval)
+            end = int(starts[interval + 1])
+            stale = True
+            for index in range(int(starts[interval]), end):
+                if stale:
+                    # the multipliers only move at batch boundaries, so the
+                    # rest of the interval is bid and resolved in one go
+                    snapshot = state.multipliers_at(constraints, interval)
+                    factor = snapshot.numerator / max(snapshot.denominator, LAMBDA_FLOOR)
+                    first = index
+                    rest = table.take(slice(index, end))
+                    adjusted = factor * values[index:end]
+                    bids = optimal_bids(rest, adjusted, scenario.agent.bid_cap)
+                    wins, costs = resolve(rest, bids, clearing[index:end])
+                    stale = False
+                o = stream[index]
                 if state.budget_exhausted:
-                    decision = BidDecision(bid=0.0, adjusted_value=0.0, surplus_at_bid=0.0)
-                elif precomputed is not None:
-                    adjusted, bid = precomputed[j]
-                    decision = BidDecision(bid=bid, adjusted_value=adjusted, surplus_at_bid=0.0)
+                    adjusted_value, bid, won, cost = 0.0, 0.0, False, 0.0
                 else:
-                    decision = make_bid(o.mechanism, o.value, snapshot, scenario.agent.bid_cap)
-                if state.budget_exhausted:
-                    won = False
-                    cost = 0.0
-                else:
-                    price = max(o.clearing_bid, o.mechanism.reserve)
-                    won = decision.bid >= price
-                    cost = (decision.bid if o.mechanism.is_first_price else price) if won else 0.0
+                    k = index - first
+                    adjusted_value, bid = float(adjusted[k]), float(bids[k])
+                    won, cost = bool(wins[k]), float(costs[k])
                 result = 1.0 if won and o.result_draw < min(o.value, 1.0) else 0.0
                 state.record_outcome(windows, o.value, won, cost, result)
                 if won:
@@ -388,8 +370,8 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
                         opportunity_index=index,
                         placement_id=o.placement,
                         value=o.value,
-                        adjusted_value=decision.adjusted_value,
-                        bid=decision.bid,
+                        adjusted_value=adjusted_value,
+                        bid=bid,
                         won=won,
                         cost=cost,
                         lambda_tilde=state.lambda_tilde,
@@ -400,9 +382,9 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
                         cum_value=state.value_total,
                     )
                 )
-                index += 1
                 if cfg.batch_size is not None and state.interval_count >= cfg.batch_size:
                     apply_batch_update(state, cfg, forecast, constraints, interval, ftl_entries)
+                    stale = True
             if cfg.batch_size is None:
                 apply_batch_update(state, cfg, forecast, constraints, interval, ftl_entries)
         except Exception as exc:

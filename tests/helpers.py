@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own solution paths:
 win-set search is exhaustive enumeration, the realized multiplier jump is
-found by density sorting, and expected values come from quadrature.
+found by density sorting, expected values come from quadrature, and replay
+is recomputed record by record from scalar bids.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import itertools
 import numpy as np
 from scipy.special import ndtri
 
-from dualbid.mechanisms import MechanismSpec
-from dualbid.oracle import LogRecord, OpportunityLog
+from dualbid.bidding import DEFAULT_BID_CAP, adjusted_value, optimal_bid
+from dualbid.mechanisms import MechanismSpec, expected_cost, win_prob
+from dualbid.oracle import LogRecord, MultiplierProfile, OpportunityLog
 
 
 def enumerate_best_winset(outcomes: list[tuple[float, float]], budget: float):
@@ -49,6 +51,38 @@ def threshold_lambda(outcomes: list[tuple[float, float]], budget: float):
         if cumulative > budget + 1e-12:
             return theta
     return None
+
+
+def replay_by_record(
+    log: OpportunityLog, profile: MultiplierProfile, bid_cap: float = DEFAULT_BID_CAP
+):
+    """Scalar replay reference: each record bids optimal_bid at its adjusted
+    value, then wins by the realized indicator (ties win; second price pays
+    max(clearing, reserve), first price the bid) or, without a clearing bid,
+    spends H(b) and earns value * G(b).  Returns (spend, value,
+    per_placement, per_window) with [spend, value] pairs."""
+    spend_total = value_total = 0.0
+    per_placement: dict[str, list[float]] = {}
+    per_window: dict[str, list[float]] = {}
+    for r in log.records:
+        mech = r.mechanism
+        bid = optimal_bid(mech, adjusted_value(r.value, profile.vector_for(r.windows)), bid_cap).bid
+        if r.clearing_bid is None:
+            spend = expected_cost(mech, bid)
+            value = r.value * win_prob(mech, bid)
+        else:
+            price = max(r.clearing_bid, mech.reserve)
+            won = bid >= price
+            spend = (bid if mech.is_first_price else price) if won else 0.0
+            value = r.value if won else 0.0
+        spend_total += spend
+        value_total += value
+        for acc in [per_placement.setdefault(r.placement, [0.0, 0.0])] + [
+            per_window.setdefault(w, [0.0, 0.0]) for w in r.windows
+        ]:
+            acc[0] += spend
+            acc[1] += value
+    return spend_total, value_total, per_placement, per_window
 
 
 def quantile_lognormal_log(

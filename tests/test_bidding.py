@@ -8,7 +8,6 @@ from dualbid.bidding import (
     DEFAULT_BID_CAP,
     MultiplierVector,
     adjusted_value,
-    invert_markup,
     make_bid,
     optimal_bid,
     shade_bids,
@@ -19,6 +18,7 @@ from dualbid.mechanisms import (
     EmpiricalBids,
     LognormalBids,
     MechanismSpec,
+    MechanismTable,
     UniformBids,
     win_prob,
 )
@@ -58,22 +58,22 @@ class TestAdjustedValue:
 class TestInvertMarkup:
     def test_uniform_closed_form(self):
         # on uniform(0,1) the map is 2b, so the inverse is x/2
-        assert invert_markup(UNIFORM_FP, 1.0) == pytest.approx(0.5, abs=1e-9)
-        assert invert_markup(UNIFORM_FP, 0.62) == pytest.approx(0.31, abs=1e-9)
+        assert optimal_bid(UNIFORM_FP, 1.0).bid == pytest.approx(0.5, abs=1e-9)
+        assert optimal_bid(UNIFORM_FP, 0.62).bid == pytest.approx(0.31, abs=1e-9)
 
     def test_clamps_to_support_top(self):
         # surplus (3-b)*G(b) peaks at the support top where G is already 1
         grid = np.linspace(0, 3, 30001)
         best = grid[np.argmax(3.0 * win_prob(UNIFORM_FP, grid) - grid * win_prob(UNIFORM_FP, grid))]
         assert best == pytest.approx(1.0, abs=1e-3)
-        assert invert_markup(UNIFORM_FP, 3.0) == pytest.approx(1.0, abs=1e-6)
+        assert optimal_bid(UNIFORM_FP, 3.0).bid == pytest.approx(1.0, abs=1e-6)
 
     def test_zero(self):
-        assert invert_markup(UNIFORM_FP, 0.0) == 0.0
+        assert optimal_bid(UNIFORM_FP, 0.0).bid == 0.0
 
-    def test_second_price_rejected(self):
+    def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
-            invert_markup(UNIFORM_SP, 1.0)
+            optimal_bid(UNIFORM_FP, -1.0)
 
 
 class TestOptimalBid:
@@ -156,9 +156,9 @@ def test_bid_monotone_in_multiplier(mech):
 def test_shade_bids_vector_matches_scalar():
     rng = np.random.default_rng(17)
     xs = rng.uniform(0.01, 3.0, 64)
-    vector, _ = shade_bids(LOGN_FP, xs)
+    vector, _ = shade_bids(MechanismTable.from_specs([LOGN_FP] * len(xs)), xs)
     for x, b in zip(xs, vector):
-        assert invert_markup(LOGN_FP, float(x)) == pytest.approx(float(b), abs=1e-9)
+        assert optimal_bid(LOGN_FP, float(x)).bid == pytest.approx(float(b), abs=1e-9)
 
 
 def test_empirical_fallback_produces_valid_bid():
@@ -186,3 +186,48 @@ def test_reserve_jump_first_price():
     grid = np.linspace(0.0, x, 10_001)
     best = float(np.max(surplus(mech, x, grid)))
     assert decision.surplus_at_bid >= best - 1e-6
+
+
+def test_empirical_first_price_reaches_grid_optimum():
+    # step win curves: a markup root inside a flat step is never the best
+    # bid, so the table kernel must find the surplus peak itself, and the
+    # scalar view must return the same bid as a bulk call
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        mech = MechanismSpec("first_price", 0.0, EmpiricalBids(tuple(rng.lognormal(0.0, 0.6, 12))))
+        xs = rng.uniform(0.05, 4.0, 25)
+        bids, _ = shade_bids(MechanismTable.from_specs([mech] * len(xs)), xs)
+        for x, bid in zip(xs, bids):
+            grid = np.linspace(0.0, min(x, DEFAULT_BID_CAP), 10_001)
+            best = float(np.max(surplus(mech, x, grid)))
+            assert 0.0 <= bid <= x
+            assert surplus(mech, x, float(bid)) >= best - 1e-6
+            assert optimal_bid(mech, float(x)).bid == bid
+
+
+def test_shade_bids_rows_are_independent():
+    # a mixed table shades each row as its one-row table would
+    rng = np.random.default_rng(8)
+    mechs = _random_models(rng, 30) + [
+        MechanismSpec("first_price", 0.6, UniformBids(0.0, 1.0)),
+        MechanismSpec("first_price", 0.0, EmpiricalBids(tuple(rng.lognormal(0.0, 0.5, 20)))),
+    ]
+    table = MechanismTable.from_specs(mechs)
+    xs = rng.uniform(0.0, 3.0, len(mechs))
+    bids, _ = shade_bids(table, xs)
+    for mech, x, bid in zip(mechs, xs, bids):
+        assert shade_bids(mech.table, x)[0][0] == bid
+
+
+def test_table_rows_deduplicate_by_value():
+    a = MechanismSpec("first_price", 0.0, LognormalBids(0.1, 0.9))
+    b = MechanismSpec("first_price", 0.0, LognormalBids(0.1, 0.9))
+    e1 = MechanismSpec("second_price", 0.0, EmpiricalBids((0.5, 1.0, 1.5)))
+    e2 = MechanismSpec("second_price", 0.0, EmpiricalBids((0.5, 1.0, 1.5)))
+    table = MechanismTable.from_specs([a, e1, b, e2, a])
+    assert len(table) == 5
+    assert len(table.models) == 1
+    np.testing.assert_array_equal(table.model, [-1, 0, -1, 0, -1])
+    np.testing.assert_array_equal(table.win_prob(np.full(5, 1.0)), [
+        win_prob(a, 1.0), win_prob(e1, 1.0), win_prob(a, 1.0), win_prob(e1, 1.0), win_prob(a, 1.0)
+    ])

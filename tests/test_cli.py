@@ -255,6 +255,65 @@ class TestSweep:
         printed = capsys.readouterr().out
         assert "seed=100" in printed and "seed=101" in printed
 
+    @pytest.mark.parametrize("flag", ["--jobs", "--sweep-seeds"])
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_non_positive_counts_exit_2(self, tmp_path, monkeypatch, flag, bad):
+        import dualbid.cli as cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        scenario = write_scenario(tmp_path, small_scenario())
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--scenario", str(scenario), "--out", str(out)]
+        argv += ["--sweep-seeds", "2", "--jobs", "2"]
+        argv[argv.index(flag) + 1] = bad
+        assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs,cpus,seeds,workers", [(64, 8, 3, 3), (64, 2, 3, 2), (2, None, 3, 0)])
+    def test_workers_capped(self, tmp_path, monkeypatch, jobs, cpus, seeds, workers):
+        # the pool is replaced by an in-process stand-in, so no worker starts
+        import dualbid.cli as cli
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        scenario = write_scenario(tmp_path, small_scenario(intervals=5))
+        argv = ["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "sweep")]
+        argv += ["--sweep-seeds", str(seeds), "--jobs", str(jobs)]
+        assert main(argv) == 0
+        assert started == ([workers] if workers else [])
+        assert len(list((tmp_path / "sweep").iterdir())) == seeds
+
+
+def test_kv_csv_round_trips_numpy_scalars_and_bools(tmp_path):
+    import numpy as np
+
+    from dualbid.cli import _read_kv_csv, _write_kv_csv
+
+    path = tmp_path / "kv.csv"
+    lam = np.float64(0.8765432109876543)
+    _write_kv_csv(path, [("oracle_lambda_weekend", lam), ("oracle_feasible", True)])
+    rows = _read_kv_csv(path)
+    assert float(rows["oracle_lambda_weekend"]) == float(lam)
+    assert rows["oracle_feasible"] == "True"
+
 
 class TestOracleCommand:
     def _write_log(self, path: Path, realized: bool = True):

@@ -21,7 +21,12 @@ from dualbid.oracle import (
     solve_lambda_star,
 )
 from dualbid.pacing import ConstraintSet, DeliveryWindow, GuaranteeWindow
-from helpers import enumerate_best_winset, quantile_lognormal_log, threshold_lambda
+from helpers import (
+    enumerate_best_winset,
+    quantile_lognormal_log,
+    replay_by_record,
+    threshold_lambda,
+)
 
 UNIFORM_SP = MechanismSpec("second_price", 0.0, UniformBids(0.0, 1.0))
 UNIFORM_FP = MechanismSpec("first_price", 0.0, UniformBids(0.0, 1.0))
@@ -349,22 +354,28 @@ class TestFixedBidBaseline:
             fixed_bid_baseline(quantile_lognormal_log(10, LOGN_SP, 0.0, 1.0), budget=1.0)
 
 
-def test_columnar_replay_matches_group_replay():
-    # the flat-array fast path must agree with per-mechanism evaluation
-    # across families, auction types, windows, and realized/model records
-    import dualbid.oracle as oracle_mod
+def test_replay_matches_per_record_reference():
+    # the table replay must agree with scalar per-record evaluation across
+    # families, auction types, reserves, windows, and realized/model
+    # records; value-equal mechanisms built as distinct objects included
     from dualbid.mechanisms import EmpiricalBids
 
     rng = np.random.default_rng(33)
+    samples = tuple(rng.lognormal(0, 0.5, 50))
     mechs = [
         MechanismSpec("second_price", 0.0, LognormalBids(0.1, 0.9)),
         MechanismSpec("first_price", 0.05, LognormalBids(-0.2, 0.7)),
         MechanismSpec("second_price", 0.1, UniformBids(0.0, 1.5)),
         MechanismSpec("first_price", 0.0, UniformBids(0.2, 1.2)),
-        MechanismSpec("second_price", 0.0, EmpiricalBids(tuple(rng.lognormal(0, 0.5, 50)))),
+        MechanismSpec("first_price", 0.5, UniformBids(0.2, 1.2)),
+        MechanismSpec("second_price", 0.0, EmpiricalBids(samples)),
+        MechanismSpec("first_price", 0.3, EmpiricalBids(samples)),
+        MechanismSpec("first_price", 0.05, LognormalBids(-0.2, 0.7)),
+        MechanismSpec("second_price", 0.0, EmpiricalBids(samples)),
     ]
+    assert mechs[7] == mechs[1] and mechs[7] is not mechs[1]
     records = []
-    for i in range(400):
+    for i in range(450):
         mech = mechs[i % len(mechs)]
         records.append(
             LogRecord(
@@ -382,25 +393,11 @@ def test_columnar_replay_matches_group_replay():
     )
     fast = replay(log, profile)
 
-    def replay_by_groups(log, profile, bid_cap=1e4):
-        spend_total = value_total = 0.0
-        per_placement, per_window = {}, {}
-        for group in log.groups():
-            spend, value = oracle_mod._group_spend_value(group, profile, bid_cap)
-            spend_total += float(spend.sum())
-            value_total += float(value.sum())
-            acc = per_placement.setdefault(group.placement, [0.0, 0.0])
-            acc[0] += float(spend.sum())
-            acc[1] += float(value.sum())
-            for w in group.windows:
-                acc = per_window.setdefault(w, [0.0, 0.0])
-                acc[0] += float(spend.sum())
-                acc[1] += float(value.sum())
-        return spend_total, value_total, per_placement, per_window
-
-    slow_spend, slow_value, slow_placements, slow_windows = replay_by_groups(log, profile)
+    slow_spend, slow_value, slow_placements, slow_windows = replay_by_record(log, profile)
     assert fast.spend == pytest.approx(slow_spend, rel=1e-9)
     assert fast.value == pytest.approx(slow_value, rel=1e-9)
+    assert set(fast.per_placement) == set(slow_placements)
+    assert set(fast.per_window) == set(slow_windows)
     for k, (s, v) in slow_placements.items():
         assert fast.per_placement[k][0] == pytest.approx(s, rel=1e-9)
         assert fast.per_placement[k][1] == pytest.approx(v, rel=1e-9)
