@@ -12,12 +12,15 @@ price auction it is shaded down through the inverse of b + G(b)/g(b).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import log_ndtr
 
 from .mechanisms import (
     EMPIRICAL,
+    LOGNORMAL,
     UNIFORM,
     MechanismSpec,
     MechanismTable,
@@ -33,6 +36,9 @@ DEFAULT_BID_CAP = 1e4
 _INVERT_REL_TOL = 1e-9
 _HALVINGS = 48
 _GRID_POINTS = 10_001
+_NEWTON_STEPS = 64
+_NEWTON_STEP_TOL = 1e-10
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,44 @@ def _step_bids(table: MechanismTable, xs: np.ndarray, hi: np.ndarray) -> np.ndar
     return bids
 
 
+def _solves_markup(table: MechanismTable, bids: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Residual gate every shaded bid passes: |markup(b) - x| <= 1e-9 max(1, x)."""
+    return np.abs(table.markup(bids) - xs) <= _INVERT_REL_TOL * np.maximum(1.0, xs)
+
+
+def _lognormal_newton(mu: np.ndarray, sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Markup roots of lognormal rows with no reserve, by Newton in z.
+
+    In the standardized log bid z = (ln b - mu) / sigma the markup is
+    b (1 + sigma R(z)) with R = Phi / phi, so b + G/g = x reads
+
+        F(z) = sigma z + log1p(sigma R(z)) - (ln x - mu) = 0,
+        F'(z) = sigma + sigma (1 + z R) / (1 + sigma R),
+
+    which depends on sigma alone.  F is increasing and convex, and
+    F(z0) >= 0 at z0 = (ln x - mu) / sigma, so Newton from z0 descends to
+    the root without overshooting.  ln R is formed from log_ndtr, so R never
+    overflows.  Each row stops once its own step is below 1e-10 max(1, |z|)
+    (the next step would move it by rounding only), independently of the
+    others.
+    """
+    t = np.log(xs) - mu
+    z = t / sigma
+    ln_sigma = np.log(sigma)
+    active = np.arange(xs.size)
+    for _ in range(_NEWTON_STEPS):
+        za, sa = z[active], sigma[active]
+        ln_r = log_ndtr(za) + 0.5 * za * za + _LN_SQRT_2PI
+        inv_r = np.exp(-ln_r)
+        f = sa * za + np.logaddexp(0.0, ln_sigma[active] + ln_r) - t[active]
+        step = f / (sa + sa * (inv_r + za) / (inv_r + sa))
+        z[active] = za - step
+        active = active[np.abs(step) > _NEWTON_STEP_TOL * np.maximum(1.0, np.abs(za))]
+        if not active.size:
+            break
+    return np.exp(mu + sigma * z)
+
+
 def _bisect(table: MechanismTable, xs: np.ndarray, hi: np.ndarray, bid_cap: float):
     lo = np.zeros_like(xs)
     up = hi.copy()
@@ -151,7 +195,7 @@ def _bisect(table: MechanismTable, xs: np.ndarray, hi: np.ndarray, bid_cap: floa
         lo = np.where(below, mid, lo)
         up = np.where(below, up, mid)
     bids = 0.5 * (lo + up)
-    ok = np.abs(table.markup(bids) - xs) <= _INVERT_REL_TOL * np.maximum(1.0, xs)
+    ok = _solves_markup(table, bids, xs)
     if ok.all():
         return bids, False
     # finite support: certain win at the top once the target clears it
@@ -172,8 +216,12 @@ def shade_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP
 
     Uniform rows with the reserve at or below the support bottom invert in
     closed form (the map is 2b - lo on the support).  Empirical rows take
-    their best atom (see _step_bids).  The rest bisect; a row whose
-    bisection fails the residual check (reserve discontinuities,
+    their best atom (see _step_bids).  Lognormal rows with no reserve solve
+    by Newton in the standardized log bid (see _lognormal_newton), capped at
+    min(adjusted, bid_cap).  Every other row, and every Newton row whose bid
+    fails the residual gate |markup(b) - adjusted| <= 1e-9 max(1, adjusted)
+    (a binding bid cap, a non-finite or unconverged step), bisects; a row
+    whose bisection fails the same gate (reserve discontinuities,
     non-monotone maps) wins with certainty at a finite support top once its
     target clears the markup there, and otherwise falls back to a grid
     maximization of the surplus, which sets fell_back.
@@ -190,6 +238,13 @@ def shade_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP
         bids[closed] = np.where(x >= 2.0 * top - lo, top, np.where(x >= lo, 0.5 * (x + lo), x))
     if steps.any():
         bids[steps] = _step_bids(table.take(steps), xs[steps], hi[steps])
+    newton = rest & (table.family == LOGNORMAL) & (table.reserve <= 0) & np.isfinite(xs)
+    if newton.any():
+        rows = np.flatnonzero(newton)
+        x = xs[rows]
+        shaded = np.minimum(_lognormal_newton(table.p1[rows], table.p2[rows], x), hi[rows])
+        bids[rows] = shaded
+        rest[rows] = ~_solves_markup(table if newton.all() else table.take(rows), shaded, x)
     if rest.any():
         bids[rest], fell_back = _bisect(
             table if rest.all() else table.take(rest), xs[rest], hi[rest], bid_cap

@@ -443,10 +443,16 @@ def resolve(table: MechanismTable, bids, clearing):
     max(clearing, reserve), first price pays the bid.  A NaN clearing bid
     never wins.
     """
-    bids = np.asarray(bids, dtype=float)
+    won, cost, _ = _resolve(table, np.asarray(bids, dtype=float), clearing)
+    return won, cost
+
+
+def _resolve(table: MechanismTable, bids: np.ndarray, clearing):
+    """resolve's (won, cost) plus what each row would pay if it won."""
     price = np.maximum(clearing, table.reserve)
     won = bids >= price
-    return won, np.where(won, np.where(table.first_price, bids, price), 0.0)
+    cost_if_won = np.where(table.first_price, bids, price)
+    return won, np.where(won, cost_if_won, 0.0), cost_if_won
 
 
 def _view(curve, mech: MechanismSpec, b):
@@ -479,8 +485,9 @@ def cost_derivative(mech: MechanismSpec, b):
 def simulate_outcome(mech: MechanismSpec, b: float, draw: float):
     """Resolve one auction from a uniform draw in [0, 1).
 
-    The competing clearing bid is the draw pushed through the inverse CDF;
-    the bid wins on ties (b >= max(clearing, reserve)).
+    The competing clearing bid is the draw pushed through the inverse CDF,
+    and the auction resolves as ``resolve`` resolves the mechanism's one-row
+    table.
 
     Returns (won, cost, RealizedLandscape).
     """
@@ -489,8 +496,6 @@ def simulate_outcome(mech: MechanismSpec, b: float, draw: float):
     if not (0.0 <= draw < 1.0):
         raise MechanismError(f"draw must lie in [0, 1), got {draw}")
     clearing = float(mech.competitor.quantile(draw))
-    price = max(clearing, mech.reserve)
-    won = b >= price
-    cost_if_won = b if mech.is_first_price else price
-    landscape = RealizedLandscape(clearing_bid=clearing, cost_if_won=cost_if_won)
-    return won, (cost_if_won if won else 0.0), landscape
+    won, cost, cost_if_won = _resolve(mech.table, np.array([b], dtype=float), clearing)
+    landscape = RealizedLandscape(clearing_bid=clearing, cost_if_won=float(cost_if_won[0]))
+    return bool(won[0]), float(cost[0]), landscape

@@ -42,7 +42,7 @@ class LogRecord:
     def __post_init__(self):
         if self.value < 0:
             raise OracleError(f"value must be >= 0, got {self.value}")
-        if self.clearing_bid is not None and self.clearing_bid < 0:
+        if self.clearing_bid is not None and not self.clearing_bid >= 0:
             raise OracleError(f"clearing bid must be >= 0, got {self.clearing_bid}")
 
 
@@ -62,7 +62,7 @@ class OpportunityLog:
 
     @property
     def mode(self) -> str:
-        realized = sum(1 for r in self.records if r.clearing_bid is not None)
+        realized = int(np.count_nonzero(self.arrays.realized))
         if realized == 0:
             return "distributional"
         if realized == len(self.records):
@@ -347,26 +347,29 @@ class KktSolution:
 def _grid_bracket_bisect(evaluate, grid: np.ndarray, rel_tol: float, max_iter: int = 100):
     """Find the smallest multiplier whose residual crosses <= 0 on the grid,
     then refine the crossing by bisection.  evaluate(x) returns the residual
-    (positive while the constraint is violated).  Returns (x, residual) or
-    None when the residual never crosses."""
+    (positive while the constraint is violated).  Returns (x, residual,
+    bracket) or None when the residual never crosses.  bracket is
+    (lo, hi, residual at lo, residual at hi) as the bisection saw them when
+    it ran out of iterations with the residual still above rel_tol (x is
+    then hi), and None otherwise."""
     prev_x = 0.0
     prev_res = evaluate(0.0)
     if prev_res <= 0:
-        return 0.0, prev_res
+        return 0.0, prev_res, None
     for x in grid:
         res = evaluate(x)
         if res <= 0:
-            lo, hi = prev_x, x
+            lo, hi, r_lo, r_hi = prev_x, x, prev_res, res
             for _ in range(max_iter):
                 mid = 0.5 * (lo + hi)
                 r = evaluate(mid)
                 if abs(r) <= rel_tol:
-                    return mid, r
+                    return mid, r, None
                 if r > 0:
-                    lo = mid
+                    lo, r_lo = mid, r
                 else:
-                    hi = mid
-            return hi, evaluate(hi)
+                    hi, r_hi = mid, r
+            return hi, evaluate(hi), (lo, hi, r_lo, r_hi)
         prev_x, prev_res = x, res
     return None
 
@@ -384,6 +387,12 @@ def solve_kkt_grid(
 
     Built for small test instances: nested coarse-grid searches with
     bisection refinement, the budget multiplier re-solved innermost.
+
+    Realized spend and value are step functions of the multipliers, so a
+    constraint may have no multiplier that meets it within rel_tol.  When a
+    log with realized records leaves a residual above rel_tol, a note names
+    the final bracket of that constraint's multiplier and the jump of the
+    constrained quantity across it.
     """
     if len(constraints.delivery_windows) > 1 or len(constraints.guarantee_windows) > 1:
         raise OracleError("kkt oracle supports at most one window of each kind")
@@ -393,6 +402,10 @@ def solve_kkt_grid(
     guarantee = constraints.guarantee_windows[0] if constraints.guarantee_windows else None
     notes: list[str] = []
     hints: dict[str, float] = {}
+    # per constraint, the final multiplier bracket and the residuals at its
+    # ends (see _grid_bracket_bisect) of the last search, the one behind
+    # the result
+    brackets: dict[str, tuple[float, float, float, float] | None] = {}
 
     def solve_inner(mu: float, lam_k: float, mu_k: float) -> tuple[MultiplierProfile, ReplayResult, bool]:
         profile = MultiplierProfile(
@@ -408,6 +421,9 @@ def solve_kkt_grid(
         )
         if not sol.unconstrained:
             hints["lam"] = sol.lam
+        brackets["budget"] = sol.bracket and (
+            *sol.bracket, *(curve.at(lam).spend - budget for lam in sol.bracket)
+        )
         final = profile.with_lam(sol.lam)
         return final, curve.at(sol.lam), sol.unconstrained
 
@@ -430,7 +446,7 @@ def solve_kkt_grid(
             notes.append("cost target unattainable even at the multiplier bound")
             mu = 1e6 * scale
         else:
-            mu = found[0]
+            mu, _, brackets["cost_target"] = found
         profile, rep, unconstrained = solve_inner(mu, lam_k, mu_k)
         return mu, profile, rep, unconstrained
 
@@ -450,7 +466,7 @@ def solve_kkt_grid(
             notes.append(f"delivery window {delivery.id!r} cap unattainable")
             lam_k = 1e8
         else:
-            lam_k = found[0]
+            lam_k, _, brackets["delivery"] = found
         mu, profile, rep, unconstrained = solve_mu(lam_k, mu_k)
         return lam_k, mu, profile, rep, unconstrained
 
@@ -477,7 +493,7 @@ def solve_kkt_grid(
                 f"{achieved:g} < floor {guarantee.floor:g}"
             )
         else:
-            mu_k = found[0]
+            mu_k, _, brackets["guarantee"] = found
         lam_k, mu, profile, rep, lam_unconstrained = solve_lam_k(mu_k)
 
     if lam_unconstrained:
@@ -500,6 +516,11 @@ def solve_kkt_grid(
             / guarantee.floor
         )
 
+    if log.mode != "distributional":
+        for name, residual in residuals.items():
+            if residual > rel_tol and brackets.get(name):
+                notes.append(_step_note(name, residual, rel_tol, brackets[name], rep, constraints))
+
     return KktSolution(
         profile=profile,
         replay=rep,
@@ -507,6 +528,38 @@ def solve_kkt_grid(
         feasible=feasible,
         notes=tuple(notes),
     )
+
+
+def _step_note(name, residual, rel_tol, bracket, rep: ReplayResult, constraints) -> str:
+    """Why a realized KKT residual exceeds rel_tol: the constrained quantity
+    jumps across the final bracket of its multiplier's search.  The inner
+    multipliers are re-solved for the result, from other warm starts than
+    during the search, so the final value may differ from the one at hi."""
+    lo, hi, r_lo, r_hi = bracket
+    sign = 1.0
+    if name == "budget":
+        multiplier, quantity, target = "lam", "spend", constraints.budget
+        final = rep.spend
+    elif name == "cost_target":
+        multiplier, quantity, target = "mu", "spend - cost_target * value", 0.0
+        final = rep.spend - constraints.cost_target * rep.value
+    elif name == "delivery":
+        window = constraints.delivery_windows[0]
+        multiplier, quantity, target = f"lam_{window.id}", f"spend in {window.id!r}", window.cap
+        final = rep.per_window.get(window.id, (0.0, 0.0))[0]
+    else:
+        window = constraints.guarantee_windows[0]
+        multiplier, quantity, target = f"mu_{window.id}", f"value in {window.id!r}", window.floor
+        final, sign = rep.per_window.get(window.id, (0.0, 0.0))[1], -1.0
+    at_lo, at_hi = target + sign * r_lo, target + sign * r_hi
+    note = (
+        f"{name} residual {residual:.3g} exceeds rel_tol {rel_tol:g}: realized {quantity} "
+        f"steps from {at_lo:.12g} at {multiplier}={lo:.17g} to {at_hi:.12g} at "
+        f"{multiplier}={hi:.17g}, the final bracket of its search"
+    )
+    if abs(final - at_hi) > 1e-9 * max(1.0, abs(at_hi)):
+        note += f"; the result, re-solved at {multiplier}={hi:.17g}, has {final:.12g}"
+    return note
 
 
 @dataclass(frozen=True)

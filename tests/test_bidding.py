@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dualbid import bidding
 from dualbid.bidding import (
     DEFAULT_BID_CAP,
+    LAMBDA_FLOOR,
     MultiplierVector,
+    _bisect,
     adjusted_value,
     make_bid,
     optimal_bid,
@@ -206,14 +209,20 @@ def test_empirical_first_price_reaches_grid_optimum():
 
 
 def test_shade_bids_rows_are_independent():
-    # a mixed table shades each row as its one-row table would
+    # a mixed table shades each row as its one-row table would, also when
+    # drifted lognormal rows need many Newton steps or none
     rng = np.random.default_rng(8)
+    drifted = [
+        MechanismSpec("first_price", 0.0, LognormalBids(mu, sigma))
+        for mu, sigma in zip(rng.uniform(-2.0, 2.0, 12), rng.choice([0.2, 0.8, 3.0], 12))
+    ]
     mechs = _random_models(rng, 30) + [
         MechanismSpec("first_price", 0.6, UniformBids(0.0, 1.0)),
         MechanismSpec("first_price", 0.0, EmpiricalBids(tuple(rng.lognormal(0.0, 0.5, 20)))),
-    ]
+    ] + drifted
     table = MechanismTable.from_specs(mechs)
-    xs = rng.uniform(0.0, 3.0, len(mechs))
+    extreme = np.exp(rng.choice([-1.0, 1.0], len(drifted)) * rng.uniform(6.0, 25.0, len(drifted)))
+    xs = np.concatenate([rng.uniform(0.0, 3.0, len(mechs) - len(drifted)), extreme])
     bids, _ = shade_bids(table, xs)
     for mech, x, bid in zip(mechs, xs, bids):
         assert shade_bids(mech.table, x)[0][0] == bid
@@ -231,3 +240,75 @@ def test_table_rows_deduplicate_by_value():
     np.testing.assert_array_equal(table.win_prob(np.full(5, 1.0)), [
         win_prob(a, 1.0), win_prob(e1, 1.0), win_prob(a, 1.0), win_prob(e1, 1.0), win_prob(a, 1.0)
     ])
+
+
+def _lognormal_grid():
+    """First-price lognormal rows with no reserve over sigma x mu, with
+    targets from e^(mu-6) up to the adjusted values a replay at the
+    multiplier floor shades (v / LAMBDA_FLOOR for v up to 2)."""
+    rows = []
+    for sigma in (0.2, 0.5, 0.8, 1.5, 3.0):
+        for mu in (-2.0, 0.0, 0.3, 2.0):
+            for log_x in np.linspace(mu - 6.0, np.log(2.0 / LAMBDA_FLOOR), 40):
+                rows.append((mu, sigma, float(np.exp(log_x))))
+    mus, sigmas, xs = (np.array(c) for c in zip(*rows))
+    specs = [MechanismSpec("first_price", 0.0, LognormalBids(m, s)) for m, s in zip(mus, sigmas)]
+    return MechanismTable.from_specs(specs), mus, sigmas, xs
+
+
+# far above every root on the grid, so no row is capped
+NO_CAP = 1e300
+
+
+def test_lognormal_newton_matches_bisection():
+    table, mus, sigmas, xs = _lognormal_grid()
+    # the grid reaches standardized log targets where R = Phi/phi overflows
+    assert ((np.log(xs) - mus) / sigmas).max() > 38.0
+    bids, fell_back = shade_bids(table, xs, NO_CAP)
+    assert not fell_back and np.all(np.isfinite(bids)) and np.all(bids > 0)
+    assert np.all(np.abs(table.markup(bids) - xs) <= 1e-9 * np.maximum(1.0, xs))
+    # 48 halvings of [0, x] resolve the bid only to (x/b) 2^-49, coarser
+    # than 1e-12 of it once x/b is in the hundreds, so the reference
+    # bisects [0, 2b]; a root outside that bracket would leave it at 2b,
+    # where it fails its own residual check and falls back
+    reference, ref_fell_back = _bisect(table, xs, np.minimum(2.0 * bids, xs), NO_CAP)
+    assert not ref_fell_back
+    np.testing.assert_allclose(bids, reference, rtol=1e-12, atol=0.0)
+    # where the full-bracket bisection is fine enough, it agrees too
+    full, _ = _bisect(table, xs, xs, NO_CAP)
+    fine = xs / bids < 100.0
+    assert fine.sum() > len(xs) // 4
+    np.testing.assert_allclose(bids[fine], full[fine], rtol=1e-12, atol=0.0)
+
+
+def test_lognormal_rows_skip_bisection(monkeypatch):
+    # every grid row meets the residual gate by Newton alone
+    table, _, _, xs = _lognormal_grid()
+
+    def no_bisection(*args):
+        raise AssertionError("a lognormal row with no reserve reached the bisection")
+
+    monkeypatch.setattr(bidding, "_bisect", no_bisection)
+    bids, fell_back = shade_bids(table, xs, NO_CAP)
+    assert not fell_back and np.all(bids > 0)
+
+
+def test_lognormal_shading_is_scale_equivariant():
+    # markup_mu(e^mu c) = e^mu markup_0(c), so shading commutes with scaling
+    table, mus, sigmas, xs = _lognormal_grid()
+    bids, _ = shade_bids(table, xs, NO_CAP)
+    base = MechanismTable.from_specs(
+        [MechanismSpec("first_price", 0.0, LognormalBids(0.0, s)) for s in sigmas]
+    )
+    scaled, _ = shade_bids(base, xs * np.exp(-mus), NO_CAP)
+    np.testing.assert_allclose(bids, np.exp(mus) * scaled, rtol=1e-12, atol=0.0)
+
+
+def test_lognormal_bid_cap_falls_through():
+    # a binding cap fails the residual gate, so the row takes the
+    # bisection path and its fallbacks, as every other row does
+    mech = MechanismSpec("first_price", 0.0, LognormalBids(0.0, 0.8))
+    bids, fell_back = shade_bids(mech.table, 50.0, bid_cap=1.0)
+    decision = optimal_bid(mech, 50.0, bid_cap=1.0)
+    assert fell_back and "inversion_fallback" in decision.flags
+    assert bids[0] == pytest.approx(1.0, abs=1e-6) and decision.bid == bids[0]

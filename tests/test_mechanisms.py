@@ -11,12 +11,14 @@ from dualbid.mechanisms import (
     LognormalBids,
     MechanismError,
     MechanismSpec,
+    MechanismTable,
     UniformBids,
     UnsupportedPointError,
     competitor_from_dict,
     competitor_to_dict,
     cost_derivative,
     expected_cost,
+    resolve,
     simulate_outcome,
     win_density,
     win_prob,
@@ -118,6 +120,29 @@ class TestSimulateOutcome:
     def test_draw_domain(self):
         with pytest.raises(MechanismError):
             simulate_outcome(UNIFORM, 1.0, 1.0)
+
+    @pytest.mark.parametrize("auction", ["first_price", "second_price"])
+    @pytest.mark.parametrize("reserve", [0.0, 0.3])
+    def test_agrees_with_resolve(self, auction, reserve):
+        # on uniform(0, 1) the clearing bid is the draw itself, so a bid of
+        # max(draw, reserve) is an exact tie at the price, which wins
+        mech = MechanismSpec(auction, reserve, UniformBids(0.0, 1.0))
+        rng = np.random.default_rng(19)
+        draws = np.concatenate([rng.random(40), [0.0, 0.1, 0.3, 0.5]])
+        bids = np.concatenate([rng.uniform(0.0, 1.2, 40), [0.3, 0.1, 0.3, 0.5]])
+        bids[:10] = np.maximum(draws[:10], reserve)
+        bids[10:14] = reserve
+        clearing = np.array([mech.competitor.quantile(float(d)) for d in draws])
+        np.testing.assert_array_equal(clearing, draws)
+        won, cost = resolve(MechanismTable.from_specs([mech] * len(draws)), bids, clearing)
+        assert won[:10].all() and not won.all()
+        for i, (bid, draw) in enumerate(zip(bids, draws)):
+            w, c, landscape = simulate_outcome(mech, float(bid), float(draw))
+            ref_won, ref_cost = mc_outcomes(mech, float(bid), np.array([draw]))
+            assert w == won[i] == ref_won[0]
+            assert c == cost[i] == ref_cost[0]
+            if w:
+                assert landscape.cost_if_won == c
 
 
 def _family_mechs():

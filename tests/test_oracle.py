@@ -1,5 +1,7 @@
 """Hindsight oracle tests: replay, dual solutions, KKT search, diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -248,6 +250,8 @@ class TestKktGrid:
         check = replay(log, kkt.profile)
         assert kkt.profile.window_lambda["w"] > 1e-9
         assert abs(check.per_window["w"][0] - cap) <= 1e-3 * cap
+        # smooth curves meet their targets, so no step note
+        assert not any("exceeds rel_tol" in n for n in kkt.notes)
 
     def test_infeasible_guarantee_reported(self):
         log = quantile_lognormal_log(500, LOGN_SP, -1.0, 0.5)
@@ -270,6 +274,48 @@ class TestKktGrid:
         kkt = solve_kkt_grid(glog, constraints)
         assert not kkt.feasible
         assert any("max achievable" in n for n in kkt.notes)
+
+    def test_realized_residual_note_names_the_step(self):
+        # realized spend is a step function of the multipliers: a budget or
+        # window cap inside a step leaves a residual above rel_tol, and the
+        # note shows the step across the final bracket of the search
+        rng = np.random.default_rng(4)
+        records = [
+            LogRecord(
+                time=float(i),
+                placement="p",
+                value=float(rng.uniform(0.5, 3.0)),
+                mechanism=UNIFORM_SP,
+                clearing_bid=float(rng.uniform(0.2, 1.0)),
+                windows=("w",) if i % 2 else (),
+            )
+            for i in range(30)
+        ]
+        log = OpportunityLog(records)
+        budget = 5.0
+        base = solve_kkt_grid(log, ConstraintSet(budget=budget))
+        cap = 0.5 * base.replay.per_window["w"][0]
+        constraints = ConstraintSet(
+            budget=budget, delivery_windows=(DeliveryWindow("w", 0, 1, cap),)
+        )
+        kkt = solve_kkt_grid(log, constraints)
+        multipliers = {"budget": kkt.profile.lam, "delivery": kkt.profile.window_lambda["w"]}
+        targets = {"budget": budget, "delivery": cap}
+        finals = {"budget": kkt.replay.spend, "delivery": kkt.replay.per_window["w"][0]}
+        pattern = r"steps from (\S+) at \S+=(\S+) to (\S+) at \S+=(\S+), the final bracket"
+        for name in ("budget", "delivery"):
+            residual = kkt.residuals[name]
+            assert residual > 1e-4
+            (note,) = [n for n in kkt.notes if n.startswith(f"{name} residual")]
+            at_lo, lo, at_hi, hi = map(float, re.search(pattern, note).groups())
+            assert lo <= hi == multipliers[name]
+            assert at_lo > targets[name] >= at_hi
+            resolved = re.search(r"re-solved at \S+, has (\S+)$", note)
+            final = float(resolved.group(1)) if resolved else at_hi
+            assert final == pytest.approx(finals[name], rel=1e-11)
+            assert residual * targets[name] == pytest.approx(abs(final - targets[name]))
+            if name == "budget":
+                assert replay(log, kkt.profile.with_lam(lo)).spend == pytest.approx(at_lo)
 
 
 class TestMarginalRoi:
@@ -418,3 +464,14 @@ def test_log_validation():
         )
     with pytest.raises(OracleError):
         LogRecord(time=0.0, placement="p", value=-1.0, mechanism=UNIFORM_SP)
+    with pytest.raises(OracleError):
+        LogRecord(time=0.0, placement="p", value=1.0, mechanism=UNIFORM_SP, clearing_bid=np.nan)
+
+
+def test_mode_counts_realized_records():
+    model = LogRecord(time=0.0, placement="p", value=1.0, mechanism=UNIFORM_SP)
+    realized = LogRecord(time=0.0, placement="p", value=1.0, mechanism=UNIFORM_SP, clearing_bid=0.5)
+    assert OpportunityLog([model, model]).mode == "distributional"
+    assert OpportunityLog([realized, realized]).mode == "realized"
+    assert OpportunityLog([model, realized]).mode == "mixed"
+    assert OpportunityLog([realized, model, model]).mode == "mixed"
