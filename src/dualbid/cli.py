@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bidding import DEFAULT_BID_CAP
 from .coldstart import (
     ColdStartError,
     PlacementPriors,
@@ -53,6 +54,7 @@ from .oracle import (
 from .pacing import ConstraintSet, DeliveryWindow, GuaranteeWindow, PacingError
 from .scenario import ScenarioError, load_scenario, parse_scenario, scenario_to_dict
 from .simulate import (
+    TRACE_COLUMNS,
     SimulationError,
     distributional_log,
     generate_stream,
@@ -123,8 +125,6 @@ def cmd_run(args) -> int:
     except SimulationError as exc:
         raise CliError(f"episode failed: {exc}", EXIT_RUNTIME) from None
 
-    from .simulate import TRACE_COLUMNS
-
     _write_csv(
         out_dir / "trace.csv",
         list(TRACE_COLUMNS),
@@ -140,6 +140,16 @@ def cmd_run(args) -> int:
         f"cost_per_result={_g6(m.cost_per_result)} utilization={_g6(m.budget_utilization)}"
     )
     return EXIT_OK
+
+
+def _write_oracle_curves(path: Path, log: OpportunityLog, lam_star: float, bid_cap: float) -> None:
+    """Replayed spend and value on 33 multipliers from lam*/8 to 8 lam*."""
+    center = max(lam_star, 1e-9)
+    rows = []
+    for lam in np.geomspace(center / 8.0, center * 8.0, 33):
+        r = replay(log, MultiplierProfile(lam=float(lam)), bid_cap)
+        rows.append((repr(float(lam)), repr(r.spend), repr(r.value)))
+    _write_csv(path, ["lambda", "spend", "value"], rows)
 
 
 def _constrained(constraints: ConstraintSet) -> bool:
@@ -216,12 +226,7 @@ def cmd_compare(args) -> int:
         ("baseline_value_ratio", baseline_ratio),
     ] + rows
 
-    grid = np.geomspace(max(lam_star, 1e-9) / 8.0, max(lam_star, 1e-9) * 8.0, 33)
-    curve_rows = []
-    for lam in grid:
-        r = replay(log, MultiplierProfile(lam=float(lam)), scenario.agent.bid_cap)
-        curve_rows.append((repr(float(lam)), repr(r.spend), repr(r.value)))
-    _write_csv(out_dir / "oracle_curves.csv", ["lambda", "spend", "value"], curve_rows)
+    _write_oracle_curves(out_dir / "oracle_curves.csv", log, lam_star, scenario.agent.bid_cap)
 
     roi_rows = []
     if not unconstrained:
@@ -333,7 +338,6 @@ def cmd_coldstart(args) -> int:
 
 
 def _sweep_one(scenario_path: str, out_dir: str, seed: int, force: bool) -> tuple[int, str]:
-    scenario = load_scenario(scenario_path, seed_override=seed)
     target = Path(out_dir) / f"seed_{seed}"
     ns = argparse.Namespace(
         scenario=scenario_path, out=str(target), seed=seed, force=force, roi=False
@@ -512,12 +516,7 @@ def cmd_oracle(args) -> int:
     except OracleError as exc:
         raise CliError(f"oracle failed: {exc}", EXIT_RUNTIME) from None
 
-    grid = np.geomspace(max(lam_star, 1e-9) / 8.0, max(lam_star, 1e-9) * 8.0, 33)
-    curve_rows = []
-    for lam in grid:
-        r = replay(log, MultiplierProfile(lam=float(lam)))
-        curve_rows.append((repr(float(lam)), repr(r.spend), repr(r.value)))
-    _write_csv(out_dir / "oracle_curves.csv", ["lambda", "spend", "value"], curve_rows)
+    _write_oracle_curves(out_dir / "oracle_curves.csv", log, lam_star, DEFAULT_BID_CAP)
     _write_kv_csv(out_dir / "oracle_multipliers.csv", rows)
     return EXIT_OK
 

@@ -2,11 +2,13 @@
 
 Given every opportunity's value and auction model (distributional mode) or
 resolved competing bid (realized mode), replay answers "what would we have
-spent and won at multipliers m".  Replayed spend decreases in the budget
-multiplier, so the spend-matching optimum comes out of a bisection; extra
-constraints are handled by nested searches over their own multipliers with
-complementary-slackness shortcuts.  Everything here is the ground truth the
-online controllers are judged against.
+spent and won at multipliers m".  Each constraint's excess (spend - budget,
+window spend - cap, cost-target gap, result shortfall) does not increase in
+its own multiplier, so every multiplier, the budget one, each KKT one and
+follow-the-leader's, is the smallest value at which that excess is <= 0,
+found by the one search_multiplier (complementary slackness: a constraint
+that already fits at 0 keeps a zero multiplier).  Everything here is the
+ground truth the online controllers are judged against.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -68,12 +70,6 @@ class OpportunityLog:
         if realized == len(self.records):
             return "realized"
         return "mixed"
-
-    def placements(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.placement, None)
-        return tuple(seen)
 
     def restrict_to_placement(self, placement: str) -> OpportunityLog:
         subset = [r for r in self.records if r.placement == placement]
@@ -249,65 +245,76 @@ class LambdaSolution:
     value: float
 
 
+LAMBDA_LIMIT = 1e120  # the budget and FTL searches give up above this multiplier
+
+
+def search_multiplier(
+    excess: Callable[[float], float],
+    floor: float,
+    limit: float,
+    tol: float | None = None,
+    width_rel: float = 1e-12,
+) -> tuple[float, tuple[float, float, float, float] | None] | None:
+    """Smallest multiplier x >= floor at which the non-increasing excess(x)
+    (spend - budget, window spend - cap, shortfall, ...) is <= 0.
+
+    Returns (floor, None) when the floor fits.  Otherwise steps up from 1 by
+    factors of 4 to a bracket and bisects it until |excess| <= tol (pass tol
+    only for smooth curves; the bisection point is returned) or until its
+    width is <= width_rel * max(1, hi), returning hi, the side that fits.
+    The second value is the final bracket (lo, hi, excess(lo), excess(hi)).
+    Returns None when the excess is still positive at limit.
+    """
+    r_lo = excess(floor)
+    if r_lo <= 0:
+        return floor, None
+    lo, hi = floor, min(1.0, limit)
+    r_hi = excess(hi)
+    while r_hi > 0:
+        if hi >= limit:
+            return None
+        lo, r_lo = hi, r_hi
+        hi = min(4.0 * hi, limit)
+        r_hi = excess(hi)
+    while hi - lo > width_rel * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        r = excess(mid)
+        if tol is not None and abs(r) <= tol:
+            return mid, (lo, hi, r_lo, r_hi)
+        if r <= 0:
+            hi, r_hi = mid, r
+        else:
+            lo, r_lo = mid, r
+    return hi, (lo, hi, r_lo, r_hi)
+
+
 def _solve_budget_multiplier(
     curve: _SpendCurve,
     budget: float,
     rel_tol: float = 1e-6,
-    hint: float | None = None,
     width_rel: float = 1e-12,
-) -> LambdaSolution:
-    base = curve.at(LAMBDA_FLOOR)
-    if base.spend <= budget:
-        return LambdaSolution(
-            lam=LAMBDA_FLOOR,
-            unconstrained=True,
-            bracket=None,
-            spend=base.spend,
-            value=base.value,
-        )
-    if hint is not None and hint > 16 * LAMBDA_FLOOR:
-        lo, hi = hint / 4.0, hint * 4.0
-        for _ in range(200):
-            if curve.at(hi).spend <= budget:
-                break
-            lo = hi
-            hi *= 4.0
-        else:
-            raise OracleError("could not bracket the budget multiplier")
-        for _ in range(200):
-            if lo <= LAMBDA_FLOOR or curve.at(lo).spend > budget:
-                break
-            hi = lo
-            lo = max(lo / 4.0, LAMBDA_FLOOR)
-    else:
-        lo = LAMBDA_FLOOR
-        hi = 1.0
-        for _ in range(200):
-            if curve.at(hi).spend <= budget:
-                break
-            lo = hi
-            hi *= 4.0
-        else:
-            raise OracleError("could not bracket the budget multiplier")
-
+) -> tuple[LambdaSolution, tuple[float, float, float, float] | None]:
+    """The budget multiplier on one spend curve, and its search bracket."""
     smooth = curve.log.mode == "distributional"
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = curve.at(mid)
-        if smooth and abs(r.spend - budget) <= rel_tol * budget:
-            return LambdaSolution(
-                lam=mid, unconstrained=False, bracket=(lo, hi), spend=r.spend, value=r.value
-            )
-        if r.spend <= budget:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= width_rel * max(1.0, hi):
-            break
-    r = curve.at(hi)
-    return LambdaSolution(
-        lam=hi, unconstrained=False, bracket=(lo, hi), spend=r.spend, value=r.value
+    found = search_multiplier(
+        lambda lam: curve.at(lam).spend - budget,
+        LAMBDA_FLOOR,
+        LAMBDA_LIMIT,
+        tol=rel_tol * budget if smooth else None,
+        width_rel=width_rel,
     )
+    if found is None:
+        raise OracleError("could not bracket the budget multiplier")
+    lam, bracket = found
+    r = curve.at(lam)
+    sol = LambdaSolution(
+        lam=lam,
+        unconstrained=bracket is None,
+        bracket=bracket and bracket[:2],
+        spend=r.spend,
+        value=r.value,
+    )
+    return sol, bracket
 
 
 def solve_lambda_star(
@@ -326,7 +333,7 @@ def solve_lambda_star(
     if not budget > 0:
         raise OracleError(f"budget must be > 0, got {budget}")
     curve = _SpendCurve(log, MultiplierProfile(lam=1.0), bid_cap)
-    return _solve_budget_multiplier(curve, budget, rel_tol)
+    return _solve_budget_multiplier(curve, budget, rel_tol)[0]
 
 
 def dual_value(log: OpportunityLog, budget: float, lam: float, bid_cap: float = DEFAULT_BID_CAP) -> float:
@@ -344,36 +351,6 @@ class KktSolution:
     notes: tuple[str, ...]
 
 
-def _grid_bracket_bisect(evaluate, grid: np.ndarray, rel_tol: float, max_iter: int = 100):
-    """Find the smallest multiplier whose residual crosses <= 0 on the grid,
-    then refine the crossing by bisection.  evaluate(x) returns the residual
-    (positive while the constraint is violated).  Returns (x, residual,
-    bracket) or None when the residual never crosses.  bracket is
-    (lo, hi, residual at lo, residual at hi) as the bisection saw them when
-    it ran out of iterations with the residual still above rel_tol (x is
-    then hi), and None otherwise."""
-    prev_x = 0.0
-    prev_res = evaluate(0.0)
-    if prev_res <= 0:
-        return 0.0, prev_res, None
-    for x in grid:
-        res = evaluate(x)
-        if res <= 0:
-            lo, hi, r_lo, r_hi = prev_x, x, prev_res, res
-            for _ in range(max_iter):
-                mid = 0.5 * (lo + hi)
-                r = evaluate(mid)
-                if abs(r) <= rel_tol:
-                    return mid, r, None
-                if r > 0:
-                    lo, r_lo = mid, r
-                else:
-                    hi, r_hi = mid, r
-            return hi, evaluate(hi), (lo, hi, r_lo, r_hi)
-        prev_x, prev_res = x, res
-    return None
-
-
 def solve_kkt_grid(
     log: OpportunityLog,
     constraints,
@@ -382,11 +359,13 @@ def solve_kkt_grid(
 ) -> KktSolution:
     """Hindsight multipliers for budget + cost target + one delivery window
     + one guarantee window, satisfying each KKT branch: a multiplier is
-    either ~0 (slack constraint) or its constraint holds with equality
+    either 0 (slack constraint) or its constraint holds with equality
     within rel_tol.
 
-    Built for small test instances: nested coarse-grid searches with
-    bisection refinement, the budget multiplier re-solved innermost.
+    Built for small test instances: nested search_multiplier searches, the
+    guarantee multiplier outermost, then the delivery and cost-target ones,
+    with the budget multiplier solved innermost from scratch each time, so
+    every search sees a function of its own multiplier alone.
 
     Realized spend and value are step functions of the multipliers, so a
     constraint may have no multiplier that meets it within rel_tol.  When a
@@ -400,12 +379,22 @@ def solve_kkt_grid(
     cost_target = constraints.cost_target
     delivery = constraints.delivery_windows[0] if constraints.delivery_windows else None
     guarantee = constraints.guarantee_windows[0] if constraints.guarantee_windows else None
+    smooth = log.mode == "distributional"
     notes: list[str] = []
-    hints: dict[str, float] = {}
-    # per constraint, the final multiplier bracket and the residuals at its
-    # ends (see _grid_bracket_bisect) of the last search, the one behind
-    # the result
+    # per constraint, the final bracket (lo, hi, excess at lo, excess at hi)
+    # of the last search of its multiplier, the one behind the result
     brackets: dict[str, tuple[float, float, float, float] | None] = {}
+
+    def search(
+        name: str, excess: Callable[[float], float], limit: float, scale: float
+    ) -> float | None:
+        found = search_multiplier(
+            excess, 0.0, limit, tol=rel_tol * scale if smooth else None, width_rel=1e-7
+        )
+        if found is None:
+            return None
+        x, brackets[name] = found
+        return x
 
     def solve_inner(mu: float, lam_k: float, mu_k: float) -> tuple[MultiplierProfile, ReplayResult, bool]:
         profile = MultiplierProfile(
@@ -416,85 +405,59 @@ def solve_kkt_grid(
             window_mu={guarantee.id: mu_k} if guarantee else {},
         )
         curve = _SpendCurve(log, profile, bid_cap)
-        sol = _solve_budget_multiplier(
-            curve, budget, rel_tol=1e-7, hint=hints.get("lam"), width_rel=1e-7
+        sol, brackets["budget"] = _solve_budget_multiplier(
+            curve, budget, rel_tol=1e-7, width_rel=1e-7
         )
-        if not sol.unconstrained:
-            hints["lam"] = sol.lam
-        brackets["budget"] = sol.bracket and (
-            *sol.bracket, *(curve.at(lam).spend - budget for lam in sol.bracket)
-        )
-        final = profile.with_lam(sol.lam)
-        return final, curve.at(sol.lam), sol.unconstrained
+        return profile.with_lam(sol.lam), curve.at(sol.lam), sol.unconstrained
 
     def solve_mu(lam_k: float, mu_k: float) -> tuple[float, MultiplierProfile, ReplayResult, bool]:
-        if cost_target is None:
-            profile, rep, unconstrained = solve_inner(0.0, lam_k, mu_k)
-            return 0.0, profile, rep, unconstrained
+        mu = 0.0
+        if cost_target is not None:
+            limit = 1e6 / cost_target
 
-        def residual(mu: float) -> float:
-            _, rep, _ = solve_inner(mu, lam_k, mu_k)
-            return rep.spend - cost_target * rep.value
+            def excess(mu: float) -> float:
+                _, rep, _ = solve_inner(mu, lam_k, mu_k)
+                return rep.spend - cost_target * rep.value
 
-        scale = 1.0 / cost_target
-        found = _grid_bracket_bisect(
-            residual,
-            np.geomspace(1e-6 * scale, 1e6 * scale, 64),
-            rel_tol * budget,
-        )
-        if found is None:
-            notes.append("cost target unattainable even at the multiplier bound")
-            mu = 1e6 * scale
-        else:
-            mu, _, brackets["cost_target"] = found
-        profile, rep, unconstrained = solve_inner(mu, lam_k, mu_k)
-        return mu, profile, rep, unconstrained
+            mu = search("cost_target", excess, limit, budget)
+            if mu is None:
+                notes.append("cost target unattainable even at the multiplier bound")
+                mu = limit
+        return (mu, *solve_inner(mu, lam_k, mu_k))
 
     def solve_lam_k(mu_k: float) -> tuple[float, float, MultiplierProfile, ReplayResult, bool]:
-        if delivery is None:
-            mu, profile, rep, unconstrained = solve_mu(0.0, mu_k)
-            return 0.0, mu, profile, rep, unconstrained
+        lam_k = 0.0
+        if delivery is not None:
 
-        def residual(lam_k: float) -> float:
-            _, _, rep, _ = solve_mu(lam_k, mu_k)
-            return rep.per_window.get(delivery.id, (0.0, 0.0))[0] - delivery.cap
+            def excess(lam_k: float) -> float:
+                rep = solve_mu(lam_k, mu_k)[2]
+                return rep.per_window.get(delivery.id, (0.0, 0.0))[0] - delivery.cap
 
-        found = _grid_bracket_bisect(
-            residual, np.geomspace(1e-8, 1e8, 64), rel_tol * delivery.cap
-        )
-        if found is None:
-            notes.append(f"delivery window {delivery.id!r} cap unattainable")
-            lam_k = 1e8
-        else:
-            lam_k, _, brackets["delivery"] = found
-        mu, profile, rep, unconstrained = solve_mu(lam_k, mu_k)
-        return lam_k, mu, profile, rep, unconstrained
+            lam_k = search("delivery", excess, 1e8, delivery.cap)
+            if lam_k is None:
+                notes.append(f"delivery window {delivery.id!r} cap unattainable")
+                lam_k = 1e8
+        return (lam_k, *solve_mu(lam_k, mu_k))
 
     feasible = True
-    if guarantee is None:
-        lam_k, mu, profile, rep, lam_unconstrained = solve_lam_k(0.0)
-        mu_k = 0.0
-    else:
+    mu_k = 0.0
+    if guarantee is not None:
 
         def shortfall(mu_k: float) -> float:
-            _, _, _, rep, _ = solve_lam_k(mu_k)
+            rep = solve_lam_k(mu_k)[3]
             return guarantee.floor - rep.per_window.get(guarantee.id, (0.0, 0.0))[1]
 
-        found = _grid_bracket_bisect(
-            shortfall, np.geomspace(1e-6, 1e4, 64), rel_tol * guarantee.floor
-        )
-        if found is None:
+        mu_k = search("guarantee", shortfall, 1e4, guarantee.floor)
+        if mu_k is None:
             feasible = False
             mu_k = 1e4
-            _, _, _, rep_max, _ = solve_lam_k(mu_k)
-            achieved = rep_max.per_window.get(guarantee.id, (0.0, 0.0))[1]
-            notes.append(
-                f"guarantee {guarantee.id!r} infeasible: max achievable value "
-                f"{achieved:g} < floor {guarantee.floor:g}"
-            )
-        else:
-            mu_k, _, brackets["guarantee"] = found
-        lam_k, mu, profile, rep, lam_unconstrained = solve_lam_k(mu_k)
+    lam_k, mu, profile, rep, lam_unconstrained = solve_lam_k(mu_k)
+    if not feasible:
+        achieved = rep.per_window.get(guarantee.id, (0.0, 0.0))[1]
+        notes.append(
+            f"guarantee {guarantee.id!r} infeasible: max achievable value "
+            f"{achieved:g} < floor {guarantee.floor:g}"
+        )
 
     if lam_unconstrained:
         notes.append("budget unconstrained")
@@ -516,10 +479,10 @@ def solve_kkt_grid(
             / guarantee.floor
         )
 
-    if log.mode != "distributional":
+    if not smooth:
         for name, residual in residuals.items():
             if residual > rel_tol and brackets.get(name):
-                notes.append(_step_note(name, residual, rel_tol, brackets[name], rep, constraints))
+                notes.append(_step_note(name, residual, rel_tol, brackets[name], constraints))
 
     return KktSolution(
         profile=profile,
@@ -530,36 +493,27 @@ def solve_kkt_grid(
     )
 
 
-def _step_note(name, residual, rel_tol, bracket, rep: ReplayResult, constraints) -> str:
+def _step_note(name, residual, rel_tol, bracket, constraints) -> str:
     """Why a realized KKT residual exceeds rel_tol: the constrained quantity
-    jumps across the final bracket of its multiplier's search.  The inner
-    multipliers are re-solved for the result, from other warm starts than
-    during the search, so the final value may differ from the one at hi."""
+    jumps across the final bracket of its multiplier's search."""
     lo, hi, r_lo, r_hi = bracket
     sign = 1.0
     if name == "budget":
         multiplier, quantity, target = "lam", "spend", constraints.budget
-        final = rep.spend
     elif name == "cost_target":
         multiplier, quantity, target = "mu", "spend - cost_target * value", 0.0
-        final = rep.spend - constraints.cost_target * rep.value
     elif name == "delivery":
         window = constraints.delivery_windows[0]
         multiplier, quantity, target = f"lam_{window.id}", f"spend in {window.id!r}", window.cap
-        final = rep.per_window.get(window.id, (0.0, 0.0))[0]
     else:
         window = constraints.guarantee_windows[0]
         multiplier, quantity, target = f"mu_{window.id}", f"value in {window.id!r}", window.floor
-        final, sign = rep.per_window.get(window.id, (0.0, 0.0))[1], -1.0
-    at_lo, at_hi = target + sign * r_lo, target + sign * r_hi
-    note = (
+        sign = -1.0
+    return (
         f"{name} residual {residual:.3g} exceeds rel_tol {rel_tol:g}: realized {quantity} "
-        f"steps from {at_lo:.12g} at {multiplier}={lo:.17g} to {at_hi:.12g} at "
-        f"{multiplier}={hi:.17g}, the final bracket of its search"
+        f"steps from {target + sign * r_lo:.12g} at {multiplier}={lo:.17g} to "
+        f"{target + sign * r_hi:.12g} at {multiplier}={hi:.17g}, the final bracket of its search"
     )
-    if abs(final - at_hi) > 1e-9 * max(1.0, abs(at_hi)):
-        note += f"; the result, re-solved at {multiplier}={hi:.17g}, has {final:.12g}"
-    return note
 
 
 @dataclass(frozen=True)

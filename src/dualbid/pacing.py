@@ -22,9 +22,14 @@ import numpy as np
 
 from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, shade_bids
 from .mechanisms import MechanismSpec, MechanismTable, resolve
+from .oracle import LAMBDA_LIMIT, search_multiplier
 
 LAMBDA_TILDE_MIN = 1e-9
 LAMBDA_TILDE_MAX = 1e9
+# a batch with fewer wins than this paces on the smoothed spend and value,
+# an exponentially weighted average with this half-life in batches
+SMOOTHING_MIN_WINS = 10
+SMOOTHING_HALF_LIFE = 5.0
 
 MODES = ("additive", "multiplicative", "ftl")
 FORECAST_MODES = ("total", "relative")
@@ -166,8 +171,6 @@ class PacingConfig:
     mpc: bool = False
     ftl_window: int | None = None
     constraint_xi: float = 1.0
-    smoothing_min_wins: int = 10
-    smoothing_half_life: float = 5.0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -313,7 +316,7 @@ def update_multiplicative(
 def _effective_interval_spend(state: PacingState, cfg: PacingConfig) -> float:
     """Observed interval spend, replaced by its exponentially weighted
     average when charge events were sparse."""
-    if state.interval_wins < cfg.smoothing_min_wins and state.smoothed_spend is not None:
+    if state.interval_wins < SMOOTHING_MIN_WINS and state.smoothed_spend is not None:
         return state.smoothed_spend
     return state.interval_spend
 
@@ -419,7 +422,7 @@ def update_constraint_multipliers(
         return min(max(raw, -_MAX_LOG_STEP), _MAX_LOG_STEP)
 
     if C is not None:
-        sparse = state.interval_wins < cfg.smoothing_min_wins
+        sparse = state.interval_wins < SMOOTHING_MIN_WINS
         spend_sig = (
             state.smoothed_spend
             if sparse and state.smoothed_spend is not None
@@ -482,7 +485,7 @@ def apply_batch_update(
 ) -> None:
     """Close the current batch: refresh the smoothing estimator, update all
     multipliers, and reset the interval accumulators."""
-    decay = 0.5 ** (1.0 / cfg.smoothing_half_life)
+    decay = 0.5 ** (1.0 / SMOOTHING_HALF_LIFE)
     raw = state.interval_spend
     state.smoothed_spend = (
         raw if state.smoothed_spend is None else decay * state.smoothed_spend + (1 - decay) * raw
@@ -545,8 +548,9 @@ def ftl_update(
     """Best multiplier in hindsight over the lookback window: the smallest
     lam whose replayed spend stays within the budget pace.
 
-    Replayed spend is a step function of lam, so bisection returns the
-    conservative high side of the bracketing pair.
+    Found by the oracle's search_multiplier; replayed spend is a step
+    function of lam, so the search returns the conservative high side of
+    its final bracket.
     """
     if not entries:
         raise PacingError("ftl update needs at least one logged auction")
@@ -564,24 +568,8 @@ def ftl_update(
             bids[rows], _ = shade_bids(first_price, adjusted[rows], DEFAULT_BID_CAP)
         return float(resolve(table, bids, clearing)[1].sum())
 
-    if replay_spend(LAMBDA_FLOOR) <= target:
-        return FtlResult(lam=LAMBDA_FLOOR, unconstrained=True)
-
-    lo = LAMBDA_FLOOR
-    hi = 1.0
-    for _ in range(200):
-        if replay_spend(hi) <= target:
-            break
-        hi *= 4.0
-    else:
+    found = search_multiplier(lambda lam: replay_spend(lam) - target, LAMBDA_FLOOR, LAMBDA_LIMIT)
+    if found is None:
         raise PacingError("could not bracket the hindsight multiplier")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if replay_spend(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return FtlResult(lam=hi, unconstrained=False)
+    lam, bracket = found
+    return FtlResult(lam=lam, unconstrained=bracket is None)

@@ -136,6 +136,27 @@ class TestCompare:
         assert main(["compare", "--run", str(out)]) == 0
         assert "unconstrained" in capsys.readouterr().out
 
+    def test_shipped_constrained_scenario_round_trips(self, tmp_path, capsys):
+        # the KKT path: first-price rows and a binding delivery window
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / "mixed_constrained.json"
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["compare", "--run", str(out)]) == 0
+        assert "re-solved" not in capsys.readouterr().out
+        compare = read_kv(out / "compare.csv")
+        assert "oracle_lambda_weekend" in compare
+        for key, value in compare.items():
+            if value not in ("True", "False"):
+                assert math.isfinite(float(value)), key
+        budget = json.loads((out / "config_resolved.json").read_text())["budget"]
+        assert float(compare["oracle_spend"]) <= budget
+        assert 0 < float(compare["value_ratio"]) <= 1
+        with (out / "oracle_curves.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 33
+        assert all(float(v) >= 0 for row in rows for v in row.values())
+
     def test_missing_run_dir_exits_2(self, tmp_path):
         assert main(["compare", "--run", str(tmp_path / "missing")]) == 2
 

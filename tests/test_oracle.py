@@ -19,6 +19,7 @@ from dualbid.oracle import (
     marginal_roi,
     prop1_residual,
     replay,
+    search_multiplier,
     solve_kkt_grid,
     solve_lambda_star,
 )
@@ -92,6 +93,36 @@ class TestReplay:
         assert damped.spend == pytest.approx(
             base.spend - base.per_window["w"][0] + damped.per_window["w"][0]
         )
+
+
+class TestSearchMultiplier:
+    def test_floor_that_fits_is_returned(self):
+        assert search_multiplier(lambda x: -1.0, 0.0, 10.0) == (0.0, None)
+
+    def test_step_returns_fitting_side_of_final_bracket(self):
+        seen = []
+
+        def excess(x):
+            seen.append(x)
+            return 1.0 if x < 5.3 else -1.0
+
+        x, (lo, hi, r_lo, r_hi) = search_multiplier(excess, 1e-9, 1e6)
+        assert seen[:4] == [1e-9, 1.0, 4.0, 16.0]
+        assert lo < 5.3 <= hi == x
+        assert hi - lo <= 1e-12 * hi
+        assert (r_lo, r_hi) == (1.0, -1.0)
+
+    def test_tolerance_stops_on_smooth_excess(self):
+        x, (lo, hi, _, _) = search_multiplier(lambda x: 2.0 - x, 0.0, 10.0, tol=1e-3)
+        assert abs(x - 2.0) <= 1e-3
+        assert lo <= x <= hi
+
+    def test_limit_is_tried_then_given_up(self):
+        assert search_multiplier(lambda x: 1.0, 0.0, 100.0) is None
+        x, _ = search_multiplier(lambda x: 1.0 if x < 99.0 else -1.0, 0.0, 100.0)
+        assert 99.0 <= x <= 100.0
+        x, _ = search_multiplier(lambda x: 1.0 if x < 0.25 else -1.0, 0.0, 0.5)
+        assert 0.25 <= x <= 0.5
 
 
 class TestSolveLambdaStar:
@@ -275,10 +306,10 @@ class TestKktGrid:
         assert not kkt.feasible
         assert any("max achievable" in n for n in kkt.notes)
 
-    def test_realized_residual_note_names_the_step(self):
-        # realized spend is a step function of the multipliers: a budget or
-        # window cap inside a step leaves a residual above rel_tol, and the
-        # note shows the step across the final bracket of the search
+    @staticmethod
+    def _realized_window_log():
+        """30 realized records, every other one in window "w", with a budget
+        and a window cap of half the window spend at the budget optimum."""
         rng = np.random.default_rng(4)
         records = [
             LogRecord(
@@ -294,7 +325,13 @@ class TestKktGrid:
         log = OpportunityLog(records)
         budget = 5.0
         base = solve_kkt_grid(log, ConstraintSet(budget=budget))
-        cap = 0.5 * base.replay.per_window["w"][0]
+        return log, budget, 0.5 * base.replay.per_window["w"][0]
+
+    def test_realized_residual_note_names_the_step(self):
+        # realized spend is a step function of the multipliers: a budget or
+        # window cap inside a step leaves a residual above rel_tol, and the
+        # note shows the step across the final bracket of the search
+        log, budget, cap = self._realized_window_log()
         constraints = ConstraintSet(
             budget=budget, delivery_windows=(DeliveryWindow("w", 0, 1, cap),)
         )
@@ -308,14 +345,27 @@ class TestKktGrid:
             assert residual > 1e-4
             (note,) = [n for n in kkt.notes if n.startswith(f"{name} residual")]
             at_lo, lo, at_hi, hi = map(float, re.search(pattern, note).groups())
-            assert lo <= hi == multipliers[name]
+            assert lo < hi == multipliers[name]
             assert at_lo > targets[name] >= at_hi
-            resolved = re.search(r"re-solved at \S+, has (\S+)$", note)
-            final = float(resolved.group(1)) if resolved else at_hi
-            assert final == pytest.approx(finals[name], rel=1e-11)
-            assert residual * targets[name] == pytest.approx(abs(final - targets[name]))
+            assert at_hi == pytest.approx(finals[name], rel=1e-11)
+            assert residual * targets[name] == pytest.approx(abs(at_hi - targets[name]))
             if name == "budget":
                 assert replay(log, kkt.profile.with_lam(lo)).spend == pytest.approx(at_lo)
+
+    def test_realized_result_keeps_window_cap(self):
+        # the inner budget solve depends only on the multipliers, so the
+        # result is the high, fitting end of the delivery search
+        log, budget, cap = self._realized_window_log()
+        kkt = solve_kkt_grid(
+            log, ConstraintSet(budget=budget, delivery_windows=(DeliveryWindow("w", 0, 1, cap),))
+        )
+        assert kkt.feasible
+        assert kkt.replay.spend <= budget
+        assert kkt.replay.per_window["w"][0] <= cap * (1 + 1e-4)
+        assert replay(log, kkt.profile).per_window["w"][0] == kkt.replay.per_window["w"][0]
+        profile = kkt.profile
+        for m in (profile.lam, profile.mu, *profile.window_lambda.values()):
+            assert type(m) is float
 
 
 class TestMarginalRoi:
