@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -56,6 +57,7 @@ from .scenario import ScenarioError, load_scenario, parse_scenario, scenario_to_
 from .simulate import (
     TRACE_COLUMNS,
     SimulationError,
+    Trace,
     distributional_log,
     generate_stream,
     realized_log,
@@ -113,6 +115,51 @@ def _read_kv_csv(path: Path) -> dict[str, str]:
         return {row["key"]: row["value"] for row in reader}
 
 
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", text])
+    return buf.getvalue()[1:-2]
+
+
+def _format_column(column: np.ndarray) -> list[str]:
+    """str of each int, repr of each float, called once per distinct value;
+    floats are told apart by bit pattern, so 0.0 and -0.0 keep their own
+    repr."""
+    floats = column.dtype.kind == "f"
+    keys, first, inverse = np.unique(
+        column.view(np.int64) if floats else column, return_index=True, return_inverse=True
+    )
+    fmt = repr if floats else str
+    if len(keys) == len(column):
+        return list(map(fmt, column.tolist()))
+    strings = list(map(fmt, column[first].tolist()))
+    return np.array(strings, dtype=object)[inverse].tolist()
+
+
+_TRACE_BLOCK = 1024  # rows formatted at a time, which bounds the strings held
+
+
+def _write_trace(path: Path, trace: Trace) -> None:
+    """trace.csv, byte for byte what csv.writer writes for the rows (floats
+    as repr, won as 1/0), formatted a column and a block of rows at a
+    time."""
+    names = np.array([_csv_field(p) for p in trace.placement_ids], dtype=object)
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for start in range(0, len(trace), _TRACE_BLOCK):
+            fields = []
+            for name in TRACE_COLUMNS:
+                column = getattr(trace, name)[start : start + _TRACE_BLOCK]
+                if name == "placement_id":
+                    fields.append(names[column].tolist())
+                elif name == "won":
+                    fields.append(np.where(column, "1", "0").tolist())
+                else:
+                    fields.append(_format_column(column))
+            fh.write("".join(line + "\r\n" for line in map(",".join, zip(*fields))))
+
+
 def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario, seed_override=args.seed)
@@ -125,11 +172,7 @@ def cmd_run(args) -> int:
     except SimulationError as exc:
         raise CliError(f"episode failed: {exc}", EXIT_RUNTIME) from None
 
-    _write_csv(
-        out_dir / "trace.csv",
-        list(TRACE_COLUMNS),
-        (row.as_csv_fields() for row in episode.trace),
-    )
+    _write_trace(out_dir / "trace.csv", episode.trace)
     _write_kv_csv(out_dir / "metrics.csv", episode.metrics.as_rows())
     (out_dir / "config_resolved.json").write_text(
         json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
@@ -139,15 +182,29 @@ def cmd_run(args) -> int:
         f"spend={_g6(m.total_spend)} results={_g6(m.total_value)} "
         f"cost_per_result={_g6(m.cost_per_result)} utilization={_g6(m.budget_utilization)}"
     )
+    for w in scenario.constraints.delivery_windows:
+        spend = m.window_spend.get(w.id, 0.0)
+        if spend > w.cap:
+            print(f"note: delivery window {w.id!r} spent {_g6(spend)}, above its cap {_g6(w.cap)}")
+    for w in scenario.constraints.guarantee_windows:
+        value = m.window_value.get(w.id, 0.0)
+        if value < w.floor:
+            print(
+                f"note: guarantee window {w.id!r} delivered {_g6(value)}, "
+                f"below its floor {_g6(w.floor)}"
+            )
     return EXIT_OK
 
 
-def _write_oracle_curves(path: Path, log: OpportunityLog, lam_star: float, bid_cap: float) -> None:
-    """Replayed spend and value on 33 multipliers from lam*/8 to 8 lam*."""
-    center = max(lam_star, 1e-9)
+def _write_oracle_curves(
+    path: Path, log: OpportunityLog, profile: MultiplierProfile, bid_cap: float
+) -> None:
+    """Replayed spend and value on 33 budget multipliers from lam*/8 to
+    8 lam*, lam* being profile.lam; the other multipliers stay at profile's."""
+    center = max(profile.lam, 1e-9)
     rows = []
     for lam in np.geomspace(center / 8.0, center * 8.0, 33):
-        r = replay(log, MultiplierProfile(lam=float(lam)), bid_cap)
+        r = replay(log, profile.with_lam(float(lam)), bid_cap)
         rows.append((repr(float(lam)), repr(r.spend), repr(r.value)))
     _write_csv(path, ["lambda", "spend", "value"], rows)
 
@@ -190,7 +247,8 @@ def cmd_compare(args) -> int:
     if _constrained(constraints):
         kkt = solve_kkt_grid(log, constraints, bid_cap=scenario.agent.bid_cap)
         oracle_spend, oracle_value = kkt.replay.spend, kkt.replay.value
-        lam_star = kkt.profile.lam
+        profile = kkt.profile
+        lam_star = profile.lam
         unconstrained = "budget unconstrained" in kkt.notes
         rows.append(("oracle_mu", kkt.profile.mu))
         for wid, lam_k in kkt.profile.window_lambda.items():
@@ -206,6 +264,7 @@ def cmd_compare(args) -> int:
         sol = solve_lambda_star(log, budget, bid_cap=scenario.agent.bid_cap)
         oracle_spend, oracle_value = sol.spend, sol.value
         lam_star = sol.lam
+        profile = MultiplierProfile(lam=lam_star)
         unconstrained = sol.unconstrained
 
     value_ratio = agent_value / oracle_value if oracle_value > 0 else float("inf")
@@ -226,7 +285,7 @@ def cmd_compare(args) -> int:
         ("baseline_value_ratio", baseline_ratio),
     ] + rows
 
-    _write_oracle_curves(out_dir / "oracle_curves.csv", log, lam_star, scenario.agent.bid_cap)
+    _write_oracle_curves(out_dir / "oracle_curves.csv", log, profile, scenario.agent.bid_cap)
 
     roi_rows = []
     if not unconstrained:
@@ -496,7 +555,6 @@ def cmd_oracle(args) -> int:
                 print(f"  {name}: {_g6(residual)}")
             for note in kkt.notes:
                 print(f"  note: {note}")
-            lam_star = profile.lam
         else:
             sol = solve_lambda_star(log, args.budget)
             rows = [
@@ -508,7 +566,7 @@ def cmd_oracle(args) -> int:
             if sol.bracket is not None:
                 rows.append(("bracket_lo", sol.bracket[0]))
                 rows.append(("bracket_hi", sol.bracket[1]))
-            lam_star = sol.lam
+            profile = MultiplierProfile(lam=sol.lam)
             print(
                 f"lambda={_g6(sol.lam)} spend={_g6(sol.spend)} value={_g6(sol.value)}"
                 + (" (budget unconstrained)" if sol.unconstrained else "")
@@ -516,7 +574,7 @@ def cmd_oracle(args) -> int:
     except OracleError as exc:
         raise CliError(f"oracle failed: {exc}", EXIT_RUNTIME) from None
 
-    _write_oracle_curves(out_dir / "oracle_curves.csv", log, lam_star, DEFAULT_BID_CAP)
+    _write_oracle_curves(out_dir / "oracle_curves.csv", log, profile, DEFAULT_BID_CAP)
     _write_kv_csv(out_dir / "oracle_multipliers.csv", rows)
     return EXIT_OK
 

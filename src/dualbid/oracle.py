@@ -49,7 +49,7 @@ class LogRecord:
 
 
 class OpportunityLog:
-    """Ordered opportunity records, with their columns built once for replay."""
+    """Ordered opportunity records, held as columns for replay."""
 
     def __init__(self, records: list[LogRecord]):
         if not records:
@@ -58,55 +58,131 @@ class OpportunityLog:
         if any(b < a for a, b in zip(times, times[1:])):
             raise OracleError("record times must be nondecreasing")
         self.records = list(records)
+        self.arrays = LogColumns.from_records(self.records)
+
+    @classmethod
+    def from_columns(cls, columns: LogColumns) -> OpportunityLog:
+        """A log over columns built in time order, such as a simulated
+        stream's; its records are built when first read."""
+        if len(columns) == 0:
+            raise OracleError("opportunity log must not be empty")
+        log = object.__new__(cls)
+        log.arrays = columns
+        return log
+
+    @cached_property
+    def records(self) -> list[LogRecord]:
+        return self.arrays.records()
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.arrays)
 
     @property
     def mode(self) -> str:
         realized = int(np.count_nonzero(self.arrays.realized))
         if realized == 0:
             return "distributional"
-        if realized == len(self.records):
+        if realized == len(self):
             return "realized"
         return "mixed"
 
     def restrict_to_placement(self, placement: str) -> OpportunityLog:
-        subset = [r for r in self.records if r.placement == placement]
-        if not subset:
+        cols = self.arrays
+        if placement not in cols.placement_names:
             raise OracleError(f"no records for placement {placement!r}")
-        return OpportunityLog(subset)
-
-    @cached_property
-    def arrays(self) -> _LogArrays:
-        return _LogArrays(self.records)
-
-
-class _LogArrays:
-    """Per-record columns of a log: values, clearing bids (NaN in
-    distributional records), the mechanism table, and codes for the
-    placement and the window combination of each record."""
-
-    def __init__(self, records: list[LogRecord]):
-        self.values = np.array([r.value for r in records], dtype=float)
-        self.clearing = np.array(
-            [np.nan if r.clearing_bid is None else r.clearing_bid for r in records], dtype=float
+        return OpportunityLog.from_columns(
+            cols.take(cols.placement_codes == cols.placement_names.index(placement))
         )
+
+
+def _by_first_appearance(codes: np.ndarray, names) -> tuple[np.ndarray, list]:
+    """codes renumbered, and names kept, in order of first appearance."""
+    used, first = np.unique(codes, return_index=True)
+    order = used[np.argsort(first)]
+    renumber = np.zeros(len(names), dtype=np.intp)
+    renumber[order] = np.arange(len(order))
+    return renumber[codes], [names[c] for c in order]
+
+
+class LogColumns:
+    """Per-record columns of a log: times, values, clearing bids (NaN in
+    distributional records), the mechanism of each record (a code into
+    mechanisms) and their table, and codes for the placement and the window
+    combination of each record.  Placements and window combinations are
+    numbered in order of first appearance, and only those that appear are
+    kept."""
+
+    def __init__(
+        self, time, values, clearing, mechanisms, mechanism_codes, placement_names,
+        placement_codes, window_combos, combo_codes,
+    ):  # fmt: skip
+        self.time = np.asarray(time, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        self.clearing = np.asarray(clearing, dtype=float)
         self.realized = ~np.isnan(self.clearing)
-        self.table = MechanismTable.from_specs([r.mechanism for r in records])
-        placements: dict[str, int] = {}
-        self.placement_codes = np.array(
-            [placements.setdefault(r.placement, len(placements)) for r in records]
+        self.mechanisms = tuple(mechanisms)
+        self.mechanism_codes = np.asarray(mechanism_codes, dtype=np.intp)
+        self.table = MechanismTable.from_specs(self.mechanisms).take(self.mechanism_codes)
+        self.placement_codes, self.placement_names = _by_first_appearance(
+            np.asarray(placement_codes, dtype=np.intp), placement_names
         )
-        self.placement_names = list(placements)
-        combos: dict[tuple[str, ...], int] = {}
-        self.combo_codes = np.array([combos.setdefault(r.windows, len(combos)) for r in records])
-        self.window_combos = list(combos)
+        self.combo_codes, self.window_combos = _by_first_appearance(
+            np.asarray(combo_codes, dtype=np.intp), window_combos
+        )
         windows = dict.fromkeys(w for ws in self.window_combos for w in ws)
         self.window_masks = {
             w: np.isin(self.combo_codes, [c for c, ws in enumerate(self.window_combos) if w in ws])
             for w in windows
         }
+
+    @classmethod
+    def from_records(cls, records: list[LogRecord]) -> LogColumns:
+        mechanisms: dict[MechanismSpec, int] = {}
+        placements: dict[str, int] = {}
+        combos: dict[tuple[str, ...], int] = {}
+        return cls(
+            time=[r.time for r in records],
+            values=[r.value for r in records],
+            clearing=[np.nan if r.clearing_bid is None else r.clearing_bid for r in records],
+            mechanism_codes=[mechanisms.setdefault(r.mechanism, len(mechanisms)) for r in records],
+            mechanisms=mechanisms,
+            placement_codes=[placements.setdefault(r.placement, len(placements)) for r in records],
+            placement_names=list(placements),
+            combo_codes=[combos.setdefault(r.windows, len(combos)) for r in records],
+            window_combos=list(combos),
+        )
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def take(self, rows) -> LogColumns:
+        """The columns restricted to rows (an index array, mask or slice)."""
+        return LogColumns(
+            self.time[rows], self.values[rows], self.clearing[rows], self.mechanisms,
+            self.mechanism_codes[rows], self.placement_names, self.placement_codes[rows],
+            self.window_combos, self.combo_codes[rows],
+        )  # fmt: skip
+
+    def records(self) -> list[LogRecord]:
+        clearing = [None if np.isnan(c) else c for c in self.clearing.tolist()]
+        return [
+            LogRecord(
+                time=t,
+                placement=self.placement_names[p],
+                value=v,
+                mechanism=self.mechanisms[m],
+                clearing_bid=c,
+                windows=self.window_combos[k],
+            )
+            for t, p, v, m, c, k in zip(
+                self.time.tolist(),
+                self.placement_codes.tolist(),
+                self.values.tolist(),
+                self.mechanism_codes.tolist(),
+                clearing,
+                self.combo_codes.tolist(),
+            )
+        ]
 
 
 @dataclass(frozen=True)

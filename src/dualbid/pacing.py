@@ -17,12 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, shade_bids
-from .mechanisms import MechanismSpec, MechanismTable, resolve
+from .mechanisms import resolve
 from .oracle import LAMBDA_LIMIT, search_multiplier
+
+if TYPE_CHECKING:
+    from .simulate import OpportunityStream
 
 LAMBDA_TILDE_MIN = 1e-9
 LAMBDA_TILDE_MAX = 1e9
@@ -231,10 +235,6 @@ class PacingState:
     def lam(self) -> float:
         return self.lambda_tilde * self.lambda_prime
 
-    @property
-    def budget_exhausted(self) -> bool:
-        return self.spent_total >= self.budget
-
     def multipliers_at(self, constraints: ConstraintSet, interval: int) -> MultiplierVector:
         w = constraints.active_delivery(interval)
         g = constraints.active_guarantee(interval)
@@ -246,30 +246,47 @@ class PacingState:
             mu_k=self.window_mu.get(g.id, 0.0) if g else 0.0,
         )
 
-    def record_outcome(
-        self,
-        windows: tuple[str, ...],
-        value: float,
-        won: bool,
-        cost: float,
-        result: float = 0.0,
-    ) -> None:
-        self.opportunities_seen += 1
-        self.interval_count += 1
-        if not won:
-            return
-        self.wins_total += 1
-        self.interval_wins += 1
-        self.spent_total += cost
-        self.interval_spend += cost
-        self.value_total += value
-        self.interval_value += value
-        self.results_realized += result
-        for w in windows:
-            self.window_interval_spend[w] = self.window_interval_spend.get(w, 0.0) + cost
-            self.window_interval_value[w] = self.window_interval_value.get(w, 0.0) + value
-            self.window_spend[w] = self.window_spend.get(w, 0.0) + cost
-            self.window_value[w] = self.window_value.get(w, 0.0) + value
+    def record_outcomes(self, windows: tuple[str, ...], values, won, costs, results):
+        """Account auctions resolved in order at one snapshot of the
+        multipliers, all in the given windows.
+
+        Bidding stops at the first auction that finds spend at or above the
+        budget: it and every later one count as seen, not bid.  Totals add
+        up left to right from their current values (np.cumsum, never a
+        pairwise sum), so they equal adding the auctions one at a time.
+        Returns the number of auctions bid and the total spend and value
+        after each auction.
+        """
+        costs = np.where(won, costs, 0.0)
+        spent = np.flatnonzero(_running(self.spent_total, costs)[:-1] >= self.budget)
+        bid = int(spent[0]) if spent.size else len(costs)
+        won = np.asarray(won, dtype=bool) & (np.arange(len(costs)) < bid)
+        costs[bid:] = 0.0
+        spend = _running(self.spent_total, costs)
+        gained = np.where(won, values, 0.0)
+        value = _running(self.value_total, gained)
+        self.opportunities_seen += len(costs)
+        self.interval_count += len(costs)
+        wins = int(np.count_nonzero(won))
+        if wins:
+            self.wins_total += wins
+            self.interval_wins += wins
+            self.spent_total = float(spend[-1])
+            self.interval_spend = float(_running(self.interval_spend, costs)[-1])
+            self.value_total = float(value[-1])
+            self.interval_value = float(_running(self.interval_value, gained)[-1])
+            self.results_realized = float(
+                _running(self.results_realized, np.where(won, results, 0.0))[-1]
+            )
+            for w in windows:
+                for totals, add in (
+                    (self.window_interval_spend, costs),
+                    (self.window_interval_value, gained),
+                    (self.window_spend, costs),
+                    (self.window_value, gained),
+                ):
+                    totals[w] = float(_running(totals.get(w, 0.0), add)[-1])
+        return bid, spend[1:], value[1:]
 
     def reset_interval(self) -> None:
         self.interval_spend = 0.0
@@ -278,6 +295,11 @@ class PacingState:
         self.interval_wins = 0
         self.window_interval_spend.clear()
         self.window_interval_value.clear()
+
+
+def _running(start: float, added: np.ndarray) -> np.ndarray:
+    """start, then start plus each prefix of added, summed left to right."""
+    return np.cumsum(np.concatenate(([start], added)))
 
 
 def normalize(state: PacingState, lambda0: float) -> PacingState:
@@ -481,10 +503,11 @@ def apply_batch_update(
     forecast: ForecastModel,
     constraints: ConstraintSet,
     interval: int,
-    ftl_entries: list[FtlEntry] | None = None,
+    history: OpportunityStream | None = None,
 ) -> None:
     """Close the current batch: refresh the smoothing estimator, update all
-    multipliers, and reset the interval accumulators."""
+    multipliers, and reset the interval accumulators.  FTL mode replays
+    history, the opportunities seen so far (see ftl_update)."""
     decay = 0.5 ** (1.0 / SMOOTHING_HALF_LIFE)
     raw = state.interval_spend
     state.smoothed_spend = (
@@ -502,7 +525,7 @@ def apply_batch_update(
         state.flags.append(f"interval {interval}: no traffic, update skipped")
     elif cfg.mode == "ftl":
         result = ftl_update(
-            ftl_entries or [],
+            history,
             budget=state.budget,
             expected_total=forecast.total if forecast.total is not None else state.expected_total,
             window=cfg.ftl_window,
@@ -525,22 +548,13 @@ def apply_batch_update(
 
 
 @dataclass(frozen=True)
-class FtlEntry:
-    """What replay needs from one past auction."""
-
-    value: float
-    clearing_bid: float
-    mechanism: MechanismSpec
-
-
-@dataclass(frozen=True)
 class FtlResult:
     lam: float
     unconstrained: bool
 
 
 def ftl_update(
-    entries: list[FtlEntry],
+    entries: OpportunityStream,
     budget: float,
     expected_total: float,
     window: int | None = None,
@@ -548,6 +562,8 @@ def ftl_update(
     """Best multiplier in hindsight over the lookback window: the smallest
     lam whose replayed spend stays within the budget pace.
 
+    entries are the auctions seen so far, in order (a prefix of the
+    episode's stream); their value, clearing_bid and table columns are read.
     Found by the oracle's search_multiplier; replayed spend is a step
     function of lam, so the search returns the conservative high side of
     its final bracket.
@@ -556,9 +572,7 @@ def ftl_update(
         raise PacingError("ftl update needs at least one logged auction")
     scope = entries[-window:] if window is not None else entries
     target = budget / expected_total * len(scope)
-    values = np.array([e.value for e in scope])
-    clearing = np.array([e.clearing_bid for e in scope])
-    table = MechanismTable.from_specs([e.mechanism for e in scope])
+    values, clearing, table = scope.value, scope.clearing_bid, scope.table
     rows, first_price = table.first_price_rows
 
     def replay_spend(lam: float) -> float:

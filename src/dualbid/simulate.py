@@ -5,31 +5,31 @@ opportunity count and the per-opportunity values, competing clearing bids,
 interleaving jitter, and result draws from a counter-based random stream
 keyed by (seed, placement, interval) -- so adding a placement or extending
 the horizon never perturbs other cells' draws, and a fixed seed yields a
-byte-identical trace.
+byte-identical trace.  The stream is held as columns (``OpportunityStream``),
+ordered by one stable sort on (interval, jitter, placement id), with one
+mechanism per cell.
 
-An episode pairs the stream with a pacing agent: snapshot multipliers,
-adjust the value, bid, resolve the auction against the realized clearing
-bid, and update the multipliers at batch boundaries.  Bidding halts once
-cumulative spend reaches the budget.
+An episode pairs the stream with a pacing agent.  It runs in segments: the
+rest of an interval after each multiplier update (interval start, or the end
+of a count batch).  A segment is bid and resolved in one call at the
+snapshot multipliers; the budget cut-off and the pacing, placement and
+window accounting are array operations whose sums run left to right, so
+every total and the trace columns equal those of handling the opportunities
+one at a time.  Bidding halts once cumulative spend reaches the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .bidding import LAMBDA_FLOOR, optimal_bids
 from .coldstart import ColdStartResult, PlacementPriors, solve_lambda0_multi
 from .mechanisms import LognormalBids, MechanismSpec, MechanismTable, resolve
-from .oracle import LogRecord, OpportunityLog, marginal_roi
-from .pacing import (
-    ForecastModel,
-    FtlEntry,
-    PacingState,
-    apply_batch_update,
-    normalize,
-)
+from .oracle import LogColumns, OpportunityLog, marginal_roi
+from .pacing import ForecastModel, PacingState, apply_batch_update, normalize
 from .scenario import PlacementConfig, ScenarioConfig
 
 
@@ -37,8 +37,9 @@ class SimulationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Opportunity:
+class Opportunity(NamedTuple):
+    """One row of an OpportunityStream."""
+
     interval: int
     jitter: float
     placement: str
@@ -46,6 +47,68 @@ class Opportunity:
     clearing_bid: float
     mechanism: MechanismSpec
     result_draw: float
+
+
+class OpportunityStream:
+    """Opportunities as parallel columns, in stream order.
+
+    Columns: ``interval``, ``jitter``, ``placement`` (a code into
+    ``placement_ids``), ``value``, ``clearing_bid``, ``result_draw``, and
+    ``cell``, the index into ``cells`` of the mechanism each opportunity was
+    drawn under; ``table`` holds that mechanism per row.  An int index yields
+    an ``Opportunity`` row view; a slice, mask or index array yields the
+    sub-stream.
+    """
+
+    def __init__(
+        self, placement_ids, cells, interval, jitter, placement, value, clearing_bid,
+        result_draw, cell, table,
+    ):  # fmt: skip
+        self.placement_ids = tuple(placement_ids)
+        self.cells = tuple(cells)
+        self.interval = interval
+        self.jitter = jitter
+        self.placement = placement
+        self.value = value
+        self.clearing_bid = clearing_bid
+        self.result_draw = result_draw
+        self.cell = cell
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def take(self, rows) -> OpportunityStream:
+        return OpportunityStream(
+            self.placement_ids, self.cells, self.interval[rows], self.jitter[rows],
+            self.placement[rows], self.value[rows], self.clearing_bid[rows],
+            self.result_draw[rows], self.cell[rows], self.table.take(rows),
+        )  # fmt: skip
+
+    def __getitem__(self, key):
+        if not isinstance(key, (int, np.integer)):
+            return self.take(key)
+        return Opportunity(
+            interval=int(self.interval[key]),
+            jitter=float(self.jitter[key]),
+            placement=self.placement_ids[self.placement[key]],
+            value=float(self.value[key]),
+            clearing_bid=float(self.clearing_bid[key]),
+            mechanism=self.cells[self.cell[key]],
+            result_draw=float(self.result_draw[key]),
+        )
+
+    def __iter__(self):
+        columns = (
+            self.interval.tolist(),
+            self.jitter.tolist(),
+            [self.placement_ids[p] for p in self.placement.tolist()],
+            self.value.tolist(),
+            self.clearing_bid.tolist(),
+            [self.cells[c] for c in self.cell.tolist()],
+            self.result_draw.tolist(),
+        )
+        return map(Opportunity._make, zip(*columns))
 
 
 def drifted_mechanism(placement: PlacementConfig, interval: int) -> MechanismSpec:
@@ -71,10 +134,13 @@ def _cell_rng(seed: int, placement_index: int, interval: int) -> np.random.Gener
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def generate_stream(scenario: ScenarioConfig) -> list[Opportunity]:
+def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
     """All opportunities for the scenario, interleaved across placements by
     a within-interval jitter and fully reproducible from the seed."""
-    out: list[Opportunity] = []
+    cells: list[MechanismSpec] = []
+    cell_interval: list[int] = []
+    cell_placement: list[int] = []
+    draws: list[tuple[np.ndarray, ...]] = []
     for p_idx, placement in enumerate(scenario.placements):
         for interval in range(scenario.intervals):
             intensity = placement.intensity_at(interval)
@@ -90,56 +156,59 @@ def generate_stream(scenario: ScenarioConfig) -> list[Opportunity]:
                 mean=drifted_value_mu(placement, interval), sigma=placement.value_sigma, size=n
             )
             clearing = mech.competitor.quantile(rng.random(n))
-            result_draws = rng.random(n)
-            clearing = np.atleast_1d(clearing)
-            for j in range(n):
-                out.append(
-                    Opportunity(
-                        interval=interval,
-                        jitter=float(jitter[j]),
-                        placement=placement.id,
-                        value=float(values[j]),
-                        clearing_bid=float(clearing[j]),
-                        mechanism=mech,
-                        result_draw=float(result_draws[j]),
-                    )
-                )
-    out.sort(key=lambda o: (o.interval, o.jitter, o.placement))
-    return out
+            draws.append((jitter, values, clearing, rng.random(n)))
+            cells.append(mech)
+            cell_interval.append(interval)
+            cell_placement.append(p_idx)
+    ids = [p.id for p in scenario.placements]
+    sizes = [len(d[0]) for d in draws]
+    cell = np.repeat(np.arange(len(cells)), sizes)
+    interval = np.array(cell_interval, dtype=np.int64)[cell]
+    placement = np.array(cell_placement, dtype=np.intp)[cell]
+    columns = zip(*draws) if draws else [[np.empty(0)]] * 4
+    jitter, values, clearing, result_draws = (np.concatenate(c) for c in columns)
+    # stable, so ties keep the cell order: the order of sorting the
+    # opportunities by (interval, jitter, placement id)
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    order = np.lexsort((rank[placement], jitter, interval))
+    table = MechanismTable.from_specs(cells).take(cell[order])
+    return OpportunityStream(
+        ids, cells, interval[order], jitter[order], placement[order], values[order],
+        clearing[order], result_draws[order], cell[order], table,
+    )  # fmt: skip
 
 
-def realized_log(scenario: ScenarioConfig, stream: list[Opportunity]) -> OpportunityLog:
-    """Stream reinterpreted as a realized opportunity log for the oracle."""
-    return OpportunityLog(
-        [
-            LogRecord(
-                time=o.interval + o.jitter,
-                placement=o.placement,
-                value=o.value,
-                mechanism=o.mechanism,
-                clearing_bid=o.clearing_bid,
-                windows=scenario.constraints.window_ids_at(o.interval),
-            )
-            for o in stream
-        ]
+def _stream_log(scenario: ScenarioConfig, stream: OpportunityStream, clearing) -> OpportunityLog:
+    combos: dict[tuple[str, ...], int] = {}
+    per_interval = [
+        combos.setdefault(scenario.constraints.window_ids_at(i), len(combos))
+        for i in range(scenario.intervals)
+    ]
+    return OpportunityLog.from_columns(
+        LogColumns(
+            time=stream.interval + stream.jitter,
+            values=stream.value,
+            clearing=clearing,
+            mechanisms=stream.cells,
+            mechanism_codes=stream.cell,
+            placement_names=stream.placement_ids,
+            placement_codes=stream.placement,
+            window_combos=list(combos),
+            combo_codes=np.array(per_interval, dtype=np.intp)[stream.interval],
+        )
     )
 
 
-def distributional_log(scenario: ScenarioConfig, stream: list[Opportunity]) -> OpportunityLog:
+def realized_log(scenario: ScenarioConfig, stream: OpportunityStream) -> OpportunityLog:
+    """Stream reinterpreted as a realized opportunity log for the oracle."""
+    return _stream_log(scenario, stream, stream.clearing_bid)
+
+
+def distributional_log(scenario: ScenarioConfig, stream: OpportunityStream) -> OpportunityLog:
     """Stream with auctions kept as smooth G/H models instead of resolved
     clearing bids; used for derivative-based diagnostics."""
-    return OpportunityLog(
-        [
-            LogRecord(
-                time=o.interval + o.jitter,
-                placement=o.placement,
-                value=o.value,
-                mechanism=o.mechanism,
-                windows=scenario.constraints.window_ids_at(o.interval),
-            )
-            for o in stream
-        ]
-    )
+    return _stream_log(scenario, stream, np.full(len(stream), np.nan))
 
 
 def build_forecast(scenario: ScenarioConfig) -> ForecastModel:
@@ -185,26 +254,9 @@ def initial_multiplier(scenario: ScenarioConfig) -> tuple[float, ColdStartResult
     return max(result.lam, 1e-9), result
 
 
-TRACE_COLUMNS = (
-    "interval",
-    "opportunity_index",
-    "placement_id",
-    "value",
-    "adjusted_value",
-    "bid",
-    "won",
-    "cost",
-    "lambda_tilde",
-    "mu",
-    "lambda_k",
-    "mu_k",
-    "cum_spend",
-    "cum_value",
-)
+class TraceRow(NamedTuple):
+    """One row of a Trace: one line of trace.csv."""
 
-
-@dataclass(frozen=True)
-class TraceRow:
     interval: int
     opportunity_index: int
     placement_id: str
@@ -220,23 +272,55 @@ class TraceRow:
     cum_spend: float
     cum_value: float
 
-    def as_csv_fields(self) -> tuple[str, ...]:
-        return (
-            str(self.interval),
-            str(self.opportunity_index),
-            self.placement_id,
-            repr(self.value),
-            repr(self.adjusted_value),
-            repr(self.bid),
-            "1" if self.won else "0",
-            repr(self.cost),
-            repr(self.lambda_tilde),
-            repr(self.mu),
-            repr(self.lambda_k),
-            repr(self.mu_k),
-            repr(self.cum_spend),
-            repr(self.cum_value),
-        )
+
+TRACE_COLUMNS = TraceRow._fields
+
+
+@dataclass(eq=False)
+class Trace:
+    """The episode's decisions as columns named after TRACE_COLUMNS, one row
+    per opportunity in stream order; ``placement_id`` holds codes into
+    ``placement_ids``.  Indexing with an int or iterating yields TraceRow
+    views."""
+
+    placement_ids: tuple[str, ...]
+    interval: np.ndarray
+    opportunity_index: np.ndarray
+    placement_id: np.ndarray
+    value: np.ndarray
+    adjusted_value: np.ndarray
+    bid: np.ndarray
+    won: np.ndarray
+    cost: np.ndarray
+    lambda_tilde: np.ndarray
+    mu: np.ndarray
+    lambda_k: np.ndarray
+    mu_k: np.ndarray
+    cum_spend: np.ndarray
+    cum_value: np.ndarray
+
+    @classmethod
+    def for_stream(cls, stream: OpportunityStream) -> Trace:
+        """A trace of the stream with every decision column zero."""
+        n = len(stream)
+        decisions = {name: np.zeros(n) for name in TRACE_COLUMNS[4:]}
+        decisions["won"] = np.zeros(n, dtype=bool)
+        return cls(
+            stream.placement_ids, stream.interval, np.arange(n), stream.placement, stream.value,
+            **decisions,
+        )  # fmt: skip
+
+    def __len__(self) -> int:
+        return len(self.interval)
+
+    def __getitem__(self, index: int) -> TraceRow:
+        row = TraceRow._make(getattr(self, name)[index].item() for name in TRACE_COLUMNS)
+        return row._replace(placement_id=self.placement_ids[row.placement_id])
+
+    def __iter__(self):
+        columns = {name: getattr(self, name).tolist() for name in TRACE_COLUMNS}
+        columns["placement_id"] = [self.placement_ids[p] for p in columns["placement_id"]]
+        return map(TraceRow._make, zip(*columns.values()))
 
 
 @dataclass
@@ -294,8 +378,8 @@ class EpisodeMetrics:
 @dataclass
 class EpisodeResult:
     scenario: ScenarioConfig
-    stream: list[Opportunity]
-    trace: list[TraceRow]
+    stream: OpportunityStream
+    trace: Trace
     metrics: EpisodeMetrics
     state: PacingState
 
@@ -304,6 +388,7 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
     """Run the pacing agent through the scenario's opportunity stream."""
     constraints = scenario.constraints
     cfg = scenario.agent.pacing
+    batch = cfg.batch_size
     forecast = build_forecast(scenario)
     lambda0, _ = initial_multiplier(scenario)
 
@@ -317,79 +402,63 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
     normalize(state, scenario.agent.lambda_prime or lambda0)
 
     stream = generate_stream(scenario)
-    values = np.array([o.value for o in stream])
-    table = MechanismTable.from_specs([o.mechanism for o in stream])
-    clearing = np.array([o.clearing_bid for o in stream])
-    # the stream is ordered by interval: interval i is stream[starts[i]:starts[i + 1]]
-    starts = np.searchsorted([o.interval for o in stream], np.arange(scenario.intervals + 1))
-
-    trace: list[TraceRow] = []
+    values, clearing = stream.value, stream.clearing_bid
+    # the stream is ordered by interval: interval i is rows starts[i]:starts[i + 1]
+    starts = np.searchsorted(stream.interval, np.arange(scenario.intervals + 1))
+    # rows cut off by the budget keep a zero adjusted value, bid and cost
+    trace = Trace.for_stream(stream)
     trajectory: list[float] = []
-    ftl_entries: list[FtlEntry] | None = [] if cfg.mode == "ftl" else None
-    placement_spend: dict[str, float] = {p.id: 0.0 for p in scenario.placements}
-    placement_value: dict[str, float] = {p.id: 0.0 for p in scenario.placements}
-    max_single_cost = 0.0
+
+    def close_batch(interval: int, seen: int) -> None:
+        history = stream[:seen] if cfg.mode == "ftl" else None
+        apply_batch_update(state, cfg, forecast, constraints, interval, history)
 
     for interval in range(scenario.intervals):
         try:
             windows = constraints.window_ids_at(interval)
-            end = int(starts[interval + 1])
-            stale = True
-            for index in range(int(starts[interval]), end):
-                if stale:
-                    # the multipliers only move at batch boundaries, so the
-                    # rest of the interval is bid and resolved in one go
-                    snapshot = state.multipliers_at(constraints, interval)
-                    factor = snapshot.numerator / max(snapshot.denominator, LAMBDA_FLOOR)
-                    first = index
-                    rest = table.take(slice(index, end))
-                    adjusted = factor * values[index:end]
-                    bids = optimal_bids(rest, adjusted, scenario.agent.bid_cap)
-                    wins, costs = resolve(rest, bids, clearing[index:end])
-                    stale = False
-                o = stream[index]
-                if state.budget_exhausted:
-                    adjusted_value, bid, won, cost = 0.0, 0.0, False, 0.0
-                else:
-                    k = index - first
-                    adjusted_value, bid = float(adjusted[k]), float(bids[k])
-                    won, cost = bool(wins[k]), float(costs[k])
-                result = 1.0 if won and o.result_draw < min(o.value, 1.0) else 0.0
-                state.record_outcome(windows, o.value, won, cost, result)
-                if won:
-                    placement_spend[o.placement] += cost
-                    placement_value[o.placement] += o.value
-                    max_single_cost = max(max_single_cost, cost)
-                if ftl_entries is not None:
-                    ftl_entries.append(
-                        FtlEntry(value=o.value, clearing_bid=o.clearing_bid, mechanism=o.mechanism)
-                    )
-                trace.append(
-                    TraceRow(
-                        interval=interval,
-                        opportunity_index=index,
-                        placement_id=o.placement,
-                        value=o.value,
-                        adjusted_value=adjusted_value,
-                        bid=bid,
-                        won=won,
-                        cost=cost,
-                        lambda_tilde=state.lambda_tilde,
-                        mu=snapshot.mu,
-                        lambda_k=snapshot.lam_k,
-                        mu_k=snapshot.mu_k,
-                        cum_spend=state.spent_total,
-                        cum_value=state.value_total,
-                    )
+            index, end = int(starts[interval]), int(starts[interval + 1])
+            while index < end:
+                # the multipliers only move at batch boundaries, so the rest
+                # of the interval is bid and resolved in one go
+                snapshot = state.multipliers_at(constraints, interval)
+                factor = snapshot.numerator / max(snapshot.denominator, LAMBDA_FLOOR)
+                rest = stream.table.take(slice(index, end))
+                adjusted = factor * values[index:end]
+                bids = optimal_bids(rest, adjusted, scenario.agent.bid_cap)
+                wins, costs = resolve(rest, bids, clearing[index:end])
+                size = end - index if batch is None else min(end - index, batch - state.interval_count)
+                seg = slice(index, index + size)
+                wins = wins[:size]
+                results = wins & (stream.result_draw[seg] < np.minimum(values[seg], 1.0))
+                trace.lambda_tilde[seg] = state.lambda_tilde
+                trace.mu[seg], trace.lambda_k[seg], trace.mu_k[seg] = (
+                    snapshot.mu, snapshot.lam_k, snapshot.mu_k
                 )
-                if cfg.batch_size is not None and state.interval_count >= cfg.batch_size:
-                    apply_batch_update(state, cfg, forecast, constraints, interval, ftl_entries)
-                    stale = True
-            if cfg.batch_size is None:
-                apply_batch_update(state, cfg, forecast, constraints, interval, ftl_entries)
+                bid, trace.cum_spend[seg], trace.cum_value[seg] = state.record_outcomes(
+                    windows, values[seg], wins, costs[:size], results
+                )
+                rows = slice(index, index + bid)
+                trace.adjusted_value[rows], trace.bid[rows] = adjusted[:bid], bids[:bid]
+                trace.won[rows], trace.cost[rows] = wins[:bid], costs[:bid]
+                index += size
+                if batch is not None and state.interval_count >= batch:
+                    close_batch(interval, index)
+            if batch is None:
+                close_batch(interval, end)
         except Exception as exc:
             raise SimulationError(f"interval {interval}: {exc}") from exc
         trajectory.append(state.lambda_tilde)
+
+    won_value = np.where(trace.won, values, 0.0)
+    placement_spend: dict[str, float] = {p.id: 0.0 for p in scenario.placements}
+    placement_value: dict[str, float] = {p.id: 0.0 for p in scenario.placements}
+    for code, pid in enumerate(stream.placement_ids):
+        mine = stream.placement == code
+        if mine.any():
+            # cumsum adds in stream order, as spending one win at a time does
+            placement_spend[pid] = float(np.cumsum(trace.cost[mine])[-1])
+            placement_value[pid] = float(np.cumsum(won_value[mine])[-1])
+    max_single_cost = float(trace.cost.max(initial=0.0))
 
     total_value = state.value_total
     metrics = EpisodeMetrics(

@@ -14,8 +14,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from dualbid.bidding import DEFAULT_BID_CAP, adjusted_value, optimal_bid
-from dualbid.mechanisms import MechanismSpec, expected_cost, win_prob
+from dualbid.mechanisms import MechanismSpec, MechanismTable, expected_cost, win_prob
 from dualbid.oracle import LogRecord, MultiplierProfile, OpportunityLog
+from dualbid.simulate import OpportunityStream
 
 
 def enumerate_best_winset(outcomes: list[tuple[float, float]], budget: float):
@@ -83,6 +84,83 @@ def replay_by_record(
             acc[0] += spend
             acc[1] += value
     return spend_total, value_total, per_placement, per_window
+
+
+def auction_history(values, clearing, mech: MechanismSpec) -> OpportunityStream:
+    """Past auctions under one mechanism, in order, as FTL replays them."""
+    n = len(values)
+    return OpportunityStream(
+        placement_ids=("p",),
+        cells=(mech,),
+        interval=np.zeros(n, dtype=np.int64),
+        jitter=np.zeros(n),
+        placement=np.zeros(n, dtype=np.intp),
+        value=np.array(values, dtype=float),
+        clearing_bid=np.array(clearing, dtype=float),
+        result_draw=np.zeros(n),
+        cell=np.zeros(n, dtype=np.intp),
+        table=MechanismTable.from_specs([mech] * n),
+    )
+
+
+def stream_by_sort(scenario) -> list[tuple]:
+    """Reference stream: every opportunity as a (interval, jitter, placement,
+    value, clearing_bid, mechanism, result_draw) tuple, drawn cell by cell
+    with the simulator's keyed random streams and then sorted one at a time
+    by (interval, jitter, placement id)."""
+    from dualbid.simulate import _cell_rng, drifted_mechanism, drifted_value_mu
+
+    rows = []
+    for p_idx, placement in enumerate(scenario.placements):
+        for interval in range(scenario.intervals):
+            intensity = placement.intensity_at(interval)
+            if intensity <= 0:
+                continue
+            rng = _cell_rng(scenario.seed, p_idx, interval)
+            n = int(rng.poisson(intensity))
+            if n == 0:
+                continue
+            mech = drifted_mechanism(placement, interval)
+            jitter = rng.random(n)
+            values = rng.lognormal(
+                mean=drifted_value_mu(placement, interval), sigma=placement.value_sigma, size=n
+            )
+            clearing = mech.competitor.quantile(rng.random(n))
+            draws = rng.random(n)
+            for j in range(n):
+                rows.append(
+                    (interval, float(jitter[j]), placement.id, float(values[j]),
+                     float(clearing[j]), mech, float(draws[j]))
+                )  # fmt: skip
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    return rows
+
+
+def record_one_at_a_time(state, windows, values, won, costs, results) -> list[tuple[float, float]]:
+    """Reference for PacingState.record_outcomes: each auction in turn is
+    bid only while spend is below the budget, and every total is updated
+    by plain float addition.  Returns (spend, value) after each auction."""
+    after = []
+    for value, w, cost, result in zip(values, won, costs, results):
+        w = bool(w) and state.spent_total < state.budget
+        state.opportunities_seen += 1
+        state.interval_count += 1
+        if w:
+            cost, value = float(cost), float(value)
+            state.wins_total += 1
+            state.interval_wins += 1
+            state.spent_total += cost
+            state.interval_spend += cost
+            state.value_total += value
+            state.interval_value += value
+            state.results_realized += float(result)
+            for k in windows:
+                state.window_interval_spend[k] = state.window_interval_spend.get(k, 0.0) + cost
+                state.window_interval_value[k] = state.window_interval_value.get(k, 0.0) + value
+                state.window_spend[k] = state.window_spend.get(k, 0.0) + cost
+                state.window_value[k] = state.window_value.get(k, 0.0) + value
+        after.append((state.spent_total, state.value_total))
+    return after
 
 
 def quantile_lognormal_log(

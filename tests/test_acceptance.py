@@ -336,7 +336,7 @@ def test_10_drift_beats_fixed_bid_baseline():
         print(f"  value ratios: dual controller {agent_ratio:.4f}, fixed bid {baseline_ratio:.4f}")
         assert agent_ratio >= baseline_ratio
         # the drifted multiplier also re-converges to the post-drift optimum
-        post = [o for o in episode.stream if o.interval >= 150]
+        post = episode.stream[episode.stream.interval >= 150]
         post_sol = solve_lambda_star(
             OpportunityLog(realized_log(scenario, post).records),
             scenario.constraints.budget / 2.0,

@@ -64,6 +64,20 @@ class TestRun:
         main(["run", "--scenario", str(scenario), "--out", str(out2), "--seed", "99"])
         assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
 
+    def test_window_notes(self, tmp_path, capsys):
+        cfg = small_scenario(
+            delivery_windows=[{"id": "loose", "start": 0, "end": 10, "cap": 1000.0}],
+            guarantee_windows=[{"id": "push", "start": 5, "end": 10, "floor": 1000.0}],
+        )
+        scenario = write_scenario(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+        delivered = float(read_kv(out / "metrics.csv")["window_push_value"])
+        assert notes == [
+            f"note: guarantee window 'push' delivered {delivered:.6g}, below its floor 1000"
+        ]
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = small_scenario(
             delivery_windows=[
@@ -141,7 +155,14 @@ class TestCompare:
         scenario = Path(__file__).resolve().parents[1] / "scenarios" / "mixed_constrained.json"
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
-        capsys.readouterr()
+        metrics = read_kv(out / "metrics.csv")
+        # the episode overshoots the weekend cap, and says so
+        assert float(metrics["window_weekend_spend"]) > 12.0
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+        assert notes == [
+            f"note: delivery window 'weekend' spent "
+            f"{float(metrics['window_weekend_spend']):.6g}, above its cap 12"
+        ]
         assert main(["compare", "--run", str(out)]) == 0
         assert "re-solved" not in capsys.readouterr().out
         compare = read_kv(out / "compare.csv")
@@ -156,6 +177,11 @@ class TestCompare:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 33
         assert all(float(v) >= 0 for row in rows for v in row.values())
+        # the curves hold the KKT window multiplier, so at oracle_lambda they
+        # spend what the KKT solution spends
+        lam = float(compare["oracle_lambda"])
+        nearest = min(rows, key=lambda row: abs(float(row["lambda"]) - lam))
+        assert float(nearest["spend"]) == pytest.approx(float(compare["oracle_spend"]), rel=0.01)
 
     def test_missing_run_dir_exits_2(self, tmp_path):
         assert main(["compare", "--run", str(tmp_path / "missing")]) == 2
@@ -334,6 +360,16 @@ def test_kv_csv_round_trips_numpy_scalars_and_bools(tmp_path):
     rows = _read_kv_csv(path)
     assert float(rows["oracle_lambda_weekend"]) == float(lam)
     assert rows["oracle_feasible"] == "True"
+
+
+def test_format_column_keeps_each_repr():
+    import numpy as np
+
+    from dualbid.cli import _format_column
+
+    floats = np.array([0.0, -0.0, 0.1, 0.0, float("nan"), 1e16, -0.0])
+    assert _format_column(floats) == [repr(x) for x in floats.tolist()]
+    assert _format_column(np.array([3, 3, 12, -1])) == ["3", "3", "12", "-1"]
 
 
 class TestOracleCommand:

@@ -11,7 +11,6 @@ from dualbid.pacing import (
     ConstraintSet,
     DeliveryWindow,
     ForecastModel,
-    FtlEntry,
     GuaranteeWindow,
     PacingConfig,
     PacingError,
@@ -26,7 +25,7 @@ from dualbid.pacing import (
     update_constraint_multipliers,
     update_multiplicative,
 )
-from helpers import enumerate_best_winset, threshold_lambda
+from helpers import auction_history, enumerate_best_winset, record_one_at_a_time, threshold_lambda
 
 UNIFORM_SP = MechanismSpec("second_price", 0.0, UniformBids(0.0, 1.0))
 
@@ -188,9 +187,7 @@ class TestNormalize:
 
 class TestFtl:
     def three_entries(self):
-        return [
-            FtlEntry(value=float(v), clearing_bid=0.5, mechanism=UNIFORM_SP) for v in (1, 2, 3)
-        ]
+        return auction_history([1.0, 2.0, 3.0], [0.5] * 3, UNIFORM_SP)
 
     def test_three_record_example(self):
         # independent oracles: exhaustive win sets and density thresholds
@@ -215,18 +212,13 @@ class TestFtl:
     def test_stationary_one_step_convergence(self):
         # identical repeated auctions: the hindsight multiplier is the same
         # after 10 and after 100 observations
-        entries = [
-            FtlEntry(value=1.0, clearing_bid=0.4, mechanism=UNIFORM_SP) for _ in range(100)
-        ]
+        entries = auction_history([1.0] * 100, [0.4] * 100, UNIFORM_SP)
         early = ftl_update(entries[:10], budget=30.0, expected_total=100.0)
         late = ftl_update(entries, budget=30.0, expected_total=100.0)
         assert early.lam == pytest.approx(late.lam, rel=1e-9)
 
     def test_lookback_window(self):
-        entries = [
-            FtlEntry(value=v, clearing_bid=0.5, mechanism=UNIFORM_SP)
-            for v in (9.0, 9.0, 9.0, 1.0, 2.0, 3.0)
-        ]
+        entries = auction_history([9.0, 9.0, 9.0, 1.0, 2.0, 3.0], [0.5] * 6, UNIFORM_SP)
         result = ftl_update(entries, budget=1.0, expected_total=6.0, window=3)
         # only the trailing (1, 2, 3) block is replayed, with target 0.5
         assert result.lam == pytest.approx(4.0, rel=1e-6)
@@ -234,6 +226,51 @@ class TestFtl:
     def test_empty_log_rejected(self):
         with pytest.raises(PacingError):
             ftl_update([], budget=1.0, expected_total=1.0)
+
+
+class TestRecordOutcomes:
+    @pytest.mark.parametrize(
+        "budget,windows",
+        [(1e9, ()), (3.0, ("w", "g")), (0.5, ("w",))],
+        ids=["no_cut", "cut_inside", "spent_before"],
+    )
+    def test_matches_one_at_a_time(self, budget, windows):
+        rng = np.random.default_rng(5)
+        n = 200
+        values = rng.lognormal(-1.0, 0.5, n)
+        won = rng.random(n) < 0.3
+        costs = np.where(won, rng.lognormal(-2.0, 0.7, n), 0.0)
+        results = (won & (rng.random(n) < 0.4)).astype(float)
+
+        def start() -> PacingState:
+            return make_state(
+                budget=budget,
+                spent_total=0.7,
+                value_total=1.3,
+                interval_spend=0.1,
+                interval_value=0.2,
+                results_realized=2.0,
+                window_spend={"w": 0.3},
+                window_interval_spend={"w": 0.1},
+            )
+
+        state, reference = start(), start()
+        bid, spend, value = state.record_outcomes(windows, values, won, costs, results)
+        after = record_one_at_a_time(reference, windows, values, won, costs, results)
+        assert state == reference
+        assert list(zip(spend.tolist(), value.tolist())) == after
+        before = [0.7] + [s for s, _ in after[:-1]]
+        assert bid == next((i for i, s in enumerate(before) if s >= budget), n)
+
+    def test_spend_at_the_budget_stops_bidding(self):
+        args = ((), np.ones(4), np.ones(4, dtype=bool), np.full(4, 0.25), np.zeros(4))
+        state = make_state(budget=1.0, spent_total=0.5)
+        reference = make_state(budget=1.0, spent_total=0.5)
+        bid, spend, _ = state.record_outcomes(*args)
+        record_one_at_a_time(reference, *args)
+        assert bid == 2
+        assert spend.tolist() == [0.75, 1.0, 1.0, 1.0]
+        assert state == reference
 
 
 class TestConstraintSet:

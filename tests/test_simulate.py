@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from dualbid.oracle import solve_lambda_star
+from dualbid.oracle import LogRecord, MultiplierProfile, OpportunityLog, replay, solve_lambda_star
 from dualbid.scenario import parse_scenario
 from dualbid.simulate import (
+    distributional_log,
     drifted_mechanism,
     generate_stream,
     initial_multiplier,
     realized_log,
     run_episode,
 )
-from helpers import mixed_scenario, stationary_scenario
+from helpers import mixed_scenario, stationary_scenario, stream_by_sort
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ class TestStream:
     def test_zero_intensity_is_empty(self):
         cfg = stationary_scenario()
         cfg["placements"][0]["intensity"] = 0.0
-        assert generate_stream(parse_scenario(cfg)) == []
+        assert len(generate_stream(parse_scenario(cfg))) == 0
 
     def test_poisson_total_count(self):
         cfg = stationary_scenario(intervals=100)
@@ -47,12 +48,12 @@ class TestStream:
         assert abs(len(stream) - expected) <= 3 * math.sqrt(expected)
 
     def test_same_seed_identical(self, stationary):
-        assert generate_stream(stationary) == generate_stream(stationary)
+        assert list(generate_stream(stationary)) == list(generate_stream(stationary))
 
     def test_different_seed_differs(self):
         a = generate_stream(parse_scenario(stationary_scenario(seed=1)))
         b = generate_stream(parse_scenario(stationary_scenario(seed=2)))
-        assert a != b
+        assert list(a) != list(b)
 
     def test_adding_placement_preserves_existing_draws(self):
         single = parse_scenario(stationary_scenario())
@@ -69,6 +70,45 @@ class TestStream:
         assert [
             (o.interval, o.value, o.clearing_bid, o.jitter) for o in lone
         ] == [(o.interval, o.value, o.clearing_bid, o.jitter) for o in paired]
+
+    def test_matches_one_at_a_time_sort(self):
+        cfg = mixed_scenario(intervals=30)
+        cfg["placements"][0]["id"] = "zeta"  # listed first, sorts last
+        cfg["placements"][1]["drift"] = {"bid_mu": [[0, 0.0], [29, 0.3]]}
+        scenario = parse_scenario(cfg)
+        assert list(generate_stream(scenario)) == stream_by_sort(scenario)
+
+    def test_logs_match_records(self):
+        cfg = mixed_scenario(
+            intervals=30, delivery_windows=[{"id": "w", "start": 10, "end": 20, "cap": 5.0}]
+        )
+        scenario = parse_scenario(cfg)
+        stream = generate_stream(scenario)
+        profile = MultiplierProfile(lam=2.0, window_lambda={"w": 0.5})
+        for build, realized in ((realized_log, True), (distributional_log, False)):
+            log = build(scenario, stream)
+            records = [
+                LogRecord(
+                    time=o.interval + o.jitter,
+                    placement=o.placement,
+                    value=o.value,
+                    mechanism=o.mechanism,
+                    clearing_bid=o.clearing_bid if realized else None,
+                    windows=scenario.constraints.window_ids_at(o.interval),
+                )
+                for o in stream
+            ]
+            assert log.records == records
+            reference = OpportunityLog(records)
+            for ours, theirs in (
+                (log, reference),
+                (log.restrict_to_placement("network"), reference.restrict_to_placement("network")),
+            ):
+                assert ours.records == theirs.records
+                got, want = replay(ours, profile), replay(theirs, profile)
+                assert got == want
+                assert list(got.per_placement) == list(want.per_placement)
+                assert list(got.per_window) == list(want.per_window)
 
     def test_stream_is_time_ordered(self, stationary):
         stream = generate_stream(stationary)
@@ -154,8 +194,7 @@ class TestEpisode:
     def test_trace_columns_match_rows(self, stationary_episode):
         from dualbid.simulate import TRACE_COLUMNS
 
-        fields = stationary_episode.trace[0].as_csv_fields()
-        assert len(fields) == len(TRACE_COLUMNS)
+        assert stationary_episode.trace[0]._fields == TRACE_COLUMNS
         assert stationary_episode.trace[0].opportunity_index == 0
         indices = [r.opportunity_index for r in stationary_episode.trace]
         assert indices == list(range(len(indices)))
