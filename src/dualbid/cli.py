@@ -143,18 +143,26 @@ _TRACE_BLOCK = 1024  # rows formatted at a time, which bounds the strings held
 def _write_trace(path: Path, trace: Trace) -> None:
     """trace.csv, byte for byte what csv.writer writes for the rows (floats
     as repr, won as 1/0), formatted a column and a block of rows at a
-    time."""
+    time.  adjusted_value and bid are formatted in one pass, as they are
+    equal bit for bit on every second-price row."""
     names = np.array([_csv_field(p) for p in trace.placement_ids], dtype=object)
     with path.open("w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for start in range(0, len(trace), _TRACE_BLOCK):
+            rows = slice(start, start + _TRACE_BLOCK)
+            paired = _format_column(np.concatenate([trace.adjusted_value[rows], trace.bid[rows]]))
+            half = len(paired) // 2
             fields = []
             for name in TRACE_COLUMNS:
-                column = getattr(trace, name)[start : start + _TRACE_BLOCK]
+                column = getattr(trace, name)[rows]
                 if name == "placement_id":
                     fields.append(names[column].tolist())
                 elif name == "won":
                     fields.append(np.where(column, "1", "0").tolist())
+                elif name == "adjusted_value":
+                    fields.append(paired[:half])
+                elif name == "bid":
+                    fields.append(paired[half:])
                 else:
                     fields.append(_format_column(column))
             fh.write("".join(line + "\r\n" for line in map(",".join, zip(*fields))))
@@ -209,14 +217,6 @@ def _write_oracle_curves(
     _write_csv(path, ["lambda", "spend", "value"], rows)
 
 
-def _constrained(constraints: ConstraintSet) -> bool:
-    return (
-        constraints.cost_target is not None
-        or bool(constraints.delivery_windows)
-        or bool(constraints.guarantee_windows)
-    )
-
-
 def cmd_compare(args) -> int:
     run_dir = Path(args.run)
     config_path = run_dir / "config_resolved.json"
@@ -244,7 +244,7 @@ def cmd_compare(args) -> int:
     budget = constraints.budget
 
     rows: list[tuple[str, object]] = []
-    if _constrained(constraints):
+    if not constraints.budget_only:
         kkt = solve_kkt_grid(log, constraints, bid_cap=scenario.agent.bid_cap)
         oracle_spend, oracle_value = kkt.replay.spend, kkt.replay.value
         profile = kkt.profile
@@ -534,7 +534,7 @@ def cmd_oracle(args) -> int:
     out_dir = Path(args.out)
     _prepare_outputs(out_dir, ["oracle_multipliers.csv", "oracle_curves.csv"], args.force)
     try:
-        if _constrained(constraints):
+        if not constraints.budget_only:
             kkt = solve_kkt_grid(log, constraints)
             profile = kkt.profile
             rep = kkt.replay

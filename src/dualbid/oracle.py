@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, shade_bids
+from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, optimal_bids, shade_bids
 from .mechanisms import MechanismSpec, MechanismTable, resolve
 
 
@@ -87,9 +87,12 @@ class OpportunityLog:
         return "mixed"
 
     def restrict_to_placement(self, placement: str) -> OpportunityLog:
+        """The records of one placement; the log itself when it holds no other."""
         cols = self.arrays
         if placement not in cols.placement_names:
             raise OracleError(f"no records for placement {placement!r}")
+        if len(cols.placement_names) == 1:
+            return self
         return OpportunityLog.from_columns(
             cols.take(cols.placement_codes == cols.placement_names.index(placement))
         )
@@ -236,11 +239,7 @@ def _spend_value(
     cols = log.arrays
     vectors = [profile.vector_for(c) for c in cols.window_combos]
     factors = np.array([v.numerator / max(v.denominator, LAMBDA_FLOOR) for v in vectors])
-    adjusted = factors[cols.combo_codes] * cols.values
-    bids = np.minimum(adjusted, bid_cap)
-    rows, first_price = cols.table.first_price_rows
-    if rows.size:
-        bids[rows], _ = shade_bids(first_price, adjusted[rows], bid_cap)
+    bids = optimal_bids(cols.table, factors[cols.combo_codes] * cols.values, bid_cap)
     won, spend = resolve(cols.table, bids, cols.clearing)
     value = np.where(won, cols.values, 0.0)
     model = ~cols.realized
@@ -273,34 +272,193 @@ def replay(
     )
 
 
+LAMBDA_LIMIT = 1e120  # the budget and FTL searches give up above this multiplier
+# A spend summed in sorted order that lands this close to its target,
+# relative to the target, is summed again by a full replay in row order, so
+# that its comparison with the target is the replay's.
+_RESUM_REL = 1e-9
+_LIMIT_STEPS = 64  # floats a win limit may move from value / price
+
+
+def budget_adjusted(lam, values):
+    """The adjusted value under the budget multiplier alone, rounded as
+    replay rounds it: fl(1 / max(lam, LAMBDA_FLOOR)) * value."""
+    return 1.0 / np.maximum(lam, LAMBDA_FLOOR) * values
+
+
+def win_limits(values, clearing, table: MechanismTable, bid_cap: float, adjusted) -> np.ndarray:
+    """Each realized second-price row's win limit: the largest float lam in
+    [LAMBDA_FLOOR, LAMBDA_LIMIT] at which its bid min(adjusted(lam, value),
+    bid_cap) is >= its price max(clearing, reserve).
+
+    adjusted(lam, values) is the caller's own rounding of the adjusted
+    value, applied elementwise to arrays of lam; it does not increase in
+    lam, so a row wins exactly while lam <= its limit.  Each limit starts at
+    value / price and moves one float at a time until the row wins there and
+    loses at the next float up.  A row that still wins at LAMBDA_LIMIT gets
+    +inf, one that loses at LAMBDA_FLOOR (a price above the bid cap, a zero
+    value) gets -inf, and a first-price row NaN.
+    """
+    price = np.maximum(clearing, table.reserve)
+    limits = np.full(len(price), np.nan)
+    second = np.flatnonzero(~table.first_price)
+    v, p = np.asarray(values, dtype=float)[second], price[second]
+
+    def wins(rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        return np.minimum(adjusted(lam, v[rows]), bid_cap) >= p[rows]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.clip(np.where(p > 0, v / p, LAMBDA_LIMIT), LAMBDA_FLOOR, LAMBDA_LIMIT)
+    won = np.zeros(len(p), dtype=bool)
+    live = np.flatnonzero(p <= bid_cap)
+    won[live] = wins(live, lam[live])
+    # a row that loses at its start steps down until it wins or reaches the floor
+    rows = live[~won[live]]
+    for step in range(_LIMIT_STEPS + 1):
+        rows = rows[lam[rows] > LAMBDA_FLOOR]
+        if not rows.size:
+            break
+        if step == _LIMIT_STEPS:
+            raise OracleError("win limits did not settle")
+        lam[rows] = np.nextafter(lam[rows], -np.inf)
+        won[rows] = wins(rows, lam[rows])
+        rows = rows[~won[rows]]
+    # a row that wins steps up while the next float still wins
+    rows = np.flatnonzero(won & (lam < LAMBDA_LIMIT))
+    for step in range(_LIMIT_STEPS + 1):
+        if not rows.size:
+            break
+        if step == _LIMIT_STEPS:
+            raise OracleError("win limits did not settle")
+        up = np.nextafter(lam[rows], np.inf)
+        more = wins(rows, up)
+        rows, up = rows[more], up[more]
+        lam[rows] = up
+        rows = rows[up < LAMBDA_LIMIT]
+    limits[second] = np.where(won, np.where(lam < LAMBDA_LIMIT, lam, np.inf), -np.inf)
+    return limits
+
+
+class RealizedSpend:
+    """Realized spend and value of a log's rows under one multiplier lam, as
+    functions of lam, without replaying every row at every lam.
+
+    A second-price row wins exactly while lam <= its win limit (see
+    win_limits), so the second-price rows, sorted by limit with cumulative
+    price and value, give their spend and value at any lam by one
+    searchsorted.  A first-price row pays its shaded bid, which moves with
+    lam, so those rows alone are shaded and resolved at each lam.  limits,
+    when given, are the rows' win_limits under the same adjusted and bid_cap.
+    """
+
+    def __init__(
+        self, values, clearing, table: MechanismTable, bid_cap: float, adjusted, limits=None
+    ):
+        self.values = np.asarray(values, dtype=float)
+        self.clearing = np.asarray(clearing, dtype=float)
+        self.table = table
+        self.bid_cap = bid_cap
+        self.adjusted = adjusted
+        if limits is None:
+            limits = win_limits(self.values, self.clearing, table, bid_cap, adjusted)
+        # rows of equal limit win and lose together, so their order is free
+        second = np.flatnonzero(~table.first_price)
+        order = second[np.argsort(-limits[second])]
+        self._neg_limits = -limits[order]
+        price = np.maximum(self.clearing[order], table.reserve[order])
+        self._spend = np.concatenate(([0.0], np.cumsum(price)))
+        self._value = np.concatenate(([0.0], np.cumsum(self.values[order])))
+        rows, self._first_price = table.first_price_rows
+        self._first_values, self._first_clearing = self.values[rows], self.clearing[rows]
+
+    def at(self, lam: float) -> tuple[float, float]:
+        """Spend and value at lam: the second-price rows summed in limit
+        order, plus the first-price rows."""
+        k = self._neg_limits.searchsorted(-lam, side="right")
+        spend, value = self._spend[k], self._value[k]
+        if self._first_values.size:
+            adjusted = self.adjusted(lam, self._first_values)
+            bids, _ = shade_bids(self._first_price, adjusted, self.bid_cap)
+            won, cost = resolve(self._first_price, bids, self._first_clearing)
+            spend += cost.sum()
+            value += self._first_values[won].sum()
+        return float(spend), float(value)
+
+    def replay_spend(self, lam: float) -> float:
+        """Spend at lam from every row's bid, summed in row order, as replay
+        sums it."""
+        bids = optimal_bids(self.table, self.adjusted(lam, self.values), self.bid_cap)
+        return float(resolve(self.table, bids, self.clearing)[1].sum())
+
+    def excess(self, lam: float, target: float) -> float:
+        """spend(lam) - target.  The two sums round differently, so where
+        the sorted one lands within _RESUM_REL of target the replayed spend
+        is used: the sign, which is all a realized search reads, is always
+        the replay's."""
+        spend = self.at(lam)[0]
+        if abs(spend - target) <= _RESUM_REL * target:
+            spend = self.replay_spend(lam)
+        return spend - target
+
+
 class _SpendCurve:
     """Memoized spend as a function of the budget multiplier, with a
-    monotonicity guard that names the offending record on violation."""
+    monotonicity guard, over every spend it reads, that names the offending
+    record on violation."""
 
     def __init__(self, log: OpportunityLog, profile: MultiplierProfile, bid_cap: float):
         self.log = log
         self.profile = profile
         self.bid_cap = bid_cap
-        self._lams: list[float] = []
+        self._lams: list[float] = []  # multipliers with a known spend, sorted
+        self._spends: dict[float, float] = {}
         self._replays: dict[float, ReplayResult] = {}
+
+    @cached_property
+    def steps(self) -> RealizedSpend | None:
+        """The log's spend as a RealizedSpend, when the log is realized and
+        the budget multiplier is the only one in the profile."""
+        p = self.profile
+        if self.log.mode != "realized" or p.mu or p.cost_target is not None:
+            return None
+        if p.window_lambda or p.window_mu:
+            return None
+        cols = self.log.arrays
+        return RealizedSpend(cols.values, cols.clearing, cols.table, self.bid_cap, budget_adjusted)
+
+    def excess(self, lam: float, target: float) -> float:
+        """Spend at lam minus target, from the step function when there is one."""
+        if self.steps is None:
+            return self.at(lam).spend - target
+        excess = self.steps.excess(lam, target)
+        self._guard(lam, excess + target)
+        return excess
 
     def at(self, lam: float) -> ReplayResult:
         if lam in self._replays:
             return self._replays[lam]
         result = replay(self.log, self.profile.with_lam(lam), self.bid_cap)
+        self._guard(lam, result.spend)
+        self._replays[lam] = result
+        return result
+
+    def _guard(self, lam: float, spend: float) -> None:
+        """Keep spend at lam, raising if it exceeds the spend at a smaller
+        multiplier or falls short of the spend at a larger one."""
+        if lam in self._spends:
+            return
         pos = bisect.bisect_left(self._lams, lam)
-        slack = 1e-9 * (1.0 + abs(result.spend))
+        slack = 1e-9 * (1.0 + abs(spend))
         if pos > 0:
             left = self._lams[pos - 1]
-            if result.spend > self._replays[left].spend + slack:
+            if spend > self._spends[left] + slack:
                 self._raise_non_monotone(left, lam)
         if pos < len(self._lams):
             right = self._lams[pos]
-            if result.spend + slack < self._replays[right].spend:
+            if spend + slack < self._spends[right]:
                 self._raise_non_monotone(lam, right)
         self._lams.insert(pos, lam)
-        self._replays[lam] = result
-        return result
+        self._spends[lam] = spend
 
     def _raise_non_monotone(self, lo: float, hi: float) -> None:
         s_lo, _ = _spend_value(self.log, self.profile.with_lam(lo), self.bid_cap)
@@ -319,9 +477,6 @@ class LambdaSolution:
     bracket: tuple[float, float] | None
     spend: float
     value: float
-
-
-LAMBDA_LIMIT = 1e120  # the budget and FTL searches give up above this multiplier
 
 
 def search_multiplier(
@@ -373,7 +528,7 @@ def _solve_budget_multiplier(
     """The budget multiplier on one spend curve, and its search bracket."""
     smooth = curve.log.mode == "distributional"
     found = search_multiplier(
-        lambda lam: curve.at(lam).spend - budget,
+        lambda lam: curve.excess(lam, budget),
         LAMBDA_FLOOR,
         LAMBDA_LIMIT,
         tol=rel_tol * budget if smooth else None,
@@ -404,11 +559,18 @@ def solve_lambda_star(
     Unconstrained branch: if replayed spend at the floor multiplier fits the
     budget, the floor is returned flagged.  Otherwise bisection matches
     spend to budget (distributional mode) or returns the conservative high
-    side of the step bracket (realized mode, never overspending).
+    side of the step bracket (realized mode, never overspending).  On a
+    realized log the bisection reads spend from a RealizedSpend, whose
+    signs are those of a replay, so it visits the points and returns the
+    multiplier that replaying at every step would; spend and value are
+    replayed at that multiplier.
     """
+    return _lambda_star(_SpendCurve(log, MultiplierProfile(lam=1.0), bid_cap), budget, rel_tol)
+
+
+def _lambda_star(curve: _SpendCurve, budget: float, rel_tol: float = 1e-6) -> LambdaSolution:
     if not budget > 0:
         raise OracleError(f"budget must be > 0, got {budget}")
-    curve = _SpendCurve(log, MultiplierProfile(lam=1.0), bid_cap)
     return _solve_budget_multiplier(curve, budget, rel_tol)[0]
 
 
@@ -607,18 +769,23 @@ def marginal_roi(
 ) -> MarginalRoi:
     """Central-difference value gain per extra unit of budget routed to each
     placement at the joint optimum.  At the optimum these all coincide with
-    the budget multiplier.  Needs a distributional log (smooth curves)."""
+    the budget multiplier.  Needs a distributional log (smooth curves).
+
+    Each log, the whole one and each placement's, has one memoized spend
+    curve that every solve on it shares, so a +/- delta search replays only
+    where its path leaves the points already replayed.  A log of one
+    placement is its own placement log and shares the global curve."""
     if log.mode != "distributional":
         raise OracleError("marginal ROI needs a distributional log")
     if delta is None:
         delta = 1e-3 * budget
-    global_sol = solve_lambda_star(log, budget, bid_cap=bid_cap)
+    curve = _SpendCurve(log, MultiplierProfile(lam=1.0), bid_cap)
+    global_sol = _lambda_star(curve, budget)
+    base = curve.at(global_sol.lam)
     if global_sol.unconstrained:
-        base = replay(log, MultiplierProfile(lam=global_sol.lam), bid_cap)
         return MarginalRoi(
             roi={p: 0.0 for p in base.per_placement}, inactive=(), lam=global_sol.lam
         )
-    base = replay(log, MultiplierProfile(lam=global_sol.lam), bid_cap)
     roi: dict[str, float] = {}
     inactive: list[str] = []
     for placement, (spend_k, _) in base.per_placement.items():
@@ -626,9 +793,10 @@ def marginal_roi(
             inactive.append(placement)
             continue
         sub = log.restrict_to_placement(placement)
+        sub_curve = curve if sub is log else _SpendCurve(sub, curve.profile, bid_cap)
         values = []
         for target in (spend_k + delta, spend_k - delta):
-            sol = solve_lambda_star(sub, target, bid_cap=bid_cap)
+            sol = _lambda_star(sub_curve, target)
             if sol.unconstrained:
                 values = None
                 break
@@ -651,22 +819,39 @@ def fixed_bid_baseline(
     log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP
 ) -> FixedBidBaseline:
     """Naive reference policy: one constant bid for every opportunity, set in
-    hindsight to the largest level whose realized spend fits the budget."""
+    hindsight to the largest level whose realized spend fits the budget.
+
+    Found by bisection on the bid.  A constant bid b wins exactly the
+    auctions priced at or below it, so spend at b is the sum of the sorted
+    second-price prices up to b plus b times the first-price auctions up to
+    b, one searchsorted each; where that sum lands within _RESUM_REL of the
+    budget, the auctions are resolved, so every comparison is a replay's."""
     if log.mode != "realized":
         raise OracleError("the fixed-bid baseline needs a realized log")
     cols = log.arrays
+    price = np.maximum(cols.clearing, cols.table.reserve)
+    first = np.sort(price[cols.table.first_price])
+    second = np.sort(price[~cols.table.first_price])
+    second_spend = np.concatenate(([0.0], np.cumsum(second)))
 
     def outcome(bid: float) -> tuple[float, float]:
         won, spend = resolve(cols.table, np.full(len(log), bid), cols.clearing)
         return float(spend.sum()), float(np.where(won, cols.values, 0.0).sum())
 
+    def fits(bid: float) -> bool:
+        spend = second_spend[np.searchsorted(second, bid, side="right")]
+        spend += bid * np.searchsorted(first, bid, side="right")
+        if abs(spend - budget) <= _RESUM_REL * budget:
+            spend = outcome(bid)[0]
+        return spend <= budget
+
     lo, hi = 0.0, bid_cap
-    if outcome(hi)[0] <= budget:
+    if fits(hi):
         spend, value = outcome(hi)
         return FixedBidBaseline(bid=hi, spend=spend, value=value)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if outcome(mid)[0] <= budget:
+        if fits(mid):
             lo = mid
         else:
             hi = mid

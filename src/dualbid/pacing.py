@@ -21,9 +21,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, shade_bids
-from .mechanisms import resolve
-from .oracle import LAMBDA_LIMIT, search_multiplier
+# FTL shades first-price rows through oracle.RealizedSpend; shade_bids stays
+# bound here because bench/spans.py traces it in every namespace that binds it
+from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, shade_bids  # noqa: F401
+from .oracle import LAMBDA_LIMIT, RealizedSpend, search_multiplier, win_limits
 
 if TYPE_CHECKING:
     from .simulate import OpportunityStream
@@ -113,6 +114,13 @@ class ConstraintSet:
         ids = [w.id for w in self.delivery_windows] + [w.id for w in self.guarantee_windows]
         if len(ids) != len(set(ids)):
             raise PacingError("window ids must be unique across all windows")
+
+    @property
+    def budget_only(self) -> bool:
+        """No cost target and no delivery or guarantee window."""
+        return (
+            self.cost_target is None and not self.delivery_windows and not self.guarantee_windows
+        )
 
     def active_delivery(self, interval: int) -> DeliveryWindow | None:
         for w in self.delivery_windows:
@@ -553,6 +561,20 @@ class FtlResult:
     unconstrained: bool
 
 
+def _ftl_adjusted(lam, values):
+    """FTL's adjusted value: value / lam, rounded once."""
+    return values / lam
+
+
+def ftl_win_limits(entries: OpportunityStream) -> np.ndarray:
+    """Each auction's win limit under FTL's bid, min(value / lam,
+    DEFAULT_BID_CAP) (see oracle.win_limits; NaN on first-price rows).  It
+    depends on the auction alone, so an episode computes it once per row."""
+    return win_limits(
+        entries.value, entries.clearing_bid, entries.table, DEFAULT_BID_CAP, _ftl_adjusted
+    )
+
+
 def ftl_update(
     entries: OpportunityStream,
     budget: float,
@@ -563,26 +585,24 @@ def ftl_update(
     lam whose replayed spend stays within the budget pace.
 
     entries are the auctions seen so far, in order (a prefix of the
-    episode's stream); their value, clearing_bid and table columns are read.
-    Found by the oracle's search_multiplier; replayed spend is a step
-    function of lam, so the search returns the conservative high side of
-    its final bracket.
+    episode's stream); their value, clearing_bid and table columns are read,
+    and their ftl_limit column when the episode has set it (see
+    ftl_win_limits).  Found by the oracle's search_multiplier on an
+    oracle.RealizedSpend: second-price auctions are one sorted step
+    function of lam, first-price ones are shaded at each step, and the
+    signs the search reads are those of a full replay.  Replayed spend is a
+    step function of lam, so the search returns the conservative high side
+    of its final bracket.
     """
     if not entries:
         raise PacingError("ftl update needs at least one logged auction")
     scope = entries[-window:] if window is not None else entries
     target = budget / expected_total * len(scope)
-    values, clearing, table = scope.value, scope.clearing_bid, scope.table
-    rows, first_price = table.first_price_rows
-
-    def replay_spend(lam: float) -> float:
-        adjusted = values / lam
-        bids = np.minimum(adjusted, DEFAULT_BID_CAP)
-        if rows.size:
-            bids[rows], _ = shade_bids(first_price, adjusted[rows], DEFAULT_BID_CAP)
-        return float(resolve(table, bids, clearing)[1].sum())
-
-    found = search_multiplier(lambda lam: replay_spend(lam) - target, LAMBDA_FLOOR, LAMBDA_LIMIT)
+    spend = RealizedSpend(
+        scope.value, scope.clearing_bid, scope.table, DEFAULT_BID_CAP, _ftl_adjusted,
+        scope.ftl_limit,
+    )  # fmt: skip
+    found = search_multiplier(lambda lam: spend.excess(lam, target), LAMBDA_FLOOR, LAMBDA_LIMIT)
     if found is None:
         raise PacingError("could not bracket the hindsight multiplier")
     lam, bracket = found

@@ -142,6 +142,13 @@ class ScenarioConfig:
         ids = [p.id for p in self.placements]
         if len(ids) != len(set(ids)):
             raise ValueError("placement ids must be unique")
+        if self.agent.pacing.mode == "ftl" and not self.constraints.budget_only:
+            # FTL re-solves the budget multiplier alone, so it would leave
+            # every other constraint unenforced
+            raise ValueError(
+                "ftl pacing solves the budget only; remove the cost target and the "
+                "delivery and guarantee windows, or use another mode"
+            )
         for w in self.constraints.delivery_windows + self.constraints.guarantee_windows:
             if w.end > self.intervals:
                 raise ValueError(f"window {w.id!r} extends past the horizon")

@@ -10,8 +10,9 @@ ordered by one stable sort on (interval, jitter, placement id), with one
 mechanism per cell.
 
 An episode pairs the stream with a pacing agent.  It runs in segments: the
-rest of an interval after each multiplier update (interval start, or the end
-of a count batch).  A segment is bid and resolved in one call at the
+opportunities from one multiplier update (interval start, or the end of a
+count batch) to the next one or the end of the interval, whichever comes
+first.  A segment, and only it, is bid and resolved in one call at the
 snapshot multipliers; the budget cut-off and the pacing, placement and
 window accounting are array operations whose sums run left to right, so
 every total and the trace columns equal those of handling the opportunities
@@ -29,7 +30,7 @@ from .bidding import LAMBDA_FLOOR, optimal_bids
 from .coldstart import ColdStartResult, PlacementPriors, solve_lambda0_multi
 from .mechanisms import LognormalBids, MechanismSpec, MechanismTable, resolve
 from .oracle import LogColumns, OpportunityLog, marginal_roi
-from .pacing import ForecastModel, PacingState, apply_batch_update, normalize
+from .pacing import ForecastModel, PacingState, apply_batch_update, ftl_win_limits, normalize
 from .scenario import PlacementConfig, ScenarioConfig
 
 
@@ -55,14 +56,16 @@ class OpportunityStream:
     Columns: ``interval``, ``jitter``, ``placement`` (a code into
     ``placement_ids``), ``value``, ``clearing_bid``, ``result_draw``, and
     ``cell``, the index into ``cells`` of the mechanism each opportunity was
-    drawn under; ``table`` holds that mechanism per row.  An int index yields
-    an ``Opportunity`` row view; a slice, mask or index array yields the
-    sub-stream.
+    drawn under; ``table`` holds that mechanism per row.  ``ftl_limit`` is
+    each row's win limit under FTL's bid (``pacing.ftl_win_limits``), set by
+    an FTL episode so that every history prefix carries it, and None
+    otherwise.  An int index yields an ``Opportunity`` row view; a slice,
+    mask or index array yields the sub-stream.
     """
 
     def __init__(
         self, placement_ids, cells, interval, jitter, placement, value, clearing_bid,
-        result_draw, cell, table,
+        result_draw, cell, table, ftl_limit=None,
     ):  # fmt: skip
         self.placement_ids = tuple(placement_ids)
         self.cells = tuple(cells)
@@ -74,6 +77,7 @@ class OpportunityStream:
         self.result_draw = result_draw
         self.cell = cell
         self.table = table
+        self.ftl_limit = ftl_limit
 
     def __len__(self) -> int:
         return len(self.value)
@@ -83,6 +87,7 @@ class OpportunityStream:
             self.placement_ids, self.cells, self.interval[rows], self.jitter[rows],
             self.placement[rows], self.value[rows], self.clearing_bid[rows],
             self.result_draw[rows], self.cell[rows], self.table.take(rows),
+            None if self.ftl_limit is None else self.ftl_limit[rows],
         )  # fmt: skip
 
     def __getitem__(self, key):
@@ -402,6 +407,9 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
     normalize(state, scenario.agent.lambda_prime or lambda0)
 
     stream = generate_stream(scenario)
+    if cfg.mode == "ftl":
+        # once per row for the episode; each history prefix slices it
+        stream.ftl_limit = ftl_win_limits(stream)
     values, clearing = stream.value, stream.clearing_bid
     # the stream is ordered by interval: interval i is rows starts[i]:starts[i + 1]
     starts = np.searchsorted(stream.interval, np.arange(scenario.intervals + 1))
@@ -419,23 +427,23 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
             index, end = int(starts[interval]), int(starts[interval + 1])
             while index < end:
                 # the multipliers only move at batch boundaries, so the rest
-                # of the interval is bid and resolved in one go
+                # of the interval, or of the count batch, is bid and resolved
+                # in one go
                 snapshot = state.multipliers_at(constraints, interval)
                 factor = snapshot.numerator / max(snapshot.denominator, LAMBDA_FLOOR)
-                rest = stream.table.take(slice(index, end))
-                adjusted = factor * values[index:end]
-                bids = optimal_bids(rest, adjusted, scenario.agent.bid_cap)
-                wins, costs = resolve(rest, bids, clearing[index:end])
                 size = end - index if batch is None else min(end - index, batch - state.interval_count)
                 seg = slice(index, index + size)
-                wins = wins[:size]
+                table = stream.table.take(seg)
+                adjusted = factor * values[seg]
+                bids = optimal_bids(table, adjusted, scenario.agent.bid_cap)
+                wins, costs = resolve(table, bids, clearing[seg])
                 results = wins & (stream.result_draw[seg] < np.minimum(values[seg], 1.0))
                 trace.lambda_tilde[seg] = state.lambda_tilde
                 trace.mu[seg], trace.lambda_k[seg], trace.mu_k[seg] = (
                     snapshot.mu, snapshot.lam_k, snapshot.mu_k
                 )
                 bid, trace.cum_spend[seg], trace.cum_value[seg] = state.record_outcomes(
-                    windows, values[seg], wins, costs[:size], results
+                    windows, values[seg], wins, costs, results
                 )
                 rows = slice(index, index + bid)
                 trace.adjusted_value[rows], trace.bid[rows] = adjusted[:bid], bids[:bid]

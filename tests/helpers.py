@@ -3,7 +3,10 @@
 The oracles here deliberately avoid the library's own solution paths:
 win-set search is exhaustive enumeration, the realized multiplier jump is
 found by density sorting, expected values come from quadrature, and replay
-is recomputed record by record from scalar bids.
+is recomputed record by record from scalar bids.  The *_by_replay
+references are the exception: they run the library's search with a full
+replay at every step, which is what the step-function solves must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +16,16 @@ import itertools
 import numpy as np
 from scipy.special import ndtri
 
-from dualbid.bidding import DEFAULT_BID_CAP, adjusted_value, optimal_bid
-from dualbid.mechanisms import MechanismSpec, MechanismTable, expected_cost, win_prob
-from dualbid.oracle import LogRecord, MultiplierProfile, OpportunityLog
+from dualbid.bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, adjusted_value, optimal_bid, optimal_bids
+from dualbid.mechanisms import MechanismSpec, MechanismTable, expected_cost, resolve, win_prob
+from dualbid.oracle import (
+    LAMBDA_LIMIT,
+    LogRecord,
+    MultiplierProfile,
+    OpportunityLog,
+    replay,
+    search_multiplier,
+)
 from dualbid.simulate import OpportunityStream
 
 
@@ -84,6 +94,51 @@ def replay_by_record(
             acc[0] += spend
             acc[1] += value
     return spend_total, value_total, per_placement, per_window
+
+
+def lambda_star_by_replay(log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP):
+    """λ* as search_multiplier finds it when every step replays the whole
+    log.  Returns (lam, bracket) as search_multiplier does."""
+    return search_multiplier(
+        lambda lam: replay(log, MultiplierProfile(lam=lam), bid_cap).spend - budget,
+        LAMBDA_FLOOR,
+        LAMBDA_LIMIT,
+    )
+
+
+def ftl_lambda_by_replay(entries, budget: float, expected_total: float, window=None):
+    """FTL's hindsight multiplier with every search step bidding value / lam
+    on every entry and resolving them all.  Returns (lam, bracket)."""
+    scope = entries[-window:] if window is not None else entries
+    target = budget / expected_total * len(scope)
+
+    def spend(lam: float) -> float:
+        bids = optimal_bids(scope.table, scope.value / lam, DEFAULT_BID_CAP)
+        return float(resolve(scope.table, bids, scope.clearing_bid)[1].sum())
+
+    return search_multiplier(lambda lam: spend(lam) - target, LAMBDA_FLOOR, LAMBDA_LIMIT)
+
+
+def baseline_bid_by_replay(log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP):
+    """The fixed-bid baseline's bisection on the bid, resolving every
+    auction at every step.  Returns the bid."""
+    cols = log.arrays
+
+    def spend(bid: float) -> float:
+        return float(resolve(cols.table, np.full(len(log), bid), cols.clearing)[1].sum())
+
+    lo, hi = 0.0, bid_cap
+    if spend(hi) <= budget:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if spend(mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+    return lo
 
 
 def auction_history(values, clearing, mech: MechanismSpec) -> OpportunityStream:

@@ -90,6 +90,27 @@ class TestRun:
         err = capsys.readouterr().err
         assert "weekend" in err and "launch" in err
 
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            {"cost_target": 0.5},
+            {"delivery_windows": [{"id": "weekend", "start": 5, "end": 15, "cap": 2.0}]},
+            {"guarantee_windows": [{"id": "push", "start": 5, "end": 15, "floor": 1.0}]},
+        ],
+        ids=["cost_target", "delivery", "guarantee"],
+    )
+    def test_ftl_with_constraints_exits_2(self, tmp_path, capsys, constraint):
+        # FTL re-solves the budget multiplier alone and would ignore them
+        cfg = small_scenario(agent={"mode": "ftl"}, **constraint)
+        cfg["agent"].pop("xi")
+        scenario = write_scenario(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert "ftl" in capsys.readouterr().err
+        assert not out.exists()
+        del cfg[next(iter(constraint))]
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, cfg)), "--out", str(out)]) == 0
+
     def test_missing_scenario_exits_2(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 

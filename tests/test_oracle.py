@@ -398,6 +398,41 @@ class TestMarginalRoi:
         for v in values:
             assert abs(v - sol.lam) / sol.lam <= 0.02
 
+    @pytest.mark.parametrize("placements", [1, 2])
+    def test_shared_curves_match_separate_solves(self, placements, monkeypatch):
+        import dualbid.oracle as oracle
+
+        mech_b = MechanismSpec("second_price", 0.0, LognormalBids(0.3, 0.8))
+        records = quantile_lognormal_log(1500, LOGN_SP, -1.0, 0.5, placement="a").records
+        if placements == 2:
+            records += quantile_lognormal_log(1500, mech_b, -0.7, 0.6, placement="b").records
+        log = OpportunityLog(
+            [LogRecord(float(i), r.placement, r.value, r.mechanism) for i, r in enumerate(records)]
+        )
+        budget, delta = 0.05 * len(log), 0.05 * len(log) * 1e-3
+        replays = []
+        original = oracle.replay
+        monkeypatch.setattr(oracle, "replay", lambda *a: replays.append(1) or original(*a))
+
+        # the same central differences, each solve on a curve of its own
+        lam = solve_lambda_star(log, budget).lam
+        expected = {}
+        base = original(log, MultiplierProfile(lam=lam))
+        for placement, (spend_k, _) in base.per_placement.items():
+            sub = log.restrict_to_placement(placement)
+            up, down = (solve_lambda_star(sub, spend_k + s * delta).value for s in (1, -1))
+            expected[placement] = (up - down) / (2.0 * delta)
+        separate = len(replays)
+
+        replays.clear()
+        roi = marginal_roi(log, budget)
+        assert roi.roi == expected and roi.lam == lam
+        assert len(replays) < separate
+
+    def test_single_placement_restricts_to_itself(self):
+        log = quantile_lognormal_log(20, LOGN_SP, -1.0, 0.5)
+        assert log.restrict_to_placement("p") is log
+
     def test_unconstrained_is_zero(self):
         log = quantile_lognormal_log(200, LOGN_SP, -1.0, 0.5)
         roi = marginal_roi(log, budget=1e6)

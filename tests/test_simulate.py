@@ -1,6 +1,8 @@
 """Simulator tests: stream generation, episode accounting, budget safety."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from dualbid.simulate import (
     run_episode,
 )
 from helpers import mixed_scenario, stationary_scenario, stream_by_sort
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +207,23 @@ class TestEpisode:
         cfg = stationary_scenario(agent={"batch": 200})
         episode = run_episode(parse_scenario(cfg))
         assert 0.9 <= episode.metrics.budget_utilization <= 1.05
+
+    def test_count_batches_bid_only_their_segment(self, monkeypatch):
+        import dualbid.simulate as simulate
+
+        rows = []
+        bid = simulate.optimal_bids
+
+        def counting(table, adjusted, bid_cap):
+            rows.append(len(adjusted))
+            return bid(table, adjusted, bid_cap)
+
+        monkeypatch.setattr(simulate, "optimal_bids", counting)
+        cfg = json.loads((SCENARIOS / "stationary.json").read_text())
+        cfg["agent"]["batch"] = 10
+        episode = run_episode(parse_scenario(cfg))
+        # every opportunity is bid exactly once
+        assert sum(rows) == len(episode.stream) == 17645
 
     def test_ftl_mode(self):
         cfg = stationary_scenario(
