@@ -16,7 +16,9 @@ The oracle subcommand reads an opportunity log CSV with the columns
 competitor_p1, competitor_p2, clearing_bid, windows`` where competitor_p1 /
 competitor_p2 are (mu, sigma) for lognormal or (lo, hi) for uniform models,
 an empty clearing_bid marks a distributional record, and windows is a
-semicolon-separated list of window ids (may be empty).
+semicolon-separated list of window ids (may be empty).  The --windows file
+is a JSON object with a scenario's delivery_windows and guarantee_windows
+lists.
 """
 
 from __future__ import annotations
@@ -52,8 +54,14 @@ from .oracle import (
     solve_kkt_grid,
     solve_lambda_star,
 )
-from .pacing import ConstraintSet, DeliveryWindow, GuaranteeWindow, PacingError
-from .scenario import ScenarioError, load_scenario, parse_scenario, scenario_to_dict
+from .pacing import ConstraintSet, PacingError
+from .scenario import (
+    ScenarioError,
+    load_scenario,
+    parse_scenario,
+    parse_windows,
+    scenario_to_dict,
+)
 from .simulate import (
     TRACE_COLUMNS,
     SimulationError,
@@ -249,7 +257,7 @@ def cmd_compare(args) -> int:
         oracle_spend, oracle_value = kkt.replay.spend, kkt.replay.value
         profile = kkt.profile
         lam_star = profile.lam
-        unconstrained = "budget unconstrained" in kkt.notes
+        unconstrained = kkt.unconstrained
         rows.append(("oracle_mu", kkt.profile.mu))
         for wid, lam_k in kkt.profile.window_lambda.items():
             rows.append((f"oracle_lambda_{wid}", lam_k))
@@ -498,28 +506,13 @@ def load_log_csv(path: str | Path) -> OpportunityLog:
     return OpportunityLog(records)
 
 
-def _windows_from_json(path: str) -> tuple[tuple[DeliveryWindow, ...], tuple[GuaranteeWindow, ...]]:
-    data = json.loads(Path(path).read_text())
-    delivery = tuple(
-        DeliveryWindow(id=str(w["id"]), start=int(w["start"]), end=int(w["end"]), cap=float(w["cap"]))
-        for w in data.get("delivery_windows", [])
-    )
-    guarantee = tuple(
-        GuaranteeWindow(
-            id=str(w["id"]), start=int(w["start"]), end=int(w["end"]), floor=float(w["floor"])
-        )
-        for w in data.get("guarantee_windows", [])
-    )
-    return delivery, guarantee
-
-
 def cmd_oracle(args) -> int:
     log = load_log_csv(args.log)
     delivery, guarantee = ((), ())
     if args.windows:
         try:
-            delivery, guarantee = _windows_from_json(args.windows)
-        except (KeyError, ValueError, json.JSONDecodeError, PacingError) as exc:
+            delivery, guarantee = parse_windows(json.loads(Path(args.windows).read_text()))
+        except (ScenarioError, json.JSONDecodeError, OSError) as exc:
             raise CliError(f"invalid windows file: {exc}", EXIT_VALIDATION) from None
     try:
         constraints = ConstraintSet(

@@ -64,8 +64,10 @@ class LognormalBids:
     family = "lognormal"
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise MechanismError(f"lognormal sigma must be > 0, got {self.sigma}")
+        if not math.isfinite(self.mu):
+            raise MechanismError(f"lognormal mu must be finite, got {self.mu}")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise MechanismError(f"lognormal sigma must be finite and > 0, got {self.sigma}")
 
     def quantile(self, u):
         arr, scalar = _as_array(u)
@@ -76,9 +78,6 @@ class LognormalBids:
     @property
     def support_top(self) -> float:
         return math.inf
-
-    def mean(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma**2)
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,10 @@ class UniformBids:
     family = "uniform"
 
     def __post_init__(self):
-        if not (0 <= self.lo < self.hi):
-            raise MechanismError(f"uniform bounds need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
+        if not (0 <= self.lo < self.hi < math.inf):
+            raise MechanismError(
+                f"uniform bounds need 0 <= lo < hi < inf, got [{self.lo}, {self.hi}]"
+            )
 
     def quantile(self, u):
         arr, scalar = _as_array(u)
@@ -101,9 +102,6 @@ class UniformBids:
     @property
     def support_top(self) -> float:
         return self.hi
-
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 @dataclass(frozen=True)
@@ -127,8 +125,8 @@ class EmpiricalBids:
         if len(self.samples) == 0:
             raise MechanismError("empirical bid model needs at least one sample")
         arr = np.sort(np.asarray(self.samples, dtype=float))
-        if arr[0] < 0:
-            raise MechanismError("empirical bid samples must be >= 0")
+        if not (arr[0] >= 0 and np.isfinite(arr).all()):
+            raise MechanismError("empirical bid samples must be finite and >= 0")
         object.__setattr__(self, "_sorted", arr)
         object.__setattr__(self, "_cumsum", np.concatenate([[0.0], np.cumsum(arr)]))
         n = len(arr)
@@ -164,9 +162,6 @@ class EmpiricalBids:
     @property
     def support_top(self) -> float:
         return float(self._sorted[-1])
-
-    def mean(self) -> float:
-        return float(self._sorted.mean())
 
 
 CompetitorModel = LognormalBids | UniformBids | EmpiricalBids
@@ -207,8 +202,8 @@ class MechanismSpec:
     def __post_init__(self):
         if self.auction_type not in (FIRST_PRICE, SECOND_PRICE):
             raise MechanismError(f"unknown auction type {self.auction_type!r}")
-        if self.reserve < 0:
-            raise MechanismError(f"reserve must be >= 0, got {self.reserve}")
+        if not (self.reserve >= 0 and math.isfinite(self.reserve)):
+            raise MechanismError(f"reserve must be finite and >= 0, got {self.reserve}")
 
     @property
     def is_first_price(self) -> bool:

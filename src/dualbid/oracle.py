@@ -14,6 +14,7 @@ ground truth the online controllers are judged against.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -42,10 +43,12 @@ class LogRecord:
     windows: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.value < 0:
-            raise OracleError(f"value must be >= 0, got {self.value}")
-        if self.clearing_bid is not None and not self.clearing_bid >= 0:
-            raise OracleError(f"clearing bid must be >= 0, got {self.clearing_bid}")
+        if not math.isfinite(self.time):
+            raise OracleError(f"time must be finite, got {self.time}")
+        if not 0 <= self.value < math.inf:
+            raise OracleError(f"value must be finite and >= 0, got {self.value}")
+        if self.clearing_bid is not None and not 0 <= self.clearing_bid < math.inf:
+            raise OracleError(f"clearing bid must be finite and >= 0, got {self.clearing_bid}")
 
 
 class OpportunityLog:
@@ -215,13 +218,7 @@ class MultiplierProfile:
         )
 
     def with_lam(self, lam: float) -> MultiplierProfile:
-        return MultiplierProfile(
-            lam=lam,
-            mu=self.mu,
-            cost_target=self.cost_target,
-            window_lambda=dict(self.window_lambda),
-            window_mu=dict(self.window_mu),
-        )
+        return MultiplierProfile(lam, self.mu, self.cost_target, self.window_lambda, self.window_mu)
 
 
 @dataclass(frozen=True)
@@ -519,10 +516,13 @@ def search_multiplier(
     return hi, (lo, hi, r_lo, r_hi)
 
 
+LAMBDA_REL_TOL = 1e-6  # lambda* matches spend to the budget to this on smooth logs
+
+
 def _solve_budget_multiplier(
     curve: _SpendCurve,
     budget: float,
-    rel_tol: float = 1e-6,
+    rel_tol: float = LAMBDA_REL_TOL,
     width_rel: float = 1e-12,
 ) -> tuple[LambdaSolution, tuple[float, float, float, float] | None]:
     """The budget multiplier on one spend curve, and its search bracket."""
@@ -549,29 +549,26 @@ def _solve_budget_multiplier(
 
 
 def solve_lambda_star(
-    log: OpportunityLog,
-    budget: float,
-    rel_tol: float = 1e-6,
-    bid_cap: float = DEFAULT_BID_CAP,
+    log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP
 ) -> LambdaSolution:
     """Budget-only hindsight multiplier.
 
     Unconstrained branch: if replayed spend at the floor multiplier fits the
     budget, the floor is returned flagged.  Otherwise bisection matches
-    spend to budget (distributional mode) or returns the conservative high
-    side of the step bracket (realized mode, never overspending).  On a
-    realized log the bisection reads spend from a RealizedSpend, whose
-    signs are those of a replay, so it visits the points and returns the
-    multiplier that replaying at every step would; spend and value are
-    replayed at that multiplier.
+    spend to budget within LAMBDA_REL_TOL (distributional mode) or returns
+    the conservative high side of the step bracket (realized mode, never
+    overspending).  On a realized log the bisection reads spend from a
+    RealizedSpend, whose signs are those of a replay, so it visits the
+    points and returns the multiplier that replaying at every step would;
+    spend and value are replayed at that multiplier.
     """
-    return _lambda_star(_SpendCurve(log, MultiplierProfile(lam=1.0), bid_cap), budget, rel_tol)
+    return _lambda_star(_SpendCurve(log, MultiplierProfile(lam=1.0), bid_cap), budget)
 
 
-def _lambda_star(curve: _SpendCurve, budget: float, rel_tol: float = 1e-6) -> LambdaSolution:
+def _lambda_star(curve: _SpendCurve, budget: float) -> LambdaSolution:
     if not budget > 0:
         raise OracleError(f"budget must be > 0, got {budget}")
-    return _solve_budget_multiplier(curve, budget, rel_tol)[0]
+    return _solve_budget_multiplier(curve, budget)[0]
 
 
 def dual_value(log: OpportunityLog, budget: float, lam: float, bid_cap: float = DEFAULT_BID_CAP) -> float:
@@ -587,173 +584,169 @@ class KktSolution:
     residuals: dict[str, float]
     feasible: bool
     notes: tuple[str, ...]
+    unconstrained: bool  # the budget fits at the floor multiplier
+
+
+KKT_REL_TOL = 1e-4  # a binding KKT constraint holds with equality to this
+
+# Per kind of KKT constraint: the sign of its excess (+1 caps its quantity
+# at the target, -1 floors it), then its multiplier, quantity and target as
+# notes name them (a window's multiplier and quantity add the window id).
+_KKT_KINDS = {
+    "budget": (1.0, "lam", "spend", "budget"),
+    "cost_target": (1.0, "mu", "spend - cost_target * value", "target"),
+    "delivery": (1.0, "lam", "spend", "cap"),
+    "guarantee": (-1.0, "mu", "value", "floor"),
+}
+
+
+@dataclass(frozen=True)
+class KktConstraint:
+    """One constraint of the KKT solve: its kind (a key of _KKT_KINDS), the
+    window it holds (None for the budget and the cost target), its target
+    (the budget, cost target, cap or floor), the limit of its multiplier's
+    search and the scale of that search's tolerance."""
+
+    kind: str
+    window: str | None
+    target: float
+    limit: float
+    scale: float
+
+    def level(self, rep: ReplayResult) -> tuple[float, float]:
+        """The constrained quantity at rep, and the bound it is held to."""
+        if self.kind == "cost_target":
+            return rep.spend - self.target * rep.value, 0.0
+        if self.window is None:
+            return rep.spend, self.target
+        spend, value = rep.per_window.get(self.window, (0.0, 0.0))
+        return (value if self.kind == "guarantee" else spend), self.target
+
+    def excess(self, rep: ReplayResult) -> float:
+        """How far rep misses the constraint; <= 0 where it holds."""
+        level, bound = self.level(rep)
+        return _KKT_KINDS[self.kind][0] * (level - bound)
+
+    def residual(self, rep: ReplayResult) -> float:
+        level, bound = self.level(rep)
+        scale = self.target * max(rep.value, 1e-300) if self.kind == "cost_target" else bound
+        return abs(level - bound) / scale
+
+    def give_up_note(self, rep: ReplayResult) -> str:
+        """The quantity at the multiplier's limit, the nearest it comes."""
+        sign, _, what, target = _KKT_KINDS[self.kind]
+        level, bound = self.level(rep)
+        best, side = ("max", "<") if sign < 0 else ("min", ">")
+        name = self.kind if self.window is None else f"{self.kind} {self.window!r}"
+        return f"{name} infeasible: {best} achievable {what} {level:g} {side} {target} {bound:g}"
+
+    def step_note(self, rep: ReplayResult, bracket: tuple[float, float, float, float]) -> str:
+        """Why a realized residual exceeds KKT_REL_TOL: the constrained
+        quantity jumps across the final bracket (lo, hi, excess at lo,
+        excess at hi) of its multiplier's search."""
+        sign, multiplier, quantity, _ = _KKT_KINDS[self.kind]
+        if self.window is not None:
+            multiplier, quantity = f"{multiplier}_{self.window}", f"{quantity} in {self.window!r}"
+        lo, hi, r_lo, r_hi = bracket
+        bound = self.level(rep)[1]
+        return (
+            f"{self.kind} residual {self.residual(rep):.3g} exceeds rel_tol {KKT_REL_TOL:g}: "
+            f"realized {quantity} steps from {bound + sign * r_lo:.12g} at {multiplier}={lo:.17g} "
+            f"to {bound + sign * r_hi:.12g} at {multiplier}={hi:.17g}, "
+            "the final bracket of its search"
+        )
+
+
+def _kkt_constraints(constraints) -> list[KktConstraint]:
+    """The constraints of a ConstraintSet in the order the KKT solve nests
+    their searches: the guarantee window outermost, then the delivery
+    window and the cost target, and the budget innermost."""
+    guarantees, deliveries = constraints.guarantee_windows, constraints.delivery_windows
+    if len(deliveries) > 1 or len(guarantees) > 1:
+        raise OracleError("kkt oracle supports at most one window of each kind")
+    bounds = [KktConstraint("guarantee", w.id, w.floor, 1e4, w.floor) for w in guarantees]
+    bounds += [KktConstraint("delivery", w.id, w.cap, 1e8, w.cap) for w in deliveries]
+    budget = constraints.budget
+    if constraints.cost_target is not None:
+        target = constraints.cost_target
+        bounds.append(KktConstraint("cost_target", None, target, 1e6 / target, budget))
+    return bounds + [KktConstraint("budget", None, budget, LAMBDA_LIMIT, budget)]
 
 
 def solve_kkt_grid(
-    log: OpportunityLog,
-    constraints,
-    bid_cap: float = DEFAULT_BID_CAP,
-    rel_tol: float = 1e-4,
+    log: OpportunityLog, constraints, bid_cap: float = DEFAULT_BID_CAP
 ) -> KktSolution:
     """Hindsight multipliers for budget + cost target + one delivery window
     + one guarantee window, satisfying each KKT branch: a multiplier is
     either 0 (slack constraint) or its constraint holds with equality
-    within rel_tol.
+    within KKT_REL_TOL.
 
-    Built for small test instances: nested search_multiplier searches, the
-    guarantee multiplier outermost, then the delivery and cost-target ones,
-    with the budget multiplier solved innermost from scratch each time, so
-    every search sees a function of its own multiplier alone.
+    Built for small test instances: one search_multiplier search per
+    constraint of _kkt_constraints, each nested in the one before, and the
+    budget multiplier solved innermost from scratch, so every search sees a
+    function of its own multiplier alone.  A constraint that still fails at
+    its search limit keeps its multiplier there, gets a note and no
+    residual, and makes the solution infeasible.
 
-    Realized spend and value are step functions of the multipliers, so a
-    constraint may have no multiplier that meets it within rel_tol.  When a
-    log with realized records leaves a residual above rel_tol, a note names
-    the final bracket of that constraint's multiplier and the jump of the
-    constrained quantity across it.
+    Realized spend and value are step functions of the multipliers; on a
+    log with realized records, a residual above KKT_REL_TOL gets a note
+    naming the final bracket of its search and the step across it.
     """
-    if len(constraints.delivery_windows) > 1 or len(constraints.guarantee_windows) > 1:
-        raise OracleError("kkt oracle supports at most one window of each kind")
-    budget = constraints.budget
-    cost_target = constraints.cost_target
-    delivery = constraints.delivery_windows[0] if constraints.delivery_windows else None
-    guarantee = constraints.guarantee_windows[0] if constraints.guarantee_windows else None
+    bounds = _kkt_constraints(constraints)
     smooth = log.mode == "distributional"
-    notes: list[str] = []
-    # per constraint, the final bracket (lo, hi, excess at lo, excess at hi)
-    # of the last search of its multiplier, the one behind the result
-    brackets: dict[str, tuple[float, float, float, float] | None] = {}
+    # per constraint, the last search of its multiplier, the one behind the
+    # result: (multiplier, final bracket), or None where it gave up
+    searches: list = [None] * len(bounds)
 
-    def search(
-        name: str, excess: Callable[[float], float], limit: float, scale: float
-    ) -> float | None:
-        found = search_multiplier(
-            excess, 0.0, limit, tol=rel_tol * scale if smooth else None, width_rel=1e-7
-        )
-        if found is None:
-            return None
-        x, brackets[name] = found
-        return x
-
-    def solve_inner(mu: float, lam_k: float, mu_k: float) -> tuple[MultiplierProfile, ReplayResult, bool]:
+    def solve(xs: tuple[float, ...]) -> tuple[MultiplierProfile, ReplayResult]:
+        """The solution with the leading multipliers at xs, every later one
+        searched in turn."""
+        if len(xs) < len(bounds) - 1:
+            c = bounds[len(xs)]
+            found = search_multiplier(
+                lambda x: c.excess(solve(xs + (x,))[1]),
+                0.0,
+                c.limit,
+                tol=KKT_REL_TOL * c.scale if smooth else None,
+                width_rel=1e-7,
+            )
+            searches[len(xs)] = found
+            return solve(xs + (c.limit if found is None else found[0],))
+        pairs = list(zip(bounds, xs))
         profile = MultiplierProfile(
             lam=1.0,
-            mu=mu,
-            cost_target=cost_target,
-            window_lambda={delivery.id: lam_k} if delivery else {},
-            window_mu={guarantee.id: mu_k} if guarantee else {},
+            mu=next((x for c, x in pairs if c.kind == "cost_target"), 0.0),
+            cost_target=constraints.cost_target,
+            window_lambda={c.window: x for c, x in pairs if c.kind == "delivery"},
+            window_mu={c.window: x for c, x in pairs if c.kind == "guarantee"},
         )
         curve = _SpendCurve(log, profile, bid_cap)
-        sol, brackets["budget"] = _solve_budget_multiplier(
-            curve, budget, rel_tol=1e-7, width_rel=1e-7
+        sol, bracket = _solve_budget_multiplier(
+            curve, constraints.budget, rel_tol=1e-7, width_rel=1e-7
         )
-        return profile.with_lam(sol.lam), curve.at(sol.lam), sol.unconstrained
+        searches[-1] = sol.lam, bracket
+        return profile.with_lam(sol.lam), curve.at(sol.lam)
 
-    def solve_mu(lam_k: float, mu_k: float) -> tuple[float, MultiplierProfile, ReplayResult, bool]:
-        mu = 0.0
-        if cost_target is not None:
-            limit = 1e6 / cost_target
-
-            def excess(mu: float) -> float:
-                _, rep, _ = solve_inner(mu, lam_k, mu_k)
-                return rep.spend - cost_target * rep.value
-
-            mu = search("cost_target", excess, limit, budget)
-            if mu is None:
-                notes.append("cost target unattainable even at the multiplier bound")
-                mu = limit
-        return (mu, *solve_inner(mu, lam_k, mu_k))
-
-    def solve_lam_k(mu_k: float) -> tuple[float, float, MultiplierProfile, ReplayResult, bool]:
-        lam_k = 0.0
-        if delivery is not None:
-
-            def excess(lam_k: float) -> float:
-                rep = solve_mu(lam_k, mu_k)[2]
-                return rep.per_window.get(delivery.id, (0.0, 0.0))[0] - delivery.cap
-
-            lam_k = search("delivery", excess, 1e8, delivery.cap)
-            if lam_k is None:
-                notes.append(f"delivery window {delivery.id!r} cap unattainable")
-                lam_k = 1e8
-        return (lam_k, *solve_mu(lam_k, mu_k))
-
-    feasible = True
-    mu_k = 0.0
-    if guarantee is not None:
-
-        def shortfall(mu_k: float) -> float:
-            rep = solve_lam_k(mu_k)[3]
-            return guarantee.floor - rep.per_window.get(guarantee.id, (0.0, 0.0))[1]
-
-        mu_k = search("guarantee", shortfall, 1e4, guarantee.floor)
-        if mu_k is None:
-            feasible = False
-            mu_k = 1e4
-    lam_k, mu, profile, rep, lam_unconstrained = solve_lam_k(mu_k)
-    if not feasible:
-        achieved = rep.per_window.get(guarantee.id, (0.0, 0.0))[1]
-        notes.append(
-            f"guarantee {guarantee.id!r} infeasible: max achievable value "
-            f"{achieved:g} < floor {guarantee.floor:g}"
-        )
-
-    if lam_unconstrained:
+    profile, rep = solve(())
+    unconstrained = searches[-1][1] is None
+    notes = [c.give_up_note(rep) for c, found in zip(bounds, searches) if found is None]
+    if unconstrained:
         notes.append("budget unconstrained")
-
-    residuals: dict[str, float] = {
-        "budget": abs(rep.spend - budget) / budget if not lam_unconstrained else 0.0
-    }
-    if cost_target is not None and mu > LAMBDA_FLOOR:
-        residuals["cost_target"] = abs(rep.spend - cost_target * rep.value) / (
-            cost_target * max(rep.value, 1e-300)
-        )
-    if delivery is not None and lam_k > LAMBDA_FLOOR:
-        residuals["delivery"] = (
-            abs(rep.per_window.get(delivery.id, (0.0, 0.0))[0] - delivery.cap) / delivery.cap
-        )
-    if guarantee is not None and mu_k > LAMBDA_FLOOR and feasible:
-        residuals["guarantee"] = (
-            abs(rep.per_window.get(guarantee.id, (0.0, 0.0))[1] - guarantee.floor)
-            / guarantee.floor
-        )
-
-    if not smooth:
-        for name, residual in residuals.items():
-            if residual > rel_tol and brackets.get(name):
-                notes.append(_step_note(name, residual, rel_tol, brackets[name], constraints))
-
+    residuals = {"budget": 0.0}
+    # innermost first; a multiplier at its floor or its limit has no residual
+    for c, found in reversed(list(zip(bounds, searches))):
+        if found is not None and found[0] > LAMBDA_FLOOR:
+            residuals[c.kind] = c.residual(rep)
+            if not smooth and residuals[c.kind] > KKT_REL_TOL and found[1]:
+                notes.append(c.step_note(rep, found[1]))
     return KktSolution(
         profile=profile,
         replay=rep,
         residuals=residuals,
-        feasible=feasible,
+        feasible=None not in searches,
         notes=tuple(notes),
+        unconstrained=unconstrained,
     )
-
-
-def _step_note(name, residual, rel_tol, bracket, constraints) -> str:
-    """Why a realized KKT residual exceeds rel_tol: the constrained quantity
-    jumps across the final bracket of its multiplier's search."""
-    lo, hi, r_lo, r_hi = bracket
-    sign = 1.0
-    if name == "budget":
-        multiplier, quantity, target = "lam", "spend", constraints.budget
-    elif name == "cost_target":
-        multiplier, quantity, target = "mu", "spend - cost_target * value", 0.0
-    elif name == "delivery":
-        window = constraints.delivery_windows[0]
-        multiplier, quantity, target = f"lam_{window.id}", f"spend in {window.id!r}", window.cap
-    else:
-        window = constraints.guarantee_windows[0]
-        multiplier, quantity, target = f"mu_{window.id}", f"value in {window.id!r}", window.floor
-        sign = -1.0
-    return (
-        f"{name} residual {residual:.3g} exceeds rel_tol {rel_tol:g}: realized {quantity} "
-        f"steps from {target + sign * r_lo:.12g} at {multiplier}={lo:.17g} to "
-        f"{target + sign * r_hi:.12g} at {multiplier}={hi:.17g}, the final bracket of its search"
-    )
-
-
 @dataclass(frozen=True)
 class MarginalRoi:
     roi: dict[str, float]

@@ -45,19 +45,22 @@ class PacingError(ValueError):
 
 
 @dataclass(frozen=True)
-class DeliveryWindow:
-    """Spend cap over the interval range [start, end)."""
+class _Window:
+    """An interval range [start, end) with an id."""
 
     id: str
     start: int
     end: int
-    cap: float
 
-    def __post_init__(self):
+    def _validate(self, name: str, target: float) -> None:
+        """Raise unless 0 <= start < end and target, the field called name,
+        is finite and > 0."""
         if not (0 <= self.start < self.end):
             raise PacingError(f"window {self.id!r}: need 0 <= start < end")
-        if not self.cap > 0:
-            raise PacingError(f"window {self.id!r}: cap must be > 0")
+        if not target > 0:
+            raise PacingError(f"window {self.id!r}: {name} must be > 0")
+        if not math.isfinite(target):
+            raise PacingError(f"window {self.id!r}: {name} must be finite")
 
     def contains(self, interval: int) -> bool:
         return self.start <= interval < self.end
@@ -68,26 +71,28 @@ class DeliveryWindow:
 
 
 @dataclass(frozen=True)
-class GuaranteeWindow:
+class DeliveryWindow(_Window):
+    """Spend cap over the interval range [start, end)."""
+
+    cap: float
+
+    def __post_init__(self):
+        self._validate("cap", self.cap)
+
+
+@dataclass(frozen=True)
+class GuaranteeWindow(_Window):
     """Result floor over the interval range [start, end)."""
 
-    id: str
-    start: int
-    end: int
     floor: float
 
     def __post_init__(self):
-        if not (0 <= self.start < self.end):
-            raise PacingError(f"window {self.id!r}: need 0 <= start < end")
-        if not self.floor > 0:
-            raise PacingError(f"window {self.id!r}: floor must be > 0")
+        self._validate("floor", self.floor)
 
-    def contains(self, interval: int) -> bool:
-        return self.start <= interval < self.end
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
+def _active(windows, interval: int):
+    """The window containing interval, or None."""
+    return next((w for w in windows if w.contains(interval)), None)
 
 
 def _check_disjoint(windows, kind: str) -> None:
@@ -105,10 +110,12 @@ class ConstraintSet:
     guarantee_windows: tuple[GuaranteeWindow, ...] = ()
 
     def __post_init__(self):
-        if not self.budget > 0:
-            raise PacingError(f"budget must be > 0, got {self.budget}")
-        if self.cost_target is not None and not self.cost_target > 0:
-            raise PacingError(f"cost_target must be > 0, got {self.cost_target}")
+        if not (self.budget > 0 and math.isfinite(self.budget)):
+            raise PacingError(f"budget must be finite and > 0, got {self.budget}")
+        if self.cost_target is not None and not (
+            self.cost_target > 0 and math.isfinite(self.cost_target)
+        ):
+            raise PacingError(f"cost_target must be finite and > 0, got {self.cost_target}")
         _check_disjoint(self.delivery_windows, "delivery")
         _check_disjoint(self.guarantee_windows, "guarantee")
         ids = [w.id for w in self.delivery_windows] + [w.id for w in self.guarantee_windows]
@@ -123,26 +130,14 @@ class ConstraintSet:
         )
 
     def active_delivery(self, interval: int) -> DeliveryWindow | None:
-        for w in self.delivery_windows:
-            if w.contains(interval):
-                return w
-        return None
+        return _active(self.delivery_windows, interval)
 
     def active_guarantee(self, interval: int) -> GuaranteeWindow | None:
-        for w in self.guarantee_windows:
-            if w.contains(interval):
-                return w
-        return None
+        return _active(self.guarantee_windows, interval)
 
     def window_ids_at(self, interval: int) -> tuple[str, ...]:
-        ids = []
-        w = self.active_delivery(interval)
-        if w is not None:
-            ids.append(w.id)
-        g = self.active_guarantee(interval)
-        if g is not None:
-            ids.append(g.id)
-        return tuple(ids)
+        active = (self.active_delivery(interval), self.active_guarantee(interval))
+        return tuple(w.id for w in active if w is not None)
 
 
 @dataclass(frozen=True)
@@ -194,8 +189,10 @@ class PacingConfig:
                 raise PacingError("set exactly one of epsilon / xi")
             for name in ("epsilon", "xi"):
                 v = getattr(self, name)
-                if v is not None and not v > 0:
-                    raise PacingError(f"{name} must be > 0, got {v}")
+                if v is not None and not (v > 0 and math.isfinite(v)):
+                    raise PacingError(f"{name} must be finite and > 0, got {v}")
+        if not math.isfinite(self.constraint_xi):
+            raise PacingError(f"constraint_xi must be finite, got {self.constraint_xi}")
         if self.batch_size is not None and not self.batch_size > 0:
             raise PacingError(f"batch_size must be > 0, got {self.batch_size}")
         if self.ftl_window is not None and not self.ftl_window > 0:
@@ -327,20 +324,9 @@ def update_additive(lam: float, epsilon: float, grad: float, floor: float = LAMB
     return out if out > floor else floor
 
 
-def update_multiplicative(
-    lam: float,
-    epsilon: float,
-    grad: float,
-    floor: float = LAMBDA_TILDE_MIN,
-    ceil: float = LAMBDA_TILDE_MAX,
-) -> float:
-    """lam * exp(-epsilon * grad), clamped to [floor, ceil]."""
-    out = lam * math.exp(-epsilon * grad)
-    if out < floor:
-        return floor
-    if out > ceil:
-        return ceil
-    return out
+def update_multiplicative(lam: float, epsilon: float, grad: float) -> float:
+    """lam * exp(-epsilon * grad), clamped to [LAMBDA_TILDE_MIN, LAMBDA_TILDE_MAX]."""
+    return _clamp_tilde(lam * math.exp(-epsilon * grad))
 
 
 def _effective_interval_spend(state: PacingState, cfg: PacingConfig) -> float:

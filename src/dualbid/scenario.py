@@ -26,12 +26,13 @@ Example::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import reprlib
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .mechanisms import (
     LognormalBids,
-    MechanismError,
     MechanismSpec,
     competitor_from_dict,
     competitor_to_dict,
@@ -67,6 +68,8 @@ class DriftSchedule:
         intervals = [k for k, _ in self.knots]
         if any(b <= a for a, b in zip(intervals, intervals[1:])):
             raise ValueError("drift knots must have strictly increasing intervals")
+        if not all(math.isfinite(v) for _, v in self.knots):
+            raise ValueError("drift offsets must be finite")
 
     def covers(self, intervals: int) -> bool:
         return self.knots[0][0] <= 0 and self.knots[-1][0] >= intervals - 1
@@ -92,11 +95,13 @@ class PlacementConfig:
     value_mu_drift: DriftSchedule | None = None
 
     def __post_init__(self):
-        if not self.value_sigma > 0:
-            raise ValueError(f"placement {self.id!r}: value sigma must be > 0")
+        if not math.isfinite(self.value_mu):
+            raise ValueError(f"placement {self.id!r}: value mu must be finite")
+        if not (self.value_sigma > 0 and math.isfinite(self.value_sigma)):
+            raise ValueError(f"placement {self.id!r}: value sigma must be finite and > 0")
         raw = self.intensity if isinstance(self.intensity, tuple) else (self.intensity,)
-        if any(x < 0 for x in raw):
-            raise ValueError(f"placement {self.id!r}: intensities must be >= 0")
+        if not all(0 <= x < math.inf for x in raw):
+            raise ValueError(f"placement {self.id!r}: intensities must be finite and >= 0")
 
     def intensity_at(self, interval: int) -> float:
         if isinstance(self.intensity, tuple):
@@ -117,12 +122,10 @@ class AgentConfig:
     bid_cap: float = 1e4
 
     def __post_init__(self):
-        if self.lambda0 is not None and not self.lambda0 > 0:
-            raise ValueError(f"lambda0 must be > 0, got {self.lambda0}")
-        if self.lambda_prime is not None and not self.lambda_prime > 0:
-            raise ValueError(f"lambda_prime must be > 0, got {self.lambda_prime}")
-        if not self.bid_cap > 0:
-            raise ValueError(f"bid_cap must be > 0, got {self.bid_cap}")
+        for name in ("lambda0", "lambda_prime", "bid_cap"):
+            v = getattr(self, name)
+            if v is not None and not 0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -172,10 +175,40 @@ class ScenarioConfig:
         return sum(p.expected_total(self.intervals) for p in self.placements)
 
 
-def _require(data: dict, key: str, path: str):
-    if key not in data:
-        raise ScenarioError(f"{path}.{key}" if path else key, "missing required field")
-    return data[key]
+_REQUIRED = object()
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(field, f"expected an object, got {reprlib.repr(value)}")
+    return value
+
+
+def _get(data: dict, key: str, path: str, kind=float, default=_REQUIRED):
+    """data[key] as kind (float, int or str), or default when it is absent
+    or null; errors name the field's path."""
+    field = f"{path}.{key}" if path else key
+    value = data.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ScenarioError(field, "missing required field")
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        expected = "an integer" if kind is int else "a number"
+        raise ScenarioError(field, f"expected {expected}, got {reprlib.repr(value)}") from None
+
+
+def _objects(data: dict, key: str, required: bool = False) -> list[tuple[str, dict]]:
+    """The objects listed in data[key] (none when it is absent or null and
+    not required), each with its field path."""
+    items = data.get(key)
+    if items is None and not required:
+        items = []
+    if not isinstance(items, list):
+        raise ScenarioError(key, f"expected a list, got {reprlib.repr(items)}")
+    return [(f"{key}[{i}]", _object(item, f"{key}[{i}]")) for i, item in enumerate(items)]
 
 
 def _parse_drift(raw, path: str) -> DriftSchedule:
@@ -186,35 +219,33 @@ def _parse_drift(raw, path: str) -> DriftSchedule:
 
 
 def _parse_placement(raw: dict, path: str) -> PlacementConfig:
-    pid = str(_require(raw, "id", path))
-    try:
-        mech = MechanismSpec(
-            auction_type=str(_require(raw, "auction", path)),
-            reserve=float(raw.get("reserve", 0.0)),
-            competitor=competitor_from_dict(_require(raw, "competitor", path)),
-        )
-    except MechanismError as exc:
-        raise ScenarioError(path, str(exc)) from None
-    value = _require(raw, "value", path)
-    intensity = _require(raw, "intensity", path)
-    drift = raw.get("drift", {}) or {}
+    pid = _get(raw, "id", path, str)
+    auction = _get(raw, "auction", path, str)
+    reserve = _get(raw, "reserve", path, default=0.0)
+    competitor = _object(raw.get("competitor"), f"{path}.competitor")
+    value = _object(raw.get("value"), f"{path}.value")
+    value_mu = _get(value, "mu", f"{path}.value")
+    value_sigma = _get(value, "sigma", f"{path}.value")
+    schedule = isinstance(raw.get("intensity"), list)
+    intensity = raw.get("intensity") if schedule else _get(raw, "intensity", path)
+    drift = _object(raw.get("drift") or {}, f"{path}.drift")
+    bid_mu_drift, value_mu_drift = (
+        _parse_drift(drift[key], f"{path}.drift.{key}") if key in drift else None
+        for key in ("bid_mu", "value_mu")
+    )
     try:
         return PlacementConfig(
             id=pid,
-            mechanism=mech,
-            value_mu=float(value["mu"]),
-            value_sigma=float(value["sigma"]),
-            intensity=tuple(float(x) for x in intensity)
-            if isinstance(intensity, list)
-            else float(intensity),
-            bid_mu_drift=_parse_drift(drift["bid_mu"], f"{path}.drift.bid_mu")
-            if "bid_mu" in drift
-            else None,
-            value_mu_drift=_parse_drift(drift["value_mu"], f"{path}.drift.value_mu")
-            if "value_mu" in drift
-            else None,
+            mechanism=MechanismSpec(auction, reserve, competitor_from_dict(competitor)),
+            value_mu=value_mu,
+            value_sigma=value_sigma,
+            intensity=tuple(float(x) for x in intensity) if schedule else intensity,
+            bid_mu_drift=bid_mu_drift,
+            value_mu_drift=value_mu_drift,
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ScenarioError(path, f"competitor spec needs a {exc} field") from None
+    except TypeError as exc:
         raise ScenarioError(path, f"bad placement spec: {exc}") from None
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from None
@@ -232,7 +263,7 @@ def _parse_agent(raw: dict) -> AgentConfig:
     if init == "coldstart":
         lambda0 = None
     elif isinstance(init, dict) and "lambda0" in init:
-        lambda0 = float(init["lambda0"])
+        lambda0 = _get(init, "lambda0", "agent.initialization")
     else:
         raise ScenarioError(
             "agent.initialization", f"expected 'coldstart' or {{'lambda0': x}}, got {init!r}"
@@ -240,68 +271,74 @@ def _parse_agent(raw: dict) -> AgentConfig:
     try:
         pacing = PacingConfig(
             mode=str(raw.get("mode", "additive")),
-            epsilon=float(raw["epsilon"]) if "epsilon" in raw else None,
-            xi=float(raw["xi"]) if "xi" in raw else None,
+            epsilon=_get(raw, "epsilon", "agent", default=None),
+            xi=_get(raw, "xi", "agent", default=None),
             batch_size=batch_size,
             forecast_mode=str(raw.get("forecast", "total")),
             mpc=bool(raw.get("mpc", False)),
-            ftl_window=int(raw["ftl_window"]) if raw.get("ftl_window") is not None else None,
-            constraint_xi=float(raw.get("constraint_xi", 1.0)),
+            ftl_window=_get(raw, "ftl_window", "agent", int, None),
+            constraint_xi=_get(raw, "constraint_xi", "agent", default=1.0),
         )
     except PacingError as exc:
         raise ScenarioError("agent", str(exc)) from None
+    lambda_prime = _get(raw, "lambda_prime", "agent", default=None)
+    bid_cap = _get(raw, "bid_cap", "agent", default=1e4)
     try:
         return AgentConfig(
-            pacing=pacing,
-            lambda0=lambda0,
-            lambda_prime=float(raw["lambda_prime"]) if raw.get("lambda_prime") is not None else None,
-            bid_cap=float(raw.get("bid_cap", 1e4)),
+            pacing=pacing, lambda0=lambda0, lambda_prime=lambda_prime, bid_cap=bid_cap
         )
     except ValueError as exc:
         raise ScenarioError("agent", str(exc)) from None
 
 
-def parse_scenario(data: dict, seed_override: int | None = None) -> ScenarioConfig:
-    version = data.get("version")
+def _parse_window(window, target: str, raw: dict, path: str):
+    """The window at path, of class window, whose target field is named
+    target (cap or floor)."""
+    fields = {"id": _get(raw, "id", path, str)}
+    fields.update({key: _get(raw, key, path, int) for key in ("start", "end")})
+    fields[target] = _get(raw, target, path)
+    try:
+        return window(**fields)
+    except PacingError as exc:
+        raise ScenarioError(path, str(exc)) from None
+
+
+def parse_windows(data) -> tuple[tuple[DeliveryWindow, ...], tuple[GuaranteeWindow, ...]]:
+    """The delivery_windows and guarantee_windows of a scenario, or of a
+    windows file: a JSON object with the same two lists."""
+    _object(data, "file")
+    delivery, guarantee = (
+        tuple(_parse_window(window, target, w, path) for path, w in _objects(data, key))
+        for key, window, target in (
+            ("delivery_windows", DeliveryWindow, "cap"),
+            ("guarantee_windows", GuaranteeWindow, "floor"),
+        )
+    )
+    return delivery, guarantee
+
+
+def parse_scenario(data, seed_override: int | None = None) -> ScenarioConfig:
+    version = _object(data, "file").get("version")
     if version != SCENARIO_VERSION:
         raise ScenarioError("version", f"expected {SCENARIO_VERSION}, got {version!r}")
+    delivery, guarantee = parse_windows(data)
     try:
-        windows = tuple(
-            DeliveryWindow(
-                id=str(_require(w, "id", f"delivery_windows[{i}]")),
-                start=int(w["start"]),
-                end=int(w["end"]),
-                cap=float(w["cap"]),
-            )
-            for i, w in enumerate(data.get("delivery_windows", []))
-        )
-        guarantees = tuple(
-            GuaranteeWindow(
-                id=str(_require(w, "id", f"guarantee_windows[{i}]")),
-                start=int(w["start"]),
-                end=int(w["end"]),
-                floor=float(w["floor"]),
-            )
-            for i, w in enumerate(data.get("guarantee_windows", []))
-        )
         constraints = ConstraintSet(
-            budget=float(_require(data, "budget", "")),
-            cost_target=float(data["cost_target"]) if data.get("cost_target") is not None else None,
-            delivery_windows=windows,
-            guarantee_windows=guarantees,
+            budget=_get(data, "budget", ""),
+            cost_target=_get(data, "cost_target", "", default=None),
+            delivery_windows=delivery,
+            guarantee_windows=guarantee,
         )
     except PacingError as exc:
         raise ScenarioError("constraints", str(exc)) from None
-    placements = tuple(
-        _parse_placement(p, f"placements[{i}]")
-        for i, p in enumerate(_require(data, "placements", ""))
-    )
-    agent = _parse_agent(_require(data, "agent", ""))
-    seed = int(_require(data, "seed", "")) if seed_override is None else int(seed_override)
+    placements = tuple(_parse_placement(p, path) for path, p in _objects(data, "placements", True))
+    agent = _parse_agent(_object(data.get("agent"), "agent"))
+    seed = _get(data, "seed", "", int) if seed_override is None else int(seed_override)
+    intervals = _get(data, "intervals", "", int)
     try:
         return ScenarioConfig(
             seed=seed,
-            intervals=int(_require(data, "intervals", "")),
+            intervals=intervals,
             constraints=constraints,
             placements=placements,
             agent=agent,
@@ -361,14 +398,8 @@ def scenario_to_dict(s: ScenarioConfig) -> dict:
         "intervals": s.intervals,
         "budget": s.constraints.budget,
         "cost_target": s.constraints.cost_target,
-        "delivery_windows": [
-            {"id": w.id, "start": w.start, "end": w.end, "cap": w.cap}
-            for w in s.constraints.delivery_windows
-        ],
-        "guarantee_windows": [
-            {"id": w.id, "start": w.start, "end": w.end, "floor": w.floor}
-            for w in s.constraints.guarantee_windows
-        ],
+        "delivery_windows": [asdict(w) for w in s.constraints.delivery_windows],
+        "guarantee_windows": [asdict(w) for w in s.constraints.guarantee_windows],
         "placements": placements,
         "agent": agent,
     }

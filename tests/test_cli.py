@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, file outputs, determinism, subcommands."""
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,10 @@ import pytest
 
 from dualbid.cli import main
 from helpers import stationary_scenario
+
+
+MIXED_CONSTRAINED = Path(__file__).resolve().parents[1] / "scenarios" / "mixed_constrained.json"
+DROP = object()  # a field to delete
 
 
 def write_scenario(tmp_path: Path, cfg: dict, name: str = "scenario.json") -> Path:
@@ -114,6 +119,51 @@ class TestRun:
     def test_missing_scenario_exits_2(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "keys, value, field",
+        [
+            (("delivery_windows", 0, "start"), DROP, "delivery_windows[0].start"),
+            (("delivery_windows", 0, "start"), "abc", "delivery_windows[0].start"),
+            (("delivery_windows", 0, "cap"), None, "delivery_windows[0].cap"),
+            (("delivery_windows",), 5, "delivery_windows"),
+            (("guarantee_windows",), [{"id": "g", "start": 0, "end": 9}], "guarantee_windows[0].floor"),
+            (("agent", "xi"), "abc", "agent.xi"),
+            (("agent", "ftl_window"), "x", "agent.ftl_window"),
+            (("budget",), "abc", "budget"),
+            (("cost_target",), "abc", "cost_target"),
+            (("seed",), "abc", "seed"),
+            (("placements",), 3, "placements"),
+            ((), ["a", "list"], "file"),
+            # non-finite numbers
+            (("placements", 0, "reserve"), math.nan, "placements[0]"),
+            (("placements", 1, "competitor", "mu"), math.nan, "placements[1]"),
+            (("placements", 0, "value", "sigma"), math.inf, "placements[0]"),
+            (("placements", 0, "intensity"), math.nan, "placements[0]"),
+            (("placements", 1, "drift", "bid_mu", 1, 1), math.nan, "placements[1].drift.bid_mu"),
+            (("budget",), math.inf, "constraints"),
+            (("delivery_windows", 0, "cap"), math.inf, "delivery_windows[0]"),
+            (("agent", "xi"), math.inf, "agent"),
+            (("agent", "constraint_xi"), math.nan, "agent"),
+            (("agent", "bid_cap"), math.inf, "agent"),
+        ],
+    )
+    def test_malformed_field_exits_2_with_its_path(self, tmp_path, capsys, keys, value, field):
+        cfg = json.loads(MIXED_CONSTRAINED.read_text())
+        if keys:
+            parent = cfg
+            for key in keys[:-1]:
+                parent = parent[key]
+            if value is DROP:
+                del parent[keys[-1]]
+            else:
+                parent[keys[-1]] = value
+        else:
+            cfg = value
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert f"invalid scenario: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_compare_outputs(self, tmp_path, capsys):
@@ -203,6 +253,14 @@ class TestCompare:
         lam = float(compare["oracle_lambda"])
         nearest = min(rows, key=lambda row: abs(float(row["lambda"]) - lam))
         assert float(nearest["spend"]) == pytest.approx(float(compare["oracle_spend"]), rel=0.01)
+        # the KKT solution and everything read from it, byte for byte
+        digests = {
+            "compare.csv": "51a29454a17063440d5d4c133620ac249ef00f34752782f9f170c1bee0742fe9",
+            "oracle_curves.csv": "4ff4c05000c3df7e406f80b0443692884c33c55bdd0fe07c0475d5879667c07f",
+            "roi.csv": "2f1ec9e5cd6ffe9f56ee5e9273014993a7ccaf0eaa4a70979ec17d5775525749",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_missing_run_dir_exits_2(self, tmp_path):
         assert main(["compare", "--run", str(tmp_path / "missing")]) == 2
@@ -429,6 +487,86 @@ class TestOracleCommand:
         )
         assert code == 0
         assert "kkt residual report" in capsys.readouterr().out
+
+    def test_windows_file(self, tmp_path, capsys):
+        # the first two records are in delivery window "d", the last two in
+        # guarantee window "g": the cap binds (the record worth 1 is lost)
+        # and the floor is slack
+        log = tmp_path / "log.csv"
+        rows = ["time,placement_id,value,auction_type,reserve,competitor_family,"
+                "competitor_p1,competitor_p2,clearing_bid,windows"]
+        for i, w in enumerate(("d", "d", "g", "g")):
+            rows.append(f"{i},p,{i + 1}.0,second_price,0.0,uniform,0.0,1.0,0.5,{w}")
+        log.write_text("\n".join(rows) + "\n")
+        windows = tmp_path / "windows.json"
+        windows.write_text(
+            json.dumps(
+                {
+                    "delivery_windows": [{"id": "d", "start": 0, "end": 1, "cap": 0.6}],
+                    "guarantee_windows": [{"id": "g", "start": 0, "end": 1, "floor": 1.0}],
+                }
+            )
+        )
+        out = tmp_path / "oracle"
+        code = main(
+            [
+                "oracle",
+                "--log", str(log),
+                "--budget", "2.0",
+                "--windows", str(windows),
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        kv = read_kv(out / "oracle_multipliers.csv")
+        assert float(kv["lambda_d"]) > 0
+        assert float(kv["mu_g"]) == 0.0
+        assert kv["feasible"] == "True"
+        assert float(kv["spend"]) == 1.5
+
+    @pytest.mark.parametrize(
+        "windows, field",
+        [
+            ([{"id": "d", "start": 0, "end": 1, "cap": 1.0}], "file"),
+            ({"delivery_windows": [{"id": "d", "start": 0, "end": 1}]}, "delivery_windows[0].cap"),
+            ({"guarantee_windows": [{"id": "g", "start": "x", "end": 1, "floor": 1.0}]},
+             "guarantee_windows[0].start"),
+            ({"guarantee_windows": [{"id": "g", "start": 0, "end": 1, "floor": math.nan}]},
+             "guarantee_windows[0]"),
+        ],
+    )
+    def test_bad_windows_file_exits_2(self, tmp_path, capsys, windows, field):
+        log = tmp_path / "log.csv"
+        self._write_log(log)
+        path = tmp_path / "windows.json"
+        path.write_text(json.dumps(windows))
+        args = ["oracle", "--log", str(log), "--budget", "1.0", "--windows", str(path)]
+        assert main(args + ["--out", str(tmp_path / "o")]) == 2
+        assert f"invalid windows file: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "column, text",
+        [
+            ("value", "nan"),
+            ("value", "inf"),
+            ("time", "nan"),
+            ("reserve", "nan"),
+            ("competitor_p1", "nan"),
+            ("clearing_bid", "inf"),
+        ],
+    )
+    def test_non_finite_log_field_exits_2(self, tmp_path, capsys, column, text):
+        columns = ["time", "placement_id", "value", "auction_type", "reserve",
+                   "competitor_family", "competitor_p1", "competitor_p2", "clearing_bid",
+                   "windows"]
+        row = dict(zip(columns, ["0", "p", "1.0", "second_price", "0.0", "lognormal", "0.0",
+                                 "1.0", "0.5", ""]))
+        row[column] = text
+        log = tmp_path / "log.csv"
+        log.write_text(",".join(columns) + "\n" + ",".join(row.values()) + "\n")
+        args = ["oracle", "--log", str(log), "--budget", "1.0", "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert "row 1" in capsys.readouterr().err
 
     def test_schema_mismatch_exits_2(self, tmp_path):
         log = tmp_path / "log.csv"

@@ -306,6 +306,27 @@ class TestKktGrid:
         assert not kkt.feasible
         assert any("max achievable" in n for n in kkt.notes)
 
+    def test_unattainable_delivery_cap_is_infeasible(self):
+        # a record worth 1e12 bids the bid cap at every window multiplier up
+        # to the search limit, so window "d" spends 1 against its cap of 0.5;
+        # the guarantee search around it evaluates the delivery search twice
+        log = OpportunityLog(
+            [
+                LogRecord(0.0, "p", 1e12, UNIFORM_SP, clearing_bid=1.0, windows=("d",)),
+                LogRecord(1.0, "p", 1.0, UNIFORM_SP, clearing_bid=0.5, windows=("g",)),
+            ]
+        )
+        constraints = ConstraintSet(
+            budget=10.0,
+            delivery_windows=(DeliveryWindow("d", 0, 1, 0.5),),
+            guarantee_windows=(GuaranteeWindow("g", 0, 1, 0.5),),
+        )
+        kkt = solve_kkt_grid(log, constraints)
+        assert kkt.replay.per_window["d"][0] == 1.0
+        assert not kkt.feasible
+        assert len([n for n in kkt.notes if n.startswith("delivery")]) == 1
+        assert "delivery" not in kkt.residuals
+
     @staticmethod
     def _realized_window_log():
         """30 realized records, every other one in window "w", with a budget
