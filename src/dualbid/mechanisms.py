@@ -229,22 +229,22 @@ class RealizedLandscape:
 LOGNORMAL, UNIFORM, EMPIRICAL, OTHER = range(4)
 
 
-def _lognormal_cdf(b, mu, sigma):
-    safe = np.where(b > 0, b, 1.0)
-    return np.where(b > 0, ndtr((np.log(safe) - mu) / sigma), 0.0)
-
-
-def _lognormal_pdf(b, mu, sigma):
-    safe = np.where(b > 0, b, 1.0)
-    z = (np.log(safe) - mu) / sigma
-    return np.where(b > 0, np.exp(-0.5 * z * z) / (safe * sigma * _SQRT_2PI), 0.0)
-
-
-def _lognormal_partial_expectation(b, mu, sigma):
-    """Integral of z dF(z) from 0 to b (partial mean of the bid)."""
-    safe = np.where(b > 0, b, 1.0)
-    z = (np.log(safe) - mu - sigma**2) / sigma
-    return np.where(b > 0, np.exp(mu + 0.5 * sigma**2) * ndtr(z), 0.0)
+def _lognormal_curves(names, b, mu, sigma):
+    """The named curves of lognormal rows, all from one log of the bids."""
+    positive = b > 0
+    safe = np.where(positive, b, 1.0)
+    ln_b = np.log(safe)
+    curves = []
+    for name in names:
+        if name == "cdf":
+            curve = ndtr((ln_b - mu) / sigma)
+        elif name == "pdf":
+            z = (ln_b - mu) / sigma
+            curve = np.exp(-0.5 * z * z) / (safe * sigma * _SQRT_2PI)
+        else:  # partial_expectation: the integral of z dF(z) from 0 to b
+            curve = np.exp(mu + 0.5 * sigma**2) * ndtr((ln_b - mu - sigma**2) / sigma)
+        curves.append(np.where(positive, curve, 0.0))
+    return curves
 
 
 def _uniform_cdf(b, lo, hi):
@@ -260,11 +260,18 @@ def _uniform_partial_expectation(b, lo, hi):
     return np.where(b < lo, 0.0, (x**2 - lo**2) / (2.0 * (hi - lo)))
 
 
-_CURVES = {
-    "cdf": (_lognormal_cdf, _uniform_cdf),
-    "pdf": (_lognormal_pdf, _uniform_pdf),
-    "partial_expectation": (_lognormal_partial_expectation, _uniform_partial_expectation),
+_UNIFORM_CURVES = {
+    "cdf": _uniform_cdf,
+    "pdf": _uniform_pdf,
+    "partial_expectation": _uniform_partial_expectation,
 }
+
+
+def _uniform_curves(names, b, lo, hi):
+    return [_UNIFORM_CURVES[name](b, lo, hi) for name in names]
+
+
+_FAMILY_CURVES = {LOGNORMAL: _lognormal_curves, UNIFORM: _uniform_curves}
 
 
 class MechanismTable:
@@ -352,46 +359,66 @@ class MechanismTable:
             return values[0]
         return values.reshape(values.shape + (1,) * (b.ndim - 1))
 
-    def _curve(self, name: str, b):
+    def _curves(self, names, b):
+        """The named curves (cdf, pdf, partial_expectation) per row at bids
+        b, in one pass over the rows: a lognormal row takes one log of its
+        bid for all of them."""
         b = np.asarray(b, dtype=float)
-        out = None if self._plan and self._plan[0][2] is None else np.zeros(b.shape)
+        whole = self._plan and self._plan[0][2] is None
+        outs = None if whole else [np.zeros(b.shape) for _ in names]
         for code, model, rows in self._plan:
             sub = b if rows is None else b[rows]
             if model is not None:
-                values = getattr(model, name)(sub)
+                values = [getattr(model, name)(sub) for name in names]
             else:
-                fn = _CURVES[name][code]
-                values = fn(sub, self._column(self.p1, sub, rows), self._column(self.p2, sub, rows))
-            if out is None:
+                p1, p2 = self._column(self.p1, sub, rows), self._column(self.p2, sub, rows)
+                values = _FAMILY_CURVES[code](names, sub, p1, p2)
+            if outs is None:
                 return values
-            out[rows] = values
-        return out
+            for out, v in zip(outs, values):
+                out[rows] = v
+        return outs
 
     def cdf(self, b):
         """Competing-bid CDF per row."""
-        return self._curve("cdf", b)
+        return self._curves(("cdf",), b)[0]
 
     def pdf(self, b):
         """Competing-bid density per row."""
-        return self._curve("pdf", b)
+        return self._curves(("pdf",), b)[0]
 
     def partial_expectation(self, b):
         """Integral of z dF(z) from 0 to b per row."""
-        return self._curve("partial_expectation", b)
+        return self._curves(("partial_expectation",), b)[0]
 
     @cached_property
-    def _at_reserve(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.cdf(self.reserve), self.partial_expectation(self.reserve)
+    def _at_reserve(self) -> list[np.ndarray]:
+        return self._curves(("cdf", "partial_expectation"), self.reserve)
+
+    def _above_reserve(self, b: np.ndarray, curve):
+        """curve where the bid b reaches the reserve, 0 below it."""
+        return np.where(b >= self._column(self.reserve, b), curve, 0.0)
 
     def win_prob(self, b):
         """G(b): probability the bid wins, zero below the reserve."""
         b = np.asarray(b, dtype=float)
-        return np.where(b >= self._column(self.reserve, b), self.cdf(b), 0.0)
+        return self._above_reserve(b, self.cdf(b))
 
     def win_density(self, b):
         """g(b): derivative of the win probability on the support interior."""
         b = np.asarray(b, dtype=float)
-        return np.where(b >= self._column(self.reserve, b), self.pdf(b), 0.0)
+        return self._above_reserve(b, self.pdf(b))
+
+    def cost_and_win(self, b):
+        """(H(b), G(b)), the expected cost and the win probability, from one
+        pass over the curves (see expected_cost and win_prob)."""
+        b = np.asarray(b, dtype=float)
+        cdf, pe = self._curves(("cdf", "partial_expectation"), b)
+        G = self._above_reserve(b, cdf)
+        cdf_r, pe_r = (self._column(v, b) for v in self._at_reserve)
+        reserve = self._column(self.reserve, b)
+        second = self._above_reserve(b, reserve * cdf_r + np.maximum(pe - pe_r, 0.0))
+        return np.where(self._column(self.first_price, b), b * G, second), G
 
     def expected_cost(self, b):
         """H(b): expected payment at bid b.
@@ -401,12 +428,7 @@ class MechanismTable:
         partial expectation of the competing bid above the reserve plus the
         reserve-price mass below it.
         """
-        b = np.asarray(b, dtype=float)
-        cdf_r, pe_r = (self._column(v, b) for v in self._at_reserve)
-        reserve = self._column(self.reserve, b)
-        tail = np.maximum(self.partial_expectation(b) - pe_r, 0.0)
-        second = np.where(b >= reserve, reserve * cdf_r + tail, 0.0)
-        return np.where(self._column(self.first_price, b), b * self.win_prob(b), second)
+        return self.cost_and_win(b)[0]
 
     def cost_derivative(self, b):
         """h(b): b*g for second price, G + b*g for first price."""
@@ -416,7 +438,8 @@ class MechanismTable:
 
     def surplus(self, adjusted, b):
         """adjusted * G(b) - H(b): the objective each bid maximizes."""
-        return adjusted * self.win_prob(b) - self.expected_cost(b)
+        H, G = self.cost_and_win(b)
+        return adjusted * G - H
 
     def markup(self, b):
         """b + G(b)/g(b), the map inverted for first price bidding.
@@ -426,8 +449,7 @@ class MechanismTable:
         models.
         """
         b = np.asarray(b, dtype=float)
-        G = self.win_prob(b)
-        g = self.win_density(b)
+        G, g = (self._above_reserve(b, c) for c in self._curves(("cdf", "pdf"), b))
         return b + np.where(G <= 0.0, 0.0, np.where(g <= 0.0, np.inf, G / np.maximum(g, 1e-300)))
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, optimal_bids, shade_bids
+from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, shade_bids
 from .mechanisms import MechanismSpec, MechanismTable, resolve
 
 
@@ -161,6 +161,12 @@ class LogColumns:
     def __len__(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def price(self) -> np.ndarray:
+        """What each realized record's auction charges a winner at most:
+        max(clearing, reserve); NaN in distributional records."""
+        return np.maximum(self.clearing, self.table.reserve)
+
     def take(self, rows) -> LogColumns:
         """The columns restricted to rows (an index array, mask or slice)."""
         return LogColumns(
@@ -229,6 +235,24 @@ class ReplayResult:
     per_window: dict[str, tuple[float, float]]
 
 
+def _bids(table: MechanismTable, adjusted: np.ndarray, price: np.ndarray, bid_cap: float):
+    """optimal_bids, except that a first-price row that loses at any shade
+    keeps its unshaded bid min(adjusted, bid_cap).
+
+    Shading only lowers a bid below that, and ties win, so a row whose price
+    (max(clearing, reserve)) is above it loses whatever it is shaded to, and
+    resolves to cost 0 and value 0 unshaded too.  A NaN price (a
+    distributional row) is always shaded."""
+    bids = np.minimum(adjusted, bid_cap)
+    rows, first_price = table.first_price_rows
+    live = ~(bids[rows] < price[rows])
+    if not live.all():
+        rows, first_price = rows[live], first_price.take(live)
+    if rows.size:
+        bids[rows], _ = shade_bids(first_price, adjusted[rows], bid_cap)
+    return bids
+
+
 def _spend_value(
     log: OpportunityLog, profile: MultiplierProfile, bid_cap: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -236,13 +260,17 @@ def _spend_value(
     cols = log.arrays
     vectors = [profile.vector_for(c) for c in cols.window_combos]
     factors = np.array([v.numerator / max(v.denominator, LAMBDA_FLOOR) for v in vectors])
-    bids = optimal_bids(cols.table, factors[cols.combo_codes] * cols.values, bid_cap)
+    bids = _bids(cols.table, factors[cols.combo_codes] * cols.values, cols.price, bid_cap)
+    model = ~cols.realized
+    if model.all():
+        spend, win = cols.table.cost_and_win(bids)
+        return spend, cols.values * win
     won, spend = resolve(cols.table, bids, cols.clearing)
     value = np.where(won, cols.values, 0.0)
-    model = ~cols.realized
     if model.any():
-        spend[model] = cols.table.expected_cost(bids)[model]
-        value[model] = (cols.values * cols.table.win_prob(bids))[model]
+        cost, win = cols.table.cost_and_win(bids)
+        spend[model] = cost[model]
+        value[model] = (cols.values * win)[model]
     return spend, value
 
 
@@ -250,7 +278,12 @@ def replay(
     log: OpportunityLog, profile: MultiplierProfile, bid_cap: float = DEFAULT_BID_CAP
 ) -> ReplayResult:
     """Total and per-placement/per-window spend and value at the given
-    multipliers; exact in distributional mode, deterministic in realized."""
+    multipliers; exact in distributional mode, deterministic in realized.
+
+    Every first-price row is shaded except a realized one whose unshaded
+    bid min(adjusted, bid_cap) is below its price max(clearing, reserve):
+    that row loses at any shade, so it keeps cost 0 and value 0 unshaded
+    (see _bids), and every sum is what shading it would give."""
     cols = log.arrays
     spend, value = _spend_value(log, profile, bid_cap)
     n = len(cols.placement_names)
@@ -344,8 +377,10 @@ class RealizedSpend:
     win_limits), so the second-price rows, sorted by limit with cumulative
     price and value, give their spend and value at any lam by one
     searchsorted.  A first-price row pays its shaded bid, which moves with
-    lam, so those rows alone are shaded and resolved at each lam.  limits,
-    when given, are the rows' win_limits under the same adjusted and bid_cap.
+    lam, so those rows alone are resolved at each lam, and of them only the
+    ones whose unshaded bid min(adjusted, bid_cap) reaches their price are
+    shaded: the others lose at any shade (see _bids).  limits, when given,
+    are the rows' win_limits under the same adjusted and bid_cap.
     """
 
     def __init__(
@@ -358,15 +393,16 @@ class RealizedSpend:
         self.adjusted = adjusted
         if limits is None:
             limits = win_limits(self.values, self.clearing, table, bid_cap, adjusted)
+        self._price = np.maximum(self.clearing, table.reserve)
         # rows of equal limit win and lose together, so their order is free
         second = np.flatnonzero(~table.first_price)
         order = second[np.argsort(-limits[second])]
         self._neg_limits = -limits[order]
-        price = np.maximum(self.clearing[order], table.reserve[order])
-        self._spend = np.concatenate(([0.0], np.cumsum(price)))
+        self._spend = np.concatenate(([0.0], np.cumsum(self._price[order])))
         self._value = np.concatenate(([0.0], np.cumsum(self.values[order])))
-        rows, self._first_price = table.first_price_rows
+        rows, self._first_table = table.first_price_rows
         self._first_values, self._first_clearing = self.values[rows], self.clearing[rows]
+        self._first_prices = self._price[rows]
 
     def at(self, lam: float) -> tuple[float, float]:
         """Spend and value at lam: the second-price rows summed in limit
@@ -375,8 +411,8 @@ class RealizedSpend:
         spend, value = self._spend[k], self._value[k]
         if self._first_values.size:
             adjusted = self.adjusted(lam, self._first_values)
-            bids, _ = shade_bids(self._first_price, adjusted, self.bid_cap)
-            won, cost = resolve(self._first_price, bids, self._first_clearing)
+            bids = _bids(self._first_table, adjusted, self._first_prices, self.bid_cap)
+            won, cost = resolve(self._first_table, bids, self._first_clearing)
             spend += cost.sum()
             value += self._first_values[won].sum()
         return float(spend), float(value)
@@ -384,7 +420,7 @@ class RealizedSpend:
     def replay_spend(self, lam: float) -> float:
         """Spend at lam from every row's bid, summed in row order, as replay
         sums it."""
-        bids = optimal_bids(self.table, self.adjusted(lam, self.values), self.bid_cap)
+        bids = _bids(self.table, self.adjusted(lam, self.values), self._price, self.bid_cap)
         return float(resolve(self.table, bids, self.clearing)[1].sum())
 
     def excess(self, lam: float, target: float) -> float:
@@ -822,9 +858,8 @@ def fixed_bid_baseline(
     if log.mode != "realized":
         raise OracleError("the fixed-bid baseline needs a realized log")
     cols = log.arrays
-    price = np.maximum(cols.clearing, cols.table.reserve)
-    first = np.sort(price[cols.table.first_price])
-    second = np.sort(price[~cols.table.first_price])
+    first = np.sort(cols.price[cols.table.first_price])
+    second = np.sort(cols.price[~cols.table.first_price])
     second_spend = np.concatenate(([0.0], np.cumsum(second)))
 
     def outcome(bid: float) -> tuple[float, float]:

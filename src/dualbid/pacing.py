@@ -575,8 +575,8 @@ def ftl_update(
     and their ftl_limit column when the episode has set it (see
     ftl_win_limits).  Found by the oracle's search_multiplier on an
     oracle.RealizedSpend: second-price auctions are one sorted step
-    function of lam, first-price ones are shaded at each step, and the
-    signs the search reads are those of a full replay.  Replayed spend is a
+    function of lam, first-price ones that can still win are shaded at each
+    step, and the signs the search reads are those of a full replay.  Replayed spend is a
     step function of lam, so the search returns the conservative high side
     of its final bracket.
     """

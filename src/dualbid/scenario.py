@@ -184,20 +184,37 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _number(value, field: str, kind=float):
+    """value as kind (float or int) when it is a JSON number, and an
+    integral one for int; booleans, strings and the rest are errors that
+    name the field's path."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if kind is float or value == int(value):
+                return kind(value)
+        except (OverflowError, ValueError):  # int(inf), int(nan), float(10**400)
+            pass
+    expected = "an integer" if kind is int else "a number"
+    raise ScenarioError(field, f"expected {expected}, got {reprlib.repr(value)}")
+
+
 def _get(data: dict, key: str, path: str, kind=float, default=_REQUIRED):
-    """data[key] as kind (float, int or str), or default when it is absent
-    or null; errors name the field's path."""
+    """data[key] as kind, or default when it is absent or null; errors name
+    the field's path.  float and int take JSON numbers only (int integral
+    ones), bool takes true or false only, and str takes any value."""
     field = f"{path}.{key}" if path else key
     value = data.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ScenarioError(field, "missing required field")
         return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        expected = "an integer" if kind is int else "a number"
-        raise ScenarioError(field, f"expected {expected}, got {reprlib.repr(value)}") from None
+    if kind is str:
+        return str(value)
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ScenarioError(field, f"expected true or false, got {reprlib.repr(value)}")
+        return value
+    return _number(value, field, kind)
 
 
 def _objects(data: dict, key: str, required: bool = False) -> list[tuple[str, dict]]:
@@ -212,9 +229,16 @@ def _objects(data: dict, key: str, required: bool = False) -> list[tuple[str, di
 
 
 def _parse_drift(raw, path: str) -> DriftSchedule:
+    if not isinstance(raw, list) or not all(isinstance(k, list) and len(k) == 2 for k in raw):
+        expected = "a list of [interval, offset] pairs"
+        raise ScenarioError(path, f"expected {expected}, got {reprlib.repr(raw)}")
+    knots = tuple(
+        (_number(i, f"{path}[{k}][0]", int), _number(v, f"{path}[{k}][1]"))
+        for k, (i, v) in enumerate(raw)
+    )
     try:
-        return DriftSchedule(knots=tuple((int(i), float(v)) for i, v in raw))
-    except (TypeError, ValueError) as exc:
+        return DriftSchedule(knots=knots)
+    except ValueError as exc:
         raise ScenarioError(path, str(exc)) from None
 
 
@@ -226,8 +250,16 @@ def _parse_placement(raw: dict, path: str) -> PlacementConfig:
     value = _object(raw.get("value"), f"{path}.value")
     value_mu = _get(value, "mu", f"{path}.value")
     value_sigma = _get(value, "sigma", f"{path}.value")
-    schedule = isinstance(raw.get("intensity"), list)
-    intensity = raw.get("intensity") if schedule else _get(raw, "intensity", path)
+    if isinstance(raw.get("intensity"), list):
+        intensity = tuple(
+            _number(x, f"{path}.intensity[{i}]") for i, x in enumerate(raw["intensity"])
+        )
+    else:
+        intensity = _get(raw, "intensity", path)
+    for key, v in competitor.items():
+        if key != "family":
+            for x in v if isinstance(v, list) else [v]:
+                _number(x, f"{path}.competitor.{key}")
     drift = _object(raw.get("drift") or {}, f"{path}.drift")
     bid_mu_drift, value_mu_drift = (
         _parse_drift(drift[key], f"{path}.drift.{key}") if key in drift else None
@@ -239,7 +271,7 @@ def _parse_placement(raw: dict, path: str) -> PlacementConfig:
             mechanism=MechanismSpec(auction, reserve, competitor_from_dict(competitor)),
             value_mu=value_mu,
             value_sigma=value_sigma,
-            intensity=tuple(float(x) for x in intensity) if schedule else intensity,
+            intensity=intensity,
             bid_mu_drift=bid_mu_drift,
             value_mu_drift=value_mu_drift,
         )
@@ -275,7 +307,7 @@ def _parse_agent(raw: dict) -> AgentConfig:
             xi=_get(raw, "xi", "agent", default=None),
             batch_size=batch_size,
             forecast_mode=str(raw.get("forecast", "total")),
-            mpc=bool(raw.get("mpc", False)),
+            mpc=_get(raw, "mpc", "agent", bool, False),
             ftl_window=_get(raw, "ftl_window", "agent", int, None),
             constraint_xi=_get(raw, "constraint_xi", "agent", default=1.0),
         )

@@ -23,6 +23,7 @@ from dualbid.oracle import (
     LogRecord,
     MultiplierProfile,
     OpportunityLog,
+    ReplayResult,
     replay,
     search_multiplier,
 )
@@ -94,6 +95,37 @@ def replay_by_record(
             acc[0] += spend
             acc[1] += value
     return spend_total, value_total, per_placement, per_window
+
+
+def replay_shading_every_row(
+    log: OpportunityLog, profile: MultiplierProfile, bid_cap: float = DEFAULT_BID_CAP
+):
+    """Reference for replay on a realized log: every first-price row is
+    shaded by optimal_bids, also the ones that lose at any shade, and every
+    sum is taken as replay takes it.  Returns (ReplayResult, won, adjusted),
+    won and adjusted per record."""
+    cols = log.arrays
+    adjusted = np.array(
+        [adjusted_value(r.value, profile.vector_for(r.windows)) for r in log.records]
+    )
+    bids = optimal_bids(cols.table, adjusted, bid_cap)
+    won, spend = resolve(cols.table, bids, cols.clearing)
+    value = np.where(won, cols.values, 0.0)
+    n = len(cols.placement_names)
+    p_spend = np.bincount(cols.placement_codes, weights=spend, minlength=n)
+    p_value = np.bincount(cols.placement_codes, weights=value, minlength=n)
+    result = ReplayResult(
+        spend=float(spend.sum()),
+        value=float(value.sum()),
+        per_placement={
+            name: (float(s), float(v)) for name, s, v in zip(cols.placement_names, p_spend, p_value)
+        },
+        per_window={
+            w: (float(spend[mask].sum()), float(value[mask].sum()))
+            for w, mask in cols.window_masks.items()
+        },
+    )
+    return result, won, adjusted
 
 
 def lambda_star_by_replay(log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP):

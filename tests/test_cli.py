@@ -145,6 +145,21 @@ class TestRun:
             (("agent", "xi"), math.inf, "agent"),
             (("agent", "constraint_xi"), math.nan, "agent"),
             (("agent", "bid_cap"), math.inf, "agent"),
+            # numbers must be JSON numbers, integers integral ones
+            (("intervals",), 220.9, "intervals"),
+            (("seed",), "7", "seed"),
+            (("budget",), True, "budget"),
+            (("delivery_windows", 0, "end"), 150.5, "delivery_windows[0].end"),
+            (("agent", "ftl_window"), True, "agent.ftl_window"),
+            (("agent", "xi"), "2.0", "agent.xi"),
+            (("placements", 0, "intensity"), "30", "placements[0].intensity"),
+            (("placements", 0, "intensity"), [30.0, "30"], "placements[0].intensity[1]"),
+            (("placements", 1, "competitor", "mu"), "-0.3", "placements[1].competitor.mu"),
+            (("placements", 1, "drift", "bid_mu", 1, 0), 140.5, "placements[1].drift.bid_mu[1][0]"),
+            (("placements", 1, "drift", "bid_mu", 1), 140, "placements[1].drift.bid_mu"),
+            # a boolean must be a JSON boolean: "false" would turn MPC on
+            (("agent", "mpc"), "false", "agent.mpc"),
+            (("agent", "mpc"), 0, "agent.mpc"),
         ],
     )
     def test_malformed_field_exits_2_with_its_path(self, tmp_path, capsys, keys, value, field):

@@ -291,3 +291,63 @@ def test_competitor_wire_format_round_trip():
         assert competitor_from_dict(competitor_to_dict(model)) == model
     with pytest.raises(MechanismError):
         competitor_from_dict({"family": "beta"})
+
+
+def _curves_one_at_a_time(table: MechanismTable, b):
+    """(H, G, markup) with each curve evaluated on its own: the reference
+    for the one-pass evaluation of cost_and_win and markup."""
+    b = np.asarray(b, dtype=float)
+
+    def col(per_row):
+        return per_row[0] if len(per_row) == 1 else per_row.reshape(per_row.shape + (1,) * (b.ndim - 1))
+
+    reserve = col(table.reserve)
+    G = np.where(b >= reserve, table.cdf(b), 0.0)
+    g = np.where(b >= reserve, table.pdf(b), 0.0)
+    tail = np.maximum(table.partial_expectation(b) - col(table.partial_expectation(table.reserve)), 0.0)
+    second = np.where(b >= reserve, reserve * col(table.cdf(table.reserve)) + tail, 0.0)
+    H = np.where(col(table.first_price), b * G, second)
+    markup = b + np.where(G <= 0.0, 0.0, np.where(g <= 0.0, np.inf, G / np.maximum(g, 1e-300)))
+    return H, G, markup
+
+
+FUSED_SPECS = [
+    MechanismSpec(auction, reserve, competitor)
+    for auction in ("first_price", "second_price")
+    for reserve in (0.0, 0.4)
+    for competitor in (
+        LognormalBids(-0.3, 0.8),
+        UniformBids(0.1, 1.5),
+        EmpiricalBids((0.2, 0.5, 0.5, 0.9, 1.3)),
+    )
+]
+
+
+def test_one_curve_pass_matches_each_curve_on_its_own():
+    specs = FUSED_SPECS * 5
+    table = MechanismTable.from_specs(specs)
+    # per row: zero, below the reserve, inside the support, above its top
+    bids = np.array([[0.0, 0.3, 0.4, 0.7, 1.3, 1.6, 40.0][i % 7] for i in range(len(specs))])
+    H, G = table.cost_and_win(bids)
+    H_ref, G_ref, markup_ref = _curves_one_at_a_time(table, bids)
+    np.testing.assert_array_equal(G, G_ref)
+    np.testing.assert_array_equal(H, H_ref)
+    np.testing.assert_array_equal(table.markup(bids), markup_ref)
+    np.testing.assert_array_equal(table.win_prob(bids), G)
+    np.testing.assert_array_equal(table.expected_cost(bids), H)
+    for i, spec in enumerate(specs):
+        assert win_prob(spec, bids[i]) == G[i]
+        assert expected_cost(spec, bids[i]) == H[i]
+
+
+@pytest.mark.parametrize("spec", FUSED_SPECS[::2], ids=lambda s: f"{s.auction_type}-{s.reserve}-{s.competitor.family}")
+def test_one_curve_pass_on_a_one_row_table_takes_2d_bids(spec):
+    bids = np.array([[0.0, 0.3, 0.4], [0.7, 1.6, 40.0]])
+    H, G = spec.table.cost_and_win(bids)
+    H_ref, G_ref, markup_ref = _curves_one_at_a_time(spec.table, bids)
+    assert H.shape == G.shape == bids.shape
+    np.testing.assert_array_equal(G, G_ref)
+    np.testing.assert_array_equal(H, H_ref)
+    np.testing.assert_array_equal(spec.table.markup(bids), markup_ref)
+    np.testing.assert_array_equal(win_prob(spec, bids), G)
+    np.testing.assert_array_equal(expected_cost(spec, bids), H)

@@ -12,7 +12,14 @@ import pytest
 
 import dualbid.oracle as oracle
 from dualbid.bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, optimal_bids
-from dualbid.mechanisms import LognormalBids, MechanismSpec, MechanismTable, UniformBids, resolve
+from dualbid.mechanisms import (
+    EmpiricalBids,
+    LognormalBids,
+    MechanismSpec,
+    MechanismTable,
+    UniformBids,
+    resolve,
+)
 from dualbid.oracle import (
     LAMBDA_LIMIT,
     LogRecord,
@@ -33,6 +40,7 @@ from helpers import (
     ftl_lambda_by_replay,
     lambda_star_by_replay,
     mixed_scenario,
+    replay_shading_every_row,
     threshold_lambda,
 )
 
@@ -276,3 +284,76 @@ def test_step_path_keeps_the_monotonicity_guard(monkeypatch):
     monkeypatch.setattr(RealizedSpend, "at", lambda self, lam: (10.0 + lam, 0.0))
     with pytest.raises(oracle.OracleError, match="increases with the multiplier"):
         solve_lambda_star(log, 5.0)
+
+
+FP_RESERVE = MechanismSpec("first_price", 0.3, LognormalBids(-0.3, 0.8))
+FP_EMPIRICAL = MechanismSpec("first_price", 0.0, EmpiricalBids((0.2, 0.5, 0.5, 0.9, 1.3)))
+SMALL_CAP = 2.0  # below some prices and adjusted values, so it binds
+
+
+def first_price_log() -> OpportunityLog:
+    """Realized first-price rows down every shading path (lognormal by
+    Newton and, with a reserve, by bisection; uniform in closed form;
+    empirical by atoms), with zero prices and a price at the bid cap, in
+    two placements and two overlapping windows."""
+    rng = np.random.default_rng(23)
+    mechs = (FP, FP_RESERVE, FP_UNIFORM, FP_EMPIRICAL)
+    records = []
+    for i in range(120):
+        mech = mechs[i % 4]
+        clearing = 0.0 if i % 11 == 0 else float(mech.competitor.quantile(rng.random()))
+        windows = ("w1",) * (i % 5 == 0) + ("w2",) * (i % 7 == 0)
+        placement = "a" if i % 3 else "b"
+        value = float(rng.lognormal(-0.5, 1.0))
+        if i == 0:  # a zero value at a zero price: a tie that wins nothing
+            value = 0.0
+        if i == 4:  # a capped bid tied with its price wins
+            value, clearing = 50.0, SMALL_CAP
+        records.append(LogRecord(float(i), placement, value, mech, clearing, windows))
+    return OpportunityLog(records)
+
+
+def _record_shading(monkeypatch) -> list[np.ndarray]:
+    """The adjusted values of every shade_bids call the oracle makes."""
+    seen = []
+    original = oracle.shade_bids
+
+    def recording(table, adjusted, bid_cap):
+        seen.append(np.asarray(adjusted, dtype=float).copy())
+        return original(table, adjusted, bid_cap)
+
+    monkeypatch.setattr(oracle, "shade_bids", recording)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["first_price", "mixed"])
+def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
+    log, cap = (first_price_log(), SMALL_CAP) if kind == "first_price" else (mixed_log(), CAP)
+    cols = log.arrays
+    price = np.maximum(cols.clearing, cols.table.reserve)
+    seen = _record_shading(monkeypatch)
+    steps = RealizedSpend(cols.values, cols.clearing, cols.table, cap, budget_adjusted)
+    skipped = live = capped = 0
+    for lam in np.geomspace(0.1, 20.0, 7).tolist():
+        profiles = [MultiplierProfile(lam=lam)]
+        if kind == "first_price":
+            windowed = {"window_lambda": {"w1": 0.5}, "window_mu": {"w2": 0.3}}
+            profiles.append(MultiplierProfile(lam=lam, **windowed))
+        for profile in profiles:
+            expected, won, adjusted = replay_shading_every_row(log, profile, cap)
+            seen.clear()
+            assert replay(log, profile, cap) == expected
+            # shade_bids saw exactly the first-price rows that can still win
+            can_win = cols.table.first_price & (np.minimum(adjusted, cap) >= price)
+            shaded = np.concatenate(seen) if seen else np.empty(0)
+            np.testing.assert_array_equal(np.sort(shaded), np.sort(adjusted[can_win]))
+            skipped += int(np.count_nonzero(cols.table.first_price & ~can_win))
+            live += int(np.count_nonzero(can_win))
+            capped += int(np.count_nonzero(can_win & (adjusted > cap)))
+        assert steps.replay_spend(lam) == replay(log, MultiplierProfile(lam=lam), cap).spend
+        if kind == "first_price":
+            # every row is first price, so at() sums the same rows as replay
+            expected, won, _ = replay_shading_every_row(log, MultiplierProfile(lam=lam), cap)
+            assert steps.at(lam) == (expected.spend, float(cols.values[won].sum()))
+    assert skipped and live
+    assert capped or kind == "mixed", "the bid cap never bound"

@@ -90,6 +90,18 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="agent"):
             parse_scenario(cfg)
 
+    def test_mpc_takes_only_a_json_boolean(self):
+        for flag in (True, False):
+            assert parse_scenario(stationary_scenario(agent={"mpc": flag})).agent.pacing.mpc is flag
+        for bad in ("false", "true", 0, 1):
+            with pytest.raises(ScenarioError, match=r"^agent\.mpc: expected true or false"):
+                parse_scenario(stationary_scenario(agent={"mpc": bad}))
+
+    def test_integral_numbers_are_integers(self):
+        scenario = parse_scenario(stationary_scenario(intervals=220.0, seed=7.0))
+        assert (scenario.intervals, scenario.seed) == (220, 7)
+        assert isinstance(scenario.intervals, int) and isinstance(scenario.seed, int)
+
     def test_bad_batch_field(self):
         cfg = stationary_scenario(agent={"batch": "hourly"})
         with pytest.raises(ScenarioError, match="batch"):
