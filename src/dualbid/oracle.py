@@ -163,8 +163,8 @@ class LogColumns:
 
     @cached_property
     def price(self) -> np.ndarray:
-        """What each realized record's auction charges a winner at most:
-        max(clearing, reserve); NaN in distributional records."""
+        """The least bid that wins each realized record's auction (ties
+        win): max(clearing, reserve); NaN in distributional records."""
         return np.maximum(self.clearing, self.table.reserve)
 
     def take(self, rows) -> LogColumns:
@@ -235,7 +235,9 @@ class ReplayResult:
     per_window: dict[str, tuple[float, float]]
 
 
-def _bids(table: MechanismTable, adjusted: np.ndarray, price: np.ndarray, bid_cap: float):
+def _replay_bids(
+    table: MechanismTable, adjusted: np.ndarray, price: np.ndarray, bid_cap: float
+) -> np.ndarray:
     """optimal_bids, except that a first-price row that loses at any shade
     keeps its unshaded bid min(adjusted, bid_cap).
 
@@ -260,7 +262,8 @@ def _spend_value(
     cols = log.arrays
     vectors = [profile.vector_for(c) for c in cols.window_combos]
     factors = np.array([v.numerator / max(v.denominator, LAMBDA_FLOOR) for v in vectors])
-    bids = _bids(cols.table, factors[cols.combo_codes] * cols.values, cols.price, bid_cap)
+    adjusted = factors[cols.combo_codes] * cols.values
+    bids = _replay_bids(cols.table, adjusted, cols.price, bid_cap)
     model = ~cols.realized
     if model.all():
         spend, win = cols.table.cost_and_win(bids)
@@ -283,7 +286,7 @@ def replay(
     Every first-price row is shaded except a realized one whose unshaded
     bid min(adjusted, bid_cap) is below its price max(clearing, reserve):
     that row loses at any shade, so it keeps cost 0 and value 0 unshaded
-    (see _bids), and every sum is what shading it would give."""
+    (see _replay_bids), and every sum is what shading it would give."""
     cols = log.arrays
     spend, value = _spend_value(log, profile, bid_cap)
     n = len(cols.placement_names)
@@ -379,8 +382,8 @@ class RealizedSpend:
     searchsorted.  A first-price row pays its shaded bid, which moves with
     lam, so those rows alone are resolved at each lam, and of them only the
     ones whose unshaded bid min(adjusted, bid_cap) reaches their price are
-    shaded: the others lose at any shade (see _bids).  limits, when given,
-    are the rows' win_limits under the same adjusted and bid_cap.
+    shaded: the others lose at any shade (see _replay_bids).  limits, when
+    given, are the rows' win_limits under the same adjusted and bid_cap.
     """
 
     def __init__(
@@ -411,7 +414,9 @@ class RealizedSpend:
         spend, value = self._spend[k], self._value[k]
         if self._first_values.size:
             adjusted = self.adjusted(lam, self._first_values)
-            bids = _bids(self._first_table, adjusted, self._first_prices, self.bid_cap)
+            bids = _replay_bids(
+                self._first_table, adjusted, self._first_prices, self.bid_cap
+            )
             won, cost = resolve(self._first_table, bids, self._first_clearing)
             spend += cost.sum()
             value += self._first_values[won].sum()
@@ -420,7 +425,8 @@ class RealizedSpend:
     def replay_spend(self, lam: float) -> float:
         """Spend at lam from every row's bid, summed in row order, as replay
         sums it."""
-        bids = _bids(self.table, self.adjusted(lam, self.values), self._price, self.bid_cap)
+        adjusted = self.adjusted(lam, self.values)
+        bids = _replay_bids(self.table, adjusted, self._price, self.bid_cap)
         return float(resolve(self.table, bids, self.clearing)[1].sum())
 
     def excess(self, lam: float, target: float) -> float:

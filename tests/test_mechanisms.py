@@ -299,13 +299,16 @@ def _curves_one_at_a_time(table: MechanismTable, b):
     b = np.asarray(b, dtype=float)
 
     def col(per_row):
-        return per_row[0] if len(per_row) == 1 else per_row.reshape(per_row.shape + (1,) * (b.ndim - 1))
+        if len(per_row) == 1:
+            return per_row[0]
+        return per_row.reshape(per_row.shape + (1,) * (b.ndim - 1))
 
     reserve = col(table.reserve)
     G = np.where(b >= reserve, table.cdf(b), 0.0)
     g = np.where(b >= reserve, table.pdf(b), 0.0)
-    tail = np.maximum(table.partial_expectation(b) - col(table.partial_expectation(table.reserve)), 0.0)
-    second = np.where(b >= reserve, reserve * col(table.cdf(table.reserve)) + tail, 0.0)
+    cdf_r, pe_r = col(table.cdf(table.reserve)), col(table.partial_expectation(table.reserve))
+    tail = np.maximum(table.partial_expectation(b) - pe_r, 0.0)
+    second = np.where(b >= reserve, reserve * cdf_r + tail, 0.0)
     H = np.where(col(table.first_price), b * G, second)
     markup = b + np.where(G <= 0.0, 0.0, np.where(g <= 0.0, np.inf, G / np.maximum(g, 1e-300)))
     return H, G, markup
@@ -324,9 +327,10 @@ FUSED_SPECS = [
 
 
 def test_one_curve_pass_matches_each_curve_on_its_own():
-    specs = FUSED_SPECS * 5
+    specs = FUSED_SPECS * 7
     table = MechanismTable.from_specs(specs)
-    # per row: zero, below the reserve, inside the support, above its top
+    # each spec meets each bid: zero, below, at and above the reserve, and
+    # above the support top
     bids = np.array([[0.0, 0.3, 0.4, 0.7, 1.3, 1.6, 40.0][i % 7] for i in range(len(specs))])
     H, G = table.cost_and_win(bids)
     H_ref, G_ref, markup_ref = _curves_one_at_a_time(table, bids)
@@ -340,7 +344,9 @@ def test_one_curve_pass_matches_each_curve_on_its_own():
         assert expected_cost(spec, bids[i]) == H[i]
 
 
-@pytest.mark.parametrize("spec", FUSED_SPECS[::2], ids=lambda s: f"{s.auction_type}-{s.reserve}-{s.competitor.family}")
+@pytest.mark.parametrize(
+    "spec", FUSED_SPECS[::2], ids=lambda s: f"{s.auction_type}-{s.reserve}-{s.competitor.family}"
+)
 def test_one_curve_pass_on_a_one_row_table_takes_2d_bids(spec):
     bids = np.array([[0.0, 0.3, 0.4], [0.7, 1.6, 40.0]])
     H, G = spec.table.cost_and_win(bids)

@@ -333,7 +333,17 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
     price = np.maximum(cols.clearing, cols.table.reserve)
     seen = _record_shading(monkeypatch)
     steps = RealizedSpend(cols.values, cols.clearing, cols.table, cap, budget_adjusted)
-    skipped = live = capped = 0
+    counts = {"skipped": 0, "live": 0, "capped": 0}
+
+    def shaded_only_rows_that_can_win(adjusted):
+        can_win = cols.table.first_price & (np.minimum(adjusted, cap) >= price)
+        shaded = np.concatenate(seen) if seen else np.empty(0)
+        np.testing.assert_array_equal(np.sort(shaded), np.sort(adjusted[can_win]))
+        counts["skipped"] += int(np.count_nonzero(cols.table.first_price & ~can_win))
+        counts["live"] += int(np.count_nonzero(can_win))
+        counts["capped"] += int(np.count_nonzero(can_win & (adjusted > cap)))
+        seen.clear()
+
     for lam in np.geomspace(0.1, 20.0, 7).tolist():
         profiles = [MultiplierProfile(lam=lam)]
         if kind == "first_price":
@@ -343,17 +353,14 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
             expected, won, adjusted = replay_shading_every_row(log, profile, cap)
             seen.clear()
             assert replay(log, profile, cap) == expected
-            # shade_bids saw exactly the first-price rows that can still win
-            can_win = cols.table.first_price & (np.minimum(adjusted, cap) >= price)
-            shaded = np.concatenate(seen) if seen else np.empty(0)
-            np.testing.assert_array_equal(np.sort(shaded), np.sort(adjusted[can_win]))
-            skipped += int(np.count_nonzero(cols.table.first_price & ~can_win))
-            live += int(np.count_nonzero(can_win))
-            capped += int(np.count_nonzero(can_win & (adjusted > cap)))
-        assert steps.replay_spend(lam) == replay(log, MultiplierProfile(lam=lam), cap).spend
+            shaded_only_rows_that_can_win(adjusted)
+        expected, won, adjusted = replay_shading_every_row(log, MultiplierProfile(lam=lam), cap)
+        seen.clear()
+        assert steps.replay_spend(lam) == expected.spend
+        shaded_only_rows_that_can_win(adjusted)
         if kind == "first_price":
-            # every row is first price, so at() sums the same rows as replay
-            expected, won, _ = replay_shading_every_row(log, MultiplierProfile(lam=lam), cap)
+            # every row is first price, so at() resolves the same rows as replay
             assert steps.at(lam) == (expected.spend, float(cols.values[won].sum()))
-    assert skipped and live
-    assert capped or kind == "mixed", "the bid cap never bound"
+            shaded_only_rows_that_can_win(adjusted)
+    assert counts["skipped"] and counts["live"]
+    assert counts["capped"] or kind == "mixed", "the bid cap never bound"
