@@ -148,9 +148,10 @@ def _step_bids(table: MechanismTable, xs: np.ndarray, hi: np.ndarray) -> np.ndar
     return bids
 
 
-def _solves_markup(table: MechanismTable, bids: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Residual gate every shaded bid passes: |markup(b) - x| <= 1e-9 max(1, x)."""
-    return np.abs(table.markup(bids) - xs) <= _INVERT_REL_TOL * np.maximum(1.0, xs)
+def _solves_markup(markup: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Residual gate every shaded bid b passes, given markup = b + G(b)/g(b):
+    |markup - x| <= 1e-9 max(1, x)."""
+    return np.abs(markup - xs) <= _INVERT_REL_TOL * np.maximum(1.0, xs)
 
 
 def _lognormal_newton(mu: np.ndarray, sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -195,7 +196,7 @@ def _bisect(table: MechanismTable, xs: np.ndarray, hi: np.ndarray, bid_cap: floa
         lo = np.where(below, mid, lo)
         up = np.where(below, up, mid)
     bids = 0.5 * (lo + up)
-    ok = _solves_markup(table, bids, xs)
+    ok = _solves_markup(table.markup(bids), xs)
     if ok.all():
         return bids, False
     # finite support: certain win at the top once the target clears it
@@ -218,9 +219,11 @@ def shade_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP
     closed form (the map is 2b - lo on the support).  Empirical rows take
     their best atom (see _step_bids).  Lognormal rows with no reserve solve
     by Newton in the standardized log bid (see _lognormal_newton), capped at
-    min(adjusted, bid_cap).  Every other row, and every Newton row whose bid
-    fails the residual gate |markup(b) - adjusted| <= 1e-9 max(1, adjusted)
-    (a binding bid cap, a non-finite or unconverged step), bisects; a row
+    min(adjusted, bid_cap); where the markup at the bid cap is still below
+    the adjusted value, the root lies above the cap and the bid is the cap
+    (G is log-concave, so the markup increases).  Every other row, and every
+    Newton row whose bid fails the residual gate |markup(b) - adjusted| <=
+    1e-9 max(1, adjusted) (a non-finite or unconverged step), bisects; a row
     whose bisection fails the same gate (reserve discontinuities,
     non-monotone maps) wins with certainty at a finite support top once its
     target clears the markup there, and otherwise falls back to a grid
@@ -244,7 +247,11 @@ def shade_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP
         x = xs[rows]
         shaded = np.minimum(_lognormal_newton(table.p1[rows], table.p2[rows], x), hi[rows])
         bids[rows] = shaded
-        rest[rows] = ~_solves_markup(table if newton.all() else table.take(rows), shaded, x)
+        markup = (table if newton.all() else table.take(rows)).markup(shaded)
+        # below the root the markup is under x, so the surplus rises all the
+        # way to a cap that the markup has not reached: the cap is the bid
+        capped = (shaded == bid_cap) & (markup < x)
+        rest[rows] = ~(_solves_markup(markup, x) | capped)
     if rest.any():
         bids[rest], fell_back = _bisect(
             table if rest.all() else table.take(rest), xs[rest], hi[rest], bid_cap
@@ -257,8 +264,9 @@ def optimal_bid(
 ) -> BidDecision:
     """Surplus-maximizing bid for an adjusted value.
 
-    Second price bids the adjusted value itself (capped); first price shades
-    it (shade_bids on the mechanism's one-row table).
+    Second price bids the adjusted value itself; first price shades it
+    (shade_bids on the mechanism's one-row table).  A bid held at a bid cap
+    below the adjusted value is flagged bid_capped.
     """
     if adjusted < 0:
         raise ValueError("adjusted value must be >= 0")
@@ -271,10 +279,9 @@ def optimal_bid(
         if fell_back:
             flags = ("inversion_fallback",)
     else:
-        bid = adjusted
-        if bid > bid_cap:
-            bid = bid_cap
-            flags = ("bid_capped",)
+        bid = min(adjusted, bid_cap)
+    if bid == bid_cap < adjusted:
+        flags += ("bid_capped",)
     return BidDecision(
         bid=bid,
         adjusted_value=adjusted,

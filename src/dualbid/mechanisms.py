@@ -295,13 +295,6 @@ class MechanismTable:
         self.support_top = support_top
         self.model = model
         self.models = models
-        # evaluation plan: (family, model, rows); rows None means every row
-        plan = [(code, None, np.flatnonzero(family == code)) for code in (LOGNORMAL, UNIFORM)]
-        plan += [(None, m, np.flatnonzero(model == k)) for k, m in enumerate(models)]
-        plan = [entry for entry in plan if entry[2].size]
-        if len(plan) == 1:
-            plan = [plan[0][:2] + (None,)]
-        self._plan = plan
 
     @classmethod
     def from_specs(cls, specs) -> MechanismTable:
@@ -350,6 +343,20 @@ class MechanismTable:
         """Indices of the first-price rows and the table restricted to them."""
         rows = np.flatnonzero(self.first_price)
         return rows, self.take(rows)
+
+    @cached_property
+    def _plan(self) -> list[tuple]:
+        """The evaluation plan, (family, model, rows) per group of rows that
+        share their curves; rows None means every row.  Built on the first
+        curve call, so a table taken only to be sliced or read never builds
+        it."""
+        family, model = self.family, self.model
+        plan = [(code, None, np.flatnonzero(family == code)) for code in (LOGNORMAL, UNIFORM)]
+        plan += [(None, m, np.flatnonzero(model == k)) for k, m in enumerate(self.models)]
+        plan = [entry for entry in plan if entry[2].size]
+        if len(plan) == 1:
+            plan = [plan[0][:2] + (None,)]
+        return plan
 
     def _column(self, values, b, rows=None):
         """values (one per row) shaped to broadcast against the bids b."""

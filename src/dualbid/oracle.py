@@ -372,6 +372,14 @@ def win_limits(values, clearing, table: MechanismTable, bid_cap: float, adjusted
     return limits
 
 
+def limit_order(limits: np.ndarray, first_price: np.ndarray) -> np.ndarray:
+    """The second-price rows (first_price False) by win limit, largest
+    first.  Rows of equal limit win and lose together, so their order is
+    free."""
+    second = np.flatnonzero(~first_price)
+    return second[np.argsort(-limits[second])]
+
+
 class RealizedSpend:
     """Realized spend and value of a log's rows under one multiplier lam, as
     functions of lam, without replaying every row at every lam.
@@ -383,12 +391,16 @@ class RealizedSpend:
     lam, so those rows alone are resolved at each lam, and of them only the
     ones whose unshaded bid min(adjusted, bid_cap) reaches their price are
     shaded: the others lose at any shade (see _replay_bids).  limits, when
-    given, are the rows' win_limits under the same adjusted and bid_cap.
+    given, are the rows' win_limits under the same adjusted and bid_cap, and
+    order, when given, is limit_order of those limits (an FTL episode sorts
+    its stream once and carries the order into every history slice), so
+    that neither is computed again.
     """
 
     def __init__(
-        self, values, clearing, table: MechanismTable, bid_cap: float, adjusted, limits=None
-    ):
+        self, values, clearing, table: MechanismTable, bid_cap: float, adjusted, limits=None,
+        order=None,
+    ):  # fmt: skip
         self.values = np.asarray(values, dtype=float)
         self.clearing = np.asarray(clearing, dtype=float)
         self.table = table
@@ -396,16 +408,36 @@ class RealizedSpend:
         self.adjusted = adjusted
         if limits is None:
             limits = win_limits(self.values, self.clearing, table, bid_cap, adjusted)
+        if order is None:
+            order = limit_order(limits, table.first_price)
         self._price = np.maximum(self.clearing, table.reserve)
-        # rows of equal limit win and lose together, so their order is free
-        second = np.flatnonzero(~table.first_price)
-        order = second[np.argsort(-limits[second])]
+        self._order = order
         self._neg_limits = -limits[order]
         self._spend = np.concatenate(([0.0], np.cumsum(self._price[order])))
-        self._value = np.concatenate(([0.0], np.cumsum(self.values[order])))
         rows, self._first_table = table.first_price_rows
         self._first_values, self._first_clearing = self.values[rows], self.clearing[rows]
         self._first_prices = self._price[rows]
+
+    @cached_property
+    def _value(self) -> np.ndarray:
+        """Cumulative value in limit order; only at reads it, FTL never does."""
+        return np.concatenate(([0.0], np.cumsum(self.values[self._order])))
+
+    def crossing(self, target: float) -> float | None:
+        """The limit L at which the spend crosses target >= 0: excess(lam,
+        target) <= 0 exactly when lam > L (-inf when every row fits).
+
+        L is the win limit of the first sorted row whose cumulative price
+        exceeds target.  None when the rows include first-price ones, whose
+        spend moves between limits, or when a cumulative spend lies within
+        _RESUM_REL of target, where excess takes its sign from a replay."""
+        if self._first_values.size:
+            return None
+        # the largest count of rows, in limit order, whose spend fits
+        k = int(self._spend.searchsorted(target, side="right")) - 1
+        if (np.abs(self._spend[k : k + 2] - target) <= _RESUM_REL * target).any():
+            return None
+        return float(-self._neg_limits[k]) if k < len(self._neg_limits) else -math.inf
 
     def at(self, lam: float) -> tuple[float, float]:
         """Spend and value at lam: the second-price rows summed in limit

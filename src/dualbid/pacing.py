@@ -572,13 +572,15 @@ def ftl_update(
 
     entries are the auctions seen so far, in order (a prefix of the
     episode's stream); their value, clearing_bid and table columns are read,
-    and their ftl_limit column when the episode has set it (see
-    ftl_win_limits).  Found by the oracle's search_multiplier on an
-    oracle.RealizedSpend: second-price auctions are one sorted step
-    function of lam, first-price ones that can still win are shaded at each
-    step, and the signs the search reads are those of a full replay.  Replayed spend is a
-    step function of lam, so the search returns the conservative high side
-    of its final bracket.
+    and their ftl_limit and ftl_order columns when the episode has set them
+    (see ftl_win_limits and OpportunityStream).  Found by the oracle's
+    search_multiplier on an oracle.RealizedSpend.  With second-price
+    auctions only, spend is one sorted step function of lam, whose crossing
+    of the budget pace gives the sign of every step at once
+    (RealizedSpend.crossing); otherwise, first-price auctions that can still
+    win are shaded at each step.  Either way the signs the search reads are
+    those of a full replay.  Replayed spend is a step function of lam, so
+    the search returns the conservative high side of its final bracket.
     """
     if not entries:
         raise PacingError("ftl update needs at least one logged auction")
@@ -586,9 +588,16 @@ def ftl_update(
     target = budget / expected_total * len(scope)
     spend = RealizedSpend(
         scope.value, scope.clearing_bid, scope.table, DEFAULT_BID_CAP, _ftl_adjusted,
-        scope.ftl_limit,
+        scope.ftl_limit, scope.ftl_order,
     )  # fmt: skip
-    found = search_multiplier(lambda lam: spend.excess(lam, target), LAMBDA_FLOOR, LAMBDA_LIMIT)
+    limit = spend.crossing(target)
+
+    def excess(lam: float) -> float:
+        if limit is None:
+            return spend.excess(lam, target)
+        return -1.0 if lam > limit else 1.0
+
+    found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT)
     if found is None:
         raise PacingError("could not bracket the hindsight multiplier")
     lam, bracket = found

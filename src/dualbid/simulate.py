@@ -29,7 +29,7 @@ import numpy as np
 from .bidding import LAMBDA_FLOOR, optimal_bids
 from .coldstart import ColdStartResult, PlacementPriors, solve_lambda0_multi
 from .mechanisms import LognormalBids, MechanismSpec, MechanismTable, resolve
-from .oracle import LogColumns, OpportunityLog, marginal_roi
+from .oracle import LogColumns, OpportunityLog, limit_order, marginal_roi
 from .pacing import ForecastModel, PacingState, apply_batch_update, ftl_win_limits, normalize
 from .scenario import PlacementConfig, ScenarioConfig
 
@@ -57,15 +57,18 @@ class OpportunityStream:
     ``placement_ids``), ``value``, ``clearing_bid``, ``result_draw``, and
     ``cell``, the index into ``cells`` of the mechanism each opportunity was
     drawn under; ``table`` holds that mechanism per row.  ``ftl_limit`` is
-    each row's win limit under FTL's bid (``pacing.ftl_win_limits``), set by
-    an FTL episode so that every history prefix carries it, and None
-    otherwise.  An int index yields an ``Opportunity`` row view; a slice,
-    mask or index array yields the sub-stream.
+    each row's win limit under FTL's bid (``pacing.ftl_win_limits``), and
+    ``ftl_order`` the second-price rows sorted by it (``oracle.limit_order``),
+    both set once by an FTL episode and None otherwise.  Every sub-stream
+    carries ``ftl_limit``; a contiguous slice also carries ``ftl_order``,
+    re-based to the slice, and any other selection drops it.  An int index
+    yields an ``Opportunity`` row view; a slice, mask or index array yields
+    the sub-stream.
     """
 
     def __init__(
         self, placement_ids, cells, interval, jitter, placement, value, clearing_bid,
-        result_draw, cell, table, ftl_limit=None,
+        result_draw, cell, table, ftl_limit=None, ftl_order=None,
     ):  # fmt: skip
         self.placement_ids = tuple(placement_ids)
         self.cells = tuple(cells)
@@ -78,16 +81,26 @@ class OpportunityStream:
         self.cell = cell
         self.table = table
         self.ftl_limit = ftl_limit
+        self.ftl_order = ftl_order
 
     def __len__(self) -> int:
         return len(self.value)
 
     def take(self, rows) -> OpportunityStream:
+        order = None
+        if self.ftl_order is not None and isinstance(rows, slice):
+            start, stop, step = rows.indices(len(self))
+            if step == 1:
+                kept = self.ftl_order < stop
+                if start:
+                    kept &= self.ftl_order >= start
+                # compress: a boolean index over a shuffled mask is slower
+                order = np.compress(kept, self.ftl_order) - start
         return OpportunityStream(
             self.placement_ids, self.cells, self.interval[rows], self.jitter[rows],
             self.placement[rows], self.value[rows], self.clearing_bid[rows],
             self.result_draw[rows], self.cell[rows], self.table.take(rows),
-            None if self.ftl_limit is None else self.ftl_limit[rows],
+            None if self.ftl_limit is None else self.ftl_limit[rows], order,
         )  # fmt: skip
 
     def __getitem__(self, key):
@@ -131,12 +144,33 @@ def drifted_value_mu(placement: PlacementConfig, interval: int) -> float:
     return placement.value_mu + placement.value_mu_drift.offset_at(interval)
 
 
-def _cell_rng(seed: int, placement_index: int, interval: int) -> np.random.Generator:
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((placement_index << 32) | interval)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+def _cell_rngs(seed: int):
+    """A function of (placement index, interval) giving that cell's random
+    generator, keyed by (seed, placement, interval).
+
+    One Philox serves every cell: its state is set to the cell's key, a zero
+    counter and an empty buffer, so each cell draws what a fresh
+    Philox(key=...) would, without seeding a throwaway SeedSequence from OS
+    entropy per cell.  The generator returned is valid until the next call.
+    """
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+
+    def cell_rng(placement_index: int, interval: int) -> np.random.Generator:
+        key = np.array(
+            [seed & 0xFFFFFFFFFFFFFFFF, (placement_index << 32) | interval], dtype=np.uint64
+        )
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng
+
+    return cell_rng
 
 
 def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
@@ -146,12 +180,13 @@ def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
     cell_interval: list[int] = []
     cell_placement: list[int] = []
     draws: list[tuple[np.ndarray, ...]] = []
+    cell_rng = _cell_rngs(scenario.seed)
     for p_idx, placement in enumerate(scenario.placements):
         for interval in range(scenario.intervals):
             intensity = placement.intensity_at(interval)
             if intensity <= 0:
                 continue
-            rng = _cell_rng(scenario.seed, p_idx, interval)
+            rng = cell_rng(p_idx, interval)
             n = int(rng.poisson(intensity))
             if n == 0:
                 continue
@@ -408,8 +443,9 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
 
     stream = generate_stream(scenario)
     if cfg.mode == "ftl":
-        # once per row for the episode; each history prefix slices it
+        # once for the episode; each history prefix slices them
         stream.ftl_limit = ftl_win_limits(stream)
+        stream.ftl_order = limit_order(stream.ftl_limit, stream.table.first_price)
     values, clearing = stream.value, stream.clearing_bid
     # the stream is ordered by interval: interval i is rows starts[i]:starts[i + 1]
     starts = np.searchsorted(stream.interval, np.arange(scenario.intervals + 1))

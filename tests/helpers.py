@@ -193,9 +193,9 @@ def auction_history(values, clearing, mech: MechanismSpec) -> OpportunityStream:
 def stream_by_sort(scenario) -> list[tuple]:
     """Reference stream: every opportunity as a (interval, jitter, placement,
     value, clearing_bid, mechanism, result_draw) tuple, drawn cell by cell
-    with the simulator's keyed random streams and then sorted one at a time
-    by (interval, jitter, placement id)."""
-    from dualbid.simulate import _cell_rng, drifted_mechanism, drifted_value_mu
+    from a fresh Philox keyed by (seed, placement, interval) per cell and then
+    sorted one at a time by (interval, jitter, placement id)."""
+    from dualbid.simulate import drifted_mechanism, drifted_value_mu
 
     rows = []
     for p_idx, placement in enumerate(scenario.placements):
@@ -203,7 +203,8 @@ def stream_by_sort(scenario) -> list[tuple]:
             intensity = placement.intensity_at(interval)
             if intensity <= 0:
                 continue
-            rng = _cell_rng(scenario.seed, p_idx, interval)
+            key = np.array([scenario.seed & 0xFFFFFFFFFFFFFFFF, (p_idx << 32) | interval], np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
             n = int(rng.poisson(intensity))
             if n == 0:
                 continue

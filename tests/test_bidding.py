@@ -304,11 +304,22 @@ def test_lognormal_shading_is_scale_equivariant():
     np.testing.assert_allclose(bids, np.exp(mus) * scaled, rtol=1e-12, atol=0.0)
 
 
-def test_lognormal_bid_cap_falls_through():
-    # a binding cap fails the residual gate, so the row takes the
-    # bisection path and its fallbacks, as every other row does
+def test_lognormal_bid_cap_returns_the_cap(monkeypatch):
+    # the markup at the cap is below the target, so the root lies above the
+    # cap and the surplus rises all the way to it: the cap is the bid,
+    # without the bisection or the grid search
+    def no_search(*args):
+        raise AssertionError("a binding cap took the bisection")
+
+    monkeypatch.setattr(bidding, "_bisect", no_search)
     mech = MechanismSpec("first_price", 0.0, LognormalBids(0.0, 0.8))
+    assert mech.table.markup(np.array([1.0]))[0] < 50.0
     bids, fell_back = shade_bids(mech.table, 50.0, bid_cap=1.0)
     decision = optimal_bid(mech, 50.0, bid_cap=1.0)
-    assert fell_back and "inversion_fallback" in decision.flags
-    assert bids[0] == pytest.approx(1.0, abs=1e-6) and decision.bid == bids[0]
+    assert bids[0] == 1.0 and not fell_back
+    assert decision.bid == 1.0 and decision.flags == ("bid_capped",)
+    grid = np.linspace(0.0, 1.0, 1001)
+    assert (mech.table.surplus(50.0, grid) <= mech.table.surplus(50.0, 1.0)).all()
+    # with its root below the cap the same row is shaded and not flagged
+    free = optimal_bid(mech, 1.2, bid_cap=1.0)
+    assert free.bid < 1.0 and free.flags == ()

@@ -357,3 +357,22 @@ def test_one_curve_pass_on_a_one_row_table_takes_2d_bids(spec):
     np.testing.assert_array_equal(spec.table.markup(bids), markup_ref)
     np.testing.assert_array_equal(win_prob(spec, bids), G)
     np.testing.assert_array_equal(expected_cost(spec, bids), H)
+
+
+@pytest.mark.parametrize(
+    "rows", [slice(None), slice(0, 1), slice(1, 2), np.arange(0, 84, 3)], ids=str
+)
+def test_lazily_planned_table_matches_an_eager_one(rows):
+    # a taken table builds its evaluation plan on its first curve call; its
+    # curves equal those of a table over the same specs planned at once
+    specs = FUSED_SPECS * 7
+    parent = MechanismTable.from_specs(specs)
+    parent.cdf(np.ones(len(specs)))
+    lazy = parent.take(rows)
+    assert "_plan" not in vars(lazy)
+    eager = MechanismTable.from_specs(np.array(specs, dtype=object)[rows].tolist())
+    assert eager._plan
+    bids = np.array([0.0, 0.3, 0.4, 0.7, 1.3, 1.6, 40.0])[np.arange(len(lazy)) % 7]
+    for name in ("cdf", "pdf", "partial_expectation", "markup", "cost_and_win"):
+        np.testing.assert_array_equal(getattr(lazy, name)(bids), getattr(eager, name)(bids))
+    assert "_plan" in vars(lazy)

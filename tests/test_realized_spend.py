@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dualbid.oracle as oracle
+import dualbid.pacing as pacing
 from dualbid.bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, optimal_bids
 from dualbid.mechanisms import (
     EmpiricalBids,
@@ -34,13 +35,14 @@ from dualbid.oracle import (
 )
 from dualbid.pacing import ftl_update, ftl_win_limits
 from dualbid.scenario import parse_scenario
-from dualbid.simulate import OpportunityStream, generate_stream
+from dualbid.simulate import OpportunityStream, generate_stream, run_episode
 from helpers import (
     baseline_bid_by_replay,
     ftl_lambda_by_replay,
     lambda_star_by_replay,
     mixed_scenario,
     replay_shading_every_row,
+    stationary_scenario,
     threshold_lambda,
 )
 
@@ -241,21 +243,107 @@ def _mixed_stream() -> OpportunityStream:
     return generate_stream(parse_scenario(mixed_scenario(intervals=12)))
 
 
-@pytest.mark.parametrize("with_limits", [False, True], ids=["computed", "carried"])
-def test_ftl_lambda_is_bit_identical_to_full_replays(with_limits):
+def _second_price_stream() -> OpportunityStream:
+    return generate_stream(parse_scenario(stationary_scenario(intervals=12)))
+
+
+def _tie_budgets(scope: OpportunityStream, expected_total: float) -> list[float]:
+    """Budgets whose pace target over scope is (up to the rounding of the
+    target) the spend replayed at a row's win limit: a cumulative spend
+    lands on the target, inside the re-summing band."""
+    limits = ftl_win_limits(scope)
+    finite = np.sort(limits[np.isfinite(limits)])
+    budgets = []
+    for lam in finite[[len(finite) // 4, len(finite) // 2]].tolist():
+        bids = optimal_bids(scope.table, _ftl_adjusted(lam, scope.value), CAP)
+        spend = float(resolve(scope.table, bids, scope.clearing_bid)[1].sum())
+        budgets.append(spend * expected_total / len(scope))
+    return budgets
+
+
+@pytest.mark.parametrize("carry", ["computed", "carried", "ordered"])
+def test_ftl_lambda_is_bit_identical_to_full_replays(carry, monkeypatch):
+    # computed: each call finds its own limits and order; carried: the
+    # prefixes carry the episode's limits; ordered: the limits and the
+    # episode's limit order, re-based to each slice
+    resums, crossings = [], []
+    original = RealizedSpend.replay_spend
+    monkeypatch.setattr(
+        RealizedSpend, "replay_spend", lambda self, lam: resums.append(lam) or original(self, lam)
+    )
+    crossing = RealizedSpend.crossing
+    monkeypatch.setattr(
+        RealizedSpend,
+        "crossing",
+        lambda self, target: crossings.append(crossing(self, target)) or crossings[-1],
+    )
+    total = 1200.0
+    mixed, second_price = _mixed_stream(), _second_price_stream()
+    assert mixed.table.first_price.any() and not mixed.table.first_price.all()
+    assert not second_price.table.first_price.any()
+    for stream in (mixed, second_price):
+        if carry != "computed":
+            stream.ftl_limit = ftl_win_limits(stream)
+        if carry == "ordered":
+            stream.ftl_order = oracle.limit_order(stream.ftl_limit, stream.table.first_price)
+        for n in (40, 300, len(stream)):
+            entries = stream[:n]
+            assert (entries.ftl_limit is not None) == (carry != "computed")
+            assert (entries.ftl_order is not None) == (carry == "ordered")
+            for window in (None, 100):
+                scope = entries[-window:] if window is not None else entries
+                for budget in (1.0, 10.0, 60.0, *_tie_budgets(scope, total)):
+                    expected, bracket = ftl_lambda_by_replay(entries, budget, total, window)
+                    result = ftl_update(entries, budget=budget, expected_total=total, window=window)
+                    assert result.lam == expected
+                    assert result.unconstrained == (bracket is None)
+    # the tied budgets were met within the re-summing band, and the
+    # second-price scopes away from it read their signs from the crossing
+    assert resums
+    assert any(c is not None for c in crossings) and None in crossings
+
+
+def test_ftl_order_slices_with_the_stream():
     stream = _mixed_stream()
-    assert stream.table.first_price.any() and not stream.table.first_price.all()
-    if with_limits:
-        stream.ftl_limit = ftl_win_limits(stream)
-    for n in (40, 300, len(stream)):
-        entries = stream[:n]
-        assert (entries.ftl_limit is not None) == with_limits
-        for window in (None, 100):
-            for budget in (1.0, 10.0, 60.0):
-                expected, bracket = ftl_lambda_by_replay(entries, budget, 1200.0, window)
-                result = ftl_update(entries, budget=budget, expected_total=1200.0, window=window)
-                assert result.lam == expected
-                assert result.unconstrained == (bracket is None)
+    stream.ftl_limit = ftl_win_limits(stream)
+    stream.ftl_order = oracle.limit_order(stream.ftl_limit, stream.table.first_price)
+    for rows in (slice(None, 50), slice(10, 50), slice(-30, None), slice(0, 0)):
+        part = stream[rows]
+        expected = oracle.limit_order(part.ftl_limit, part.table.first_price)
+        # a valid limit order of the slice's own second-price rows
+        assert np.array_equal(np.sort(part.ftl_order), np.sort(expected))
+        assert (np.diff(part.ftl_limit[part.ftl_order]) <= 0).all()
+    for rows in (slice(0, 50, 2), np.arange(20), stream.value > 0.1):
+        assert stream[rows].ftl_order is None and stream[rows].ftl_limit is not None
+
+
+def _plain_ftl_episode(monkeypatch, cfg):
+    """The episode with every FTL update solved on a fresh prefix of the
+    stream, which carries no limits and no order."""
+    plain = generate_stream(parse_scenario(cfg))
+    original = pacing.ftl_update
+
+    def on_plain_prefix(entries, budget, expected_total, window=None):
+        assert entries.ftl_order is not None
+        return original(plain[: len(entries)], budget, expected_total, window)
+
+    with monkeypatch.context() as m:
+        m.setattr(pacing, "ftl_update", on_plain_prefix)
+        return run_episode(parse_scenario(cfg))
+
+
+@pytest.mark.parametrize("kind", ["second_price", "mixed"])
+@pytest.mark.parametrize("window", [None, 700])
+def test_ftl_episode_matches_plain_prefixes(kind, window, monkeypatch):
+    make = stationary_scenario if kind == "second_price" else mixed_scenario
+    cfg = make(intervals=30, budget=20.0, agent={"mode": "ftl"})
+    cfg["agent"].pop("xi")
+    if window is not None:
+        cfg["agent"]["ftl_window"] = window
+    episode = run_episode(parse_scenario(cfg))
+    plain = _plain_ftl_episode(monkeypatch, cfg)
+    assert episode.metrics.lambda_trajectory == plain.metrics.lambda_trajectory
+    assert len(set(episode.metrics.lambda_trajectory)) > 10
 
 
 def test_ftl_limits_are_the_ftl_rounding():
