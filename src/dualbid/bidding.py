@@ -71,6 +71,12 @@ class MultiplierVector:
     def denominator(self) -> float:
         return self.lam + self.lam_k + self.mu
 
+    @property
+    def factor(self) -> float:
+        """The adjusted value per unit of value, numerator / denominator,
+        with the denominator floored at LAMBDA_FLOOR to keep bids finite."""
+        return self.numerator / max(self.denominator, LAMBDA_FLOOR)
+
 
 @dataclass(frozen=True)
 class BidDecision:
@@ -82,11 +88,10 @@ class BidDecision:
 
 def adjusted_value(value: float, m: MultiplierVector) -> float:
     """Value scaled by the active multipliers; reduces to value/lam when only
-    the budget constraint is active.  The denominator is floored at
-    LAMBDA_FLOOR to keep bids finite."""
+    the budget constraint is active (see MultiplierVector.factor)."""
     if value < 0:
         raise ValueError("value must be >= 0")
-    return m.numerator / max(m.denominator, LAMBDA_FLOOR) * value
+    return m.factor * value
 
 
 def surplus(mech: MechanismSpec, adjusted: float, b) -> float:

@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -225,6 +226,20 @@ def _write_oracle_curves(
     _write_csv(path, ["lambda", "spend", "value"], rows)
 
 
+def _metric(metrics: dict[str, str], key: str) -> float:
+    """metrics[key] as a finite number; a missing, non-numeric or
+    non-finite value is a validation error naming the key."""
+    if key not in metrics:
+        raise CliError(f"metrics.csv missing key {key!r}", EXIT_VALIDATION)
+    try:
+        value = float(metrics[key])
+    except (TypeError, ValueError):  # TypeError: a row with no value column
+        value = math.nan
+    if not math.isfinite(value):
+        raise CliError(f"metrics.csv {key}: not a finite number: {metrics[key]!r}", EXIT_VALIDATION)
+    return value
+
+
 def cmd_compare(args) -> int:
     run_dir = Path(args.run)
     config_path = run_dir / "config_resolved.json"
@@ -237,11 +252,7 @@ def cmd_compare(args) -> int:
     except (ScenarioError, json.JSONDecodeError) as exc:
         raise CliError(f"bad resolved config: {exc}", EXIT_VALIDATION) from None
     metrics = _read_kv_csv(metrics_path)
-    try:
-        agent_value = float(metrics["total_value"])
-        agent_spend = float(metrics["total_spend"])
-    except KeyError as exc:
-        raise CliError(f"metrics.csv missing key {exc}", EXIT_VALIDATION) from None
+    agent_value, agent_spend = (_metric(metrics, key) for key in ("total_value", "total_spend"))
 
     out_dir = Path(args.out) if args.out else run_dir
     _prepare_outputs(out_dir, ["compare.csv", "oracle_curves.csv", "roi.csv"], args.force)
@@ -328,19 +339,29 @@ def _read_sample_file(path: str) -> list[float]:
     return values
 
 
+# the fields of PlacementPriors, in order, as the CLI names them
+PRIOR_FIELDS = ("bid_mu", "bid_sigma", "value_mu", "value_sigma", "count")
+
+
+def _prior_number(entry: dict, i: int, key: str) -> float:
+    """priors[i][key] when it is a JSON number (not a boolean)."""
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ColdStartError(f"priors[{i}].{key}: not a number: {value!r}")
+    return float(value)
+
+
 def _coldstart_priors(args) -> list[PlacementPriors]:
     if args.priors:
         data = json.loads(Path(args.priors).read_text())
-        return [
-            PlacementPriors(
-                bid_mu=float(p["bid_mu"]),
-                bid_sigma=float(p["bid_sigma"]),
-                value_mu=float(p["value_mu"]),
-                value_sigma=float(p["value_sigma"]),
-                forecast_count=float(p["count"]),
-            )
-            for p in data
-        ]
+        if not isinstance(data, list):
+            raise ColdStartError(f"--priors: expected a JSON list, got {type(data).__name__}")
+        priors = []
+        for i, p in enumerate(data):
+            if not isinstance(p, dict):
+                raise ColdStartError(f"priors[{i}]: expected an object, got {type(p).__name__}")
+            priors.append(PlacementPriors(*(_prior_number(p, i, key) for key in PRIOR_FIELDS)))
+        return priors
     if args.bid_samples or args.value_samples:
         if not (args.bid_samples and args.value_samples):
             raise CliError("need both --bid-samples and --value-samples", EXIT_VALIDATION)
@@ -351,31 +372,14 @@ def _coldstart_priors(args) -> list[PlacementPriors]:
         for name, sigma in (("bid", bid_sigma), ("value", value_sigma)):
             if sigma <= 1e-6:
                 print(f"warning: degenerate {name} samples, sigma floored at 1e-6")
-        return [
-            PlacementPriors(
-                bid_mu=bid_mu,
-                bid_sigma=bid_sigma,
-                value_mu=value_mu,
-                value_sigma=value_sigma,
-                forecast_count=args.count,
-            )
-        ]
-    required = ("bid_mu", "bid_sigma", "value_mu", "value_sigma", "count")
-    if any(getattr(args, name) is None for name in required):
+        return [PlacementPriors(bid_mu, bid_sigma, value_mu, value_sigma, args.count)]
+    if any(getattr(args, name) is None for name in PRIOR_FIELDS):
         raise CliError(
             "give --priors, sample files, or all of --bid-mu --bid-sigma "
             "--value-mu --value-sigma --count",
             EXIT_VALIDATION,
         )
-    return [
-        PlacementPriors(
-            bid_mu=args.bid_mu,
-            bid_sigma=args.bid_sigma,
-            value_mu=args.value_mu,
-            value_sigma=args.value_sigma,
-            forecast_count=args.count,
-        )
-    ]
+    return [PlacementPriors(*(getattr(args, name) for name in PRIOR_FIELDS))]
 
 
 def cmd_coldstart(args) -> int:
@@ -383,7 +387,7 @@ def cmd_coldstart(args) -> int:
         priors = _coldstart_priors(args)
         result = solve_lambda0_multi(priors, args.budget)
     except (ColdStartError, KeyError, json.JSONDecodeError) as exc:
-        raise CliError(f"invalid priors: {exc}", EXIT_VALIDATION) from None
+        raise CliError(f"invalid coldstart input: {exc}", EXIT_VALIDATION) from None
     if args.out:
         out_dir = Path(args.out)
         _prepare_outputs(out_dir, ["coldstart_grid.csv"], args.force)

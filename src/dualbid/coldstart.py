@@ -16,7 +16,7 @@ shared multiplier by bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -40,6 +40,9 @@ class PlacementPriors:
     forecast_count: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ColdStartError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.bid_sigma > 0:
             raise ColdStartError(f"bid_sigma must be > 0, got {self.bid_sigma}")
         if not self.value_sigma > 0:
@@ -75,6 +78,11 @@ def expected_spend_per_opportunity(priors: PlacementPriors, lam: float) -> float
     return scale * float(ndtr(arg))
 
 
+def _check_budget(budget: float) -> None:
+    if not 0 < budget < math.inf:
+        raise ColdStartError(f"budget must be finite and > 0, got {budget}")
+
+
 def solve_lambda0(priors: PlacementPriors, budget: float, count: float | None = None) -> ColdStartResult:
     """Analytic inverse of the spend curve at a per-opportunity rate B/T.
 
@@ -82,8 +90,9 @@ def solve_lambda0(priors: PlacementPriors, budget: float, count: float | None = 
     bind and the floor multiplier is returned with the unconstrained flag.
     """
     total = priors.forecast_count if count is None else count
-    if not (budget > 0 and total > 0):
-        raise ColdStartError("budget and opportunity count must be > 0")
+    _check_budget(budget)
+    if not 0 < total < math.inf:
+        raise ColdStartError(f"opportunity count must be finite and > 0, got {total}")
     rate = budget / total
     mean_bid = priors.mean_competing_bid()
     if rate >= mean_bid:
@@ -105,8 +114,7 @@ def solve_lambda0_multi(placements: list[PlacementPriors], budget: float) -> Col
     curve sum_k T_k * S_k(lam) = B over [1e-12, 1e12]."""
     if not placements:
         raise ColdStartError("at least one placement required")
-    if not budget > 0:
-        raise ColdStartError("budget must be > 0")
+    _check_budget(budget)
     if len(placements) == 1:
         return solve_lambda0(placements[0], budget)
 

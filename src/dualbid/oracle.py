@@ -215,13 +215,7 @@ class MultiplierProfile:
     def vector_for(self, windows: tuple[str, ...]) -> MultiplierVector:
         lam_k = sum(self.window_lambda.get(w, 0.0) for w in windows)
         mu_k = sum(self.window_mu.get(w, 0.0) for w in windows)
-        return MultiplierVector(
-            lam=self.lam,
-            mu=self.mu,
-            cost_target=self.cost_target,
-            lam_k=lam_k,
-            mu_k=mu_k,
-        )
+        return MultiplierVector(self.lam, self.mu, self.cost_target, lam_k, mu_k)
 
     def with_lam(self, lam: float) -> MultiplierProfile:
         return MultiplierProfile(lam, self.mu, self.cost_target, self.window_lambda, self.window_mu)
@@ -261,7 +255,7 @@ def _spend_value(
     """Per-record spend and value at the given multipliers."""
     cols = log.arrays
     vectors = [profile.vector_for(c) for c in cols.window_combos]
-    factors = np.array([v.numerator / max(v.denominator, LAMBDA_FLOOR) for v in vectors])
+    factors = np.array([v.factor for v in vectors])
     adjusted = factors[cols.combo_codes] * cols.values
     bids = _replay_bids(cols.table, adjusted, cols.price, bid_cap)
     model = ~cols.realized
@@ -315,22 +309,22 @@ _LIMIT_STEPS = 64  # floats a win limit may move from value / price
 
 def budget_adjusted(lam, values):
     """The adjusted value under the budget multiplier alone, rounded as
-    replay rounds it: fl(1 / max(lam, LAMBDA_FLOOR)) * value."""
+    replay and an episode round it: fl(1 / max(lam, LAMBDA_FLOOR)) * value,
+    that is MultiplierVector(lam=lam).factor * value."""
     return 1.0 / np.maximum(lam, LAMBDA_FLOOR) * values
 
 
-def win_limits(values, clearing, table: MechanismTable, bid_cap: float, adjusted) -> np.ndarray:
+def win_limits(values, clearing, table: MechanismTable, bid_cap: float) -> np.ndarray:
     """Each realized second-price row's win limit: the largest float lam in
-    [LAMBDA_FLOOR, LAMBDA_LIMIT] at which its bid min(adjusted(lam, value),
-    bid_cap) is >= its price max(clearing, reserve).
+    [LAMBDA_FLOOR, LAMBDA_LIMIT] at which its bid min(budget_adjusted(lam,
+    value), bid_cap) is >= its price max(clearing, reserve).
 
-    adjusted(lam, values) is the caller's own rounding of the adjusted
-    value, applied elementwise to arrays of lam; it does not increase in
-    lam, so a row wins exactly while lam <= its limit.  Each limit starts at
-    value / price and moves one float at a time until the row wins there and
-    loses at the next float up.  A row that still wins at LAMBDA_LIMIT gets
-    +inf, one that loses at LAMBDA_FLOOR (a price above the bid cap, a zero
-    value) gets -inf, and a first-price row NaN.
+    The adjusted value does not increase in lam, so a row wins exactly while
+    lam <= its limit.  Each limit starts at value / price and moves one
+    float at a time until the row wins there and loses at the next float up.
+    A row that still wins at LAMBDA_LIMIT gets +inf, one that loses at
+    LAMBDA_FLOOR (a price above the bid cap, a zero value) gets -inf, and a
+    first-price row NaN.
     """
     price = np.maximum(clearing, table.reserve)
     limits = np.full(len(price), np.nan)
@@ -338,7 +332,7 @@ def win_limits(values, clearing, table: MechanismTable, bid_cap: float, adjusted
     v, p = np.asarray(values, dtype=float)[second], price[second]
 
     def wins(rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return np.minimum(adjusted(lam, v[rows]), bid_cap) >= p[rows]
+        return np.minimum(budget_adjusted(lam, v[rows]), bid_cap) >= p[rows]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.clip(np.where(p > 0, v / p, LAMBDA_LIMIT), LAMBDA_FLOOR, LAMBDA_LIMIT)
@@ -372,56 +366,79 @@ def win_limits(values, clearing, table: MechanismTable, bid_cap: float, adjusted
     return limits
 
 
-def limit_order(limits: np.ndarray, first_price: np.ndarray) -> np.ndarray:
-    """The second-price rows (first_price False) by win limit, largest
-    first.  Rows of equal limit win and lose together, so their order is
-    free."""
-    second = np.flatnonzero(~first_price)
-    return second[np.argsort(-limits[second])]
-
-
 class RealizedSpend:
-    """Realized spend and value of a log's rows under one multiplier lam, as
-    functions of lam, without replaying every row at every lam.
+    """Realized spend and value of a log's rows under the budget multiplier
+    lam alone, as functions of lam, without replaying every row at every lam.
 
-    A second-price row wins exactly while lam <= its win limit (see
-    win_limits), so the second-price rows, sorted by limit with cumulative
-    price and value, give their spend and value at any lam by one
-    searchsorted.  A first-price row pays its shaded bid, which moves with
-    lam, so those rows alone are resolved at each lam, and of them only the
-    ones whose unshaded bid min(adjusted, bid_cap) reaches their price are
-    shaded: the others lose at any shade (see _replay_bids).  limits, when
-    given, are the rows' win_limits under the same adjusted and bid_cap, and
-    order, when given, is limit_order of those limits (an FTL episode sorts
-    its stream once and carries the order into every history slice), so
-    that neither is computed again.
+    Each row bids as replay and an episode bid at lam: budget_adjusted(lam,
+    value), shaded on first-price rows, capped at bid_cap.  A second-price
+    row wins exactly while lam <= its win limit (see win_limits), so the
+    second-price rows, sorted by limit with cumulative price and value, give
+    their spend and value at any lam by one searchsorted.  A first-price row
+    pays its shaded bid, which moves with lam, so those rows alone are
+    resolved at each lam, and of them only the ones whose unshaded bid
+    min(adjusted, bid_cap) reaches their price are shaded: the others lose
+    at any shade (see _replay_bids).
+
+    rs[a:b] is rows a to b - 1 as a RealizedSpend of their own: they keep
+    their limits and their order, re-based to the slice, so that a history
+    read in growing prefixes (an FTL episode) is sorted once.
     """
 
-    def __init__(
-        self, values, clearing, table: MechanismTable, bid_cap: float, adjusted, limits=None,
-        order=None,
-    ):  # fmt: skip
+    def __init__(self, values, clearing, table: MechanismTable, bid_cap: float):
         self.values = np.asarray(values, dtype=float)
         self.clearing = np.asarray(clearing, dtype=float)
         self.table = table
         self.bid_cap = bid_cap
-        self.adjusted = adjusted
-        if limits is None:
-            limits = win_limits(self.values, self.clearing, table, bid_cap, adjusted)
-        if order is None:
-            order = limit_order(limits, table.first_price)
         self._price = np.maximum(self.clearing, table.reserve)
-        self._order = order
-        self._neg_limits = -limits[order]
-        self._spend = np.concatenate(([0.0], np.cumsum(self._price[order])))
-        rows, self._first_table = table.first_price_rows
-        self._first_values, self._first_clearing = self.values[rows], self.clearing[rows]
-        self._first_prices = self._price[rows]
+        self._limits = win_limits(self.values, self.clearing, table, bid_cap)
+        # the second-price rows by limit, largest first; rows of equal limit
+        # win and lose together, so their order is free
+        second = np.flatnonzero(~table.first_price)
+        self._order = second[np.argsort(-self._limits[second])]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, key) -> RealizedSpend:
+        """The rows of a slice with step 1 (a negative start counts from the
+        end)."""
+        if not isinstance(key, slice):
+            raise TypeError(f"RealizedSpend takes a slice, got {type(key).__name__}")
+        start, stop, step = key.indices(len(self))
+        if step != 1:
+            raise ValueError(f"RealizedSpend slices are contiguous, got step {step}")
+        rows = slice(start, stop)
+        kept = self._order < stop
+        if start:
+            kept &= self._order >= start
+        part = object.__new__(RealizedSpend)
+        part.values, part.clearing = self.values[rows], self.clearing[rows]
+        part.table, part.bid_cap = self.table.take(rows), self.bid_cap
+        part._price, part._limits = self._price[rows], self._limits[rows]
+        # compress: a boolean index over a shuffled mask is slower
+        part._order = np.compress(kept, self._order) - start
+        return part
+
+    @cached_property
+    def _neg_limits(self) -> np.ndarray:
+        return -self._limits[self._order]
+
+    @cached_property
+    def _spend(self) -> np.ndarray:
+        """Cumulative price in limit order."""
+        return np.concatenate(([0.0], np.cumsum(self._price[self._order])))
 
     @cached_property
     def _value(self) -> np.ndarray:
         """Cumulative value in limit order; only at reads it, FTL never does."""
         return np.concatenate(([0.0], np.cumsum(self.values[self._order])))
+
+    @cached_property
+    def _first(self) -> tuple[MechanismTable, np.ndarray, np.ndarray, np.ndarray]:
+        """The first-price rows' table, values, clearing bids and prices."""
+        rows, table = self.table.first_price_rows
+        return table, self.values[rows], self.clearing[rows], self._price[rows]
 
     def crossing(self, target: float) -> float | None:
         """The limit L at which the spend crosses target >= 0: excess(lam,
@@ -431,7 +448,7 @@ class RealizedSpend:
         exceeds target.  None when the rows include first-price ones, whose
         spend moves between limits, or when a cumulative spend lies within
         _RESUM_REL of target, where excess takes its sign from a replay."""
-        if self._first_values.size:
+        if self.table.first_price.any():
             return None
         # the largest count of rows, in limit order, whose spend fits
         k = int(self._spend.searchsorted(target, side="right")) - 1
@@ -444,20 +461,18 @@ class RealizedSpend:
         order, plus the first-price rows."""
         k = self._neg_limits.searchsorted(-lam, side="right")
         spend, value = self._spend[k], self._value[k]
-        if self._first_values.size:
-            adjusted = self.adjusted(lam, self._first_values)
-            bids = _replay_bids(
-                self._first_table, adjusted, self._first_prices, self.bid_cap
-            )
-            won, cost = resolve(self._first_table, bids, self._first_clearing)
+        table, values, clearing, price = self._first
+        if values.size:
+            bids = _replay_bids(table, budget_adjusted(lam, values), price, self.bid_cap)
+            won, cost = resolve(table, bids, clearing)
             spend += cost.sum()
-            value += self._first_values[won].sum()
+            value += values[won].sum()
         return float(spend), float(value)
 
     def replay_spend(self, lam: float) -> float:
         """Spend at lam from every row's bid, summed in row order, as replay
         sums it."""
-        adjusted = self.adjusted(lam, self.values)
+        adjusted = budget_adjusted(lam, self.values)
         bids = _replay_bids(self.table, adjusted, self._price, self.bid_cap)
         return float(resolve(self.table, bids, self.clearing)[1].sum())
 
@@ -495,7 +510,7 @@ class _SpendCurve:
         if p.window_lambda or p.window_mu:
             return None
         cols = self.log.arrays
-        return RealizedSpend(cols.values, cols.clearing, cols.table, self.bid_cap, budget_adjusted)
+        return RealizedSpend(cols.values, cols.clearing, cols.table, self.bid_cap)
 
     def excess(self, lam: float, target: float) -> float:
         """Spend at lam minus target, from the step function when there is one."""

@@ -17,17 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 # FTL shades first-price rows through oracle.RealizedSpend; shade_bids stays
 # bound here because bench/spans.py traces it in every namespace that binds it
-from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, shade_bids  # noqa: F401
-from .oracle import LAMBDA_LIMIT, RealizedSpend, search_multiplier, win_limits
-
-if TYPE_CHECKING:
-    from .simulate import OpportunityStream
+from .bidding import LAMBDA_FLOOR, MultiplierVector, shade_bids  # noqa: F401
+from .oracle import LAMBDA_LIMIT, RealizedSpend, search_multiplier
 
 LAMBDA_TILDE_MIN = 1e-9
 LAMBDA_TILDE_MAX = 1e9
@@ -497,11 +493,11 @@ def apply_batch_update(
     forecast: ForecastModel,
     constraints: ConstraintSet,
     interval: int,
-    history: OpportunityStream | None = None,
+    history: RealizedSpend | None = None,
 ) -> None:
     """Close the current batch: refresh the smoothing estimator, update all
     multipliers, and reset the interval accumulators.  FTL mode replays
-    history, the opportunities seen so far (see ftl_update)."""
+    history, the auctions seen so far (see ftl_update)."""
     decay = 0.5 ** (1.0 / SMOOTHING_HALF_LIFE)
     raw = state.interval_spend
     state.smoothed_spend = (
@@ -547,22 +543,8 @@ class FtlResult:
     unconstrained: bool
 
 
-def _ftl_adjusted(lam, values):
-    """FTL's adjusted value: value / lam, rounded once."""
-    return values / lam
-
-
-def ftl_win_limits(entries: OpportunityStream) -> np.ndarray:
-    """Each auction's win limit under FTL's bid, min(value / lam,
-    DEFAULT_BID_CAP) (see oracle.win_limits; NaN on first-price rows).  It
-    depends on the auction alone, so an episode computes it once per row."""
-    return win_limits(
-        entries.value, entries.clearing_bid, entries.table, DEFAULT_BID_CAP, _ftl_adjusted
-    )
-
-
 def ftl_update(
-    entries: OpportunityStream,
+    entries: RealizedSpend,
     budget: float,
     expected_total: float,
     window: int | None = None,
@@ -570,13 +552,12 @@ def ftl_update(
     """Best multiplier in hindsight over the lookback window: the smallest
     lam whose replayed spend stays within the budget pace.
 
-    entries are the auctions seen so far, in order (a prefix of the
-    episode's stream); their value, clearing_bid and table columns are read,
-    and their ftl_limit and ftl_order columns when the episode has set them
-    (see ftl_win_limits and OpportunityStream).  Found by the oracle's
-    search_multiplier on an oracle.RealizedSpend.  With second-price
-    auctions only, spend is one sorted step function of lam, whose crossing
-    of the budget pace gives the sign of every step at once
+    entries are the auctions seen so far, in order, as the oracle replays
+    them at the agent's bid cap: an episode builds one oracle.RealizedSpend
+    over its stream and passes the prefix seen, so each update reads a slice
+    of one sorted history.  Found by the oracle's search_multiplier.  With
+    second-price auctions only, spend is one sorted step function of lam,
+    whose crossing of the budget pace gives the sign of every step at once
     (RealizedSpend.crossing); otherwise, first-price auctions that can still
     win are shaded at each step.  Either way the signs the search reads are
     those of a full replay.  Replayed spend is a step function of lam, so
@@ -584,12 +565,8 @@ def ftl_update(
     """
     if not entries:
         raise PacingError("ftl update needs at least one logged auction")
-    scope = entries[-window:] if window is not None else entries
-    target = budget / expected_total * len(scope)
-    spend = RealizedSpend(
-        scope.value, scope.clearing_bid, scope.table, DEFAULT_BID_CAP, _ftl_adjusted,
-        scope.ftl_limit, scope.ftl_order,
-    )  # fmt: skip
+    spend = entries[-window:] if window is not None else entries
+    target = budget / expected_total * len(spend)
     limit = spend.crossing(target)
 
     def excess(lam: float) -> float:

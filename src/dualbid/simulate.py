@@ -26,11 +26,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bidding import LAMBDA_FLOOR, optimal_bids
+from .bidding import optimal_bids
 from .coldstart import ColdStartResult, PlacementPriors, solve_lambda0_multi
 from .mechanisms import LognormalBids, MechanismSpec, MechanismTable, resolve
-from .oracle import LogColumns, OpportunityLog, limit_order, marginal_roi
-from .pacing import ForecastModel, PacingState, apply_batch_update, ftl_win_limits, normalize
+from .oracle import LogColumns, OpportunityLog, RealizedSpend, marginal_roi
+from .pacing import ForecastModel, PacingState, apply_batch_update, normalize
 from .scenario import PlacementConfig, ScenarioConfig
 
 
@@ -56,19 +56,14 @@ class OpportunityStream:
     Columns: ``interval``, ``jitter``, ``placement`` (a code into
     ``placement_ids``), ``value``, ``clearing_bid``, ``result_draw``, and
     ``cell``, the index into ``cells`` of the mechanism each opportunity was
-    drawn under; ``table`` holds that mechanism per row.  ``ftl_limit`` is
-    each row's win limit under FTL's bid (``pacing.ftl_win_limits``), and
-    ``ftl_order`` the second-price rows sorted by it (``oracle.limit_order``),
-    both set once by an FTL episode and None otherwise.  Every sub-stream
-    carries ``ftl_limit``; a contiguous slice also carries ``ftl_order``,
-    re-based to the slice, and any other selection drops it.  An int index
+    drawn under; ``table`` holds that mechanism per row.  An int index
     yields an ``Opportunity`` row view; a slice, mask or index array yields
     the sub-stream.
     """
 
     def __init__(
         self, placement_ids, cells, interval, jitter, placement, value, clearing_bid,
-        result_draw, cell, table, ftl_limit=None, ftl_order=None,
+        result_draw, cell, table,
     ):  # fmt: skip
         self.placement_ids = tuple(placement_ids)
         self.cells = tuple(cells)
@@ -80,27 +75,15 @@ class OpportunityStream:
         self.result_draw = result_draw
         self.cell = cell
         self.table = table
-        self.ftl_limit = ftl_limit
-        self.ftl_order = ftl_order
 
     def __len__(self) -> int:
         return len(self.value)
 
     def take(self, rows) -> OpportunityStream:
-        order = None
-        if self.ftl_order is not None and isinstance(rows, slice):
-            start, stop, step = rows.indices(len(self))
-            if step == 1:
-                kept = self.ftl_order < stop
-                if start:
-                    kept &= self.ftl_order >= start
-                # compress: a boolean index over a shuffled mask is slower
-                order = np.compress(kept, self.ftl_order) - start
         return OpportunityStream(
             self.placement_ids, self.cells, self.interval[rows], self.jitter[rows],
             self.placement[rows], self.value[rows], self.clearing_bid[rows],
             self.result_draw[rows], self.cell[rows], self.table.take(rows),
-            None if self.ftl_limit is None else self.ftl_limit[rows], order,
         )  # fmt: skip
 
     def __getitem__(self, key):
@@ -442,11 +425,14 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
     normalize(state, scenario.agent.lambda_prime or lambda0)
 
     stream = generate_stream(scenario)
-    if cfg.mode == "ftl":
-        # once for the episode; each history prefix slices them
-        stream.ftl_limit = ftl_win_limits(stream)
-        stream.ftl_order = limit_order(stream.ftl_limit, stream.table.first_price)
     values, clearing = stream.value, stream.clearing_bid
+    # FTL replays the auctions seen so far, each update a prefix of one
+    # history sorted once for the episode
+    history = (
+        RealizedSpend(values, clearing, stream.table, scenario.agent.bid_cap)
+        if cfg.mode == "ftl"
+        else None
+    )
     # the stream is ordered by interval: interval i is rows starts[i]:starts[i + 1]
     starts = np.searchsorted(stream.interval, np.arange(scenario.intervals + 1))
     # rows cut off by the budget keep a zero adjusted value, bid and cost
@@ -454,8 +440,8 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
     trajectory: list[float] = []
 
     def close_batch(interval: int, seen: int) -> None:
-        history = stream[:seen] if cfg.mode == "ftl" else None
-        apply_batch_update(state, cfg, forecast, constraints, interval, history)
+        seen_so_far = None if history is None else history[:seen]
+        apply_batch_update(state, cfg, forecast, constraints, interval, seen_so_far)
 
     for interval in range(scenario.intervals):
         try:
@@ -466,11 +452,10 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
                 # of the interval, or of the count batch, is bid and resolved
                 # in one go
                 snapshot = state.multipliers_at(constraints, interval)
-                factor = snapshot.numerator / max(snapshot.denominator, LAMBDA_FLOOR)
                 size = end - index if batch is None else min(end - index, batch - state.interval_count)
                 seg = slice(index, index + size)
                 table = stream.table.take(seg)
-                adjusted = factor * values[seg]
+                adjusted = snapshot.factor * values[seg]
                 bids = optimal_bids(table, adjusted, scenario.agent.bid_cap)
                 wins, costs = resolve(table, bids, clearing[seg])
                 results = wins & (stream.result_draw[seg] < np.minimum(values[seg], 1.0))

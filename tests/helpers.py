@@ -23,11 +23,11 @@ from dualbid.oracle import (
     LogRecord,
     MultiplierProfile,
     OpportunityLog,
+    RealizedSpend,
     ReplayResult,
     replay,
     search_multiplier,
 )
-from dualbid.simulate import OpportunityStream
 
 
 def enumerate_best_winset(outcomes: list[tuple[float, float]], budget: float):
@@ -138,14 +138,17 @@ def lambda_star_by_replay(log: OpportunityLog, budget: float, bid_cap: float = D
     )
 
 
-def ftl_lambda_by_replay(entries, budget: float, expected_total: float, window=None):
-    """FTL's hindsight multiplier with every search step bidding value / lam
-    on every entry and resolving them all.  Returns (lam, bracket)."""
+def ftl_lambda_by_replay(
+    entries, budget: float, expected_total: float, window=None, bid_cap: float = DEFAULT_BID_CAP
+):
+    """FTL's hindsight multiplier with every search step bidding (1 / lam) *
+    value, as an episode bids at lam, on every entry of a stream and
+    resolving them all.  Returns (lam, bracket)."""
     scope = entries[-window:] if window is not None else entries
     target = budget / expected_total * len(scope)
 
     def spend(lam: float) -> float:
-        bids = optimal_bids(scope.table, scope.value / lam, DEFAULT_BID_CAP)
+        bids = optimal_bids(scope.table, (1.0 / lam) * scope.value, bid_cap)
         return float(resolve(scope.table, bids, scope.clearing_bid)[1].sum())
 
     return search_multiplier(lambda lam: spend(lam) - target, LAMBDA_FLOOR, LAMBDA_LIMIT)
@@ -173,21 +176,10 @@ def baseline_bid_by_replay(log: OpportunityLog, budget: float, bid_cap: float = 
     return lo
 
 
-def auction_history(values, clearing, mech: MechanismSpec) -> OpportunityStream:
+def auction_history(values, clearing, mech: MechanismSpec) -> RealizedSpend:
     """Past auctions under one mechanism, in order, as FTL replays them."""
-    n = len(values)
-    return OpportunityStream(
-        placement_ids=("p",),
-        cells=(mech,),
-        interval=np.zeros(n, dtype=np.int64),
-        jitter=np.zeros(n),
-        placement=np.zeros(n, dtype=np.intp),
-        value=np.array(values, dtype=float),
-        clearing_bid=np.array(clearing, dtype=float),
-        result_draw=np.zeros(n),
-        cell=np.zeros(n, dtype=np.intp),
-        table=MechanismTable.from_specs([mech] * n),
-    )
+    table = MechanismTable.from_specs([mech] * len(values))
+    return RealizedSpend(values, clearing, table, DEFAULT_BID_CAP)
 
 
 def stream_by_sort(scenario) -> list[tuple]:

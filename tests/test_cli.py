@@ -287,6 +287,33 @@ class TestCompare:
         (out / "metrics.csv").write_text("a,b\n1,2\n")
         assert main(["compare", "--run", str(out), "--force"]) == 2
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("total_value", "abc"),
+            ("total_value", "nan"),
+            ("total_spend", "inf"),
+            ("total_spend", "-inf"),
+            ("total_spend", ""),
+            ("total_value", DROP),
+        ],
+    )
+    def test_bad_metric_exits_2_naming_the_key(self, tmp_path, capsys, key, text):
+        scenario = write_scenario(tmp_path, small_scenario())
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(scenario), "--out", str(out)])
+        metrics = read_kv(out / "metrics.csv")
+        if text is DROP:
+            del metrics[key]
+        else:
+            metrics[key] = text
+        rows = "".join(f"{k},{v}\n" for k, v in metrics.items())
+        (out / "metrics.csv").write_text("key,value\n" + rows)
+        capsys.readouterr()
+        assert main(["compare", "--run", str(out), "--force"]) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "compare.csv").exists()
+
 
 class TestColdstart:
     def test_worked_point(self, capsys):
@@ -374,6 +401,46 @@ class TestColdstart:
 
     def test_missing_priors_exits_2(self):
         assert main(["coldstart", "--budget", "10.0"]) == 2
+
+    PRIOR = {"bid_mu": 0.0, "bid_sigma": 1.0, "value_mu": -1.0, "value_sigma": 0.5, "count": 700}
+
+    @pytest.mark.parametrize(
+        "flags, priors, field",
+        [
+            ({"--count": "inf"}, None, "count"),
+            ({"--count": "nan"}, None, "count"),
+            ({"--budget": "inf"}, None, "budget"),
+            ({"--budget": "nan"}, None, "budget"),
+            ({"--bid-mu": "nan"}, None, "bid_mu"),
+            ({"--value-sigma": "inf"}, None, "value_sigma"),
+            ({}, {"bid_mu": 0.0}, "--priors"),
+            ({}, "priors", "--priors"),
+            ({}, [PRIOR, 3], "priors[1]"),
+            ({}, [{**PRIOR, "bid_mu": "x"}], "priors[0].bid_mu"),
+            ({}, [{**PRIOR, "count": True}], "priors[0].count"),
+            ({}, [{**PRIOR, "value_mu": None}], "priors[0].value_mu"),
+            ({}, [PRIOR, {**PRIOR, "bid_sigma": math.nan}], "bid_sigma"),
+            ({"--budget": "inf"}, [PRIOR, PRIOR], "budget"),
+        ],
+        ids=[
+            "count_inf", "count_nan", "budget_inf", "budget_nan", "bid_mu_nan", "value_sigma_inf",
+            "priors_object", "priors_string", "entry_number", "field_string", "field_bool",
+            "field_null", "field_nan", "two_placements_budget_inf",
+        ],
+    )
+    def test_invalid_input_exits_2_naming_the_field(self, tmp_path, capsys, flags, priors, field):
+        args = {"--budget": "60.0"}
+        if priors is None:
+            args.update({"--count": "1000", "--bid-mu": "0", "--bid-sigma": "1",
+                         "--value-mu": "0", "--value-sigma": "1"})
+        else:
+            path = tmp_path / "priors.json"
+            path.write_text(json.dumps(priors))
+            args["--priors"] = str(path)
+        args.update(flags)
+        assert main(["coldstart", *(x for kv in args.items() for x in kv)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "invalid coldstart input" in err
 
 
 class TestSweep:

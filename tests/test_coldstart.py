@@ -196,3 +196,23 @@ def test_priors_validation():
         PlacementPriors(0.0, 1.0, 0.0, -1.0, 10.0)
     with pytest.raises(ColdStartError):
         PlacementPriors(0.0, 1.0, 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("field", ["bid_mu", "bid_sigma", "value_mu", "value_sigma", "forecast_count"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_priors_reject_non_finite_fields(field, bad):
+    fields = {"bid_mu": 0.0, "bid_sigma": 1.0, "value_mu": 0.0, "value_sigma": 1.0,
+              "forecast_count": 10.0}
+    with pytest.raises(ColdStartError, match=field):
+        PlacementPriors(**{**fields, field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_solvers_reject_a_non_finite_budget(bad):
+    for placements in ([STANDARD], [STANDARD, STANDARD]):
+        with pytest.raises(ColdStartError, match="budget"):
+            solve_lambda0_multi(placements, budget=bad)
+    with pytest.raises(ColdStartError, match="budget"):
+        solve_lambda0(STANDARD, bad)
+    with pytest.raises(ColdStartError, match="count"):
+        solve_lambda0(STANDARD, 1.0, count=math.inf)

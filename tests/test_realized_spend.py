@@ -5,6 +5,8 @@ multiplier is at most its win limit.  These tests check that claim against
 optimal_bids + resolve, certify each limit to the float, and check that the
 solves reading the step function (λ*, FTL and the fixed-bid baseline) return
 bit for bit what the same search returns with a full replay at every step.
+FTL reads slices of one RealizedSpend of its episode's stream, which keep
+their rows' limits and order.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 import dualbid.oracle as oracle
 import dualbid.pacing as pacing
-from dualbid.bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, optimal_bids
+from dualbid.bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, optimal_bids
 from dualbid.mechanisms import (
     EmpiricalBids,
     LognormalBids,
@@ -33,7 +35,7 @@ from dualbid.oracle import (
     solve_lambda_star,
     win_limits,
 )
-from dualbid.pacing import ftl_update, ftl_win_limits
+from dualbid.pacing import ftl_update
 from dualbid.scenario import parse_scenario
 from dualbid.simulate import OpportunityStream, generate_stream, run_episode
 from helpers import (
@@ -53,11 +55,14 @@ FP = MechanismSpec("first_price", 0.0, LognormalBids(-0.3, 0.8))
 FP_UNIFORM = MechanismSpec("first_price", 0.0, UniformBids(0.2, 1.5))
 
 
-def _ftl_adjusted(lam, values):
-    return values / lam
+def _episode_adjusted(lam, values):
+    """The adjusted value an episode bids at each lam: factor * value."""
+    factors = [MultiplierVector(lam=x).factor for x in np.atleast_1d(lam).tolist()]
+    return np.reshape(factors, np.shape(lam)) * values
 
 
-ROUNDINGS = {"oracle": budget_adjusted, "ftl": _ftl_adjusted}
+# the oracle's rounding, and the episode's computed one multiplier at a time
+ROUNDINGS = {"oracle": budget_adjusted, "episode": _episode_adjusted}
 
 
 def second_price_rows():
@@ -117,7 +122,7 @@ def test_winner_sets_equal_limit_sets(rounding):
     adjusted = ROUNDINGS[rounding]
     values, clearing, mechs = second_price_rows()
     table = MechanismTable.from_specs(mechs)
-    limits = win_limits(values, clearing, table, CAP, adjusted)
+    limits = win_limits(values, clearing, table, CAP)
     finite = limits[np.isfinite(limits)]
     lams = np.concatenate(
         [
@@ -137,7 +142,7 @@ def test_limits_are_certified_to_the_float(rounding):
     values, clearing, mechs = second_price_rows()
     log = log_of(values, clearing, mechs)
     cols = log.arrays
-    limits = win_limits(cols.values, cols.clearing, cols.table, CAP, adjusted)
+    limits = win_limits(cols.values, cols.clearing, cols.table, CAP)
     price = np.maximum(cols.clearing, cols.table.reserve)
 
     def wins(rows, lam):
@@ -155,21 +160,34 @@ def test_limits_are_certified_to_the_float(rounding):
     # zero prices always win, prices above the cap and zero values never do
     assert set(range(40, 50)) <= set(always)
     assert set(range(50, 65)) <= set(never)
-    # v / p = 4 exactly is its own limit under both roundings
+    # v / p = 4 exactly is its own limit
     assert (limits[20:40] == 4.0).all()
+
+
+def test_budget_adjusted_is_the_episode_bid():
+    # bit for bit the adjusted value an episode bids at lam, on a grid with
+    # the floor, multipliers below it and every row's win limit (with ties)
+    values, clearing, mechs = second_price_rows()
+    limits = win_limits(values, clearing, MechanismTable.from_specs(mechs), CAP)
+    finite = limits[np.isfinite(limits)]
+    assert len(np.unique(finite)) < len(finite)
+    lams = [0.0, 0.5 * LAMBDA_FLOOR, LAMBDA_FLOOR, *np.geomspace(1e-6, 1e15, 50), *finite]
+    for lam in lams:
+        expected = MultiplierVector(lam=float(lam)).factor * values
+        assert np.array_equal(budget_adjusted(float(lam), values), expected), lam
 
 
 def test_first_price_rows_have_no_limit():
     log = mixed_log()
     cols = log.arrays
-    limits = win_limits(cols.values, cols.clearing, cols.table, CAP, budget_adjusted)
+    limits = win_limits(cols.values, cols.clearing, cols.table, CAP)
     assert np.array_equal(np.isnan(limits), cols.table.first_price)
 
 
 def test_step_spend_matches_replay():
     log = mixed_log()
     cols = log.arrays
-    spend = RealizedSpend(cols.values, cols.clearing, cols.table, CAP, budget_adjusted)
+    spend = RealizedSpend(cols.values, cols.clearing, cols.table, CAP)
     for lam in np.geomspace(1e-3, 1e3, 60).tolist():
         r = replay(log, MultiplierProfile(lam=lam))
         s, v = spend.at(lam)
@@ -181,7 +199,7 @@ def test_step_spend_matches_replay():
 def tie_budgets(log: OpportunityLog) -> list[float]:
     """Budgets that some multiplier's replayed spend meets exactly."""
     cols = log.arrays
-    limits = win_limits(cols.values, cols.clearing, cols.table, CAP, budget_adjusted)
+    limits = win_limits(cols.values, cols.clearing, cols.table, CAP)
     finite = np.sort(limits[np.isfinite(limits)])
     picks = finite[[len(finite) // 5, len(finite) // 2, 4 * len(finite) // 5]]
     return [replay(log, MultiplierProfile(lam=float(lam))).spend for lam in picks]
@@ -247,25 +265,29 @@ def _second_price_stream() -> OpportunityStream:
     return generate_stream(parse_scenario(stationary_scenario(intervals=12)))
 
 
+def _history(stream: OpportunityStream, bid_cap: float = CAP) -> RealizedSpend:
+    return RealizedSpend(stream.value, stream.clearing_bid, stream.table, bid_cap)
+
+
 def _tie_budgets(scope: OpportunityStream, expected_total: float) -> list[float]:
     """Budgets whose pace target over scope is (up to the rounding of the
     target) the spend replayed at a row's win limit: a cumulative spend
     lands on the target, inside the re-summing band."""
-    limits = ftl_win_limits(scope)
+    limits = win_limits(scope.value, scope.clearing_bid, scope.table, CAP)
     finite = np.sort(limits[np.isfinite(limits)])
     budgets = []
     for lam in finite[[len(finite) // 4, len(finite) // 2]].tolist():
-        bids = optimal_bids(scope.table, _ftl_adjusted(lam, scope.value), CAP)
+        bids = optimal_bids(scope.table, (1.0 / lam) * scope.value, CAP)
         spend = float(resolve(scope.table, bids, scope.clearing_bid)[1].sum())
         budgets.append(spend * expected_total / len(scope))
     return budgets
 
 
-@pytest.mark.parametrize("carry", ["computed", "carried", "ordered"])
+@pytest.mark.parametrize("carry", ["computed", "ordered"])
 def test_ftl_lambda_is_bit_identical_to_full_replays(carry, monkeypatch):
-    # computed: each call finds its own limits and order; carried: the
-    # prefixes carry the episode's limits; ordered: the limits and the
-    # episode's limit order, re-based to each slice
+    # computed: a fresh RealizedSpend of each prefix finds its own limits
+    # and order; ordered: each prefix is a slice of one RealizedSpend of the
+    # whole stream, carrying its limits and its order re-based
     resums, crossings = [], []
     original = RealizedSpend.replay_spend
     monkeypatch.setattr(
@@ -282,18 +304,15 @@ def test_ftl_lambda_is_bit_identical_to_full_replays(carry, monkeypatch):
     assert mixed.table.first_price.any() and not mixed.table.first_price.all()
     assert not second_price.table.first_price.any()
     for stream in (mixed, second_price):
-        if carry != "computed":
-            stream.ftl_limit = ftl_win_limits(stream)
-        if carry == "ordered":
-            stream.ftl_order = oracle.limit_order(stream.ftl_limit, stream.table.first_price)
+        whole = _history(stream)
         for n in (40, 300, len(stream)):
-            entries = stream[:n]
-            assert (entries.ftl_limit is not None) == (carry != "computed")
-            assert (entries.ftl_order is not None) == (carry == "ordered")
+            prefix = stream[:n]
+            entries = _history(prefix) if carry == "computed" else whole[:n]
+            assert len(entries) == n
             for window in (None, 100):
-                scope = entries[-window:] if window is not None else entries
+                scope = prefix[-window:] if window is not None else prefix
                 for budget in (1.0, 10.0, 60.0, *_tie_budgets(scope, total)):
-                    expected, bracket = ftl_lambda_by_replay(entries, budget, total, window)
+                    expected, bracket = ftl_lambda_by_replay(prefix, budget, total, window)
                     result = ftl_update(entries, budget=budget, expected_total=total, window=window)
                     assert result.lam == expected
                     assert result.unconstrained == (bracket is None)
@@ -303,29 +322,42 @@ def test_ftl_lambda_is_bit_identical_to_full_replays(carry, monkeypatch):
     assert any(c is not None for c in crossings) and None in crossings
 
 
-def test_ftl_order_slices_with_the_stream():
+def test_slices_keep_their_limit_order():
     stream = _mixed_stream()
-    stream.ftl_limit = ftl_win_limits(stream)
-    stream.ftl_order = oracle.limit_order(stream.ftl_limit, stream.table.first_price)
-    for rows in (slice(None, 50), slice(10, 50), slice(-30, None), slice(0, 0)):
-        part = stream[rows]
-        expected = oracle.limit_order(part.ftl_limit, part.table.first_price)
-        # a valid limit order of the slice's own second-price rows
-        assert np.array_equal(np.sort(part.ftl_order), np.sort(expected))
-        assert (np.diff(part.ftl_limit[part.ftl_order]) <= 0).all()
-    for rows in (slice(0, 50, 2), np.arange(20), stream.value > 0.1):
-        assert stream[rows].ftl_order is None and stream[rows].ftl_limit is not None
+    whole = _history(stream)
+    n = len(stream)
+    assert len(whole) == n
+    lams = np.geomspace(0.05, 20.0, 9).tolist()
+    for rows in (
+        slice(None, 50), slice(10, 50), slice(-30, None), slice(0, 0), slice(50, 10),
+        slice(n - 40, n + 10), slice(None),
+    ):  # fmt: skip
+        part, fresh = whole[rows], _history(stream[rows])
+        assert len(part) == len(fresh) == len(stream[rows])
+        # the rows' own limits, and a limit order of the slice's own
+        # second-price rows
+        assert np.array_equal(part._limits, fresh._limits, equal_nan=True)
+        assert np.array_equal(np.sort(part._order), np.sort(fresh._order))
+        assert (np.diff(part._limits[part._order]) <= 0).all()
+        for lam in lams:
+            assert part.replay_spend(lam) == fresh.replay_spend(lam)
+            assert part.at(lam) == pytest.approx(fresh.at(lam), rel=1e-12, abs=1e-300)
+    # a slice of a slice is the slice of the whole
+    assert np.array_equal(whole[100:400][-50:]._order, whole[350:400]._order)
+    for key in (slice(0, 50, 2), slice(None, None, -1), 3, np.arange(20), stream.value > 0.1):
+        with pytest.raises((TypeError, ValueError)):
+            whole[key]
 
 
 def _plain_ftl_episode(monkeypatch, cfg):
-    """The episode with every FTL update solved on a fresh prefix of the
-    stream, which carries no limits and no order."""
+    """The episode with every FTL update solved on a fresh RealizedSpend of
+    the prefix of the stream, which sorts its own rows."""
     plain = generate_stream(parse_scenario(cfg))
     original = pacing.ftl_update
 
     def on_plain_prefix(entries, budget, expected_total, window=None):
-        assert entries.ftl_order is not None
-        return original(plain[: len(entries)], budget, expected_total, window)
+        assert isinstance(entries, RealizedSpend)
+        return original(_history(plain[: len(entries)]), budget, expected_total, window)
 
     with monkeypatch.context() as m:
         m.setattr(pacing, "ftl_update", on_plain_prefix)
@@ -346,13 +378,32 @@ def test_ftl_episode_matches_plain_prefixes(kind, window, monkeypatch):
     assert len(set(episode.metrics.lambda_trajectory)) > 10
 
 
-def test_ftl_limits_are_the_ftl_rounding():
-    stream = _mixed_stream()
-    expected = win_limits(stream.value, stream.clearing_bid, stream.table, CAP, _ftl_adjusted)
-    assert np.array_equal(ftl_win_limits(stream), expected, equal_nan=True)
-    assert stream[:50].ftl_limit is None
-    stream.ftl_limit = expected
-    assert np.array_equal(stream[10:50].ftl_limit, expected[10:50], equal_nan=True)
+def test_ftl_solves_at_the_agents_bid_cap(monkeypatch):
+    # a cap of 0.2 is below many prices; FTL replays the history at it
+    cap = 0.2
+    cfg = stationary_scenario(intervals=40, budget=30.0, agent={"mode": "ftl", "bid_cap": cap})
+    cfg["agent"].pop("xi")
+    scenario = parse_scenario(cfg)
+    stream = generate_stream(scenario)
+    calls = []
+    original = pacing.ftl_update
+
+    def recording(entries, budget, expected_total, window=None):
+        result = original(entries, budget, expected_total, window)
+        calls.append((len(entries), budget, expected_total, window, result))
+        return result
+
+    monkeypatch.setattr(pacing, "ftl_update", recording)
+    run_episode(scenario)
+    assert len(calls) == scenario.intervals
+    uncapped = 0
+    for n, budget, total, window, result in calls:
+        lam, bracket = ftl_lambda_by_replay(stream[:n], budget, total, window, bid_cap=cap)
+        assert result.lam == lam
+        assert result.unconstrained == (bracket is None)
+        uncapped += ftl_lambda_by_replay(stream[:n], budget, total, window)[0] != lam
+    # the cap binds: replayed without it, the history gives other multipliers
+    assert uncapped
 
 
 def test_kkt_profiles_keep_replaying():
@@ -420,7 +471,7 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
     cols = log.arrays
     price = np.maximum(cols.clearing, cols.table.reserve)
     seen = _record_shading(monkeypatch)
-    steps = RealizedSpend(cols.values, cols.clearing, cols.table, cap, budget_adjusted)
+    steps = RealizedSpend(cols.values, cols.clearing, cols.table, cap)
     counts = {"skipped": 0, "live": 0, "capped": 0}
 
     def shaded_only_rows_that_can_win(adjusted):
