@@ -89,17 +89,6 @@ class OpportunityLog:
             return "realized"
         return "mixed"
 
-    def restrict_to_placement(self, placement: str) -> OpportunityLog:
-        """The records of one placement; the log itself when it holds no other."""
-        cols = self.arrays
-        if placement not in cols.placement_names:
-            raise OracleError(f"no records for placement {placement!r}")
-        if len(cols.placement_names) == 1:
-            return self
-        return OpportunityLog.from_columns(
-            cols.take(cols.placement_codes == cols.placement_names.index(placement))
-        )
-
 
 def _by_first_appearance(codes: np.ndarray, names) -> tuple[np.ndarray, list]:
     """codes renumbered, and names kept, in order of first appearance."""
@@ -651,12 +640,9 @@ def solve_lambda_star(
     points and returns the multiplier that replaying at every step would;
     spend and value are replayed at that multiplier.
     """
-    return _lambda_star(_SpendCurve(log, MultiplierProfile(lam=1.0), bid_cap), budget)
-
-
-def _lambda_star(curve: _SpendCurve, budget: float) -> LambdaSolution:
     if not budget > 0:
         raise OracleError(f"budget must be > 0, got {budget}")
+    curve = _SpendCurve(log, MultiplierProfile(lam=1.0), bid_cap)
     return _solve_budget_multiplier(curve, budget)[0]
 
 
@@ -836,6 +822,8 @@ def solve_kkt_grid(
         notes=tuple(notes),
         unconstrained=unconstrained,
     )
+
+
 @dataclass(frozen=True)
 class MarginalRoi:
     roi: dict[str, float]
@@ -844,50 +832,33 @@ class MarginalRoi:
 
 
 def marginal_roi(
-    log: OpportunityLog,
-    budget: float,
-    delta: float | None = None,
-    bid_cap: float = DEFAULT_BID_CAP,
+    log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP
 ) -> MarginalRoi:
-    """Central-difference value gain per extra unit of budget routed to each
-    placement at the joint optimum.  At the optimum these all coincide with
-    the budget multiplier.  Needs a distributional log (smooth curves).
-
-    Each log, the whole one and each placement's, has one memoized spend
-    curve that every solve on it shares, so a +/- delta search replays only
-    where its path leaves the points already replayed.  A log of one
-    placement is its own placement log and shares the global curve."""
+    """Value gained per extra unit of spend on each placement at the joint
+    optimum, dV_p / dS_p, from the two replays of the whole log around
+    lambda* (see _replays_around).  Proposition 1, V'(lam) = lam * S'(lam),
+    holds record by record on a distributional log, so every active ROI is
+    lambda* up to the O(1e-8) error of the central difference.  A placement
+    whose spend does not move between the two replays is inactive; when the
+    budget does not bind, every ROI is 0.  Needs a distributional log
+    (smooth curves)."""
     if log.mode != "distributional":
         raise OracleError("marginal ROI needs a distributional log")
-    if delta is None:
-        delta = 1e-3 * budget
-    curve = _SpendCurve(log, MultiplierProfile(lam=1.0), bid_cap)
-    global_sol = _lambda_star(curve, budget)
-    base = curve.at(global_sol.lam)
-    if global_sol.unconstrained:
+    sol = solve_lambda_star(log, budget, bid_cap)
+    if sol.unconstrained:
         return MarginalRoi(
-            roi={p: 0.0 for p in base.per_placement}, inactive=(), lam=global_sol.lam
+            roi=dict.fromkeys(log.arrays.placement_names, 0.0), inactive=(), lam=sol.lam
         )
+    _, hi, lo = _replays_around(log, sol.lam, bid_cap)
     roi: dict[str, float] = {}
     inactive: list[str] = []
-    for placement, (spend_k, _) in base.per_placement.items():
-        if spend_k <= delta:
+    for placement, (spend_hi, value_hi) in hi.per_placement.items():
+        spend_lo, value_lo = lo.per_placement[placement]
+        if spend_hi == spend_lo:
             inactive.append(placement)
-            continue
-        sub = log.restrict_to_placement(placement)
-        sub_curve = curve if sub is log else _SpendCurve(sub, curve.profile, bid_cap)
-        values = []
-        for target in (spend_k + delta, spend_k - delta):
-            sol = _lambda_star(sub_curve, target)
-            if sol.unconstrained:
-                values = None
-                break
-            values.append(sol.value)
-        if values is None:
-            inactive.append(placement)
-            continue
-        roi[placement] = (values[0] - values[1]) / (2.0 * delta)
-    return MarginalRoi(roi=roi, inactive=tuple(inactive), lam=global_sol.lam)
+        else:
+            roi[placement] = (value_hi - value_lo) / (spend_hi - spend_lo)
+    return MarginalRoi(roi=roi, inactive=tuple(inactive), lam=sol.lam)
 
 
 @dataclass(frozen=True)
@@ -949,20 +920,26 @@ class Prop1Check:
     residual: float
 
 
-def prop1_residual(
-    log: OpportunityLog,
-    lam: float,
-    delta: float | None = None,
-    bid_cap: float = DEFAULT_BID_CAP,
-) -> Prop1Check:
-    """Central-difference check that value and spend derivatives stay
-    linearly related: V'(lam) = lam * S'(lam)."""
-    if not lam > 0:
-        raise OracleError(f"lam must be > 0, got {lam}")
-    if delta is None:
-        delta = 1e-4 * lam
+def _replays_around(
+    log: OpportunityLog, lam: float, bid_cap: float
+) -> tuple[float, ReplayResult, ReplayResult]:
+    """Half-width delta = 1e-4 * lam and the replays at lam + delta and
+    lam - delta, whose differences are the central differences of value and
+    spend in the budget multiplier."""
+    delta = 1e-4 * lam
     hi = replay(log, MultiplierProfile(lam=lam + delta), bid_cap)
     lo = replay(log, MultiplierProfile(lam=lam - delta), bid_cap)
+    return delta, hi, lo
+
+
+def prop1_residual(
+    log: OpportunityLog, lam: float, bid_cap: float = DEFAULT_BID_CAP
+) -> Prop1Check:
+    """Central-difference check, from the replays of _replays_around, that
+    value and spend derivatives stay linearly related: V'(lam) = lam * S'(lam)."""
+    if not lam > 0:
+        raise OracleError(f"lam must be > 0, got {lam}")
+    delta, hi, lo = _replays_around(log, lam, bid_cap)
     v_prime = (hi.value - lo.value) / (2.0 * delta)
     s_prime = (hi.spend - lo.spend) / (2.0 * delta)
     return Prop1Check(

@@ -427,8 +427,9 @@ def update_constraint_multipliers(
     lam_k = state.window_lambda.get(w.id, 0.0) if w else 0.0
     mu_k = state.window_mu.get(g.id, 0.0) if g else 0.0
 
-    def numerator() -> float:
-        return 1.0 + (state.mu * C if C is not None else 0.0) + mu_k
+    def vector() -> MultiplierVector:
+        """The multipliers as updated so far."""
+        return MultiplierVector(lam, state.mu, C, lam_k, mu_k)
 
     def log_step(raw: float) -> float:
         return min(max(raw, -_MAX_LOG_STEP), _MAX_LOG_STEP)
@@ -449,8 +450,7 @@ def update_constraint_multipliers(
         if spend_sig > 0 or value_sig > 0:
             ratio = min(spend_sig / (C * value_sig), 10.0) if value_sig > 0 else 10.0
             base = lam + lam_k
-            factor = numerator() / max(base + state.mu, LAMBDA_FLOOR)
-            target = factor * math.exp(-log_step(xi_c * eta * (ratio - 1.0)))
+            target = vector().factor * math.exp(-log_step(xi_c * eta * (ratio - 1.0)))
             ceiling = (1.0 + mu_k) / max(base, LAMBDA_FLOOR)  # factor at mu = 0
             if target >= ceiling:
                 state.mu = 0.0
@@ -468,10 +468,11 @@ def update_constraint_multipliers(
         # pace against the remaining allowance so early overshoot is clawed back
         allowance = (w.cap - spend_before) / max(w.end - interval, 1)
         ratio = min(interval_spend / allowance, 10.0) if allowance > 0 else 10.0
-        base = lam + state.mu
-        factor = numerator() / max(base + lam_k, LAMBDA_FLOOR)
-        target = factor * math.exp(-log_step(eta_w * (ratio - 1.0)))
-        lam_k = min(max(numerator() / max(target, LAMBDA_FLOOR) - base, 0.0), _MULTIPLIER_CAP)
+        numerator, base = vector().numerator, lam + state.mu
+        # by hand: MultiplierVector.factor sums lam + lam_k + mu, which changes traces
+        target = numerator / max(base + lam_k, LAMBDA_FLOOR)
+        target *= math.exp(-log_step(eta_w * (ratio - 1.0)))
+        lam_k = min(max(numerator / max(target, LAMBDA_FLOOR) - base, 0.0), _MULTIPLIER_CAP)
         state.window_lambda[w.id] = lam_k
 
     if g is not None:
@@ -480,11 +481,10 @@ def update_constraint_multipliers(
         value_before = state.window_value.get(g.id, 0.0) - interval_value
         needed = (g.floor - value_before) / max(g.end - interval, 1)
         ratio = min(interval_value / needed, 10.0) if needed > 0 else 10.0
-        den = lam + lam_k + state.mu
-        factor = numerator() / max(den, LAMBDA_FLOOR)
-        target = factor * math.exp(log_step(eta_g * (1.0 - ratio)))
+        m = vector()
+        target = m.factor * math.exp(log_step(eta_g * (1.0 - ratio)))
         base_num = 1.0 + (state.mu * C if C is not None else 0.0)
-        state.window_mu[g.id] = min(max(target * den - base_num, 0.0), _MULTIPLIER_CAP)
+        state.window_mu[g.id] = min(max(target * m.denominator - base_num, 0.0), _MULTIPLIER_CAP)
 
 
 def apply_batch_update(

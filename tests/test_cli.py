@@ -272,10 +272,24 @@ class TestCompare:
         digests = {
             "compare.csv": "51a29454a17063440d5d4c133620ac249ef00f34752782f9f170c1bee0742fe9",
             "oracle_curves.csv": "4ff4c05000c3df7e406f80b0443692884c33c55bdd0fe07c0475d5879667c07f",
-            "roi.csv": "2f1ec9e5cd6ffe9f56ee5e9273014993a7ccaf0eaa4a70979ec17d5775525749",
+            # each ROI is lambda* of the distributional log (test_oracle.TestMarginalRoi)
+            "roi.csv": "d91f8f12cc6638c522e22a8bd2be27145e8cb087a32f6e0057872b6cef265f5f",
         }
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_run_roi_matches_compare_roi(self, tmp_path):
+        # run --roi and compare solve one marginal_roi on one distributional log
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / "stationary.json"
+        out = tmp_path / "out"
+        run = ["run", "--scenario", str(scenario), "--out", str(out), "--seed", "3", "--roi"]
+        assert main(run) == 0
+        assert main(["compare", "--run", str(out)]) == 0
+        metrics = read_kv(out / "metrics.csv")
+        with (out / "roi.csv").open() as fh:
+            roi = {row["placement_id"]: row["marginal_roi"] for row in csv.DictReader(fh)}
+        assert list(roi) == ["feed"]
+        assert float(metrics["placement_feed_roi"]) == float(roi["feed"])
 
     def test_missing_run_dir_exits_2(self, tmp_path):
         assert main(["compare", "--run", str(tmp_path / "missing")]) == 2

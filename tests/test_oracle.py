@@ -1,6 +1,7 @@
 """Hindsight oracle tests: replay, dual solutions, KKT search, diagnostics."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from dualbid.oracle import (
     solve_lambda_star,
 )
 from dualbid.pacing import ConstraintSet, DeliveryWindow, GuaranteeWindow
+from dualbid.scenario import load_scenario
+from dualbid.simulate import distributional_log, generate_stream
 from helpers import (
     enumerate_best_winset,
     quantile_lognormal_log,
@@ -46,6 +49,7 @@ def realized_log(outcomes, mech=UNIFORM_SP):
 
 
 THREE = [(1.0, 0.5), (2.0, 0.5), (3.0, 0.5)]
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestReplay:
@@ -389,6 +393,14 @@ class TestKktGrid:
             assert type(m) is float
 
 
+@pytest.fixture(scope="module", params=["stationary.json", "mixed_constrained.json"])
+def shipped_dlog(request):
+    """A shipped scenario's distributional log, its budget and bid cap."""
+    scenario = load_scenario(SCENARIOS / request.param)
+    log = distributional_log(scenario, generate_stream(scenario))
+    return log, scenario.constraints.budget, scenario.agent.bid_cap
+
+
 class TestMarginalRoi:
     def test_single_placement_matches_lambda(self):
         log = quantile_lognormal_log(5000, LOGN_SP, -1.0, 0.5)
@@ -419,40 +431,55 @@ class TestMarginalRoi:
         for v in values:
             assert abs(v - sol.lam) / sol.lam <= 0.02
 
-    @pytest.mark.parametrize("placements", [1, 2])
-    def test_shared_curves_match_separate_solves(self, placements, monkeypatch):
+    def test_active_roi_is_lambda_star(self, shipped_dlog, monkeypatch):
         import dualbid.oracle as oracle
 
-        mech_b = MechanismSpec("second_price", 0.0, LognormalBids(0.3, 0.8))
-        records = quantile_lognormal_log(1500, LOGN_SP, -1.0, 0.5, placement="a").records
-        if placements == 2:
-            records += quantile_lognormal_log(1500, mech_b, -0.7, 0.6, placement="b").records
-        log = OpportunityLog(
-            [LogRecord(float(i), r.placement, r.value, r.mechanism) for i, r in enumerate(records)]
-        )
-        budget, delta = 0.05 * len(log), 0.05 * len(log) * 1e-3
         replays = []
         original = oracle.replay
         monkeypatch.setattr(oracle, "replay", lambda *a: replays.append(1) or original(*a))
-
-        # the same central differences, each solve on a curve of its own
-        lam = solve_lambda_star(log, budget).lam
-        expected = {}
-        base = original(log, MultiplierProfile(lam=lam))
-        for placement, (spend_k, _) in base.per_placement.items():
-            sub = log.restrict_to_placement(placement)
-            up, down = (solve_lambda_star(sub, spend_k + s * delta).value for s in (1, -1))
-            expected[placement] = (up - down) / (2.0 * delta)
-        separate = len(replays)
-
+        # Proposition 1 holds record by record, so every placement's ROI is lambda*
+        log, budget, bid_cap = shipped_dlog
+        lam = solve_lambda_star(log, budget, bid_cap).lam
+        solve_replays = len(replays)
         replays.clear()
-        roi = marginal_roi(log, budget)
-        assert roi.roi == expected and roi.lam == lam
-        assert len(replays) < separate
+        roi = marginal_roi(log, budget, bid_cap=bid_cap)
+        # the same solve, then the two replays around lambda*
+        assert len(replays) == solve_replays + 2
+        assert roi.lam == lam and roi.inactive == ()
+        assert list(roi.roi) == log.arrays.placement_names
+        for value in roi.roi.values():
+            assert abs(value - lam) / lam <= 1e-5
 
-    def test_single_placement_restricts_to_itself(self):
-        log = quantile_lognormal_log(20, LOGN_SP, -1.0, 0.5)
-        assert log.restrict_to_placement("p") is log
+    def test_matches_restricted_solves(self, shipped_dlog):
+        # an independent estimate: each placement's log on its own, with
+        # lambda* solved at its optimal spend +/- delta, and the central
+        # difference of the value
+        log, budget, bid_cap = shipped_dlog
+        lam = solve_lambda_star(log, budget, bid_cap).lam
+        base = replay(log, MultiplierProfile(lam=lam), bid_cap)
+        roi = marginal_roi(log, budget, bid_cap=bid_cap)
+        delta = 1e-3 * budget
+        for placement, (spend_k, _) in base.per_placement.items():
+            sub = OpportunityLog([r for r in log.records if r.placement == placement])
+            up, down = (
+                solve_lambda_star(sub, spend_k + s * delta, bid_cap).value for s in (1, -1)
+            )
+            expected = (up - down) / (2.0 * delta)
+            assert abs(roi.roi[placement] - expected) / expected <= 1e-3
+
+    def test_placement_that_never_wins_is_inactive(self):
+        unwinnable = MechanismSpec("second_price", 0.0, UniformBids(50.0, 60.0))
+        records = quantile_lognormal_log(1500, LOGN_SP, -1.0, 0.5, placement="a").records
+        records += quantile_lognormal_log(1500, unwinnable, -1.0, 0.5, placement="b").records
+        log = OpportunityLog(
+            [LogRecord(float(i), r.placement, r.value, r.mechanism) for i, r in enumerate(records)]
+        )
+        budget = 0.05 * 1500
+        sol = solve_lambda_star(log, budget)
+        assert not sol.unconstrained
+        roi = marginal_roi(log, budget)
+        assert roi.inactive == ("b",)
+        assert abs(roi.roi["a"] - sol.lam) / sol.lam <= 1e-5
 
     def test_unconstrained_is_zero(self):
         log = quantile_lognormal_log(200, LOGN_SP, -1.0, 0.5)

@@ -104,9 +104,12 @@ class TestStream:
             ]
             assert log.records == records
             reference = OpportunityLog(records)
+            # the network sub-log, from the sub-stream and from the filtered records
+            network = stream[stream.placement == stream.placement_ids.index("network")]
+            network_records = [r for r in records if r.placement == "network"]
             for ours, theirs in (
                 (log, reference),
-                (log.restrict_to_placement("network"), reference.restrict_to_placement("network")),
+                (build(scenario, network), OpportunityLog(network_records)),
             ):
                 assert ours.records == theirs.records
                 got, want = replay(ours, profile), replay(theirs, profile)
