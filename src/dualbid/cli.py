@@ -306,15 +306,11 @@ def cmd_compare(args) -> int:
 
     _write_oracle_curves(out_dir / "oracle_curves.csv", log, profile, scenario.agent.bid_cap)
 
-    roi_rows = []
-    if not unconstrained:
-        roi = marginal_roi(
-            distributional_log(scenario, stream), budget, bid_cap=scenario.agent.bid_cap
-        )
-        for pid in sorted(roi.roi):
-            roi_rows.append((pid, repr(roi.roi[pid])))
-        for pid in roi.inactive:
-            roi_rows.append((pid, "inactive"))
+    # the budget-only ROI, as run --roi writes it: 0.0 per placement when
+    # the budget-only lambda* does not bind, whatever the KKT solution binds
+    roi = marginal_roi(distributional_log(scenario, stream), budget, bid_cap=scenario.agent.bid_cap)
+    roi_rows = [(pid, repr(roi.roi[pid])) for pid in sorted(roi.roi)]
+    roi_rows += [(pid, "inactive") for pid in roi.inactive]
     _write_csv(out_dir / "roi.csv", ["placement_id", "marginal_roi"], roi_rows)
     _write_kv_csv(out_dir / "compare.csv", rows)
 

@@ -156,14 +156,6 @@ class LogColumns:
         win): max(clearing, reserve); NaN in distributional records."""
         return np.maximum(self.clearing, self.table.reserve)
 
-    def take(self, rows) -> LogColumns:
-        """The columns restricted to rows (an index array, mask or slice)."""
-        return LogColumns(
-            self.time[rows], self.values[rows], self.clearing[rows], self.mechanisms,
-            self.mechanism_codes[rows], self.placement_names, self.placement_codes[rows],
-            self.window_combos, self.combo_codes[rows],
-        )  # fmt: skip
-
     def records(self) -> list[LogRecord]:
         clearing = [None if np.isnan(c) else c for c in self.clearing.tolist()]
         return [
@@ -565,11 +557,18 @@ def search_multiplier(
     (spend - budget, window spend - cap, shortfall, ...) is <= 0.
 
     Returns (floor, None) when the floor fits.  Otherwise steps up from 1 by
-    factors of 4 to a bracket and bisects it until |excess| <= tol (pass tol
-    only for smooth curves; the bisection point is returned) or until its
-    width is <= width_rel * max(1, hi), returning hi, the side that fits.
-    The second value is the final bracket (lo, hi, excess(lo), excess(hi)).
-    Returns None when the excess is still positive at limit.
+    factors of 4 to a bracket (lo, hi) with excess(lo) > 0 >= excess(hi)
+    and narrows it until |excess| <= tol, returning that point, or until
+    its width is <= width_rel * max(1, hi), returning hi, the side that
+    fits.  The second value is the final bracket (lo, hi, excess(lo),
+    excess(hi)).  Returns None when the excess is still positive at limit.
+
+    tol marks a smooth curve (pass it only for one): each point is then
+    the Illinois regula falsi step (Dowell & Jarratt 1971) in u = ln x,
+    the secant through the bracket's ends with the excess of an end that
+    stays put twice in a row halved, or the midpoint when lo is 0, an end's
+    excess is not finite, or the secant falls outside (lo, hi).  A step
+    function (tol None) is bisected, so every point it reads is a midpoint.
     """
     r_lo = excess(floor)
     if r_lo <= 0:
@@ -582,15 +581,37 @@ def search_multiplier(
         lo, r_lo = hi, r_hi
         hi = min(4.0 * hi, limit)
         r_hi = excess(hi)
+    if tol is None:
+        while hi - lo > width_rel * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            r = excess(mid)
+            if r <= 0:
+                hi, r_hi = mid, r
+            else:
+                lo, r_lo = mid, r
+        return hi, (lo, hi, r_lo, r_hi)
+    # the ends' excesses as the secant weighs them, and the side that moved last
+    w_lo, w_hi, moved = r_lo, r_hi, 0
     while hi - lo > width_rel * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        r = excess(mid)
-        if tol is not None and abs(r) <= tol:
-            return mid, (lo, hi, r_lo, r_hi)
+        x = 0.5 * (lo + hi)
+        if lo > 0 and math.isfinite(w_lo) and math.isfinite(w_hi):
+            u_lo, u_hi = math.log(lo), math.log(hi)
+            secant = math.exp(u_hi - w_hi * (u_hi - u_lo) / (w_hi - w_lo))
+            if lo < secant < hi:
+                x = secant
+        r = excess(x)
+        if abs(r) <= tol:
+            return x, (lo, hi, r_lo, r_hi)
         if r <= 0:
-            hi, r_hi = mid, r
+            hi, r_hi, w_hi = x, r, r
+            if moved < 0:
+                w_lo *= 0.5
+            moved = -1
         else:
-            lo, r_lo = mid, r
+            lo, r_lo, w_lo = x, r, r
+            if moved > 0:
+                w_hi *= 0.5
+            moved = 1
     return hi, (lo, hi, r_lo, r_hi)
 
 
@@ -603,15 +624,22 @@ def _solve_budget_multiplier(
     rel_tol: float = LAMBDA_REL_TOL,
     width_rel: float = 1e-12,
 ) -> tuple[LambdaSolution, tuple[float, float, float, float] | None]:
-    """The budget multiplier on one spend curve, and its search bracket."""
-    smooth = curve.log.mode == "distributional"
-    found = search_multiplier(
-        lambda lam: curve.excess(lam, budget),
-        LAMBDA_FLOOR,
-        LAMBDA_LIMIT,
-        tol=rel_tol * budget if smooth else None,
-        width_rel=width_rel,
-    )
+    """The budget multiplier on one spend curve, and its search bracket.
+
+    A smooth (distributional) curve is searched on ln(spend / budget), to
+    log1p(rel_tol): the band |spend - budget| <= rel_tol * budget, read on
+    a scale where spend is close to linear in ln(lam).  Zero spend reads as
+    -inf, a step the search takes at the midpoint."""
+    if curve.log.mode == "distributional":
+
+        def excess(lam: float) -> float:
+            spend = curve.at(lam).spend
+            return math.log(spend / budget) if spend > 0 else -math.inf
+
+        tol = math.log1p(rel_tol)
+    else:
+        excess, tol = (lambda lam: curve.excess(lam, budget)), None
+    found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT, tol=tol, width_rel=width_rel)
     if found is None:
         raise OracleError("could not bracket the budget multiplier")
     lam, bracket = found
@@ -632,13 +660,16 @@ def solve_lambda_star(
     """Budget-only hindsight multiplier.
 
     Unconstrained branch: if replayed spend at the floor multiplier fits the
-    budget, the floor is returned flagged.  Otherwise bisection matches
-    spend to budget within LAMBDA_REL_TOL (distributional mode) or returns
-    the conservative high side of the step bracket (realized mode, never
-    overspending).  On a realized log the bisection reads spend from a
-    RealizedSpend, whose signs are those of a replay, so it visits the
-    points and returns the multiplier that replaying at every step would;
-    spend and value are replayed at that multiplier.
+    budget, the floor is returned flagged.  Otherwise, on a distributional
+    log (a smooth spend curve), Illinois regula falsi on ln(spend / budget)
+    against ln(lam) matches spend to budget within LAMBDA_REL_TOL, in about
+    8 replays.  On a realized or mixed log (a step function) bisection
+    returns the conservative high side of the step bracket, never
+    overspending; on a realized log it reads spend from a RealizedSpend,
+    whose signs are those of a replay, so it visits the points and returns
+    the multiplier that replaying at every step would.  Spend and value are
+    replayed at the result, and bracket is the final bracket of whichever
+    search ran.
     """
     if not budget > 0:
         raise OracleError(f"budget must be > 0, got {budget}")

@@ -138,6 +138,40 @@ def lambda_star_by_replay(log: OpportunityLog, budget: float, bid_cap: float = D
     )
 
 
+def lambda_band_by_bisection(
+    log: OpportunityLog, budget: float, rel_tol: float, bid_cap: float = DEFAULT_BID_CAP
+) -> tuple[float, float]:
+    """Multipliers (lo, hi) around every lam whose replayed spend lies within
+    rel_tol * budget of budget: lo spends more than budget * (1 + rel_tol)
+    and hi at most budget * (1 - rel_tol).  Each end is found by plain
+    bisection on lam, apart from search_multiplier, until the spends across
+    its bracket differ by at most 1e-12 of its target, or the bracket's ends
+    are adjacent floats.  The spend must not fit the budget at the floor."""
+
+    def spend(lam: float) -> float:
+        return replay(log, MultiplierProfile(lam=lam), bid_cap).spend
+
+    def bracket(target: float) -> tuple[float, float]:
+        lo, hi = LAMBDA_FLOOR, 1.0
+        s_lo, s_hi = spend(lo), spend(hi)
+        assert s_lo > target
+        while s_hi > target:
+            lo, s_lo, hi = hi, s_hi, 2.0 * hi
+            s_hi = spend(hi)
+        while s_lo - s_hi > 1e-12 * target:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            s = spend(mid)
+            if s > target:
+                lo, s_lo = mid, s
+            else:
+                hi, s_hi = mid, s
+        return lo, hi
+
+    return bracket(budget * (1.0 + rel_tol))[0], bracket(budget * (1.0 - rel_tol))[1]
+
+
 def ftl_lambda_by_replay(
     entries, budget: float, expected_total: float, window=None, bid_cap: float = DEFAULT_BID_CAP
 ):

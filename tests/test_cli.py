@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from dualbid.cli import main
-from helpers import stationary_scenario
+from helpers import mixed_scenario, stationary_scenario
 
 
 MIXED_CONSTRAINED = Path(__file__).resolve().parents[1] / "scenarios" / "mixed_constrained.json"
@@ -272,24 +272,54 @@ class TestCompare:
         digests = {
             "compare.csv": "51a29454a17063440d5d4c133620ac249ef00f34752782f9f170c1bee0742fe9",
             "oracle_curves.csv": "4ff4c05000c3df7e406f80b0443692884c33c55bdd0fe07c0475d5879667c07f",
-            # each ROI is lambda* of the distributional log (test_oracle.TestMarginalRoi)
-            "roi.csv": "d91f8f12cc6638c522e22a8bd2be27145e8cb087a32f6e0057872b6cef265f5f",
+            # each ROI is lambda* of the distributional log (test_oracle.TestMarginalRoi),
+            # which lies in a reference bisection's spend band
+            # (test_oracle.TestSolveLambdaStar.test_smooth_solve_lies_in_reference_band)
+            "roi.csv": "29b28ccca6fdc6f5d968b815f48429c9f40d27c7939db2a057c073438373790c",
         }
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
-    def test_run_roi_matches_compare_roi(self, tmp_path):
-        # run --roi and compare solve one marginal_roi on one distributional log
-        scenario = Path(__file__).resolve().parents[1] / "scenarios" / "stationary.json"
+    @pytest.mark.parametrize(
+        "cfg, zero",
+        [
+            pytest.param(None, False, id="stationary"),
+            # the budget-only lambda* binds, the KKT solution binds the cost
+            # target instead
+            pytest.param(
+                mixed_scenario(
+                    intervals=120,
+                    cost_target=0.25,
+                    delivery_windows=[{"id": "w", "start": 30, "end": 80, "cap": 8.0}],
+                    guarantee_windows=[{"id": "g", "start": 60, "end": 100, "floor": 15.0}],
+                    agent={"constraint_xi": 5.0},
+                ),
+                False,
+                id="constrained",
+            ),
+            # the budget-only lambda* does not bind: every ROI is 0.0
+            pytest.param(small_scenario(budget=1e4), True, id="budget_unconstrained"),
+        ],
+    )
+    def test_run_roi_matches_compare_roi(self, tmp_path, cfg, zero):
+        # run --roi and compare solve one budget-only marginal_roi on one
+        # distributional log, whatever the KKT solution binds
         out = tmp_path / "out"
-        run = ["run", "--scenario", str(scenario), "--out", str(out), "--seed", "3", "--roi"]
-        assert main(run) == 0
+        if cfg is None:
+            scenario = Path(__file__).resolve().parents[1] / "scenarios" / "stationary.json"
+            run = ["run", "--scenario", str(scenario), "--out", str(out), "--seed", "3"]
+        else:
+            run = ["run", "--scenario", str(write_scenario(tmp_path, cfg)), "--out", str(out)]
+        assert main(run + ["--roi"]) == 0
         assert main(["compare", "--run", str(out)]) == 0
         metrics = read_kv(out / "metrics.csv")
         with (out / "roi.csv").open() as fh:
             roi = {row["placement_id"]: row["marginal_roi"] for row in csv.DictReader(fh)}
-        assert list(roi) == ["feed"]
-        assert float(metrics["placement_feed_roi"]) == float(roi["feed"])
+        resolved = json.loads((out / "config_resolved.json").read_text())
+        assert list(roi) == sorted(p["id"] for p in resolved["placements"])
+        for placement, value in roi.items():
+            assert float(metrics[f"placement_{placement}_roi"]) == float(value)
+            assert (float(value) == 0.0) == zero
 
     def test_missing_run_dir_exits_2(self, tmp_path):
         assert main(["compare", "--run", str(tmp_path / "missing")]) == 2

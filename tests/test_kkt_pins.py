@@ -2,9 +2,13 @@
 realized and distributional logs.
 
 The expected multipliers and residuals are reprs, the notes exact, and the
-replay count that of oracle.replay calls made by one solve; they were
-computed before the KKT search was written as one recursion over a list of
-constraints, so the search must evaluate the same points in the same order.
+replay count that of oracle.replay calls made by one solve.  The realized
+("sp", "mixed") pins were computed before the KKT search was written as one
+recursion over a list of constraints, and a realized search bisects, so it
+must evaluate the same points in the same order.  The distributional
+("dist") pins were computed when smooth searches moved from bisection to
+Illinois regula falsi in log coordinates; every case kept its feasibility
+and notes, and each residual is within KKT_REL_TOL.
 """
 
 import numpy as np
@@ -357,96 +361,96 @@ PINS = {('sp', 'budget'): {'lam': '1.861285388469696',
                                      'mu_g=1.330885261297226, the final bracket of its search'],
                            'feasible': True,
                            'replays': 3132},
-        ('dist', 'budget'): {'lam': '2.0000001192092896',
+        ('dist', 'budget'): {'lam': '2.000000000131601',
                              'mu': '0.0',
                              'window_lambda': {},
                              'window_mu': {},
-                             'residuals': {'budget': '7.608794460461892e-08'},
+                             'residuals': {'budget': '8.39971500285437e-11'},
                              'notes': [],
                              'feasible': True,
-                             'replays': 26},
+                             'replays': 9},
         ('dist', 'unconstrained'): {'lam': '1e-09',
                                     'mu': '0.0',
-                                    'window_lambda': {'d': '2.91015625'},
+                                    'window_lambda': {'d': '2.9103959583126517'},
                                     'window_mu': {},
                                     'residuals': {'budget': '0.0',
-                                                  'delivery': '5.010266098236451e-05'},
+                                                  'delivery': '9.940820005734304e-05'},
                                     'notes': ['budget unconstrained'],
                                     'feasible': True,
-                                    'replays': 12},
+                                    'replays': 7},
         ('dist', 'cost_binding'): {'lam': '1e-09',
-                                   'mu': '5.658203125',
+                                   'mu': '5.6604922209177815',
                                    'window_lambda': {},
                                    'window_mu': {},
                                    'residuals': {'budget': '0.0',
-                                                 'cost_target': '0.00010896918724880597'},
+                                                 'cost_target': '3.311949529166868e-05'},
                                    'notes': ['budget unconstrained'],
                                    'feasible': True,
-                                   'replays': 66},
-        ('dist', 'cost_slack'): {'lam': '2.0000001192092896',
+                                   'replays': 26},
+        ('dist', 'cost_slack'): {'lam': '2.000000000131601',
                                  'mu': '0.0',
                                  'window_lambda': {},
                                  'window_mu': {},
-                                 'residuals': {'budget': '7.608794460461892e-08'},
+                                 'residuals': {'budget': '8.39971500285437e-11'},
                                  'notes': [],
                                  'feasible': True,
-                                 'replays': 52},
-        ('dist', 'delivery'): {'lam': '1.5284920930862427',
+                                 'replays': 18},
+        ('dist', 'delivery'): {'lam': '1.5284141749835785',
                                'mu': '0.0',
-                               'window_lambda': {'d': '1.381591796875'},
+                               'window_lambda': {'d': '1.3818060026210646'},
                                'window_mu': {},
-                               'residuals': {'budget': '5.666634022778238e-08',
-                                             'delivery': '9.524209937989196e-05'},
+                               'residuals': {'budget': '1.6220831654622126e-09',
+                                             'delivery': '1.0227169809883245e-05'},
                                'notes': [],
                                'feasible': True,
-                               'replays': 403},
-        ('dist', 'guarantee'): {'lam': '2.241387128829956',
+                               'replays': 71},
+        ('dist', 'guarantee'): {'lam': '2.241551718783203',
                                 'mu': '0.0',
                                 'window_lambda': {},
-                                'window_mu': {'g': '0.22265625'},
-                                'residuals': {'budget': '3.6171576602663755e-08',
-                                              'guarantee': '3.648623916892009e-05'},
+                                'window_mu': {'g': '0.22280907068782052'},
+                                'residuals': {'budget': '3.957739587590904e-09',
+                                              'guarantee': '7.859286303171182e-06'},
                                 'notes': [],
                                 'feasible': True,
-                                'replays': 272},
-        ('dist', 'guarantee_infeasible'): {'lam': '4.900323867797852',
+                                'replays': 83},
+        ('dist', 'guarantee_infeasible'): {'lam': '4.900325367894165',
                                            'mu': '0.0',
                                            'window_lambda': {},
                                            'window_mu': {'g': '10000.0'},
-                                           'residuals': {'budget': '2.8124859990089536e-08'},
+                                           'residuals': {'budget': '4.649820627509425e-08'},
                                            'notes': ["guarantee 'g' infeasible: max achievable "
                                                      'value 18.5368 < floor 37.0737'],
                                            'feasible': False,
-                                           'replays': 242},
+                                           'replays': 90},
         ('dist', 'cost_delivery'): {'lam': '1e-09',
-                                    'mu': '5.265625',
-                                    'window_lambda': {'d': '0.48291015625'},
+                                    'mu': '5.265214067160799',
+                                    'window_lambda': {'d': '0.4830213123167126'},
                                     'window_mu': {},
                                     'residuals': {'budget': '0.0',
-                                                  'cost_target': '2.8739760382070687e-05',
-                                                  'delivery': '1.9919698440817768e-05'},
+                                                  'cost_target': '4.862109679051619e-06',
+                                                  'delivery': '4.798960806216722e-06'},
                                     'notes': ['budget unconstrained'],
                                     'feasible': True,
-                                    'replays': 870},
-        ('dist', 'all'): {'lam': '2.241387128829956',
+                                    'replays': 206},
+        ('dist', 'all'): {'lam': '2.241551718783203',
                           'mu': '0.0',
                           'window_lambda': {'d': '0.0'},
-                          'window_mu': {'g': '0.22265625'},
-                          'residuals': {'budget': '3.6171576602663755e-08',
-                                        'guarantee': '3.648623916892009e-05'},
+                          'window_mu': {'g': '0.22280907068782052'},
+                          'residuals': {'budget': '3.957739587590904e-09',
+                                        'guarantee': '7.859286303171182e-06'},
                           'notes': [],
                           'feasible': True,
-                          'replays': 1088},
-        ('dist', 'guarantee_delivery'): {'lam': '1.8561453819274902',
+                          'replays': 332},
+        ('dist', 'guarantee_delivery'): {'lam': '1.855496906560823',
                                          'mu': '0.0',
-                                         'window_lambda': {'d': '2.32861328125'},
-                                         'window_mu': {'g': '0.75390625'},
-                                         'residuals': {'budget': '7.447769361311587e-09',
-                                                       'delivery': '7.18030338423909e-05',
-                                                       'guarantee': '7.007580771720423e-05'},
+                                         'window_lambda': {'d': '2.3272380147489424'},
+                                         'window_mu': {'g': '0.7525980570174541'},
+                                         'residuals': {'budget': '8.913524244752005e-12',
+                                                       'delivery': '4.2627075054902604e-06',
+                                                       'guarantee': '3.981807274688851e-05'},
                                          'notes': [],
                                          'feasible': True,
-                                         'replays': 3984}}
+                                         'replays': 428}}
 
 
 @pytest.mark.parametrize("log_kind, case", sorted(PINS))

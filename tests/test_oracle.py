@@ -1,5 +1,6 @@
 """Hindsight oracle tests: replay, dual solutions, KKT search, diagnostics."""
 
+import math
 import re
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from dualbid.bidding import LAMBDA_FLOOR
 from dualbid.coldstart import PlacementPriors, expected_spend_per_opportunity, solve_lambda0
 from dualbid.mechanisms import LognormalBids, MechanismSpec, UniformBids
 from dualbid.oracle import (
+    LAMBDA_REL_TOL,
     LogRecord,
     MultiplierProfile,
     OpportunityLog,
@@ -29,6 +31,7 @@ from dualbid.scenario import load_scenario
 from dualbid.simulate import distributional_log, generate_stream
 from helpers import (
     enumerate_best_winset,
+    lambda_band_by_bisection,
     quantile_lognormal_log,
     replay_by_record,
     threshold_lambda,
@@ -121,6 +124,31 @@ class TestSearchMultiplier:
         assert abs(x - 2.0) <= 1e-3
         assert lo <= x <= hi
 
+    def test_smooth_excess_takes_secant_steps_in_log_coordinates(self):
+        seen = []
+        # linear in ln x: the floor, the steps to the bracket [1, 4], and one
+        # secant step onto the root
+        x, _ = search_multiplier(
+            lambda x: seen.append(x) or math.log(2.0 / x), 1e-9, 1e6, tol=1e-12
+        )
+        assert seen == [1e-9, 1.0, 4.0, x]
+        assert x == pytest.approx(2.0, rel=1e-12)
+
+    def test_smooth_excess_from_zero_takes_midpoints_until_lo_moves(self):
+        seen = []
+        x, _ = search_multiplier(lambda x: seen.append(x) or 0.3 - x, 0.0, 10.0, tol=1e-12)
+        assert seen[:4] == [0.0, 1.0, 0.5, 0.25]
+        assert abs(x - 0.3) <= 1e-12 and len(seen) <= 12
+
+    def test_illinois_halves_an_end_that_stays_put(self):
+        # convex in ln x: plain regula falsi would keep moving one end only
+        seen = []
+        x, _ = search_multiplier(
+            lambda x: seen.append(x) or (2.0 / x) ** 8 - 1.0, 1e-3, 1e6, tol=1e-12
+        )
+        assert x == pytest.approx(2.0, rel=1e-12)
+        assert len(seen) <= 25
+
     def test_limit_is_tried_then_given_up(self):
         assert search_multiplier(lambda x: 1.0, 0.0, 100.0) is None
         x, _ = search_multiplier(lambda x: 1.0 if x < 99.0 else -1.0, 0.0, 100.0)
@@ -141,6 +169,25 @@ class TestSolveLambdaStar:
         assert abs(sol.spend - budget) <= 1e-6 * budget
         closed = solve_lambda0(priors, budget)
         assert abs(sol.lam - closed.lam) / closed.lam <= 1e-4
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 2.0])
+    def test_smooth_solve_lies_in_reference_band(self, shipped_dlog, scale, monkeypatch):
+        import dualbid.oracle as oracle
+
+        log, budget, bid_cap = shipped_dlog
+        budget *= scale
+        replays = []
+        original = oracle.replay
+        monkeypatch.setattr(oracle, "replay", lambda *a: replays.append(1) or original(*a))
+        sol = solve_lambda_star(log, budget, bid_cap)
+        monkeypatch.setattr(oracle, "replay", original)
+        # Illinois steps in log coordinates; bisecting the bracket took 23
+        assert len(replays) <= 10
+        assert not sol.unconstrained
+        assert sol.spend == replay(log, MultiplierProfile(lam=sol.lam), bid_cap).spend
+        assert abs(sol.spend - budget) <= LAMBDA_REL_TOL * budget
+        lo, hi = lambda_band_by_bisection(log, budget, LAMBDA_REL_TOL, bid_cap)
+        assert lo < sol.lam <= hi
 
     def test_unconstrained_flag(self):
         log = realized_log(THREE)
