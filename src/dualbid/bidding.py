@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .mechanisms import (
     EMPIRICAL,
@@ -173,8 +172,11 @@ def _lognormal_newton(mu: np.ndarray, sigma: np.ndarray, xs: np.ndarray) -> np.n
     the root without overshooting.  ln R is formed from log_ndtr, so R never
     overflows.  Each row stops once its own step is below 1e-10 max(1, |z|)
     (the next step would move it by rounding only), independently of the
-    others.
+    others.  scipy.special is imported once per call, not at module load
+    (see mechanisms._lognormal_curves).
     """
+    from scipy.special import log_ndtr
+
     t = np.log(xs) - mu
     z = t / sigma
     ln_sigma = np.log(sigma)

@@ -19,7 +19,9 @@ arrays, evaluated on whole arrays of bids.  ``win_prob``, ``expected_cost``
 and the other per-mechanism functions are one-row views of it, accepting a
 scalar bid or a numpy array of bids and returning the matching shape.
 Nothing here holds random state: outcome simulation takes the uniform draw
-as an argument.
+as an argument, and ``MechanismTable.quantile`` maps uniform draws to
+competing bids (through ``ndtri``, a numpy normal quantile, on lognormal
+rows).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 FIRST_PRICE = "first_price"
 SECOND_PRICE = "second_price"
@@ -54,6 +55,68 @@ def _ret(arr, scalar):
     return float(arr) if scalar else arr
 
 
+# Wichura's AS241 (PPND16; Applied Statistics 37, 1988), highest power first:
+# (numerator, denominator) of the rational approximations in q = p - 1/2 for
+# |q| <= 0.425 and in r = sqrt(-ln min(p, 1 - p)) for r <= 5 and beyond.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)  # fmt: skip
+_AS241_NEAR_TAIL = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
+     4.6303378461565452959e0, 1.4234371107496835773e0),
+    (1.05075007164441684324e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+     2.0531916266377588219e0, 1.0),
+)  # fmt: skip
+_AS241_FAR_TAIL = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)  # fmt: skip
+
+
+def _rational(coefficients, x, scale=1.0):
+    """scale * num(x) / den(x), each polynomial by Horner's rule; scale
+    multiplies the numerator before the division, as AS241 orders it."""
+    num, den = (np.polyval(c, x) for c in coefficients)
+    return scale * num / den
+
+
+def ndtri(p):
+    """Standard normal quantile, the inverse of Phi, by Wichura's AS241.
+
+    Agrees with scipy.special.ndtri to 4e-15 relative on [1e-300, 1 - 1e-16]
+    (tests/test_mechanisms.py).  -inf at 0, +inf at 1, NaN outside [0, 1].
+    """
+    arr, scalar = _as_array(p)
+    q = arr - 0.5
+    out = np.empty(arr.shape)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    out[central] = _rational(_AS241_CENTRAL, 0.180625 - qc * qc, qc)
+    tail = ~central
+    pt = arr[tail]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        near = r <= 5.0
+        x = np.empty(r.shape)
+        x[near] = _rational(_AS241_NEAR_TAIL, r[near] - 1.6)
+        x[~near] = _rational(_AS241_FAR_TAIL, r[~near] - 5.0)
+    out[tail] = np.where(q[tail] < 0.0, -x, x)
+    out[arr == 0.0] = -np.inf
+    out[arr == 1.0] = np.inf
+    return _ret(out, scalar)
+
+
 @dataclass(frozen=True)
 class LognormalBids:
     """Highest competing bid ~ Lognormal(mu, sigma)."""
@@ -71,9 +134,7 @@ class LognormalBids:
 
     def quantile(self, u):
         arr, scalar = _as_array(u)
-        out = np.exp(self.mu + self.sigma * ndtri(np.clip(arr, 1e-300, 1.0 - 1e-16)))
-        out = np.where(arr <= 0.0, 0.0, out)
-        return _ret(out, scalar)
+        return _ret(_lognormal_quantile(arr, self.mu, self.sigma), scalar)
 
     @property
     def support_top(self) -> float:
@@ -97,7 +158,7 @@ class UniformBids:
 
     def quantile(self, u):
         arr, scalar = _as_array(u)
-        return _ret(self.lo + np.clip(arr, 0.0, 1.0) * (self.hi - self.lo), scalar)
+        return _ret(_uniform_quantile(arr, self.lo, self.hi), scalar)
 
     @property
     def support_top(self) -> float:
@@ -230,7 +291,14 @@ LOGNORMAL, UNIFORM, EMPIRICAL, OTHER = range(4)
 
 
 def _lognormal_curves(names, b, mu, sigma):
-    """The named curves of lognormal rows, all from one log of the bids."""
+    """The named curves of lognormal rows, all from one log of the bids.
+
+    scipy.special is imported here rather than at the top of the module:
+    loading it costs more than a second-price episode, and only these
+    curves and first-price shading (bidding._lognormal_newton) need it.
+    """
+    from scipy.special import ndtr
+
     positive = b > 0
     safe = np.where(positive, b, 1.0)
     ln_b = np.log(safe)
@@ -272,6 +340,18 @@ def _uniform_curves(names, b, lo, hi):
 
 
 _FAMILY_CURVES = {LOGNORMAL: _lognormal_curves, UNIFORM: _uniform_curves}
+
+
+def _lognormal_quantile(u, mu, sigma):
+    out = np.exp(mu + sigma * ndtri(np.clip(u, 1e-300, 1.0 - 1e-16)))
+    return np.where(u <= 0.0, 0.0, out)
+
+
+def _uniform_quantile(u, lo, hi):
+    return lo + np.clip(u, 0.0, 1.0) * (hi - lo)
+
+
+_FAMILY_QUANTILES = {LOGNORMAL: _lognormal_quantile, UNIFORM: _uniform_quantile}
 
 
 class MechanismTable:
@@ -366,25 +446,47 @@ class MechanismTable:
             return values[0]
         return values.reshape(values.shape + (1,) * (b.ndim - 1))
 
-    def _curves(self, names, b):
-        """The named curves (cdf, pdf, partial_expectation) per row at bids
-        b, in one pass over the rows: a lognormal row takes one log of its
-        bid for all of them."""
-        b = np.asarray(b, dtype=float)
+    def _by_group(self, x, count, family, model):
+        """count arrays shaped like x (first axis over the rows), filled one
+        group of the plan at a time: family(code, x, p1, p2) gives a
+        lognormal or uniform group's arrays, model(m, x) those of the rows
+        of the competing-bid object m."""
         whole = self._plan and self._plan[0][2] is None
-        outs = None if whole else [np.zeros(b.shape) for _ in names]
-        for code, model, rows in self._plan:
-            sub = b if rows is None else b[rows]
-            if model is not None:
-                values = [getattr(model, name)(sub) for name in names]
+        outs = None if whole else [np.zeros(x.shape) for _ in range(count)]
+        for code, m, rows in self._plan:
+            sub = x if rows is None else x[rows]
+            if m is not None:
+                values = model(m, sub)
             else:
                 p1, p2 = self._column(self.p1, sub, rows), self._column(self.p2, sub, rows)
-                values = _FAMILY_CURVES[code](names, sub, p1, p2)
+                values = family(code, sub, p1, p2)
             if outs is None:
                 return values
             for out, v in zip(outs, values):
                 out[rows] = v
         return outs
+
+    def _curves(self, names, b):
+        """The named curves (cdf, pdf, partial_expectation) per row at bids
+        b, in one pass over the rows: a lognormal row takes one log of its
+        bid for all of them."""
+        return self._by_group(
+            np.asarray(b, dtype=float),
+            len(names),
+            lambda code, sub, p1, p2: _FAMILY_CURVES[code](names, sub, p1, p2),
+            lambda m, sub: [getattr(m, name)(sub) for name in names],
+        )
+
+    def quantile(self, u):
+        """Competing bid per row at the uniform draw u (the inverse of its
+        CDF), one call per group of rows; a lognormal row bids 0 at u <= 0.
+        Each row equals its own competing-bid model's quantile bit for bit."""
+        return self._by_group(
+            np.asarray(u, dtype=float),
+            1,
+            lambda code, sub, p1, p2: [_FAMILY_QUANTILES[code](sub, p1, p2)],
+            lambda m, sub: [m.quantile(sub)],
+        )[0]
 
     def cdf(self, b):
         """Competing-bid CDF per row."""

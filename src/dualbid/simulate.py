@@ -158,7 +158,11 @@ def _cell_rngs(seed: int):
 
 def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
     """All opportunities for the scenario, interleaved across placements by
-    a within-interval jitter and fully reproducible from the seed."""
+    a within-interval jitter and fully reproducible from the seed.
+
+    Each cell draws its jitter, values, clearing-bid uniforms and result
+    draws in that order; the uniforms of every cell become clearing bids in
+    one MechanismTable.quantile call over the stream."""
     cells: list[MechanismSpec] = []
     cell_interval: list[int] = []
     cell_placement: list[int] = []
@@ -178,8 +182,8 @@ def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
             values = rng.lognormal(
                 mean=drifted_value_mu(placement, interval), sigma=placement.value_sigma, size=n
             )
-            clearing = mech.competitor.quantile(rng.random(n))
-            draws.append((jitter, values, clearing, rng.random(n)))
+            clearing_draws = rng.random(n)
+            draws.append((jitter, values, clearing_draws, rng.random(n)))
             cells.append(mech)
             cell_interval.append(interval)
             cell_placement.append(p_idx)
@@ -189,16 +193,17 @@ def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
     interval = np.array(cell_interval, dtype=np.int64)[cell]
     placement = np.array(cell_placement, dtype=np.intp)[cell]
     columns = zip(*draws) if draws else [[np.empty(0)]] * 4
-    jitter, values, clearing, result_draws = (np.concatenate(c) for c in columns)
+    jitter, values, clearing_draws, result_draws = (np.concatenate(c) for c in columns)
     # stable, so ties keep the cell order: the order of sorting the
     # opportunities by (interval, jitter, placement id)
     rank = np.empty(len(ids), dtype=np.intp)
     rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     order = np.lexsort((rank[placement], jitter, interval))
     table = MechanismTable.from_specs(cells).take(cell[order])
+    clearing = table.quantile(clearing_draws[order])
     return OpportunityStream(
         ids, cells, interval[order], jitter[order], placement[order], values[order],
-        clearing[order], result_draws[order], cell[order], table,
+        clearing, result_draws[order], cell[order], table,
     )  # fmt: skip
 
 

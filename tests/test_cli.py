@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,8 @@ from dualbid.cli import main
 from helpers import mixed_scenario, stationary_scenario
 
 
-MIXED_CONSTRAINED = Path(__file__).resolve().parents[1] / "scenarios" / "mixed_constrained.json"
+ROOT = Path(__file__).resolve().parents[1]
+MIXED_CONSTRAINED = ROOT / "scenarios" / "mixed_constrained.json"
 DROP = object()  # a field to delete
 
 
@@ -180,6 +183,32 @@ class TestRun:
         assert not out.exists()
 
 
+# Importing scipy.special takes longer than a second-price episode runs, so
+# only lognormal G/H curves and first-price shading import it, when called.
+NO_SCIPY_RUNS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import dualbid.cli
+for scenario, out in zip(sys.argv[2::2], sys.argv[3::2]):
+    assert dualbid.cli.main(["run", "--scenario", scenario, "--out", out]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_second_price_runs_do_not_load_scipy(tmp_path):
+    stationary = ROOT / "scenarios" / "stationary.json"
+    ftl = json.loads(stationary.read_text())
+    ftl["agent"]["mode"] = "ftl"
+    args = [str(ROOT / "src"), str(stationary), str(tmp_path / "run")]
+    args += [str(write_scenario(tmp_path, ftl, "ftl.json")), str(tmp_path / "ftl")]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUNS, *args], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "run" / "trace.csv").is_file() and (tmp_path / "ftl" / "trace.csv").is_file()
+
+
 class TestCompare:
     def test_compare_outputs(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, small_scenario())
@@ -270,8 +299,8 @@ class TestCompare:
         assert float(nearest["spend"]) == pytest.approx(float(compare["oracle_spend"]), rel=0.01)
         # the KKT solution and everything read from it, byte for byte
         digests = {
-            "compare.csv": "51a29454a17063440d5d4c133620ac249ef00f34752782f9f170c1bee0742fe9",
-            "oracle_curves.csv": "4ff4c05000c3df7e406f80b0443692884c33c55bdd0fe07c0475d5879667c07f",
+            "compare.csv": "97af9a6133191cb983d56a2e334a599469a8617163566a597eb104879c0db2d8",
+            "oracle_curves.csv": "ded868a46475bb87575f142ee7f2b446a1fad791f09af2127d9dc93240c649fe",
             # each ROI is lambda* of the distributional log (test_oracle.TestMarginalRoi),
             # which lies in a reference bisection's spend band
             # (test_oracle.TestSolveLambdaStar.test_smooth_solve_lies_in_reference_band)

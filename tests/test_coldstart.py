@@ -37,6 +37,12 @@ class TestExpectedPhiAffine:
         se = sample.std() / math.sqrt(len(sample))
         assert abs(sample.mean() - expected_phi_affine(3.0, 2.0)) <= 3 * se
 
+    def test_phi_matches_scipy_on_minus_8_to_8(self):
+        # expected_phi_affine(0, x) is the cold start's Phi(x), from math.erfc
+        x = np.linspace(-8.0, 8.0, 16_001)
+        phi = np.array([expected_phi_affine(0.0, float(v)) for v in x])
+        np.testing.assert_allclose(phi, ndtr(x), rtol=4e-15, atol=0.0)
+
     def test_reflection_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(50):

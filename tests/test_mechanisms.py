@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from dualbid.mechanisms import (
@@ -18,6 +19,7 @@ from dualbid.mechanisms import (
     competitor_to_dict,
     cost_derivative,
     expected_cost,
+    ndtri,
     resolve,
     simulate_outcome,
     win_density,
@@ -261,6 +263,60 @@ class TestEmpiricalModel:
             EmpiricalBids(())
         with pytest.raises(MechanismError):
             EmpiricalBids((1.0, -0.5))
+
+
+class TestNdtri:
+    def test_matches_scipy_across_the_range_and_into_both_tails(self):
+        p = np.concatenate(
+            [
+                np.linspace(0.0, 1.0, 200_001)[1:-1],
+                np.geomspace(1e-300, 0.5, 20_000),
+                1.0 - np.geomspace(1e-16, 0.5, 20_000),
+            ]
+        )
+        assert p.min() == 1e-300 and p.max() == 1.0 - 1e-16
+        np.testing.assert_allclose(ndtri(p), special.ndtri(p), rtol=4e-15, atol=0.0)
+
+    def test_endpoints_and_scalars(self):
+        np.testing.assert_array_equal(ndtri(np.array([0.0, 0.5, 1.0])), [-np.inf, 0.0, np.inf])
+        assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
+        assert type(ndtri(0.975)) is float
+        assert ndtri(0.975) == pytest.approx(1.959963984540054, rel=1e-15)
+        assert np.isnan(ndtri(np.array([-0.1, 1.1, np.nan]))).all()
+
+
+def test_table_quantile_equals_each_rows_own_quantile():
+    # lognormal rows (two of them drift-shifted, as a stream's cells are),
+    # uniform and empirical rows, under both auctions, interleaved
+    base = LognormalBids(-0.3, 0.8)
+    competitors = [
+        base,
+        LognormalBids(base.mu + 0.07, base.sigma),
+        LognormalBids(base.mu - 0.25, base.sigma),
+        LognormalBids(0.4, 1.3),
+        UniformBids(0.1, 1.5),
+        EmpiricalBids((0.2, 0.5, 0.5, 0.9, 1.3)),
+    ]
+    specs = [
+        MechanismSpec(auction, reserve, c)
+        for auction in ("first_price", "second_price")
+        for reserve in (0.0, 0.4)
+        for c in competitors
+    ] * 50
+    u = np.random.default_rng(5).random(len(specs))
+    u[::13] = 0.0
+    u[1::29] = -0.2
+    u[2::31] = 1e-320
+    u[3::37] = 1.0 - 1e-17
+    table = MechanismTable.from_specs(specs)
+    out = table.quantile(u)
+    np.testing.assert_array_equal(out, [s.competitor.quantile(x) for s, x in zip(specs, u)])
+    lognormal = np.array([s.competitor.family == "lognormal" for s in specs])
+    assert (out[lognormal & (u <= 0.0)] == 0.0).all()
+    assert (out[lognormal & (u > 0.0)] > 0.0).all()
+    # a one-row table takes draws of any shape
+    grid = u[:12].reshape(3, 4)
+    np.testing.assert_array_equal(LOGN.table.quantile(grid), LOGN.competitor.quantile(grid))
 
 
 class TestValidation:

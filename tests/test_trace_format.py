@@ -28,9 +28,10 @@ def _run(tmp_path: Path, data: dict) -> Path:
 @pytest.mark.parametrize(
     "batch,digest",
     [
-        ("interval", "c8489727e7ae08f8a4b7c32a97d6ba1abfab8fa8dceb2b372e644ef0bbcc29d1"),
-        (200, "054d48b6db19487d1cfe09e5c2e4323ef1ed0540cdd3753c2595c9efcf243515"),
+        ("interval", "efd7a73af70af55dc48a9e15eb41a550a9a95c8a7d89980f115fce3552c77b27"),
+        (200, "421c5251e5034efaa5b334554ce10c52f9c4c2991d8e692766599e9797b61937"),
     ],
+    ids=["interval", "200"],
 )
 def test_stationary_trace_digest(tmp_path, batch, digest):
     data = json.loads((SCENARIOS / "stationary.json").read_text())
@@ -86,18 +87,18 @@ def _mixed_constrained() -> dict:
     [
         (
             _stationary_ftl,
-            "746eeaf2582a9e9bae02f53e126ea7e732d975e1f50d0894842988a6ff54a448",
-            "3fe827d09ca1f07ef784ca691cd9d744dd9fbb9097eec562f973d69948e56407",
+            "eddf21089ff3bc3a043409e77630ef9c77597d334b85cc8915c4eda672461244",
+            "e5e4d7feb390e5cfa1075337a94688b5bad82d2902c66d910f30a67a7e6113d6",
         ),
         (
             _budget_stop,
-            "4c5b3a2237d6e59d68e20a7f2d71619944a54b1cde6e5a52abd0902b11637e69",
-            "32cd93af0cd85e1e65e6e3f2b320ee42fa7e681d958fbbdb966e37c923aa35e8",
+            "3c0a10d2560d32a7171c8cdb4ccf5d1e62997ee1f42291bff4c9a1f1556578e5",
+            "c4f3ee1d8d6241ce01b8d02fd5ea5731bb41fdb893a0c451d547cef213558640",
         ),
         (
             _mixed_constrained,
-            "5c9bff30df4d49171f0134303c874b8596241207c8d0dc5a4cc206946b114f5c",
-            "74f5030d5202a7b72e8da7eb90cf12234c6a9afdeb0a5e3fdd20130f3d360051",
+            "079c15b0132f9592cd82ea3c0b89b192c0e9e7cb5247499bf13cbadc00822b59",
+            "4f3fb213d98950445795ff32fe1e06670c1626270089f7674db16a2655f95f4a",
         ),
     ],
     ids=["stationary_ftl", "budget_stop", "mixed_constrained"],
