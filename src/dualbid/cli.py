@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +44,12 @@ from .coldstart import (
 )
 from .mechanisms import MechanismError, MechanismSpec, competitor_from_dict
 from .oracle import (
+    LAMBDA_LIMIT,
     LogRecord,
     MultiplierProfile,
     OpportunityLog,
     OracleError,
+    budget_steps,
     fixed_bid_baseline,
     marginal_roi,
     replay,
@@ -57,6 +58,7 @@ from .oracle import (
 )
 from .pacing import ConstraintSet, PacingError
 from .scenario import (
+    SEED_LIMIT,
     ScenarioError,
     load_scenario,
     parse_scenario,
@@ -177,7 +179,13 @@ def _write_trace(path: Path, trace: Trace) -> None:
             fh.write("".join(line + "\r\n" for line in map(",".join, zip(*fields))))
 
 
+def _check_seed(seed: int | None, flag: str = "--seed") -> None:
+    if seed is not None and not 0 <= seed < SEED_LIMIT:
+        raise CliError(f"{flag} must be in [0, 2**64), got {seed}", EXIT_VALIDATION)
+
+
 def cmd_run(args) -> int:
+    _check_seed(args.seed)
     try:
         scenario = load_scenario(args.scenario, seed_override=args.seed)
     except (ScenarioError, FileNotFoundError) as exc:
@@ -216,13 +224,24 @@ def cmd_run(args) -> int:
 def _write_oracle_curves(
     path: Path, log: OpportunityLog, profile: MultiplierProfile, bid_cap: float
 ) -> None:
-    """Replayed spend and value on 33 budget multipliers from lam*/8 to
-    8 lam*, lam* being profile.lam; the other multipliers stay at profile's."""
+    """Spend and value on 33 budget multipliers from lam*/8 to 8 lam*,
+    lam* being profile.lam; the other multipliers stay at profile's.
+
+    On a realized log with the budget multiplier alone (oracle.budget_steps)
+    each point is read from the log's RealizedSpend, the one lambda* was
+    searched on: the winners are a replay's, and spend and value are within
+    n * eps relative of a replay's (see RealizedSpend).  Every other point
+    is a replay."""
     center = max(profile.lam, 1e-9)
+    steps = budget_steps(log, profile, bid_cap)
     rows = []
-    for lam in np.geomspace(center / 8.0, center * 8.0, 33):
-        r = replay(log, profile.with_lam(float(lam)), bid_cap)
-        rows.append((repr(float(lam)), repr(r.spend), repr(r.value)))
+    for lam in np.geomspace(center / 8.0, center * 8.0, 33).tolist():
+        if steps is not None and lam <= LAMBDA_LIMIT:
+            spend, value = steps.at(lam)
+        else:
+            r = replay(log, profile.with_lam(lam), bid_cap)
+            spend, value = r.spend, r.value
+        rows.append((repr(lam), repr(spend), repr(value)))
     _write_csv(path, ["lambda", "spend", "value"], rows)
 
 
@@ -421,16 +440,21 @@ def cmd_sweep(args) -> int:
     for flag, n in (("--jobs", args.jobs), ("--sweep-seeds", args.sweep_seeds)):
         if n < 1:
             raise CliError(f"{flag} must be >= 1, got {n}", EXIT_VALIDATION)
+    _check_seed(args.seed)
     try:
-        load_scenario(args.scenario)
+        base = load_scenario(args.scenario, seed_override=args.seed).seed
     except (ScenarioError, FileNotFoundError) as exc:
         raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION) from None
-    base = args.seed if args.seed is not None else load_scenario(args.scenario).seed
-    seeds = [base + i for i in range(args.sweep_seeds)]
+    last = base + args.sweep_seeds - 1
+    _check_seed(last, "base seed + --sweep-seeds - 1")
+    seeds = list(range(base, last + 1))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = min(args.jobs, os.cpu_count() or 1, len(seeds))
     if workers > 1:
+        # only here: the import loads multiprocessing, ~10 ms a CLI call
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(

@@ -80,6 +80,19 @@ class OpportunityLog:
     def __len__(self) -> int:
         return len(self.arrays)
 
+    @cached_property
+    def _realized_spends(self) -> dict[float, RealizedSpend]:
+        return {}
+
+    def realized_spend(self, bid_cap: float) -> RealizedSpend:
+        """The log's rows as a RealizedSpend at bid_cap, built once per bid
+        cap, so that the lambda* search and the oracle curve share one sort."""
+        built = self._realized_spends
+        if bid_cap not in built:
+            cols = self.arrays
+            built[bid_cap] = RealizedSpend(cols.values, cols.clearing, cols.table, bid_cap)
+        return built[bid_cap]
+
     @property
     def mode(self) -> str:
         realized = int(np.count_nonzero(self.arrays.realized))
@@ -361,6 +374,13 @@ class RealizedSpend:
     min(adjusted, bid_cap) reaches their price are shaded: the others lose
     at any shade (see _replay_bids).
 
+    For lam in (0, LAMBDA_LIMIT], at(lam) wins exactly the rows a replay
+    wins and pays each the same price or shaded bid.  Only the sums differ:
+    cumulative in limit order, where replay sums in row order, so spend and
+    value, sums of n terms >= 0, agree with replay's to n * eps relative.
+    A log builds its own once per bid cap (OpportunityLog.realized_spend),
+    which the lambda* search and the oracle curve both read.
+
     rs[a:b] is rows a to b - 1 as a RealizedSpend of their own: they keep
     their limits and their order, re-based to the slice, so that a history
     read in growing prefixes (an FTL episode) is sorted once.
@@ -438,7 +458,8 @@ class RealizedSpend:
         return float(-self._neg_limits[k]) if k < len(self._neg_limits) else -math.inf
 
     def at(self, lam: float) -> tuple[float, float]:
-        """Spend and value at lam: the second-price rows summed in limit
+        """Spend and value at lam <= LAMBDA_LIMIT (above it, a row whose
+        limit reads +inf may lose): the second-price rows summed in limit
         order, plus the first-price rows."""
         k = self._neg_limits.searchsorted(-lam, side="right")
         spend, value = self._spend[k], self._value[k]
@@ -468,6 +489,20 @@ class RealizedSpend:
         return spend - target
 
 
+def budget_steps(
+    log: OpportunityLog, profile: MultiplierProfile, bid_cap: float
+) -> RealizedSpend | None:
+    """The log's spend and value as functions of the budget multiplier, its
+    RealizedSpend at bid_cap, when the log is realized and the budget
+    multiplier is the only one in profile; None otherwise, where only a
+    replay gives them."""
+    if log.mode != "realized" or profile.mu or profile.cost_target is not None:
+        return None
+    if profile.window_lambda or profile.window_mu:
+        return None
+    return log.realized_spend(bid_cap)
+
+
 class _SpendCurve:
     """Memoized spend as a function of the budget multiplier, with a
     monotonicity guard, over every spend it reads, that names the offending
@@ -483,15 +518,7 @@ class _SpendCurve:
 
     @cached_property
     def steps(self) -> RealizedSpend | None:
-        """The log's spend as a RealizedSpend, when the log is realized and
-        the budget multiplier is the only one in the profile."""
-        p = self.profile
-        if self.log.mode != "realized" or p.mu or p.cost_target is not None:
-            return None
-        if p.window_lambda or p.window_mu:
-            return None
-        cols = self.log.arrays
-        return RealizedSpend(cols.values, cols.clearing, cols.table, self.bid_cap)
+        return budget_steps(self.log, self.profile, self.bid_cap)
 
     def excess(self, lam: float, target: float) -> float:
         """Spend at lam minus target, from the step function when there is one."""

@@ -46,6 +46,7 @@ from .pacing import (
 )
 
 SCENARIO_VERSION = 1
+SEED_LIMIT = 2**64  # a seed keys a 64-bit Philox word, so seeds are in [0, SEED_LIMIT)
 
 
 class ScenarioError(ValueError):
@@ -366,6 +367,8 @@ def parse_scenario(data, seed_override: int | None = None) -> ScenarioConfig:
     placements = tuple(_parse_placement(p, path) for path, p in _objects(data, "placements", True))
     agent = _parse_agent(_object(data.get("agent"), "agent"))
     seed = _get(data, "seed", "", int) if seed_override is None else int(seed_override)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ScenarioError("seed", f"must be in [0, 2**64), got {seed}")
     intervals = _get(data, "intervals", "", int)
     try:
         return ScenarioConfig(

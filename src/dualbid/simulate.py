@@ -135,14 +135,14 @@ def _cell_rngs(seed: int):
     counter and an empty buffer, so each cell draws what a fresh
     Philox(key=...) would, without seeding a throwaway SeedSequence from OS
     entropy per cell.  The generator returned is valid until the next call.
+    The seed is the key's first word as it is, so a seed outside [0, 2**64)
+    raises OverflowError instead of sharing another seed's stream.
     """
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
 
     def cell_rng(placement_index: int, interval: int) -> np.random.Generator:
-        key = np.array(
-            [seed & 0xFFFFFFFFFFFFFFFF, (placement_index << 32) | interval], dtype=np.uint64
-        )
+        key = np.array([seed, (placement_index << 32) | interval], dtype=np.uint64)
         bits.state = {
             "bit_generator": "Philox",
             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},

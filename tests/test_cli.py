@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, file outputs, determinism, subcommands."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -119,6 +120,23 @@ class TestRun:
         del cfg[next(iter(constraint))]
         assert main(["run", "--scenario", str(write_scenario(tmp_path, cfg)), "--out", str(out)]) == 0
 
+    # a seed keys a 64-bit Philox word: -1 or 2**64 + 41 would silently
+    # alias 2**64 - 1 or 41
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 41])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        out = tmp_path / "o"
+        scenario = write_scenario(tmp_path, small_scenario())
+        assert main(["run", "--scenario", str(scenario), "--out", str(out), "--seed", str(seed)]) == 2
+        assert f"--seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        scenario = write_scenario(tmp_path, small_scenario(seed=seed))
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert f"invalid scenario: seed: must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        scenario = write_scenario(tmp_path, small_scenario(intervals=5, seed=2**64 - 1))
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 0
+
     def test_missing_scenario_exits_2(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
@@ -184,13 +202,15 @@ class TestRun:
 
 
 # Importing scipy.special takes longer than a second-price episode runs, so
-# only lognormal G/H curves and first-price shading import it, when called.
+# only lognormal G/H curves and first-price shading import it, when called;
+# the process pool (multiprocessing) is imported by a parallel sweep alone.
 NO_SCIPY_RUNS = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import dualbid.cli
 for scenario, out in zip(sys.argv[2::2], sys.argv[3::2]):
     assert dualbid.cli.main(["run", "--scenario", scenario, "--out", out]) == 0
+assert "concurrent.futures.process" not in sys.modules
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
@@ -539,12 +559,10 @@ class TestSweep:
     @pytest.mark.parametrize("flag", ["--jobs", "--sweep-seeds"])
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_non_positive_counts_exit_2(self, tmp_path, monkeypatch, flag, bad):
-        import dualbid.cli as cli
-
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         scenario = write_scenario(tmp_path, small_scenario())
         out = tmp_path / "sweep"
         argv = ["sweep", "--scenario", str(scenario), "--out", str(out)]
@@ -552,6 +570,20 @@ class TestSweep:
         argv[argv.index(flag) + 1] = bad
         assert main(argv) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "scenario"])
+    def test_seeds_past_the_limit_exit_2(self, tmp_path, capsys, from_file):
+        base = 2**64 - 2
+        cfg = small_scenario(intervals=5, seed=base if from_file else 7)
+        argv = ["sweep", "--scenario", str(write_scenario(tmp_path, cfg)), "--jobs", "1"]
+        argv += [] if from_file else ["--seed", str(base)]
+        out = tmp_path / "sweep"
+        assert main(argv + ["--out", str(out), "--sweep-seeds", "3"]) == 2
+        assert f"got {2**64}" in capsys.readouterr().err
+        assert not out.exists()
+        # the last two seeds below the limit run
+        assert main(argv + ["--out", str(out), "--sweep-seeds", "2"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [f"seed_{base}", f"seed_{base + 1}"]
 
     @pytest.mark.parametrize("jobs,cpus,seeds,workers", [(64, 8, 3, 3), (64, 2, 3, 2), (2, None, 3, 0)])
     def test_workers_capped(self, tmp_path, monkeypatch, jobs, cpus, seeds, workers):
@@ -573,7 +605,7 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         scenario = write_scenario(tmp_path, small_scenario(intervals=5))
         argv = ["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "sweep")]
