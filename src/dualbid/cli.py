@@ -50,6 +50,7 @@ from .oracle import (
     OpportunityLog,
     OracleError,
     budget_steps,
+    check_kkt_constraints,
     fixed_bid_baseline,
     marginal_roi,
     replay,
@@ -268,7 +269,8 @@ def cmd_compare(args) -> int:
             raise CliError(f"missing run artifact {p}", EXIT_VALIDATION)
     try:
         scenario = parse_scenario(json.loads(config_path.read_text()))
-    except (ScenarioError, json.JSONDecodeError) as exc:
+        check_kkt_constraints(scenario.constraints)
+    except (ScenarioError, OracleError, json.JSONDecodeError) as exc:
         raise CliError(f"bad resolved config: {exc}", EXIT_VALIDATION) from None
     metrics = _read_kv_csv(metrics_path)
     agent_value, agent_spend = (_metric(metrics, key) for key in ("total_value", "total_spend"))
@@ -545,7 +547,8 @@ def cmd_oracle(args) -> int:
             delivery_windows=delivery,
             guarantee_windows=guarantee,
         )
-    except PacingError as exc:
+        check_kkt_constraints(constraints, log)
+    except (PacingError, OracleError) as exc:
         raise CliError(f"invalid constraints: {exc}", EXIT_VALIDATION) from None
 
     out_dir = Path(args.out)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -171,23 +171,11 @@ class LogColumns:
 
     def records(self) -> list[LogRecord]:
         clearing = [None if np.isnan(c) else c for c in self.clearing.tolist()]
+        rows = zip(self.time.tolist(), self.placement_codes.tolist(), self.values.tolist(),
+                   self.mechanism_codes.tolist(), clearing, self.combo_codes.tolist())  # fmt: skip
         return [
-            LogRecord(
-                time=t,
-                placement=self.placement_names[p],
-                value=v,
-                mechanism=self.mechanisms[m],
-                clearing_bid=c,
-                windows=self.window_combos[k],
-            )
-            for t, p, v, m, c, k in zip(
-                self.time.tolist(),
-                self.placement_codes.tolist(),
-                self.values.tolist(),
-                self.mechanism_codes.tolist(),
-                clearing,
-                self.combo_codes.tolist(),
-            )
+            LogRecord(t, self.placement_names[p], v, self.mechanisms[m], c, self.window_combos[k])
+            for t, p, v, m, c, k in rows
         ]
 
 
@@ -227,12 +215,9 @@ def _replay_bids(
     table: MechanismTable, adjusted: np.ndarray, price: np.ndarray, bid_cap: float
 ) -> np.ndarray:
     """optimal_bids, except that a first-price row that loses at any shade
-    keeps its unshaded bid min(adjusted, bid_cap).
-
-    Shading only lowers a bid below that, and ties win, so a row whose price
-    (max(clearing, reserve)) is above it loses whatever it is shaded to, and
-    resolves to cost 0 and value 0 unshaded too.  A NaN price (a
-    distributional row) is always shaded."""
+    keeps its unshaded bid min(adjusted, bid_cap): shading only lowers a bid,
+    and ties win, so a row priced above it (max(clearing, reserve)) loses
+    at any shade, and unshaded too.  A NaN price (distributional) is shaded."""
     bids = np.minimum(adjusted, bid_cap)
     rows, first_price = table.first_price_rows
     live = ~(bids[rows] < price[rows])
@@ -270,26 +255,19 @@ def replay(
 ) -> ReplayResult:
     """Total and per-placement/per-window spend and value at the given
     multipliers; exact in distributional mode, deterministic in realized.
-
-    Every first-price row is shaded except a realized one whose unshaded
-    bid min(adjusted, bid_cap) is below its price max(clearing, reserve):
-    that row loses at any shade, so it keeps cost 0 and value 0 unshaded
-    (see _replay_bids), and every sum is what shading it would give."""
+    A realized first-price row that loses at any shade is not shaded (see
+    _replay_bids): it keeps cost 0 and value 0, as shading it would give."""
     cols = log.arrays
     spend, value = _spend_value(log, profile, bid_cap)
     n = len(cols.placement_names)
     p_spend = np.bincount(cols.placement_codes, weights=spend, minlength=n)
     p_value = np.bincount(cols.placement_codes, weights=value, minlength=n)
+    placements = zip(cols.placement_names, p_spend.tolist(), p_value.tolist())
     return ReplayResult(
-        spend=float(spend.sum()),
-        value=float(value.sum()),
-        per_placement={
-            name: (float(s), float(v)) for name, s, v in zip(cols.placement_names, p_spend, p_value)
-        },
-        per_window={
-            w: (float(spend[mask].sum()), float(value[mask].sum()))
-            for w, mask in cols.window_masks.items()
-        },
+        float(spend.sum()),
+        float(value.sum()),
+        {name: (s, v) for name, s, v in placements},
+        {w: (float(spend[m].sum()), float(value[m].sum())) for w, m in cols.window_masks.items()},
     )
 
 
@@ -311,15 +289,12 @@ def budget_adjusted(lam, values):
 def win_limits(values, clearing, table: MechanismTable, bid_cap: float) -> np.ndarray:
     """Each realized second-price row's win limit: the largest float lam in
     [LAMBDA_FLOOR, LAMBDA_LIMIT] at which its bid min(budget_adjusted(lam,
-    value), bid_cap) is >= its price max(clearing, reserve).
-
-    The adjusted value does not increase in lam, so a row wins exactly while
-    lam <= its limit.  Each limit starts at value / price and moves one
-    float at a time until the row wins there and loses at the next float up.
-    A row that still wins at LAMBDA_LIMIT gets +inf, one that loses at
-    LAMBDA_FLOOR (a price above the bid cap, a zero value) gets -inf, and a
-    first-price row NaN.
-    """
+    value), bid_cap) is >= its price max(clearing, reserve), so that it wins
+    exactly while lam <= its limit.  Each limit starts at value / price and
+    moves a float at a time until the row wins there and loses a float up.
+    A row still winning at LAMBDA_LIMIT gets +inf, one losing at
+    LAMBDA_FLOOR (priced above the bid cap, or worth 0) -inf, and a
+    first-price row NaN."""
     price = np.maximum(clearing, table.reserve)
     limits = np.full(len(price), np.nan)
     second = np.flatnonzero(~table.first_price)
@@ -368,18 +343,14 @@ class RealizedSpend:
     value), shaded on first-price rows, capped at bid_cap.  A second-price
     row wins exactly while lam <= its win limit (see win_limits), so the
     second-price rows, sorted by limit with cumulative price and value, give
-    their spend and value at any lam by one searchsorted.  A first-price row
-    pays its shaded bid, which moves with lam, so those rows alone are
-    resolved at each lam, and of them only the ones whose unshaded bid
-    min(adjusted, bid_cap) reaches their price are shaded: the others lose
-    at any shade (see _replay_bids).
+    their spend and value at any lam by one searchsorted.  The first-price
+    rows pay shaded bids that move with lam, so they are resolved at each
+    lam (shading only those that can win, see _replay_bids).
 
     For lam in (0, LAMBDA_LIMIT], at(lam) wins exactly the rows a replay
-    wins and pays each the same price or shaded bid.  Only the sums differ:
-    cumulative in limit order, where replay sums in row order, so spend and
-    value, sums of n terms >= 0, agree with replay's to n * eps relative.
-    A log builds its own once per bid cap (OpportunityLog.realized_spend),
-    which the lambda* search and the oracle curve both read.
+    wins and pays each the same.  Only the sums differ: cumulative in limit
+    order, not row order, so they agree with replay's to n * eps relative.
+    A log builds its own once per bid cap (OpportunityLog.realized_spend).
 
     rs[a:b] is rows a to b - 1 as a RealizedSpend of their own: they keep
     their limits and their order, re-based to the slice, so that a history
@@ -489,49 +460,77 @@ class RealizedSpend:
         return spend - target
 
 
+def _steps_apply(log: OpportunityLog, profile: MultiplierProfile) -> bool:
+    """Whether log's rows bid under profile as a RealizedSpend bids them at
+    each row's lam + lam_k: a realized log, and no cost-target or guarantee
+    multiplier above 0 to change 1 / max(lam + lam_k, LAMBDA_FLOOR) * value."""
+    return log.mode == "realized" and not profile.mu and not any(profile.window_mu.values())
+
+
 def budget_steps(
     log: OpportunityLog, profile: MultiplierProfile, bid_cap: float
 ) -> RealizedSpend | None:
     """The log's spend and value as functions of the budget multiplier, its
-    RealizedSpend at bid_cap, when the log is realized and the budget
-    multiplier is the only one in profile; None otherwise, where only a
-    replay gives them."""
-    if log.mode != "realized" or profile.mu or profile.cost_target is not None:
-        return None
-    if profile.window_lambda or profile.window_mu:
+    RealizedSpend at bid_cap, where _steps_apply holds and profile sets no
+    window multiplier; None otherwise, where only a replay gives them."""
+    if profile.window_lambda or not _steps_apply(log, profile):
         return None
     return log.realized_spend(bid_cap)
 
 
-class _SpendCurve:
-    """Memoized spend as a function of the budget multiplier, with a
-    monotonicity guard, over every spend it reads, that names the offending
-    record on violation."""
+def _window_lambda(lam: float, floor: float) -> float:
+    """The least lam_k >= max(floor - lam, 0) with fl(lam + lam_k) >= floor."""
+    lam_k = max(floor - lam, 0.0)
+    while lam + lam_k < floor:
+        lam_k = math.nextafter(lam_k, math.inf)
+    return lam_k
 
-    def __init__(self, log: OpportunityLog, profile: MultiplierProfile, bid_cap: float):
-        self.log = log
-        self.profile = profile
-        self.bid_cap = bid_cap
+
+class _SpendCurve:
+    """Memoized spend as a function of the budget multiplier lam, with a
+    monotonicity guard, over every spend it reads, that names the offending
+    record on violation.
+
+    floors maps delivery windows to their c_k (see solve_kkt_grid): at lam
+    each gets lam_k = _window_lambda(lam, c_k).  pieces, where given, are
+    RealizedSpends of each window's rows and of the rest (window None)."""
+
+    def __init__(self, log, profile: MultiplierProfile, bid_cap: float, floors=None, pieces=None):
+        self.log, self.profile, self.bid_cap = log, profile, bid_cap
+        self.floors, self.pieces = floors or {}, pieces
         self._lams: list[float] = []  # multipliers with a known spend, sorted
         self._spends: dict[float, float] = {}
         self._replays: dict[float, ReplayResult] = {}
 
+    def profile_at(self, lam: float) -> MultiplierProfile:
+        lams = {w: _window_lambda(lam, c) for w, c in self.floors.items()}
+        return replace(self.profile, lam=lam, window_lambda=lams)
+
     @cached_property
     def steps(self) -> RealizedSpend | None:
-        return budget_steps(self.log, self.profile, self.bid_cap)
+        return None if self.floors else budget_steps(self.log, self.profile, self.bid_cap)
 
     def excess(self, lam: float, target: float) -> float:
-        """Spend at lam minus target, from the step function when there is one."""
-        if self.steps is None:
+        """Spend at lam minus target, from the step functions where there
+        are some; a sum of pieces within _RESUM_REL of target is replayed,
+        as in RealizedSpend.excess, so that its sign is a replay's."""
+        if self.steps is not None:
+            excess = self.steps.excess(lam, target)
+        elif self.pieces:
+            lams = self.profile_at(lam).window_lambda
+            spend = sum(rs.at(lam + lams.get(w, 0.0))[0] for w, rs in self.pieces.items())
+            if abs(spend - target) <= _RESUM_REL * target:
+                spend = self.at(lam).spend
+            excess = spend - target
+        else:
             return self.at(lam).spend - target
-        excess = self.steps.excess(lam, target)
         self._guard(lam, excess + target)
         return excess
 
     def at(self, lam: float) -> ReplayResult:
         if lam in self._replays:
             return self._replays[lam]
-        result = replay(self.log, self.profile.with_lam(lam), self.bid_cap)
+        result = replay(self.log, self.profile_at(lam), self.bid_cap)
         self._guard(lam, result.spend)
         self._replays[lam] = result
         return result
@@ -555,8 +554,8 @@ class _SpendCurve:
         self._spends[lam] = spend
 
     def _raise_non_monotone(self, lo: float, hi: float) -> None:
-        s_lo, _ = _spend_value(self.log, self.profile.with_lam(lo), self.bid_cap)
-        s_hi, _ = _spend_value(self.log, self.profile.with_lam(hi), self.bid_cap)
+        s_lo, _ = _spend_value(self.log, self.profile_at(lo), self.bid_cap)
+        s_hi, _ = _spend_value(self.log, self.profile_at(hi), self.bid_cap)
         worst = int(np.argmax(s_hi - s_lo))
         raise OracleError(
             f"replayed spend increases with the multiplier between {lo:g} and {hi:g}; "
@@ -587,15 +586,14 @@ def search_multiplier(
     factors of 4 to a bracket (lo, hi) with excess(lo) > 0 >= excess(hi)
     and narrows it until |excess| <= tol, returning that point, or until
     its width is <= width_rel * max(1, hi), returning hi, the side that
-    fits.  The second value is the final bracket (lo, hi, excess(lo),
-    excess(hi)).  Returns None when the excess is still positive at limit.
+    fits, with the final bracket (lo, hi, excess(lo), excess(hi)).  None
+    when the excess is still positive at limit.
 
-    tol marks a smooth curve (pass it only for one): each point is then
-    the Illinois regula falsi step (Dowell & Jarratt 1971) in u = ln x,
-    the secant through the bracket's ends with the excess of an end that
-    stays put twice in a row halved, or the midpoint when lo is 0, an end's
-    excess is not finite, or the secant falls outside (lo, hi).  A step
-    function (tol None) is bisected, so every point it reads is a midpoint.
+    tol marks a smooth curve: each point is then the Illinois regula falsi
+    step (Dowell & Jarratt 1971) in ln x, the secant through the bracket's
+    ends with the excess of an end that stays put twice in a row halved, or
+    the midpoint when lo is 0, an excess is not finite, or the secant falls
+    outside (lo, hi).  A step function (tol None) is bisected.
     """
     r_lo = excess(floor)
     if r_lo <= 0:
@@ -646,39 +644,29 @@ LAMBDA_REL_TOL = 1e-6  # lambda* matches spend to the budget to this on smooth l
 
 
 def _solve_budget_multiplier(
-    curve: _SpendCurve,
-    budget: float,
-    rel_tol: float = LAMBDA_REL_TOL,
-    width_rel: float = 1e-12,
+    curve: _SpendCurve, budget: float
 ) -> tuple[LambdaSolution, tuple[float, float, float, float] | None]:
     """The budget multiplier on one spend curve, and its search bracket.
 
     A smooth (distributional) curve is searched on ln(spend / budget), to
-    log1p(rel_tol): the band |spend - budget| <= rel_tol * budget, read on
-    a scale where spend is close to linear in ln(lam).  Zero spend reads as
-    -inf, a step the search takes at the midpoint."""
+    log1p(LAMBDA_REL_TOL): the band |spend - budget| <= LAMBDA_REL_TOL *
+    budget, read on a scale where spend is close to linear in ln(lam).  Zero
+    spend reads as -inf, a step the search takes at the midpoint."""
     if curve.log.mode == "distributional":
 
         def excess(lam: float) -> float:
             spend = curve.at(lam).spend
             return math.log(spend / budget) if spend > 0 else -math.inf
 
-        tol = math.log1p(rel_tol)
+        tol = math.log1p(LAMBDA_REL_TOL)
     else:
         excess, tol = (lambda lam: curve.excess(lam, budget)), None
-    found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT, tol=tol, width_rel=width_rel)
+    found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT, tol=tol)
     if found is None:
         raise OracleError("could not bracket the budget multiplier")
     lam, bracket = found
     r = curve.at(lam)
-    sol = LambdaSolution(
-        lam=lam,
-        unconstrained=bracket is None,
-        bracket=bracket and bracket[:2],
-        spend=r.spend,
-        value=r.value,
-    )
-    return sol, bracket
+    return LambdaSolution(lam, bracket is None, bracket and bracket[:2], r.spend, r.value), bracket
 
 
 def solve_lambda_star(
@@ -686,17 +674,14 @@ def solve_lambda_star(
 ) -> LambdaSolution:
     """Budget-only hindsight multiplier.
 
-    Unconstrained branch: if replayed spend at the floor multiplier fits the
-    budget, the floor is returned flagged.  Otherwise, on a distributional
-    log (a smooth spend curve), Illinois regula falsi on ln(spend / budget)
-    against ln(lam) matches spend to budget within LAMBDA_REL_TOL, in about
-    8 replays.  On a realized or mixed log (a step function) bisection
-    returns the conservative high side of the step bracket, never
-    overspending; on a realized log it reads spend from a RealizedSpend,
-    whose signs are those of a replay, so it visits the points and returns
-    the multiplier that replaying at every step would.  Spend and value are
-    replayed at the result, and bracket is the final bracket of whichever
-    search ran.
+    If replayed spend at the floor multiplier fits the budget, the floor is
+    returned flagged unconstrained.  On a distributional log (a smooth
+    curve), Illinois regula falsi on ln(spend / budget) matches spend to
+    budget within LAMBDA_REL_TOL in about 8 replays.  On a realized or mixed
+    log (a step function) bisection returns the high, never overspending
+    side of the step; a realized log's spend comes from its RealizedSpend,
+    whose signs are a replay's.  Spend and value are replayed at the
+    result, and bracket is the final bracket of the search.
     """
     if not budget > 0:
         raise OracleError(f"budget must be > 0, got {budget}")
@@ -722,13 +707,12 @@ class KktSolution:
 
 KKT_REL_TOL = 1e-4  # a binding KKT constraint holds with equality to this
 
-# Per kind of KKT constraint: the sign of its excess (+1 caps its quantity
-# at the target, -1 floors it), then its multiplier, quantity and target as
-# notes name them (a window's multiplier and quantity add the window id).
+# Per kind of KKT constraint: its excess's sign (+1 caps the quantity, -1 floors it),
+# then its searched multiplier, quantity and target as notes name them (+ window id).
 _KKT_KINDS = {
     "budget": (1.0, "lam", "spend", "budget"),
-    "cost_target": (1.0, "mu", "spend - cost_target * value", "target"),
-    "delivery": (1.0, "lam", "spend", "cap"),
+    "cost_target": (1.0, "mu", "spend / value", "target"),
+    "delivery": (1.0, "lam+lam", "spend", "cap"),
     "guarantee": (-1.0, "mu", "value", "floor"),
 }
 
@@ -737,41 +721,39 @@ _KKT_KINDS = {
 class KktConstraint:
     """One constraint of the KKT solve: its kind (a key of _KKT_KINDS), the
     window it holds (None for the budget and the cost target), its target
-    (the budget, cost target, cap or floor), the limit of its multiplier's
-    search and the scale of that search's tolerance."""
+    (the budget, cost per result, cap or floor) and the limit of its
+    multiplier's search."""
 
     kind: str
     window: str | None
     target: float
     limit: float
-    scale: float
 
-    def level(self, rep: ReplayResult) -> tuple[float, float]:
-        """The constrained quantity at rep, and the bound it is held to."""
+    @property
+    def name(self) -> str:  # its key in KktSolution.residuals
+        return self.kind if self.window is None else f"{self.kind}_{self.window}"
+
+    def level(self, rep: ReplayResult) -> float:
+        """The constrained quantity at rep."""
         if self.kind == "cost_target":
-            return rep.spend - self.target * rep.value, 0.0
+            return rep.spend / max(rep.value, 1e-300)
         if self.window is None:
-            return rep.spend, self.target
+            return rep.spend
         spend, value = rep.per_window.get(self.window, (0.0, 0.0))
-        return (value if self.kind == "guarantee" else spend), self.target
+        return value if self.kind == "guarantee" else spend
 
     def excess(self, rep: ReplayResult) -> float:
-        """How far rep misses the constraint; <= 0 where it holds."""
-        level, bound = self.level(rep)
-        return _KKT_KINDS[self.kind][0] * (level - bound)
-
-    def residual(self, rep: ReplayResult) -> float:
-        level, bound = self.level(rep)
-        scale = self.target * max(rep.value, 1e-300) if self.kind == "cost_target" else bound
-        return abs(level - bound) / scale
+        """How far rep misses the constraint, relative to the target, <= 0
+        where it holds; its size is the residual."""
+        return _KKT_KINDS[self.kind][0] * (self.level(rep) / self.target - 1.0)
 
     def give_up_note(self, rep: ReplayResult) -> str:
         """The quantity at the multiplier's limit, the nearest it comes."""
         sign, _, what, target = _KKT_KINDS[self.kind]
-        level, bound = self.level(rep)
         best, side = ("max", "<") if sign < 0 else ("min", ">")
         name = self.kind if self.window is None else f"{self.kind} {self.window!r}"
-        return f"{name} infeasible: {best} achievable {what} {level:g} {side} {target} {bound:g}"
+        bound = f"{side} {target} {self.target:g}"
+        return f"{name} infeasible: {best} achievable {what} {self.level(rep):g} {bound}"
 
     def step_note(self, rep: ReplayResult, bracket: tuple[float, float, float, float]) -> str:
         """Why a realized residual exceeds KKT_REL_TOL: the constrained
@@ -781,105 +763,123 @@ class KktConstraint:
         if self.window is not None:
             multiplier, quantity = f"{multiplier}_{self.window}", f"{quantity} in {self.window!r}"
         lo, hi, r_lo, r_hi = bracket
-        bound = self.level(rep)[1]
+        at_lo, at_hi = (self.target * (1.0 + sign * r) for r in (r_lo, r_hi))
         return (
-            f"{self.kind} residual {self.residual(rep):.3g} exceeds rel_tol {KKT_REL_TOL:g}: "
-            f"realized {quantity} steps from {bound + sign * r_lo:.12g} at {multiplier}={lo:.17g} "
-            f"to {bound + sign * r_hi:.12g} at {multiplier}={hi:.17g}, "
-            "the final bracket of its search"
+            f"{self.name} residual {abs(self.excess(rep)):.3g} exceeds rel_tol {KKT_REL_TOL:g}: "
+            f"realized {quantity} steps from {at_lo:.12g} at {multiplier}={lo:.17g} "
+            f"to {at_hi:.12g} at {multiplier}={hi:.17g}, the final bracket of its search"
         )
 
 
-def _kkt_constraints(constraints) -> list[KktConstraint]:
-    """The constraints of a ConstraintSet in the order the KKT solve nests
-    their searches: the guarantee window outermost, then the delivery
-    window and the cost target, and the budget innermost."""
-    guarantees, deliveries = constraints.guarantee_windows, constraints.delivery_windows
-    if len(deliveries) > 1 or len(guarantees) > 1:
-        raise OracleError("kkt oracle supports at most one window of each kind")
-    bounds = [KktConstraint("guarantee", w.id, w.floor, 1e4, w.floor) for w in guarantees]
-    bounds += [KktConstraint("delivery", w.id, w.cap, 1e8, w.cap) for w in deliveries]
-    budget = constraints.budget
-    if constraints.cost_target is not None:
-        target = constraints.cost_target
-        bounds.append(KktConstraint("cost_target", None, target, 1e6 / target, budget))
-    return bounds + [KktConstraint("budget", None, budget, LAMBDA_LIMIT, budget)]
+def check_kkt_constraints(constraints, log: OpportunityLog | None = None) -> None:
+    """Raise OracleError naming the windows where solve_kkt_grid cannot take
+    constraints: two guarantee windows, or two delivery windows on a record."""
+    deliveries = {w.id for w in constraints.delivery_windows}
+    clashes = [[w.id for w in constraints.guarantee_windows]]
+    clashes += [[w for w in c if w in deliveries] for c in log.arrays.window_combos] if log else []
+    ids = next((ids for ids in clashes if len(ids) > 1), None)
+    if ids:
+        raise OracleError(f"the KKT oracle takes one guarantee window and delivery windows "
+                          f"that share no record, got {', '.join(map(repr, ids))}")  # fmt: skip
 
 
 def solve_kkt_grid(
     log: OpportunityLog, constraints, bid_cap: float = DEFAULT_BID_CAP
 ) -> KktSolution:
-    """Hindsight multipliers for budget + cost target + one delivery window
-    + one guarantee window, satisfying each KKT branch: a multiplier is
-    either 0 (slack constraint) or its constraint holds with equality
-    within KKT_REL_TOL.
+    """Hindsight multipliers for a budget, a cost target, any number of
+    delivery windows and one guarantee window, satisfying each KKT branch: a
+    multiplier is either 0 (slack constraint) or its constraint holds with
+    equality within KKT_REL_TOL.
 
-    Built for small test instances: one search_multiplier search per
-    constraint of _kkt_constraints, each nested in the one before, and the
-    budget multiplier solved innermost from scratch, so every search sees a
-    function of its own multiplier alone.  A constraint that still fails at
-    its search limit keeps its multiplier there, gets a note and no
-    residual, and makes the solution infeasible.
+    The guarantee and then the cost-target multiplier are nested outer
+    searches.  Inside them the windows and the budget decompose, as window
+    k's rows bid at one effective multiplier lam + lam_k (+ mu): c_k, the
+    least lam + lam_k at which its spend fits its cap, is one search; lam is
+    the budget multiplier of the spend with each window at max(lam, c_k),
+    searched as solve_lambda_star searches (which this is, for a budget
+    alone); lam_k = max(c_k - lam, 0), raised until lam + lam_k >= c_k as
+    replay rounds it.  Where _steps_apply holds, the searches read
+    RealizedSpends of each window's rows and of the rest, else replays.
 
-    Realized spend and value are step functions of the multipliers; on a
-    log with realized records, a residual above KKT_REL_TOL gets a note
-    naming the final bracket of its search and the step across it.
+    A constraint still failing at its search limit keeps its multiplier
+    there, gets a note and no residual, and makes the solution infeasible,
+    as does a cap the replayed solution exceeds (beyond KKT_REL_TOL on a
+    smooth log).  Realized spend and value are step functions, so there a
+    residual above KKT_REL_TOL gets a note naming the final bracket of its
+    search and the step across it.  Residuals are keyed by constraint name.
     """
-    bounds = _kkt_constraints(constraints)
-    smooth = log.mode == "distributional"
-    # per constraint, the last search of its multiplier, the one behind the
-    # result: (multiplier, final bracket), or None where it gave up
-    searches: list = [None] * len(bounds)
+    check_kkt_constraints(constraints, log)
+    outer = [KktConstraint("guarantee", w.id, w.floor, 1e4) for w in constraints.guarantee_windows]
+    cost_target = constraints.cost_target
+    if cost_target is not None:
+        outer.append(KktConstraint("cost_target", None, cost_target, 1e6 / cost_target))
+    windows = [KktConstraint("delivery", w.id, w.cap, 1e8) for w in constraints.delivery_windows]
+    budget = KktConstraint("budget", None, constraints.budget, LAMBDA_LIMIT)
+    tol = KKT_REL_TOL if log.mode == "distributional" else None
+    pieces = None
+    if windows and log.mode == "realized":
+        cols = log.arrays  # all realized, so ~cols.realized masks no row
+        masks = {c.window: cols.window_masks.get(c.window, ~cols.realized) for c in windows}
+        masks[None] = ~np.logical_or.reduce(list(masks.values()))
+        pieces = {w: RealizedSpend(cols.values[m], cols.clearing[m], cols.table.take(m), bid_cap)
+                  for w, m in masks.items()}  # fmt: skip
 
-    def solve(xs: tuple[float, ...]) -> tuple[MultiplierProfile, ReplayResult]:
-        """The solution with the leading multipliers at xs, every later one
-        searched in turn."""
-        if len(xs) < len(bounds) - 1:
-            c = bounds[len(xs)]
+    def decomposed(profile: MultiplierProfile) -> tuple:
+        """The delivery and budget multipliers at profile's outer ones."""
+        steps = pieces if _steps_apply(log, profile) else None
+        floors, results = {}, []
+        for c in windows:
+            if steps:
+                excess = lambda x, rs=steps[c.window]: rs.excess(x, c.target) / c.target
+            else:
+                excess = lambda x: c.excess(replay(log, profile.with_lam(x), bid_cap))
+            found = search_multiplier(excess, LAMBDA_FLOOR, c.limit, tol=tol)
+            floors[c.window] = c.limit if found is None else found[0]
+            results.append(found)
+        curve = _SpendCurve(log, profile, bid_cap, floors, steps)
+        sol, bracket = _solve_budget_multiplier(curve, budget.target)
+        profile = curve.profile_at(sol.lam)
+        # a window's search as (lam_k, its bracket), the budget's relative to the budget
+        results = [f and (profile.window_lambda[c.window], f[1]) for c, f in zip(windows, results)]
+        if bracket is not None:
+            bracket = (*bracket[:2], bracket[2] / budget.target, bracket[3] / budget.target)
+        return profile, curve.at(sol.lam), (*results, (sol.lam, bracket))
+
+    solved: dict[tuple[float, ...], tuple] = {}
+
+    def solve(xs: tuple[float, ...]) -> tuple:
+        """The solution with the leading outer multipliers at xs and every
+        later one searched in turn: its profile, its replay, and per later
+        constraint its (multiplier, final bracket), None if it gave up."""
+        if xs not in solved and len(xs) < len(outer):
+            c = outer[len(xs)]
             found = search_multiplier(
-                lambda x: c.excess(solve(xs + (x,))[1]),
-                0.0,
-                c.limit,
-                tol=KKT_REL_TOL * c.scale if smooth else None,
-                width_rel=1e-7,
+                lambda x: c.excess(solve((*xs, x))[1]), 0.0, c.limit, tol=tol, width_rel=1e-7
             )
-            searches[len(xs)] = found
-            return solve(xs + (c.limit if found is None else found[0],))
-        pairs = list(zip(bounds, xs))
-        profile = MultiplierProfile(
-            lam=1.0,
-            mu=next((x for c, x in pairs if c.kind == "cost_target"), 0.0),
-            cost_target=constraints.cost_target,
-            window_lambda={c.window: x for c, x in pairs if c.kind == "delivery"},
-            window_mu={c.window: x for c, x in pairs if c.kind == "guarantee"},
-        )
-        curve = _SpendCurve(log, profile, bid_cap)
-        sol, bracket = _solve_budget_multiplier(
-            curve, constraints.budget, rel_tol=1e-7, width_rel=1e-7
-        )
-        searches[-1] = sol.lam, bracket
-        return profile.with_lam(sol.lam), curve.at(sol.lam)
+            profile, rep, later = solve((*xs, c.limit if found is None else found[0]))
+            solved[xs] = profile, rep, (found, *later)
+        elif xs not in solved:
+            mu = next((x for c, x in zip(outer, xs) if c.kind == "cost_target"), 0.0)
+            window_mu = {c.window: x for c, x in zip(outer, xs) if c.kind == "guarantee"}
+            solved[xs] = decomposed(MultiplierProfile(1.0, mu, cost_target, {}, window_mu))
+        return solved[xs]
 
-    profile, rep = solve(())
+    profile, rep, searches = solve(())
+    bounds = [*outer, *windows, budget]
     unconstrained = searches[-1][1] is None
     notes = [c.give_up_note(rep) for c, found in zip(bounds, searches) if found is None]
-    if unconstrained:
-        notes.append("budget unconstrained")
+    notes += ["budget unconstrained"] if unconstrained else []
     residuals = {"budget": 0.0}
     # innermost first; a multiplier at its floor or its limit has no residual
     for c, found in reversed(list(zip(bounds, searches))):
         if found is not None and found[0] > LAMBDA_FLOOR:
-            residuals[c.kind] = c.residual(rep)
-            if not smooth and residuals[c.kind] > KKT_REL_TOL and found[1]:
+            residuals[c.name] = abs(c.excess(rep))
+            if tol is None and residuals[c.name] > KKT_REL_TOL and found[1]:
                 notes.append(c.step_note(rep, found[1]))
-    return KktSolution(
-        profile=profile,
-        replay=rep,
-        residuals=residuals,
-        feasible=None not in searches,
-        notes=tuple(notes),
-        unconstrained=unconstrained,
-    )
+    over = [c for c, f in zip(windows, searches[len(outer) :]) if f and c.excess(rep) > (tol or 0)]
+    notes += [f"delivery {c.window!r} spends {c.level(rep):g}, above its cap" for c in over]
+    feasible = None not in searches and not over
+    return KktSolution(profile, rep, residuals, feasible, tuple(notes), unconstrained)
 
 
 @dataclass(frozen=True)
@@ -904,9 +904,7 @@ def marginal_roi(
         raise OracleError("marginal ROI needs a distributional log")
     sol = solve_lambda_star(log, budget, bid_cap)
     if sol.unconstrained:
-        return MarginalRoi(
-            roi=dict.fromkeys(log.arrays.placement_names, 0.0), inactive=(), lam=sol.lam
-        )
+        return MarginalRoi(dict.fromkeys(log.arrays.placement_names, 0.0), (), sol.lam)
     _, hi, lo = _replays_around(log, sol.lam, bid_cap)
     roi: dict[str, float] = {}
     inactive: list[str] = []
@@ -932,43 +930,45 @@ def fixed_bid_baseline(
     """Naive reference policy: one constant bid for every opportunity, set in
     hindsight to the largest level whose realized spend fits the budget.
 
-    Found by bisection on the bid.  A constant bid b wins exactly the
-    auctions priced at or below it, so spend at b is the sum of the sorted
-    second-price prices up to b plus b times the first-price auctions up to
-    b, one searchsorted each; where that sum lands within _RESUM_REL of the
-    budget, the auctions are resolved, so every comparison is a replay's."""
+    A constant bid b wins exactly the auctions priced at or below it, so
+    between neighbouring prices spend is S2 + b * n1: the second-price
+    prices won plus b per first-price auction won.  From the last price at
+    which spend fits, the answer is (budget - S2) / n1, below the next
+    price, moved a float at a time to the largest bid that fits.  A spend
+    within _RESUM_REL of the budget is resolved auction by auction, so every
+    comparison is a replay's."""
     if log.mode != "realized":
         raise OracleError("the fixed-bid baseline needs a realized log")
     cols = log.arrays
-    first = np.sort(cols.price[cols.table.first_price])
-    second = np.sort(cols.price[~cols.table.first_price])
-    second_spend = np.concatenate(([0.0], np.cumsum(second)))
+    order = np.argsort(cols.price)
+    prices, first = cols.price[order], cols.table.first_price[order]
+    # per count of cheapest auctions won: their second-price spend and first-price count
+    s2 = np.concatenate(([0.0], np.cumsum(np.where(first, 0.0, prices))))
+    n1 = np.concatenate(([0], np.cumsum(first)))
 
     def outcome(bid: float) -> tuple[float, float]:
         won, spend = resolve(cols.table, np.full(len(log), bid), cols.clearing)
         return float(spend.sum()), float(np.where(won, cols.values, 0.0).sum())
 
     def fits(bid: float) -> bool:
-        spend = second_spend[np.searchsorted(second, bid, side="right")]
-        spend += bid * np.searchsorted(first, bid, side="right")
+        k = np.searchsorted(prices, bid, side="right")
+        spend = s2[k] + bid * n1[k]
         if abs(spend - budget) <= _RESUM_REL * budget:
             spend = outcome(bid)[0]
         return spend <= budget
 
-    lo, hi = 0.0, bid_cap
-    if fits(hi):
-        spend, value = outcome(hi)
-        return FixedBidBaseline(bid=hi, spend=spend, value=value)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    spend, value = outcome(lo)
-    return FixedBidBaseline(bid=lo, spend=spend, value=value)
+    bid = bid_cap
+    if not fits(bid):
+        # spend fits at the k cheapest prices (a price 0 always does), not at the next
+        k = bisect.bisect_left(prices, True, key=lambda p: not fits(float(p)))
+        top = min(bid, math.nextafter(float(prices[k]), -math.inf)) if k < len(prices) else bid
+        bid = min(top, float((budget - s2[k]) / n1[k])) if n1[k] else top
+        while not fits(bid):
+            bid = math.nextafter(bid, -math.inf)
+        while bid < top and fits(up := math.nextafter(bid, math.inf)):
+            bid = up
+    spend, value = outcome(bid)
+    return FixedBidBaseline(bid=bid, spend=spend, value=value)
 
 
 @dataclass(frozen=True)
@@ -981,9 +981,8 @@ class Prop1Check:
 def _replays_around(
     log: OpportunityLog, lam: float, bid_cap: float
 ) -> tuple[float, ReplayResult, ReplayResult]:
-    """Half-width delta = 1e-4 * lam and the replays at lam + delta and
-    lam - delta, whose differences are the central differences of value and
-    spend in the budget multiplier."""
+    """Half-width delta = 1e-4 * lam and the replays at lam +- delta, whose
+    differences are central differences of value and spend in lam."""
     delta = 1e-4 * lam
     hi = replay(log, MultiplierProfile(lam=lam + delta), bid_cap)
     lo = replay(log, MultiplierProfile(lam=lam - delta), bid_cap)
@@ -1000,6 +999,4 @@ def prop1_residual(
     delta, hi, lo = _replays_around(log, lam, bid_cap)
     v_prime = (hi.value - lo.value) / (2.0 * delta)
     s_prime = (hi.spend - lo.spend) / (2.0 * delta)
-    return Prop1Check(
-        v_prime=v_prime, s_prime=s_prime, residual=abs(v_prime - lam * s_prime)
-    )
+    return Prop1Check(v_prime, s_prime, abs(v_prime - lam * s_prime))

@@ -12,6 +12,7 @@ bit for bit.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -208,6 +209,39 @@ def baseline_bid_by_replay(log: OpportunityLog, budget: float, bid_cap: float = 
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
     return lo
+
+
+@dataclass(frozen=True)
+class LpSolution:
+    value: float
+    x: np.ndarray  # the share of each row won
+    budget_dual: float
+    window_duals: dict[str, float]
+
+
+def kkt_lp(log: OpportunityLog, budget: float, caps: dict[str, float]) -> LpSolution:
+    """The fractional relaxation of the hindsight problem on a realized
+    second-price log, by scipy's HiGHS, apart from the library's solves:
+    maximize sum v_i x_i over x_i in [0, 1] subject to sum p_i x_i <= budget
+    and, for each delivery window k, the sum over its rows <= caps[k], p_i
+    being the row's price max(clearing, reserve).  The duals are those of the
+    budget and of each cap, >= 0."""
+    from scipy.optimize import linprog
+
+    cols = log.arrays
+    assert log.mode == "realized" and not cols.table.first_price.any()
+    price = cols.price
+    rows = [price] + [np.where(cols.window_masks[w], price, 0.0) for w in caps]
+    res = linprog(
+        -cols.values,
+        A_ub=np.array(rows),
+        b_ub=[budget, *caps.values()],
+        bounds=(0.0, 1.0),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    duals = -res.ineqlin.marginals
+    return LpSolution(-res.fun, res.x, float(duals[0]), dict(zip(caps, duals[1:].tolist())))
 
 
 def auction_history(values, clearing, mech: MechanismSpec) -> RealizedSpend:

@@ -317,10 +317,14 @@ class TestCompare:
         lam = float(compare["oracle_lambda"])
         nearest = min(rows, key=lambda row: abs(float(row["lambda"]) - lam))
         assert float(nearest["spend"]) == pytest.approx(float(compare["oracle_spend"]), rel=0.01)
+        # the decomposed KKT solution (checked against an LP in
+        # test_kkt_lp.py) reaches more value than the nested search did
+        # (308.842), within the budget
+        assert float(compare["oracle_value"]) >= 309.5
         # the KKT solution and everything read from it, byte for byte
         digests = {
-            "compare.csv": "97af9a6133191cb983d56a2e334a599469a8617163566a597eb104879c0db2d8",
-            "oracle_curves.csv": "ded868a46475bb87575f142ee7f2b446a1fad791f09af2127d9dc93240c649fe",
+            "compare.csv": "c9655d5c5b208781f32a48ab00bd7d27e0b927dabfd8f841d180d03142f77ddc",
+            "oracle_curves.csv": "a636ffa6d2d33d355f6ea6d6c1c2c27d437089449b6d473cbdd02b8942dc7cf1",
             # each ROI is lambda* of the distributional log (test_oracle.TestMarginalRoi),
             # which lies in a reference bisection's spend band
             # (test_oracle.TestSolveLambdaStar.test_smooth_solve_lies_in_reference_band)
@@ -328,6 +332,65 @@ class TestCompare:
         }
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_shipped_guaranteed_scenario_round_trips(self, tmp_path, capsys):
+        # a cost target and a guarantee window: both outer KKT searches bind
+        from dualbid.oracle import KKT_REL_TOL
+
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(ROOT / "scenarios" / "guaranteed.json"),
+                     "--out", str(out)]) == 0  # fmt: skip
+        capsys.readouterr()
+        assert main(["compare", "--run", str(out)]) == 0
+        printed = capsys.readouterr().out
+        compare = read_kv(out / "compare.csv")
+        assert compare["oracle_feasible"] == "True"
+        for key, value in compare.items():
+            if value not in ("True", "False"):
+                assert math.isfinite(float(value)), key
+        residuals = {k[len("kkt_residual_"):]: float(v) for k, v in compare.items()
+                     if k.startswith("kkt_residual_")}  # fmt: skip
+        assert {"budget", "cost_target", "guarantee_launch"} <= set(residuals)
+        for name, residual in residuals.items():
+            assert residual <= KKT_REL_TOL or f"note: {name} residual" in printed, name
+        assert float(compare["oracle_mu"]) > 0 and float(compare["oracle_mu_launch"]) > 0
+
+    def test_two_delivery_windows(self, tmp_path, capsys):
+        cfg = small_scenario(
+            delivery_windows=[
+                {"id": "a", "start": 5, "end": 15, "cap": 2.0},
+                {"id": "b", "start": 20, "end": 30, "cap": 2.5},
+            ]
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert main(["compare", "--run", str(out)]) == 0
+        compare = read_kv(out / "compare.csv")
+        for key, value in compare.items():
+            if value not in ("True", "False"):
+                assert math.isfinite(float(value)), key
+        assert compare["oracle_feasible"] == "True"
+        assert {"oracle_lambda_a", "oracle_lambda_b"} <= set(compare)
+
+    def test_two_guarantee_windows_exit_2_before_the_stream(self, tmp_path, capsys, monkeypatch):
+        cfg = small_scenario(
+            guarantee_windows=[
+                {"id": "g1", "start": 5, "end": 15, "floor": 1.0},
+                {"id": "g2", "start": 20, "end": 30, "floor": 1.0},
+            ]
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, cfg)), "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the stream was generated")
+
+        monkeypatch.setattr("dualbid.cli.generate_stream", unreachable)
+        assert main(["compare", "--run", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'g1'" in err and "'g2'" in err
+        assert not (out / "compare.csv").exists()
 
     @pytest.mark.parametrize(
         "cfg, zero",
@@ -710,6 +773,32 @@ class TestOracleCommand:
         assert float(kv["mu_g"]) == 0.0
         assert kv["feasible"] == "True"
         assert float(kv["spend"]) == 1.5
+
+    def test_two_guarantee_windows_exit_2_before_replay(self, tmp_path, capsys, monkeypatch):
+        log = tmp_path / "log.csv"
+        self._write_log(log)
+        windows = tmp_path / "windows.json"
+        windows.write_text(
+            json.dumps(
+                {
+                    "guarantee_windows": [
+                        {"id": "g1", "start": 0, "end": 1, "floor": 1.0},
+                        {"id": "g2", "start": 1, "end": 2, "floor": 1.0},
+                    ]
+                }
+            )
+        )
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the log was replayed")
+
+        monkeypatch.setattr("dualbid.oracle.replay", unreachable)
+        out = tmp_path / "oracle"
+        args = ["oracle", "--log", str(log), "--budget", "1.0", "--windows", str(windows)]
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'g1'" in err and "'g2'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "windows, field",

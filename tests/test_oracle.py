@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dualbid import oracle
 from dualbid.bidding import LAMBDA_FLOOR
 from dualbid.coldstart import PlacementPriors, expected_spend_per_opportunity, solve_lambda0
 from dualbid.mechanisms import LognormalBids, MechanismSpec, UniformBids
@@ -376,7 +377,7 @@ class TestKktGrid:
         assert kkt.replay.per_window["d"][0] == 1.0
         assert not kkt.feasible
         assert len([n for n in kkt.notes if n.startswith("delivery")]) == 1
-        assert "delivery" not in kkt.residuals
+        assert "delivery_d" not in kkt.residuals
 
     @staticmethod
     def _realized_window_log():
@@ -408,11 +409,13 @@ class TestKktGrid:
             budget=budget, delivery_windows=(DeliveryWindow("w", 0, 1, cap),)
         )
         kkt = solve_kkt_grid(log, constraints)
-        multipliers = {"budget": kkt.profile.lam, "delivery": kkt.profile.window_lambda["w"]}
-        targets = {"budget": budget, "delivery": cap}
-        finals = {"budget": kkt.replay.spend, "delivery": kkt.replay.per_window["w"][0]}
+        # the window's search runs on its effective multiplier lam + lam_w
+        lam = kkt.profile.lam
+        multipliers = {"budget": lam, "delivery_w": lam + kkt.profile.window_lambda["w"]}
+        targets = {"budget": budget, "delivery_w": cap}
+        finals = {"budget": kkt.replay.spend, "delivery_w": kkt.replay.per_window["w"][0]}
         pattern = r"steps from (\S+) at \S+=(\S+) to (\S+) at \S+=(\S+), the final bracket"
-        for name in ("budget", "delivery"):
+        for name in ("budget", "delivery_w"):
             residual = kkt.residuals[name]
             assert residual > 1e-4
             (note,) = [n for n in kkt.notes if n.startswith(f"{name} residual")]
@@ -423,6 +426,19 @@ class TestKktGrid:
             assert residual * targets[name] == pytest.approx(abs(at_hi - targets[name]))
             if name == "budget":
                 assert replay(log, kkt.profile.with_lam(lo)).spend == pytest.approx(at_lo)
+
+    def test_replayed_window_over_its_cap_is_infeasible(self, monkeypatch):
+        # the replayed solution is checked against every cap: with window
+        # multipliers forced to 0 the window spends the budget optimum's
+        # twice its cap, and the solution says so
+        log, budget, cap = self._realized_window_log()
+        monkeypatch.setattr(oracle, "_window_lambda", lambda lam, floor: 0.0)
+        kkt = solve_kkt_grid(
+            log, ConstraintSet(budget=budget, delivery_windows=(DeliveryWindow("w", 0, 1, cap),))
+        )
+        assert kkt.replay.per_window["w"][0] > cap
+        assert not kkt.feasible
+        assert [n for n in kkt.notes if n.startswith("delivery 'w' spends")]
 
     def test_realized_result_keeps_window_cap(self):
         # the inner budget solve depends only on the multipliers, so the

@@ -9,6 +9,8 @@ FTL reads slices of one RealizedSpend of its episode's stream, which keep
 their rows' limits and order.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -241,20 +243,23 @@ def test_lambda_star_meets_the_sorted_threshold():
 
 
 @pytest.mark.parametrize("kind", ["second_price", "mixed"])
-def test_baseline_bid_is_bit_identical_to_full_replays(kind):
+def test_baseline_bid_is_the_largest_fitting_bid(kind):
+    # the largest float whose resolved spend fits, so at or above the
+    # bisection by full replays and within its final bracket
     log = mixed_log() if kind == "mixed" else log_of(*second_price_rows())
     cols = log.arrays
     price = np.sort(np.maximum(cols.clearing, cols.table.reserve))
-    ties = [
-        float(resolve(cols.table, np.full(len(log), p), cols.clearing)[1].sum())
-        for p in price[[len(price) // 4, len(price) // 2]]
-    ]
+
+    def spend(bid: float) -> float:
+        return float(resolve(cols.table, np.full(len(log), bid), cols.clearing)[1].sum())
+
+    ties = [spend(p) for p in price[[len(price) // 4, len(price) // 2]]]
     for budget in [0.5, 20.0, 300.0, *ties]:
         baseline = fixed_bid_baseline(log, budget)
         bid = baseline_bid_by_replay(log, budget)
-        assert baseline.bid == bid
-        won, spend = resolve(cols.table, np.full(len(log), bid), cols.clearing)
-        assert baseline.spend == float(spend.sum())
+        assert bid <= baseline.bid <= bid + 1e-12 * max(1.0, bid)
+        assert baseline.spend == spend(baseline.bid) <= budget
+        assert spend(math.nextafter(baseline.bid, math.inf)) > budget
 
 
 def _mixed_stream() -> OpportunityStream:
