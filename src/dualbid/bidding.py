@@ -2,7 +2,7 @@
 
 The bid for an opportunity of value v is driven by the adjusted value
 
-    (1 + mu*C + mu_k) / (lam + lam_k + mu) * v
+    (1 + mu*C + mu_k) / (lam + mu + lam_k) * v
 
 where lam paces the overall budget, mu enforces a cost-per-result target C,
 and lam_k / mu_k act only inside their delivery or guarantee windows.  In a
@@ -68,7 +68,7 @@ class MultiplierVector:
 
     @property
     def denominator(self) -> float:
-        return self.lam + self.lam_k + self.mu
+        return self.lam + self.mu + self.lam_k
 
     @property
     def factor(self) -> float:

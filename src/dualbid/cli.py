@@ -44,12 +44,11 @@ from .coldstart import (
 )
 from .mechanisms import MechanismError, MechanismSpec, competitor_from_dict
 from .oracle import (
-    LAMBDA_LIMIT,
     LogRecord,
     MultiplierProfile,
     OpportunityLog,
     OracleError,
-    budget_steps,
+    SegmentSpend,
     check_kkt_constraints,
     fixed_bid_baseline,
     marginal_roi,
@@ -228,21 +227,19 @@ def _write_oracle_curves(
     """Spend and value on 33 budget multipliers from lam*/8 to 8 lam*,
     lam* being profile.lam; the other multipliers stay at profile's.
 
-    On a realized log with the budget multiplier alone (oracle.budget_steps)
-    each point is read from the log's RealizedSpend, the one lambda* was
-    searched on: the winners are a replay's, and spend and value are within
-    n * eps relative of a replay's (see RealizedSpend).  Every other point
-    is a replay."""
+    On a realized log each point is read from RealizedSpends of the rows
+    that share their windows (oracle.SegmentSpend), with no window the log's
+    own, the one lambda* was searched on: the winners are a replay's, and
+    spend and value are within n * eps relative of a replay's (see
+    RealizedSpend).  On any other log each point is a replay."""
     center = max(profile.lam, 1e-9)
-    steps = budget_steps(log, profile, bid_cap)
+    windows = {*profile.window_lambda, *profile.window_mu}
+    segments = SegmentSpend(log, windows, bid_cap) if log.mode == "realized" else None
     rows = []
     for lam in np.geomspace(center / 8.0, center * 8.0, 33).tolist():
-        if steps is not None and lam <= LAMBDA_LIMIT:
-            spend, value = steps.at(lam)
-        else:
-            r = replay(log, profile.with_lam(lam), bid_cap)
-            spend, value = r.spend, r.value
-        rows.append((repr(lam), repr(spend), repr(value)))
+        at = profile.with_lam(lam)
+        r = segments.at(at) if segments else replay(log, at, bid_cap)
+        rows.append((repr(lam), repr(r.spend), repr(r.value)))
     _write_csv(path, ["lambda", "spend", "value"], rows)
 
 

@@ -2,20 +2,22 @@
 
 Given every opportunity's value and auction model (distributional mode) or
 resolved competing bid (realized mode), replay answers "what would we have
-spent and won at multipliers m".  Each constraint's excess (spend - budget,
-window spend - cap, cost-target gap, result shortfall) does not increase in
-its own multiplier, so every multiplier, the budget one, each KKT one and
-follow-the-leader's, is the smallest value at which that excess is <= 0,
-found by the one search_multiplier (complementary slackness: a constraint
-that already fits at 0 keeps a zero multiplier).  Everything here is the
-ground truth the online controllers are judged against.
+spent and won at multipliers m".  Multipliers move a bid only through the
+factor of its row (MultiplierVector.factor), one per segment of rows that
+share their windows, so each constraint is a threshold on a factor: a
+delivery window caps its rows' factor, a guarantee window floors it, the
+cost target caps the global one, and the budget multiplier is searched last,
+as for lambda*.  A realized second-price row wins exactly while its factor
+reaches its win limit, so there a threshold is one scan of sorted limits;
+elsewhere search_multiplier finds it.  Everything here is the ground truth
+the online controllers are judged against.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -85,8 +87,8 @@ class OpportunityLog:
         return {}
 
     def realized_spend(self, bid_cap: float) -> RealizedSpend:
-        """The log's rows as a RealizedSpend at bid_cap, built once per bid
-        cap, so that the lambda* search and the oracle curve share one sort."""
+        """The log's RealizedSpend at bid_cap, built once per bid cap, so that
+        lambda* and the oracle curve share one sort."""
         built = self._realized_spends
         if bid_cap not in built:
             cols = self.arrays
@@ -114,11 +116,8 @@ def _by_first_appearance(codes: np.ndarray, names) -> tuple[np.ndarray, list]:
 
 class LogColumns:
     """Per-record columns of a log: times, values, clearing bids (NaN in
-    distributional records), the mechanism of each record (a code into
-    mechanisms) and their table, and codes for the placement and the window
-    combination of each record.  Placements and window combinations are
-    numbered in order of first appearance, and only those that appear are
-    kept."""
+    distributional records), mechanism codes and their table, and placement
+    and window-combination codes, numbered in order of first appearance."""
 
     def __init__(
         self, time, values, clearing, mechanisms, mechanism_codes, placement_names,
@@ -272,109 +271,76 @@ def replay(
 
 
 LAMBDA_LIMIT = 1e120  # the budget and FTL searches give up above this multiplier
-# A spend summed in sorted order that lands this close to its target,
-# relative to the target, is summed again by a full replay in row order, so
-# that its comparison with the target is the replay's.
+# A sorted sum this close to its target, relative, is summed again in row
+# order by a replay, so that its comparison with the target is the replay's.
 _RESUM_REL = 1e-9
-_LIMIT_STEPS = 64  # floats a win limit may move from value / price
+_LIMIT_STEPS = 64  # floats a win limit may lie from price / value
 
 
-def budget_adjusted(lam, values):
-    """The adjusted value under the budget multiplier alone, rounded as
-    replay and an episode round it: fl(1 / max(lam, LAMBDA_FLOOR)) * value,
-    that is MultiplierVector(lam=lam).factor * value."""
-    return 1.0 / np.maximum(lam, LAMBDA_FLOOR) * values
+def budget_factor(lam):
+    """The factor of the budget multiplier alone as replay and an episode
+    round it, MultiplierVector(lam=lam).factor: fl(1 / max(lam, LAMBDA_FLOOR))."""
+    return 1.0 / np.maximum(lam, LAMBDA_FLOOR)
 
 
 def win_limits(values, clearing, table: MechanismTable, bid_cap: float) -> np.ndarray:
-    """Each realized second-price row's win limit: the largest float lam in
-    [LAMBDA_FLOOR, LAMBDA_LIMIT] at which its bid min(budget_adjusted(lam,
-    value), bid_cap) is >= its price max(clearing, reserve), so that it wins
-    exactly while lam <= its limit.  Each limit starts at value / price and
-    moves a float at a time until the row wins there and loses a float up.
-    A row still winning at LAMBDA_LIMIT gets +inf, one losing at
-    LAMBDA_FLOOR (priced above the bid cap, or worth 0) -inf, and a
-    first-price row NaN."""
+    """Each realized second-price row's win limit: the least factor f >= 0
+    at which its bid min(fl(f * value), bid_cap) is >= its price
+    max(clearing, reserve), so that it wins exactly while f >= its limit.
+    A row priced 0 gets 0, one that wins at no factor (priced above the bid
+    cap, or worth 0 at a price above 0) +inf, and a first-price row NaN."""
     price = np.maximum(clearing, table.reserve)
     limits = np.full(len(price), np.nan)
     second = np.flatnonzero(~table.first_price)
     v, p = np.asarray(values, dtype=float)[second], price[second]
-
-    def wins(rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return np.minimum(budget_adjusted(lam, v[rows]), bid_cap) >= p[rows]
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.clip(np.where(p > 0, v / p, LAMBDA_LIMIT), LAMBDA_FLOOR, LAMBDA_LIMIT)
-    won = np.zeros(len(p), dtype=bool)
-    live = np.flatnonzero(p <= bid_cap)
-    won[live] = wins(live, lam[live])
-    # a row that loses at its start steps down until it wins or reaches the floor
-    rows = live[~won[live]]
-    for step in range(_LIMIT_STEPS + 1):
-        rows = rows[lam[rows] > LAMBDA_FLOOR]
-        if not rows.size:
-            break
-        if step == _LIMIT_STEPS:
-            raise OracleError("win limits did not settle")
-        lam[rows] = np.nextafter(lam[rows], -np.inf)
-        won[rows] = wins(rows, lam[rows])
-        rows = rows[~won[rows]]
-    # a row that wins steps up while the next float still wins
-    rows = np.flatnonzero(won & (lam < LAMBDA_LIMIT))
-    for step in range(_LIMIT_STEPS + 1):
-        if not rows.size:
-            break
-        if step == _LIMIT_STEPS:
-            raise OracleError("win limits did not settle")
-        up = np.nextafter(lam[rows], np.inf)
-        more = wins(rows, up)
-        rows, up = rows[more], up[more]
-        lam[rows] = up
-        rows = rows[up < LAMBDA_LIMIT]
-    limits[second] = np.where(won, np.where(lam < LAMBDA_LIMIT, lam, np.inf), -np.inf)
+        f = np.where(p > bid_cap, np.inf, np.where(p > 0, p / v, 0.0))
+    rows = np.flatnonzero((f > 0) & (f < np.inf))
+    # the cap allows these prices, so fl(f * v) >= p, rising with f, decides:
+    # bisect the floats round p / v in bit order
+    lo, hi = (f[rows].view(np.int64) + step for step in (-_LIMIT_STEPS, _LIMIT_STEPS))
+
+    def wins(bits: np.ndarray) -> np.ndarray:
+        return bits.view(float) * v[rows] >= p[rows]
+
+    if (wins(lo) | ~wins(hi)).any():
+        raise OracleError("win limits did not settle")
+    while (hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2  # no int64 overflow
+        won = wins(mid)
+        lo, hi = np.where(won, lo, mid), np.where(won, mid, hi)
+    f[rows] = hi.view(float)
+    limits[second] = f
     return limits
 
 
 class RealizedSpend:
-    """Realized spend and value of a log's rows under the budget multiplier
-    lam alone, as functions of lam, without replaying every row at every lam.
-
-    Each row bids as replay and an episode bid at lam: budget_adjusted(lam,
-    value), shaded on first-price rows, capped at bid_cap.  A second-price
-    row wins exactly while lam <= its win limit (see win_limits), so the
-    second-price rows, sorted by limit with cumulative price and value, give
-    their spend and value at any lam by one searchsorted.  The first-price
-    rows pay shaded bids that move with lam, so they are resolved at each
-    lam (shading only those that can win, see _replay_bids).
-
-    For lam in (0, LAMBDA_LIMIT], at(lam) wins exactly the rows a replay
-    wins and pays each the same.  Only the sums differ: cumulative in limit
-    order, not row order, so they agree with replay's to n * eps relative.
-    A log builds its own once per bid cap (OpportunityLog.realized_spend).
-
-    rs[a:b] is rows a to b - 1 as a RealizedSpend of their own: they keep
-    their limits and their order, re-based to the slice, so that a history
-    read in growing prefixes (an FTL episode) is sorted once.
-    """
+    """Realized spend and value of rows bidding fl(f * value) at one factor f,
+    capped at bid_cap and shaded on first-price rows, as functions of f.  A
+    second-price row wins exactly while f >= its win limit, so these rows,
+    sorted by limit with cumulative price and value, give spend and value at
+    any f by one searchsorted; first-price rows are resolved at each f.
+    Whatever multipliers give the factor (lam alone, budget_factor(lam)),
+    at(f) wins the rows a replay wins, its sums within n * eps relative.
+    rs[a:b], rows a to b - 1, keeps their limits and order, so that a history
+    read in growing prefixes (an FTL episode) is sorted once."""
 
     def __init__(self, values, clearing, table: MechanismTable, bid_cap: float):
         self.values = np.asarray(values, dtype=float)
         self.clearing = np.asarray(clearing, dtype=float)
-        self.table = table
-        self.bid_cap = bid_cap
+        self.table, self.bid_cap = table, bid_cap
         self._price = np.maximum(self.clearing, table.reserve)
         self._limits = win_limits(self.values, self.clearing, table, bid_cap)
-        # the second-price rows by limit, largest first; rows of equal limit
+        # the second-price rows by limit, smallest first; rows of equal limit
         # win and lose together, so their order is free
         second = np.flatnonzero(~table.first_price)
-        self._order = second[np.argsort(-self._limits[second])]
+        self._order = second[np.argsort(self._limits[second])]
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, key) -> RealizedSpend:
-        """The rows of a slice with step 1 (a negative start counts from the
-        end)."""
+        """The rows of a slice with step 1."""
         if not isinstance(key, slice):
             raise TypeError(f"RealizedSpend takes a slice, got {type(key).__name__}")
         start, stop, step = key.indices(len(self))
@@ -393,144 +359,142 @@ class RealizedSpend:
         return part
 
     @cached_property
-    def _neg_limits(self) -> np.ndarray:
-        return -self._limits[self._order]
+    def _sorted_limits(self) -> np.ndarray:
+        return self._limits[self._order]
 
     @cached_property
-    def _spend(self) -> np.ndarray:
-        """Cumulative price in limit order."""
+    def _spend(self) -> np.ndarray:  # cumulative price in limit order
         return np.concatenate(([0.0], np.cumsum(self._price[self._order])))
 
     @cached_property
-    def _value(self) -> np.ndarray:
-        """Cumulative value in limit order; only at reads it, FTL never does."""
+    def _value(self) -> np.ndarray:  # cumulative value in limit order; FTL never reads it
         return np.concatenate(([0.0], np.cumsum(self.values[self._order])))
 
     @cached_property
     def _first(self) -> tuple[MechanismTable, np.ndarray, np.ndarray, np.ndarray]:
-        """The first-price rows' table, values, clearing bids and prices."""
+        # the first-price rows' table, values, clearing bids and prices
         rows, table = self.table.first_price_rows
         return table, self.values[rows], self.clearing[rows], self._price[rows]
 
-    def crossing(self, target: float) -> float | None:
-        """The limit L at which the spend crosses target >= 0: excess(lam,
-        target) <= 0 exactly when lam > L (-inf when every row fits).
-
-        L is the win limit of the first sorted row whose cumulative price
-        exceeds target.  None when the rows include first-price ones, whose
-        spend moves between limits, or when a cumulative spend lies within
-        _RESUM_REL of target, where excess takes its sign from a replay."""
+    def crossing(self, target: float, of_value: bool = False) -> float | None:
+        """The win limit L of the first sorted row whose cumulative price
+        exceeds target >= 0, so that excess(f, target) <= 0 exactly while
+        f < L (+inf when every row fits), or of_value, whose cumulative value
+        reaches target, so that the value does exactly while f >= L.  None
+        with first-price rows, whose spend moves between limits, or a
+        cumulative spend within _RESUM_REL of target (excess replays there)."""
         if self.table.first_price.any():
             return None
-        # the largest count of rows, in limit order, whose spend fits
-        k = int(self._spend.searchsorted(target, side="right")) - 1
-        if (np.abs(self._spend[k : k + 2] - target) <= _RESUM_REL * target).any():
-            return None
-        return float(-self._neg_limits[k]) if k < len(self._neg_limits) else -math.inf
+        if of_value:
+            k = int(self._value.searchsorted(target, side="left")) - 1
+        else:
+            # the largest count of rows, in limit order, whose spend fits
+            k = int(self._spend.searchsorted(target, side="right")) - 1
+            if (np.abs(self._spend[k : k + 2] - target) <= _RESUM_REL * target).any():
+                return None
+        limits = self._sorted_limits
+        return float(limits[k]) if 0 <= k < len(limits) else math.inf if k >= 0 else 0.0
 
-    def at(self, lam: float) -> tuple[float, float]:
-        """Spend and value at lam <= LAMBDA_LIMIT (above it, a row whose
-        limit reads +inf may lose): the second-price rows summed in limit
-        order, plus the first-price rows."""
-        k = self._neg_limits.searchsorted(-lam, side="right")
+    def at(self, f: float) -> tuple[float, float]:
+        """Spend and value at factor f."""
+        k = self._sorted_limits.searchsorted(f, side="right")
         spend, value = self._spend[k], self._value[k]
         table, values, clearing, price = self._first
         if values.size:
-            bids = _replay_bids(table, budget_adjusted(lam, values), price, self.bid_cap)
+            bids = _replay_bids(table, f * values, price, self.bid_cap)
             won, cost = resolve(table, bids, clearing)
             spend += cost.sum()
             value += values[won].sum()
         return float(spend), float(value)
 
-    def replay_spend(self, lam: float) -> float:
-        """Spend at lam from every row's bid, summed in row order, as replay
-        sums it."""
-        adjusted = budget_adjusted(lam, self.values)
-        bids = _replay_bids(self.table, adjusted, self._price, self.bid_cap)
+    def replay_spend(self, f: float) -> float:
+        """Spend at factor f summed in row order, as replay sums it."""
+        bids = _replay_bids(self.table, f * self.values, self._price, self.bid_cap)
         return float(resolve(self.table, bids, self.clearing)[1].sum())
 
-    def excess(self, lam: float, target: float) -> float:
-        """spend(lam) - target.  The two sums round differently, so where
-        the sorted one lands within _RESUM_REL of target the replayed spend
-        is used: the sign, which is all a realized search reads, is always
-        the replay's."""
-        spend = self.at(lam)[0]
+    def excess(self, f: float, target: float) -> float:
+        """spend(f) - target, the replayed spend where the sorted one lands
+        within _RESUM_REL of target, so that its sign is a replay's."""
+        spend = self.at(f)[0]
         if abs(spend - target) <= _RESUM_REL * target:
-            spend = self.replay_spend(lam)
+            spend = self.replay_spend(f)
         return spend - target
 
 
-def _steps_apply(log: OpportunityLog, profile: MultiplierProfile) -> bool:
-    """Whether log's rows bid under profile as a RealizedSpend bids them at
-    each row's lam + lam_k: a realized log, and no cost-target or guarantee
-    multiplier above 0 to change 1 / max(lam + lam_k, LAMBDA_FLOOR) * value."""
-    return log.mode == "realized" and not profile.mu and not any(profile.window_mu.values())
+class SegmentSpend:
+    """A realized log as one RealizedSpend per segment, the rows that share
+    the windows named (the log's own where all do), each read by at(profile)
+    at the factor profile gives it: a replay's winners, and its sums."""
+
+    def __init__(self, log: OpportunityLog, windows, bid_cap: float):
+        cols = log.arrays
+        self.windows = tuple(windows)
+        keys = [tuple(w for w in combo if w in self.windows) for combo in cols.window_combos]
+        self.parts = {keys[0]: log.realized_spend(bid_cap)} if len(set(keys)) == 1 else {
+            key: RealizedSpend(cols.values[m], cols.clearing[m], cols.table.take(m), bid_cap)
+            for key in dict.fromkeys(keys)
+            for m in [np.isin(cols.combo_codes, [c for c, k in enumerate(keys) if k == key])]
+        }  # fmt: skip
+
+    def at(self, profile: MultiplierProfile) -> ReplayResult:
+        """Spend, value and per-window sums at profile (none per placement)."""
+        sums = {k: rs.at(profile.vector_for(k).factor) for k, rs in self.parts.items()}
+        total = lambda has: tuple(map(sum, zip((0.0, 0.0), *(s for k, s in sums.items() if has(k)))))
+        per_window = {w: total(lambda k: w in k) for w in self.windows}
+        return ReplayResult(*total(lambda k: True), {}, per_window)
 
 
-def budget_steps(
-    log: OpportunityLog, profile: MultiplierProfile, bid_cap: float
-) -> RealizedSpend | None:
-    """The log's spend and value as functions of the budget multiplier, its
-    RealizedSpend at bid_cap, where _steps_apply holds and profile sets no
-    window multiplier; None otherwise, where only a replay gives them."""
-    if profile.window_lambda or not _steps_apply(log, profile):
-        return None
-    return log.realized_spend(bid_cap)
-
-
-def _window_lambda(lam: float, floor: float) -> float:
-    """The least lam_k >= max(floor - lam, 0) with fl(lam + lam_k) >= floor."""
-    lam_k = max(floor - lam, 0.0)
-    while lam + lam_k < floor:
-        lam_k = math.nextafter(lam_k, math.inf)
-    return lam_k
+LAMBDA_REL_TOL = 1e-6  # lambda* matches spend to the budget to this on smooth logs
 
 
 class _SpendCurve:
-    """Memoized spend as a function of the budget multiplier lam, with a
-    monotonicity guard, over every spend it reads, that names the offending
-    record on violation.
+    """Spend at the budget multiplier lam and profile_of(lam), read from
+    segments (a SegmentSpend) or memoized replays, with a monotonicity guard
+    that names the offending record on violation."""
 
-    floors maps delivery windows to their c_k (see solve_kkt_grid): at lam
-    each gets lam_k = _window_lambda(lam, c_k).  pieces, where given, are
-    RealizedSpends of each window's rows and of the rest (window None)."""
-
-    def __init__(self, log, profile: MultiplierProfile, bid_cap: float, floors=None, pieces=None):
-        self.log, self.profile, self.bid_cap = log, profile, bid_cap
-        self.floors, self.pieces = floors or {}, pieces
+    def __init__(self, log, bid_cap: float, profile_of, segments: SegmentSpend | None = None):
+        self.log, self.bid_cap, self.profile_of, self.segments = log, bid_cap, profile_of, segments
         self._lams: list[float] = []  # multipliers with a known spend, sorted
         self._spends: dict[float, float] = {}
         self._replays: dict[float, ReplayResult] = {}
 
-    def profile_at(self, lam: float) -> MultiplierProfile:
-        lams = {w: _window_lambda(lam, c) for w, c in self.floors.items()}
-        return replace(self.profile, lam=lam, window_lambda=lams)
-
-    @cached_property
-    def steps(self) -> RealizedSpend | None:
-        return None if self.floors else budget_steps(self.log, self.profile, self.bid_cap)
-
     def excess(self, lam: float, target: float) -> float:
-        """Spend at lam minus target, from the step functions where there
-        are some; a sum of pieces within _RESUM_REL of target is replayed,
-        as in RealizedSpend.excess, so that its sign is a replay's."""
-        if self.steps is not None:
-            excess = self.steps.excess(lam, target)
-        elif self.pieces:
-            lams = self.profile_at(lam).window_lambda
-            spend = sum(rs.at(lam + lams.get(w, 0.0))[0] for w, rs in self.pieces.items())
-            if abs(spend - target) <= _RESUM_REL * target:
-                spend = self.at(lam).spend
-            excess = spend - target
-        else:
+        """Spend at lam minus target, its sign a replay's (a sum of segments
+        within _RESUM_REL of target is replayed, as RealizedSpend.excess does)."""
+        if self.segments is None:
             return self.at(lam).spend - target
+        profile, parts = self.profile_of(lam), self.segments.parts
+        if len(parts) == 1:
+            ((key, rs),) = parts.items()
+            excess = rs.excess(profile.vector_for(key).factor, target)
+        elif abs((spend := self.segments.at(profile).spend) - target) <= _RESUM_REL * target:
+            return self.at(lam).spend - target
+        else:
+            excess = spend - target
         self._guard(lam, excess + target)
         return excess
+
+    def solve(self, budget: float) -> tuple[float, tuple[float, float, float, float] | None]:
+        """The budget multiplier and its search's bracket; a distributional
+        curve on ln(spend / budget) to log1p(LAMBDA_REL_TOL), 0 reading -inf."""
+        smooth = self.log.mode == "distributional"
+
+        def excess(lam: float) -> float:
+            if not smooth:
+                return self.excess(lam, budget)
+            spend = self.at(lam).spend
+            return math.log(spend / budget) if spend > 0 else -math.inf
+
+        tol = math.log1p(LAMBDA_REL_TOL) if smooth else None
+        found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT, tol)
+        if found is None:
+            raise OracleError("could not bracket the budget multiplier")
+        return found
 
     def at(self, lam: float) -> ReplayResult:
         if lam in self._replays:
             return self._replays[lam]
-        result = replay(self.log, self.profile_at(lam), self.bid_cap)
+        result = replay(self.log, self.profile_of(lam), self.bid_cap)
         self._guard(lam, result.spend)
         self._replays[lam] = result
         return result
@@ -542,20 +506,16 @@ class _SpendCurve:
             return
         pos = bisect.bisect_left(self._lams, lam)
         slack = 1e-9 * (1.0 + abs(spend))
-        if pos > 0:
-            left = self._lams[pos - 1]
-            if spend > self._spends[left] + slack:
-                self._raise_non_monotone(left, lam)
-        if pos < len(self._lams):
-            right = self._lams[pos]
-            if spend + slack < self._spends[right]:
-                self._raise_non_monotone(lam, right)
+        if pos > 0 and spend > self._spends[self._lams[pos - 1]] + slack:
+            self._raise_non_monotone(self._lams[pos - 1], lam)
+        if pos < len(self._lams) and spend + slack < self._spends[self._lams[pos]]:
+            self._raise_non_monotone(lam, self._lams[pos])
         self._lams.insert(pos, lam)
         self._spends[lam] = spend
 
     def _raise_non_monotone(self, lo: float, hi: float) -> None:
-        s_lo, _ = _spend_value(self.log, self.profile_at(lo), self.bid_cap)
-        s_hi, _ = _spend_value(self.log, self.profile_at(hi), self.bid_cap)
+        s_lo, _ = _spend_value(self.log, self.profile_of(lo), self.bid_cap)
+        s_hi, _ = _spend_value(self.log, self.profile_of(hi), self.bid_cap)
         worst = int(np.argmax(s_hi - s_lo))
         raise OracleError(
             f"replayed spend increases with the multiplier between {lo:g} and {hi:g}; "
@@ -580,21 +540,13 @@ def search_multiplier(
     width_rel: float = 1e-12,
 ) -> tuple[float, tuple[float, float, float, float] | None] | None:
     """Smallest multiplier x >= floor at which the non-increasing excess(x)
-    (spend - budget, window spend - cap, shortfall, ...) is <= 0.
-
-    Returns (floor, None) when the floor fits.  Otherwise steps up from 1 by
-    factors of 4 to a bracket (lo, hi) with excess(lo) > 0 >= excess(hi)
-    and narrows it until |excess| <= tol, returning that point, or until
-    its width is <= width_rel * max(1, hi), returning hi, the side that
-    fits, with the final bracket (lo, hi, excess(lo), excess(hi)).  None
-    when the excess is still positive at limit.
-
-    tol marks a smooth curve: each point is then the Illinois regula falsi
-    step (Dowell & Jarratt 1971) in ln x, the secant through the bracket's
-    ends with the excess of an end that stays put twice in a row halved, or
-    the midpoint when lo is 0, an excess is not finite, or the secant falls
-    outside (lo, hi).  A step function (tol None) is bisected.
-    """
+    is <= 0: (floor, None) when the floor fits, None when limit does not,
+    else from a bracket (lo, hi), stepped up from 1 by factors of 4, the
+    point where |excess| <= tol or hi once the width is <= width_rel *
+    max(1, hi), with the final bracket (lo, hi, excess(lo), excess(hi)).
+    With tol (a smooth curve) each point is the Illinois regula falsi step
+    (Dowell & Jarratt 1971) in ln x, else the midpoint: where lo is 0, an
+    excess is not finite, the secant leaves (lo, hi), or tol is None."""
     r_lo = excess(floor)
     if r_lo <= 0:
         return floor, None
@@ -640,53 +592,20 @@ def search_multiplier(
     return hi, (lo, hi, r_lo, r_hi)
 
 
-LAMBDA_REL_TOL = 1e-6  # lambda* matches spend to the budget to this on smooth logs
-
-
-def _solve_budget_multiplier(
-    curve: _SpendCurve, budget: float
-) -> tuple[LambdaSolution, tuple[float, float, float, float] | None]:
-    """The budget multiplier on one spend curve, and its search bracket.
-
-    A smooth (distributional) curve is searched on ln(spend / budget), to
-    log1p(LAMBDA_REL_TOL): the band |spend - budget| <= LAMBDA_REL_TOL *
-    budget, read on a scale where spend is close to linear in ln(lam).  Zero
-    spend reads as -inf, a step the search takes at the midpoint."""
-    if curve.log.mode == "distributional":
-
-        def excess(lam: float) -> float:
-            spend = curve.at(lam).spend
-            return math.log(spend / budget) if spend > 0 else -math.inf
-
-        tol = math.log1p(LAMBDA_REL_TOL)
-    else:
-        excess, tol = (lambda lam: curve.excess(lam, budget)), None
-    found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT, tol=tol)
-    if found is None:
-        raise OracleError("could not bracket the budget multiplier")
-    lam, bracket = found
-    r = curve.at(lam)
-    return LambdaSolution(lam, bracket is None, bracket and bracket[:2], r.spend, r.value), bracket
-
-
 def solve_lambda_star(
     log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP
 ) -> LambdaSolution:
-    """Budget-only hindsight multiplier.
-
-    If replayed spend at the floor multiplier fits the budget, the floor is
-    returned flagged unconstrained.  On a distributional log (a smooth
-    curve), Illinois regula falsi on ln(spend / budget) matches spend to
-    budget within LAMBDA_REL_TOL in about 8 replays.  On a realized or mixed
-    log (a step function) bisection returns the high, never overspending
-    side of the step; a realized log's spend comes from its RealizedSpend,
-    whose signs are a replay's.  Spend and value are replayed at the
-    result, and bracket is the final bracket of the search.
-    """
+    """Budget-only hindsight multiplier (_SpendCurve.solve): the floor,
+    flagged unconstrained, where it fits, else the smooth match within
+    LAMBDA_REL_TOL or the high, never overspending side of the step.  Spend
+    and value are replayed there; bracket is the search's final one."""
     if not budget > 0:
         raise OracleError(f"budget must be > 0, got {budget}")
-    curve = _SpendCurve(log, MultiplierProfile(lam=1.0), bid_cap)
-    return _solve_budget_multiplier(curve, budget)[0]
+    segments = SegmentSpend(log, (), bid_cap) if log.mode == "realized" else None
+    curve = _SpendCurve(log, bid_cap, MultiplierProfile, segments)
+    lam, bracket = curve.solve(budget)
+    r = curve.at(lam)
+    return LambdaSolution(lam, bracket is None, bracket and bracket[:2], r.spend, r.value)
 
 
 def dual_value(log: OpportunityLog, budget: float, lam: float, bid_cap: float = DEFAULT_BID_CAP) -> float:
@@ -707,22 +626,20 @@ class KktSolution:
 
 KKT_REL_TOL = 1e-4  # a binding KKT constraint holds with equality to this
 
-# Per kind of KKT constraint: its excess's sign (+1 caps the quantity, -1 floors it),
-# then its searched multiplier, quantity and target as notes name them (+ window id).
+# Per kind of KKT constraint: its excess's sign (+1 caps the quantity, -1 floors
+# it), the multiplier of its step notes (lam, or its rows' factor f), quantity, target.
 _KKT_KINDS = {
     "budget": (1.0, "lam", "spend", "budget"),
-    "cost_target": (1.0, "mu", "spend / value", "target"),
-    "delivery": (1.0, "lam+lam", "spend", "cap"),
-    "guarantee": (-1.0, "mu", "value", "floor"),
+    "cost_target": (1.0, "f", "spend / value", "target"),
+    "delivery": (1.0, "f", "spend", "cap"),
+    "guarantee": (-1.0, "f", "value", "floor"),
 }
 
 
 @dataclass(frozen=True)
 class KktConstraint:
-    """One constraint of the KKT solve: its kind (a key of _KKT_KINDS), the
-    window it holds (None for the budget and the cost target), its target
-    (the budget, cost per result, cap or floor) and the limit of its
-    multiplier's search."""
+    """A KKT constraint: its kind (a key of _KKT_KINDS), window (None for the
+    budget and cost target), target and the limit of its multiplier."""
 
     kind: str
     window: str | None
@@ -743,8 +660,7 @@ class KktConstraint:
         return value if self.kind == "guarantee" else spend
 
     def excess(self, rep: ReplayResult) -> float:
-        """How far rep misses the constraint, relative to the target, <= 0
-        where it holds; its size is the residual."""
+        """How far rep misses the constraint, relative (its residual)."""
         return _KKT_KINDS[self.kind][0] * (self.level(rep) / self.target - 1.0)
 
     def give_up_note(self, rep: ReplayResult) -> str:
@@ -755,130 +671,220 @@ class KktConstraint:
         bound = f"{side} {target} {self.target:g}"
         return f"{name} infeasible: {best} achievable {what} {self.level(rep):g} {bound}"
 
-    def step_note(self, rep: ReplayResult, bracket: tuple[float, float, float, float]) -> str:
-        """Why a realized residual exceeds KKT_REL_TOL: the constrained
-        quantity jumps across the final bracket (lo, hi, excess at lo,
-        excess at hi) of its multiplier's search."""
-        sign, multiplier, quantity, _ = _KKT_KINDS[self.kind]
+    def step_note(self, rep: ReplayResult, far: tuple[float, float], near: float, multiplier=None):
+        """Why a realized residual exceeds KKT_REL_TOL: the quantity steps
+        from far = (multiplier, quantity) to rep's at the multiplier near."""
+        _, default, quantity, _ = _KKT_KINDS[self.kind]
+        multiplier = multiplier or default
         if self.window is not None:
             multiplier, quantity = f"{multiplier}_{self.window}", f"{quantity} in {self.window!r}"
-        lo, hi, r_lo, r_hi = bracket
-        at_lo, at_hi = (self.target * (1.0 + sign * r) for r in (r_lo, r_hi))
         return (
             f"{self.name} residual {abs(self.excess(rep)):.3g} exceeds rel_tol {KKT_REL_TOL:g}: "
-            f"realized {quantity} steps from {at_lo:.12g} at {multiplier}={lo:.17g} "
-            f"to {at_hi:.12g} at {multiplier}={hi:.17g}, the final bracket of its search"
+            f"realized {quantity} steps from {far[1]:.12g} at {multiplier}={far[0]:.17g} "
+            f"to {self.level(rep):.12g} at {multiplier}={near:.17g}, either side of its step"
         )
 
 
-def check_kkt_constraints(constraints, log: OpportunityLog | None = None) -> None:
-    """Raise OracleError naming the windows where solve_kkt_grid cannot take
-    constraints: two guarantee windows, or two delivery windows on a record."""
-    deliveries = {w.id for w in constraints.delivery_windows}
-    clashes = [[w.id for w in constraints.guarantee_windows]]
-    clashes += [[w for w in c if w in deliveries] for c in log.arrays.window_combos] if log else []
-    ids = next((ids for ids in clashes if len(ids) > 1), None)
-    if ids:
-        raise OracleError(f"the KKT oracle takes one guarantee window and delivery windows "
-                          f"that share no record, got {', '.join(map(repr, ids))}")  # fmt: skip
+def check_kkt_constraints(constraints, log: OpportunityLog | None = None) -> str | None:
+    """The guarantee window sharing records (with no log, intervals) with
+    delivery windows, if any; OracleError, naming the windows, where two do,
+    or a record is in two windows of one kind."""
+    deliveries, combos = constraints.delivery_windows, log.arrays.window_combos if log else ()
+    ids = {d.id for d in deliveries}
+    clashes = [[g.id for g in constraints.guarantee_windows
+                if (any(g.start < d.end and d.start < g.end for d in deliveries) if log is None
+                    else any(g.id in k and ids.intersection(k) for k in combos))]]  # fmt: skip
+    for kind in (deliveries, constraints.guarantee_windows):
+        clashes += [[w.id for w in kind if w.id in k] for k in combos]
+    if bad := next((c for c in clashes if len(c) > 1), None):
+        raise OracleError("the KKT oracle takes no record in two windows of one kind and one "
+                          f"guarantee window on delivery records, got {', '.join(map(repr, bad))}")
+    return clashes[0][0] if clashes[0] else None
+
+
+def _least(holds: Callable[[float], bool], guess: float, limit: float) -> float:
+    """The least float x in [0, limit] at which holds(x), false below some
+    point and true from it on, is true (limit where it never is), bisected
+    over the floats in bit order from a few floats round guess."""
+    if not holds(limit):
+        return limit
+    bits = lambda x: int(np.float64(x).view(np.int64))
+    at = lambda b: holds(float(np.int64(b).view(np.float64)))
+    g = bits(limit if math.isnan(guess) else min(max(guess, 0.0), limit))
+    lo, hi = -1, bits(limit)  # holds at hi, not at lo; -1 stands for a float below 0
+    for x in (g + 4, g - 4):  # a few floats round guess, where they bracket it
+        if lo < x < hi:
+            lo, hi = (lo, x) if at(x) else (x, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if at(mid) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+def _kkt_profile(lam: float, cost_target, thresholds, boosts=None) -> MultiplierProfile:
+    """The least multipliers at lam, each at most its limit, that hold the
+    factors (as MultiplierVector rounds them) to thresholds, by constraint:
+    mu the global factor to the cost target's cap, then lam_k a window's to
+    its cap and mu_k to its floor.  A window in boosts gets mu_k = boost *
+    (1 + mu * cost_target), multiplying its rows' factors by 1 + boost."""
+    C, mu = cost_target, 0.0
+    for c, t in thresholds.items():
+        if c.kind == "cost_target" and budget_factor(lam) > t:
+            guess = (1.0 - lam * t) / (t - C) if t > C else c.limit
+            mu = _least(lambda x: MultiplierVector(lam, x, C).factor <= t, guess, c.limit)
+    n, d = MultiplierVector(lam, mu, C).numerator, max(lam + mu, LAMBDA_FLOOR)
+    lams = {c.window: _least(lambda x: MultiplierVector(lam, mu, C, lam_k=x).factor <= t,
+                             n / t - d if t > 0 else c.limit, c.limit)
+            for c, t in thresholds.items() if c.kind == "delivery"}  # fmt: skip
+    mus = {c.window: _least(lambda x: MultiplierVector(lam, mu, C, mu_k=x).factor >= t,
+                            t * d - n, c.limit)
+           for c, t in thresholds.items() if c.kind == "guarantee"}  # fmt: skip
+    return MultiplierProfile(lam, mu, C, lams, mus | {w: b * n for w, b in (boosts or {}).items()})
+
+
+def _cost_scan(segments: SegmentSpend, thresholds, cost_target: float):
+    """The largest global factor at which realized spend is at most
+    cost_target times value, each window's rows at it clamped to their
+    thresholds, and (factor, spend / value) across its step, from one sort
+    of the rows by the factor at which each enters (None with first-price
+    rows): +inf where every row fits, 0 where none does."""
+    entries, price, values = [], [], []
+    for key, rs in segments.parts.items():
+        if rs.table.first_price.any():
+            return None
+        bounds = {c.kind: t for c, t in thresholds.items() if c.window in key}
+        floor, cap = bounds.get("guarantee", 0.0), bounds.get("delivery", math.inf)
+        limits = np.where(rs._limits <= cap, rs._limits, np.inf)
+        entries.append(np.where(rs._limits <= floor, 0.0, limits))
+        price.append(rs._price)
+        values.append(rs.values)
+    entry = np.concatenate(entries)
+    order = np.argsort(entry)[: np.count_nonzero(entry < np.inf)]
+    spend, value = (np.append(0.0, np.cumsum(np.concatenate(a)[order])) for a in (price, values))
+    entry = entry[order]
+    # the counts k of rows a factor wins alone, those in [entry[k - 1], entry[k])
+    counts = np.flatnonzero(np.append(entry > np.append(0.0, entry[:-1]), True))
+    fits = np.flatnonzero(spend[counts] <= cost_target * value[counts])
+    if not fits.size or fits[-1] == len(counts) - 1:
+        return (math.inf if fits.size else 0.0), None
+    step, beyond = float(entry[counts[fits[-1]]]), counts[fits[-1] + 1]
+    return math.nextafter(step, -math.inf), (step, spend[beyond] / max(value[beyond], 1e-300))
 
 
 def solve_kkt_grid(
     log: OpportunityLog, constraints, bid_cap: float = DEFAULT_BID_CAP
 ) -> KktSolution:
-    """Hindsight multipliers for a budget, a cost target, any number of
-    delivery windows and one guarantee window, satisfying each KKT branch: a
-    multiplier is either 0 (slack constraint) or its constraint holds with
-    equality within KKT_REL_TOL.
+    """Hindsight multipliers for a budget, a cost target and any number of
+    delivery and guarantee windows: each multiplier is 0 (slack constraint)
+    or its constraint holds within KKT_REL_TOL.
 
-    The guarantee and then the cost-target multiplier are nested outer
-    searches.  Inside them the windows and the budget decompose, as window
-    k's rows bid at one effective multiplier lam + lam_k (+ mu): c_k, the
-    least lam + lam_k at which its spend fits its cap, is one search; lam is
-    the budget multiplier of the spend with each window at max(lam, c_k),
-    searched as solve_lambda_star searches (which this is, for a budget
-    alone); lam_k = max(c_k - lam, 0), raised until lam + lam_k >= c_k as
-    replay rounds it.  Where _steps_apply holds, the searches read
-    RealizedSpends of each window's rows and of the rest, else replays.
-
-    A constraint still failing at its search limit keeps its multiplier
-    there, gets a note and no residual, and makes the solution infeasible,
-    as does a cap the replayed solution exceeds (beyond KKT_REL_TOL on a
-    smooth log).  Realized spend and value are step functions, so there a
-    residual above KKT_REL_TOL gets a note naming the final bracket of its
-    search and the step across it.  Residuals are keyed by constraint name.
+    Each constraint is a threshold on a factor: a delivery window caps its
+    rows' at the largest at which their spend fits, a guarantee window
+    floors it at the least at which their value reaches the floor, the cost
+    target caps the global one at the largest at which spend is at most the
+    target times value (windows clamped).  Last, lam is searched as for
+    lambda* (which this is, for a budget alone), at the multipliers
+    _kkt_profile maps the thresholds to.  Realized second-price thresholds
+    are scans of sorted win limits; first-price rows, or a sum within
+    _RESUM_REL of a target, are bisected on SegmentSpend, other logs
+    searched by Illinois steps on replays.  A guarantee window on records of
+    delivery windows lifts rows under their caps: its multiplier (relative
+    to 1 + mu * C) is one outer search.  A multiplier at its limit, or a cap
+    the replay exceeds, gets a note (and no residual) and makes the solution
+    infeasible; a realized residual above KKT_REL_TOL, a note on its step.
     """
-    check_kkt_constraints(constraints, log)
-    outer = [KktConstraint("guarantee", w.id, w.floor, 1e4) for w in constraints.guarantee_windows]
-    cost_target = constraints.cost_target
-    if cost_target is not None:
-        outer.append(KktConstraint("cost_target", None, cost_target, 1e6 / cost_target))
-    windows = [KktConstraint("delivery", w.id, w.cap, 1e8) for w in constraints.delivery_windows]
+    shared = check_kkt_constraints(constraints, log)
+    C, combos = constraints.cost_target, log.arrays.window_combos
     budget = KktConstraint("budget", None, constraints.budget, LAMBDA_LIMIT)
+    costs = [KktConstraint("cost_target", None, C, 1e6 / C)] if C is not None else []
+    caps = [KktConstraint("delivery", w.id, w.cap, 1e8) for w in constraints.delivery_windows]
+    floors = [KktConstraint("guarantee", w.id, w.floor, 1e4) for w in constraints.guarantee_windows]
+    outer = next((c for c in floors if c.window == shared), None)
+    lifted = [c for c in caps if outer and any({c.window, outer.window} <= set(k) for k in combos)]
+    realized = log.mode == "realized"
+    segments = SegmentSpend(log, [c.window for c in caps + floors], bid_cap) if realized else None
     tol = KKT_REL_TOL if log.mode == "distributional" else None
-    pieces = None
-    if windows and log.mode == "realized":
-        cols = log.arrays  # all realized, so ~cols.realized masks no row
-        masks = {c.window: cols.window_masks.get(c.window, ~cols.realized) for c in windows}
-        masks[None] = ~np.logical_or.reduce(list(masks.values()))
-        pieces = {w: RealizedSpend(cols.values[m], cols.clearing[m], cols.table.take(m), bid_cap)
-                  for w, m in masks.items()}  # fmt: skip
 
-    def decomposed(profile: MultiplierProfile) -> tuple:
-        """The delivery and budget multipliers at profile's outer ones."""
-        steps = pieces if _steps_apply(log, profile) else None
-        floors, results = {}, []
-        for c in windows:
-            if steps:
-                excess = lambda x, rs=steps[c.window]: rs.excess(x, c.target) / c.target
-            else:
-                excess = lambda x: c.excess(replay(log, profile.with_lam(x), bid_cap))
-            found = search_multiplier(excess, LAMBDA_FLOOR, c.limit, tol=tol)
-            floors[c.window] = c.limit if found is None else found[0]
-            results.append(found)
-        curve = _SpendCurve(log, profile, bid_cap, floors, steps)
-        sol, bracket = _solve_budget_multiplier(curve, budget.target)
-        profile = curve.profile_at(sol.lam)
-        # a window's search as (lam_k, its bracket), the budget's relative to the budget
-        results = [f and (profile.window_lambda[c.window], f[1]) for c, f in zip(windows, results)]
-        if bracket is not None:
-            bracket = (*bracket[:2], bracket[2] / budget.target, bracket[3] / budget.target)
-        return profile, curve.at(sol.lam), (*results, (sol.lam, bracket))
+    def excess(c: KktConstraint, profile: MultiplierProfile) -> float:
+        """c's excess at profile, its sign always a replay's."""
+        e = c.excess(segments.at(profile) if segments else replay(log, profile, bid_cap))
+        return c.excess(replay(log, profile, bid_cap)) if segments and abs(e) <= _RESUM_REL else e
 
-    solved: dict[tuple[float, ...], tuple] = {}
+    def searched(c: KktConstraint, probe, floor: float, limit: float, factor) -> tuple:
+        """factor(x) at the least x >= floor at which c fits at probe(x) (where
+        none to limit does, a factor none reaches), and the bracket's far end."""
+        found = search_multiplier(lambda x: excess(c, probe(x)), floor, limit, tol)
+        is_floor = c.kind == "guarantee"
+        if found is None:
+            return (math.inf if is_floor else 0.0), None
+        x, bracket = found
+        if bracket is None:
+            return (factor(x) if is_floor else math.inf), None
+        quantity = c.target * (1.0 + _KKT_KINDS[c.kind][0] * bracket[2])
+        return factor(x), (factor(bracket[0]), quantity)
 
-    def solve(xs: tuple[float, ...]) -> tuple:
-        """The solution with the leading outer multipliers at xs and every
-        later one searched in turn: its profile, its replay, and per later
-        constraint its (multiplier, final bracket), None if it gave up."""
-        if xs not in solved and len(xs) < len(outer):
-            c = outer[len(xs)]
-            found = search_multiplier(
-                lambda x: c.excess(solve((*xs, x))[1]), 0.0, c.limit, tol=tol, width_rel=1e-7
-            )
-            profile, rep, later = solve((*xs, c.limit if found is None else found[0]))
-            solved[xs] = profile, rep, (found, *later)
-        elif xs not in solved:
-            mu = next((x for c, x in zip(outer, xs) if c.kind == "cost_target"), 0.0)
-            window_mu = {c.window: x for c, x in zip(outer, xs) if c.kind == "guarantee"}
-            solved[xs] = decomposed(MultiplierProfile(1.0, mu, cost_target, {}, window_mu))
-        return solved[xs]
+    def threshold(c: KktConstraint, boosts) -> tuple:
+        """c's threshold on its rows' factor, and (factor, quantity) across its step."""
+        is_floor = c.kind == "guarantee"
+        rs = segments.parts.get((c.window,)) if segments and c not in lifted else None
+        step = rs.crossing(c.target, is_floor) if rs else None
+        if step is not None:  # a floor's step is its threshold, a cap's lies just above it
+            near, far = (step, math.nextafter(step, -math.inf))[:: 1 if is_floor else -1]
+            return near, (far, rs.at(far)[is_floor]) if 0 < step < math.inf else None
+        if is_floor:  # on the factor y, as the budget multiplier 1 / y bids it
+            factor = lambda y: budget_factor(1.0 / y) if y else 0.0
+            probe = lambda y: MultiplierProfile(1.0 / y if y else math.inf)
+            return searched(c, probe, 0.0, 1.0 / LAMBDA_FLOOR, factor)
+        # on x, the window's rows at budget_factor(x), those it shares with outer lifted
+        probe = lambda x: MultiplierProfile(x, window_mu=boosts)
+        return searched(c, probe, LAMBDA_FLOOR, c.limit, budget_factor)
 
-    profile, rep, searches = solve(())
-    bounds = [*outer, *windows, budget]
-    unconstrained = searches[-1][1] is None
-    notes = [c.give_up_note(rep) for c, found in zip(bounds, searches) if found is None]
-    notes += ["budget unconstrained"] if unconstrained else []
+    fixed = {c: threshold(c, {}) for c in caps + floors if c not in lifted and c is not outer}
+
+    def solve(boost: float | None) -> tuple:
+        """Thresholds and steps, profile and budget curve at outer's boost."""
+        boosts = {outer.window: boost} if outer else {}
+        steps = fixed | {c: threshold(c, boosts) for c in lifted}
+        for cost in costs:
+            held = {c: t for c, (t, _) in steps.items()}
+            probe = lambda x: _kkt_profile(x, C, held, boosts)
+            scan = _cost_scan(segments, held, C) if segments and not boosts else None
+            steps[cost] = scan or searched(cost, probe, LAMBDA_FLOOR, LAMBDA_LIMIT, budget_factor)
+        held = {c: t for c, (t, _) in steps.items()}
+        curve = _SpendCurve(log, bid_cap, lambda lam: _kkt_profile(lam, C, held, boosts), segments)
+        lam, bracket = curve.solve(budget.target)
+        steps[budget] = lam, bracket and (bracket[0], budget.target + bracket[2])
+        return steps, curve.profile_of(lam), curve
+
+    found = outer and search_multiplier(
+        lambda x: excess(outer, solve(x)[1]), 0.0, outer.limit, tol=tol, width_rel=1e-7
+    )  # fmt: skip
+    boost = found[0] if found else outer and outer.limit
+    steps, profile, curve = solve(boost)
+    rep = curve.at(profile.lam)
+    multipliers = {budget: profile.lam, **{c: profile.mu for c in costs}}
+    multipliers |= {c: profile.window_lambda[c.window] for c in caps}
+    multipliers |= {c: boost if c is outer else profile.window_mu[c.window] for c in floors}
+    if found and found[1]:  # outer's step in mu_k = boost * (1 + mu * C)
+        lo, _, r_lo, _ = found[1]
+        scale = profile.window_mu[outer.window] / boost
+        steps[outer] = boost, (lo * scale, outer.target * (1.0 - r_lo))
+    gave_up = [c for c, m in multipliers.items() if m >= c.limit]
+    unconstrained = steps[budget][1] is None
+    notes = [c.give_up_note(rep) for c in gave_up] + ["budget unconstrained"] * unconstrained
     residuals = {"budget": 0.0}
-    # innermost first; a multiplier at its floor or its limit has no residual
-    for c, found in reversed(list(zip(bounds, searches))):
-        if found is not None and found[0] > LAMBDA_FLOOR:
-            residuals[c.name] = abs(c.excess(rep))
-            if tol is None and residuals[c.name] > KKT_REL_TOL and found[1]:
-                notes.append(c.step_note(rep, found[1]))
-    over = [c for c, f in zip(windows, searches[len(outer) :]) if f and c.excess(rep) > (tol or 0)]
+    for c, m in multipliers.items():
+        if c in gave_up or not m > (LAMBDA_FLOOR if c is budget else 0.0):
+            continue
+        residuals[c.name] = abs(c.excess(rep))
+        far = steps.get(c, (0.0, None))[1]
+        if tol is None and residuals[c.name] > KKT_REL_TOL and far:
+            near = profile.window_mu[c.window] if c is outer else profile.lam if c is budget \
+                else profile.vector_for((c.window,) if c.window else ()).factor
+            notes.append(c.step_note(rep, far, near, "mu" if c is outer else None))
+    over = [c for c in caps if c not in gave_up and c.excess(rep) > (tol or 0)]
     notes += [f"delivery {c.window!r} spends {c.level(rep):g}, above its cap" for c in over]
-    feasible = None not in searches and not over
+    feasible = not gave_up and not over
     return KktSolution(profile, rep, residuals, feasible, tuple(notes), unconstrained)
 
 
@@ -893,13 +899,10 @@ def marginal_roi(
     log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP
 ) -> MarginalRoi:
     """Value gained per extra unit of spend on each placement at the joint
-    optimum, dV_p / dS_p, from the two replays of the whole log around
-    lambda* (see _replays_around).  Proposition 1, V'(lam) = lam * S'(lam),
-    holds record by record on a distributional log, so every active ROI is
-    lambda* up to the O(1e-8) error of the central difference.  A placement
-    whose spend does not move between the two replays is inactive; when the
-    budget does not bind, every ROI is 0.  Needs a distributional log
-    (smooth curves)."""
+    optimum, dV_p / dS_p, from the two replays around lambda* (see
+    _replays_around), on a distributional log.  Proposition 1 holds record by
+    record there, so every active ROI is lambda* to O(1e-8).  A placement
+    whose spend does not move is inactive; an unbound budget gives 0s."""
     if log.mode != "distributional":
         raise OracleError("marginal ROI needs a distributional log")
     sol = solve_lambda_star(log, budget, bid_cap)
@@ -927,16 +930,12 @@ class FixedBidBaseline:
 def fixed_bid_baseline(
     log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP
 ) -> FixedBidBaseline:
-    """Naive reference policy: one constant bid for every opportunity, set in
-    hindsight to the largest level whose realized spend fits the budget.
-
-    A constant bid b wins exactly the auctions priced at or below it, so
-    between neighbouring prices spend is S2 + b * n1: the second-price
-    prices won plus b per first-price auction won.  From the last price at
-    which spend fits, the answer is (budget - S2) / n1, below the next
-    price, moved a float at a time to the largest bid that fits.  A spend
-    within _RESUM_REL of the budget is resolved auction by auction, so every
-    comparison is a replay's."""
+    """Naive reference policy: the largest constant bid whose realized spend
+    fits the budget.  Between neighbouring prices spend is S2 + b * n1 (the
+    second-price prices won plus b per first-price win), so from the last
+    price that fits the bid is (budget - S2) / n1, below the next price,
+    moved a float at a time to the largest that fits; a spend within
+    _RESUM_REL of the budget is resolved auction by auction."""
     if log.mode != "realized":
         raise OracleError("the fixed-bid baseline needs a realized log")
     cols = log.arrays

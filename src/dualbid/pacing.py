@@ -468,10 +468,8 @@ def update_constraint_multipliers(
         # pace against the remaining allowance so early overshoot is clawed back
         allowance = (w.cap - spend_before) / max(w.end - interval, 1)
         ratio = min(interval_spend / allowance, 10.0) if allowance > 0 else 10.0
+        target = vector().factor * math.exp(-log_step(eta_w * (ratio - 1.0)))
         numerator, base = vector().numerator, lam + state.mu
-        # by hand: MultiplierVector.factor sums lam + lam_k + mu, which changes traces
-        target = numerator / max(base + lam_k, LAMBDA_FLOOR)
-        target *= math.exp(-log_step(eta_w * (ratio - 1.0)))
         lam_k = min(max(numerator / max(target, LAMBDA_FLOOR) - base, 0.0), _MULTIPLIER_CAP)
         state.window_lambda[w.id] = lam_k
 
@@ -555,13 +553,12 @@ def ftl_update(
     entries are the auctions seen so far, in order, as the oracle replays
     them at the agent's bid cap: an episode builds one oracle.RealizedSpend
     over its stream and passes the prefix seen, so each update reads a slice
-    of one sorted history.  Found by the oracle's search_multiplier.  With
-    second-price auctions only, spend is one sorted step function of lam,
-    whose crossing of the budget pace gives the sign of every step at once
-    (RealizedSpend.crossing); otherwise, first-price auctions that can still
-    win are shaded at each step.  Either way the signs the search reads are
-    those of a full replay.  Replayed spend is a step function of lam, so
-    the search returns the conservative high side of its final bracket.
+    of one sorted history at lam's factor budget_factor(lam), the episode's.
+    With second-price auctions only, the factor at which spend crosses the
+    budget pace gives the sign of every step of the oracle's search_multiplier
+    at once (RealizedSpend.crossing); otherwise first-price auctions that can
+    still win are shaded at each step.  Either way the signs are a full
+    replay's, and the search returns the high, conservative side of its step.
     """
     if not entries:
         raise PacingError("ftl update needs at least one logged auction")
@@ -570,9 +567,10 @@ def ftl_update(
     limit = spend.crossing(target)
 
     def excess(lam: float) -> float:
+        f = 1.0 / max(lam, LAMBDA_FLOOR)  # budget_factor(lam), inline on this hot path
         if limit is None:
-            return spend.excess(lam, target)
-        return -1.0 if lam > limit else 1.0
+            return spend.excess(f, target)
+        return -1.0 if f < limit else 1.0
 
     found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT)
     if found is None:

@@ -216,32 +216,53 @@ class LpSolution:
     value: float
     x: np.ndarray  # the share of each row won
     budget_dual: float
-    window_duals: dict[str, float]
+    window_duals: dict[str, float]  # of each cap and each floor, by window
+    cost_dual: float = 0.0
+    caps: tuple[str, ...] = ()  # the windows of window_duals that are caps
+
+    def factor(self, windows: tuple[str, ...] = (), cost_target: float | None = None) -> float:
+        """The bid factor the duals give rows in windows: a row's term in the
+        Lagrangian, v (1 + gamma C + sum of floor duals) - p (beta + gamma +
+        sum of cap duals), is >= 0 exactly where v / p reaches it."""
+        lam_k = sum(self.window_duals[w] for w in windows if w in self.caps)
+        mu_k = sum(self.window_duals[w] for w in windows if w not in self.caps)
+        boost = self.cost_dual * cost_target if cost_target is not None else 0.0
+        return (1.0 + boost + mu_k) / (self.budget_dual + self.cost_dual + lam_k)
 
 
-def kkt_lp(log: OpportunityLog, budget: float, caps: dict[str, float]) -> LpSolution:
+def kkt_lp(
+    log: OpportunityLog,
+    budget: float,
+    caps: dict[str, float],
+    floors: dict[str, float] | None = None,
+    cost_target: float | None = None,
+) -> LpSolution:
     """The fractional relaxation of the hindsight problem on a realized
     second-price log, by scipy's HiGHS, apart from the library's solves:
-    maximize sum v_i x_i over x_i in [0, 1] subject to sum p_i x_i <= budget
-    and, for each delivery window k, the sum over its rows <= caps[k], p_i
-    being the row's price max(clearing, reserve).  The duals are those of the
-    budget and of each cap, >= 0."""
+    maximize sum v_i x_i over x_i in [0, 1] subject to sum p_i x_i <= budget;
+    for each delivery window k the sum over its rows <= caps[k]; for each
+    guarantee window k sum v_i x_i over its rows >= floors[k]; and, given a
+    cost target C, sum (p_i - C v_i) x_i <= 0; p_i being the row's price
+    max(clearing, reserve).  The duals are those of the budget, of each cap
+    and floor, and of the cost target, >= 0."""
     from scipy.optimize import linprog
 
     cols = log.arrays
     assert log.mode == "realized" and not cols.table.first_price.any()
-    price = cols.price
+    price, values = cols.price, cols.values
+    floors = floors or {}
     rows = [price] + [np.where(cols.window_masks[w], price, 0.0) for w in caps]
-    res = linprog(
-        -cols.values,
-        A_ub=np.array(rows),
-        b_ub=[budget, *caps.values()],
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
+    rows += [np.where(cols.window_masks[w], -values, 0.0) for w in floors]
+    bounds = [budget, *caps.values(), *(-f for f in floors.values())]
+    if cost_target is not None:
+        rows.append(price - cost_target * values)
+        bounds.append(0.0)
+    res = linprog(-values, A_ub=np.array(rows), b_ub=bounds, bounds=(0.0, 1.0), method="highs")
     assert res.status == 0, res.message
     duals = -res.ineqlin.marginals
-    return LpSolution(-res.fun, res.x, float(duals[0]), dict(zip(caps, duals[1:].tolist())))
+    windows = dict(zip([*caps, *floors], duals[1 : 1 + len(caps) + len(floors)].tolist()))
+    cost_dual = float(duals[-1]) if cost_target is not None else 0.0
+    return LpSolution(-res.fun, res.x, float(duals[0]), windows, cost_dual, tuple(caps))
 
 
 def auction_history(values, clearing, mech: MechanismSpec) -> RealizedSpend:

@@ -313,7 +313,8 @@ class TestCompare:
         assert len(rows) == 33
         assert all(float(v) >= 0 for row in rows for v in row.values())
         # the curves hold the KKT window multiplier, so at oracle_lambda they
-        # spend what the KKT solution spends
+        # spend what the KKT solution spends; each point is read from the
+        # window's RealizedSpend and the rest's (oracle.SegmentSpend)
         lam = float(compare["oracle_lambda"])
         nearest = min(rows, key=lambda row: abs(float(row["lambda"]) - lam))
         assert float(nearest["spend"]) == pytest.approx(float(compare["oracle_spend"]), rel=0.01)
@@ -323,8 +324,8 @@ class TestCompare:
         assert float(compare["oracle_value"]) >= 309.5
         # the KKT solution and everything read from it, byte for byte
         digests = {
-            "compare.csv": "c9655d5c5b208781f32a48ab00bd7d27e0b927dabfd8f841d180d03142f77ddc",
-            "oracle_curves.csv": "a636ffa6d2d33d355f6ea6d6c1c2c27d437089449b6d473cbdd02b8942dc7cf1",
+            "compare.csv": "1000b7d7521e751d9905bd98835dde414d78bdaa27bf9432018daf76a7fa1194",
+            "oracle_curves.csv": "0a4e09f4be15f16560f8a21fe2a444d915922e83eecf5804bd4f96fc5bfd7396",
             # each ROI is lambda* of the distributional log (test_oracle.TestMarginalRoi),
             # which lies in a reference bisection's spend band
             # (test_oracle.TestSolveLambdaStar.test_smooth_solve_lies_in_reference_band)
@@ -333,8 +334,24 @@ class TestCompare:
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
+    def test_shipped_stationary_compare_is_pinned(self, tmp_path):
+        # the budget-only path: lambda*, the oracle curve read from the log's
+        # RealizedSpend, the fixed-bid baseline and the ROI, byte for byte
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(ROOT / "scenarios" / "stationary.json"),
+                     "--out", str(out)]) == 0  # fmt: skip
+        assert main(["compare", "--run", str(out)]) == 0
+        digests = {
+            "compare.csv": "8edfd9b90abed7dcca3c5725f48bfe6906e5354955e2366e43f801dc30b9a5ea",
+            "oracle_curves.csv": "29584b1a621d165291c5a1741868bb0aff06d0e4cacbf5a16e81ad809b063a06",
+            "roi.csv": "02bec2b93a0266d5fc0e6b8880815a35c813ef7f5acbce7b441278635109325d",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     def test_shipped_guaranteed_scenario_round_trips(self, tmp_path, capsys):
-        # a cost target and a guarantee window: both outer KKT searches bind
+        # a cost target and a guarantee window: both thresholds bind, each
+        # read from one scan of sorted win limits
         from dualbid.oracle import KKT_REL_TOL
 
         out = tmp_path / "out"
@@ -372,12 +389,38 @@ class TestCompare:
         assert compare["oracle_feasible"] == "True"
         assert {"oracle_lambda_a", "oracle_lambda_b"} <= set(compare)
 
-    def test_two_guarantee_windows_exit_2_before_the_stream(self, tmp_path, capsys, monkeypatch):
+    def test_disjoint_guarantee_windows_each_bind(self, tmp_path, capsys):
+        # two guarantee windows on records of their own: each is one
+        # threshold on its rows' factor, and both floors bind
         cfg = small_scenario(
             guarantee_windows=[
-                {"id": "g1", "start": 5, "end": 15, "floor": 1.0},
-                {"id": "g2", "start": 20, "end": 30, "floor": 1.0},
+                {"id": "g1", "start": 5, "end": 15, "floor": 20.0},
+                {"id": "g2", "start": 20, "end": 30, "floor": 20.0},
             ]
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert main(["compare", "--run", str(out)]) == 0
+        compare = read_kv(out / "compare.csv")
+        assert compare["oracle_feasible"] == "True"
+        for w in ("g1", "g2"):
+            assert float(compare[f"oracle_mu_{w}"]) > 0
+            assert float(compare[f"kkt_residual_guarantee_{w}"]) < 0.05
+
+    def test_guarantee_windows_on_delivery_records_exit_2_before_the_stream(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # each guarantee window overlaps a delivery window: the solve would
+        # need nested searches, so compare refuses before any work
+        cfg = small_scenario(
+            delivery_windows=[
+                {"id": "d1", "start": 0, "end": 10, "cap": 5.0},
+                {"id": "d2", "start": 20, "end": 30, "cap": 5.0},
+            ],
+            guarantee_windows=[
+                {"id": "g1", "start": 5, "end": 15, "floor": 1.0},
+                {"id": "g2", "start": 25, "end": 35, "floor": 1.0},
+            ],
         )
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(write_scenario(tmp_path, cfg)), "--out", str(out)]) == 0
@@ -774,17 +817,26 @@ class TestOracleCommand:
         assert kv["feasible"] == "True"
         assert float(kv["spend"]) == 1.5
 
-    def test_two_guarantee_windows_exit_2_before_replay(self, tmp_path, capsys, monkeypatch):
+    def test_guarantee_windows_on_delivery_records_exit_2_before_replay(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # records 0 and 1 are in delivery and guarantee windows at once, in
+        # two guarantee windows: refused before the log is replayed
         log = tmp_path / "log.csv"
-        self._write_log(log)
+        rows = ["time,placement_id,value,auction_type,reserve,competitor_family,"
+                "competitor_p1,competitor_p2,clearing_bid,windows"]
+        for i, w in enumerate(("d;g1", "d;g2", "")):
+            rows.append(f"{i},p,{i + 1}.0,second_price,0.0,uniform,0.0,1.0,0.5,{w}")
+        log.write_text("\n".join(rows) + "\n")
         windows = tmp_path / "windows.json"
         windows.write_text(
             json.dumps(
                 {
+                    "delivery_windows": [{"id": "d", "start": 0, "end": 2, "cap": 1.0}],
                     "guarantee_windows": [
                         {"id": "g1", "start": 0, "end": 1, "floor": 1.0},
                         {"id": "g2", "start": 1, "end": 2, "floor": 1.0},
-                    ]
+                    ],
                 }
             )
         )

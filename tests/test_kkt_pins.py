@@ -3,10 +3,11 @@ realized and distributional logs.
 
 The expected multipliers and residuals are reprs, the notes exact, and the
 replay count that of oracle.replay calls made by one solve.  Every pin was
-computed when the delivery windows and the budget moved from nested searches
-to one search per window plus the lambda* solve (see solve_kkt_grid); the
-windows' effective multipliers and the values they reach are checked
-against an independent LP in test_kkt_lp.py.
+computed when each constraint became a threshold on a factor, read from one
+scan of sorted win limits on realized second-price rows (see
+solve_kkt_grid); the values the realized solutions reach, the windows'
+effective factors and their feasibility are checked against an independent
+LP, extended to guarantee floors and the cost target, in test_kkt_lp.py.
 """
 
 import numpy as np
@@ -133,7 +134,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                    'lam': '2.2415517187832035',
                    'mu': '0.0',
                    'notes': [],
-                   'replays': 82,
+                   'replays': 109,
                    'residuals': {'budget': '3.957739691529127e-09',
                                  'guarantee_g': '7.859286303424362e-06'},
                    'window_lambda': {'d': '0.0'},
@@ -148,27 +149,27 @@ PINS = {('dist', 'all'): {'feasible': True,
                       'window_mu': {}},
  ('dist', 'cost_binding'): {'feasible': True,
                             'lam': '1e-09',
-                            'mu': '5.660052503538917',
+                            'mu': '5.659999590867991',
                             'notes': ['budget unconstrained'],
-                            'replays': 25,
-                            'residuals': {'budget': '0.0', 'cost_target': '5.834137422278118e-06'},
+                            'replays': 7,
+                            'residuals': {'budget': '0.0', 'cost_target': '2.550517717136991e-06'},
                             'window_lambda': {},
                             'window_mu': {}},
  ('dist', 'cost_delivery'): {'feasible': True,
                              'lam': '1e-09',
-                             'mu': '5.265127477583451',
+                             'mu': '5.266127288876495',
                              'notes': ['budget unconstrained'],
-                             'replays': 84,
+                             'replays': 14,
                              'residuals': {'budget': '0.0',
-                                           'cost_target': '3.3412835798163343e-07',
-                                           'delivery_d': '7.2674863629274e-06'},
-                             'window_lambda': {'d': '0.4830534123279201'},
+                                           'cost_target': '6.698170657493119e-05',
+                                           'delivery_d': '9.940819994891381e-05'},
+                             'window_lambda': {'d': '0.4829303670557894'},
                              'window_mu': {}},
  ('dist', 'cost_slack'): {'feasible': True,
                           'lam': '2.000000000131601',
                           'mu': '0.0',
                           'notes': [],
-                          'replays': 9,
+                          'replays': 10,
                           'residuals': {'budget': '8.399714257478763e-11'},
                           'window_lambda': {},
                           'window_mu': {}},
@@ -179,33 +180,33 @@ PINS = {('dist', 'all'): {'feasible': True,
                         'replays': 15,
                         'residuals': {'budget': '1.019569095817019e-09',
                                       'delivery_d': '9.940819994891381e-05'},
-                        'window_lambda': {'d': '1.3820825107738706'},
+                        'window_lambda': {'d': '1.3820825107738703'},
                         'window_mu': {}},
  ('dist', 'guarantee'): {'feasible': True,
-                         'lam': '2.2415517187832035',
+                         'lam': '2.241340381781736',
                          'mu': '0.0',
                          'notes': [],
-                         'replays': 74,
-                         'residuals': {'budget': '3.957739691529127e-09',
-                                       'guarantee_g': '7.859286303424362e-06'},
+                         'replays': 14,
+                         'residuals': {'budget': '7.345294836813565e-07',
+                                       'guarantee_g': '4.408732451222086e-05'},
                          'window_lambda': {},
-                         'window_mu': {'g': '0.2228090706878207'}},
+                         'window_mu': {'g': '0.22261401341664688'}},
  ('dist', 'guarantee_delivery'): {'feasible': True,
-                                  'lam': '1.8554954157043915',
+                                  'lam': '1.8554954157043908',
                                   'mu': '0.0',
                                   'notes': [],
-                                  'replays': 81,
-                                  'residuals': {'budget': '5.214262577268869e-09',
-                                                'delivery_d': '3.768876489895767e-06',
-                                                'guarantee_g': '3.9986380777956576e-05'},
-                                  'window_lambda': {'d': '2.3272837255047545'},
-                                  'window_mu': {'g': '0.7526099979184785'}},
+                                  'replays': 103,
+                                  'residuals': {'budget': '5.2142624662465664e-09',
+                                                'delivery_d': '3.768876490228834e-06',
+                                                'guarantee_g': '3.998638077817862e-05'},
+                                  'window_lambda': {'d': '2.327283725504754'},
+                                  'window_mu': {'g': '0.7526099979184778'}},
  ('dist', 'guarantee_infeasible'): {'feasible': False,
                                     'lam': '4.900325367894165',
                                     'mu': '0.0',
                                     'notes': ["guarantee 'g' infeasible: max achievable value "
                                               '18.5368 < floor 37.0737'],
-                                    'replays': 79,
+                                    'replays': 26,
                                     'residuals': {'budget': '4.649820628532808e-08'},
                                     'window_lambda': {},
                                     'window_mu': {'g': '10000.0'}},
@@ -222,9 +223,8 @@ PINS = {('dist', 'all'): {'feasible': True,
                     'mu': '0.0',
                     'notes': ['guarantee_g residual 0.0383 exceeds rel_tol 0.0001: realized value '
                               "in 'g' steps from 17.3072112751 at mu_g=1.3308851718902588 to "
-                              '18.1593868207 at mu_g=1.330885261297226, the final bracket of its '
-                              'search'],
-                    'replays': 1207,
+                              '18.1593868207 at mu_g=1.330885261297226, either side of its step'],
+                    'replays': 252,
                     'residuals': {'budget': '7.249756350802272e-14',
                                   'guarantee_g': '0.03829256974029449'},
                     'window_lambda': {'d': '0.0'},
@@ -239,30 +239,29 @@ PINS = {('dist', 'all'): {'feasible': True,
                        'window_mu': {}},
  ('mixed', 'cost_binding'): {'feasible': True,
                              'lam': '1e-09',
-                             'mu': '4.918429493904114',
+                             'mu': '4.918429175441515',
                              'notes': ['budget unconstrained',
                                        'cost_target residual 0.0739 exceeds rel_tol 0.0001: '
-                                       'realized spend / value steps from 0.181918283273 at '
-                                       'mu=4.9184291362762451 to 0.167088387204 at '
-                                       'mu=4.9184294939041138, the final bracket of its search'],
-                             'replays': 73,
-                             'residuals': {'budget': '0.0', 'cost_target': '0.07394819732085511'},
+                                       'realized spend / value steps from 0.181918282957 at '
+                                       'f=0.38374787526722809 to 0.167088389962 at '
+                                       'f=0.38374787526702719, either side of its step'],
+                             'replays': 1,
+                             'residuals': {'budget': '0.0', 'cost_target': '0.0739481820324901'},
                              'window_lambda': {},
                              'window_mu': {}},
  ('mixed', 'cost_delivery'): {'feasible': True,
                               'lam': '1e-09',
-                              'mu': '3.4449604749679565',
+                              'mu': '3.4449604449235465',
                               'notes': ['budget unconstrained',
                                         'delivery_d residual 0.284 exceeds rel_tol 0.0001: '
                                         "realized spend in 'd' steps from 1.99926871693 at "
-                                        'lam+lam_d=0.78067183185353684 to 1.36683294337 at '
-                                        'lam+lam_d=0.78067183185444633, the final bracket of its '
-                                        'search'],
-                              'replays': 1165,
+                                        'f_d=0.38374787526722809 to 1.36683294337 at '
+                                        'f_d=0.38374787526702714, either side of its step'],
+                              'replays': 15,
                               'residuals': {'budget': '0.0',
-                                            'cost_target': '1.856456433024789e-09',
-                                            'delivery_d': '0.2844686096335012'},
-                              'window_lambda': {'d': '0.7806718308544464'},
+                                            'cost_target': '3.042011087472929e-14',
+                                            'delivery_d': '0.2844686096334672'},
+                              'window_lambda': {'d': '0.7806718467722479'},
                               'window_mu': {}},
  ('mixed', 'cost_slack'): {'feasible': True,
                            'lam': '2.0000000000004547',
@@ -277,29 +276,29 @@ PINS = {('dist', 'all'): {'feasible': True,
                          'mu': '0.0',
                          'notes': ['budget residual 0.041 exceeds rel_tol 0.0001: realized spend '
                                    'steps from 6.73015317363 at lam=1.4798857351138395 to '
-                                   '6.02412705208 at lam=1.4798857351152037, the final bracket of '
-                                   'its search',
+                                   '6.02412705208 at lam=1.4798857351152037, either side of its '
+                                   'step',
                                    'delivery_d residual 0.284 exceeds rel_tol 0.0001: realized '
                                    "spend in 'd' steps from 1.99926871693 at "
-                                   'lam+lam_d=2.6058776203090019 to 1.36683294337 at '
-                                   'lam+lam_d=2.6058776203103662, the final bracket of its search'],
+                                   'f_d=0.38374787526722809 to 1.36683294337 at '
+                                   'f_d=0.38374787526702719, either side of its step'],
                          'replays': 1,
                          'residuals': {'budget': '0.0409899397735467',
                                        'delivery_d': '0.284468609633467'},
-                         'window_lambda': {'d': '1.1259918851951625'},
+                         'window_lambda': {'d': '1.1259918851951622'},
                          'window_mu': {}},
  ('mixed', 'guarantee'): {'feasible': True,
                           'lam': '2.729872419093226',
                           'mu': '0.0',
                           'notes': ['guarantee_g residual 0.0383 exceeds rel_tol 0.0001: realized '
                                     "value in 'g' steps from 17.3072112751 at "
-                                    'mu_g=1.3308851718902588 to 18.1593868207 at '
-                                    'mu_g=1.330885261297226, the final bracket of its search'],
-                          'replays': 1167,
+                                    'f_g=0.85384400388765258 to 18.1593868207 at '
+                                    'f_g=0.8538440038876528, either side of its step'],
+                          'replays': 14,
                           'residuals': {'budget': '7.249756350802272e-14',
                                         'guarantee_g': '0.03829256974029449'},
                           'window_lambda': {},
-                          'window_mu': {'g': '1.330885261297226'}},
+                          'window_mu': {'g': '1.3308851964210324'}},
  ('mixed', 'guarantee_infeasible'): {'feasible': False,
                                      'lam': '3.0856700847543834',
                                      'mu': '0.0',
@@ -308,9 +307,8 @@ PINS = {('dist', 'all'): {'feasible': True,
                                                'budget residual 0.015 exceeds rel_tol 0.0001: '
                                                'realized spend steps from 6.49913740128 at '
                                                'lam=3.0856700847516549 to 6.18736629278 at '
-                                               'lam=3.0856700847543834, the final bracket of its '
-                                               'search'],
-                                     'replays': 346,
+                                               'lam=3.0856700847543834, either side of its step'],
+                                     'replays': 1,
                                      'residuals': {'budget': '0.01500309176929504'},
                                      'window_lambda': {},
                                      'window_mu': {'g': '10000.0'}},
@@ -320,9 +318,8 @@ PINS = {('dist', 'all'): {'feasible': True,
                               'notes': ['budget unconstrained',
                                         'delivery_d residual 0.284 exceeds rel_tol 0.0001: '
                                         "realized spend in 'd' steps from 1.99926871693 at "
-                                        'lam+lam_d=2.6058776203090019 to 1.36683294337 at '
-                                        'lam+lam_d=2.6058776203103662, the final bracket of its '
-                                        'search'],
+                                        'f_d=0.38374787526722809 to 1.36683294337 at '
+                                        'f_d=0.38374787526702719, either side of its step'],
                               'replays': 1,
                               'residuals': {'budget': '0.0', 'delivery_d': '0.284468609633467'},
                               'window_lambda': {'d': '2.605877619310366'},
@@ -332,12 +329,11 @@ PINS = {('dist', 'all'): {'feasible': True,
                  'mu': '0.0',
                  'notes': ['budget residual 0.0165 exceeds rel_tol 0.0001: realized spend steps '
                            'from 7.614425997 at lam=2.9597714702267695 to 6.90839987545 at '
-                           'lam=2.9597714702294979, the final bracket of its search',
+                           'lam=2.9597714702294979, either side of its step',
                            'guarantee_g residual 0.0383 exceeds rel_tol 0.0001: realized value in '
                            "'g' steps from 17.3072112751 at mu_g=1.5271830856800079 to "
-                           '18.1593868207 at mu_g=1.5271831750869751, the final bracket of its '
-                           'search'],
-                 'replays': 1208,
+                           '18.1593868207 at mu_g=1.5271831750869751, either side of its step'],
+                 'replays': 20,
                  'residuals': {'budget': '0.01650330395372146',
                                'guarantee_g': '0.03829256974029449'},
                  'window_lambda': {'d': '0.0'},
@@ -352,25 +348,25 @@ PINS = {('dist', 'all'): {'feasible': True,
                     'window_mu': {}},
  ('sp', 'cost_binding'): {'feasible': True,
                           'lam': '1e-09',
-                          'mu': '5.764186859130859',
+                          'mu': '5.764186801290653',
                           'notes': ['budget unconstrained',
                                     'cost_target residual 0.039 exceeds rel_tol 0.0001: realized '
                                     'spend / value steps from 0.170818240705 at '
-                                    'mu=5.7641865015029907 to 0.157971945077 at '
-                                    'mu=5.7641868591308594, the final bracket of its search'],
-                          'replays': 73,
+                                    'f=0.33786392296109569 to 0.157971945077 at '
+                                    'f=0.33786392296109563, either side of its step'],
+                          'replays': 1,
                           'residuals': {'budget': '0.0', 'cost_target': '0.03897682881628095'},
                           'window_lambda': {},
                           'window_mu': {}},
  ('sp', 'cost_delivery'): {'feasible': True,
                            'lam': '1e-09',
-                           'mu': '5.764186859130859',
+                           'mu': '5.764186801290653',
                            'notes': ['budget unconstrained',
                                      'cost_target residual 0.039 exceeds rel_tol 0.0001: realized '
                                      'spend / value steps from 0.170818240705 at '
-                                     'mu=5.7641865015029907 to 0.157971945077 at '
-                                     'mu=5.7641868591308594, the final bracket of its search'],
-                           'replays': 141,
+                                     'f=0.33786392296109569 to 0.157971945077 at '
+                                     'f=0.33786392296109563, either side of its step'],
+                           'replays': 1,
                            'residuals': {'budget': '0.0', 'cost_target': '0.03897682881628095'},
                            'window_lambda': {'d': '0.0'},
                            'window_mu': {}},
@@ -387,33 +383,31 @@ PINS = {('dist', 'all'): {'feasible': True,
                       'mu': '0.0',
                       'notes': ['budget residual 0.115 exceeds rel_tol 0.0001: realized spend '
                                 'steps from 7.1244517364 at lam=0.73798164606077288 to '
-                                '6.21316376558 at lam=0.73798164606168237, the final bracket of '
-                                'its search',
+                                '6.21316376558 at lam=0.73798164606168237, either side of its step',
                                 'delivery_d residual 0.199 exceeds rel_tol 0.0001: realized spend '
-                                "in 'd' steps from 2.05477187693 at lam+lam_d=2.6058776203090019 "
-                                'to 1.42233610338 at lam+lam_d=2.6058776203103662, the final '
-                                'bracket of its search'],
+                                "in 'd' steps from 2.05477187693 at f_d=0.38374787526704934 to "
+                                '1.42233610338 at f_d=0.38374787526704929, either side of its '
+                                'step'],
                       'replays': 1,
                       'residuals': {'budget': '0.11547881628004564',
                                     'delivery_d': '0.19943846658551534'},
-                      'window_lambda': {'d': '1.8678959742486838'},
+                      'window_lambda': {'d': '1.8678959742485335'},
                       'window_mu': {}},
  ('sp', 'guarantee'): {'feasible': True,
                        'lam': '2.959771470229498',
                        'mu': '0.0',
                        'notes': ['budget residual 0.0165 exceeds rel_tol 0.0001: realized spend '
                                  'steps from 7.614425997 at lam=2.9597714702267695 to '
-                                 '6.90839987545 at lam=2.9597714702294979, the final bracket of '
-                                 'its search',
+                                 '6.90839987545 at lam=2.9597714702294979, either side of its step',
                                  'guarantee_g residual 0.0383 exceeds rel_tol 0.0001: realized '
-                                 "value in 'g' steps from 17.3072112751 at mu_g=1.5271830856800079 "
-                                 'to 18.1593868207 at mu_g=1.5271831750869751, the final bracket '
-                                 'of its search'],
-                       'replays': 1163,
+                                 "value in 'g' steps from 17.3072112751 at f_g=0.85384400388765258 "
+                                 'to 18.1593868207 at f_g=0.85384400388765269, either side of its '
+                                 'step'],
+                       'replays': 1,
                        'residuals': {'budget': '0.01650330395372146',
                                      'guarantee_g': '0.03829256974029449'},
                        'window_lambda': {},
-                       'window_mu': {'g': '1.527183175086975'}},
+                       'window_mu': {'g': '1.5271831227331991'}},
  ('sp', 'guarantee_infeasible'): {'feasible': False,
                                   'lam': '3.220534681384379',
                                   'mu': '0.0',
@@ -422,9 +416,8 @@ PINS = {('dist', 'all'): {'feasible': True,
                                             'budget residual 0.0298 exceeds rel_tol 0.0001: '
                                             'realized spend steps from 7.73038229085 at '
                                             'lam=3.2205346813816504 to 6.81486138584 at '
-                                            'lam=3.2205346813843789, the final bracket of its '
-                                            'search'],
-                                  'replays': 346,
+                                            'lam=3.2205346813843789, either side of its step'],
+                                  'replays': 1,
                                   'residuals': {'budget': '0.029819672018484455'},
                                   'window_lambda': {},
                                   'window_mu': {'g': '10000.0'}},
@@ -434,12 +427,11 @@ PINS = {('dist', 'all'): {'feasible': True,
                            'notes': ['budget unconstrained',
                                      'delivery_d residual 0.199 exceeds rel_tol 0.0001: realized '
                                      "spend in 'd' steps from 2.05477187693 at "
-                                     'lam+lam_d=2.6058776203090019 to 1.42233610338 at '
-                                     'lam+lam_d=2.6058776203103662, the final bracket of its '
-                                     'search'],
+                                     'f_d=0.38374787526704934 to 1.42233610338 at '
+                                     'f_d=0.38374787526704929, either side of its step'],
                            'replays': 1,
                            'residuals': {'budget': '0.0', 'delivery_d': '0.19943846658551534'},
-                           'window_lambda': {'d': '2.605877619310366'},
+                           'window_lambda': {'d': '2.605877619310216'},
                            'window_mu': {}}}
 
 

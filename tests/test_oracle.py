@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -360,8 +361,8 @@ class TestKktGrid:
 
     def test_unattainable_delivery_cap_is_infeasible(self):
         # a record worth 1e12 bids the bid cap at every window multiplier up
-        # to the search limit, so window "d" spends 1 against its cap of 0.5;
-        # the guarantee search around it evaluates the delivery search twice
+        # to its limit, so window "d" spends 1 against its cap of 0.5; the
+        # guarantee window beside it shares no record with it
         log = OpportunityLog(
             [
                 LogRecord(0.0, "p", 1e12, UNIFORM_SP, clearing_bid=1.0, windows=("d",)),
@@ -403,36 +404,50 @@ class TestKktGrid:
     def test_realized_residual_note_names_the_step(self):
         # realized spend is a step function of the multipliers: a budget or
         # window cap inside a step leaves a residual above rel_tol, and the
-        # note shows the step across the final bracket of the search
+        # note shows the step: the spend either side, and the budget
+        # multiplier (the final bracket of its search) or the window's
+        # factor (its threshold, and the win limit that crosses the cap) there
         log, budget, cap = self._realized_window_log()
         constraints = ConstraintSet(
             budget=budget, delivery_windows=(DeliveryWindow("w", 0, 1, cap),)
         )
         kkt = solve_kkt_grid(log, constraints)
-        # the window's search runs on its effective multiplier lam + lam_w
         lam = kkt.profile.lam
-        multipliers = {"budget": lam, "delivery_w": lam + kkt.profile.window_lambda["w"]}
+        multipliers = {"budget": lam, "delivery_w": kkt.profile.vector_for(("w",)).factor}
         targets = {"budget": budget, "delivery_w": cap}
         finals = {"budget": kkt.replay.spend, "delivery_w": kkt.replay.per_window["w"][0]}
-        pattern = r"steps from (\S+) at \S+=(\S+) to (\S+) at \S+=(\S+), the final bracket"
+        pattern = r"steps from (\S+) at \S+=(\S+) to (\S+) at \S+=(\S+), either side of its step"
+        # the far sides, replayed: the rows outside the window at lam at the
+        # low end of the bracket, with the window's rows held at its cap, and
+        # the window's rows bidding its far factor
+        window = OpportunityLog([r for r in log.records if r.windows == ("w",)])
+        rest = OpportunityLog([r for r in log.records if r.windows != ("w",)])
+        replayed = {
+            "budget": lambda far: replay(rest, MultiplierProfile(far)).spend + finals["delivery_w"],
+            "delivery_w": lambda far: replay(window, MultiplierProfile(lam=1.0 / far)).spend,
+        }
         for name in ("budget", "delivery_w"):
             residual = kkt.residuals[name]
             assert residual > 1e-4
             (note,) = [n for n in kkt.notes if n.startswith(f"{name} residual")]
-            at_lo, lo, at_hi, hi = map(float, re.search(pattern, note).groups())
-            assert lo < hi == multipliers[name]
-            assert at_lo > targets[name] >= at_hi
-            assert at_hi == pytest.approx(finals[name], rel=1e-11)
-            assert residual * targets[name] == pytest.approx(abs(at_hi - targets[name]))
-            if name == "budget":
-                assert replay(log, kkt.profile.with_lam(lo)).spend == pytest.approx(at_lo)
+            at_far, far, at_near, near = map(float, re.search(pattern, note).groups())
+            assert near == multipliers[name]
+            # a larger budget multiplier, or a smaller factor, spends less
+            assert far < near if name == "budget" else far > near
+            assert at_far > targets[name] >= at_near
+            assert at_near == pytest.approx(finals[name], rel=1e-11)
+            assert residual * targets[name] == pytest.approx(abs(at_near - targets[name]))
+            assert replayed[name](far) == pytest.approx(at_far)
 
     def test_replayed_window_over_its_cap_is_infeasible(self, monkeypatch):
-        # the replayed solution is checked against every cap: with window
-        # multipliers forced to 0 the window spends the budget optimum's
-        # twice its cap, and the solution says so
+        # the replayed solution is checked against every cap: with the window
+        # multipliers that the thresholds map to forced to 0, the window
+        # spends the budget optimum's twice its cap, and the solution says so
         log, budget, cap = self._realized_window_log()
-        monkeypatch.setattr(oracle, "_window_lambda", lambda lam, floor: 0.0)
+        mapped = oracle._kkt_profile
+        monkeypatch.setattr(
+            oracle, "_kkt_profile", lambda *a: replace(mapped(*a), window_lambda={"w": 0.0})
+        )
         kkt = solve_kkt_grid(
             log, ConstraintSet(budget=budget, delivery_windows=(DeliveryWindow("w", 0, 1, cap),))
         )
@@ -454,6 +469,37 @@ class TestKktGrid:
         profile = kkt.profile
         for m in (profile.lam, profile.mu, *profile.window_lambda.values()):
             assert type(m) is float
+
+
+def _shipped_kkt(name: str, monkeypatch):
+    """The KKT solve of a shipped scenario's realized log, and its replays."""
+    import dualbid.simulate as simulate
+
+    scenario = load_scenario(SCENARIOS / name)
+    log = simulate.realized_log(scenario, generate_stream(scenario))
+    replays, original = [], oracle.replay
+    monkeypatch.setattr(oracle, "replay", lambda *a: replays.append(1) or original(*a))
+    return solve_kkt_grid(log, scenario.constraints, scenario.agent.bid_cap), len(replays)
+
+
+def test_guaranteed_scenario_thresholds(monkeypatch):
+    # the guarantee window's floor and the cost target's cap are scans of
+    # sorted win limits: the winners of the nested searches they replaced
+    # (4,097 replays), in one replay
+    kkt, replays = _shipped_kkt("guaranteed.json", monkeypatch)
+    rep = kkt.replay
+    assert (rep.spend, rep.value) == (42.38227153539532, 132.5803275584251)
+    assert rep.per_window["launch"][1] == 50.310275592087194
+    assert kkt.feasible and replays <= 5
+
+
+def test_mixed_constrained_scenario_keeps_its_cap(monkeypatch):
+    # a delivery window over first-price rows, bisected on its segment
+    kkt, replays = _shipped_kkt("mixed_constrained.json", monkeypatch)
+    rep = kkt.replay
+    assert rep.value >= 309.59634036484766 and rep.spend <= 90.0
+    assert rep.per_window["weekend"][0] <= 12.0
+    assert kkt.feasible and replays <= 5
 
 
 @pytest.fixture(scope="module", params=["stationary.json", "mixed_constrained.json"])

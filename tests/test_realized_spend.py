@@ -1,15 +1,18 @@
 """Realized spend from per-row win limits (oracle.win_limits, RealizedSpend).
 
 A realized second-price row bidding its adjusted value wins exactly while the
-multiplier is at most its win limit.  These tests check that claim against
-optimal_bids + resolve, certify each limit to the float, and check that the
-solves reading the step function (λ*, FTL and the fixed-bid baseline) return
-bit for bit what the same search returns with a full replay at every step.
-FTL reads slices of one RealizedSpend of its episode's stream, which keep
-their rows' limits and order.
+bid factor is at least its win limit, whatever multipliers give the factor;
+the budget multiplier lam alone gives budget_factor(lam).  These tests check
+that claim against optimal_bids + resolve, certify each limit to the float,
+and check that the solves reading the step function (λ*, FTL and the
+fixed-bid baseline) return bit for bit what the same search returns with a
+full replay at every step.  FTL reads slices of one RealizedSpend of its
+episode's stream, which keep their rows' limits and order; the KKT solve
+reads one RealizedSpend per window segment (SegmentSpend).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +34,8 @@ from dualbid.oracle import (
     MultiplierProfile,
     OpportunityLog,
     RealizedSpend,
-    budget_adjusted,
+    SegmentSpend,
+    budget_factor,
     fixed_bid_baseline,
     replay,
     solve_lambda_star,
@@ -64,7 +68,7 @@ def _episode_adjusted(lam, values):
 
 
 # the oracle's rounding, and the episode's computed one multiplier at a time
-ROUNDINGS = {"oracle": budget_adjusted, "episode": _episode_adjusted}
+ROUNDINGS = {"oracle": lambda lam, values: budget_factor(lam) * values, "episode": _episode_adjusted}
 
 
 def second_price_rows():
@@ -125,17 +129,22 @@ def test_winner_sets_equal_limit_sets(rounding):
     values, clearing, mechs = second_price_rows()
     table = MechanismTable.from_specs(mechs)
     limits = win_limits(values, clearing, table, CAP)
-    finite = limits[np.isfinite(limits)]
+    finite = limits[np.isfinite(limits) & (limits > 0)]
     lams = np.concatenate(
         [
             np.geomspace(LAMBDA_FLOOR, 1e15, 200),
             [LAMBDA_FLOOR, 1.0, 2.0, 4.0, LAMBDA_LIMIT],
-            finite[::8],
-            np.nextafter(finite[::8], np.inf),
+            1.0 / finite[::8],
+            np.nextafter(1.0 / finite[::8], np.inf),
         ]
     )
     for lam in lams.tolist():
-        assert np.array_equal(winners(table, values, clearing, lam, adjusted), lam <= limits), lam
+        won = winners(table, values, clearing, lam, adjusted)
+        assert np.array_equal(won, budget_factor(lam) >= limits), lam
+    # at the limits themselves and a float below, bidding the factor directly
+    for f in np.concatenate([finite[::8], np.nextafter(finite[::8], -np.inf)]).tolist():
+        won = winners(table, values, clearing, f, lambda f, values: f * values)
+        assert np.array_equal(won, f >= limits), f
 
 
 @pytest.mark.parametrize("rounding", sorted(ROUNDINGS))
@@ -147,23 +156,28 @@ def test_limits_are_certified_to_the_float(rounding):
     limits = win_limits(cols.values, cols.clearing, cols.table, CAP)
     price = np.maximum(cols.clearing, cols.table.reserve)
 
-    def wins(rows, lam):
+    def wins(rows, f):
+        return np.minimum(f * cols.values[rows], CAP) >= price[rows]
+
+    def wins_at(rows, lam):
         return np.minimum(adjusted(lam, cols.values[rows]), CAP) >= price[rows]
 
-    finite = np.flatnonzero(np.isfinite(limits))
+    finite = np.flatnonzero(np.isfinite(limits) & (limits > 0))
     assert finite.size > 300
     assert wins(finite, limits[finite]).all()
-    assert not wins(finite, np.nextafter(limits[finite], np.inf)).any()
-    assert (limits[finite] >= LAMBDA_FLOOR).all() and (limits[finite] < LAMBDA_LIMIT).all()
-    always = np.flatnonzero(limits == np.inf)
-    never = np.flatnonzero(limits == -np.inf)
-    assert wins(always, np.full(always.size, LAMBDA_LIMIT)).all()
-    assert not wins(never, np.full(never.size, LAMBDA_FLOOR)).any()
+    assert not wins(finite, np.nextafter(limits[finite], -np.inf)).any()
+    # a multiplier wins a row exactly where its factor reaches the row's limit
+    lams = 1.0 / limits[finite]
+    assert np.array_equal(wins_at(finite, lams), budget_factor(lams) >= limits[finite])
+    always = np.flatnonzero(limits == 0.0)
+    never = np.flatnonzero(limits == np.inf)
+    assert wins_at(always, np.full(always.size, LAMBDA_LIMIT)).all()
+    assert not wins(never, np.full(never.size, 1e300)).any()
     # zero prices always win, prices above the cap and zero values never do
     assert set(range(40, 50)) <= set(always)
     assert set(range(50, 65)) <= set(never)
-    # v / p = 4 exactly is its own limit
-    assert (limits[20:40] == 4.0).all()
+    # p / v = 1/4 exactly is its own limit
+    assert (limits[20:40] == 0.25).all()
 
 
 def test_budget_adjusted_is_the_episode_bid():
@@ -171,12 +185,12 @@ def test_budget_adjusted_is_the_episode_bid():
     # the floor, multipliers below it and every row's win limit (with ties)
     values, clearing, mechs = second_price_rows()
     limits = win_limits(values, clearing, MechanismTable.from_specs(mechs), CAP)
-    finite = limits[np.isfinite(limits)]
+    finite = limits[np.isfinite(limits) & (limits > 0)]
     assert len(np.unique(finite)) < len(finite)
-    lams = [0.0, 0.5 * LAMBDA_FLOOR, LAMBDA_FLOOR, *np.geomspace(1e-6, 1e15, 50), *finite]
+    lams = [0.0, 0.5 * LAMBDA_FLOOR, LAMBDA_FLOOR, *np.geomspace(1e-6, 1e15, 50), *(1.0 / finite)]
     for lam in lams:
         expected = MultiplierVector(lam=float(lam)).factor * values
-        assert np.array_equal(budget_adjusted(float(lam), values), expected), lam
+        assert np.array_equal(budget_factor(float(lam)) * values, expected), lam
 
 
 def test_first_price_rows_have_no_limit():
@@ -192,19 +206,19 @@ def test_step_spend_matches_replay():
     spend = RealizedSpend(cols.values, cols.clearing, cols.table, CAP)
     for lam in np.geomspace(1e-3, 1e3, 60).tolist():
         r = replay(log, MultiplierProfile(lam=lam))
-        s, v = spend.at(lam)
+        s, v = spend.at(budget_factor(lam))
         assert s == pytest.approx(r.spend, rel=1e-12, abs=1e-300)
         assert v == pytest.approx(r.value, rel=1e-12, abs=1e-300)
-        assert spend.replay_spend(lam) == r.spend
+        assert spend.replay_spend(budget_factor(lam)) == r.spend
 
 
 def tie_budgets(log: OpportunityLog) -> list[float]:
     """Budgets that some multiplier's replayed spend meets exactly."""
     cols = log.arrays
     limits = win_limits(cols.values, cols.clearing, cols.table, CAP)
-    finite = np.sort(limits[np.isfinite(limits)])
+    finite = np.sort(limits[np.isfinite(limits) & (limits > 0)])
     picks = finite[[len(finite) // 5, len(finite) // 2, 4 * len(finite) // 5]]
-    return [replay(log, MultiplierProfile(lam=float(lam))).spend for lam in picks]
+    return [replay(log, MultiplierProfile(lam=float(1.0 / f))).spend for f in picks]
 
 
 @pytest.mark.parametrize("kind", ["second_price", "mixed"])
@@ -216,7 +230,7 @@ def test_lambda_star_is_bit_identical_to_full_replays(kind, monkeypatch):
     resums = []
     original = RealizedSpend.replay_spend
     monkeypatch.setattr(
-        RealizedSpend, "replay_spend", lambda self, lam: resums.append(lam) or original(self, lam)
+        RealizedSpend, "replay_spend", lambda self, f: resums.append(f) or original(self, f)
     )
     total = replay(log, MultiplierProfile(lam=LAMBDA_FLOOR)).spend
     for budget in [0.01 * total, 0.3 * total, 0.9 * total, *tie_budgets(log)]:
@@ -279,10 +293,10 @@ def _tie_budgets(scope: OpportunityStream, expected_total: float) -> list[float]
     target) the spend replayed at a row's win limit: a cumulative spend
     lands on the target, inside the re-summing band."""
     limits = win_limits(scope.value, scope.clearing_bid, scope.table, CAP)
-    finite = np.sort(limits[np.isfinite(limits)])
+    finite = np.sort(limits[np.isfinite(limits) & (limits > 0)])
     budgets = []
-    for lam in finite[[len(finite) // 4, len(finite) // 2]].tolist():
-        bids = optimal_bids(scope.table, (1.0 / lam) * scope.value, CAP)
+    for f in finite[[len(finite) // 4, len(finite) // 2]].tolist():
+        bids = optimal_bids(scope.table, f * scope.value, CAP)
         spend = float(resolve(scope.table, bids, scope.clearing_bid)[1].sum())
         budgets.append(spend * expected_total / len(scope))
     return budgets
@@ -296,7 +310,7 @@ def test_ftl_lambda_is_bit_identical_to_full_replays(carry, monkeypatch):
     resums, crossings = [], []
     original = RealizedSpend.replay_spend
     monkeypatch.setattr(
-        RealizedSpend, "replay_spend", lambda self, lam: resums.append(lam) or original(self, lam)
+        RealizedSpend, "replay_spend", lambda self, f: resums.append(f) or original(self, f)
     )
     crossing = RealizedSpend.crossing
     monkeypatch.setattr(
@@ -332,7 +346,7 @@ def test_slices_keep_their_limit_order():
     whole = _history(stream)
     n = len(stream)
     assert len(whole) == n
-    lams = np.geomspace(0.05, 20.0, 9).tolist()
+    factors = np.geomspace(0.05, 20.0, 9).tolist()
     for rows in (
         slice(None, 50), slice(10, 50), slice(-30, None), slice(0, 0), slice(50, 10),
         slice(n - 40, n + 10), slice(None),
@@ -343,10 +357,10 @@ def test_slices_keep_their_limit_order():
         # second-price rows
         assert np.array_equal(part._limits, fresh._limits, equal_nan=True)
         assert np.array_equal(np.sort(part._order), np.sort(fresh._order))
-        assert (np.diff(part._limits[part._order]) <= 0).all()
-        for lam in lams:
-            assert part.replay_spend(lam) == fresh.replay_spend(lam)
-            assert part.at(lam) == pytest.approx(fresh.at(lam), rel=1e-12, abs=1e-300)
+        assert (np.diff(part._limits[part._order]) >= 0).all()
+        for f in factors:
+            assert part.replay_spend(f) == fresh.replay_spend(f)
+            assert part.at(f) == pytest.approx(fresh.at(f), rel=1e-12, abs=1e-300)
     # a slice of a slice is the slice of the whole
     assert np.array_equal(whole[100:400][-50:]._order, whole[350:400]._order)
     for key in (slice(0, 50, 2), slice(None, None, -1), 3, np.arange(20), stream.value > 0.1):
@@ -411,21 +425,36 @@ def test_ftl_solves_at_the_agents_bid_cap(monkeypatch):
     assert uncapped
 
 
-def test_kkt_profiles_keep_replaying():
-    # a profile with any multiplier besides the budget one has no step function
-    log = log_of(*second_price_rows())
-    for profile in (
-        MultiplierProfile(lam=1.0, mu=0.5, cost_target=1.0),
-        MultiplierProfile(lam=1.0, window_lambda={"w": 0.0}),
-    ):
-        assert oracle._SpendCurve(log, profile, CAP).steps is None
-    assert oracle._SpendCurve(log, MultiplierProfile(lam=1.0), CAP).steps is not None
+@pytest.mark.parametrize("kind", ["second_price", "first_price"])
+def test_kkt_profiles_read_the_segments(kind):
+    # any profile, with cost-target, delivery and guarantee multipliers,
+    # gives each segment of rows sharing their windows one factor, at which
+    # its RealizedSpend wins what a replay wins
+    if kind == "first_price":
+        log, cap = first_price_log(), SMALL_CAP
+    else:
+        records = log_of(*second_price_rows()).records
+        windows = [("w1",) * (i % 5 == 0) + ("w2",) * (i % 7 == 0) for i in range(len(records))]
+        log, cap = OpportunityLog([replace(r, windows=w) for r, w in zip(records, windows)]), CAP
+    segments = SegmentSpend(log, ("w1", "w2"), cap)
+    assert len(segments.parts) == 4
+    for lam in np.geomspace(0.1, 20.0, 7).tolist():
+        for profile in (
+            MultiplierProfile(lam=lam),
+            MultiplierProfile(lam, 0.7, 0.4, {"w1": 0.5}, {"w2": 0.3}),
+            MultiplierProfile(lam, 0.0, None, {"w2": 2.0}, {"w1": 1.5}),
+        ):
+            expected, read = replay(log, profile, cap), segments.at(profile)
+            assert read.spend == pytest.approx(expected.spend, rel=1e-12, abs=1e-300)
+            assert read.value == pytest.approx(expected.value, rel=1e-12, abs=1e-300)
+            for w in ("w1", "w2"):
+                assert read.per_window[w] == pytest.approx(expected.per_window[w], rel=1e-12, abs=1e-300)
 
 
 def test_step_path_keeps_the_monotonicity_guard(monkeypatch):
     # spend read from the step function passes the same guard as replays
     log = log_of(*second_price_rows())
-    monkeypatch.setattr(RealizedSpend, "at", lambda self, lam: (10.0 + lam, 0.0))
+    monkeypatch.setattr(RealizedSpend, "at", lambda self, f: (10.0 + 1.0 / f, 0.0))
     with pytest.raises(oracle.OracleError, match="increases with the multiplier"):
         solve_lambda_star(log, 5.0)
 
@@ -500,11 +529,11 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
             shaded_only_rows_that_can_win(adjusted)
         expected, won, adjusted = replay_shading_every_row(log, MultiplierProfile(lam=lam), cap)
         seen.clear()
-        assert steps.replay_spend(lam) == expected.spend
+        assert steps.replay_spend(budget_factor(lam)) == expected.spend
         shaded_only_rows_that_can_win(adjusted)
         if kind == "first_price":
             # every row is first price, so at() resolves the same rows as replay
-            assert steps.at(lam) == (expected.spend, float(cols.values[won].sum()))
+            assert steps.at(budget_factor(lam)) == (expected.spend, float(cols.values[won].sum()))
             shaded_only_rows_that_can_win(adjusted)
     assert counts["skipped"] and counts["live"]
     assert counts["capped"] or kind == "mixed", "the bid cap never bound"
