@@ -87,8 +87,8 @@ class OpportunityLog:
         return {}
 
     def realized_spend(self, bid_cap: float) -> RealizedSpend:
-        """The log's RealizedSpend at bid_cap, built once per bid cap, so that
-        lambda* and the oracle curve share one sort."""
+        """The log's rows as a RealizedSpend at bid_cap, built once per bid
+        cap, so that the lambda* search and the oracle curve share one sort."""
         built = self._realized_spends
         if bid_cap not in built:
             cols = self.arrays
@@ -116,8 +116,11 @@ def _by_first_appearance(codes: np.ndarray, names) -> tuple[np.ndarray, list]:
 
 class LogColumns:
     """Per-record columns of a log: times, values, clearing bids (NaN in
-    distributional records), mechanism codes and their table, and placement
-    and window-combination codes, numbered in order of first appearance."""
+    distributional records), the mechanism of each record (a code into
+    mechanisms) and their table, and codes for the placement and the window
+    combination of each record.  Placements and window combinations are
+    numbered in order of first appearance, and only those that appear are
+    kept."""
 
     def __init__(
         self, time, values, clearing, mechanisms, mechanism_codes, placement_names,
@@ -194,6 +197,8 @@ class MultiplierProfile:
         object.__setattr__(self, "window_mu", MappingProxyType(dict(self.window_mu)))
 
     def vector_for(self, windows: tuple[str, ...]) -> MultiplierVector:
+        if not windows:  # the budget-only searches build one per step
+            return MultiplierVector(self.lam, self.mu, self.cost_target)
         lam_k = sum(self.window_lambda.get(w, 0.0) for w in windows)
         mu_k = sum(self.window_mu.get(w, 0.0) for w in windows)
         return MultiplierVector(self.lam, self.mu, self.cost_target, lam_k, mu_k)
@@ -271,16 +276,32 @@ def replay(
 
 
 LAMBDA_LIMIT = 1e120  # the budget and FTL searches give up above this multiplier
-# A sorted sum this close to its target, relative, is summed again in row
-# order by a replay, so that its comparison with the target is the replay's.
+# A spend summed in sorted order that lands this close to its target,
+# relative to the target, is summed again by a full replay in row order, so
+# that its comparison with the target is the replay's.
 _RESUM_REL = 1e-9
 _LIMIT_STEPS = 64  # floats a win limit may lie from price / value
 
 
 def budget_factor(lam):
     """The factor of the budget multiplier alone as replay and an episode
-    round it, MultiplierVector(lam=lam).factor: fl(1 / max(lam, LAMBDA_FLOOR))."""
-    return 1.0 / np.maximum(lam, LAMBDA_FLOOR)
+    round it, MultiplierVector(lam=lam).factor: fl(1 / max(lam, LAMBDA_FLOOR)),
+    for a float or an array of them."""
+    if isinstance(lam, np.ndarray):
+        return 1.0 / np.maximum(lam, LAMBDA_FLOOR)
+    return 1.0 / max(lam, LAMBDA_FLOOR)
+
+
+def budget_lambda(f: float) -> float:
+    """The least multiplier lam >= LAMBDA_FLOOR at which budget_factor(lam)
+    is below f > 0 (+inf where none is), so that a spend that fits exactly
+    while the factor is below f fits exactly from lam on."""
+    lam = max(1.0 / f, LAMBDA_FLOOR)
+    while lam > LAMBDA_FLOOR and budget_factor(down := math.nextafter(lam, 0.0)) < f:
+        lam = down
+    while not budget_factor(lam) < f:
+        lam = math.nextafter(lam, math.inf)
+    return lam
 
 
 def win_limits(values, clearing, table: MechanismTable, bid_cap: float) -> np.ndarray:
@@ -296,39 +317,55 @@ def win_limits(values, clearing, table: MechanismTable, bid_cap: float) -> np.nd
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(p > bid_cap, np.inf, np.where(p > 0, p / v, 0.0))
     rows = np.flatnonzero((f > 0) & (f < np.inf))
-    # the cap allows these prices, so fl(f * v) >= p, rising with f, decides:
-    # bisect the floats round p / v in bit order
-    lo, hi = (f[rows].view(np.int64) + step for step in (-_LIMIT_STEPS, _LIMIT_STEPS))
-
-    def wins(bits: np.ndarray) -> np.ndarray:
-        return bits.view(float) * v[rows] >= p[rows]
-
-    if (wins(lo) | ~wins(hi)).any():
+    # the cap allows these prices, so fl(f * v) >= p, rising with f, decides;
+    # from p / v, a row that wins steps down while the float below still
+    # wins, and one that loses steps up until it wins
+    won = f[rows] * v[rows] >= p[rows]
+    down, up = rows[won], rows[~won]
+    for _ in range(_LIMIT_STEPS):
+        below = np.nextafter(f[down], -np.inf)
+        more = below * v[down] >= p[down]
+        down = down[more]
+        f[down] = below[more]
+        f[up] = np.nextafter(f[up], np.inf)
+        up = up[~(f[up] * v[up] >= p[up])]
+        if not (down.size or up.size):
+            break
+    else:
         raise OracleError("win limits did not settle")
-    while (hi - lo > 1).any():
-        mid = lo + (hi - lo) // 2  # no int64 overflow
-        won = wins(mid)
-        lo, hi = np.where(won, lo, mid), np.where(won, mid, hi)
-    f[rows] = hi.view(float)
     limits[second] = f
     return limits
 
 
 class RealizedSpend:
-    """Realized spend and value of rows bidding fl(f * value) at one factor f,
-    capped at bid_cap and shaded on first-price rows, as functions of f.  A
-    second-price row wins exactly while f >= its win limit, so these rows,
-    sorted by limit with cumulative price and value, give spend and value at
-    any f by one searchsorted; first-price rows are resolved at each f.
-    Whatever multipliers give the factor (lam alone, budget_factor(lam)),
-    at(f) wins the rows a replay wins, its sums within n * eps relative.
-    rs[a:b], rows a to b - 1, keeps their limits and order, so that a history
-    read in growing prefixes (an FTL episode) is sorted once."""
+    """Realized spend and value of a log's rows bidding at one factor f, as
+    functions of f, without replaying every row at every f.
+
+    Each row bids as replay and an episode bid under multipliers that give
+    it the factor f (MultiplierVector.factor; the budget multiplier lam
+    alone gives budget_factor(lam)): fl(f * value), shaded on first-price
+    rows, capped at bid_cap.  A second-price row wins exactly while f >= its
+    win limit (see win_limits), so the second-price rows, sorted by limit
+    with cumulative price and value, give their spend and value at any f by
+    one searchsorted.  The first-price rows pay shaded bids that move with
+    f, so they are resolved at each f (shading only those that can win, see
+    _replay_bids).
+
+    At any f, at(f) wins exactly the rows a replay wins and pays each the
+    same.  Only the sums differ: cumulative in limit order, not row order,
+    so they agree with replay's to n * eps relative.  A log builds its own
+    once per bid cap (OpportunityLog.realized_spend).
+
+    rs[a:b] is rows a to b - 1 as a RealizedSpend of their own: they keep
+    their limits and their order, re-based to the slice, so that a history
+    read in growing prefixes (an FTL episode) is sorted once.
+    """
 
     def __init__(self, values, clearing, table: MechanismTable, bid_cap: float):
         self.values = np.asarray(values, dtype=float)
         self.clearing = np.asarray(clearing, dtype=float)
-        self.table, self.bid_cap = table, bid_cap
+        self.table = table
+        self.bid_cap = bid_cap
         self._price = np.maximum(self.clearing, table.reserve)
         self._limits = win_limits(self.values, self.clearing, table, bid_cap)
         # the second-price rows by limit, smallest first; rows of equal limit
@@ -340,7 +377,8 @@ class RealizedSpend:
         return len(self.values)
 
     def __getitem__(self, key) -> RealizedSpend:
-        """The rows of a slice with step 1."""
+        """The rows of a slice with step 1 (a negative start counts from the
+        end)."""
         if not isinstance(key, slice):
             raise TypeError(f"RealizedSpend takes a slice, got {type(key).__name__}")
         start, stop, step = key.indices(len(self))
@@ -363,16 +401,18 @@ class RealizedSpend:
         return self._limits[self._order]
 
     @cached_property
-    def _spend(self) -> np.ndarray:  # cumulative price in limit order
+    def _spend(self) -> np.ndarray:
+        """Cumulative price in limit order."""
         return np.concatenate(([0.0], np.cumsum(self._price[self._order])))
 
     @cached_property
-    def _value(self) -> np.ndarray:  # cumulative value in limit order; FTL never reads it
+    def _value(self) -> np.ndarray:
+        """Cumulative value in limit order; FTL never reads it."""
         return np.concatenate(([0.0], np.cumsum(self.values[self._order])))
 
     @cached_property
     def _first(self) -> tuple[MechanismTable, np.ndarray, np.ndarray, np.ndarray]:
-        # the first-price rows' table, values, clearing bids and prices
+        """The first-price rows' table, values, clearing bids and prices."""
         rows, table = self.table.first_price_rows
         return table, self.values[rows], self.clearing[rows], self._price[rows]
 
@@ -382,21 +422,22 @@ class RealizedSpend:
         f < L (+inf when every row fits), or of_value, whose cumulative value
         reaches target, so that the value does exactly while f >= L.  None
         with first-price rows, whose spend moves between limits, or a
-        cumulative spend within _RESUM_REL of target (excess replays there)."""
+        cumulative sum within _RESUM_REL of target, where only a replay's
+        sum in row order tells on which side of target it lies."""
         if self.table.first_price.any():
             return None
-        if of_value:
-            k = int(self._value.searchsorted(target, side="left")) - 1
-        else:
-            # the largest count of rows, in limit order, whose spend fits
-            k = int(self._spend.searchsorted(target, side="right")) - 1
-            if (np.abs(self._spend[k : k + 2] - target) <= _RESUM_REL * target).any():
-                return None
+        # the largest count of rows, in limit order, whose spend fits, or
+        # whose value falls short
+        sums = self._value if of_value else self._spend
+        k = int(sums.searchsorted(target, side="left" if of_value else "right")) - 1
+        if (np.abs(sums[max(k, 0) : k + 2] - target) <= _RESUM_REL * target).any():
+            return None
         limits = self._sorted_limits
         return float(limits[k]) if 0 <= k < len(limits) else math.inf if k >= 0 else 0.0
 
     def at(self, f: float) -> tuple[float, float]:
-        """Spend and value at factor f."""
+        """Spend and value at factor f: the second-price rows summed in limit
+        order, plus the first-price rows."""
         k = self._sorted_limits.searchsorted(f, side="right")
         spend, value = self._spend[k], self._value[k]
         table, values, clearing, price = self._first
@@ -408,13 +449,16 @@ class RealizedSpend:
         return float(spend), float(value)
 
     def replay_spend(self, f: float) -> float:
-        """Spend at factor f summed in row order, as replay sums it."""
+        """Spend at f from every row's bid, summed in row order, as replay
+        sums it."""
         bids = _replay_bids(self.table, f * self.values, self._price, self.bid_cap)
         return float(resolve(self.table, bids, self.clearing)[1].sum())
 
     def excess(self, f: float, target: float) -> float:
-        """spend(f) - target, the replayed spend where the sorted one lands
-        within _RESUM_REL of target, so that its sign is a replay's."""
+        """spend(f) - target.  The two sums round differently, so where the
+        sorted one lands within _RESUM_REL of target the replayed spend is
+        used: the sign, which is all a realized search reads, is always the
+        replay's."""
         spend = self.at(f)[0]
         if abs(spend - target) <= _RESUM_REL * target:
             spend = self.replay_spend(f)
@@ -430,18 +474,25 @@ class SegmentSpend:
         cols = log.arrays
         self.windows = tuple(windows)
         keys = [tuple(w for w in combo if w in self.windows) for combo in cols.window_combos]
-        self.parts = {keys[0]: log.realized_spend(bid_cap)} if len(set(keys)) == 1 else {
-            key: RealizedSpend(cols.values[m], cols.clearing[m], cols.table.take(m), bid_cap)
-            for key in dict.fromkeys(keys)
-            for m in [np.isin(cols.combo_codes, [c for c, k in enumerate(keys) if k == key])]
-        }  # fmt: skip
+        if len(set(keys)) == 1:  # one segment, the log's own RealizedSpend
+            self.parts = {keys[0]: log.realized_spend(bid_cap)}
+            return
+        self.parts = {}
+        for key in dict.fromkeys(keys):
+            rows = np.isin(cols.combo_codes, [c for c, k in enumerate(keys) if k == key])
+            table = cols.table.take(rows)
+            self.parts[key] = RealizedSpend(cols.values[rows], cols.clearing[rows], table, bid_cap)
 
     def at(self, profile: MultiplierProfile) -> ReplayResult:
         """Spend, value and per-window sums at profile (none per placement)."""
-        sums = {k: rs.at(profile.vector_for(k).factor) for k, rs in self.parts.items()}
-        total = lambda has: tuple(map(sum, zip((0.0, 0.0), *(s for k, s in sums.items() if has(k)))))
-        per_window = {w: total(lambda k: w in k) for w in self.windows}
-        return ReplayResult(*total(lambda k: True), {}, per_window)
+        spend, value = 0.0, 0.0
+        per_window = dict.fromkeys(self.windows, (0.0, 0.0))
+        for key, rs in self.parts.items():
+            s, v = rs.at(profile.vector_for(key).factor)
+            spend, value = spend + s, value + v
+            for w in key:
+                per_window[w] = (per_window[w][0] + s, per_window[w][1] + v)
+        return ReplayResult(spend, value, {}, per_window)
 
 
 LAMBDA_REL_TOL = 1e-6  # lambda* matches spend to the budget to this on smooth logs
@@ -464,19 +515,24 @@ class _SpendCurve:
         if self.segments is None:
             return self.at(lam).spend - target
         profile, parts = self.profile_of(lam), self.segments.parts
-        if len(parts) == 1:
+        if len(parts) == 1:  # all rows, in order: its replay_spend sums as a replay does
             ((key, rs),) = parts.items()
             excess = rs.excess(profile.vector_for(key).factor, target)
-        elif abs((spend := self.segments.at(profile).spend) - target) <= _RESUM_REL * target:
-            return self.at(lam).spend - target
         else:
+            spend = self.segments.at(profile).spend
+            if abs(spend - target) <= _RESUM_REL * target:
+                return self.at(lam).spend - target
             excess = spend - target
         self._guard(lam, excess + target)
         return excess
 
     def solve(self, budget: float) -> tuple[float, tuple[float, float, float, float] | None]:
-        """The budget multiplier and its search's bracket; a distributional
-        curve on ln(spend / budget) to log1p(LAMBDA_REL_TOL), 0 reading -inf."""
+        """The budget multiplier on this curve, and its search bracket.
+
+        A smooth (distributional) curve is searched on ln(spend / budget), to
+        log1p(LAMBDA_REL_TOL): the band |spend - budget| <= LAMBDA_REL_TOL *
+        budget, read on a scale where spend is close to linear in ln(lam).
+        Zero spend reads as -inf, a step the search takes at the midpoint."""
         smooth = self.log.mode == "distributional"
 
         def excess(lam: float) -> float:
@@ -506,10 +562,14 @@ class _SpendCurve:
             return
         pos = bisect.bisect_left(self._lams, lam)
         slack = 1e-9 * (1.0 + abs(spend))
-        if pos > 0 and spend > self._spends[self._lams[pos - 1]] + slack:
-            self._raise_non_monotone(self._lams[pos - 1], lam)
-        if pos < len(self._lams) and spend + slack < self._spends[self._lams[pos]]:
-            self._raise_non_monotone(lam, self._lams[pos])
+        if pos > 0:
+            left = self._lams[pos - 1]
+            if spend > self._spends[left] + slack:
+                self._raise_non_monotone(left, lam)
+        if pos < len(self._lams):
+            right = self._lams[pos]
+            if spend + slack < self._spends[right]:
+                self._raise_non_monotone(lam, right)
         self._lams.insert(pos, lam)
         self._spends[lam] = spend
 
@@ -540,13 +600,21 @@ def search_multiplier(
     width_rel: float = 1e-12,
 ) -> tuple[float, tuple[float, float, float, float] | None] | None:
     """Smallest multiplier x >= floor at which the non-increasing excess(x)
-    is <= 0: (floor, None) when the floor fits, None when limit does not,
-    else from a bracket (lo, hi), stepped up from 1 by factors of 4, the
-    point where |excess| <= tol or hi once the width is <= width_rel *
-    max(1, hi), with the final bracket (lo, hi, excess(lo), excess(hi)).
-    With tol (a smooth curve) each point is the Illinois regula falsi step
-    (Dowell & Jarratt 1971) in ln x, else the midpoint: where lo is 0, an
-    excess is not finite, the secant leaves (lo, hi), or tol is None."""
+    (spend - budget, window spend - cap, shortfall, ...) is <= 0.
+
+    Returns (floor, None) when the floor fits.  Otherwise steps up from 1 by
+    factors of 4 to a bracket (lo, hi) with excess(lo) > 0 >= excess(hi)
+    and narrows it until |excess| <= tol, returning that point, or until
+    its width is <= width_rel * max(1, hi), returning hi, the side that
+    fits, with the final bracket (lo, hi, excess(lo), excess(hi)).  None
+    when the excess is still positive at limit.
+
+    tol marks a smooth curve: each point is then the Illinois regula falsi
+    step (Dowell & Jarratt 1971) in ln x, the secant through the bracket's
+    ends with the excess of an end that stays put twice in a row halved, or
+    the midpoint when lo is 0, an excess is not finite, or the secant falls
+    outside (lo, hi).  A step function (tol None) is bisected.
+    """
     r_lo = excess(floor)
     if r_lo <= 0:
         return floor, None
@@ -595,10 +663,17 @@ def search_multiplier(
 def solve_lambda_star(
     log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP
 ) -> LambdaSolution:
-    """Budget-only hindsight multiplier (_SpendCurve.solve): the floor,
-    flagged unconstrained, where it fits, else the smooth match within
-    LAMBDA_REL_TOL or the high, never overspending side of the step.  Spend
-    and value are replayed there; bracket is the search's final one."""
+    """Budget-only hindsight multiplier.
+
+    If replayed spend at the floor multiplier fits the budget, the floor is
+    returned flagged unconstrained.  On a distributional log (a smooth
+    curve), Illinois regula falsi on ln(spend / budget) matches spend to
+    budget within LAMBDA_REL_TOL in about 8 replays.  On a realized or mixed
+    log (a step function) bisection returns the high, never overspending
+    side of the step; a realized log's spend comes from its RealizedSpend,
+    whose signs are a replay's.  Spend and value are replayed at the
+    result, and bracket is the final bracket of the search.
+    """
     if not budget > 0:
         raise OracleError(f"budget must be > 0, got {budget}")
     segments = SegmentSpend(log, (), bid_cap) if log.mode == "realized" else None
@@ -638,8 +713,10 @@ _KKT_KINDS = {
 
 @dataclass(frozen=True)
 class KktConstraint:
-    """A KKT constraint: its kind (a key of _KKT_KINDS), window (None for the
-    budget and cost target), target and the limit of its multiplier."""
+    """One constraint of the KKT solve: its kind (a key of _KKT_KINDS), the
+    window it holds (None for the budget and the cost target), its target
+    (the budget, cost per result, cap or floor) and the limit of its
+    multiplier's search."""
 
     kind: str
     window: str | None
@@ -660,7 +737,8 @@ class KktConstraint:
         return value if self.kind == "guarantee" else spend
 
     def excess(self, rep: ReplayResult) -> float:
-        """How far rep misses the constraint, relative (its residual)."""
+        """How far rep misses the constraint, relative to the target, <= 0
+        where it holds; its size is the residual."""
         return _KKT_KINDS[self.kind][0] * (self.level(rep) / self.target - 1.0)
 
     def give_up_note(self, rep: ReplayResult) -> str:
@@ -670,6 +748,15 @@ class KktConstraint:
         name = self.kind if self.window is None else f"{self.kind} {self.window!r}"
         bound = f"{side} {target} {self.target:g}"
         return f"{name} infeasible: {best} achievable {what} {self.level(rep):g} {bound}"
+
+    def broken_note(self, rep: ReplayResult) -> str:
+        """The replayed quantity, where it breaks the constraint."""
+        name = self.kind if self.window is None else f"{self.kind} {self.window!r}"
+        level = self.level(rep)
+        if self.kind == "guarantee":
+            return f"{name} wins value {level:g}, below its floor"
+        per_result = " per result" if self.kind == "cost_target" else ""
+        return f"{name} spends {level:g}{per_result}, above its {_KKT_KINDS[self.kind][3]}"
 
     def step_note(self, rep: ReplayResult, far: tuple[float, float], near: float, multiplier=None):
         """Why a realized residual exceeds KKT_REL_TOL: the quantity steps
@@ -689,16 +776,24 @@ def check_kkt_constraints(constraints, log: OpportunityLog | None = None) -> str
     """The guarantee window sharing records (with no log, intervals) with
     delivery windows, if any; OracleError, naming the windows, where two do,
     or a record is in two windows of one kind."""
-    deliveries, combos = constraints.delivery_windows, log.arrays.window_combos if log else ()
-    ids = {d.id for d in deliveries}
-    clashes = [[g.id for g in constraints.guarantee_windows
-                if (any(g.start < d.end and d.start < g.end for d in deliveries) if log is None
-                    else any(g.id in k and ids.intersection(k) for k in combos))]]  # fmt: skip
+    deliveries = constraints.delivery_windows
+    combos = log.arrays.window_combos if log else ()
+
+    def on_deliveries(g) -> bool:
+        if log is None:
+            return any(g.start < d.end and d.start < g.end for d in deliveries)
+        ids = {d.id for d in deliveries}
+        return any(g.id in k and ids.intersection(k) for k in combos)
+
+    clashes = [[g.id for g in constraints.guarantee_windows if on_deliveries(g)]]
     for kind in (deliveries, constraints.guarantee_windows):
         clashes += [[w.id for w in kind if w.id in k] for k in combos]
-    if bad := next((c for c in clashes if len(c) > 1), None):
-        raise OracleError("the KKT oracle takes no record in two windows of one kind and one "
-                          f"guarantee window on delivery records, got {', '.join(map(repr, bad))}")
+    bad = next((c for c in clashes if len(c) > 1), None)
+    if bad:
+        raise OracleError(
+            "the KKT oracle takes no record in two windows of one kind and one "
+            f"guarantee window on delivery records, got {', '.join(map(repr, bad))}"
+        )
     return clashes[0][0] if clashes[0] else None
 
 
@@ -733,21 +828,30 @@ def _kkt_profile(lam: float, cost_target, thresholds, boosts=None) -> Multiplier
             guess = (1.0 - lam * t) / (t - C) if t > C else c.limit
             mu = _least(lambda x: MultiplierVector(lam, x, C).factor <= t, guess, c.limit)
     n, d = MultiplierVector(lam, mu, C).numerator, max(lam + mu, LAMBDA_FLOOR)
-    lams = {c.window: _least(lambda x: MultiplierVector(lam, mu, C, lam_k=x).factor <= t,
-                             n / t - d if t > 0 else c.limit, c.limit)
-            for c, t in thresholds.items() if c.kind == "delivery"}  # fmt: skip
-    mus = {c.window: _least(lambda x: MultiplierVector(lam, mu, C, mu_k=x).factor >= t,
-                            t * d - n, c.limit)
-           for c, t in thresholds.items() if c.kind == "guarantee"}  # fmt: skip
-    return MultiplierProfile(lam, mu, C, lams, mus | {w: b * n for w, b in (boosts or {}).items()})
+    lams, mus = {}, {}
+    for c, t in thresholds.items():
+        if c.kind == "delivery":
+            holds = lambda x: MultiplierVector(lam, mu, C, lam_k=x).factor <= t
+            lams[c.window] = _least(holds, n / t - d if t > 0 else c.limit, c.limit)
+        elif c.kind == "guarantee":
+            holds = lambda x: MultiplierVector(lam, mu, C, mu_k=x).factor >= t
+            mus[c.window] = _least(holds, t * d - n, c.limit)
+    for w, boost in (boosts or {}).items():
+        mus[w] = boost * n
+    return MultiplierProfile(lam, mu, C, lams, mus)
 
 
 def _cost_scan(segments: SegmentSpend, thresholds, cost_target: float):
     """The largest global factor at which realized spend is at most
     cost_target times value, each window's rows at it clamped to their
     thresholds, and (factor, spend / value) across its step, from one sort
-    of the rows by the factor at which each enters (None with first-price
-    rows): +inf where every row fits, 0 where none does."""
+    of the rows by the factor at which each enters: +inf where every row
+    fits, 0 where none does.  None with first-price rows, or where a count
+    from the last that fits on lies within _RESUM_REL of the target, as only
+    a replay's sums in row order tell on which side it lies.  Rows a
+    guarantee floor wins at any factor may cost more per result than the
+    target, so the factors that fit can be a band, and a lower factor than
+    this one need not fit (solve_kkt_grid checks its replay)."""
     entries, price, values = [], [], []
     for key, rs in segments.parts.items():
         if rs.table.first_price.any():
@@ -764,10 +868,15 @@ def _cost_scan(segments: SegmentSpend, thresholds, cost_target: float):
     entry = entry[order]
     # the counts k of rows a factor wins alone, those in [entry[k - 1], entry[k])
     counts = np.flatnonzero(np.append(entry > np.append(0.0, entry[:-1]), True))
-    fits = np.flatnonzero(spend[counts] <= cost_target * value[counts])
-    if not fits.size or fits[-1] == len(counts) - 1:
-        return (math.inf if fits.size else 0.0), None
-    step, beyond = float(entry[counts[fits[-1]]]), counts[fits[-1] + 1]
+    # each count's excess as KktConstraint.excess reads it
+    excess = spend[counts] / np.maximum(value[counts], 1e-300) / cost_target - 1.0
+    fits = np.flatnonzero(excess <= 0)
+    last = int(fits[-1]) if fits.size else -1
+    if (np.abs(excess[max(last, 0) :]) <= _RESUM_REL).any():
+        return None
+    if last in (-1, len(counts) - 1):
+        return (0.0 if last < 0 else math.inf), None
+    step, beyond = float(entry[counts[last]]), counts[last + 1]
     return math.nextafter(step, -math.inf), (step, spend[beyond] / max(value[beyond], 1e-300))
 
 
@@ -786,12 +895,15 @@ def solve_kkt_grid(
     lambda* (which this is, for a budget alone), at the multipliers
     _kkt_profile maps the thresholds to.  Realized second-price thresholds
     are scans of sorted win limits; first-price rows, or a sum within
-    _RESUM_REL of a target, are bisected on SegmentSpend, other logs
-    searched by Illinois steps on replays.  A guarantee window on records of
+    _RESUM_REL of a target, are bisected on SegmentSpend (a delivery
+    window's on its own segment), other logs searched by Illinois steps on
+    replays.  A guarantee window on records of
     delivery windows lifts rows under their caps: its multiplier (relative
-    to 1 + mu * C) is one outer search.  A multiplier at its limit, or a cap
-    the replay exceeds, gets a note (and no residual) and makes the solution
-    infeasible; a realized residual above KKT_REL_TOL, a note on its step.
+    to 1 + mu * C) is one outer search.  A multiplier at its limit, or a
+    constraint the replay breaks (a budget held below the cost target's band
+    by a guarantee floor, say), gets a note (and no residual) and makes the
+    solution infeasible; a realized residual above KKT_REL_TOL, a note on
+    its step.
     """
     shared = check_kkt_constraints(constraints, log)
     C, combos = constraints.cost_target, log.arrays.window_combos
@@ -807,13 +919,15 @@ def solve_kkt_grid(
 
     def excess(c: KktConstraint, profile: MultiplierProfile) -> float:
         """c's excess at profile, its sign always a replay's."""
-        e = c.excess(segments.at(profile) if segments else replay(log, profile, bid_cap))
-        return c.excess(replay(log, profile, bid_cap)) if segments and abs(e) <= _RESUM_REL else e
+        if segments is None:
+            return c.excess(replay(log, profile, bid_cap))
+        e = c.excess(segments.at(profile))
+        return c.excess(replay(log, profile, bid_cap)) if abs(e) <= _RESUM_REL else e
 
-    def searched(c: KktConstraint, probe, floor: float, limit: float, factor) -> tuple:
-        """factor(x) at the least x >= floor at which c fits at probe(x) (where
-        none to limit does, a factor none reaches), and the bracket's far end."""
-        found = search_multiplier(lambda x: excess(c, probe(x)), floor, limit, tol)
+    def searched(c: KktConstraint, excess_at, floor: float, limit: float, factor) -> tuple:
+        """factor(x) at the least x >= floor at which c's excess_at(x) is <= 0
+        (where none to limit is, a factor none reaches), and the bracket's far end."""
+        found = search_multiplier(excess_at, floor, limit, tol)
         is_floor = c.kind == "guarantee"
         if found is None:
             return (math.inf if is_floor else 0.0), None
@@ -829,15 +943,20 @@ def solve_kkt_grid(
         rs = segments.parts.get((c.window,)) if segments and c not in lifted else None
         step = rs.crossing(c.target, is_floor) if rs else None
         if step is not None:  # a floor's step is its threshold, a cap's lies just above it
-            near, far = (step, math.nextafter(step, -math.inf))[:: 1 if is_floor else -1]
+            below = math.nextafter(step, -math.inf)
+            near, far = (step, below) if is_floor else (below, step)
             return near, (far, rs.at(far)[is_floor]) if 0 < step < math.inf else None
         if is_floor:  # on the factor y, as the budget multiplier 1 / y bids it
             factor = lambda y: budget_factor(1.0 / y) if y else 0.0
             probe = lambda y: MultiplierProfile(1.0 / y if y else math.inf)
-            return searched(c, probe, 0.0, 1.0 / LAMBDA_FLOOR, factor)
-        # on x, the window's rows at budget_factor(x), those it shares with outer lifted
-        probe = lambda x: MultiplierProfile(x, window_mu=boosts)
-        return searched(c, probe, LAMBDA_FLOOR, c.limit, budget_factor)
+            return searched(c, lambda y: excess(c, probe(y)), 0.0, 1.0 / LAMBDA_FLOOR, factor)
+        # on x, the window's rows at budget_factor(x): first-price rows of its own
+        # segment alone, else replays, those it shares with outer lifted
+        if rs is not None:
+            excess_at = lambda x: rs.excess(budget_factor(x), c.target) / c.target
+        else:
+            excess_at = lambda x: excess(c, MultiplierProfile(x, window_mu=boosts))
+        return searched(c, excess_at, LAMBDA_FLOOR, c.limit, budget_factor)
 
     fixed = {c: threshold(c, {}) for c in caps + floors if c not in lifted and c is not outer}
 
@@ -847,19 +966,22 @@ def solve_kkt_grid(
         steps = fixed | {c: threshold(c, boosts) for c in lifted}
         for cost in costs:
             held = {c: t for c, (t, _) in steps.items()}
-            probe = lambda x: _kkt_profile(x, C, held, boosts)
+            excess_at = lambda x: excess(cost, _kkt_profile(x, C, held, boosts))
             scan = _cost_scan(segments, held, C) if segments and not boosts else None
-            steps[cost] = scan or searched(cost, probe, LAMBDA_FLOOR, LAMBDA_LIMIT, budget_factor)
+            if scan is None:
+                scan = searched(cost, excess_at, LAMBDA_FLOOR, LAMBDA_LIMIT, budget_factor)
+            steps[cost] = scan
         held = {c: t for c, (t, _) in steps.items()}
         curve = _SpendCurve(log, bid_cap, lambda lam: _kkt_profile(lam, C, held, boosts), segments)
         lam, bracket = curve.solve(budget.target)
         steps[budget] = lam, bracket and (bracket[0], budget.target + bracket[2])
         return steps, curve.profile_of(lam), curve
 
-    found = outer and search_multiplier(
-        lambda x: excess(outer, solve(x)[1]), 0.0, outer.limit, tol=tol, width_rel=1e-7
-    )  # fmt: skip
-    boost = found[0] if found else outer and outer.limit
+    boost, found = None, None
+    if outer:
+        shortfall = lambda x: excess(outer, solve(x)[1])
+        found = search_multiplier(shortfall, 0.0, outer.limit, tol=tol, width_rel=1e-7)
+        boost = found[0] if found else outer.limit
     steps, profile, curve = solve(boost)
     rep = curve.at(profile.lam)
     multipliers = {budget: profile.lam, **{c: profile.mu for c in costs}}
@@ -879,12 +1001,16 @@ def solve_kkt_grid(
         residuals[c.name] = abs(c.excess(rep))
         far = steps.get(c, (0.0, None))[1]
         if tol is None and residuals[c.name] > KKT_REL_TOL and far:
-            near = profile.window_mu[c.window] if c is outer else profile.lam if c is budget \
-                else profile.vector_for((c.window,) if c.window else ()).factor
+            if c is outer:
+                near = profile.window_mu[c.window]
+            elif c is budget:
+                near = profile.lam
+            else:
+                near = profile.vector_for((c.window,) if c.window else ()).factor
             notes.append(c.step_note(rep, far, near, "mu" if c is outer else None))
-    over = [c for c in caps if c not in gave_up and c.excess(rep) > (tol or 0)]
-    notes += [f"delivery {c.window!r} spends {c.level(rep):g}, above its cap" for c in over]
-    feasible = not gave_up and not over
+    broken = [c for c in costs + caps + floors if c not in gave_up and c.excess(rep) > (tol or 0)]
+    notes += [c.broken_note(rep) for c in broken]
+    feasible = not gave_up and not broken
     return KktSolution(profile, rep, residuals, feasible, tuple(notes), unconstrained)
 
 
@@ -899,10 +1025,13 @@ def marginal_roi(
     log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP
 ) -> MarginalRoi:
     """Value gained per extra unit of spend on each placement at the joint
-    optimum, dV_p / dS_p, from the two replays around lambda* (see
-    _replays_around), on a distributional log.  Proposition 1 holds record by
-    record there, so every active ROI is lambda* to O(1e-8).  A placement
-    whose spend does not move is inactive; an unbound budget gives 0s."""
+    optimum, dV_p / dS_p, from the two replays of the whole log around
+    lambda* (see _replays_around).  Proposition 1, V'(lam) = lam * S'(lam),
+    holds record by record on a distributional log, so every active ROI is
+    lambda* up to the O(1e-8) error of the central difference.  A placement
+    whose spend does not move between the two replays is inactive; when the
+    budget does not bind, every ROI is 0.  Needs a distributional log
+    (smooth curves)."""
     if log.mode != "distributional":
         raise OracleError("marginal ROI needs a distributional log")
     sol = solve_lambda_star(log, budget, bid_cap)
@@ -930,12 +1059,16 @@ class FixedBidBaseline:
 def fixed_bid_baseline(
     log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP
 ) -> FixedBidBaseline:
-    """Naive reference policy: the largest constant bid whose realized spend
-    fits the budget.  Between neighbouring prices spend is S2 + b * n1 (the
-    second-price prices won plus b per first-price win), so from the last
-    price that fits the bid is (budget - S2) / n1, below the next price,
-    moved a float at a time to the largest that fits; a spend within
-    _RESUM_REL of the budget is resolved auction by auction."""
+    """Naive reference policy: one constant bid for every opportunity, set in
+    hindsight to the largest level whose realized spend fits the budget.
+
+    A constant bid b wins exactly the auctions priced at or below it, so
+    between neighbouring prices spend is S2 + b * n1: the second-price
+    prices won plus b per first-price auction won.  From the last price at
+    which spend fits, the answer is (budget - S2) / n1, below the next
+    price, moved a float at a time to the largest bid that fits.  A spend
+    within _RESUM_REL of the budget is resolved auction by auction, so every
+    comparison is a replay's."""
     if log.mode != "realized":
         raise OracleError("the fixed-bid baseline needs a realized log")
     cols = log.arrays

@@ -455,6 +455,25 @@ class TestKktGrid:
         assert not kkt.feasible
         assert [n for n in kkt.notes if n.startswith("delivery 'w' spends")]
 
+    @pytest.mark.parametrize("budget, feasible", [(5.5, False), (20.0, True)])
+    def test_budget_below_the_cost_targets_band_is_infeasible(self, budget, feasible):
+        # the guarantee floor wins its 10 rows (cost 0.5 per result) at any
+        # factor, so spend per result meets 0.3 only once enough of the 20
+        # cheap rows (0.10 to 0.29 per result) are won too: a budget of 5.5
+        # leaves 0.5 for them, too little, and the replay says so
+        records = [LogRecord(float(i), "p", 1.0, UNIFORM_SP, 0.5, ("g",)) for i in range(10)]
+        records += [LogRecord(10.0 + i, "p", 1.0, UNIFORM_SP, 0.1 + 0.01 * i) for i in range(20)]
+        constraints = ConstraintSet(
+            budget=budget, cost_target=0.3, guarantee_windows=(GuaranteeWindow("g", 0, 1, 5.0),)
+        )
+        kkt = solve_kkt_grid(OpportunityLog(records), constraints)
+        rep = kkt.replay
+        assert rep.spend <= budget and rep.per_window["g"][1] >= 5.0
+        assert kkt.feasible is feasible
+        assert (rep.spend / rep.value <= 0.3) is feasible
+        broken = [n for n in kkt.notes if n.startswith("cost_target spends")]
+        assert len(broken) == (not feasible)
+
     def test_realized_result_keeps_window_cap(self):
         # the inner budget solve depends only on the multipliers, so the
         # result is the high, fitting end of the delivery search

@@ -302,6 +302,18 @@ def _tie_budgets(scope: OpportunityStream, expected_total: float) -> list[float]
     return budgets
 
 
+def test_budget_lambda_is_the_least_multiplier_below_a_factor():
+    # FTL turns the factor at which spend crosses its pace into the least
+    # lam whose factor lies below it, so that lam >= bound reads each sign
+    rng = np.random.default_rng(11)
+    factors = [*np.exp(rng.uniform(-30.0, 30.0, 200)).tolist(), 1.0, 1.0 / LAMBDA_FLOOR]
+    for f in factors + [math.nextafter(1.0 / LAMBDA_FLOOR, math.inf), math.inf, 1e-300]:
+        lam = oracle.budget_lambda(f)
+        assert lam >= LAMBDA_FLOOR and budget_factor(lam) < f, f
+        below = math.nextafter(lam, 0.0)
+        assert lam == LAMBDA_FLOOR or not budget_factor(below) < f, f
+
+
 @pytest.mark.parametrize("carry", ["computed", "ordered"])
 def test_ftl_lambda_is_bit_identical_to_full_replays(carry, monkeypatch):
     # computed: a fresh RealizedSpend of each prefix finds its own limits
@@ -339,6 +351,31 @@ def test_ftl_lambda_is_bit_identical_to_full_replays(carry, monkeypatch):
     # second-price scopes away from it read their signs from the crossing
     assert resums
     assert any(c is not None for c in crossings) and None in crossings
+
+
+def test_sums_near_their_target_are_left_to_a_replay():
+    # a cumulative sum within _RESUM_REL of its target may lie on either
+    # side of it in row order, so there the crossings of spend and value,
+    # and the cost scan, return None and a search reads a replay's sign
+    values, prices = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.4, 0.9])
+    table = MechanismTable.from_specs([SP]).take(np.zeros(3, dtype=np.intp))
+    rs = RealizedSpend(values, prices, table, CAP)
+    limits = np.sort(win_limits(values, prices, table, CAP))  # cumulative spend 0.1, 0.5, 1.4
+    assert rs.crossing(0.5) is None and rs.crossing(0.5 * (1 + 1e-12)) is None
+    assert rs.crossing(0.5 * (1 + 1e-6)) == limits[2]
+    assert rs.crossing(3.0, of_value=True) is None
+    assert rs.crossing(3.0 * (1 + 1e-6), of_value=True) == limits[2]
+    assert rs.crossing(2.9, of_value=True) == limits[1]
+    rows = enumerate(zip(values.tolist(), prices.tolist()))
+    log = OpportunityLog([LogRecord(float(i), "p", v, SP, p) for i, (v, p) in rows])
+    segments = SegmentSpend(log, (), CAP)
+    # spend per result is 0.1, 0.5 / 3 and 1.4 / 6 as rows are won
+    assert oracle._cost_scan(segments, {}, 0.5 / 3) is None
+    step = (math.nextafter(limits[2], -math.inf), (limits[2], 1.4 / 6))
+    assert oracle._cost_scan(segments, {}, 0.2) == step
+    kkt = oracle.solve_kkt_grid(log, pacing.ConstraintSet(budget=100.0, cost_target=0.5 / 3))
+    assert kkt.feasible and kkt.replay.spend / kkt.replay.value <= 0.5 / 3
+    assert kkt.replay.spend == 0.5
 
 
 def test_slices_keep_their_limit_order():
