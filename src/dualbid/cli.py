@@ -231,15 +231,19 @@ def _write_oracle_curves(
     that share their windows (oracle.SegmentSpend), with no window the log's
     own, the one lambda* was searched on: the winners are a replay's, and
     spend and value are within n * eps relative of a replay's (see
-    RealizedSpend).  On any other log each point is a replay."""
+    RealizedSpend).  The first-price rows that may win at some point are
+    shaded in one call per segment (SegmentSpend.curve).  On any other log
+    each point is a replay."""
     center = max(profile.lam, 1e-9)
     windows = {*profile.window_lambda, *profile.window_mu}
     segments = SegmentSpend(log, windows, bid_cap) if log.mode == "realized" else None
-    rows = []
-    for lam in np.geomspace(center / 8.0, center * 8.0, 33).tolist():
-        at = profile.with_lam(lam)
-        r = segments.at(at) if segments else replay(log, at, bid_cap)
-        rows.append((repr(lam), repr(r.spend), repr(r.value)))
+    lams = np.geomspace(center / 8.0, center * 8.0, 33).tolist()
+    if segments:
+        spends, values = segments.curve(profile, lams)
+    else:
+        results = [replay(log, profile.with_lam(lam), bid_cap) for lam in lams]
+        spends, values = [r.spend for r in results], [r.value for r in results]
+    rows = [(repr(lam), repr(s), repr(v)) for lam, s, v in zip(lams, spends, values)]
     _write_csv(path, ["lambda", "spend", "value"], rows)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 # FTL shades first-price rows through oracle.RealizedSpend; shade_bids stays
 # bound here because bench/spans.py traces it in every namespace that binds it
 from .bidding import LAMBDA_FLOOR, MultiplierVector, shade_bids  # noqa: F401
-from .oracle import LAMBDA_LIMIT, RealizedSpend, budget_factor, budget_lambda, search_multiplier
+from .oracle import RealizedSpend, budget_search
 
 LAMBDA_TILDE_MIN = 1e-9
 LAMBDA_TILDE_MAX = 1e9
@@ -554,29 +554,19 @@ def ftl_update(
     them at the agent's bid cap: an episode builds one oracle.RealizedSpend
     over its stream and passes the prefix seen, so each update reads a slice
     of one sorted history, at the factor budget_factor(lam) the episode bids
-    at lam.  Found by the oracle's search_multiplier.  With second-price
-    auctions only, spend is one sorted step function of the factor, whose
-    crossing of the budget pace (RealizedSpend.crossing), turned once into a
-    bound on lam (oracle.budget_lambda), gives the sign of every step at
-    once; otherwise, first-price auctions that can still win are shaded at
-    each step.  Either way the signs the search reads are those of a full
-    replay.  Replayed spend is a step function of lam, so the search returns
-    the conservative high side of its final bracket.
+    at lam.  Found by oracle.budget_search, the lambda* search: with
+    second-price auctions only, the crossing of the budget pace gives the
+    sign of every step at once; first-price auctions narrow a bracket on
+    the factor in a handful of reads, each shading only the auctions that
+    may win, and the steps inside it read spend.  Either way the signs the
+    search reads are those of a full replay.  Replayed spend is a step
+    function of lam, so the search returns the conservative high side of
+    its final bracket.
     """
     if not entries:
         raise PacingError("ftl update needs at least one logged auction")
     spend = entries[-window:] if window is not None else entries
-    target = budget / expected_total * len(spend)
-    limit = spend.crossing(target)
-    if limit is not None:
-        limit = budget_lambda(limit)
-
-    def excess(lam: float) -> float:
-        if limit is None:
-            return spend.excess(budget_factor(lam), target)
-        return -1.0 if lam >= limit else 1.0
-
-    found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT)
+    found = budget_search(spend, budget / expected_total * len(spend))
     if found is None:
         raise PacingError("could not bracket the hindsight multiplier")
     lam, bracket = found

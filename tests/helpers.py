@@ -129,6 +129,22 @@ def replay_shading_every_row(
     return result, won, adjusted
 
 
+def realized_spend_shading_every_row(rs: RealizedSpend, f: float) -> tuple[float, float]:
+    """RealizedSpend.at as it read spend and value before the first-price
+    win limits: the second-price rows from their sorted limits, plus every
+    first-price row, shaded by optimal_bids whether or not it can win,
+    resolved and summed in row order."""
+    k = rs._sorted_limits.searchsorted(f, side="right")
+    spend, value = rs._spend[k], rs._value[k]
+    rows, table = rs.table.first_price_rows
+    if rows.size:
+        bids = optimal_bids(table, f * rs.values[rows], rs.bid_cap)
+        won, cost = resolve(table, bids, rs.clearing[rows])
+        spend += cost.sum()
+        value += rs.values[rows][won].sum()
+    return float(spend), float(value)
+
+
 def lambda_star_by_replay(log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP):
     """λ* as search_multiplier finds it when every step replays the whole
     log.  Returns (lam, bracket) as search_multiplier does."""

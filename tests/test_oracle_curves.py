@@ -4,7 +4,8 @@ On a realized log whose profile holds the budget multiplier alone, the
 curve is read from the log's RealizedSpend (sums in win-limit order); every
 point must be within CURVE_REL of a replay at the same multiplier, and the
 multipliers are the geometric grid around lambda* that the curve has always
-had, written byte for byte."""
+had, written byte for byte.  Its first-price rows are shaded in one call for
+all 33 points, which writes what reading each point alone writes."""
 
 import csv
 import json
@@ -17,10 +18,10 @@ import dualbid.cli as cli
 import dualbid.oracle as oracle
 from dualbid.bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR
 from dualbid.cli import load_log_csv, main
-from dualbid.oracle import MultiplierProfile, replay
+from dualbid.oracle import MultiplierProfile, budget_factor, replay
 from dualbid.scenario import parse_scenario
 from dualbid.simulate import generate_stream, realized_log
-from helpers import mixed_scenario, stationary_scenario
+from helpers import mixed_scenario, realized_spend_shading_every_row, stationary_scenario
 
 # about n * eps for the logs below (a few thousand rows), far above the
 # 5e-15 seen on the benchmark logs and far below any step of the curve
@@ -123,3 +124,35 @@ def test_budget_only_compare_sorts_the_log_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "replay", counted_replay)
     compare_scenario(tmp_path, small(stationary_scenario(intervals=40, budget=20.0)))
     assert calls == {"win_limits": 1, "replay": 0}
+
+
+def test_first_price_curve_is_the_per_point_read(tmp_path, capsys):
+    """The 33 points shaded in one call write, byte for byte, what reading
+    each point alone, shading every first-price row, writes."""
+    cfg = small(mixed_scenario(intervals=40, budget=20.0))
+    out, compare, log, bid_cap = compare_scenario(tmp_path, cfg)
+    center = max(float(compare["oracle_lambda"]), 1e-9)
+    rs = log.realized_spend(bid_cap)
+    rows = [["lambda", "spend", "value"]]
+    for lam in np.geomspace(center / 8.0, center * 8.0, 33).tolist():
+        spend, value = realized_spend_shading_every_row(rs, budget_factor(lam))
+        rows.append([repr(lam), repr(spend), repr(value)])
+    with (out / "oracle_curves.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == rows
+
+
+def test_budget_only_compare_shades_in_few_calls(tmp_path, capsys, monkeypatch):
+    """lambda* on a first-price log narrows a bracket in a handful of reads
+    and the curve shades its 33 points in one call: a budget-only compare
+    calls shade_bids at most 20 times, where reading spend at every search
+    step and curve point took about 90."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(small(mixed_scenario(intervals=40, budget=20.0))))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    calls = []
+    original = oracle.shade_bids
+    monkeypatch.setattr(oracle, "shade_bids", lambda *args: calls.append(args) or original(*args))
+    assert main(["compare", "--run", str(out)]) == 0
+    assert read_kv(out / "compare.csv")["oracle_unconstrained"] == "False"
+    assert len(calls) <= 20

@@ -8,7 +8,10 @@ and check that the solves reading the step function (λ*, FTL and the
 fixed-bid baseline) return bit for bit what the same search returns with a
 full replay at every step.  FTL reads slices of one RealizedSpend of its
 episode's stream, which keep their rows' limits and order; the KKT solve
-reads one RealizedSpend per window segment (SegmentSpend).
+reads one RealizedSpend per window segment (SegmentSpend).  A first-price
+row has a win limit from the markup at its price (first_price_limits):
+RealizedSpend shades only the rows that may win, and lambda* narrows a
+bracket on the factor in a handful of reads, for the same lam bit for bit.
 """
 
 import math
@@ -21,6 +24,7 @@ import dualbid.oracle as oracle
 import dualbid.pacing as pacing
 from dualbid.bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, optimal_bids
 from dualbid.mechanisms import (
+    EMPIRICAL,
     EmpiricalBids,
     LognormalBids,
     MechanismSpec,
@@ -488,9 +492,10 @@ def test_kkt_profiles_read_the_segments(kind):
                 assert read.per_window[w] == pytest.approx(expected.per_window[w], rel=1e-12, abs=1e-300)
 
 
-def test_step_path_keeps_the_monotonicity_guard(monkeypatch):
-    # spend read from the step function passes the same guard as replays
-    log = log_of(*second_price_rows())
+def test_first_price_bracket_keeps_the_monotonicity_guard(monkeypatch):
+    # a second-price lambda* reads every sign from its sorted limits; the
+    # spend a first-price bracket reads passes the same guard as replays
+    log = mixed_log()
     monkeypatch.setattr(RealizedSpend, "at", lambda self, f: (10.0 + 1.0 / f, 0.0))
     with pytest.raises(oracle.OracleError, match="increases with the multiplier"):
         solve_lambda_star(log, 5.0)
@@ -543,7 +548,7 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
     price = np.maximum(cols.clearing, cols.table.reserve)
     seen = _record_shading(monkeypatch)
     steps = RealizedSpend(cols.values, cols.clearing, cols.table, cap)
-    counts = {"skipped": 0, "live": 0, "capped": 0}
+    counts = {"skipped": 0, "live": 0, "capped": 0, "below_their_limit": 0}
 
     def shaded_only_rows_that_can_win(adjusted):
         can_win = cols.table.first_price & (np.minimum(adjusted, cap) >= price)
@@ -552,6 +557,18 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
         counts["skipped"] += int(np.count_nonzero(cols.table.first_price & ~can_win))
         counts["live"] += int(np.count_nonzero(can_win))
         counts["capped"] += int(np.count_nonzero(can_win & (adjusted > cap)))
+        seen.clear()
+
+    def shaded_only_rows_that_may_win(adjusted, won, f):
+        # of the rows that can win, at() shades only those whose factor has
+        # reached the least at which they may win (first_price_limits), and
+        # every winner is one of them
+        can_win = cols.table.first_price & (np.minimum(adjusted, cap) >= price)
+        may_win = can_win & (f >= steps._from)
+        assert not (won & ~may_win).any()
+        shaded = np.concatenate(seen) if seen else np.empty(0)
+        np.testing.assert_array_equal(np.sort(shaded), np.sort(adjusted[may_win]))
+        counts["below_their_limit"] += int(np.count_nonzero(can_win & ~may_win))
         seen.clear()
 
     for lam in np.geomspace(0.1, 20.0, 7).tolist():
@@ -569,8 +586,103 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
         assert steps.replay_spend(budget_factor(lam)) == expected.spend
         shaded_only_rows_that_can_win(adjusted)
         if kind == "first_price":
-            # every row is first price, so at() resolves the same rows as replay
+            # every row is first price, so at() wins the same rows as replay
             assert steps.at(budget_factor(lam)) == (expected.spend, float(cols.values[won].sum()))
-            shaded_only_rows_that_can_win(adjusted)
+            shaded_only_rows_that_may_win(adjusted, won, budget_factor(lam))
     assert counts["skipped"] and counts["live"]
+    assert counts["below_their_limit"] or kind == "mixed", "at() shaded every row that can win"
     assert counts["capped"] or kind == "mixed", "the bid cap never bound"
+
+
+def test_first_price_limits_give_a_replays_winners():
+    # the first-price rows at() shades at a factor (those that may win, see
+    # first_price_limits) win and pay exactly what shading every row gives:
+    # lognormal rows by Newton and, priced above their reserve, by
+    # bisection, uniform rows in closed form, and rows with no limit
+    # (empirical, priced at a reserve), at 200 factors and at factors inside
+    # the band round some rows' limits
+    kinds = (FP, FP_UNIFORM, FP_EMPIRICAL, FP, FP_RESERVE, FP_UNIFORM, FP_EMPIRICAL, FP_RESERVE)
+    records = first_price_log().records[:48]
+    records = [replace(r, mechanism=kinds[i % 8]) for i, r in enumerate(records)]
+    rng = np.random.default_rng(3)
+    for i, r in enumerate(records):
+        if i != 4 and i % 11:  # keep the zero prices and the price at the bid cap
+            draw = float(r.mechanism.competitor.quantile(rng.random()))
+            records[i] = replace(r, clearing_bid=0.1 if i % 16 == 4 else draw)
+    log = OpportunityLog(records)
+    cols = log.arrays
+    rows, table = cols.table.first_price_rows
+    assert rows.size == len(log)
+    rs = RealizedSpend(cols.values, cols.clearing, cols.table, SMALL_CAP)
+    limits, price = rs._limits, rs._price
+    assert np.isnan(limits[(cols.table.family == EMPIRICAL) & (price > 0)]).all()
+    at_reserve = np.isnan(limits) & (price == FP_RESERVE.reserve)
+    above_reserve = np.isfinite(limits) & (cols.table.reserve > 0)
+    assert at_reserve.any() and above_reserve.any()
+    sure = np.flatnonzero(np.isfinite(limits) & (limits > 0))
+    edge = limits[sure]
+    band = (edge - rs._from[sure]) / edge  # each band's relative width below the limit
+    factors = np.concatenate(
+        [
+            np.geomspace(0.02, 50.0, 200),
+            edge,
+            np.nextafter(edge, -np.inf),
+            edge * (1.0 - 0.5 * band),
+            edge * (1.0 + 0.5 * band),
+        ]
+    )
+    costs, wins = rs._first_price(factors)
+    for j, f in enumerate(factors.tolist()):
+        won, cost = resolve(table, optimal_bids(table, f * cols.values, SMALL_CAP), cols.clearing)
+        np.testing.assert_array_equal(wins[j], won, err_msg=str(f))
+        np.testing.assert_array_equal(costs[j], cost, err_msg=str(f))
+    # some factors lie inside a band, where the row is shaded to decide
+    inside = (factors[:, None] >= rs._from[sure]) & (factors[:, None] < edge)
+    assert inside.any() and wins.any() and (costs[wins] > 0).any()
+
+
+def first_price_log_with_limits(n: int = 300) -> OpportunityLog:
+    """Realized first-price rows that all have a win limit: lognormal by
+    Newton, uniform in closed form, and lognormal priced above its reserve
+    (bisection), with zero prices."""
+    rng = np.random.default_rng(31)
+    mechs = (FP, FP_UNIFORM, FP_RESERVE)
+    records = []
+    for i in range(n):
+        mech = mechs[i % 3]
+        clearing = float(mech.competitor.quantile(rng.random()))
+        if mech is FP_RESERVE:
+            clearing = max(clearing, 0.5)
+        clearing = 0.0 if i % 37 == 0 and mech is not FP_RESERVE else clearing
+        records.append(LogRecord(float(i), "p", float(rng.lognormal(-0.5, 1.0)), mech, clearing))
+    return OpportunityLog(records)
+
+
+def test_first_price_lambda_star_is_bit_identical_to_full_replays(monkeypatch):
+    # the bracket on the factor answers every step outside it, so the
+    # search steps as one replaying the whole log at every step, and
+    # returns its lam: inside its final 1e-12 bracket, spending at most the
+    # budget, in far fewer reads of spend
+    log = first_price_log_with_limits()
+    rs = log.realized_spend(CAP)
+    assert not np.isnan(rs._limits).any()
+    reads = []
+    original = RealizedSpend.at
+    monkeypatch.setattr(RealizedSpend, "at", lambda self, f: reads.append(f) or original(self, f))
+    total = replay(log, MultiplierProfile(lam=LAMBDA_FLOOR)).spend
+    edge = np.sort(rs._limits[rs._limits > 0])
+    ties = [rs.replay_spend(float(f)) for f in edge[[len(edge) // 4, len(edge) // 2]]]
+    budgets = [0.01 * total, 0.2 * total, 0.6 * total, 0.95 * total, 2.0 * total, *ties]
+    counts = []
+    for budget in budgets:
+        reads.clear()
+        sol = solve_lambda_star(log, budget)
+        counts.append(len(reads))
+        lam, bracket = lambda_star_by_replay(log, budget)
+        assert sol.lam == lam, budget
+        assert sol.bracket == (bracket and bracket[:2])
+        if bracket:
+            assert bracket[0] < sol.lam <= bracket[1]
+        assert sol.spend == replay(log, MultiplierProfile(lam=lam)).spend <= budget
+    # a search reading spend at every step reads it about 45 times
+    assert max(counts) <= oracle._BRACKET_READS and sum(counts) <= 10 * len(budgets)
