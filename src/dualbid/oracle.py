@@ -287,6 +287,7 @@ LAMBDA_LIMIT = 1e120  # the budget and FTL searches give up above this multiplie
 _RESUM_REL = 1e-9
 _LIMIT_STEPS = 64  # floats a win limit may lie from price / value
 _BRACKET_READS = 16  # reads of a first-price spend that RealizedSpend.bracket makes at most
+_SHADE_ROWS = 1 << 16  # rows RealizedSpend.at shades in one call across factors
 
 
 def budget_factor(lam):
@@ -351,7 +352,7 @@ _BAND_REL = 1e-6
 
 def first_price_limits(values, clearing, table: MechanismTable, bid_cap: float):
     """Each realized first-price row's win limit L and the least factor F at
-    which it may win, as arrays with NaN on second-price rows.
+    which it may win, as arrays over the first-price rows in row order.
 
     Shading is monotone, so a row whose bid near its price comes from a root
     of the markup (lognormal or uniform bids, away from a reserve's jump and
@@ -364,12 +365,9 @@ def first_price_limits(values, clearing, table: MechanismTable, bid_cap: float):
     shaded wherever it can win, as replay shades it.  A row priced 0 gets 0
     for both, one that wins at no factor (priced above the bid cap, or worth
     0 at a price above 0) +inf."""
-    price = np.maximum(clearing, table.reserve)
-    limits, first = np.full(len(price), np.nan), np.full(len(price), np.nan)
     rows, fp = table.first_price_rows
-    if not rows.size:
-        return limits, first
-    v, p = np.asarray(values, dtype=float)[rows], price[rows]
+    v = np.asarray(values, dtype=float)[rows]
+    p = np.maximum(np.asarray(clearing, dtype=float)[rows], fp.reserve)
     t = fp.markup(p)
     closed = (fp.family == UNIFORM) & (fp.reserve <= fp.p1)
     newton = (fp.family == LOGNORMAL) & (fp.reserve <= 0)
@@ -383,9 +381,44 @@ def first_price_limits(values, clearing, table: MechanismTable, bid_cap: float):
         L = np.where(sure, t / v, np.nan)
         F = np.where(sure, np.maximum(t - _BAND_REL * np.maximum(1.0, t), 0.0) / v, 0.0)
     never = (p > bid_cap) | ((v == 0) & (p > 0))
-    limits[rows] = np.where(never, np.inf, np.where(p > 0, L, 0.0))
-    first[rows] = np.where(never, np.inf, np.where(p > 0, F, 0.0))
-    return limits, first
+    return tuple(np.where(never, np.inf, np.where(p > 0, x, 0.0)) for x in (L, F))
+
+
+class _Monotone:
+    """The monotonicity guard of one search: spends read at points x, each
+    checked against the nearest reads either side, to 1e-9 * (1 + |spend|).
+    Spend must not fall as x rises where rising (x a factor), nor rise
+    where not (x a multiplier).  On a violation it raises an OracleError
+    naming the record whose cost rises most with the multiplier: costs(x)
+    is every record's cost at x, lam(x) the multiplier x stands for."""
+
+    def __init__(
+        self, costs: Callable[[float], np.ndarray], lam: Callable[[float], float], rising: bool
+    ):
+        self.costs, self.lam, self.sign = costs, lam, 1.0 if rising else -1.0
+        self._xs: list[float] = []  # points with a known spend, sorted
+        self._spends: dict[float, float] = {}
+
+    def check(self, x: float, spend: float) -> None:
+        if x in self._spends:
+            return
+        pos = bisect.bisect_left(self._xs, x)
+        slack = 1e-9 * (1.0 + abs(spend))
+        if pos > 0 and self.sign * (self._spends[self._xs[pos - 1]] - spend) > slack:
+            self._raise(self._xs[pos - 1], x)
+        if pos < len(self._xs) and self.sign * (spend - self._spends[self._xs[pos]]) > slack:
+            self._raise(x, self._xs[pos])
+        self._xs.insert(pos, x)
+        self._spends[x] = spend
+
+    def _raise(self, x: float, y: float) -> None:
+        lo, hi = (y, x) if self.sign > 0 else (x, y)  # lo at the smaller multiplier
+        c_lo, c_hi = self.costs(lo), self.costs(hi)
+        worst = int(np.argmax(c_hi - c_lo))
+        raise OracleError(
+            f"replayed spend increases with the multiplier between {self.lam(lo):g} and "
+            f"{self.lam(hi):g}; record {worst} spends {c_lo[worst]:g} -> {c_hi[worst]:g}"
+        )
 
 
 class RealizedSpend:
@@ -420,17 +453,22 @@ class RealizedSpend:
         self.table = table
         self.bid_cap = bid_cap
         self._price = np.maximum(self.clearing, table.reserve)
-        first_limits, self._from = first_price_limits(self.values, self.clearing, table, bid_cap)
-        # every row's win limit: a first-price row's is first_price_limits'
-        self._limits = np.where(
-            table.first_price, first_limits, win_limits(self.values, self.clearing, table, bid_cap)
-        )
+        # every row's win limit, and the least factor at which a first-price
+        # row may win (NaN on second-price rows; a read-only view of one NaN
+        # where there are only those)
+        self._limits = win_limits(self.values, self.clearing, table, bid_cap)
+        self._from = np.broadcast_to(np.nan, len(self.values))
+        first = np.flatnonzero(table.first_price)
+        if first.size:
+            self._from = np.full(len(self.values), np.nan)
+            self._limits[first], self._from[first] = first_price_limits(
+                self.values, self.clearing, table, bid_cap
+            )
         # the second-price rows by limit, smallest first; rows of equal limit
         # win and lose together, so their order is free
         second = np.flatnonzero(~table.first_price)
         self._order = second[np.argsort(self._limits[second])]
         # the first-price rows by the least factor at which they may win
-        first = np.flatnonzero(table.first_price)
         self._first_order = first[np.argsort(self._from[first], kind="stable")]
 
     def __len__(self) -> int:
@@ -452,11 +490,13 @@ class RealizedSpend:
         part._from = self._from[rows]
         for name in ("_order", "_first_order"):
             order = getattr(self, name)
-            kept = order < stop
-            if start:
-                kept &= order >= start
-            # compress: a boolean index over a shuffled mask is slower
-            setattr(part, name, np.compress(kept, order) - start)
+            if order.size:  # one of them is empty where every row shares a kind
+                kept = order < stop
+                if start:
+                    kept &= order >= start
+                # compress: a boolean index over a shuffled mask is slower
+                order = np.compress(kept, order) - start
+            setattr(part, name, order)
         return part
 
     @cached_property
@@ -513,7 +553,7 @@ class RealizedSpend:
         last = np.flatnonzero(np.append(limits[1:] > limits[:-1], True))
         return limits[last], price[last], np.diff(first[last], prepend=0) > 0
 
-    def bracket(self, target: float) -> tuple[float, float] | None:
+    def bracket(self, target: float, guard: _Monotone | None = None) -> tuple[float, float] | None:
         """Factors lo < hi such that excess(f, target) is <= 0 at every
         f <= lo and > 0 at every f >= hi, for target >= 0 (hi +inf, or lo 0,
         where no read told).  hi is +inf where spend fits at
@@ -532,7 +572,8 @@ class RealizedSpend:
         merged sorted limits, kept off the bracket's ends, or just below the
         limit whose step jumps over it.  A handful of reads narrow the
         bracket to 2**-45 relative (a second-price step to adjacent floats);
-        after _BRACKET_READS it is returned as it is."""
+        after _BRACKET_READS it is returned as it is.  Each read passes guard
+        (see excess)."""
         if not self._first_order.size:
             step = self.crossing(target)
             return None if step is None else (math.nextafter(step, -math.inf), step)
@@ -546,10 +587,10 @@ class RealizedSpend:
             i = int(limits.searchsorted(f, side="right"))
             return i, float(price[i - 1]) if i else 0.0
 
-        lo, hi = (0.0, 0.0), (math.inf, math.inf)  # (factor, spend) read either side
+        lo, hi = 0.0, math.inf  # factors read either side
         reads = [(0.0, 0.0)]  # (factor, D), D(0) = 0
         for _ in range(_BRACKET_READS):
-            (a, s_a), (b, s_b) = lo, hi
+            a, b = lo, hi
             i, p_a = cumulative(a)
             j = int(limits.searchsorted(b, side="left"))  # the limits in (a, b): i..j-1
             # D on the line through the last two reads, in ln f (in f from 0),
@@ -583,33 +624,14 @@ class RealizedSpend:
             x = min(x, top)
             if not a < x < b:
                 break
-            spend = self.at(x)[0]
-            if not s_a - 1e-9 * (1.0 + s_a) <= spend <= s_b + 1e-9 * (1.0 + spend):
-                self._raise_non_monotone(a if spend < s_a else x, x if spend < s_a else b)
-            fits = spend <= target
-            if abs(spend - target) <= _RESUM_REL * target:
-                fits = self.replay_spend(x) <= target
-            if fits and x == top:
+            over = self.excess(x, target, guard)
+            if over <= 0 and x == top:
                 return top, math.inf
-            reads.append((x, spend - cumulative(x)[1]))
-            lo, hi = ((x, spend), hi) if fits else (lo, (x, spend))
-            if hi[0] - lo[0] <= 2.0**-45 * hi[0] < math.inf:
+            reads.append((x, over + target - cumulative(x)[1]))
+            lo, hi = (x, hi) if over <= 0 else (lo, x)
+            if hi - lo <= 2.0**-45 * hi < math.inf:
                 break
-        return lo[0], hi[0]
-
-    def _raise_non_monotone(self, f_lo: float, f_hi: float) -> None:
-        """OracleError naming the row whose spend falls most from f_lo to the
-        larger factor f_hi."""
-        costs = []
-        for f in (f_lo, f_hi):
-            bids = _replay_bids(self.table, f * self.values, self._price, self.bid_cap)
-            costs.append(resolve(self.table, bids, self.clearing)[1])
-        worst = int(np.argmax(costs[0] - costs[1]))
-        raise OracleError(
-            f"replayed spend increases with the multiplier between {budget_factor(f_hi):g} "
-            f"and {budget_factor(f_lo):g}; record {worst} spends "
-            f"{costs[1][worst]:g} -> {costs[0][worst]:g}"
-        )
+        return lo, hi
 
     def at(self, f):
         """Spend and value at factor f, or arrays of them at each factor of
@@ -620,46 +642,67 @@ class RealizedSpend:
         k = self._sorted_limits.searchsorted(fs, side="right")
         spend, value = self._spend[k], self._value[k]
         if self._first_order.size:
-            costs, wins = self._first_price(fs)
             values = self._first[2]
-            spend = spend + [c.sum() for c in costs]
-            value = value + [values[w].sum() for w in wins]
+            sums = np.array([(c.sum(), values[w].sum()) for c, w in self._first_price(fs)])
+            spend, value = spend + sums[:, 0], value + sums[:, 1]
         if np.ndim(f) == 0:
             return float(spend[0]), float(value[0])
         return spend, value
 
-    def _first_price(self, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each first-price row's cost and win at each factor of fs, one row
-        of the result per factor over the first-price rows in row order.
-        Only the rows that may win at a factor are shaded, in one call for
-        every factor; the rest cost 0 and lose."""
+    def _first_price(self, fs: np.ndarray):
+        """Each first-price row's cost and win at each factor of fs in turn,
+        as arrays over the first-price rows in row order.  Only the rows
+        that may win at a factor are shaded, the rest cost 0 and lose; the
+        factors share a shading call while their rows add up to at most
+        _SHADE_ROWS (one factor's rows may be more)."""
         starts, place, _ = self._first
         counts = starts.searchsorted(fs, side="right")
-        pick = np.concatenate([np.arange(c) for c in counts])
-        rows = self._first_order[pick]
-        table = self.table.take(rows)
-        adjusted = np.repeat(fs, counts) * self.values[rows]
-        bids = _replay_bids(table, adjusted, self._price[rows], self.bid_cap)
-        won, cost = resolve(table, bids, self.clearing[rows])
-        at = (np.repeat(np.arange(len(fs)), counts), place[pick])
-        costs, wins = np.zeros((len(fs), len(place))), np.zeros((len(fs), len(place)), dtype=bool)
-        costs[at], wins[at] = cost, won
-        return costs, wins
+        bounds, rows_in = [0], 0
+        for j, count in enumerate(counts.tolist()):
+            if rows_in and rows_in + count > _SHADE_ROWS:
+                bounds.append(j)
+                rows_in = 0
+            rows_in += count
+        bounds.append(len(fs))
+        for a, b in zip(bounds, bounds[1:]):
+            pick = np.concatenate([np.arange(c) for c in counts[a:b]])
+            rows = self._first_order[pick]
+            table = self.table.take(rows)
+            adjusted = np.repeat(fs[a:b], counts[a:b]) * self.values[rows]
+            bids = _replay_bids(table, adjusted, self._price[rows], self.bid_cap)
+            won, cost = resolve(table, bids, self.clearing[rows])
+            end = 0
+            for count in counts[a:b].tolist():
+                part, end = slice(end, end + count), end + count
+                costs, wins = np.zeros(len(place)), np.zeros(len(place), dtype=bool)
+                costs[place[pick[part]]], wins[place[pick[part]]] = cost[part], won[part]
+                yield costs, wins
+
+    def _costs(self, f: float) -> np.ndarray:
+        """Every row's cost at f, from its bid, as replay resolves it."""
+        bids = _replay_bids(self.table, f * self.values, self._price, self.bid_cap)
+        return resolve(self.table, bids, self.clearing)[1]
 
     def replay_spend(self, f: float) -> float:
         """Spend at f from every row's bid, summed in row order, as replay
         sums it."""
-        bids = _replay_bids(self.table, f * self.values, self._price, self.bid_cap)
-        return float(resolve(self.table, bids, self.clearing)[1].sum())
+        return float(self._costs(f).sum())
 
-    def excess(self, f: float, target: float) -> float:
+    def guard(self) -> _Monotone:
+        """A monotonicity guard for one search over the factor: spend must
+        not fall as the factor rises."""
+        return _Monotone(self._costs, budget_factor, rising=True)
+
+    def excess(self, f: float, target: float, guard: _Monotone | None = None) -> float:
         """spend(f) - target.  The two sums round differently, so where the
         sorted one lands within _RESUM_REL of target the replayed spend is
         used: the sign, which is all a realized search reads, is always the
-        replay's."""
+        replay's.  The spend passes guard, where one is given."""
         spend = self.at(f)[0]
         if abs(spend - target) <= _RESUM_REL * target:
             spend = self.replay_spend(f)
+        if guard is not None:
+            guard.check(f, spend)
         return spend - target
 
 
@@ -719,9 +762,9 @@ class _SpendCurve:
 
     def __init__(self, log, bid_cap: float, profile_of, segments: SegmentSpend | None = None):
         self.log, self.bid_cap, self.profile_of, self.segments = log, bid_cap, profile_of, segments
-        self._lams: list[float] = []  # multipliers with a known spend, sorted
-        self._spends: dict[float, float] = {}
         self._replays: dict[float, ReplayResult] = {}
+        costs = lambda lam: _spend_value(log, profile_of(lam), bid_cap)[0]
+        self._guard = _Monotone(costs, lambda lam: lam, rising=False).check
 
     def excess(self, lam: float, target: float) -> float:
         """Spend at lam minus target, its sign a replay's (a sum of segments
@@ -768,33 +811,6 @@ class _SpendCurve:
         self._guard(lam, result.spend)
         self._replays[lam] = result
         return result
-
-    def _guard(self, lam: float, spend: float) -> None:
-        """Keep spend at lam, raising if it exceeds the spend at a smaller
-        multiplier or falls short of the spend at a larger one."""
-        if lam in self._spends:
-            return
-        pos = bisect.bisect_left(self._lams, lam)
-        slack = 1e-9 * (1.0 + abs(spend))
-        if pos > 0:
-            left = self._lams[pos - 1]
-            if spend > self._spends[left] + slack:
-                self._raise_non_monotone(left, lam)
-        if pos < len(self._lams):
-            right = self._lams[pos]
-            if spend + slack < self._spends[right]:
-                self._raise_non_monotone(lam, right)
-        self._lams.insert(pos, lam)
-        self._spends[lam] = spend
-
-    def _raise_non_monotone(self, lo: float, hi: float) -> None:
-        s_lo, _ = _spend_value(self.log, self.profile_of(lo), self.bid_cap)
-        s_hi, _ = _spend_value(self.log, self.profile_of(hi), self.bid_cap)
-        worst = int(np.argmax(s_hi - s_lo))
-        raise OracleError(
-            f"replayed spend increases with the multiplier between {lo:g} and {hi:g}; "
-            f"record {worst} spends {s_lo[worst]:g} -> {s_hi[worst]:g}"
-        )
 
 
 @dataclass(frozen=True)
@@ -875,7 +891,7 @@ def search_multiplier(
 
 
 def budget_search(
-    spend: RealizedSpend, target: float
+    spend: RealizedSpend, target: float, guarded: bool = True
 ) -> tuple[float, tuple[float, float, float, float] | None] | None:
     """search_multiplier for the least budget multiplier lam at which spend
     at budget_factor(lam) fits target, every sign a replay's.
@@ -883,17 +899,21 @@ def budget_search(
     spend.bracket(target) gives the sign of every lam whose factor lies
     outside the bracket, turned once into bounds on lam (budget_lambda), so
     only the steps inside it read spend (on second-price rows, none; with
-    no bracket, every step).  The
-    search takes the same steps as one reading spend at every step, so it
-    returns the same lam and bracket ends, though the bracket's excesses are
-    only signs where spend was not read."""
-    lo, hi = spend.bracket(target) or (0.0, math.inf)  # no bracket: read every step
-    fits, over = budget_lambda(math.nextafter(lo, math.inf)), budget_lambda(hi)
+    no bracket, every step).  The search takes the same steps as one
+    reading spend at every step, so it returns the same lam and bracket
+    ends, though the bracket's excesses are only signs where spend was not
+    read.  Where guarded, every spend read, the bracket's and the steps',
+    passes one monotonicity guard (RealizedSpend.guard)."""
+    guard = spend.guard() if guarded else None
+    lo, hi = spend.bracket(target, guard) or (0.0, math.inf)  # no bracket: read every step
+    above = math.nextafter(lo, math.inf)
+    fits = budget_lambda(above)
+    over = fits if hi == above else budget_lambda(hi)  # a second-price step: one float wide
 
     def excess(lam: float) -> float:
         if lam >= fits:
             return -1.0
-        return 1.0 if lam < over else spend.excess(budget_factor(lam), target)
+        return 1.0 if lam < over else spend.excess(budget_factor(lam), target, guard)
 
     return search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT)
 
@@ -912,7 +932,9 @@ def solve_lambda_star(
     RealizedSpend: a second-price log's signs all come from its sorted
     limits, and a first-price log reads spend about a dozen times (shading
     only the rows that may win), where reading it at every step took about
-    45, for the same lam.  Spend and value are replayed at the result, and
+    45, for the same lam.  Every spend read passes a monotonicity guard,
+    which raises an OracleError naming the record where spend rises with
+    the multiplier.  Spend and value are replayed at the result, and
     bracket is the final bracket of the search.
     """
     if not budget > 0:

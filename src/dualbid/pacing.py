@@ -561,12 +561,14 @@ def ftl_update(
     may win, and the steps inside it read spend.  Either way the signs the
     search reads are those of a full replay.  Replayed spend is a step
     function of lam, so the search returns the conservative high side of
-    its final bracket.
+    its final bracket.  An episode paces on whatever its history spends:
+    unlike the oracle's lambda*, the search does not check that spend
+    falls as lam rises (guarded=False).
     """
     if not entries:
         raise PacingError("ftl update needs at least one logged auction")
     spend = entries[-window:] if window is not None else entries
-    found = budget_search(spend, budget / expected_total * len(spend))
+    found = budget_search(spend, budget / expected_total * len(spend), guarded=False)
     if found is None:
         raise PacingError("could not bracket the hindsight multiplier")
     lam, bracket = found

@@ -499,6 +499,69 @@ def test_first_price_bracket_keeps_the_monotonicity_guard(monkeypatch):
     monkeypatch.setattr(RealizedSpend, "at", lambda self, f: (10.0 + 1.0 / f, 0.0))
     with pytest.raises(oracle.OracleError, match="increases with the multiplier"):
         solve_lambda_star(log, 5.0)
+    rs = log.realized_spend(CAP)
+    with pytest.raises(oracle.OracleError, match="increases with the multiplier"):
+        rs.bracket(5.0, rs.guard())
+
+
+def test_monotonicity_guard_checks_both_neighbours():
+    # a read below a larger spend, or above a smaller one, raises naming
+    # the multipliers of the two reads and a record; reads within the
+    # slack, or read twice, pass
+    rs = first_price_log().realized_spend(SMALL_CAP)
+    guard = rs.guard()
+    for read in ((0.5, 2.0), (0.5, 2.0), (1.0, 2.0 - 1e-10), (0.25, 2.0 + 1e-10)):
+        guard.check(*read)
+    for first, second in (((0.5, 2.0), (1.0, 1.0)), ((1.0, 1.0), (0.5, 2.0))):
+        guard = rs.guard()
+        guard.check(*first)
+        with pytest.raises(oracle.OracleError, match=r"between 1 and 2; record \d+ spends"):
+            guard.check(*second)
+
+
+def _spend_falling_at_half(self, f):
+    """A spend that falls by 0.2 as the factor passes 0.5."""
+    return (f - 0.2 * (f >= 0.5), 0.0)
+
+
+def test_step_path_keeps_the_monotonicity_guard(monkeypatch):
+    # empirical rows and rows priced at a reserve have no win limit, so
+    # lambda* gets no bracket and reads spend at every step: each read
+    # passes the same guard as replays.  FTL paces on the same spend
+    # unguarded.
+    log = first_price_log()
+    rs = log.realized_spend(DEFAULT_BID_CAP)
+    assert rs.bracket(0.45) is None
+    monkeypatch.setattr(RealizedSpend, "at", _spend_falling_at_half)
+    with pytest.raises(oracle.OracleError, match="increases with the multiplier"):
+        solve_lambda_star(log, 0.45)
+    assert ftl_update(rs, 0.45, len(rs)).lam == pytest.approx(1.0 / 0.65)
+
+
+def test_steps_inside_a_bracket_keep_the_monotonicity_guard(monkeypatch):
+    # the search reads spend at the steps inside the bracket, and those
+    # reads pass the guard the bracket's reads passed
+    monkeypatch.setattr(RealizedSpend, "bracket", lambda self, target, guard=None: (1e-3, 1e3))
+    monkeypatch.setattr(RealizedSpend, "at", _spend_falling_at_half)
+    with pytest.raises(oracle.OracleError, match="increases with the multiplier"):
+        solve_lambda_star(mixed_log(), 0.45)
+
+
+def test_factors_shaded_in_chunks_read_as_in_one_call(monkeypatch):
+    # at() shades the rows of many factors in one call up to _SHADE_ROWS
+    # rows; read in more calls, the sums are the same bit for bit
+    rs = first_price_log().realized_spend(SMALL_CAP)
+    factors = np.geomspace(0.05, 20.0, 33)
+    seen = _record_shading(monkeypatch)
+    whole = rs.at(factors)
+    assert len(seen) == 1
+    seen.clear()
+    monkeypatch.setattr(oracle, "_SHADE_ROWS", 200)
+    chunked = rs.at(factors)
+    assert 1 < len(seen) < len(factors)
+    for read in (chunked, np.array([rs.at(f) for f in factors.tolist()]).T):
+        np.testing.assert_array_equal(read[0], whole[0])
+        np.testing.assert_array_equal(read[1], whole[1])
 
 
 FP_RESERVE = MechanismSpec("first_price", 0.3, LognormalBids(-0.3, 0.8))
@@ -631,11 +694,13 @@ def test_first_price_limits_give_a_replays_winners():
             edge * (1.0 + 0.5 * band),
         ]
     )
-    costs, wins = rs._first_price(factors)
-    for j, f in enumerate(factors.tolist()):
+    read = list(rs._first_price(factors))
+    assert len(read) == len(factors)
+    for f, (costs, wins) in zip(factors.tolist(), read):
         won, cost = resolve(table, optimal_bids(table, f * cols.values, SMALL_CAP), cols.clearing)
-        np.testing.assert_array_equal(wins[j], won, err_msg=str(f))
-        np.testing.assert_array_equal(costs[j], cost, err_msg=str(f))
+        np.testing.assert_array_equal(wins, won, err_msg=str(f))
+        np.testing.assert_array_equal(costs, cost, err_msg=str(f))
+    costs, wins = np.array([c for c, _ in read]), np.array([w for _, w in read])
     # some factors lie inside a band, where the row is shaded to decide
     inside = (factors[:, None] >= rs._from[sure]) & (factors[:, None] < edge)
     assert inside.any() and wins.any() and (costs[wins] > 0).any()
