@@ -435,7 +435,8 @@ class RealizedSpend:
     f, but it loses for certain below the least factor at which it may win
     (see first_price_limits).  Sorted by that factor, the rows that may win
     at f are a prefix, and only they are shaded (and of those, only the ones
-    whose unshaded bid reaches their price, see _replay_bids).
+    whose unshaded bid reaches their price, see _replay_bids).  That factor
+    is least_factors, per row (NaN on second-price rows).
 
     At any f, at(f) wins exactly the rows a replay wins and pays each the
     same.  Only the sums differ: cumulative in limit order, not row order,
@@ -457,11 +458,11 @@ class RealizedSpend:
         # row may win (NaN on second-price rows; a read-only view of one NaN
         # where there are only those)
         self._limits = win_limits(self.values, self.clearing, table, bid_cap)
-        self._from = np.broadcast_to(np.nan, len(self.values))
+        self.least_factors = np.broadcast_to(np.nan, len(self.values))
         first = np.flatnonzero(table.first_price)
         if first.size:
-            self._from = np.full(len(self.values), np.nan)
-            self._limits[first], self._from[first] = first_price_limits(
+            self.least_factors = np.full(len(self.values), np.nan)
+            self._limits[first], self.least_factors[first] = first_price_limits(
                 self.values, self.clearing, table, bid_cap
             )
         # the second-price rows by limit, smallest first; rows of equal limit
@@ -469,7 +470,7 @@ class RealizedSpend:
         second = np.flatnonzero(~table.first_price)
         self._order = second[np.argsort(self._limits[second])]
         # the first-price rows by the least factor at which they may win
-        self._first_order = first[np.argsort(self._from[first], kind="stable")]
+        self._first_order = first[np.argsort(self.least_factors[first], kind="stable")]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -487,7 +488,7 @@ class RealizedSpend:
         part.values, part.clearing = self.values[rows], self.clearing[rows]
         part.table, part.bid_cap = self.table.take(rows), self.bid_cap
         part._price, part._limits = self._price[rows], self._limits[rows]
-        part._from = self._from[rows]
+        part.least_factors = self.least_factors[rows]
         for name in ("_order", "_first_order"):
             order = getattr(self, name)
             if order.size:  # one of them is empty where every row shares a kind
@@ -520,7 +521,7 @@ class RealizedSpend:
         first-price rows' values in row order."""
         rows = np.flatnonzero(self.table.first_price)
         order = self._first_order
-        return self._from[order], np.searchsorted(rows, order), self.values[rows]
+        return self.least_factors[order], np.searchsorted(rows, order), self.values[rows]
 
     def crossing(self, target: float, of_value: bool = False) -> float | None:
         """The win limit L of the first sorted row whose cumulative price
@@ -530,7 +531,7 @@ class RealizedSpend:
         with first-price rows, whose spend moves between limits (see
         bracket), or a cumulative sum within _RESUM_REL of target, where only
         a replay's sum in row order tells on which side of target it lies."""
-        if self.table.first_price.any():
+        if self._first_order.size:
             return None
         # the largest count of rows, in limit order, whose spend fits, or
         # whose value falls short
@@ -1123,7 +1124,7 @@ def _cost_scan(segments: SegmentSpend, thresholds, cost_target: float):
     this one need not fit (solve_kkt_grid checks its replay)."""
     entries, price, values = [], [], []
     for key, rs in segments.parts.items():
-        if rs.table.first_price.any():
+        if rs._first_order.size:
             return None
         bounds = {c.kind: t for c, t in thresholds.items() if c.window in key}
         floor, cap = bounds.get("guarantee", 0.0), bounds.get("delivery", math.inf)

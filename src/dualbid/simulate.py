@@ -12,11 +12,18 @@ mechanism per cell.
 An episode pairs the stream with a pacing agent.  It runs in segments: the
 opportunities from one multiplier update (interval start, or the end of a
 count batch) to the next one or the end of the interval, whichever comes
-first.  A segment, and only it, is bid and resolved in one call at the
-snapshot multipliers; the budget cut-off and the pacing, placement and
-window accounting are array operations whose sums run left to right, so
-every total and the trace columns equal those of handling the opportunities
-one at a time.  Bidding halts once cumulative spend reaches the budget.
+first.  A segment is resolved in one go at the snapshot multipliers; the
+budget cut-off and the pacing, placement and window accounting are array
+operations whose sums run left to right, so every total and the trace
+columns equal those of handling the opportunities one at a time.  Bidding
+halts once cumulative spend reaches the budget.
+
+A first-price row whose factor lies below the least factor at which it may
+win (oracle.first_price_limits) loses for certain: its segment resolves it
+as a loss without shading it, and every such row that was bid is shaded in
+one call after the last segment.  Shading is per row, so its bid is the one
+its segment would have given.  The other rows of a segment are bid in one
+call.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 from .bidding import optimal_bids
 from .coldstart import ColdStartResult, PlacementPriors, solve_lambda0_multi
 from .mechanisms import LognormalBids, MechanismSpec, MechanismTable, resolve
-from .oracle import LogColumns, OpportunityLog, RealizedSpend, marginal_roi
+from .oracle import LogColumns, OpportunityLog, RealizedSpend, first_price_limits, marginal_roi
 from .pacing import ForecastModel, PacingState, apply_batch_update, normalize
 from .scenario import PlacementConfig, ScenarioConfig
 
@@ -403,6 +410,28 @@ class EpisodeMetrics:
         return rows
 
 
+def _least_factors(stream: OpportunityStream, history, bid_cap: float) -> np.ndarray | None:
+    """The least factor at which each first-price row of the stream may win
+    (NaN on second-price rows), the FTL history's where there is one; None
+    without first-price rows."""
+    first = np.flatnonzero(stream.table.first_price)
+    if not first.size:
+        return None
+    if history is not None:
+        return history.least_factors
+    least = np.full(len(stream), np.nan)
+    least[first] = first_price_limits(stream.value, stream.clearing_bid, stream.table, bid_cap)[1]
+    return least
+
+
+def _bid(stream: OpportunityStream, rows, adjusted, bid_cap: float):
+    """The rows' bids at their adjusted values, and whether each wins and
+    what it pays."""
+    table = stream.table.take(rows)
+    bids = optimal_bids(table, adjusted, bid_cap)
+    return (bids, *resolve(table, bids, stream.clearing_bid[rows]))
+
+
 @dataclass
 class EpisodeResult:
     scenario: ScenarioConfig
@@ -417,6 +446,7 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
     constraints = scenario.constraints
     cfg = scenario.agent.pacing
     batch = cfg.batch_size
+    bid_cap = scenario.agent.bid_cap
     forecast = build_forecast(scenario)
     lambda0, _ = initial_multiplier(scenario)
 
@@ -434,10 +464,10 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
     # FTL replays the auctions seen so far, each update a prefix of one
     # history sorted once for the episode
     history = (
-        RealizedSpend(values, clearing, stream.table, scenario.agent.bid_cap)
-        if cfg.mode == "ftl"
-        else None
+        RealizedSpend(values, clearing, stream.table, bid_cap) if cfg.mode == "ftl" else None
     )
+    least = _least_factors(stream, history, bid_cap)
+    deferred: list[np.ndarray] = []  # the certain losers bid, shaded after the loop
     # the stream is ordered by interval: interval i is rows starts[i]:starts[i + 1]
     starts = np.searchsorted(stream.interval, np.arange(scenario.intervals + 1))
     # rows cut off by the budget keep a zero adjusted value, bid and cost
@@ -454,15 +484,20 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
             index, end = int(starts[interval]), int(starts[interval + 1])
             while index < end:
                 # the multipliers only move at batch boundaries, so the rest
-                # of the interval, or of the count batch, is bid and resolved
-                # in one go
+                # of the interval, or of the count batch, is resolved in one go
                 snapshot = state.multipliers_at(constraints, interval)
                 size = end - index if batch is None else min(end - index, batch - state.interval_count)
                 seg = slice(index, index + size)
-                table = stream.table.take(seg)
                 adjusted = snapshot.factor * values[seg]
-                bids = optimal_bids(table, adjusted, scenario.agent.bid_cap)
-                wins, costs = resolve(table, bids, clearing[seg])
+                out = None if least is None else least[seg] > snapshot.factor
+                if out is None or not out.any():
+                    bids, wins, costs = _bid(stream, seg, adjusted, bid_cap)
+                else:  # certain losers bid 0 for now, lose and pay nothing
+                    live = np.flatnonzero(~out)
+                    bids, wins, costs = np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size)
+                    bids[live], wins[live], costs[live] = _bid(
+                        stream, index + live, adjusted[live], bid_cap
+                    )
                 results = wins & (stream.result_draw[seg] < np.minimum(values[seg], 1.0))
                 trace.lambda_tilde[seg] = state.lambda_tilde
                 trace.mu[seg], trace.lambda_k[seg], trace.mu_k[seg] = (
@@ -474,6 +509,8 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
                 rows = slice(index, index + bid)
                 trace.adjusted_value[rows], trace.bid[rows] = adjusted[:bid], bids[:bid]
                 trace.won[rows], trace.cost[rows] = wins[:bid], costs[:bid]
+                if out is not None:
+                    deferred.append(index + np.flatnonzero(out[:bid]))
                 index += size
                 if batch is not None and state.interval_count >= batch:
                     close_batch(interval, index)
@@ -482,6 +519,9 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
         except Exception as exc:
             raise SimulationError(f"interval {interval}: {exc}") from exc
         trajectory.append(state.lambda_tilde)
+    if deferred:
+        late = np.concatenate(deferred)
+        trace.bid[late] = optimal_bids(stream.table.take(late), trace.adjusted_value[late], bid_cap)
 
     won_value = np.where(trace.won, values, 0.0)
     placement_spend: dict[str, float] = {p.id: 0.0 for p in scenario.placements}

@@ -321,6 +321,18 @@ def stream_by_sort(scenario) -> list[tuple]:
     return rows
 
 
+def episode_shading_every_row(scenario):
+    """Reference for run_episode: the episode with no first-price row
+    resolved as a certain loss, so that every first-price row is shaded in
+    its own segment's bidding call."""
+    from unittest import mock
+
+    import dualbid.simulate as simulate
+
+    with mock.patch.object(simulate, "_least_factors", lambda *args: None):
+        return simulate.run_episode(scenario)
+
+
 def record_one_at_a_time(state, windows, values, won, costs, results) -> list[tuple[float, float]]:
     """Reference for PacingState.record_outcomes: each auction in turn is
     bid only while spend is below the budget, and every total is updated

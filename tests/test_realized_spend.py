@@ -627,7 +627,7 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
         # reached the least at which they may win (first_price_limits), and
         # every winner is one of them
         can_win = cols.table.first_price & (np.minimum(adjusted, cap) >= price)
-        may_win = can_win & (f >= steps._from)
+        may_win = can_win & (f >= steps.least_factors)
         assert not (won & ~may_win).any()
         shaded = np.concatenate(seen) if seen else np.empty(0)
         np.testing.assert_array_equal(np.sort(shaded), np.sort(adjusted[may_win]))
@@ -684,7 +684,7 @@ def test_first_price_limits_give_a_replays_winners():
     assert at_reserve.any() and above_reserve.any()
     sure = np.flatnonzero(np.isfinite(limits) & (limits > 0))
     edge = limits[sure]
-    band = (edge - rs._from[sure]) / edge  # each band's relative width below the limit
+    band = (edge - rs.least_factors[sure]) / edge  # each band's relative width below the limit
     factors = np.concatenate(
         [
             np.geomspace(0.02, 50.0, 200),
@@ -702,7 +702,7 @@ def test_first_price_limits_give_a_replays_winners():
         np.testing.assert_array_equal(costs, cost, err_msg=str(f))
     costs, wins = np.array([c for c, _ in read]), np.array([w for _, w in read])
     # some factors lie inside a band, where the row is shaded to decide
-    inside = (factors[:, None] >= rs._from[sure]) & (factors[:, None] < edge)
+    inside = (factors[:, None] >= rs.least_factors[sure]) & (factors[:, None] < edge)
     assert inside.any() and wins.any() and (costs[wins] > 0).any()
 
 

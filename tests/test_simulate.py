@@ -10,6 +10,7 @@ import pytest
 from dualbid.oracle import LogRecord, MultiplierProfile, OpportunityLog, replay, solve_lambda_star
 from dualbid.scenario import parse_scenario
 from dualbid.simulate import (
+    TRACE_COLUMNS,
     distributional_log,
     drifted_mechanism,
     generate_stream,
@@ -17,7 +18,7 @@ from dualbid.simulate import (
     realized_log,
     run_episode,
 )
-from helpers import mixed_scenario, stationary_scenario, stream_by_sort
+from helpers import episode_shading_every_row, mixed_scenario, stationary_scenario, stream_by_sort
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -212,21 +213,42 @@ class TestEpisode:
         assert 0.9 <= episode.metrics.budget_utilization <= 1.05
 
     def test_count_batches_bid_only_their_segment(self, monkeypatch):
+        import dualbid.bidding as bidding
         import dualbid.simulate as simulate
 
-        rows = []
-        bid = simulate.optimal_bids
+        rows, shaded = [], []
+        bid, shade = simulate.optimal_bids, bidding.shade_bids
 
         def counting(table, adjusted, bid_cap):
             rows.append(len(adjusted))
             return bid(table, adjusted, bid_cap)
 
+        def shading(table, adjusted, bid_cap):
+            shaded.append(np.array(adjusted))
+            return shade(table, adjusted, bid_cap)
+
         monkeypatch.setattr(simulate, "optimal_bids", counting)
+        monkeypatch.setattr(bidding, "shade_bids", shading)
         cfg = json.loads((SCENARIOS / "stationary.json").read_text())
         cfg["agent"]["batch"] = 10
         episode = run_episode(parse_scenario(cfg))
         # every opportunity is bid exactly once
         assert sum(rows) == len(episode.stream) == 17645
+        assert not shaded
+        # first price: a segment bids the rows that may win, and one call
+        # after the last bids the rest
+        rows.clear()
+        cfg = mixed_scenario(intervals=60, budget=30.0, agent={"batch": 7})
+        episode = run_episode(parse_scenario(cfg))
+        assert episode.state.spent_total < 30.0  # every opportunity is bid
+        assert sum(rows) == len(episode.stream)
+        first = episode.stream.table.first_price
+        # each first-price row is shaded exactly once, at its adjusted value
+        want = np.sort(episode.trace.adjusted_value[first])
+        assert np.array_equal(np.sort(np.concatenate(shaded)), want)
+        # 927 segments, most of which shade nothing (measured: 63 calls)
+        assert len(rows) - 1 == 927
+        assert len(shaded) <= 70
 
     def test_ftl_mode(self):
         cfg = stationary_scenario(
@@ -258,6 +280,71 @@ class TestEpisode:
         episode = run_episode(stationary, compute_roi=True)
         assert episode.metrics.placement_roi is not None
         assert set(episode.metrics.placement_roi) == {"feed"}
+
+
+def _first_price_network(**network) -> dict:
+    cfg = mixed_scenario(intervals=20, budget=10.0, agent={"initialization": {"lambda0": 2.0}})
+    cfg["placements"][1].update(network)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(mixed_scenario(intervals=60, budget=30.0), id="lognormal"),
+        pytest.param(_first_price_network(reserve=0.4), id="lognormal-reserve"),
+        pytest.param(
+            _first_price_network(
+                reserve=0.3, competitor={"family": "uniform", "lo": 0.1, "hi": 1.5}
+            ),
+            id="uniform-reserve-above-lo",
+        ),
+        pytest.param(
+            _first_price_network(
+                competitor={"family": "empirical", "samples": [0.2, 0.35, 0.5, 0.8, 1.1, 1.6]}
+            ),
+            id="empirical",
+        ),
+        pytest.param(mixed_scenario(intervals=60, budget=30.0, agent={"bid_cap": 0.3}), id="bid-cap"),
+        pytest.param(mixed_scenario(intervals=60, budget=30.0, agent={"batch": 7}), id="count-batches"),
+        pytest.param(
+            mixed_scenario(
+                intervals=60, budget=15.0, agent={"initialization": {"lambda0": 2.0}, "xi": 0.1}
+            ),
+            id="budget-out",
+        ),
+        pytest.param(mixed_scenario(intervals=60, budget=30.0, agent={"mode": "ftl"}), id="ftl"),
+        pytest.param(
+            mixed_scenario(
+                intervals=120,
+                budget=40.0,
+                cost_target=0.25,
+                delivery_windows=[{"id": "w", "start": 20, "end": 60, "cap": 8.0}],
+                guarantee_windows=[{"id": "g", "start": 70, "end": 110, "floor": 20.0}],
+                agent={"constraint_xi": 5.0},
+            ),
+            id="constrained",
+        ),
+    ],
+)
+def test_first_price_losers_shaded_after_the_loop_keep_the_trace(cfg):
+    # a first-price row that loses for certain is resolved as a loss in its
+    # segment and shaded after the loop: every trace column, and so every
+    # total, is the one of shading every first-price row in its segment
+    scenario = parse_scenario(cfg)
+    episode, want = run_episode(scenario), episode_shading_every_row(scenario)
+    trace = episode.trace
+    for name in TRACE_COLUMNS:
+        assert getattr(trace, name).tobytes() == getattr(want.trace, name).tobytes(), name
+    assert episode.metrics == want.metrics
+    first = episode.stream.table.first_price
+    if cfg["agent"].get("bid_cap"):
+        assert (trace.bid[first] == cfg["agent"]["bid_cap"]).any()
+    if cfg.get("cost_target"):  # mu and both window multipliers move the factor
+        assert (trace.mu > 0).any() and (trace.lambda_k > 0).any() and (trace.mu_k > 0).any()
+    if episode.state.spent_total >= cfg["budget"]:  # cut off inside a segment
+        last = int(np.flatnonzero(trace.adjusted_value > 0)[-1])
+        assert trace.interval[last + 1] == trace.interval[last]
 
 
 class TestConvergenceRegressions:
