@@ -21,6 +21,7 @@ from .mechanisms import (
     EMPIRICAL,
     LOGNORMAL,
     UNIFORM,
+    MechanismError,
     MechanismSpec,
     MechanismTable,
     cost_derivative,
@@ -34,7 +35,7 @@ DEFAULT_BID_CAP = 1e4
 
 _INVERT_REL_TOL = 1e-9
 _HALVINGS = 48
-_GRID_POINTS = 10_001
+_FINE_HALVINGS = 64  # from 2**-48 of [r, hi] down to adjacent floats
 _NEWTON_STEPS = 64
 _NEWTON_STEP_TOL = 1e-10
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -96,38 +97,6 @@ def adjusted_value(value: float, m: MultiplierVector) -> float:
 def surplus(mech: MechanismSpec, adjusted: float, b) -> float:
     """adjusted * G(b) - H(b): the objective each bid maximizes."""
     return adjusted * win_prob(mech, b) - expected_cost(mech, b)
-
-
-def _refine_peak(table: MechanismTable, adjusted: float, lo: float, hi: float) -> float:
-    """Golden-section polish of a one-row table's surplus maximum in [lo, hi]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = table.surplus(adjusted, c)
-    fd = table.surplus(adjusted, d)
-    for _ in range(80):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = table.surplus(adjusted, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = table.surplus(adjusted, d)
-    return float(0.5 * (a + b))
-
-
-def _grid_best_bid(table: MechanismTable, adjusted: float, hi: float) -> float:
-    """Surplus maximum of a one-row table over a grid on [0, hi], polished."""
-    grid = np.linspace(0.0, hi, _GRID_POINTS)
-    values = table.surplus(adjusted, grid)
-    i = int(np.argmax(values))
-    step = hi / (_GRID_POINTS - 1)
-    refined = _refine_peak(table, adjusted, max(grid[i] - step, 0.0), min(grid[i] + step, hi))
-    if table.surplus(adjusted, refined) >= values[i]:
-        return refined
-    return float(grid[i])
 
 
 def _step_bids(table: MechanismTable, xs: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -194,33 +163,68 @@ def _lognormal_newton(mu: np.ndarray, sigma: np.ndarray, xs: np.ndarray) -> np.n
     return np.exp(mu + sigma * z)
 
 
-def _bisect(table: MechanismTable, xs: np.ndarray, hi: np.ndarray, bid_cap: float):
-    lo = np.zeros_like(xs)
-    up = hi.copy()
-    for _ in range(_HALVINGS):
+def _halve(table: MechanismTable, xs: np.ndarray, lo: np.ndarray, up: np.ndarray, times: int):
+    """[lo, up] halved the given number of times round markup(b) = x."""
+    for _ in range(times):
         mid = 0.5 * (lo + up)
         below = table.markup(mid) < xs
-        lo = np.where(below, mid, lo)
-        up = np.where(below, up, mid)
-    bids = 0.5 * (lo + up)
-    ok = _solves_markup(table.markup(bids), xs)
-    if ok.all():
-        return bids, False
-    # finite support: certain win at the top once the target clears it
-    top = table.support_top
+        lo, up = np.where(below, mid, lo), np.where(below, up, mid)
+    return 0.5 * (lo + up), lo, up
+
+
+def _bisect(table: MechanismTable, xs: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """First-price bids of the rows no closed form or Newton step shades:
+    lognormal rows with a reserve r, uniform rows with r above the support
+    bottom, and Newton rows whose bid failed the gate.
+
+    Below r the bid cannot win, and from r on the surplus (x - b) G(b) rises
+    while the markup b + G/g is below x and falls after it (G is
+    log-concave above r).  So a row whose bid cannot reach r
+    (hi = min(x, bid_cap) < r) bids hi and loses; a row whose markup jumps
+    over x at r (markup(r) >= x, +inf for r above a uniform support) bids
+    exactly r; and every other row bisects markup(b) = x on [r, hi].  A bid
+    that fails the residual gate after 48 halvings bids hi where
+    markup(hi) < x (the root lies above the cap), or the finite support top
+    where x >= markup(top) (a certain win).  Otherwise its markup is steep
+    (x thousands of times the bid), and _FINE_HALVINGS more halvings take
+    it to adjacent floats; a bid that still fails the gate raises
+    MechanismError naming the row.
+    """
+    r = table.reserve
+    bids, lo, up = _halve(table, xs, r, hi, _HALVINGS)
+    short = hi < r
+    at_reserve = table.markup(r) >= xs
+    bids = np.where(short, hi, np.where(at_reserve, r, bids))
+    missed = np.flatnonzero(~(short | at_reserve | _solves_markup(table.markup(bids), xs)))
+    if not missed.size:
+        return bids
+    part, x, cap = table.take(missed), xs[missed], hi[missed]
+    top = part.support_top
     finite = np.isfinite(top)
-    certain = ~ok & finite & (top <= bid_cap) & (xs >= table.markup(np.where(finite, top, 1.0)))
-    bids = np.where(certain, top, bids)
-    missed = np.flatnonzero(~ok & ~certain)
-    for j in missed:
-        bids[j] = _grid_best_bid(table.take([j]), float(xs[j]), float(hi[j]))
-    return bids, bool(missed.size)
+    capped = part.markup(cap) < x
+    certain = finite & (top <= cap) & (x >= part.markup(np.where(finite, top, 1.0)))
+    bids[missed] = np.where(capped, cap, top)
+    steep = missed[~(capped | certain)]
+    if steep.size:
+        part, x = table.take(steep), xs[steep]
+        bids[steep] = fine = _halve(part, x, lo[steep], up[steep], _FINE_HALVINGS)[0]
+        solved = _solves_markup(part.markup(fine), x)
+        if not solved.all():
+            j = steep[np.argmin(solved)]
+            raise MechanismError(
+                f"first-price shading found no bid for adjusted value {float(xs[j])!r} on a "
+                f"row with competing bids ({float(table.p1[j])!r}, {float(table.p2[j])!r}) "
+                f"and reserve {float(r[j])!r}"
+            )
+    return bids
 
 
 def shade_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP):
     """First-price shading of every table row: the bid in
-    [0, min(adjusted, bid_cap)] that solves b + G(b)/g(b) = adjusted.
-    Returns (bids, fell_back).
+    [0, min(adjusted, bid_cap)] that maximizes the surplus
+    (adjusted - b) G(b), the root of b + G(b)/g(b) = adjusted where it is
+    in reach.  Returns (bids, False); the flag is kept for callers that
+    unpack a pair, and is never set.
 
     Uniform rows with the reserve at or below the support bottom invert in
     closed form (the map is 2b - lo on the support).  Empirical rows take
@@ -230,11 +234,10 @@ def shade_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP
     the adjusted value, the root lies above the cap and the bid is the cap
     (G is log-concave, so the markup increases).  Every other row, and every
     Newton row whose bid fails the residual gate |markup(b) - adjusted| <=
-    1e-9 max(1, adjusted) (a non-finite or unconverged step), bisects; a row
-    whose bisection fails the same gate (reserve discontinuities,
-    non-monotone maps) wins with certainty at a finite support top once its
-    target clears the markup there, and otherwise falls back to a grid
-    maximization of the surplus, which sets fell_back.
+    1e-9 max(1, adjusted) (a non-finite or unconverged step), is shaded by
+    _bisect: at the reserve where the markup jumps over the adjusted value,
+    by bisection above it otherwise.  Each lognormal and uniform row's bid
+    is exact: the surplus has no higher point in reach.
     """
     xs = np.atleast_1d(np.asarray(adjusted, dtype=float))
     hi = np.minimum(xs, bid_cap)
@@ -242,7 +245,6 @@ def shade_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP
     closed = (table.family == UNIFORM) & (table.reserve <= table.p1)
     steps = table.family == EMPIRICAL
     rest = ~closed & ~steps & (xs > 0)
-    fell_back = False
     if closed.any():
         lo, top, x = table.p1[closed], table.p2[closed], xs[closed]
         bids[closed] = np.where(x >= 2.0 * top - lo, top, np.where(x >= lo, 0.5 * (x + lo), x))
@@ -260,10 +262,8 @@ def shade_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP
         capped = (shaded == bid_cap) & (markup < x)
         rest[rows] = ~(_solves_markup(markup, x) | capped)
     if rest.any():
-        bids[rest], fell_back = _bisect(
-            table if rest.all() else table.take(rest), xs[rest], hi[rest], bid_cap
-        )
-    return np.minimum(bids, hi), fell_back
+        bids[rest] = _bisect(table if rest.all() else table.take(rest), xs[rest], hi[rest])
+    return np.minimum(bids, hi), False
 
 
 def optimal_bid(
@@ -277,18 +277,13 @@ def optimal_bid(
     """
     if adjusted < 0:
         raise ValueError("adjusted value must be >= 0")
-    flags: tuple[str, ...] = ()
     if adjusted == 0.0:
         return BidDecision(bid=0.0, adjusted_value=0.0, surplus_at_bid=0.0)
     if mech.is_first_price:
-        bids, fell_back = shade_bids(mech.table, adjusted, bid_cap)
-        bid = float(bids[0])
-        if fell_back:
-            flags = ("inversion_fallback",)
+        bid = float(shade_bids(mech.table, adjusted, bid_cap)[0][0])
     else:
         bid = min(adjusted, bid_cap)
-    if bid == bid_cap < adjusted:
-        flags += ("bid_capped",)
+    flags = ("bid_capped",) if bid == bid_cap < adjusted else ()
     return BidDecision(
         bid=bid,
         adjusted_value=adjusted,

@@ -354,29 +354,23 @@ def first_price_limits(values, clearing, table: MechanismTable, bid_cap: float):
     """Each realized first-price row's win limit L and the least factor F at
     which it may win, as arrays over the first-price rows in row order.
 
-    Shading is monotone, so a row whose bid near its price comes from a root
-    of the markup (lognormal or uniform bids, away from a reserve's jump and
-    the bid cap) wins exactly while fl(f * value) >= t = markup(price), read
-    from one table.markup call: L = t / value.  It loses for certain below
+    A lognormal or uniform row's bid rises with its adjusted value x (see
+    bidding._bisect), so it wins exactly while x = fl(f * value) >= t: its
+    reserve r where it is priced at r (it bids r from x = r on), and
+    markup(price) above r (its bid reaches the price there), read from one
+    table.markup call; L = t / value.  It loses for certain below
     F = (t - band) / value, band = _BAND_REL * max(1, t); between F and
-    about L + band / value it is shaded to decide.  Any other row (empirical
-    bids, other models, bisection near the reserve or the cap, where the
-    grid fallback may pick a bid) has no limit, L = NaN, and F = 0: it is
-    shaded wherever it can win, as replay shades it.  A row priced 0 gets 0
-    for both, one that wins at no factor (priced above the bid cap, or worth
-    0 at a price above 0) +inf."""
+    about L + band / value it is shaded to decide.  An empirical row (or any
+    other bid model), or one whose t is not finite, has no limit, L = NaN,
+    and F = 0: it is shaded wherever it can win, as replay shades it.  A
+    row priced 0 gets 0 for both, one that wins at no factor (priced above
+    the bid cap, or worth 0 at a price above 0) +inf."""
     rows, fp = table.first_price_rows
     v = np.asarray(values, dtype=float)[rows]
-    p = np.maximum(np.asarray(clearing, dtype=float)[rows], fp.reserve)
-    t = fp.markup(p)
-    closed = (fp.family == UNIFORM) & (fp.reserve <= fp.p1)
-    newton = (fp.family == LOGNORMAL) & (fp.reserve <= 0)
-    # bisection: the markup jumps at the reserve, and a bid falling back to
-    # the grid there lies within 1e-4 * adjusted of it; near the cap it may
-    # fall back as well
-    bisected = np.isin(fp.family, (LOGNORMAL, UNIFORM)) & ~closed & ~newton
-    near = (p < fp.reserve + 2e-4 * t) | (p > (1.0 - 1e-3) * bid_cap)
-    sure = (closed | newton | (bisected & ~near)) & np.isfinite(t)
+    c = np.asarray(clearing, dtype=float)[rows]
+    p = np.maximum(c, fp.reserve)
+    t = np.where(c <= fp.reserve, fp.reserve, fp.markup(p))
+    sure = np.isin(fp.family, (LOGNORMAL, UNIFORM)) & np.isfinite(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         L = np.where(sure, t / v, np.nan)
         F = np.where(sure, np.maximum(t - _BAND_REL * np.maximum(1.0, t), 0.0) / v, 0.0)

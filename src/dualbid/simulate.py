@@ -16,7 +16,8 @@ first.  A segment is resolved in one go at the snapshot multipliers; the
 budget cut-off and the pacing, placement and window accounting are array
 operations whose sums run left to right, so every total and the trace
 columns equal those of handling the opportunities one at a time.  Bidding
-halts once cumulative spend reaches the budget.
+halts once cumulative spend reaches the budget: a segment that starts with
+the budget spent shades and resolves no row, and only counts them as seen.
 
 A first-price row whose factor lies below the least factor at which it may
 win (oracle.first_price_limits) loses for certain: its segment resolves it
@@ -489,8 +490,11 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
                 size = end - index if batch is None else min(end - index, batch - state.interval_count)
                 seg = slice(index, index + size)
                 adjusted = snapshot.factor * values[seg]
-                out = None if least is None else least[seg] > snapshot.factor
-                if out is None or not out.any():
+                halted = state.spent_total >= state.budget  # no row of the segment is bid
+                out = None if least is None or halted else least[seg] > snapshot.factor
+                if halted:
+                    bids, wins, costs = np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size)
+                elif out is None or not out.any():
                     bids, wins, costs = _bid(stream, seg, adjusted, bid_cap)
                 else:  # certain losers bid 0 for now, lose and pay nothing
                     live = np.flatnonzero(~out)

@@ -23,6 +23,7 @@ from dualbid.mechanisms import (
     MechanismSpec,
     MechanismTable,
     UniformBids,
+    resolve,
     win_prob,
 )
 
@@ -189,6 +190,47 @@ def test_reserve_jump_first_price():
     grid = np.linspace(0.0, x, 10_001)
     best = float(np.max(surplus(mech, x, grid)))
     assert decision.surplus_at_bid >= best - 1e-6
+    assert decision.bid == 0.5
+    # random lognormal and uniform rows, half with a reserve (some above a
+    # uniform support), at three bid caps: no bid's surplus falls below the
+    # best of a grid on [0, min(x, bid_cap)] and of the reserve itself
+    rng = np.random.default_rng(19)
+    n = 1500
+    for bid_cap in (DEFAULT_BID_CAP, 2.0, 0.5):
+        reserves = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+        specs = [
+            MechanismSpec(
+                "first_price",
+                float(r),
+                LognormalBids(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.2, 1.5)))
+                if i % 2
+                else UniformBids(float(a), float(a + rng.uniform(0.1, 2.0))),
+            )
+            for i, (r, a) in enumerate(zip(reserves, rng.uniform(0.0, 1.0, n)))
+        ]
+        table = MechanismTable.from_specs(specs)
+        xs = rng.lognormal(0.3, 0.8, n)
+        bids, fell_back = shade_bids(table, xs, bid_cap)
+        hi = np.minimum(xs, bid_cap)
+        assert not fell_back and np.all((bids >= 0.0) & (bids <= hi))
+        candidates = np.concatenate(
+            [hi[:, None] * np.linspace(0.0, 1.0, 2001), np.minimum(table.reserve, hi)[:, None]],
+            axis=1,
+        )
+        short = table.surplus(xs[:, None], candidates).max(axis=1) - table.surplus(xs, bids)
+        assert short.max() <= 1e-6, f"cap {bid_cap}: row {short.argmax()} short by {short.max()}"
+
+
+def test_reserve_above_a_uniform_support_bids_the_reserve():
+    # every competing bid lies below the reserve, so bidding it wins for
+    # certain at the reserve price: the markup is +inf there
+    mech = MechanismSpec("first_price", 0.8, UniformBids(0.1, 0.6))
+    for x in (0.8, 1.0, 5.0):
+        bids, fell_back = shade_bids(mech.table, x)
+        assert bids[0] == 0.8 and not fell_back
+        won, cost = resolve(mech.table, bids, np.array([0.6]))
+        assert won[0] and cost[0] == 0.8
+    assert shade_bids(mech.table, 0.7)[0][0] < 0.8  # worth less than the reserve
 
 
 def test_empirical_first_price_reaches_grid_optimum():
@@ -270,12 +312,12 @@ def test_lognormal_newton_matches_bisection():
     # 48 halvings of [0, x] resolve the bid only to (x/b) 2^-49, coarser
     # than 1e-12 of it once x/b is in the hundreds, so the reference
     # bisects [0, 2b]; a root outside that bracket would leave it at 2b,
-    # where it fails its own residual check and falls back
-    reference, ref_fell_back = _bisect(table, xs, np.minimum(2.0 * bids, xs), NO_CAP)
-    assert not ref_fell_back
+    # where it fails its own residual check
+    reference = _bisect(table, xs, np.minimum(2.0 * bids, xs))
+    assert np.all(np.abs(table.markup(reference) - xs) <= 1e-9 * np.maximum(1.0, xs))
     np.testing.assert_allclose(bids, reference, rtol=1e-12, atol=0.0)
     # where the full-bracket bisection is fine enough, it agrees too
-    full, _ = _bisect(table, xs, xs, NO_CAP)
+    full = _bisect(table, xs, xs)
     fine = xs / bids < 100.0
     assert fine.sum() > len(xs) // 4
     np.testing.assert_allclose(bids[fine], full[fine], rtol=1e-12, atol=0.0)

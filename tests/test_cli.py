@@ -244,6 +244,16 @@ class TestCompare:
         assert (out / "oracle_curves.csv").exists()
         assert (out / "roi.csv").exists()
 
+    def test_first_price_reserve_round_trips(self, tmp_path):
+        # rows priced at the reserve bid it exactly, so replayed spend rises
+        # with the factor and the oracle solves
+        cfg = mixed_scenario(intervals=60, budget=20.0)
+        cfg["placements"][1]["reserve"] = 0.6
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert main(["compare", "--run", str(out)]) == 0
+        assert float(read_kv(out / "compare.csv")["value_ratio"]) > 0.9
+
     def test_oracle_initialized_agent_near_optimal(self, tmp_path):
         from dualbid.oracle import solve_lambda_star
         from dualbid.scenario import parse_scenario

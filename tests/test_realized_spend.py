@@ -525,8 +525,8 @@ def _spend_falling_at_half(self, f):
 
 
 def test_step_path_keeps_the_monotonicity_guard(monkeypatch):
-    # empirical rows and rows priced at a reserve have no win limit, so
-    # lambda* gets no bracket and reads spend at every step: each read
+    # empirical rows have no win limit (the only first-price rows without
+    # one), so lambda* gets no bracket and reads spend at every step: each read
     # passes the same guard as replays.  FTL paces on the same spend
     # unguarded.
     log = first_price_log()
@@ -660,10 +660,10 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
 def test_first_price_limits_give_a_replays_winners():
     # the first-price rows at() shades at a factor (those that may win, see
     # first_price_limits) win and pay exactly what shading every row gives:
-    # lognormal rows by Newton and, priced above their reserve, by
-    # bisection, uniform rows in closed form, and rows with no limit
-    # (empirical, priced at a reserve), at 200 factors and at factors inside
-    # the band round some rows' limits
+    # lognormal rows by Newton and, with a reserve, by bisection above it
+    # or at it (limit reserve / value), uniform rows in closed form, and
+    # empirical rows, which have no limit, at 200 factors and at factors
+    # inside the band round some rows' limits
     kinds = (FP, FP_UNIFORM, FP_EMPIRICAL, FP, FP_RESERVE, FP_UNIFORM, FP_EMPIRICAL, FP_RESERVE)
     records = first_price_log().records[:48]
     records = [replace(r, mechanism=kinds[i % 8]) for i, r in enumerate(records)]
@@ -679,9 +679,10 @@ def test_first_price_limits_give_a_replays_winners():
     rs = RealizedSpend(cols.values, cols.clearing, cols.table, SMALL_CAP)
     limits, price = rs._limits, rs._price
     assert np.isnan(limits[(cols.table.family == EMPIRICAL) & (price > 0)]).all()
-    at_reserve = np.isnan(limits) & (price == FP_RESERVE.reserve)
-    above_reserve = np.isfinite(limits) & (cols.table.reserve > 0)
+    at_reserve = (price == FP_RESERVE.reserve) & (cols.table.reserve > 0)
+    above_reserve = np.isfinite(limits) & (price > cols.table.reserve) & (cols.table.reserve > 0)
     assert at_reserve.any() and above_reserve.any()
+    np.testing.assert_array_equal(limits[at_reserve], FP_RESERVE.reserve / cols.values[at_reserve])
     sure = np.flatnonzero(np.isfinite(limits) & (limits > 0))
     edge = limits[sure]
     band = (edge - rs.least_factors[sure]) / edge  # each band's relative width below the limit
@@ -751,3 +752,30 @@ def test_first_price_lambda_star_is_bit_identical_to_full_replays(monkeypatch):
         assert sol.spend == replay(log, MultiplierProfile(lam=lam)).spend <= budget
     # a search reading spend at every step reads it about 45 times
     assert max(counts) <= oracle._BRACKET_READS and sum(counts) <= 10 * len(budgets)
+
+
+def test_lambda_star_over_rows_priced_at_a_reserve():
+    # uniform(0.1, 1.5) bids, reserve 0.5, bid cap 2: a row priced at the
+    # reserve bids it exactly from adjusted value 0.5 on, so its spend
+    # rises with the factor and its limit is 0.5 / value; every row has
+    # a limit, lambda* reads a bracket and returns the lam of replaying
+    # the whole log at every step
+    rng = np.random.default_rng(52)
+    mech = MechanismSpec("first_price", 0.5, UniformBids(0.1, 1.5))
+    records = [
+        LogRecord(float(i), "p", float(rng.lognormal(-0.5, 1.0)), mech, float(clearing))
+        for i, clearing in enumerate(mech.competitor.quantile(rng.random(300)))
+    ]
+    log = OpportunityLog(records)
+    rs = log.realized_spend(SMALL_CAP)
+    assert not np.isnan(rs._limits).any()
+    at_reserve = rs._price == 0.5
+    assert at_reserve.sum() > 50
+    np.testing.assert_array_equal(rs._limits[at_reserve], 0.5 / rs.values[at_reserve])
+    total = replay(log, MultiplierProfile(lam=LAMBDA_FLOOR), SMALL_CAP).spend
+    for budget in (0.05 * total, 0.3 * total, 0.7 * total, 0.97 * total):
+        assert rs.bracket(budget) is not None
+        sol = solve_lambda_star(log, budget, SMALL_CAP)
+        lam, bracket = lambda_star_by_replay(log, budget, SMALL_CAP)
+        assert sol.lam == lam and sol.bracket == (bracket and bracket[:2]), budget
+        assert sol.spend == replay(log, MultiplierProfile(lam=lam), SMALL_CAP).spend <= budget
