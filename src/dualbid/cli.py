@@ -134,18 +134,33 @@ def _csv_field(text: str) -> str:
 
 
 def _format_column(column: np.ndarray) -> list[str]:
-    """str of each int, repr of each float, called once per distinct value;
-    floats are told apart by bit pattern, so 0.0 and -0.0 keep their own
-    repr."""
+    """str of each int, repr of each float, called once per run of equal
+    values; floats are compared by bit pattern, so 0.0 and -0.0 keep their
+    own repr.  A column whose runs are more than half its rows is formatted
+    row by row."""
     floats = column.dtype.kind == "f"
-    keys, first, inverse = np.unique(
-        column.view(np.int64) if floats else column, return_index=True, return_inverse=True
-    )
+    keys = column.view(np.int64) if floats else column
     fmt = repr if floats else str
-    if len(keys) == len(column):
+    edges = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    if 2 * (len(edges) + 1) > len(column):
         return list(map(fmt, column.tolist()))
-    strings = list(map(fmt, column[first].tolist()))
-    return np.array(strings, dtype=object)[inverse].tolist()
+    bounds = [0, *edges.tolist(), len(column)]
+    strings = []
+    for start, stop, x in zip(bounds, bounds[1:], column[bounds[:-1]].tolist()):
+        strings += [fmt(x)] * (stop - start)
+    return strings
+
+
+def _format_bids(bid: np.ndarray, adjusted: np.ndarray, adjusted_strings: list[str]) -> list[str]:
+    """bid's strings: adjusted_value's wherever the two are equal bit for
+    bit, as on every second-price row, and the other rows formatted."""
+    other = np.flatnonzero(bid.view(np.int64) != adjusted.view(np.int64))
+    if not other.size:
+        return adjusted_strings
+    strings = list(adjusted_strings)
+    for row, text in zip(other.tolist(), _format_column(bid[other])):
+        strings[row] = text
+    return strings
 
 
 _TRACE_BLOCK = 1024  # rows formatted at a time, which bounds the strings held
@@ -153,30 +168,27 @@ _TRACE_BLOCK = 1024  # rows formatted at a time, which bounds the strings held
 
 def _write_trace(path: Path, trace: Trace) -> None:
     """trace.csv, byte for byte what csv.writer writes for the rows (floats
-    as repr, won as 1/0), formatted a column and a block of rows at a
-    time.  adjusted_value and bid are formatted in one pass, as they are
-    equal bit for bit on every second-price row."""
+    as repr, won as 1/0), formatted a column and _TRACE_BLOCK rows at a
+    time: one repr per run of equal values (_format_column), and bid
+    reusing adjusted_value's strings (_format_bids)."""
     names = np.array([_csv_field(p) for p in trace.placement_ids], dtype=object)
     with path.open("w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for start in range(0, len(trace), _TRACE_BLOCK):
             rows = slice(start, start + _TRACE_BLOCK)
-            paired = _format_column(np.concatenate([trace.adjusted_value[rows], trace.bid[rows]]))
-            half = len(paired) // 2
-            fields = []
+            fields: dict[str, list[str]] = {}
             for name in TRACE_COLUMNS:
                 column = getattr(trace, name)[rows]
                 if name == "placement_id":
-                    fields.append(names[column].tolist())
+                    fields[name] = names[column].tolist()
                 elif name == "won":
-                    fields.append(np.where(column, "1", "0").tolist())
-                elif name == "adjusted_value":
-                    fields.append(paired[:half])
+                    fields[name] = np.where(column, "1", "0").tolist()
                 elif name == "bid":
-                    fields.append(paired[half:])
+                    adjusted = trace.adjusted_value[rows]
+                    fields[name] = _format_bids(column, adjusted, fields["adjusted_value"])
                 else:
-                    fields.append(_format_column(column))
-            fh.write("".join(line + "\r\n" for line in map(",".join, zip(*fields))))
+                    fields[name] = _format_column(column)
+            fh.write("\r\n".join(map(",".join, zip(*fields.values()))) + "\r\n")
 
 
 def _check_seed(seed: int | None, flag: str = "--seed") -> None:

@@ -253,32 +253,31 @@ class PacingState:
 
         Bidding stops at the first auction that finds spend at or above the
         budget: it and every later one count as seen, not bid.  Totals add
-        up left to right from their current values (np.cumsum, never a
-        pairwise sum), so they equal adding the auctions one at a time.
+        up left to right from their current values (a cumulative sum, never
+        a pairwise sum), so they equal adding the auctions one at a time.
+        Spend is summed once, and again only when the budget cuts the
+        auctions off; every other total is one row of a single 2-D sum.
         Returns the number of auctions bid and the total spend and value
         after each auction.
         """
+        n = len(costs)
+        won = np.asarray(won, dtype=bool)
         costs = np.where(won, costs, 0.0)
-        spent = np.flatnonzero(_running(self.spent_total, costs)[:-1] >= self.budget)
-        bid = int(spent[0]) if spent.size else len(costs)
-        won = np.asarray(won, dtype=bool) & (np.arange(len(costs)) < bid)
-        costs[bid:] = 0.0
-        spend = _running(self.spent_total, costs)
+        spend = _running([self.spent_total], [costs])[0]
+        spent = np.flatnonzero(spend[:-1] >= self.budget)
+        bid = int(spent[0]) if spent.size else n
+        if bid < n:
+            won = won & (np.arange(n) < bid)
+            costs[bid:] = 0.0
+            spend = _running([self.spent_total], [costs])[0]
         gained = np.where(won, values, 0.0)
-        value = _running(self.value_total, gained)
-        self.opportunities_seen += len(costs)
-        self.interval_count += len(costs)
+        self.opportunities_seen += n
+        self.interval_count += n
         wins = int(np.count_nonzero(won))
+        starts, added, windowed = [self.value_total], [gained], []
         if wins:
-            self.wins_total += wins
-            self.interval_wins += wins
-            self.spent_total = float(spend[-1])
-            self.interval_spend = float(_running(self.interval_spend, costs)[-1])
-            self.value_total = float(value[-1])
-            self.interval_value = float(_running(self.interval_value, gained)[-1])
-            self.results_realized = float(
-                _running(self.results_realized, np.where(won, results, 0.0))[-1]
-            )
+            starts += [self.interval_spend, self.interval_value, self.results_realized]
+            added += [costs, gained, np.where(won, results, 0.0)]
             for w in windows:
                 for totals, add in (
                     (self.window_interval_spend, costs),
@@ -286,8 +285,20 @@ class PacingState:
                     (self.window_spend, costs),
                     (self.window_value, gained),
                 ):
-                    totals[w] = float(_running(totals.get(w, 0.0), add)[-1])
-        return bid, spend[1:], value[1:]
+                    starts.append(totals.get(w, 0.0))
+                    added.append(add)
+                    windowed.append((totals, w))
+        sums = _running(starts, added)
+        if wins:
+            self.wins_total += wins
+            self.interval_wins += wins
+            self.spent_total = float(spend[-1])
+            ends = sums[:, -1].tolist()
+            self.value_total, self.interval_spend, self.interval_value = ends[:3]
+            self.results_realized = ends[3]
+            for (totals, w), end in zip(windowed, ends[4:]):
+                totals[w] = end
+        return bid, spend[1:], sums[0, 1:]
 
     def reset_interval(self) -> None:
         self.interval_spend = 0.0
@@ -298,9 +309,14 @@ class PacingState:
         self.window_interval_value.clear()
 
 
-def _running(start: float, added: np.ndarray) -> np.ndarray:
-    """start, then start plus each prefix of added, summed left to right."""
-    return np.cumsum(np.concatenate(([start], added)))
+def _running(starts: list[float], added: list[np.ndarray]) -> np.ndarray:
+    """One row per start: the start, then it plus each prefix of its array
+    in added, summed left to right (np.add.accumulate, which np.cumsum
+    calls)."""
+    sums = np.empty((len(starts), len(added[0]) + 1))
+    sums[:, 0] = starts
+    sums[:, 1:] = added
+    return np.add.accumulate(sums, axis=1)
 
 
 def normalize(state: PacingState, lambda0: float) -> PacingState:

@@ -462,6 +462,7 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
 
     stream = generate_stream(scenario)
     values, clearing = stream.value, stream.clearing_bid
+    success = stream.result_draw < np.minimum(values, 1.0)  # a win's result, if it wins
     # FTL replays the auctions seen so far, each update a prefix of one
     # history sorted once for the episode
     history = (
@@ -502,7 +503,7 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
                     bids[live], wins[live], costs[live] = _bid(
                         stream, index + live, adjusted[live], bid_cap
                     )
-                results = wins & (stream.result_draw[seg] < np.minimum(values[seg], 1.0))
+                results = wins & success[seg]
                 trace.lambda_tilde[seg] = state.lambda_tilde
                 trace.mu[seg], trace.lambda_k[seg], trace.mu_k[seg] = (
                     snapshot.mu, snapshot.lam_k, snapshot.mu_k

@@ -749,9 +749,94 @@ def test_format_column_keeps_each_repr():
 
     from dualbid.cli import _format_column
 
-    floats = np.array([0.0, -0.0, 0.1, 0.0, float("nan"), 1e16, -0.0])
+    nan, inf = float("nan"), float("inf")
+    # mostly unique: formatted row by row
+    floats = np.array([0.0, -0.0, 0.1, 0.0, nan, 1e16, -0.0])
     assert _format_column(floats) == [repr(x) for x in floats.tolist()]
     assert _format_column(np.array([3, 3, 12, -1])) == ["3", "3", "12", "-1"]
+    # runs: one string per run, with 0.0 and -0.0 adjacent runs of their own
+    steps = np.repeat([0.0, -0.0, 0.0, nan, inf, 0.1, -inf], [5, 3, 1, 4, 2, 6, 3])
+    assert _format_column(steps) == [repr(x) for x in steps.tolist()]
+    ints = np.repeat([0, 1, -2], [4, 1, 3])
+    assert _format_column(ints) == [str(x) for x in ints.tolist()]
+    assert _format_column(np.array([-0.0])) == ["-0.0"]
+    assert _format_column(np.array([])) == []
+
+
+def _trace(n: int, placement_ids=("p", "q"), seed: int = 0):
+    """A Trace whose step columns have runs that cross _TRACE_BLOCK, with
+    second-price rows (bid equal to adjusted_value bit for bit) and
+    first-price rows (bid shaded below it)."""
+    import numpy as np
+
+    from dualbid.simulate import TRACE_COLUMNS, Trace
+
+    rng = np.random.default_rng(seed)
+    interval = np.arange(n) * 7 // max(n, 1)
+    won = rng.random(n) < 0.3
+    value = rng.lognormal(-1.0, 0.5, n)
+    lam = np.array([1.5, 0.0, -0.0, 2.0, float("nan"), 0.7, 0.0])[interval]
+    adjusted = value / np.where(lam > 0, lam, 1.0)
+    first_price = rng.random(n) < 0.4
+    bid = np.where(first_price, adjusted * 0.7, adjusted)
+    cost = np.where(won, np.where(first_price, bid, value * 0.3), 0.0)
+    columns = dict(
+        interval=interval,
+        opportunity_index=np.arange(n),
+        placement_id=rng.integers(0, len(placement_ids), n),
+        value=value,
+        adjusted_value=adjusted,
+        bid=bid,
+        won=won,
+        cost=cost,
+        lambda_tilde=lam,
+        mu=np.where(interval % 2 == 0, 0.0, -0.0),
+        lambda_k=np.full(n, float("inf")),
+        mu_k=np.zeros(n),
+        cum_spend=np.cumsum(cost),
+        cum_value=np.cumsum(np.where(won, value, 0.0)),
+    )
+    assert tuple(columns) == TRACE_COLUMNS
+    return Trace(tuple(placement_ids), **columns)
+
+
+def _csv_reference(path: Path, trace) -> None:
+    """What csv.writer writes for the trace's rows: floats as repr, won as 1/0."""
+    from dualbid.simulate import TRACE_COLUMNS
+
+    def field(x):
+        return int(x) if isinstance(x, bool) else repr(x) if isinstance(x, float) else x
+
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerows([field(x) for x in row] for row in trace)
+
+
+@pytest.mark.parametrize(
+    "n,placement_ids",
+    [(2500, ("p", "q")), (0, ("p",)), (1, ("p",)), (300, ("plain", 'a,"quoted" id'))],
+    ids=["crosses_blocks", "empty", "one_row", "quoted_placement"],
+)
+def test_write_trace_matches_csv_writer(tmp_path, n, placement_ids):
+    from dualbid.cli import _TRACE_BLOCK, _write_trace
+
+    trace = _trace(n, placement_ids)
+    if n:
+        trace.value[n // 2] = float("nan")
+        trace.adjusted_value[n // 2] = trace.bid[n // 2] = float("nan")
+        trace.value[-1] = trace.adjusted_value[-1] = trace.bid[-1] = float("inf")
+        # equal as floats but not bit for bit: bid keeps its own repr
+        trace.adjusted_value[0], trace.bid[0] = 0.0, -0.0
+    assert n != 2500 or n > 2 * _TRACE_BLOCK
+    _write_trace(tmp_path / "trace.csv", trace)
+    _csv_reference(tmp_path / "reference.csv", trace)
+    written = (tmp_path / "trace.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    if not n:
+        assert written.count(b"\r\n") == 1  # the header only
+    if n and len(placement_ids) > 1 and "," in placement_ids[1]:
+        assert b'"a,""quoted"" id"' in written
 
 
 class TestOracleCommand:

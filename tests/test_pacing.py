@@ -230,17 +230,29 @@ class TestFtl:
 
 class TestRecordOutcomes:
     @pytest.mark.parametrize(
-        "budget,windows",
-        [(1e9, ()), (3.0, ("w", "g")), (0.5, ("w",))],
-        ids=["no_cut", "cut_inside", "spent_before"],
-    )
-    def test_matches_one_at_a_time(self, budget, windows):
+        "n,budget,windows,first_cost,expect_bid",
+        [
+            (200, 1e9, (), None, 200),
+            (200, 1e9, ("w", "g"), None, 200),
+            (200, 3.0, ("w", "g"), None, None),
+            (200, 0.5, ("w",), None, 0),
+            (200, 0.7, ("w", "g"), None, 0),
+            (200, 0.8, ("w", "g"), 0.2, 1),
+            (1, 1e9, ("w",), 0.2, 1),
+        ],
+        ids=[
+            "no_cut", "two_windows", "cut_inside", "spent_before", "spent_at_budget",
+            "cut_at_first_row", "one_row",
+        ],
+    )  # fmt: skip
+    def test_matches_one_at_a_time(self, n, budget, windows, first_cost, expect_bid):
         rng = np.random.default_rng(5)
-        n = 200
         values = rng.lognormal(-1.0, 0.5, n)
         won = rng.random(n) < 0.3
         costs = np.where(won, rng.lognormal(-2.0, 0.7, n), 0.0)
         results = (won & (rng.random(n) < 0.4)).astype(float)
+        if first_cost is not None:  # the first auction is won at this cost
+            won[0], costs[0] = True, first_cost
 
         def start() -> PacingState:
             return make_state(
@@ -254,13 +266,19 @@ class TestRecordOutcomes:
                 window_interval_spend={"w": 0.1},
             )
 
+        def bits(xs) -> list[int]:
+            return np.asarray(xs, dtype=float).view(np.int64).tolist()
+
         state, reference = start(), start()
         bid, spend, value = state.record_outcomes(windows, values, won, costs, results)
         after = record_one_at_a_time(reference, windows, values, won, costs, results)
         assert state == reference
-        assert list(zip(spend.tolist(), value.tolist())) == after
+        assert bits(spend) == bits([s for s, _ in after])
+        assert bits(value) == bits([v for _, v in after])
         before = [0.7] + [s for s, _ in after[:-1]]
         assert bid == next((i for i, s in enumerate(before) if s >= budget), n)
+        if expect_bid is not None:
+            assert bid == expect_bid
 
     def test_spend_at_the_budget_stops_bidding(self):
         args = ((), np.ones(4), np.ones(4, dtype=bool), np.full(4, 0.25), np.zeros(4))
