@@ -234,7 +234,7 @@ class TestRecordOutcomes:
         [
             (200, 1e9, (), None, 200),
             (200, 1e9, ("w", "g"), None, 200),
-            (200, 3.0, ("w", "g"), None, None),
+            (200, 3.0, ("w", "g"), None, 35),
             (200, 0.5, ("w",), None, 0),
             (200, 0.7, ("w", "g"), None, 0),
             (200, 0.8, ("w", "g"), 0.2, 1),
@@ -276,9 +276,7 @@ class TestRecordOutcomes:
         assert bits(spend) == bits([s for s, _ in after])
         assert bits(value) == bits([v for _, v in after])
         before = [0.7] + [s for s, _ in after[:-1]]
-        assert bid == next((i for i, s in enumerate(before) if s >= budget), n)
-        if expect_bid is not None:
-            assert bid == expect_bid
+        assert bid == next((i for i, s in enumerate(before) if s >= budget), n) == expect_bid
 
     def test_spend_at_the_budget_stops_bidding(self):
         args = ((), np.ones(4), np.ones(4, dtype=bool), np.full(4, 0.25), np.zeros(4))
