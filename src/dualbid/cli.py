@@ -342,7 +342,8 @@ def cmd_compare(args) -> int:
 
     # the budget-only ROI, as run --roi writes it: 0.0 per placement when
     # the budget-only lambda* does not bind, whatever the KKT solution binds
-    roi = marginal_roi(distributional_log(scenario, stream), budget, bid_cap=scenario.agent.bid_cap)
+    dlog = distributional_log(scenario, stream, log)
+    roi = marginal_roi(dlog, budget, bid_cap=scenario.agent.bid_cap)
     roi_rows = [(pid, repr(roi.roi[pid])) for pid in sorted(roi.roi)]
     roi_rows += [(pid, "inactive") for pid in roi.inactive]
     _write_csv(out_dir / "roi.csv", ["placement_id", "marginal_roi"], roi_rows)

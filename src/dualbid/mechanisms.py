@@ -524,10 +524,14 @@ class MechanismTable:
         b = np.asarray(b, dtype=float)
         cdf, pe = self._curves(("cdf", "partial_expectation"), b)
         G = self._above_reserve(b, cdf)
+        second = self._second_price_cost(b, pe)
+        return np.where(self._column(self.first_price, b), b * G, second), G
+
+    def _second_price_cost(self, b: np.ndarray, pe):
+        """H(b) of second-price rows, from the partial expectation pe at b."""
         cdf_r, pe_r = (self._column(v, b) for v in self._at_reserve)
         reserve = self._column(self.reserve, b)
-        second = self._above_reserve(b, reserve * cdf_r + np.maximum(pe - pe_r, 0.0))
-        return np.where(self._column(self.first_price, b), b * G, second), G
+        return self._above_reserve(b, reserve * cdf_r + np.maximum(pe - pe_r, 0.0))
 
     def expected_cost(self, b):
         """H(b): expected payment at bid b.
@@ -535,8 +539,16 @@ class MechanismTable:
         First price pays the bid itself: H = b * G(b).  Second price pays the
         larger of the competing bid and the reserve, so H accumulates the
         partial expectation of the competing bid above the reserve plus the
-        reserve-price mass below it.
+        reserve-price mass below it.  Only the curve the rows need is
+        evaluated (the cdf on first-price rows, the partial expectation on
+        second-price ones, both on a table with each), and the result equals
+        cost_and_win(b)[0] bit for bit.
         """
+        b = np.asarray(b, dtype=float)
+        if self.first_price.all():
+            return b * self.win_prob(b)
+        if not self.first_price.any():
+            return self._second_price_cost(b, self.partial_expectation(b))
         return self.cost_and_win(b)[0]
 
     def cost_derivative(self, b):

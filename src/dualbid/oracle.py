@@ -19,6 +19,7 @@ ground truth the online controllers are judged against.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -168,6 +169,15 @@ class LogColumns:
     def __len__(self) -> int:
         return len(self.values)
 
+    def distributional(self) -> LogColumns:
+        """The same records with every clearing bid NaN, their auctions kept
+        as smooth G/H models; every other column is shared, not copied."""
+        twin = copy.copy(self)
+        twin.__dict__.pop("price", None)
+        twin.clearing = np.full(len(self), np.nan)
+        twin.realized = np.zeros(len(self), dtype=bool)
+        return twin
+
     @cached_property
     def price(self) -> np.ndarray:
         """The least bid that wins each realized record's auction (ties
@@ -237,15 +247,20 @@ def _replay_bids(
     return bids
 
 
+def _row_bids(log: OpportunityLog, profile: MultiplierProfile, bid_cap: float) -> np.ndarray:
+    """Every record's bid at the given multipliers, as _replay_bids bids it.
+    Each read of a whole log, a replay or its spend alone, calls it once."""
+    cols = log.arrays
+    factors = np.array([profile.vector_for(c).factor for c in cols.window_combos])
+    return _replay_bids(cols.table, factors[cols.combo_codes] * cols.values, cols.price, bid_cap)
+
+
 def _spend_value(
     log: OpportunityLog, profile: MultiplierProfile, bid_cap: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-record spend and value at the given multipliers."""
     cols = log.arrays
-    vectors = [profile.vector_for(c) for c in cols.window_combos]
-    factors = np.array([v.factor for v in vectors])
-    adjusted = factors[cols.combo_codes] * cols.values
-    bids = _replay_bids(cols.table, adjusted, cols.price, bid_cap)
+    bids = _row_bids(log, profile, bid_cap)
     model = ~cols.realized
     if model.all():
         spend, win = cols.table.cost_and_win(bids)
@@ -751,19 +766,31 @@ LAMBDA_REL_TOL = 1e-6  # lambda* matches spend to the budget to this on smooth l
 
 
 class _SpendCurve:
-    """Spend at the budget multiplier lam and profile_of(lam), read from
-    segments (a SegmentSpend) or memoized replays, with a monotonicity guard
-    that names the offending record on violation."""
+    """Spend at the budget multiplier lam and profile_of(lam): on a
+    distributional log from the bids' expected cost alone (spend), on a
+    realized one from segments (a SegmentSpend) or memoized replays (at,
+    which also serves callers that need value or sums).  Every read passes
+    one monotonicity guard, which names the offending record on violation."""
 
     def __init__(self, log, bid_cap: float, profile_of, segments: SegmentSpend | None = None):
         self.log, self.bid_cap, self.profile_of, self.segments = log, bid_cap, profile_of, segments
+        self.smooth = log.mode == "distributional"
         self._replays: dict[float, ReplayResult] = {}
         costs = lambda lam: _spend_value(log, profile_of(lam), bid_cap)[0]
         self._guard = _Monotone(costs, lambda lam: lam, rising=False).check
 
+    def spend(self, lam: float) -> float:
+        """at(lam).spend on a distributional log, bit for bit, from the
+        expected cost of the bids alone (MechanismTable.expected_cost)."""
+        bids = _row_bids(self.log, self.profile_of(lam), self.bid_cap)
+        spend = float(self.log.arrays.table.expected_cost(bids).sum())
+        self._guard(lam, spend)
+        return spend
+
     def excess(self, lam: float, target: float) -> float:
-        """Spend at lam minus target, its sign a replay's (a sum of segments
-        within _RESUM_REL of target is replayed, as RealizedSpend.excess does)."""
+        """Spend at lam minus target on a realized or mixed log, its sign a
+        replay's (a sum of segments within _RESUM_REL of target is replayed,
+        as RealizedSpend.excess does)."""
         if self.segments is None:
             return self.at(lam).spend - target
         profile, parts = self.profile_of(lam), self.segments.parts
@@ -784,16 +811,16 @@ class _SpendCurve:
         A smooth (distributional) curve is searched on ln(spend / budget), to
         log1p(LAMBDA_REL_TOL): the band |spend - budget| <= LAMBDA_REL_TOL *
         budget, read on a scale where spend is close to linear in ln(lam).
-        Zero spend reads as -inf, a step the search takes at the midpoint."""
-        smooth = self.log.mode == "distributional"
+        Zero spend reads as -inf, a step the search takes at the midpoint.
+        Each of its reads is of spend alone (see spend)."""
 
         def excess(lam: float) -> float:
-            if not smooth:
+            if not self.smooth:
                 return self.excess(lam, budget)
-            spend = self.at(lam).spend
+            spend = self.spend(lam)
             return math.log(spend / budget) if spend > 0 else -math.inf
 
-        tol = math.log1p(LAMBDA_REL_TOL) if smooth else None
+        tol = math.log1p(LAMBDA_REL_TOL) if self.smooth else None
         found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT, tol)
         if found is None:
             raise OracleError("could not bracket the budget multiplier")
@@ -827,12 +854,17 @@ def search_multiplier(
     """Smallest multiplier x >= floor at which the non-increasing excess(x)
     (spend - budget, window spend - cap, shortfall, ...) is <= 0.
 
-    Returns (floor, None) when the floor fits.  Otherwise steps up from 1 by
-    factors of 4 to a bracket (lo, hi) with excess(lo) > 0 >= excess(hi)
-    and narrows it until |excess| <= tol, returning that point, or until
-    its width is <= width_rel * max(1, hi), returning hi, the side that
-    fits, with the final bracket (lo, hi, excess(lo), excess(hi)).  None
-    when the excess is still positive at limit.
+    The excess is read first at min(1, limit).  Where it fits there, the
+    floor is read: (floor, None) is returned where the floor fits too, and
+    otherwise the bracket is (floor, min(1, limit)).  Where it does not
+    fit, neither does the floor, which is not read: the search steps up from
+    1 by factors of 4 to a bracket.  With a bracket (lo, hi), excess(lo) >
+    0 >= excess(hi), it narrows it until |excess| <= tol, returning that point,
+    or until its width is <= width_rel * max(1, hi), returning hi, the side
+    that fits, with the final bracket (lo, hi, excess(lo), excess(hi)).
+    None when the excess is still positive at limit.  Against reading the
+    floor first, this reads once fewer wherever the answer lies above 1,
+    and once more where the floor fits, for the same point and bracket.
 
     tol marks a smooth curve: each point is then the Illinois regula falsi
     step (Dowell & Jarratt 1971) in ln x, the secant through the bracket's
@@ -840,11 +872,12 @@ def search_multiplier(
     the midpoint when lo is 0, an excess is not finite, or the secant falls
     outside (lo, hi).  A step function (tol None) is bisected.
     """
-    r_lo = excess(floor)
-    if r_lo <= 0:
-        return floor, None
     lo, hi = floor, min(1.0, limit)
     r_hi = excess(hi)
+    if r_hi <= 0:
+        r_lo = excess(floor)
+        if r_lo <= 0:
+            return floor, None
     while r_hi > 0:
         if hi >= limit:
             return None
@@ -921,10 +954,11 @@ def solve_lambda_star(
     If replayed spend at the floor multiplier fits the budget, the floor is
     returned flagged unconstrained.  On a distributional log (a smooth
     curve), Illinois regula falsi on ln(spend / budget) matches spend to
-    budget within LAMBDA_REL_TOL in about 8 replays.  On a realized or mixed
-    log (a step function) bisection returns the high, never overspending
-    side of the step.  A realized log's bisection is budget_search on its
-    RealizedSpend: a second-price log's signs all come from its sorted
+    budget within LAMBDA_REL_TOL in about 7 reads of spend alone (see
+    _SpendCurve.spend).  On a realized or mixed log (a step function)
+    bisection returns the high, never overspending side of the step.  A
+    realized log's bisection is budget_search on its RealizedSpend: a
+    second-price log's signs all come from its sorted
     limits, and a first-price log reads spend about a dozen times (shading
     only the rows that may win), where reading it at every step took about
     45, for the same lam.  Every spend read passes a monotonicity guard,
@@ -1290,18 +1324,21 @@ def marginal_roi(
 ) -> MarginalRoi:
     """Value gained per extra unit of spend on each placement at the joint
     optimum, dV_p / dS_p, from the two replays of the whole log around
-    lambda* (see _replays_around).  Proposition 1, V'(lam) = lam * S'(lam),
-    holds record by record on a distributional log, so every active ROI is
-    lambda* up to the O(1e-8) error of the central difference.  A placement
-    whose spend does not move between the two replays is inactive; when the
-    budget does not bind, every ROI is 0.  Needs a distributional log
-    (smooth curves)."""
+    lambda* (see _replays_around).  lambda* is solve_lambda_star's, from
+    the same reads of spend alone, with no replay at it.  Proposition 1,
+    V'(lam) = lam * S'(lam), holds record by record on a distributional
+    log, so every active ROI is lambda* up to the O(1e-8) error of the
+    central difference.  A placement whose spend does not move between the
+    two replays is inactive; when the budget does not bind, every ROI is 0.
+    Needs a distributional log (smooth curves)."""
     if log.mode != "distributional":
         raise OracleError("marginal ROI needs a distributional log")
-    sol = solve_lambda_star(log, budget, bid_cap)
-    if sol.unconstrained:
-        return MarginalRoi(dict.fromkeys(log.arrays.placement_names, 0.0), (), sol.lam)
-    _, hi, lo = _replays_around(log, sol.lam, bid_cap)
+    if not budget > 0:
+        raise OracleError(f"budget must be > 0, got {budget}")
+    lam, bracket = _SpendCurve(log, bid_cap, MultiplierProfile).solve(budget)
+    if bracket is None:
+        return MarginalRoi(dict.fromkeys(log.arrays.placement_names, 0.0), (), lam)
+    _, hi, lo = _replays_around(log, lam, bid_cap)
     roi: dict[str, float] = {}
     inactive: list[str] = []
     for placement, (spend_hi, value_hi) in hi.per_placement.items():
@@ -1310,7 +1347,7 @@ def marginal_roi(
             inactive.append(placement)
         else:
             roi[placement] = (value_hi - value_lo) / (spend_hi - spend_lo)
-    return MarginalRoi(roi=roi, inactive=tuple(inactive), lam=sol.lam)
+    return MarginalRoi(roi=roi, inactive=tuple(inactive), lam=lam)
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,8 @@ def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
     )  # fmt: skip
 
 
-def _stream_log(scenario: ScenarioConfig, stream: OpportunityStream, clearing) -> OpportunityLog:
+def realized_log(scenario: ScenarioConfig, stream: OpportunityStream) -> OpportunityLog:
+    """Stream reinterpreted as a realized opportunity log for the oracle."""
     combos: dict[tuple[str, ...], int] = {}
     per_interval = [
         combos.setdefault(scenario.constraints.window_ids_at(i), len(combos))
@@ -225,7 +226,7 @@ def _stream_log(scenario: ScenarioConfig, stream: OpportunityStream, clearing) -
         LogColumns(
             time=stream.interval + stream.jitter,
             values=stream.value,
-            clearing=clearing,
+            clearing=stream.clearing_bid,
             mechanisms=stream.cells,
             mechanism_codes=stream.cell,
             placement_names=stream.placement_ids,
@@ -236,15 +237,17 @@ def _stream_log(scenario: ScenarioConfig, stream: OpportunityStream, clearing) -
     )
 
 
-def realized_log(scenario: ScenarioConfig, stream: OpportunityStream) -> OpportunityLog:
-    """Stream reinterpreted as a realized opportunity log for the oracle."""
-    return _stream_log(scenario, stream, stream.clearing_bid)
-
-
-def distributional_log(scenario: ScenarioConfig, stream: OpportunityStream) -> OpportunityLog:
+def distributional_log(
+    scenario: ScenarioConfig, stream: OpportunityStream, realized: OpportunityLog | None = None
+) -> OpportunityLog:
     """Stream with auctions kept as smooth G/H models instead of resolved
-    clearing bids; used for derivative-based diagnostics."""
-    return _stream_log(scenario, stream, np.full(len(stream), np.nan))
+    clearing bids; used for derivative-based diagnostics.  Its columns are
+    those of realized, the stream's realized log (built here where none is
+    given), with every clearing bid NaN (LogColumns.distributional); the
+    two logs share arrays and a mechanism table, not a log's caches."""
+    if realized is None:
+        realized = realized_log(scenario, stream)
+    return OpportunityLog.from_columns(realized.arrays.distributional())
 
 
 def build_forecast(scenario: ScenarioConfig) -> ForecastModel:

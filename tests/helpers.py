@@ -12,11 +12,13 @@ bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
+from dualbid import oracle
 from dualbid.bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, adjusted_value, optimal_bid, optimal_bids
 from dualbid.mechanisms import MechanismSpec, MechanismTable, expected_cost, resolve, win_prob
 from dualbid.oracle import (
@@ -153,6 +155,65 @@ def lambda_star_by_replay(log: OpportunityLog, budget: float, bid_cap: float = D
         LAMBDA_FLOOR,
         LAMBDA_LIMIT,
     )
+
+
+def search_floor_first(excess, floor, limit, tol=None, width_rel=1e-12):
+    """search_multiplier as it was when it read the floor first, and stepped
+    up from 1 only where the floor did not fit: the same point and bracket
+    are expected of it from one read fewer wherever the answer lies above 1."""
+    r_lo = excess(floor)
+    if r_lo <= 0:
+        return floor, None
+    lo, hi = floor, min(1.0, limit)
+    r_hi = excess(hi)
+    while r_hi > 0:
+        if hi >= limit:
+            return None
+        lo, r_lo = hi, r_hi
+        hi = min(4.0 * hi, limit)
+        r_hi = excess(hi)
+    if tol is None:
+        while hi - lo > width_rel * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            r = excess(mid)
+            if r <= 0:
+                hi, r_hi = mid, r
+            else:
+                lo, r_lo = mid, r
+        return hi, (lo, hi, r_lo, r_hi)
+    w_lo, w_hi, moved = r_lo, r_hi, 0
+    while hi - lo > width_rel * max(1.0, hi):
+        x = 0.5 * (lo + hi)
+        if lo > 0 and math.isfinite(w_lo) and math.isfinite(w_hi):
+            u_lo, u_hi = math.log(lo), math.log(hi)
+            secant = math.exp(u_hi - w_hi * (u_hi - u_lo) / (w_hi - w_lo))
+            if lo < secant < hi:
+                x = secant
+        r = excess(x)
+        if abs(r) <= tol:
+            return x, (lo, hi, r_lo, r_hi)
+        if r <= 0:
+            hi, r_hi, w_hi = x, r, r
+            if moved < 0:
+                w_lo *= 0.5
+            moved = -1
+        else:
+            lo, r_lo, w_lo = x, r, r
+            if moved > 0:
+                w_hi *= 0.5
+            moved = 1
+    return hi, (lo, hi, r_lo, r_hi)
+
+
+def count_reads(monkeypatch) -> tuple[list, list]:
+    """Two lists that grow by one from here on at every read of a whole log
+    (oracle._row_bids, which a replay and a read of spend alone each call
+    once) and at every replay (oracle.replay)."""
+    reads, replays = [], []
+    row_bids, full = oracle._row_bids, oracle.replay
+    monkeypatch.setattr(oracle, "_row_bids", lambda *a: reads.append(1) or row_bids(*a))
+    monkeypatch.setattr(oracle, "replay", lambda *a: replays.append(1) or full(*a))
+    return reads, replays
 
 
 def lambda_band_by_bisection(

@@ -2,7 +2,8 @@
 realized and distributional logs.
 
 The expected multipliers and residuals are reprs, the notes exact, and the
-replay count that of oracle.replay calls made by one solve.  Every pin was
+replay count that of the reads of the whole log one solve makes, replays
+and reads of spend alone (each calls oracle._row_bids once).  Every pin was
 computed when each constraint became a threshold on a factor, read from one
 scan of sorted win limits on realized second-price rows (see
 solve_kkt_grid); the values the realized solutions reach, the windows'
@@ -13,7 +14,6 @@ LP, extended to guarantee floors and the cost target, in test_kkt_lp.py.
 import numpy as np
 import pytest
 
-from dualbid import oracle
 from dualbid.mechanisms import LognormalBids, MechanismSpec, UniformBids
 from dualbid.oracle import (
     KKT_REL_TOL,
@@ -25,6 +25,7 @@ from dualbid.oracle import (
     solve_lambda_star,
 )
 from dualbid.pacing import ConstraintSet, DeliveryWindow, GuaranteeWindow
+from helpers import count_reads
 
 UNIFORM_SP = MechanismSpec("second_price", 0.0, UniformBids(0.0, 1.0))
 UNIFORM_FP = MechanismSpec("first_price", 0.0, UniformBids(0.0, 1.0))
@@ -102,18 +103,11 @@ def _constraints(log: OpportunityLog, case: str) -> ConstraintSet:
 
 
 def solve_counted(monkeypatch, log, constraints):
-    """solve_kkt_grid, and the number of oracle.replay calls it made."""
-    calls = []
-    original = oracle.replay
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "replay", counted)
+    """solve_kkt_grid, and the number of reads of the whole log it made."""
+    reads, _ = count_reads(monkeypatch)
     kkt = solve_kkt_grid(log, constraints)
-    monkeypatch.setattr(oracle, "replay", original)
-    return kkt, len(calls)
+    monkeypatch.undo()
+    return kkt, len(reads)
 
 
 def outcome(kkt, replays: int) -> dict:
@@ -134,7 +128,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                    'lam': '2.2415517187832035',
                    'mu': '0.0',
                    'notes': [],
-                   'replays': 109,
+                   'replays': 119,
                    'residuals': {'budget': '3.957739691529127e-09',
                                  'guarantee_g': '7.859286303424362e-06'},
                    'window_lambda': {'d': '0.0'},
@@ -151,7 +145,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                             'lam': '1e-09',
                             'mu': '5.659999590867991',
                             'notes': ['budget unconstrained'],
-                            'replays': 7,
+                            'replays': 8,
                             'residuals': {'budget': '0.0', 'cost_target': '2.550517717136991e-06'},
                             'window_lambda': {},
                             'window_mu': {}},
@@ -169,7 +163,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                           'lam': '2.000000000131601',
                           'mu': '0.0',
                           'notes': [],
-                          'replays': 10,
+                          'replays': 11,
                           'residuals': {'budget': '8.399714257478763e-11'},
                           'window_lambda': {},
                           'window_mu': {}},
@@ -177,7 +171,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                         'lam': '1.5283134485386072',
                         'mu': '0.0',
                         'notes': [],
-                        'replays': 15,
+                        'replays': 14,
                         'residuals': {'budget': '1.019569095817019e-09',
                                       'delivery_d': '9.940819994891381e-05'},
                         'window_lambda': {'d': '1.3820825107738703'},
@@ -195,7 +189,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                                   'lam': '1.8554954157043908',
                                   'mu': '0.0',
                                   'notes': [],
-                                  'replays': 103,
+                                  'replays': 92,
                                   'residuals': {'budget': '5.2142624662465664e-09',
                                                 'delivery_d': '3.768876490228834e-06',
                                                 'guarantee_g': '3.998638077817862e-05'},
@@ -206,7 +200,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                                     'mu': '0.0',
                                     'notes': ["guarantee 'g' infeasible: max achievable value "
                                               '18.5368 < floor 37.0737'],
-                                    'replays': 26,
+                                    'replays': 25,
                                     'residuals': {'budget': '4.649820628532808e-08'},
                                     'window_lambda': {},
                                     'window_mu': {'g': '10000.0'}},
@@ -214,7 +208,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                              'lam': '1e-09',
                              'mu': '0.0',
                              'notes': ['budget unconstrained'],
-                             'replays': 7,
+                             'replays': 8,
                              'residuals': {'budget': '0.0', 'delivery_d': '9.940819994891381e-05'},
                              'window_lambda': {'d': '2.9103959583124777'},
                              'window_mu': {}},
@@ -224,7 +218,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                     'notes': ['guarantee_g residual 0.0383 exceeds rel_tol 0.0001: realized value '
                               "in 'g' steps from 17.3072112751 at mu_g=1.3308851718902588 to "
                               '18.1593868207 at mu_g=1.330885261297226, either side of its step'],
-                    'replays': 252,
+                    'replays': 238,
                     'residuals': {'budget': '7.249756350802272e-14',
                                   'guarantee_g': '0.03829256974029449'},
                     'window_lambda': {'d': '0.0'},
@@ -333,7 +327,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                            'guarantee_g residual 0.0383 exceeds rel_tol 0.0001: realized value in '
                            "'g' steps from 17.3072112751 at mu_g=1.5271830856800079 to "
                            '18.1593868207 at mu_g=1.5271831750869751, either side of its step'],
-                 'replays': 20,
+                 'replays': 1,
                  'residuals': {'budget': '0.01650330395372146',
                                'guarantee_g': '0.03829256974029449'},
                  'window_lambda': {'d': '0.0'},

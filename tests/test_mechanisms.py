@@ -432,3 +432,76 @@ def test_lazily_planned_table_matches_an_eager_one(rows):
     for name in ("cdf", "pdf", "partial_expectation", "markup", "cost_and_win"):
         np.testing.assert_array_equal(getattr(lazy, name)(bids), getattr(eager, name)(bids))
     assert "_plan" in vars(lazy)
+
+
+class _ParetoBids:
+    """A competing-bid model of no built-in family, Pareto(1, 2), that counts
+    the calls of each of its curves."""
+
+    family = "pareto"
+    support_top = math.inf
+
+    def __init__(self):
+        self.calls = {"cdf": 0, "pdf": 0, "partial_expectation": 0}
+
+    def cdf(self, b):
+        self.calls["cdf"] += 1
+        b = np.maximum(np.asarray(b, dtype=float), 1.0)
+        return 1.0 - 1.0 / (b * b)
+
+    def pdf(self, b):
+        self.calls["pdf"] += 1
+        b = np.asarray(b, dtype=float)
+        return np.where(b > 1.0, 2.0 / np.maximum(b, 1.0) ** 3, 0.0)
+
+    def partial_expectation(self, b):
+        self.calls["partial_expectation"] += 1
+        return 2.0 - 2.0 / np.maximum(np.asarray(b, dtype=float), 1.0)
+
+
+COST_BIDS = (0.0, 0.3, 0.4, 0.7, 1.3, 1.6, 40.0)
+AUCTIONS = {
+    "second": ("second_price",),
+    "first": ("first_price",),
+    "mixed": ("first_price", "second_price"),
+}
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("auctions", AUCTIONS.values(), ids=AUCTIONS)
+def test_expected_cost_alone_equals_cost_and_win_bit_for_bit(auctions):
+    specs = [
+        MechanismSpec(auction, reserve, competitor)
+        for auction in auctions
+        for reserve in (0.0, 0.4)
+        for competitor in (
+            LognormalBids(-0.3, 0.8),
+            UniformBids(0.1, 1.5),
+            EmpiricalBids((0.2, 0.5, 0.5, 0.9, 1.3)),
+            _ParetoBids(),
+        )
+    ]
+    table = MechanismTable.from_specs(specs * 7)
+    bids = np.array([COST_BIDS[i % 7] for i in range(len(table))])
+    for b in (bids, np.stack([bids, bids[::-1]], axis=1)):  # 1-D, and 2-D: two bids a row
+        assert np.array_equal(_bits(table.expected_cost(b)), _bits(table.cost_and_win(b)[0]))
+    # one-row tables take bids of any shape
+    square = np.array([COST_BIDS[:3], COST_BIDS[4:]])
+    for spec in specs:
+        for b in (np.array(COST_BIDS), square):
+            want = spec.table.cost_and_win(b)[0]
+            assert np.array_equal(_bits(spec.table.expected_cost(b)), _bits(want))
+
+
+@pytest.mark.parametrize("auctions", AUCTIONS.values(), ids=AUCTIONS)
+def test_expected_cost_evaluates_only_the_curve_its_rows_need(auctions):
+    model = _ParetoBids()
+    table = MechanismTable.from_specs([MechanismSpec(a, 0.4, model) for a in auctions])
+    table.expected_cost(np.full(len(table), 0.3))  # the curves at the reserve, read once
+    model.calls = dict.fromkeys(model.calls, 0)
+    table.expected_cost(np.full(len(table), 2.0))
+    first, second = "first_price" in auctions, "second_price" in auctions
+    assert model.calls == {"cdf": int(first), "pdf": 0, "partial_expectation": int(second)}

@@ -32,10 +32,12 @@ from dualbid.pacing import ConstraintSet, DeliveryWindow, GuaranteeWindow
 from dualbid.scenario import load_scenario
 from dualbid.simulate import distributional_log, generate_stream
 from helpers import (
+    count_reads,
     enumerate_best_winset,
     lambda_band_by_bisection,
     quantile_lognormal_log,
     replay_by_record,
+    search_floor_first,
     threshold_lambda,
 )
 
@@ -116,7 +118,7 @@ class TestSearchMultiplier:
             return 1.0 if x < 5.3 else -1.0
 
         x, (lo, hi, r_lo, r_hi) = search_multiplier(excess, 1e-9, 1e6)
-        assert seen[:4] == [1e-9, 1.0, 4.0, 16.0]
+        assert seen[:3] == [1.0, 4.0, 16.0]
         assert lo < 5.3 <= hi == x
         assert hi - lo <= 1e-12 * hi
         assert (r_lo, r_hi) == (1.0, -1.0)
@@ -128,18 +130,18 @@ class TestSearchMultiplier:
 
     def test_smooth_excess_takes_secant_steps_in_log_coordinates(self):
         seen = []
-        # linear in ln x: the floor, the steps to the bracket [1, 4], and one
-        # secant step onto the root
+        # linear in ln x: the steps to the bracket [1, 4], and one secant
+        # step onto the root; the floor, below a 1 that does not fit, is not read
         x, _ = search_multiplier(
             lambda x: seen.append(x) or math.log(2.0 / x), 1e-9, 1e6, tol=1e-12
         )
-        assert seen == [1e-9, 1.0, 4.0, x]
+        assert seen == [1.0, 4.0, x]
         assert x == pytest.approx(2.0, rel=1e-12)
 
     def test_smooth_excess_from_zero_takes_midpoints_until_lo_moves(self):
         seen = []
         x, _ = search_multiplier(lambda x: seen.append(x) or 0.3 - x, 0.0, 10.0, tol=1e-12)
-        assert seen[:4] == [0.0, 1.0, 0.5, 0.25]
+        assert seen[:4] == [1.0, 0.0, 0.5, 0.25]
         assert abs(x - 0.3) <= 1e-12 and len(seen) <= 12
 
     def test_illinois_halves_an_end_that_stays_put(self):
@@ -150,6 +152,31 @@ class TestSearchMultiplier:
         )
         assert x == pytest.approx(2.0, rel=1e-12)
         assert len(seen) <= 25
+
+    @pytest.mark.parametrize(
+        "excess, floor, limit, tol",
+        [
+            (lambda x: math.log(2.0 / x), 1e-9, 1e6, 1e-12),
+            (lambda x: math.log(1e-5 / x), 1e-9, 1e6, 1e-12),
+            (lambda x: 0.3 - x, 0.0, 10.0, 1e-12),
+            (lambda x: (2.0 / x) ** 8 - 1.0, 1e-3, 1e6, 1e-12),
+            (lambda x: -1.0 - x, 0.0, 10.0, 1e-12),
+            (lambda x: 1.0 if x < 5.3 else -1.0, 1e-9, 1e6, None),
+            (lambda x: 1.0 if x < 0.25 else -1.0, 0.0, 0.5, None),
+            (lambda x: 1.0 if x < 99.0 else -1.0, 0.0, 100.0, None),
+            (lambda x: -1.0, 0.0, 10.0, None),
+            (lambda x: 1.0, 0.0, 100.0, None),
+        ],
+    )
+    def test_same_answer_as_reading_the_floor_first(self, excess, floor, limit, tol):
+        # one read fewer where even min(1, limit) does not fit, one more where
+        # the floor fits, as many where the answer lies between them
+        seen, ref_seen = [], []
+        got = search_multiplier(lambda x: seen.append(x) or excess(x), floor, limit, tol)
+        want = search_floor_first(lambda x: ref_seen.append(x) or excess(x), floor, limit, tol)
+        assert got == want
+        extra = -1 if excess(min(1.0, limit)) > 0 else 1 if excess(floor) <= 0 else 0
+        assert len(seen) == len(ref_seen) + extra
 
     def test_limit_is_tried_then_given_up(self):
         assert search_multiplier(lambda x: 1.0, 0.0, 100.0) is None
@@ -174,17 +201,14 @@ class TestSolveLambdaStar:
 
     @pytest.mark.parametrize("scale", [0.1, 1.0, 2.0])
     def test_smooth_solve_lies_in_reference_band(self, shipped_dlog, scale, monkeypatch):
-        import dualbid.oracle as oracle
-
         log, budget, bid_cap = shipped_dlog
         budget *= scale
-        replays = []
-        original = oracle.replay
-        monkeypatch.setattr(oracle, "replay", lambda *a: replays.append(1) or original(*a))
+        reads, replays = count_reads(monkeypatch)
         sol = solve_lambda_star(log, budget, bid_cap)
-        monkeypatch.setattr(oracle, "replay", original)
-        # Illinois steps in log coordinates; bisecting the bracket took 23
-        assert len(replays) <= 10
+        monkeypatch.undo()
+        # Illinois steps in log coordinates, each a read of spend alone, and
+        # one replay at the result; bisecting the bracket took 23 replays
+        assert len(reads) <= 10 and len(replays) == 1
         assert not sol.unconstrained
         assert sol.spend == replay(log, MultiplierProfile(lam=sol.lam), bid_cap).spend
         assert abs(sol.spend - budget) <= LAMBDA_REL_TOL * budget
@@ -560,19 +584,17 @@ class TestMarginalRoi:
             assert abs(v - sol.lam) / sol.lam <= 0.02
 
     def test_active_roi_is_lambda_star(self, shipped_dlog, monkeypatch):
-        import dualbid.oracle as oracle
-
-        replays = []
-        original = oracle.replay
-        monkeypatch.setattr(oracle, "replay", lambda *a: replays.append(1) or original(*a))
+        reads, replays = count_reads(monkeypatch)
         # Proposition 1 holds record by record, so every placement's ROI is lambda*
         log, budget, bid_cap = shipped_dlog
         lam = solve_lambda_star(log, budget, bid_cap).lam
-        solve_replays = len(replays)
+        solve_reads = len(reads)
+        reads.clear()
         replays.clear()
         roi = marginal_roi(log, budget, bid_cap=bid_cap)
-        # the same solve, then the two replays around lambda*
-        assert len(replays) == solve_replays + 2
+        # the same search, with no replay at lambda*, then the two replays
+        # around it
+        assert len(reads) == solve_reads + 1 and len(replays) == 2
         assert roi.lam == lam and roi.inactive == ()
         assert list(roi.roi) == log.arrays.placement_names
         for value in roi.roi.values():
@@ -617,6 +639,15 @@ class TestMarginalRoi:
     def test_needs_distributional_log(self):
         with pytest.raises(OracleError):
             marginal_roi(realized_log(THREE), budget=1.0)
+
+    def test_shipped_stationary_log_reads_spend_alone_then_replays_twice(self, monkeypatch):
+        scenario = load_scenario(SCENARIOS / "stationary.json")
+        log = distributional_log(scenario, generate_stream(scenario))
+        reads, replays = count_reads(monkeypatch)
+        marginal_roi(log, scenario.constraints.budget, bid_cap=scenario.agent.bid_cap)
+        # lambda* from reads of spend alone (none of them a replay), then the
+        # two replays around it; it took 10 replays when every read was one
+        assert len(reads) - len(replays) <= 7 and len(replays) == 2
 
 
 class TestProp1:

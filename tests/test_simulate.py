@@ -270,6 +270,24 @@ class TestEpisode:
         episode = run_episode(parse_scenario(cfg))
         assert 0.9 <= episode.metrics.budget_utilization <= 1.05
 
+    def test_distributional_twin_of_a_realized_log(self):
+        cfg = mixed_scenario(
+            intervals=30, delivery_windows=[{"id": "w", "start": 10, "end": 20, "cap": 5.0}]
+        )
+        scenario = parse_scenario(cfg)
+        stream = generate_stream(scenario)
+        realized = realized_log(scenario, stream)
+        realized.realized_spend(1.0)
+        twin = distributional_log(scenario, stream, realized)
+        built = distributional_log(scenario, stream)
+        assert (realized.mode, twin.mode) == ("realized", "distributional")
+        assert twin.records == built.records
+        profile = MultiplierProfile(lam=2.0, window_lambda={"w": 0.5})
+        assert replay(twin, profile) == replay(built, profile)
+        # the twin's clearing bids and caches are its own
+        assert np.isnan(twin.arrays.price).all() and not np.isnan(realized.arrays.price).any()
+        assert list(twin._realized_spends) == [] and list(realized._realized_spends) == [1.0]
+
     def test_metrics_rows_are_flat(self, stationary_episode):
         rows = stationary_episode.metrics.as_rows()
         keys = [k for k, _ in rows]
