@@ -215,6 +215,21 @@ class TestSolveLambdaStar:
         lo, hi = lambda_band_by_bisection(log, budget, LAMBDA_REL_TOL, bid_cap)
         assert lo < sol.lam <= hi
 
+    def test_spend_alone_is_a_replays_spend_bit_for_bit(self, shipped_dlog):
+        # the smooth search reads spend alone; each read must be the spend a
+        # replay at the same multipliers sums, with window multipliers too
+        log, _, bid_cap = shipped_dlog
+        first_price = quantile_lognormal_log(300, UNIFORM_FP, -1.0, 0.4)
+        windows = dict.fromkeys(log.arrays.window_masks, 0.5)
+        for log, profile_of in (
+            (log, MultiplierProfile),
+            (log, lambda lam: MultiplierProfile(lam, window_lambda=windows)),
+            (first_price, MultiplierProfile),
+        ):
+            curve = oracle._SpendCurve(log, bid_cap, profile_of)
+            for lam in (LAMBDA_FLOOR, 0.3, 1.0, 2.5, 40.0):
+                assert curve.spend(lam) == replay(log, profile_of(lam), bid_cap).spend
+
     def test_unconstrained_flag(self):
         log = realized_log(THREE)
         sol = solve_lambda_star(log, budget=10.0)

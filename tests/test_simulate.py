@@ -278,6 +278,7 @@ class TestEpisode:
         stream = generate_stream(scenario)
         realized = realized_log(scenario, stream)
         realized.realized_spend(1.0)
+        assert not np.isnan(realized.arrays.price).any()  # cached before the twin is made
         twin = distributional_log(scenario, stream, realized)
         built = distributional_log(scenario, stream)
         assert (realized.mode, twin.mode) == ("realized", "distributional")
@@ -286,6 +287,7 @@ class TestEpisode:
         assert replay(twin, profile) == replay(built, profile)
         # the twin's clearing bids and caches are its own
         assert np.isnan(twin.arrays.price).all() and not np.isnan(realized.arrays.price).any()
+        assert not twin.arrays.realized.any() and realized.arrays.realized.all()
         assert list(twin._realized_spends) == [] and list(realized._realized_spends) == [1.0]
 
     def test_metrics_rows_are_flat(self, stationary_episode):
