@@ -48,7 +48,7 @@ from .oracle import (
     MultiplierProfile,
     OpportunityLog,
     OracleError,
-    SegmentSpend,
+    budget_factor,
     check_kkt_constraints,
     fixed_bid_baseline,
     marginal_roi,
@@ -239,19 +239,26 @@ def _write_oracle_curves(
     """Spend and value on 33 budget multipliers from lam*/8 to 8 lam*,
     lam* being profile.lam; the other multipliers stay at profile's.
 
-    On a realized log each point is read from RealizedSpends of the rows
-    that share their windows (oracle.SegmentSpend), with no window the log's
-    own, the one lambda* was searched on: the winners are a replay's, and
-    spend and value are within n * eps relative of a replay's (see
-    RealizedSpend).  The first-price rows that may win at some point are
-    shaded in one call per segment (SegmentSpend.curve).  On any other log
-    each point is a replay."""
+    On a realized log each point is read from the log's own RealizedSpend,
+    the one lambda* was searched on: with window multipliers, from its rows
+    of each segment (the rows that share their windows, see
+    OpportunityLog.segments) at the factor profile gives them, summed
+    segment by segment.  The winners are a replay's, and spend and value
+    are within n * eps relative of a replay's (see RealizedSpend).  The
+    first-price rows that may win at some point are shaded in one call per
+    segment.  On any other log each point is a replay."""
     center = max(profile.lam, 1e-9)
     windows = {*profile.window_lambda, *profile.window_mu}
-    segments = SegmentSpend(log, windows, bid_cap) if log.mode == "realized" else None
     lams = np.geomspace(center / 8.0, center * 8.0, 33).tolist()
-    if segments:
-        spends, values = segments.curve(profile, lams)
+    if log.mode == "realized":
+        spend = value = 0.0
+        for key, part in log.segments(windows, bid_cap).items():
+            fs = budget_factor(np.asarray(lams))
+            if profile.mu or windows:
+                fs = np.array([profile.with_lam(lam).vector_for(key).factor for lam in lams])
+            s, v = part.at(fs)
+            spend, value = spend + s, value + v
+        spends, values = spend.tolist(), value.tolist()
     else:
         results = [replay(log, profile.with_lam(lam), bid_cap) for lam in lams]
         spends, values = [r.spend for r in results], [r.value for r in results]

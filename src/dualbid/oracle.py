@@ -12,8 +12,10 @@ reaches its win limit, so there a threshold is one scan of sorted limits;
 elsewhere search_multiplier finds it.  A realized first-price row has a
 win limit too, from the markup at its price: a read of spend shades only
 the rows that may win, and the budget multiplier's search reads spend only
-inside a bracket narrowed in a handful of reads.  Everything here is the
-ground truth the online controllers are judged against.
+inside a bracket narrowed in a handful of reads.  A log clamped to the
+thresholds (RealizedSpend.clamped) is searched so too, for the budget
+multiplier of a KKT solve.  Everything here is the ground truth the online
+controllers are judged against.
 """
 
 from __future__ import annotations
@@ -98,6 +100,17 @@ class OpportunityLog:
             cols = self.arrays
             built[bid_cap] = RealizedSpend(cols.values, cols.clearing, cols.table, bid_cap)
         return built[bid_cap]
+
+    def segments(self, windows, bid_cap: float) -> dict[tuple[str, ...], RealizedSpend]:
+        """realized_spend(bid_cap) by segment, the rows that share which of
+        the windows named they are in, keyed by those windows in order of
+        first appearance (the whole, where all rows share them)."""
+        cols, rs = self.arrays, self.realized_spend(bid_cap)
+        keys = [tuple(w for w in combo if w in windows) for combo in cols.window_combos]
+        if len(set(keys)) == 1:
+            return {keys[0]: rs}
+        codes = lambda key: [c for c, k in enumerate(keys) if k == key]
+        return {key: rs.rows(np.isin(cols.combo_codes, codes(key))) for key in dict.fromkeys(keys)}
 
     @property
     def mode(self) -> str:
@@ -316,8 +329,10 @@ def budget_factor(lam):
 
 def budget_lambda(f: float) -> float:
     """The least multiplier lam >= LAMBDA_FLOOR at which budget_factor(lam)
-    is below f > 0 (+inf where none is), so that a spend that fits exactly
-    while the factor is below f fits exactly from lam on."""
+    is below f (+inf where none is, as for f <= 0), so that a spend that
+    fits exactly while the factor is below f fits exactly from lam on."""
+    if not f > 0:
+        return math.inf
     lam = max(1.0 / f, LAMBDA_FLOOR)
     while lam > LAMBDA_FLOOR and budget_factor(down := math.nextafter(lam, 0.0)) < f:
         lam = down
@@ -452,10 +467,13 @@ class RealizedSpend:
     so they agree with replay's to n * eps relative.  A log builds its own
     once per bid cap (OpportunityLog.realized_spend).
 
-    rs[a:b] is rows a to b - 1 as a RealizedSpend of their own: they keep
-    their limits and their order, re-based to the slice, so that a history
-    read in growing prefixes (an FTL episode) is sorted once.
+    rows(key) is a subset of the rows, and clamped(lo, hi) the rows bidding
+    at factors held between per-row bounds, as a delivery cap, a guarantee
+    floor and a cost target hold them, each a RealizedSpend of its own that
+    shares these rows' limits (see solve_kkt_grid).
     """
+
+    _bounds = None  # per-row factor bounds (lo, hi), see clamped
 
     def __init__(self, values, clearing, table: MechanismTable, bid_cap: float):
         self.values = np.asarray(values, dtype=float)
@@ -474,40 +492,84 @@ class RealizedSpend:
             self._limits[first], self.least_factors[first] = first_price_limits(
                 self.values, self.clearing, table, bid_cap
             )
+        self._sort()
+
+    def _sort(self) -> None:
         # the second-price rows by limit, smallest first; rows of equal limit
         # win and lose together, so their order is free
-        second = np.flatnonzero(~table.first_price)
+        second = np.flatnonzero(~self.table.first_price)
         self._order = second[np.argsort(self._limits[second])]
         # the first-price rows by the least factor at which they may win
+        first = np.flatnonzero(self.table.first_price)
         self._first_order = first[np.argsort(self.least_factors[first], kind="stable")]
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, key) -> RealizedSpend:
-        """The rows of a slice with step 1 (a negative start counts from the
-        end)."""
-        if not isinstance(key, slice):
-            raise TypeError(f"RealizedSpend takes a slice, got {type(key).__name__}")
-        start, stop, step = key.indices(len(self))
-        if step != 1:
-            raise ValueError(f"RealizedSpend slices are contiguous, got step {step}")
-        rows = slice(start, stop)
-        part = object.__new__(RealizedSpend)
-        part.values, part.clearing = self.values[rows], self.clearing[rows]
-        part.table, part.bid_cap = self.table.take(rows), self.bid_cap
-        part._price, part._limits = self._price[rows], self._limits[rows]
-        part.least_factors = self.least_factors[rows]
-        for name in ("_order", "_first_order"):
-            order = getattr(self, name)
-            if order.size:  # one of them is empty where every row shares a kind
+    def rows(self, key) -> RealizedSpend:
+        """The rows of key, a slice with step 1 (a negative start counts from
+        the end) or a boolean mask, as a RealizedSpend that keeps their
+        limits, bounds and order, re-based: a history read in growing
+        prefixes (an FTL episode) or a log read by window is sorted once."""
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                raise ValueError(f"RealizedSpend slices are contiguous, got step {step}")
+            index = slice(start, stop)
+
+            def renumber(order):
                 kept = order < stop
                 if start:
                     kept &= order >= start
                 # compress: a boolean index over a shuffled mask is slower
-                order = np.compress(kept, order) - start
-            setattr(part, name, order)
+                return np.compress(kept, order) - start
+
+        else:
+            index = np.asarray(key)
+            if index.dtype != bool or index.shape != (len(self),):
+                raise TypeError("RealizedSpend rows are a slice or a boolean mask over its rows")
+            place = np.cumsum(index) - 1
+            renumber = lambda order: place[np.compress(index[order], order)]
+        part = object.__new__(RealizedSpend)
+        part.values, part.clearing = self.values[index], self.clearing[index]
+        part.table, part.bid_cap = self.table.take(index), self.bid_cap
+        part._price, part._limits = self._price[index], self._limits[index]
+        part.least_factors = self.least_factors[index]
+        if self._bounds is not None:
+            part._bounds = tuple(b[index] for b in self._bounds)
+        for name in ("_order", "_first_order"):
+            order = getattr(self, name)  # one of them is empty where every row shares a kind
+            setattr(part, name, renumber(order) if order.size else order)
         return part
+
+    def clamped(self, lo, hi) -> RealizedSpend:
+        """The rows bidding at factor max(lo, min(f, hi)) at f (lo and hi per
+        row, or one for all), self where none binds.  A win limit L becomes 0
+        where L <= lo, +inf where L > hi, and stays L otherwise; a first-price
+        row's least factor is mapped alike, and the row is shaded at its
+        clamped factor.  A clamped RealizedSpend is not clamped again."""
+        if self._bounds is not None:
+            raise ValueError("a clamped RealizedSpend is not clamped again")
+        lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), len(self)) for b in (lo, hi))
+        if not ((lo > 0).any() or (hi < math.inf).any()):
+            return self
+        part = self.rows(slice(None))
+        part._bounds = lo, hi
+        # NaN (a first-price row with no limit, or a second-price row's least
+        # factor) stays NaN, and +inf (a row that wins at no factor) +inf
+        part._limits, part.least_factors = (
+            np.where((x <= lo) & (x < math.inf), 0.0, np.where(x > hi, math.inf, x))
+            for x in (self._limits, self.least_factors)
+        )
+        part._sort()
+        return part
+
+    def _factors(self, f, rows=slice(None)):
+        """f, or the rows' factors at f where clamped."""
+        if self._bounds is None:
+            return f
+        lo, hi = self._bounds
+        return np.maximum(lo[rows], np.minimum(f, hi[rows]))
 
     @cached_property
     def _sorted_limits(self) -> np.ndarray:
@@ -551,6 +613,27 @@ class RealizedSpend:
         limits = self._sorted_limits
         return float(limits[k]) if 0 <= k < len(limits) else math.inf if k >= 0 else 0.0
 
+    def cost_crossing(self, target: float) -> float | None:
+        """As crossing, the win limit L past the last count of rows, in limit
+        order, whose spend per value is at most target: rows won at every
+        factor may cost more per result than target, so the counts that fit
+        can be a band, and a factor below L need not fit.  None also where a
+        count from that one on lies within _RESUM_REL of target."""
+        if self._first_order.size:
+            return None
+        limits = self._sorted_limits
+        limits = limits[: int(limits.searchsorted(math.inf))]
+        # the counts of rows a factor wins, those with limits below it
+        counts = np.flatnonzero(np.append(limits > np.append(0.0, limits[:-1]), True))
+        excess = self._spend[counts] / np.maximum(self._value[counts], 1e-300) / target - 1.0
+        fits = np.flatnonzero(excess <= 0)
+        last = int(fits[-1]) if fits.size else -1
+        if (np.abs(excess[max(last, 0) :]) <= _RESUM_REL).any():
+            return None
+        if last in (-1, len(counts) - 1):
+            return 0.0 if last < 0 else math.inf
+        return float(limits[counts[last]])
+
     @cached_property
     def _steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every row's distinct win limits up to budget_factor(LAMBDA_FLOOR),
@@ -560,7 +643,7 @@ class RealizedSpend:
         keep = keep[np.argsort(self._limits[keep], kind="stable")]
         limits, price = self._limits[keep], np.cumsum(self._price[keep])
         first = np.cumsum(self.table.first_price[keep])
-        last = np.flatnonzero(np.append(limits[1:] > limits[:-1], True))
+        last = np.flatnonzero(np.append(limits[1:] > limits[:-1], limits.size > 0))
         return limits[last], price[last], np.diff(first[last], prepend=0) > 0
 
     def bracket(self, target: float, guard: _Monotone | None = None) -> tuple[float, float] | None:
@@ -678,7 +761,7 @@ class RealizedSpend:
             pick = np.concatenate([np.arange(c) for c in counts[a:b]])
             rows = self._first_order[pick]
             table = self.table.take(rows)
-            adjusted = np.repeat(fs[a:b], counts[a:b]) * self.values[rows]
+            adjusted = self._factors(np.repeat(fs[a:b], counts[a:b]), rows) * self.values[rows]
             bids = _replay_bids(table, adjusted, self._price[rows], self.bid_cap)
             won, cost = resolve(table, bids, self.clearing[rows])
             end = 0
@@ -690,7 +773,7 @@ class RealizedSpend:
 
     def _costs(self, f: float) -> np.ndarray:
         """Every row's cost at f, from its bid, as replay resolves it."""
-        bids = _replay_bids(self.table, f * self.values, self._price, self.bid_cap)
+        bids = _replay_bids(self.table, self._factors(f) * self.values, self._price, self.bid_cap)
         return resolve(self.table, bids, self.clearing)[1]
 
     def replay_spend(self, f: float) -> float:
@@ -703,63 +786,18 @@ class RealizedSpend:
         not fall as the factor rises."""
         return _Monotone(self._costs, budget_factor, rising=True)
 
-    def excess(self, f: float, target: float, guard: _Monotone | None = None) -> float:
+    def excess(self, f: float, target: float, guard: _Monotone | None = None, resum=None) -> float:
         """spend(f) - target.  The two sums round differently, so where the
         sorted one lands within _RESUM_REL of target the replayed spend is
-        used: the sign, which is all a realized search reads, is always the
-        replay's.  The spend passes guard, where one is given."""
+        used, resum() where given, else replay_spend(f): the sign, which is
+        all a realized search reads, is always the replay's.  The spend
+        passes guard, where one is given."""
         spend = self.at(f)[0]
         if abs(spend - target) <= _RESUM_REL * target:
-            spend = self.replay_spend(f)
+            spend = resum() if resum else self.replay_spend(f)
         if guard is not None:
             guard.check(f, spend)
         return spend - target
-
-
-class SegmentSpend:
-    """A realized log as one RealizedSpend per segment, the rows that share
-    the windows named (the log's own where all do), each read by at(profile)
-    at the factor profile gives it: a replay's winners, and its sums."""
-
-    def __init__(self, log: OpportunityLog, windows, bid_cap: float):
-        cols = log.arrays
-        self.windows = tuple(windows)
-        keys = [tuple(w for w in combo if w in self.windows) for combo in cols.window_combos]
-        if len(set(keys)) == 1:  # one segment, the log's own RealizedSpend
-            self.parts = {keys[0]: log.realized_spend(bid_cap)}
-            return
-        self.parts = {}
-        for key in dict.fromkeys(keys):
-            rows = np.isin(cols.combo_codes, [c for c, k in enumerate(keys) if k == key])
-            table = cols.table.take(rows)
-            self.parts[key] = RealizedSpend(cols.values[rows], cols.clearing[rows], table, bid_cap)
-
-    def at(self, profile: MultiplierProfile) -> ReplayResult:
-        """Spend, value and per-window sums at profile (none per placement)."""
-        spend, value = 0.0, 0.0
-        per_window = dict.fromkeys(self.windows, (0.0, 0.0))
-        for key, rs in self.parts.items():
-            s, v = rs.at(profile.vector_for(key).factor)
-            spend, value = spend + s, value + v
-            for w in key:
-                per_window[w] = (per_window[w][0] + s, per_window[w][1] + v)
-        return ReplayResult(spend, value, {}, per_window)
-
-    def curve(self, profile: MultiplierProfile, lams) -> tuple[list[float], list[float]]:
-        """Spend and value at profile.with_lam(lam) for each lam, as at reads
-        them, with one RealizedSpend.at call per segment.  With the budget
-        multiplier alone a row's factor is budget_factor(lam), read with no
-        profile built."""
-        lams = np.asarray(lams, dtype=float)
-        spend = value = 0.0
-        for key, rs in self.parts.items():
-            if profile.mu or profile.window_lambda or profile.window_mu:
-                fs = [profile.with_lam(lam).vector_for(key).factor for lam in lams.tolist()]
-            else:
-                fs = budget_factor(lams)
-            s, v = rs.at(np.asarray(fs, dtype=float))
-            spend, value = spend + s, value + v
-        return spend.tolist(), value.tolist()
 
 
 LAMBDA_REL_TOL = 1e-6  # lambda* matches spend to the budget to this on smooth logs
@@ -767,13 +805,14 @@ LAMBDA_REL_TOL = 1e-6  # lambda* matches spend to the budget to this on smooth l
 
 class _SpendCurve:
     """Spend at the budget multiplier lam and profile_of(lam): on a
-    distributional log from the bids' expected cost alone (spend), on a
-    realized one from segments (a SegmentSpend) or memoized replays (at,
-    which also serves callers that need value or sums).  Every read passes
-    one monotonicity guard, which names the offending record on violation."""
+    distributional log from the bids' expected cost alone (spend), on any
+    other from memoized replays (at, which also serves callers that need
+    value or sums), or from spend summed in another order (see solve).
+    Every read passes one monotonicity guard, which names the offending
+    record on violation."""
 
-    def __init__(self, log, bid_cap: float, profile_of, segments: SegmentSpend | None = None):
-        self.log, self.bid_cap, self.profile_of, self.segments = log, bid_cap, profile_of, segments
+    def __init__(self, log, bid_cap: float, profile_of):
+        self.log, self.bid_cap, self.profile_of = log, bid_cap, profile_of
         self.smooth = log.mode == "distributional"
         self._replays: dict[float, ReplayResult] = {}
         costs = lambda lam: _spend_value(log, profile_of(lam), bid_cap)[0]
@@ -787,26 +826,15 @@ class _SpendCurve:
         self._guard(lam, spend)
         return spend
 
-    def excess(self, lam: float, target: float) -> float:
-        """Spend at lam minus target on a realized or mixed log, its sign a
-        replay's (a sum of segments within _RESUM_REL of target is replayed,
-        as RealizedSpend.excess does)."""
-        if self.segments is None:
-            return self.at(lam).spend - target
-        profile, parts = self.profile_of(lam), self.segments.parts
-        if len(parts) == 1:  # all rows, in order: its replay_spend sums as a replay does
-            ((key, rs),) = parts.items()
-            excess = rs.excess(profile.vector_for(key).factor, target)
-        else:
-            spend = self.segments.at(profile).spend
-            if abs(spend - target) <= _RESUM_REL * target:
-                return self.at(lam).spend - target
-            excess = spend - target
-        self._guard(lam, excess + target)
-        return excess
-
-    def solve(self, budget: float) -> tuple[float, tuple[float, float, float, float] | None]:
+    def solve(
+        self, budget: float, read=None
+    ) -> tuple[float, tuple[float, float, float, float] | None]:
         """The budget multiplier on this curve, and its search bracket.
+
+        A step function (a realized or mixed log) is bisected on spend minus
+        budget, its sign a replay's: read(lam), where given, is the spend
+        summed in another order (by segment, see solve_kkt_grid), replayed
+        where it lands within _RESUM_REL of budget.
 
         A smooth (distributional) curve is searched on ln(spend / budget), to
         log1p(LAMBDA_REL_TOL): the band |spend - budget| <= LAMBDA_REL_TOL *
@@ -815,10 +843,14 @@ class _SpendCurve:
         Each of its reads is of spend alone (see spend)."""
 
         def excess(lam: float) -> float:
-            if not self.smooth:
-                return self.excess(lam, budget)
-            spend = self.spend(lam)
-            return math.log(spend / budget) if spend > 0 else -math.inf
+            if self.smooth:
+                spend = self.spend(lam)
+                return math.log(spend / budget) if spend > 0 else -math.inf
+            spend = read(lam) if read else None
+            if spend is None or abs(spend - budget) <= _RESUM_REL * budget:
+                return self.at(lam).spend - budget
+            self._guard(lam, spend)
+            return spend - budget
 
         tol = math.log1p(LAMBDA_REL_TOL) if self.smooth else None
         found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT, tol)
@@ -919,10 +951,14 @@ def search_multiplier(
 
 
 def budget_search(
-    spend: RealizedSpend, target: float, guarded: bool = True
+    spend: RealizedSpend,
+    target: float,
+    guarded: bool = True,
+    limit: float = LAMBDA_LIMIT,
+    resum=None,
 ) -> tuple[float, tuple[float, float, float, float] | None] | None:
-    """search_multiplier for the least budget multiplier lam at which spend
-    at budget_factor(lam) fits target, every sign a replay's.
+    """search_multiplier, to limit, for the least budget multiplier lam at
+    which spend at budget_factor(lam) fits target, every sign a replay's.
 
     spend.bracket(target) gives the sign of every lam whose factor lies
     outside the bracket, turned once into bounds on lam (budget_lambda), so
@@ -930,8 +966,10 @@ def budget_search(
     no bracket, every step).  The search takes the same steps as one
     reading spend at every step, so it returns the same lam and bracket
     ends, though the bracket's excesses are only signs where spend was not
-    read.  Where guarded, every spend read, the bracket's and the steps',
-    passes one monotonicity guard (RealizedSpend.guard)."""
+    read.  A step's spend within _RESUM_REL of target is resum(lam) where
+    given (a replay at the multipliers lam stands for), else
+    spend.replay_spend.  Where guarded, every spend read, the bracket's and
+    the steps', passes one monotonicity guard (RealizedSpend.guard)."""
     guard = spend.guard() if guarded else None
     lo, hi = spend.bracket(target, guard) or (0.0, math.inf)  # no bracket: read every step
     above = math.nextafter(lo, math.inf)
@@ -941,9 +979,11 @@ def budget_search(
     def excess(lam: float) -> float:
         if lam >= fits:
             return -1.0
-        return 1.0 if lam < over else spend.excess(budget_factor(lam), target, guard)
+        if lam < over:
+            return 1.0
+        return spend.excess(budget_factor(lam), target, guard, resum and (lambda: resum(lam)))
 
-    return search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT)
+    return search_multiplier(excess, LAMBDA_FLOOR, limit)
 
 
 def solve_lambda_star(
@@ -1139,45 +1179,6 @@ def _kkt_profile(lam: float, cost_target, thresholds, boosts=None) -> Multiplier
     return MultiplierProfile(lam, mu, C, lams, mus)
 
 
-def _cost_scan(segments: SegmentSpend, thresholds, cost_target: float):
-    """The largest global factor at which realized spend is at most
-    cost_target times value, each window's rows at it clamped to their
-    thresholds, and (factor, spend / value) across its step, from one sort
-    of the rows by the factor at which each enters: +inf where every row
-    fits, 0 where none does.  None with first-price rows, or where a count
-    from the last that fits on lies within _RESUM_REL of the target, as only
-    a replay's sums in row order tell on which side it lies.  Rows a
-    guarantee floor wins at any factor may cost more per result than the
-    target, so the factors that fit can be a band, and a lower factor than
-    this one need not fit (solve_kkt_grid checks its replay)."""
-    entries, price, values = [], [], []
-    for key, rs in segments.parts.items():
-        if rs._first_order.size:
-            return None
-        bounds = {c.kind: t for c, t in thresholds.items() if c.window in key}
-        floor, cap = bounds.get("guarantee", 0.0), bounds.get("delivery", math.inf)
-        limits = np.where(rs._limits <= cap, rs._limits, np.inf)
-        entries.append(np.where(rs._limits <= floor, 0.0, limits))
-        price.append(rs._price)
-        values.append(rs.values)
-    entry = np.concatenate(entries)
-    order = np.argsort(entry)[: np.count_nonzero(entry < np.inf)]
-    spend, value = (np.append(0.0, np.cumsum(np.concatenate(a)[order])) for a in (price, values))
-    entry = entry[order]
-    # the counts k of rows a factor wins alone, those in [entry[k - 1], entry[k])
-    counts = np.flatnonzero(np.append(entry > np.append(0.0, entry[:-1]), True))
-    # each count's excess as KktConstraint.excess reads it
-    excess = spend[counts] / np.maximum(value[counts], 1e-300) / cost_target - 1.0
-    fits = np.flatnonzero(excess <= 0)
-    last = int(fits[-1]) if fits.size else -1
-    if (np.abs(excess[max(last, 0) :]) <= _RESUM_REL).any():
-        return None
-    if last in (-1, len(counts) - 1):
-        return (0.0 if last < 0 else math.inf), None
-    step, beyond = float(entry[counts[last]]), counts[last + 1]
-    return math.nextafter(step, -math.inf), (step, spend[beyond] / max(value[beyond], 1e-300))
-
-
 def solve_kkt_grid(
     log: OpportunityLog, constraints, bid_cap: float = DEFAULT_BID_CAP
 ) -> KktSolution:
@@ -1191,72 +1192,123 @@ def solve_kkt_grid(
     target caps the global one at the largest at which spend is at most the
     target times value (windows clamped).  Last, lam is searched as for
     lambda* (which this is, for a budget alone), at the multipliers
-    _kkt_profile maps the thresholds to.  Realized second-price thresholds
-    are scans of sorted win limits; first-price rows, or a sum within
-    _RESUM_REL of a target, are bisected on SegmentSpend (a delivery
-    window's on its own segment), other logs searched by Illinois steps on
-    replays.  A guarantee window on records of
-    delivery windows lifts rows under their caps: its multiplier (relative
-    to 1 + mu * C) is one outer search.  A multiplier at its limit, or a
-    constraint the replay breaks (a budget held below the cost target's band
-    by a guarantee floor, say), gets a note (and no residual) and makes the
-    solution infeasible; a realized residual above KKT_REL_TOL, a note on
-    its step.
+    _kkt_profile maps the thresholds to.
+
+    On a realized log a window's threshold is read on its rows: a scan of
+    sorted win limits (crossing), else, a cap's, a bracketed budget_search.
+    The cost target's cap is one scan of the log clamped to the windows'
+    thresholds (cost_crossing), and lam is budget_search on the log clamped
+    to every threshold, a row bidding at max(floor, min(f, cap)), as if no
+    multiplier had a limit; where the profile holds one at its limit (at
+    the floor multiplier, or either side of lam's step), lam is searched by
+    segment instead.  _kkt_profile holds a factor to a float at or a few
+    from its threshold, so a sum within _RESUM_REL of the budget is
+    replayed at the profile.  Other searches read the log by segment, the
+    rows that share their windows, each at the factor a profile gives it;
+    other logs are searched by Illinois steps on replays.  A guarantee window
+    on records of delivery windows lifts rows under their caps, which no
+    clamp expresses: its multiplier (relative to 1 + mu * C) is one outer
+    search, read by segment.  A multiplier at its limit, or a constraint the
+    replay breaks (a budget held below the cost target's band by a guarantee
+    floor, say), gets a note (and no residual) and makes the solution
+    infeasible; a realized residual above KKT_REL_TOL, a note on its step.
     """
     shared = check_kkt_constraints(constraints, log)
-    C, combos = constraints.cost_target, log.arrays.window_combos
+    cols, C = log.arrays, constraints.cost_target
     budget = KktConstraint("budget", None, constraints.budget, LAMBDA_LIMIT)
     costs = [KktConstraint("cost_target", None, C, 1e6 / C)] if C is not None else []
     caps = [KktConstraint("delivery", w.id, w.cap, 1e8) for w in constraints.delivery_windows]
     floors = [KktConstraint("guarantee", w.id, w.floor, 1e4) for w in constraints.guarantee_windows]
     outer = next((c for c in floors if c.window == shared), None)
+    combos = cols.window_combos
     lifted = [c for c in caps if outer and any({c.window, outer.window} <= set(k) for k in combos)]
-    realized = log.mode == "realized"
-    segments = SegmentSpend(log, [c.window for c in caps + floors], bid_cap) if realized else None
     tol = KKT_REL_TOL if log.mode == "distributional" else None
+    rs = log.realized_spend(bid_cap) if log.mode == "realized" else None
+    # a realized log by segment, each read at the factor a profile gives it
+    parts = log.segments([c.window for c in caps + floors], bid_cap) if rs is not None else {}
+
+    def read(profile: MultiplierProfile, window=None) -> tuple[float, float]:
+        """Spend and value at profile of window's rows (all, for None)."""
+        sv = [p.at(profile.vector_for(k).factor) for k, p in parts.items() if window in (None, *k)]
+        return sum(s for s, _ in sv), sum(v for _, v in sv)
+
+    def result(c: KktConstraint, spend: float, value: float) -> ReplayResult:
+        return ReplayResult(spend, value, {}, {c.window: (spend, value)})
 
     def excess(c: KktConstraint, profile: MultiplierProfile) -> float:
         """c's excess at profile, its sign always a replay's."""
-        if segments is None:
-            return c.excess(replay(log, profile, bid_cap))
-        e = c.excess(segments.at(profile))
-        return c.excess(replay(log, profile, bid_cap)) if abs(e) <= _RESUM_REL else e
+        if parts:
+            e = c.excess(result(c, *read(profile, c.window)))
+            if abs(e) > _RESUM_REL:
+                return e
+        return c.excess(replay(log, profile, bid_cap))
 
-    def searched(c: KktConstraint, excess_at, floor: float, limit: float, factor) -> tuple:
-        """factor(x) at the least x >= floor at which c's excess_at(x) is <= 0
-        (where none to limit is, a factor none reaches), and the bracket's far end."""
-        found = search_multiplier(excess_at, floor, limit, tol)
+    def searched(c: KktConstraint, found, factor, far_excess=None) -> tuple:
+        """factor(x) at the x found (where none is, a factor none reaches),
+        and the bracket's far end with c's quantity there, from c's excess
+        far_excess(end) where given, else from the bracket's."""
         is_floor = c.kind == "guarantee"
         if found is None:
             return (math.inf if is_floor else 0.0), None
         x, bracket = found
         if bracket is None:
             return (factor(x) if is_floor else math.inf), None
-        quantity = c.target * (1.0 + _KKT_KINDS[c.kind][0] * bracket[2])
-        return factor(x), (factor(bracket[0]), quantity)
+        r = bracket[2] if far_excess is None else far_excess(bracket[0])
+        return factor(x), (factor(bracket[0]), c.target * (1.0 + _KKT_KINDS[c.kind][0] * r))
+
+    def crossed(c: KktConstraint, spend: RealizedSpend, step: float) -> tuple:
+        """c's threshold from the step at which spend crosses its target (a
+        floor's step is its threshold, a cap's lies just below it), and
+        (factor, quantity) across the step."""
+        if not 0 < step < math.inf:
+            return step, None
+        below = math.nextafter(step, -math.inf)
+        near, far = (step, below) if c.kind == "guarantee" else (below, step)
+        return near, (far, c.level(result(c, *spend.at(far))))
+
+    def bounds(held) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's factor bounds at the thresholds held: its floor (one
+        given up at the largest factor a search reads), and the least of its
+        cap and the cost target's."""
+        lo, hi = np.zeros(len(log)), np.full(len(log), math.inf)
+        for c, t in held.items():
+            rows = slice(None) if c.window is None else cols.window_masks.get(c.window, [])
+            if c.kind == "guarantee":
+                lo[rows] = min(t, budget_factor(LAMBDA_FLOOR))
+            else:
+                hi[rows] = np.minimum(hi[rows], t)
+        return lo, hi
 
     def threshold(c: KktConstraint, boosts) -> tuple:
         """c's threshold on its rows' factor, and (factor, quantity) across its step."""
         is_floor = c.kind == "guarantee"
-        rs = segments.parts.get((c.window,)) if segments and c not in lifted else None
-        step = rs.crossing(c.target, is_floor) if rs else None
-        if step is not None:  # a floor's step is its threshold, a cap's lies just above it
-            below = math.nextafter(step, -math.inf)
-            near, far = (step, below) if is_floor else (below, step)
-            return near, (far, rs.at(far)[is_floor]) if 0 < step < math.inf else None
+        win = parts.get((c.window,)) if c not in lifted else None
+        step = None if win is None else win.crossing(c.target, is_floor)
+        if step is not None:
+            return crossed(c, win, step)
         if is_floor:  # on the factor y, as the budget multiplier 1 / y bids it
             factor = lambda y: budget_factor(1.0 / y) if y else 0.0
             probe = lambda y: MultiplierProfile(1.0 / y if y else math.inf)
-            return searched(c, lambda y: excess(c, probe(y)), 0.0, 1.0 / LAMBDA_FLOOR, factor)
-        # on x, the window's rows at budget_factor(x): first-price rows of its own
-        # segment alone, else replays, those it shares with outer lifted
-        if rs is not None:
-            excess_at = lambda x: rs.excess(budget_factor(x), c.target) / c.target
-        else:
-            excess_at = lambda x: excess(c, MultiplierProfile(x, window_mu=boosts))
-        return searched(c, excess_at, LAMBDA_FLOOR, c.limit, budget_factor)
+            found = search_multiplier(lambda y: excess(c, probe(y)), 0.0, 1.0 / LAMBDA_FLOOR, tol)
+            return searched(c, found, factor)
+        if win is None:  # on replays, or segments, those outer lifts among them
+            at = lambda x: excess(c, MultiplierProfile(x, window_mu=boosts))
+            return searched(c, search_multiplier(at, LAMBDA_FLOOR, c.limit, tol), budget_factor)
+        # on x, the window's rows at budget_factor(x)
+        far = lambda x: win.excess(budget_factor(x), c.target) / c.target
+        return searched(c, budget_search(win, c.target, limit=c.limit), budget_factor, far)
 
     fixed = {c: threshold(c, {}) for c in caps + floors if c not in lifted and c is not outer}
+
+    def multipliers_of(profile: MultiplierProfile, boost=None) -> dict:
+        """Each constraint's multiplier in profile (outer's, its boost)."""
+        multipliers = {budget: profile.lam, **{c: profile.mu for c in costs}}
+        multipliers |= {c: profile.window_lambda[c.window] for c in caps}
+        multipliers |= {c: boost if c is outer else profile.window_mu[c.window] for c in floors}
+        return multipliers
+
+    def limited(profile: MultiplierProfile) -> bool:
+        return any(m >= c.limit for c, m in multipliers_of(profile).items())
 
     def solve(boost: float | None) -> tuple:
         """Thresholds and steps, profile and budget curve at outer's boost."""
@@ -1264,15 +1316,38 @@ def solve_kkt_grid(
         steps = fixed | {c: threshold(c, boosts) for c in lifted}
         for cost in costs:
             held = {c: t for c, (t, _) in steps.items()}
-            excess_at = lambda x: excess(cost, _kkt_profile(x, C, held, boosts))
-            scan = _cost_scan(segments, held, C) if segments and not boosts else None
-            if scan is None:
-                scan = searched(cost, excess_at, LAMBDA_FLOOR, LAMBDA_LIMIT, budget_factor)
-            steps[cost] = scan
+            windowed = rs.clamped(*bounds(held)) if rs is not None and not boosts else None
+            step = None if windowed is None else windowed.cost_crossing(C)
+            if step is not None:
+                steps[cost] = crossed(cost, windowed, step)
+            else:
+                at = lambda x: excess(cost, _kkt_profile(x, C, held, boosts))
+                steps[cost] = searched(
+                    cost, search_multiplier(at, LAMBDA_FLOOR, LAMBDA_LIMIT, tol), budget_factor
+                )
         held = {c: t for c, (t, _) in steps.items()}
-        curve = _SpendCurve(log, bid_cap, lambda lam: _kkt_profile(lam, C, held, boosts), segments)
-        lam, bracket = curve.solve(budget.target)
-        steps[budget] = lam, bracket and (bracket[0], budget.target + bracket[2])
+        curve = _SpendCurve(log, bid_cap, lambda lam: _kkt_profile(lam, C, held, boosts))
+        found = None
+        if rs is not None and not boosts:  # as lambda*, on the log clamped to the thresholds
+            spend = rs.clamped(*bounds(held))
+            resum = None if spend is rs else lambda lam: curve.at(lam).spend
+            found = budget_search(spend, budget.target, resum=resum)
+            # the clamp is the profile only where no multiplier is at its limit:
+            # not at the floor, where the cost target's and the caps' are
+            # largest, nor either side of lam's step
+            ends = () if found is None else (LAMBDA_FLOOR, found[0], *(found[1] or ())[:1])
+            if found is None or any(limited(curve.profile_of(x)) for x in ends):
+                found = None
+        if found is None:  # replays, or segments
+            read_spend = (lambda lam: read(curve.profile_of(lam))[0]) if parts else None
+            lam, bracket = curve.solve(budget.target, read_spend)
+            far = lambda lam: bracket[2]
+        else:
+            lam, bracket = found
+            far = lambda lam: spend.excess(
+                budget_factor(lam), budget.target, None, resum and (lambda: resum(lam))
+            )
+        steps[budget] = lam, bracket and (bracket[0], budget.target + far(bracket[0]))
         return steps, curve.profile_of(lam), curve
 
     boost, found = None, None
@@ -1282,9 +1357,7 @@ def solve_kkt_grid(
         boost = found[0] if found else outer.limit
     steps, profile, curve = solve(boost)
     rep = curve.at(profile.lam)
-    multipliers = {budget: profile.lam, **{c: profile.mu for c in costs}}
-    multipliers |= {c: profile.window_lambda[c.window] for c in caps}
-    multipliers |= {c: boost if c is outer else profile.window_mu[c.window] for c in floors}
+    multipliers = multipliers_of(profile, boost)
     if found and found[1]:  # outer's step in mu_k = boost * (1 + mu * C)
         lo, _, r_lo, _ = found[1]
         scale = profile.window_mu[outer.window] / boost

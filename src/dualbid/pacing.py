@@ -583,7 +583,7 @@ def ftl_update(
     """
     if not entries:
         raise PacingError("ftl update needs at least one logged auction")
-    spend = entries[-window:] if window is not None else entries
+    spend = entries.rows(slice(-window, None)) if window is not None else entries
     found = budget_search(spend, budget / expected_total * len(spend), guarded=False)
     if found is None:
         raise PacingError("could not bracket the hindsight multiplier")

@@ -480,7 +480,7 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
     trajectory: list[float] = []
 
     def close_batch(interval: int, seen: int) -> None:
-        seen_so_far = None if history is None else history[:seen]
+        seen_so_far = None if history is None else history.rows(slice(seen))
         apply_batch_update(state, cfg, forecast, constraints, interval, seen_so_far)
 
     for interval in range(scenario.intervals):

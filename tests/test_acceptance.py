@@ -33,8 +33,6 @@ from dualbid.oracle import (
     fixed_bid_baseline,
     marginal_roi,
     prop1_residual,
-    replay,
-    MultiplierProfile,
     solve_kkt_grid,
     solve_lambda_star,
 )

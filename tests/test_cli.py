@@ -324,7 +324,7 @@ class TestCompare:
         assert all(float(v) >= 0 for row in rows for v in row.values())
         # the curves hold the KKT window multiplier, so at oracle_lambda they
         # spend what the KKT solution spends; each point is read from the
-        # window's RealizedSpend and the rest's (oracle.SegmentSpend)
+        # log's RealizedSpend, the window's rows and the rest's (rows(mask))
         lam = float(compare["oracle_lambda"])
         nearest = min(rows, key=lambda row: abs(float(row["lambda"]) - lam))
         assert float(nearest["spend"]) == pytest.approx(float(compare["oracle_spend"]), rel=0.01)

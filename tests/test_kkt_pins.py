@@ -288,7 +288,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                                     "value in 'g' steps from 17.3072112751 at "
                                     'f_g=0.85384400388765258 to 18.1593868207 at '
                                     'f_g=0.8538440038876528, either side of its step'],
-                          'replays': 14,
+                          'replays': 2,
                           'residuals': {'budget': '7.249756350802272e-14',
                                         'guarantee_g': '0.03829256974029449'},
                           'window_lambda': {},

@@ -513,6 +513,43 @@ class TestKktGrid:
         broken = [n for n in kkt.notes if n.startswith("cost_target spends")]
         assert len(broken) == (not feasible)
 
+    def test_a_floor_its_multiplier_cannot_hold_is_read_at_the_profile(self):
+        # the floor needs five of the rows in "g", priced 0.30 to 0.84, and a
+        # budget just above what they cost leaves lam near 1e4 / 0.54, where
+        # mu_g is held at its limit and g's rows bid below the floor: lam is
+        # searched at the profile's factors, not on the log clamped to the
+        # floor, so both sides of the budget's step are the profile's spend
+        g = [LogRecord(float(i), "p", 1.0, UNIFORM_SP, 0.3 + 0.06 * i, ("g",)) for i in range(10)]
+        rest = [LogRecord(10.0 + i, "p", 1.0, UNIFORM_SP, 1e-5 * (1 + i / 10)) for i in range(30)]
+        log, budget = OpportunityLog(g + rest), 2.1 + 1.5e-4
+        floor = (GuaranteeWindow("g", 0, 1, 5.0),)
+        kkt = solve_kkt_grid(log, ConstraintSet(budget=budget, guarantee_windows=floor))
+        assert kkt.profile.window_mu["g"] == 1e4 and not kkt.feasible
+        (note,) = [n for n in kkt.notes if n.startswith("budget residual")]
+        far = float(re.search(r"steps from \S+ at lam=(\S+)", note).group(1))
+        sides = [replay(log, replace(kkt.profile, lam=lam)).spend for lam in (far, kkt.profile.lam)]
+        assert sides[0] > budget >= sides[1] == kkt.replay.spend
+
+    def test_a_cost_target_its_multiplier_cannot_hold_at_the_floor(self):
+        # the rows in "g" cost about 0.85 per result, so the cost target's
+        # cap (0.22) lies below its target (0.26): below lam = 1 / 0.22, mu
+        # is held at its limit and with it g's floor broken, and the profile
+        # at the floor multiplier fits the budget.  lam is the least that
+        # fits at the profile, the floor, though the log clamped to every
+        # threshold would hold both and fit only from lam = 11.08 on.
+        fp, sp = MechanismSpec("first_price", 0.0, UniformBids(0.0, 1.0)), UNIFORM_SP
+        fp_logn = MechanismSpec("first_price", 0.05, LognormalBids(-0.3, 0.8))
+        rows = [
+            (0.82, fp, 0.32, ()), (0.39, fp, 0.62, ()), (0.43, fp_logn, 0.73, ()),
+            (2.84, fp, 0.53, ()), (0.73, fp_logn, 0.90, ("g",)), (4.21, fp, 0.006, ()),
+            (0.59, sp, 0.94, ()), (1.06, fp, 0.89, ("g",)), (0.67, fp_logn, 0.84, ()),
+        ]  # fmt: skip
+        log = OpportunityLog([LogRecord(float(i), "p", *row) for i, row in enumerate(rows)])
+        floor = (GuaranteeWindow("g", 0, 1, 0.13),)
+        kkt = solve_kkt_grid(log, ConstraintSet(1.08, cost_target=0.26, guarantee_windows=floor))
+        assert kkt.profile.lam == LAMBDA_FLOOR and kkt.profile.mu == 1e6 / 0.26
+        assert kkt.unconstrained and kkt.replay.spend <= 1.08 and not kkt.feasible
+
     def test_realized_result_keeps_window_cap(self):
         # the inner budget solve depends only on the multipliers, so the
         # result is the high, fitting end of the delivery search
@@ -530,21 +567,24 @@ class TestKktGrid:
 
 
 def _shipped_kkt(name: str, monkeypatch):
-    """The KKT solve of a shipped scenario's realized log, and its replays."""
+    """The KKT solve of a shipped scenario's realized log, its replays and
+    its first-price shading calls."""
     import dualbid.simulate as simulate
 
     scenario = load_scenario(SCENARIOS / name)
     log = simulate.realized_log(scenario, generate_stream(scenario))
-    replays, original = [], oracle.replay
+    replays, shades, original, shade = [], [], oracle.replay, oracle.shade_bids
     monkeypatch.setattr(oracle, "replay", lambda *a: replays.append(1) or original(*a))
-    return solve_kkt_grid(log, scenario.constraints, scenario.agent.bid_cap), len(replays)
+    monkeypatch.setattr(oracle, "shade_bids", lambda *a: shades.append(1) or shade(*a))
+    kkt = solve_kkt_grid(log, scenario.constraints, scenario.agent.bid_cap)
+    return kkt, len(replays), len(shades)
 
 
 def test_guaranteed_scenario_thresholds(monkeypatch):
     # the guarantee window's floor and the cost target's cap are scans of
     # sorted win limits: the winners of the nested searches they replaced
     # (4,097 replays), in one replay
-    kkt, replays = _shipped_kkt("guaranteed.json", monkeypatch)
+    kkt, replays, _ = _shipped_kkt("guaranteed.json", monkeypatch)
     rep = kkt.replay
     assert (rep.spend, rep.value) == (42.38227153539532, 132.5803275584251)
     assert rep.per_window["launch"][1] == 50.310275592087194
@@ -552,12 +592,15 @@ def test_guaranteed_scenario_thresholds(monkeypatch):
 
 
 def test_mixed_constrained_scenario_keeps_its_cap(monkeypatch):
-    # a delivery window over first-price rows, bisected on its segment
-    kkt, replays = _shipped_kkt("mixed_constrained.json", monkeypatch)
+    # a delivery window over first-price rows: its cap and then lambda are
+    # each a bracketed budget_search, the window's rows first and then the
+    # log clamped to the cap, shading about as often as lambda* (the
+    # bisections they replaced shaded 129 times)
+    kkt, replays, shades = _shipped_kkt("mixed_constrained.json", monkeypatch)
     rep = kkt.replay
     assert rep.value >= 309.59634036484766 and rep.spend <= 90.0
     assert rep.per_window["weekend"][0] <= 12.0
-    assert kkt.feasible and replays <= 5
+    assert kkt.feasible and replays <= 5 and shades <= 20
 
 
 @pytest.fixture(scope="module", params=["stationary.json", "mixed_constrained.json"])

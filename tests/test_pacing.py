@@ -213,7 +213,7 @@ class TestFtl:
         # identical repeated auctions: the hindsight multiplier is the same
         # after 10 and after 100 observations
         entries = auction_history([1.0] * 100, [0.4] * 100, UNIFORM_SP)
-        early = ftl_update(entries[:10], budget=30.0, expected_total=100.0)
+        early = ftl_update(entries.rows(slice(10)), budget=30.0, expected_total=100.0)
         late = ftl_update(entries, budget=30.0, expected_total=100.0)
         assert early.lam == pytest.approx(late.lam, rel=1e-9)
 

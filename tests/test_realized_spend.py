@@ -8,7 +8,9 @@ and check that the solves reading the step function (λ*, FTL and the
 fixed-bid baseline) return bit for bit what the same search returns with a
 full replay at every step.  FTL reads slices of one RealizedSpend of its
 episode's stream, which keep their rows' limits and order; the KKT solve
-reads one RealizedSpend per window segment (SegmentSpend).  A first-price
+reads a window's rows (RealizedSpend.rows) and the log clamped to its
+thresholds (RealizedSpend.clamped), which wins what a replay at the
+multipliers holding those thresholds wins.  A first-price
 row has a win limit from the markup at its price (first_price_limits):
 RealizedSpend shades only the rows that may win, and lambda* narrows a
 bracket on the factor in a handful of reads, for the same lam bit for bit.
@@ -37,8 +39,8 @@ from dualbid.oracle import (
     LogRecord,
     MultiplierProfile,
     OpportunityLog,
+    KktConstraint,
     RealizedSpend,
-    SegmentSpend,
     budget_factor,
     fixed_bid_baseline,
     replay,
@@ -342,7 +344,7 @@ def test_ftl_lambda_is_bit_identical_to_full_replays(carry, monkeypatch):
         whole = _history(stream)
         for n in (40, 300, len(stream)):
             prefix = stream[:n]
-            entries = _history(prefix) if carry == "computed" else whole[:n]
+            entries = _history(prefix) if carry == "computed" else whole.rows(slice(n))
             assert len(entries) == n
             for window in (None, 100):
                 scope = prefix[-window:] if window is not None else prefix
@@ -360,7 +362,7 @@ def test_ftl_lambda_is_bit_identical_to_full_replays(carry, monkeypatch):
 def test_sums_near_their_target_are_left_to_a_replay():
     # a cumulative sum within _RESUM_REL of its target may lie on either
     # side of it in row order, so there the crossings of spend and value,
-    # and the cost scan, return None and a search reads a replay's sign
+    # and of spend per result, return None and a search reads a replay's sign
     values, prices = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.4, 0.9])
     table = MechanismTable.from_specs([SP]).take(np.zeros(3, dtype=np.intp))
     rs = RealizedSpend(values, prices, table, CAP)
@@ -372,11 +374,11 @@ def test_sums_near_their_target_are_left_to_a_replay():
     assert rs.crossing(2.9, of_value=True) == limits[1]
     rows = enumerate(zip(values.tolist(), prices.tolist()))
     log = OpportunityLog([LogRecord(float(i), "p", v, SP, p) for i, (v, p) in rows])
-    segments = SegmentSpend(log, (), CAP)
     # spend per result is 0.1, 0.5 / 3 and 1.4 / 6 as rows are won
-    assert oracle._cost_scan(segments, {}, 0.5 / 3) is None
-    step = (math.nextafter(limits[2], -math.inf), (limits[2], 1.4 / 6))
-    assert oracle._cost_scan(segments, {}, 0.2) == step
+    assert rs.cost_crossing(0.5 / 3) is None
+    assert rs.cost_crossing(0.2) == limits[2]
+    spend, value = rs.at(limits[2])
+    assert spend / value == 1.4 / 6
     kkt = oracle.solve_kkt_grid(log, pacing.ConstraintSet(budget=100.0, cost_target=0.5 / 3))
     assert kkt.feasible and kkt.replay.spend / kkt.replay.value <= 0.5 / 3
     assert kkt.replay.spend == 0.5
@@ -388,11 +390,12 @@ def test_slices_keep_their_limit_order():
     n = len(stream)
     assert len(whole) == n
     factors = np.geomspace(0.05, 20.0, 9).tolist()
+    masks = [np.random.default_rng(5).random(n) < 0.3, stream.value > 0.1, np.zeros(n, dtype=bool)]
     for rows in (
         slice(None, 50), slice(10, 50), slice(-30, None), slice(0, 0), slice(50, 10),
-        slice(n - 40, n + 10), slice(None),
+        slice(n - 40, n + 10), slice(None), *masks,
     ):  # fmt: skip
-        part, fresh = whole[rows], _history(stream[rows])
+        part, fresh = whole.rows(rows), _history(stream[rows])
         assert len(part) == len(fresh) == len(stream[rows])
         # the rows' own limits, and a limit order of the slice's own
         # second-price rows
@@ -402,11 +405,15 @@ def test_slices_keep_their_limit_order():
         for f in factors:
             assert part.replay_spend(f) == fresh.replay_spend(f)
             assert part.at(f) == pytest.approx(fresh.at(f), rel=1e-12, abs=1e-300)
-    # a slice of a slice is the slice of the whole
-    assert np.array_equal(whole[100:400][-50:]._order, whole[350:400]._order)
-    for key in (slice(0, 50, 2), slice(None, None, -1), 3, np.arange(20), stream.value > 0.1):
+    # a subset of a subset is the subset of the whole
+    nested = whole.rows(slice(100, 400)).rows(slice(-50, None))
+    assert np.array_equal(nested._order, whole.rows(slice(350, 400))._order)
+    inner = masks[0] & (np.arange(n) >= 100)
+    nested = whole.rows(slice(100, None)).rows(inner[100:])
+    assert np.array_equal(nested._order, whole.rows(inner)._order)
+    for key in (slice(0, 50, 2), slice(None, None, -1), 3, np.arange(20), stream.value[:-1] > 0.1):
         with pytest.raises((TypeError, ValueError)):
-            whole[key]
+            whole.rows(key)
 
 
 def _plain_ftl_episode(monkeypatch, cfg):
@@ -467,29 +474,41 @@ def test_ftl_solves_at_the_agents_bid_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["second_price", "first_price"])
-def test_kkt_profiles_read_the_segments(kind):
-    # any profile, with cost-target, delivery and guarantee multipliers,
-    # gives each segment of rows sharing their windows one factor, at which
-    # its RealizedSpend wins what a replay wins
+def test_clamped_rows_win_what_kkt_profiles_win(kind):
+    # at thresholds held, _kkt_profile gives a row the factor max(lo, min(f,
+    # hi)), to a few floats: lo its guarantee window's floor, hi the least of
+    # its delivery window's cap and the cost target's; the log clamped to
+    # those bounds wins what a replay at the profile wins, in all and in
+    # each window
     if kind == "first_price":
-        log, cap = first_price_log(), SMALL_CAP
+        base, cap = first_price_log(), SMALL_CAP
     else:
-        records = log_of(*second_price_rows()).records
-        windows = [("w1",) * (i % 5 == 0) + ("w2",) * (i % 7 == 0) for i in range(len(records))]
-        log, cap = OpportunityLog([replace(r, windows=w) for r, w in zip(records, windows)]), CAP
-    segments = SegmentSpend(log, ("w1", "w2"), cap)
-    assert len(segments.parts) == 4
-    for lam in np.geomspace(0.1, 20.0, 7).tolist():
-        for profile in (
-            MultiplierProfile(lam=lam),
-            MultiplierProfile(lam, 0.7, 0.4, {"w1": 0.5}, {"w2": 0.3}),
-            MultiplierProfile(lam, 0.0, None, {"w2": 2.0}, {"w1": 1.5}),
-        ):
-            expected, read = replay(log, profile, cap), segments.at(profile)
-            assert read.spend == pytest.approx(expected.spend, rel=1e-12, abs=1e-300)
-            assert read.value == pytest.approx(expected.value, rel=1e-12, abs=1e-300)
+        base, cap = log_of(*second_price_rows()), CAP
+    windows = [("w1",) * (i % 5 == 0) or ("w2",) * (i % 7 == 0) for i in range(len(base))]
+    log = OpportunityLog([replace(r, windows=w) for r, w in zip(base.records, windows)])
+    masks, rs = log.arrays.window_masks, log.realized_spend(cap)
+    cap_w1 = KktConstraint("delivery", "w1", 1.0, 1e8)
+    floor_w2 = KktConstraint("guarantee", "w2", 1.0, 1e4)
+    cost = KktConstraint("cost_target", None, 0.4, 1e6 / 0.4)
+    for held in (
+        {cap_w1: 0.8, floor_w2: 1.5},
+        {cap_w1: 0.8, floor_w2: 1.5, cost: 1.2},
+        {floor_w2: 0.3, cost: 2.5},
+    ):
+        top = held.get(cost, math.inf)
+        lo, hi = np.zeros(len(log)), np.full(len(log), top)
+        lo[masks["w2"]] = held[floor_w2]
+        hi[masks["w1"]] = min(held.get(cap_w1, math.inf), top)
+        clamped = rs.clamped(lo, hi)
+        for lam in np.geomspace(0.1, 20.0, 7).tolist():
+            expected = replay(log, oracle._kkt_profile(lam, cost.target, held), cap)
+            f = budget_factor(lam)
+            read = clamped.at(f)
+            assert read == pytest.approx((expected.spend, expected.value), rel=1e-12, abs=1e-300)
             for w in ("w1", "w2"):
-                assert read.per_window[w] == pytest.approx(expected.per_window[w], rel=1e-12, abs=1e-300)
+                read = clamped.rows(masks[w]).at(f)
+                assert read == pytest.approx(expected.per_window[w], rel=1e-12, abs=1e-300)
+            assert clamped.replay_spend(f) == pytest.approx(expected.spend, rel=1e-12, abs=1e-300)
 
 
 def test_first_price_bracket_keeps_the_monotonicity_guard(monkeypatch):
@@ -779,3 +798,13 @@ def test_lambda_star_over_rows_priced_at_a_reserve():
         lam, bracket = lambda_star_by_replay(log, budget, SMALL_CAP)
         assert sol.lam == lam and sol.bracket == (bracket and bracket[:2]), budget
         assert sol.spend == replay(log, MultiplierProfile(lam=lam), SMALL_CAP).spend <= budget
+
+
+def test_lambda_star_where_no_first_price_row_can_win():
+    # every row is priced above the bid cap, so no win limit lies below the
+    # largest factor a search reads: the bracket has no step to read, and
+    # the budget fits at the floor multiplier
+    log = OpportunityLog([LogRecord(float(i), "p", 1.0, FP_UNIFORM, 2.0 * CAP) for i in range(3)])
+    assert log.realized_spend(CAP).bracket(1.0) == (budget_factor(LAMBDA_FLOOR), math.inf)
+    sol = solve_lambda_star(log, 1.0)
+    assert (sol.lam, sol.unconstrained, sol.spend) == (LAMBDA_FLOOR, True, 0.0)
