@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bidding import DEFAULT_BID_CAP
+from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR
 from .coldstart import (
     ColdStartError,
     PlacementPriors,
@@ -247,7 +247,7 @@ def _write_oracle_curves(
     are within n * eps relative of a replay's (see RealizedSpend).  The
     first-price rows that may win at some point are shaded in one call per
     segment.  On any other log each point is a replay."""
-    center = max(profile.lam, 1e-9)
+    center = max(profile.lam, LAMBDA_FLOOR)
     windows = {*profile.window_lambda, *profile.window_mu}
     lams = np.geomspace(center / 8.0, center * 8.0, 33).tolist()
     if log.mode == "realized":

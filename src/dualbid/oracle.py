@@ -1006,8 +1006,8 @@ def solve_lambda_star(
     the multiplier.  Spend and value are replayed at the result, and
     bracket is the final bracket of the search.
     """
-    if not budget > 0:
-        raise OracleError(f"budget must be > 0, got {budget}")
+    if not 0 < budget < math.inf:
+        raise OracleError(f"budget must be finite and > 0, got {budget}")
     if log.mode == "realized":
         found = budget_search(log.realized_spend(bid_cap), budget)
         if found is None:
@@ -1404,10 +1404,10 @@ def marginal_roi(
     central difference.  A placement whose spend does not move between the
     two replays is inactive; when the budget does not bind, every ROI is 0.
     Needs a distributional log (smooth curves)."""
+    if not 0 < budget < math.inf:
+        raise OracleError(f"budget must be finite and > 0, got {budget}")
     if log.mode != "distributional":
         raise OracleError("marginal ROI needs a distributional log")
-    if not budget > 0:
-        raise OracleError(f"budget must be > 0, got {budget}")
     lam, bracket = _SpendCurve(log, bid_cap, MultiplierProfile).solve(budget)
     if bracket is None:
         return MarginalRoi(dict.fromkeys(log.arrays.placement_names, 0.0), (), lam)

@@ -7,10 +7,10 @@ the multiplier additively (lam <- lam - eps * grad) or multiplicatively
 lambda_tilde = lam / lambda_prime so a single dimensionless step scale works
 across advertisers of very different budget sizes.
 
-Cost-target and window multipliers are driven the same way, each against
-its own constraint's pace; they stay at zero while their constraint has
-slack and only window multipliers of the currently active window enter the
-bid formula.
+Cost-target and window multipliers follow one rule, each moving the bid
+factor against its own constraint's pace; they stay at zero while their
+constraint has slack and only window multipliers of the currently active
+window enter the bid formula.
 """
 
 from __future__ import annotations
@@ -330,10 +330,10 @@ def normalize(state: PacingState, lambda0: float) -> PacingState:
     return state
 
 
-def update_additive(lam: float, epsilon: float, grad: float, floor: float = LAMBDA_FLOOR) -> float:
-    """lam - epsilon * grad, projected onto [floor, inf)."""
+def update_additive(lam: float, epsilon: float, grad: float) -> float:
+    """lam - epsilon * grad, projected onto [LAMBDA_FLOOR, inf)."""
     out = lam - epsilon * grad
-    return out if out > floor else floor
+    return out if out > LAMBDA_FLOOR else LAMBDA_FLOOR
 
 
 def update_multiplicative(lam: float, epsilon: float, grad: float) -> float:
@@ -341,12 +341,18 @@ def update_multiplicative(lam: float, epsilon: float, grad: float) -> float:
     return _clamp_tilde(lam * math.exp(-epsilon * grad))
 
 
-def _effective_interval_spend(state: PacingState, cfg: PacingConfig) -> float:
-    """Observed interval spend, replaced by its exponentially weighted
-    average when charge events were sparse."""
+def _batch_signals(state: PacingState) -> tuple[float, float]:
+    """The batch's spend and value, or their smoothed averages when it had
+    fewer than SMOOTHING_MIN_WINS wins (charge events were sparse)."""
     if state.interval_wins < SMOOTHING_MIN_WINS and state.smoothed_spend is not None:
-        return state.smoothed_spend
-    return state.interval_spend
+        return state.smoothed_spend, state.smoothed_value
+    return state.interval_spend, state.interval_value
+
+
+def _smooth(average: float | None, raw: float) -> float:
+    """raw folded into an exponentially weighted average, if there is one."""
+    decay = 0.5 ** (1.0 / SMOOTHING_HALF_LIFE)
+    return raw if average is None else decay * average + (1 - decay) * raw
 
 
 def dual_gradient(
@@ -357,7 +363,7 @@ def dual_gradient(
 ) -> float:
     """Budget-pace gradient for the finished batch: expected spend allowance
     minus observed spend."""
-    spend = _effective_interval_spend(state, cfg)
+    spend, _ = _batch_signals(state)
     if cfg.forecast_mode == "relative":
         return state.budget * forecast.share(interval) - spend
     if forecast.total is None:
@@ -373,7 +379,7 @@ def pace_ratio(
 ) -> float | None:
     """Observed spend over target spend for the finished batch; None when
     the batch had no traffic to compare against."""
-    spend = _effective_interval_spend(state, cfg)
+    spend, _ = _batch_signals(state)
     if cfg.forecast_mode == "relative":
         share = forecast.share(interval)
         if share <= 0:
@@ -442,31 +448,33 @@ def update_constraint_multipliers(
     g = constraints.active_guarantee(interval)
     lam_k = state.window_lambda.get(w.id, 0.0) if w else 0.0
     mu_k = state.window_mu.get(g.id, 0.0) if g else 0.0
+    per_interval_opps = state.expected_total / max(state.intervals_total, 1)
 
-    def vector() -> MultiplierVector:
-        """The multipliers as updated so far."""
-        return MultiplierVector(lam, state.mu, C, lam_k, mu_k)
+    def retarget(step: float, ratio: float) -> tuple[MultiplierVector, float]:
+        """The multipliers as updated so far, and their bid factor moved by
+        exp(-step (ratio - 1)), the log move clamped to +-_MAX_LOG_STEP:
+        down while the constraint runs ahead of its pace (ratio > 1)."""
+        m = MultiplierVector(lam, state.mu, C, lam_k, mu_k)
+        move = min(max(step * (ratio - 1.0), -_MAX_LOG_STEP), _MAX_LOG_STEP)
+        return m, m.factor * math.exp(-move)
 
-    def log_step(raw: float) -> float:
-        return min(max(raw, -_MAX_LOG_STEP), _MAX_LOG_STEP)
+    def window_pace(window: _Window, target: float, totals, batch_totals) -> tuple[float, float]:
+        """The window's step, xi_c times the batch's share of the window's
+        expected traffic, and its ratio: the batch's quantity over an even
+        share of what is left to reach target (so early overshoot is
+        clawed back), capped at 10."""
+        step = xi_c * state.interval_count / max(window.length * per_interval_opps, 1e-12)
+        in_batch = batch_totals.get(window.id, 0.0)
+        pace = (target - (totals.get(window.id, 0.0) - in_batch)) / max(window.end - interval, 1)
+        return step, min(in_batch / pace, 10.0) if pace > 0 else 10.0
 
     if C is not None:
-        sparse = state.interval_wins < SMOOTHING_MIN_WINS
-        spend_sig = (
-            state.smoothed_spend
-            if sparse and state.smoothed_spend is not None
-            else state.interval_spend
-        )
-        value_sig = (
-            state.smoothed_value
-            if sparse and state.smoothed_value is not None
-            else state.interval_value
-        )
+        spend, value = _batch_signals(state)
         # no spend and no results is no evidence either way; leave mu alone
-        if spend_sig > 0 or value_sig > 0:
-            ratio = min(spend_sig / (C * value_sig), 10.0) if value_sig > 0 else 10.0
+        if spend > 0 or value > 0:
+            ratio = min(spend / (C * value), 10.0) if value > 0 else 10.0
+            _, target = retarget(xi_c * eta, ratio)
             base = lam + lam_k
-            target = vector().factor * math.exp(-log_step(xi_c * eta * (ratio - 1.0)))
             ceiling = (1.0 + mu_k) / max(base, LAMBDA_FLOOR)  # factor at mu = 0
             if target >= ceiling:
                 state.mu = 0.0
@@ -475,30 +483,19 @@ def update_constraint_multipliers(
             else:
                 state.mu = min((1.0 + mu_k - target * base) / (target - C), _MULTIPLIER_CAP)
 
-    per_interval_opps = state.expected_total / max(state.intervals_total, 1)
-
     if w is not None:
-        eta_w = xi_c * state.interval_count / max(w.length * per_interval_opps, 1e-12)
-        interval_spend = state.window_interval_spend.get(w.id, 0.0)
-        spend_before = state.window_spend.get(w.id, 0.0) - interval_spend
-        # pace against the remaining allowance so early overshoot is clawed back
-        allowance = (w.cap - spend_before) / max(w.end - interval, 1)
-        ratio = min(interval_spend / allowance, 10.0) if allowance > 0 else 10.0
-        target = vector().factor * math.exp(-log_step(eta_w * (ratio - 1.0)))
-        numerator, base = vector().numerator, lam + state.mu
-        lam_k = min(max(numerator / max(target, LAMBDA_FLOOR) - base, 0.0), _MULTIPLIER_CAP)
+        step, ratio = window_pace(w, w.cap, state.window_spend, state.window_interval_spend)
+        m, target = retarget(step, ratio)
+        lam_k = m.numerator / max(target, LAMBDA_FLOOR) - (lam + state.mu)
+        lam_k = min(max(lam_k, 0.0), _MULTIPLIER_CAP)
         state.window_lambda[w.id] = lam_k
 
     if g is not None:
-        eta_g = xi_c * state.interval_count / max(g.length * per_interval_opps, 1e-12)
-        interval_value = state.window_interval_value.get(g.id, 0.0)
-        value_before = state.window_value.get(g.id, 0.0) - interval_value
-        needed = (g.floor - value_before) / max(g.end - interval, 1)
-        ratio = min(interval_value / needed, 10.0) if needed > 0 else 10.0
-        m = vector()
-        target = m.factor * math.exp(log_step(eta_g * (1.0 - ratio)))
-        base_num = 1.0 + (state.mu * C if C is not None else 0.0)
-        state.window_mu[g.id] = min(max(target * m.denominator - base_num, 0.0), _MULTIPLIER_CAP)
+        step, ratio = window_pace(g, g.floor, state.window_value, state.window_interval_value)
+        m, target = retarget(step, ratio)
+        boost = state.mu * C if C is not None else 0.0
+        mu_k = target * m.denominator - (1.0 + boost)
+        state.window_mu[g.id] = min(max(mu_k, 0.0), _MULTIPLIER_CAP)
 
 
 def apply_batch_update(
@@ -512,17 +509,8 @@ def apply_batch_update(
     """Close the current batch: refresh the smoothing estimator, update all
     multipliers, and reset the interval accumulators.  FTL mode replays
     history, the auctions seen so far (see ftl_update)."""
-    decay = 0.5 ** (1.0 / SMOOTHING_HALF_LIFE)
-    raw = state.interval_spend
-    state.smoothed_spend = (
-        raw if state.smoothed_spend is None else decay * state.smoothed_spend + (1 - decay) * raw
-    )
-    raw_value = state.interval_value
-    state.smoothed_value = (
-        raw_value
-        if state.smoothed_value is None
-        else decay * state.smoothed_value + (1 - decay) * raw_value
-    )
+    state.smoothed_spend = _smooth(state.smoothed_spend, state.interval_spend)
+    state.smoothed_value = _smooth(state.smoothed_value, state.interval_value)
 
     ratio = pace_ratio(state, cfg, forecast, interval)
     if ratio is None:
@@ -541,9 +529,7 @@ def apply_batch_update(
         eta = step_size(state, cfg, forecast, interval)
         grad = 1.0 - ratio
         if cfg.mode == "additive":
-            state.lambda_tilde = _clamp_tilde(
-                update_additive(state.lambda_tilde, eta, grad, floor=LAMBDA_TILDE_MIN)
-            )
+            state.lambda_tilde = _clamp_tilde(update_additive(state.lambda_tilde, eta, grad))
         else:
             state.lambda_tilde = update_multiplicative(state.lambda_tilde, eta, grad)
         update_constraint_multipliers(state, cfg, constraints, interval, eta)

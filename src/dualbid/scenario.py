@@ -31,6 +31,7 @@ import reprlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .bidding import DEFAULT_BID_CAP
 from .mechanisms import (
     LognormalBids,
     MechanismSpec,
@@ -47,6 +48,8 @@ from .pacing import (
 
 SCENARIO_VERSION = 1
 SEED_LIMIT = 2**64  # a seed keys a 64-bit Philox word, so seeds are in [0, SEED_LIMIT)
+INTERVAL_LIMIT = 10**6  # intervals in a horizon
+OPPORTUNITY_LIMIT = 10**7  # expected opportunities in a horizon; lambda* holds ~360 B each
 
 
 class ScenarioError(ValueError):
@@ -120,7 +123,7 @@ class AgentConfig:
     pacing: PacingConfig
     lambda0: float | None = None  # None: cold start from placement priors
     lambda_prime: float | None = None  # None: use the initialization value
-    bid_cap: float = 1e4
+    bid_cap: float = DEFAULT_BID_CAP
 
     def __post_init__(self):
         for name in ("lambda0", "lambda_prime", "bid_cap"):
@@ -315,7 +318,7 @@ def _parse_agent(raw: dict) -> AgentConfig:
     except PacingError as exc:
         raise ScenarioError("agent", str(exc)) from None
     lambda_prime = _get(raw, "lambda_prime", "agent", default=None)
-    bid_cap = _get(raw, "bid_cap", "agent", default=1e4)
+    bid_cap = _get(raw, "bid_cap", "agent", default=DEFAULT_BID_CAP)
     try:
         return AgentConfig(
             pacing=pacing, lambda0=lambda0, lambda_prime=lambda_prime, bid_cap=bid_cap
@@ -370,8 +373,10 @@ def parse_scenario(data, seed_override: int | None = None) -> ScenarioConfig:
     if not 0 <= seed < SEED_LIMIT:
         raise ScenarioError("seed", f"must be in [0, 2**64), got {seed}")
     intervals = _get(data, "intervals", "", int)
+    if intervals > INTERVAL_LIMIT:
+        raise ScenarioError("intervals", f"must be at most {INTERVAL_LIMIT}, got {intervals}")
     try:
-        return ScenarioConfig(
+        scenario = ScenarioConfig(
             seed=seed,
             intervals=intervals,
             constraints=constraints,
@@ -380,6 +385,14 @@ def parse_scenario(data, seed_override: int | None = None) -> ScenarioConfig:
         )
     except ValueError as exc:
         raise ScenarioError("scenario", str(exc)) from None
+    if scenario.expected_total() > OPPORTUNITY_LIMIT:
+        totals = [p.expected_total(intervals) for p in placements]
+        raise ScenarioError(
+            f"placements[{totals.index(max(totals))}].intensity",
+            f"expects {scenario.expected_total():.6g} opportunities over the horizon, "
+            f"more than {OPPORTUNITY_LIMIT}",
+        )
+    return scenario
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None) -> ScenarioConfig:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bidding import optimal_bids
+from .bidding import LAMBDA_FLOOR, optimal_bids
 from .coldstart import ColdStartResult, PlacementPriors, solve_lambda0_multi
 from .mechanisms import LognormalBids, MechanismSpec, MechanismTable, resolve
 from .oracle import LogColumns, OpportunityLog, RealizedSpend, first_price_limits, marginal_roi
@@ -290,7 +290,7 @@ def initial_multiplier(scenario: ScenarioConfig) -> tuple[float, ColdStartResult
     if scenario.agent.lambda0 is not None:
         return scenario.agent.lambda0, None
     result = solve_lambda0_multi(coldstart_priors(scenario), scenario.constraints.budget)
-    return max(result.lam, 1e-9), result
+    return max(result.lam, LAMBDA_FLOOR), result
 
 
 class TraceRow(NamedTuple):

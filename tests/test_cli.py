@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from dualbid.cli import main
+from dualbid.scenario import INTERVAL_LIMIT, OPPORTUNITY_LIMIT
 from helpers import mixed_scenario, stationary_scenario
 
 
@@ -199,6 +200,34 @@ class TestRun:
         assert main(["run", "--scenario", str(write_scenario(tmp_path, cfg)), "--out", str(out)]) == 2
         assert f"invalid scenario: {field}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "keys, value, field",
+        [
+            (("intervals",), INTERVAL_LIMIT + 1, "intervals"),
+            # 200 intervals of 30 on placement 0, so the total passes the cap by 2
+            (("placements", 1, "intensity"), (OPPORTUNITY_LIMIT - 5998) / 200,
+             "placements[1].intensity"),  # fmt: skip
+            # numpy's Poisson draw fails on it ("lam value too large")
+            (("placements", 0, "intensity"), 1e300, "placements[0].intensity"),
+        ],
+    )
+    def test_oversized_scenario_exits_2_before_the_stream(
+        self, tmp_path, capsys, monkeypatch, keys, value, field
+    ):
+        cfg = json.loads(MIXED_CONSTRAINED.read_text())
+        parent = cfg
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the episode started")
+
+        monkeypatch.setattr("dualbid.cli.run_episode", unreachable)
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert f"invalid scenario: {field}: " in capsys.readouterr().err
 
 
 # Importing scipy.special takes longer than a second-price episode runs, so

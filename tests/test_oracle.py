@@ -708,6 +708,18 @@ class TestMarginalRoi:
         assert len(reads) - len(replays) <= 7 and len(replays) == 2
 
 
+@pytest.mark.parametrize("solve", [solve_lambda_star, marginal_roi])
+@pytest.mark.parametrize("budget", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("kind", ["realized", "distributional"])
+def test_budget_must_be_finite_and_positive(solve, budget, kind):
+    if kind == "realized":
+        log = realized_log(THREE)
+    else:
+        log = quantile_lognormal_log(200, LOGN_SP, -1.0, 0.5)
+    with pytest.raises(OracleError, match="budget must be finite and > 0"):
+        solve(log, budget)
+
+
 class TestProp1:
     def test_second_price_lognormal(self):
         log = quantile_lognormal_log(2000, LOGN_SP, -1.0, 0.5)

@@ -1,11 +1,15 @@
 """Pacing controller tests: gradients, update algebra, FTL, constraints."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualbid.bidding import LAMBDA_FLOOR
+from dualbid.cli import main
 from dualbid.mechanisms import MechanismSpec, UniformBids
 from dualbid.pacing import (
     ConstraintSet,
@@ -25,7 +29,13 @@ from dualbid.pacing import (
     update_constraint_multipliers,
     update_multiplicative,
 )
-from helpers import auction_history, enumerate_best_winset, record_one_at_a_time, threshold_lambda
+from helpers import (
+    auction_history,
+    enumerate_best_winset,
+    record_one_at_a_time,
+    stationary_scenario,
+    threshold_lambda,
+)
 
 UNIFORM_SP = MechanismSpec("second_price", 0.0, UniformBids(0.0, 1.0))
 
@@ -464,6 +474,7 @@ def test_multipliers_stay_nonnegative_under_noise():
         guarantee_windows=(GuaranteeWindow("g", 0, 10, 5.0),),
     )
     forecast = ForecastModel(total=1000.0)
+    seen = []
     for i in range(200):
         state.interval_count = int(rng.integers(1, 200))
         state.interval_spend = float(rng.uniform(0, 30))
@@ -478,3 +489,60 @@ def test_multipliers_stay_nonnegative_under_noise():
         assert state.mu >= 0
         assert all(v >= 0 for v in state.window_lambda.values())
         assert all(v >= 0 for v in state.window_mu.values())
+        seen += [state.lambda_tilde, state.mu, state.window_lambda["w"], state.window_mu["g"]]
+    # and every multiplier after each batch, bit for bit: the cost target on
+    # smoothed and raw signals, both windows, capped ratios
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+        "92e3039debbb6d4f3ca32b945c4cdb70b39eb27274f874595a3e7a066e780481"
+    )
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _windowed_stationary() -> dict:
+    """A cost target, one delivery and one guarantee window, and count
+    batches of 75, most with fewer than SMOOTHING_MIN_WINS wins."""
+    cfg = stationary_scenario(
+        intervals=40,
+        budget=120.0,
+        cost_target=0.3,
+        delivery_windows=[{"id": "d", "start": 8, "end": 20, "cap": 16.0}],
+        guarantee_windows=[{"id": "g", "start": 24, "end": 36, "floor": 110.0}],
+        agent={"batch": 75, "constraint_xi": 5.0},
+    )
+    cfg["placements"][0]["intensity"] = 150.0
+    return cfg
+
+
+# sha256 of trace.csv and metrics.csv from `dualbid run`
+EPISODE_DIGESTS = {
+    # mu and mu_k
+    "guaranteed.json": (
+        "be667e69db95b6a658c37356dcf61c2558747957305be28415c940f84e2b1f94",
+        "fd446760ac9b80b880966e93b383c6dd70eb77e5817ffb531d2646e308e68be1",
+    ),
+    # lambda_k over first-price rows
+    "mixed_constrained.json": (
+        "079c15b0132f9592cd82ea3c0b89b192c0e9e7cb5247499bf13cbadc00822b59",
+        "4f3fb213d98950445795ff32fe1e06670c1626270089f7674db16a2655f95f4a",
+    ),
+    # all three, on smoothed and raw batch signals
+    "windowed_stationary": (
+        "fccbe3322234e606e14bdb489d4127a6bd91576001d023ba73e34b7eb713dd45",
+        "402cb6f20ac35bfc57e775d30ee0e7040e419ee7a5dc191de18832cbc5072db0",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", list(EPISODE_DIGESTS))
+def test_constrained_episodes_are_pinned(tmp_path, scenario):
+    # the controller's trace and metrics, byte for byte
+    path = ROOT / "scenarios" / scenario
+    if scenario == "windowed_stationary":
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_windowed_stationary()))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    for name, digest in zip(("trace.csv", "metrics.csv"), EPISODE_DIGESTS[scenario]):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
