@@ -73,9 +73,16 @@ class MultiplierVector:
 
     @property
     def factor(self) -> float:
-        """The adjusted value per unit of value, numerator / denominator,
-        with the denominator floored at LAMBDA_FLOOR to keep bids finite."""
-        return self.numerator / max(self.denominator, LAMBDA_FLOOR)
+        return bid_factor(self.lam, self.mu, self.cost_target, self.lam_k, self.mu_k)
+
+
+def bid_factor(
+    lam: float, mu: float, cost_target: float | None, lam_k: float, mu_k: float
+) -> float:
+    """The adjusted value per unit of value, (1 + mu C + mu_k) / (lam + mu +
+    lam_k), with the denominator floored at LAMBDA_FLOOR to keep bids finite."""
+    boost = mu * cost_target if cost_target is not None else 0.0
+    return (1.0 + boost + mu_k) / max(lam + mu + lam_k, LAMBDA_FLOOR)
 
 
 @dataclass(frozen=True)

@@ -78,12 +78,16 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
+RUN_OUTPUTS = ["trace.csv", "metrics.csv", "config_resolved.json"]
 
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):  # so a sweep worker's error reaches the parent whole
+        return type(self), (str(self), self.code)
 
 
 def _g6(x: float) -> str:
@@ -203,7 +207,7 @@ def cmd_run(args) -> int:
     except (ScenarioError, FileNotFoundError) as exc:
         raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION) from None
     out_dir = Path(args.out)
-    _prepare_outputs(out_dir, ["trace.csv", "metrics.csv", "config_resolved.json"], args.force)
+    _prepare_outputs(out_dir, RUN_OUTPUTS, args.force)
     try:
         episode = run_episode(scenario, compute_roi=args.roi)
     except SimulationError as exc:
@@ -471,8 +475,8 @@ def cmd_sweep(args) -> int:
     last = base + args.sweep_seeds - 1
     _check_seed(last, "base seed + --sweep-seeds - 1")
     seeds = list(range(base, last + 1))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    for seed in seeds:  # before any worker starts
+        _prepare_outputs(Path(args.out) / f"seed_{seed}", RUN_OUTPUTS, args.force)
     workers = min(args.jobs, os.cpu_count() or 1, len(seeds))
     if workers > 1:
         # only here: the import loads multiprocessing, ~10 ms a CLI call

@@ -16,7 +16,11 @@ window enter the bid formula.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,9 +90,12 @@ class GuaranteeWindow(_Window):
         self._validate("floor", self.floor)
 
 
-def _active(windows, interval: int):
-    """The window containing interval, or None."""
-    return next((w for w in windows if w.contains(interval)), None)
+class ActiveWindows(NamedTuple):
+    """The delivery and guarantee windows of an interval (or None) and their ids."""
+
+    delivery: DeliveryWindow | None
+    guarantee: GuaranteeWindow | None
+    ids: tuple[str, ...]
 
 
 def _check_disjoint(windows, kind: str) -> None:
@@ -114,9 +121,19 @@ class ConstraintSet:
             raise PacingError(f"cost_target must be finite and > 0, got {self.cost_target}")
         _check_disjoint(self.delivery_windows, "delivery")
         _check_disjoint(self.guarantee_windows, "guarantee")
-        ids = [w.id for w in self.delivery_windows] + [w.id for w in self.guarantee_windows]
-        if len(ids) != len(set(ids)):
+        windows = self.delivery_windows + self.guarantee_windows
+        if len({w.id for w in windows}) != len(windows):
             raise PacingError("window ids must be unique across all windows")
+        # the active windows are constant between window edges: interval i
+        # has those of piece bisect_right(_edges, i)
+        edges = sorted({x for w in windows for x in (w.start, w.end)})
+        pieces = []
+        for start in [-1, *edges]:
+            d = next((w for w in self.delivery_windows if w.contains(start)), None)
+            g = next((w for w in self.guarantee_windows if w.contains(start)), None)
+            pieces.append(ActiveWindows(d, g, tuple(w.id for w in (d, g) if w is not None)))
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_pieces", pieces)
 
     @property
     def budget_only(self) -> bool:
@@ -125,15 +142,14 @@ class ConstraintSet:
             self.cost_target is None and not self.delivery_windows and not self.guarantee_windows
         )
 
-    def active_delivery(self, interval: int) -> DeliveryWindow | None:
-        return _active(self.delivery_windows, interval)
+    def active_windows(self, interval: int) -> ActiveWindows:
+        return self._pieces[bisect_right(self._edges, interval)]
 
-    def active_guarantee(self, interval: int) -> GuaranteeWindow | None:
-        return _active(self.guarantee_windows, interval)
+    def window_table(self, intervals: int) -> list[ActiveWindows]:
+        """The active windows of each interval in [0, intervals)."""
+        at = np.searchsorted(self._edges, np.arange(intervals), side="right")
+        return [self._pieces[i] for i in at.tolist()]
 
-    def window_ids_at(self, interval: int) -> tuple[str, ...]:
-        active = (self.active_delivery(interval), self.active_guarantee(interval))
-        return tuple(w.id for w in active if w is not None)
 
 
 @dataclass(frozen=True)
@@ -203,8 +219,8 @@ class PacingConfig:
 class PacingState:
     """Single-writer mutable controller state.
 
-    lambda_tilde is the normalized multiplier; the bid path reads a
-    MultiplierVector snapshot taken at batch boundaries.
+    lambda_tilde is the normalized multiplier; the bid path reads the
+    multipliers, which move only at batch boundaries, once per segment.
     """
 
     budget: float
@@ -236,69 +252,54 @@ class PacingState:
     def lam(self) -> float:
         return self.lambda_tilde * self.lambda_prime
 
-    def multipliers_at(self, constraints: ConstraintSet, interval: int) -> MultiplierVector:
-        w = constraints.active_delivery(interval)
-        g = constraints.active_guarantee(interval)
-        return MultiplierVector(
-            lam=self.lam,
-            mu=self.mu,
-            cost_target=constraints.cost_target,
-            lam_k=self.window_lambda.get(w.id, 0.0) if w else 0.0,
-            mu_k=self.window_mu.get(g.id, 0.0) if g else 0.0,
+    def window_multipliers(self, active: ActiveWindows) -> tuple[float, float]:
+        """lam_k and mu_k of the active windows (0 where there is none)."""
+        w, g, _ = active
+        return (
+            self.window_lambda.get(w.id, 0.0) if w else 0.0,
+            self.window_mu.get(g.id, 0.0) if g else 0.0,
         )
 
-    def record_outcomes(self, windows: tuple[str, ...], values, won, costs, results):
-        """Account auctions resolved in order at one snapshot of the
-        multipliers, all in the given windows.
-
-        Bidding stops at the first auction that finds spend at or above the
-        budget: it and every later one count as seen, not bid.  Totals add
-        up left to right from their current values (a cumulative sum, never
-        a pairwise sum), so they equal adding the auctions one at a time.
-        Spend is summed once, and again only when the budget cuts the
-        auctions off; every other total is one row of a single 2-D sum.
-        Returns the number of auctions bid and the total spend and value
-        after each auction.
+    def record_outcomes(self, windows: tuple[str, ...], n: int, winners, costs, values, results):
+        """Account n auctions resolved in order at one snapshot of the
+        multipliers, all in the given windows, from their winners alone: the
+        positions of the auctions won, in order, and their costs, values and
+        results.  Bidding stops at the first auction that finds spend at or
+        above the budget: it and every later one count as seen, not bid.
+        Each total adds the winners' floats one at a time (reduce(add, ...));
+        a loser would add +0.0, which changes no total, so every total is that
+        of adding the auctions one at a time.  Returns the number of auctions
+        bid.
         """
-        n = len(costs)
-        won = np.asarray(won, dtype=bool)
-        costs = np.where(won, costs, 0.0)
-        spend = _running([self.spent_total], [costs])[0]
-        spent = np.flatnonzero(spend[:-1] >= self.budget)
-        bid = int(spent[0]) if spent.size else n
-        if bid < n:
-            won = won & (np.arange(n) < bid)
-            costs[bid:] = 0.0
-            spend = _running([self.spent_total], [costs])[0]
-        gained = np.where(won, values, 0.0)
+        spent, kept, bid = self.spent_total, 0, n
+        if spent >= self.budget:
+            bid, winners = 0, ()
+        for at, cost in zip(winners, costs):
+            spent += cost
+            kept += 1
+            if spent >= self.budget:
+                bid = at + 1
+                break
         self.opportunities_seen += n
         self.interval_count += n
-        wins = int(np.count_nonzero(won))
-        starts, added, windowed = [self.value_total], [gained], []
-        if wins:
-            starts += [self.interval_spend, self.interval_value, self.results_realized]
-            added += [costs, gained, np.where(won, results, 0.0)]
+        if kept:
+            costs, values = costs[:kept], values[:kept]
+            self.spent_total = spent
+            self.wins_total += kept
+            self.interval_wins += kept
+            self.interval_spend = reduce(add, costs, self.interval_spend)
+            self.value_total = reduce(add, values, self.value_total)
+            self.interval_value = reduce(add, values, self.interval_value)
+            self.results_realized = reduce(add, results[:kept], self.results_realized)
             for w in windows:
-                for totals, add in (
+                for totals, added in (
                     (self.window_interval_spend, costs),
-                    (self.window_interval_value, gained),
+                    (self.window_interval_value, values),
                     (self.window_spend, costs),
-                    (self.window_value, gained),
+                    (self.window_value, values),
                 ):
-                    starts.append(totals.get(w, 0.0))
-                    added.append(add)
-                    windowed.append((totals, w))
-        sums = _running(starts, added)
-        if wins:
-            self.wins_total += wins
-            self.interval_wins += wins
-            self.spent_total = float(spend[-1])
-            ends = sums[:, -1].tolist()
-            self.value_total, self.interval_spend, self.interval_value = ends[:3]
-            self.results_realized = ends[3]
-            for (totals, w), end in zip(windowed, ends[4:]):
-                totals[w] = end
-        return bid, spend[1:], sums[0, 1:]
+                    totals[w] = reduce(add, added, totals.get(w, 0.0))
+        return bid
 
     def reset_interval(self) -> None:
         self.interval_spend = 0.0
@@ -307,16 +308,6 @@ class PacingState:
         self.interval_wins = 0
         self.window_interval_spend.clear()
         self.window_interval_value.clear()
-
-
-def _running(starts: list[float], added: list[np.ndarray]) -> np.ndarray:
-    """One row per start: the start, then it plus each prefix of its array
-    in added, summed left to right (np.add.accumulate, which np.cumsum
-    calls)."""
-    sums = np.empty((len(starts), len(added[0]) + 1))
-    sums[:, 0] = starts
-    sums[:, 1:] = added
-    return np.add.accumulate(sums, axis=1)
 
 
 def normalize(state: PacingState, lambda0: float) -> PacingState:
@@ -444,10 +435,8 @@ def update_constraint_multipliers(
     xi_c = cfg.constraint_xi
     lam = state.lam
     C = constraints.cost_target
-    w = constraints.active_delivery(interval)
-    g = constraints.active_guarantee(interval)
-    lam_k = state.window_lambda.get(w.id, 0.0) if w else 0.0
-    mu_k = state.window_mu.get(g.id, 0.0) if g else 0.0
+    w, g, _ = active = constraints.active_windows(interval)
+    lam_k, mu_k = state.window_multipliers(active)
     per_interval_opps = state.expected_total / max(state.intervals_total, 1)
 
     def retarget(step: float, ratio: float) -> tuple[MultiplierVector, float]:

@@ -9,22 +9,24 @@ byte-identical trace.  The stream is held as columns (``OpportunityStream``),
 ordered by one stable sort on (interval, jitter, placement id), with one
 mechanism per cell.
 
-An episode pairs the stream with a pacing agent.  It runs in segments: the
-opportunities from one multiplier update (interval start, or the end of a
-count batch) to the next one or the end of the interval, whichever comes
-first.  A segment is resolved in one go at the snapshot multipliers; the
-budget cut-off and the pacing, placement and window accounting are array
-operations whose sums run left to right, so every total and the trace
-columns equal those of handling the opportunities one at a time.  Bidding
-halts once cumulative spend reaches the budget: a segment that starts with
-the budget spent shades and resolves no row, and only counts them as seen.
+An episode pairs the stream with a pacing agent in two passes.  The
+controller pass runs in segments: the opportunities from one multiplier
+update (interval start, or the end of a count batch) to the next one or the
+end of the interval, whichever comes first.  A segment is bid in one call at
+the multipliers' bid factor, its rows win where the bid reaches
+max(clearing, reserve), and PacingState.record_outcomes accounts it from its
+winners alone, so every total is that of handling the opportunities one at
+a time.  Bidding halts once spend reaches the budget: a segment that starts
+with the budget spent bids no row, and only counts them as seen.  The trace
+pass then writes each column once: the rows bid are a prefix of the stream,
+the multipliers repeat each segment's, and cum_spend and cum_value are
+running sums of the cost and won value columns, the controller's additions.
 
 A first-price row whose factor lies below the least factor at which it may
 win (oracle.first_price_limits) loses for certain: its segment resolves it
 as a loss without shading it, and every such row that was bid is shaded in
 one call after the last segment.  Shading is per row, so its bid is the one
-its segment would have given.  The other rows of a segment are bid in one
-call.
+its segment would have given.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bidding import LAMBDA_FLOOR, optimal_bids
+from .bidding import LAMBDA_FLOOR, bid_factor, optimal_bids
 from .coldstart import ColdStartResult, PlacementPriors, solve_lambda0_multi
-from .mechanisms import LognormalBids, MechanismSpec, MechanismTable, resolve
+from .mechanisms import LognormalBids, MechanismSpec, MechanismTable
 from .oracle import LogColumns, OpportunityLog, RealizedSpend, first_price_limits, marginal_roi
 from .pacing import ForecastModel, PacingState, apply_batch_update, normalize
 from .scenario import PlacementConfig, ScenarioConfig
@@ -219,8 +221,8 @@ def realized_log(scenario: ScenarioConfig, stream: OpportunityStream) -> Opportu
     """Stream reinterpreted as a realized opportunity log for the oracle."""
     combos: dict[tuple[str, ...], int] = {}
     per_interval = [
-        combos.setdefault(scenario.constraints.window_ids_at(i), len(combos))
-        for i in range(scenario.intervals)
+        combos.setdefault(active.ids, len(combos))
+        for active in scenario.constraints.window_table(scenario.intervals)
     ]
     return OpportunityLog.from_columns(
         LogColumns(
@@ -338,17 +340,6 @@ class Trace:
     cum_spend: np.ndarray
     cum_value: np.ndarray
 
-    @classmethod
-    def for_stream(cls, stream: OpportunityStream) -> Trace:
-        """A trace of the stream with every decision column zero."""
-        n = len(stream)
-        decisions = {name: np.zeros(n) for name in TRACE_COLUMNS[4:]}
-        decisions["won"] = np.zeros(n, dtype=bool)
-        return cls(
-            stream.placement_ids, stream.interval, np.arange(n), stream.placement, stream.value,
-            **decisions,
-        )  # fmt: skip
-
     def __len__(self) -> int:
         return len(self.interval)
 
@@ -428,14 +419,6 @@ def _least_factors(stream: OpportunityStream, history, bid_cap: float) -> np.nda
     return least
 
 
-def _bid(stream: OpportunityStream, rows, adjusted, bid_cap: float):
-    """The rows' bids at their adjusted values, and whether each wins and
-    what it pays."""
-    table = stream.table.take(rows)
-    bids = optimal_bids(table, adjusted, bid_cap)
-    return (bids, *resolve(table, bids, stream.clearing_bid[rows]))
-
-
 @dataclass
 class EpisodeResult:
     scenario: ScenarioConfig
@@ -464,19 +447,22 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
     normalize(state, scenario.agent.lambda_prime or lambda0)
 
     stream = generate_stream(scenario)
-    values, clearing = stream.value, stream.clearing_bid
+    n, values, clearing, table = len(stream), stream.value, stream.clearing_bid, stream.table
+    first_price, price = table.first_price, np.maximum(clearing, table.reserve)
     success = stream.result_draw < np.minimum(values, 1.0)  # a win's result, if it wins
     # FTL replays the auctions seen so far, each update a prefix of one
     # history sorted once for the episode
-    history = (
-        RealizedSpend(values, clearing, stream.table, bid_cap) if cfg.mode == "ftl" else None
-    )
+    history = RealizedSpend(values, clearing, table, bid_cap) if cfg.mode == "ftl" else None
     least = _least_factors(stream, history, bid_cap)
-    deferred: list[np.ndarray] = []  # the certain losers bid, shaded after the loop
     # the stream is ordered by interval: interval i is rows starts[i]:starts[i + 1]
-    starts = np.searchsorted(stream.interval, np.arange(scenario.intervals + 1))
-    # rows cut off by the budget keep a zero adjusted value, bid and cost
-    trace = Trace.for_stream(stream)
+    starts = np.searchsorted(stream.interval, np.arange(scenario.intervals + 1)).tolist()
+    windows = constraints.window_table(scenario.intervals)
+    rows = np.arange(n)
+    bids = np.zeros(n)
+    wins: list[np.ndarray] = []  # each segment's winners
+    cut = n  # the first row not bid: spend had reached the budget
+    segments: list[tuple[float, ...]] = []  # factor and multipliers, one per segment
+    sizes: list[int] = []
     trajectory: list[float] = []
 
     def close_batch(interval: int, seen: int) -> None:
@@ -485,40 +471,32 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
 
     for interval in range(scenario.intervals):
         try:
-            windows = constraints.window_ids_at(interval)
-            index, end = int(starts[interval]), int(starts[interval + 1])
+            active = windows[interval]
+            index, end = starts[interval], starts[interval + 1]
             while index < end:
                 # the multipliers only move at batch boundaries, so the rest
-                # of the interval, or of the count batch, is resolved in one go
-                snapshot = state.multipliers_at(constraints, interval)
+                # of the interval, or of the count batch, is bid in one go
                 size = end - index if batch is None else min(end - index, batch - state.interval_count)
-                seg = slice(index, index + size)
-                adjusted = snapshot.factor * values[seg]
-                halted = state.spent_total >= state.budget  # no row of the segment is bid
-                out = None if least is None or halted else least[seg] > snapshot.factor
-                if halted:
-                    bids, wins, costs = np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size)
-                elif out is None or not out.any():
-                    bids, wins, costs = _bid(stream, seg, adjusted, bid_cap)
-                else:  # certain losers bid 0 for now, lose and pay nothing
-                    live = np.flatnonzero(~out)
-                    bids, wins, costs = np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size)
-                    bids[live], wins[live], costs[live] = _bid(
-                        stream, index + live, adjusted[live], bid_cap
-                    )
-                results = wins & success[seg]
-                trace.lambda_tilde[seg] = state.lambda_tilde
-                trace.mu[seg], trace.lambda_k[seg], trace.mu_k[seg] = (
-                    snapshot.mu, snapshot.lam_k, snapshot.mu_k
-                )
-                bid, trace.cum_spend[seg], trace.cum_value[seg] = state.record_outcomes(
-                    windows, values[seg], wins, costs, results
-                )
-                rows = slice(index, index + bid)
-                trace.adjusted_value[rows], trace.bid[rows] = adjusted[:bid], bids[:bid]
-                trace.won[rows], trace.cost[rows] = wins[:bid], costs[:bid]
-                if out is not None:
-                    deferred.append(index + np.flatnonzero(out[:bid]))
+                lam_k, mu_k = state.window_multipliers(active)
+                factor = bid_factor(state.lam, state.mu, constraints.cost_target, lam_k, mu_k)
+                segments.append((factor, state.lambda_tilde, state.mu, lam_k, mu_k))
+                sizes.append(size)
+                winners = rows[:0]
+                if state.spent_total < state.budget:  # else no row of the segment is bid
+                    seg = slice(index, index + size)
+                    out = None if least is None else least[seg] > factor
+                    if out is not None and out.any():  # certain losers are bid after the loop
+                        seg = rows[seg][~out]
+                    bids[seg] = optimal_bids(table.take(seg), factor * values[seg], bid_cap)
+                    winners = rows[seg][bids[seg] >= price[seg]]
+                    wins.append(winners)
+                bid = state.record_outcomes(
+                    active.ids, size, (winners - index).tolist(),
+                    np.where(first_price[winners], bids[winners], price[winners]).tolist(),
+                    values[winners].tolist(), success[winners].tolist(),
+                )  # fmt: skip
+                if bid < size:
+                    cut = min(cut, index + bid)
                 index += size
                 if batch is not None and state.interval_count >= batch:
                     close_batch(interval, index)
@@ -527,11 +505,27 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
         except Exception as exc:
             raise SimulationError(f"interval {interval}: {exc}") from exc
         trajectory.append(state.lambda_tilde)
-    if deferred:
-        late = np.concatenate(deferred)
-        trace.bid[late] = optimal_bids(stream.table.take(late), trace.adjusted_value[late], bid_cap)
 
-    won_value = np.where(trace.won, values, 0.0)
+    # the trace, each column written once; rows from the cut on keep a zero
+    # adjusted value, bid and cost
+    factors, *multipliers = np.repeat(np.array(segments).reshape(-1, 5).T, sizes, axis=1)
+    adjusted = factors * values
+    adjusted[cut:] = bids[cut:] = 0.0
+    if least is not None:
+        late = np.flatnonzero(least[:cut] > factors[:cut])
+        bids[late] = optimal_bids(table.take(late), adjusted[late], bid_cap)
+    won = np.zeros(n, dtype=bool)
+    won[np.concatenate(wins) if wins else rows[:0]] = True
+    won[cut:] = False
+    cost = np.where(won, np.where(first_price, bids, price), 0.0)
+    won_value = np.where(won, values, 0.0)
+    # each running sum adds row by row, as the controller added each segment
+    # from the total before it
+    trace = Trace(
+        stream.placement_ids, stream.interval, rows, stream.placement, values, adjusted, bids,
+        won, cost, *multipliers, np.add.accumulate(cost), np.add.accumulate(won_value),
+    )  # fmt: skip
+
     placement_spend: dict[str, float] = {p.id: 0.0 for p in scenario.placements}
     placement_value: dict[str, float] = {p.id: 0.0 for p in scenario.placements}
     for code, pid in enumerate(stream.placement_ids):

@@ -5,13 +5,14 @@ import csv
 import hashlib
 import json
 import math
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from dualbid.cli import main
+from dualbid.cli import CliError, main
 from dualbid.scenario import INTERVAL_LIMIT, OPPORTUNITY_LIMIT
 from helpers import mixed_scenario, stationary_scenario
 
@@ -700,6 +701,35 @@ class TestSweep:
         assert (out / "seed_101" / "trace.csv").exists()
         printed = capsys.readouterr().out
         assert "seed=100" in printed and "seed=101" in printed
+
+    def test_existing_outputs_exit_2_before_any_worker(self, tmp_path, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        scenario = write_scenario(tmp_path, small_scenario(intervals=5))
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--seed", "100"]
+        argv += ["--sweep-seeds", "2", "--jobs", "2"]
+        assert main(argv[:-4] + ["--sweep-seeds", "1"]) == 0  # seed_100 only
+        capsys.readouterr()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "refusing to overwrite" in err and str(out / "seed_100" / "trace.csv") in err
+        assert not (out / "seed_101" / "trace.csv").exists()
+
+    def test_worker_failure_keeps_its_message_and_code(self, tmp_path, capsys):
+        # cold start needs a lognormal competing-bid model: each episode
+        # fails in its worker, after the outputs were checked
+        cfg = small_scenario(intervals=5)
+        cfg["placements"][0]["competitor"] = {"family": "uniform", "lo": 0.0, "hi": 1.0}
+        argv = ["sweep", "--scenario", str(write_scenario(tmp_path, cfg))]
+        argv += ["--out", str(tmp_path / "sweep"), "--sweep-seeds", "2", "--jobs", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "episode failed" in err and "cold start needs a lognormal" in err
+        error = pickle.loads(pickle.dumps(CliError("episode failed: x", 1)))
+        assert (str(error), error.code) == ("episode failed: x", 1)
 
     @pytest.mark.parametrize("flag", ["--jobs", "--sweep-seeds"])
     @pytest.mark.parametrize("bad", ["0", "-3"])

@@ -280,22 +280,31 @@ class TestRecordOutcomes:
             return np.asarray(xs, dtype=float).view(np.int64).tolist()
 
         state, reference = start(), start()
-        bid, spend, value = state.record_outcomes(windows, values, won, costs, results)
+        winners = np.flatnonzero(won)
+        bid = state.record_outcomes(
+            windows, n, winners.tolist(), costs[winners].tolist(), values[winners].tolist(),
+            results[winners].tolist(),
+        )  # fmt: skip
         after = record_one_at_a_time(reference, windows, values, won, costs, results)
         assert state == reference
-        assert bits(spend) == bits([s for s, _ in after])
-        assert bits(value) == bits([v for _, v in after])
         before = [0.7] + [s for s, _ in after[:-1]]
         assert bid == next((i for i, s in enumerate(before) if s >= budget), n) == expect_bid
+        # the running totals over the rows bid, as an episode's trace sums them
+        kept = won & (np.arange(n) < bid)
+        spend = np.add.accumulate(np.r_[0.7, np.where(kept, costs, 0.0)])[1:]
+        value = np.add.accumulate(np.r_[1.3, np.where(kept, values, 0.0)])[1:]
+        assert bits(spend) == bits([s for s, _ in after])
+        assert bits(value) == bits([v for _, v in after])
 
     def test_spend_at_the_budget_stops_bidding(self):
-        args = ((), np.ones(4), np.ones(4, dtype=bool), np.full(4, 0.25), np.zeros(4))
         state = make_state(budget=1.0, spent_total=0.5)
         reference = make_state(budget=1.0, spent_total=0.5)
-        bid, spend, _ = state.record_outcomes(*args)
-        record_one_at_a_time(reference, *args)
+        bid = state.record_outcomes((), 4, [0, 1, 2, 3], [0.25] * 4, [1.0] * 4, [0.0] * 4)
+        after = record_one_at_a_time(
+            reference, (), np.ones(4), np.ones(4, dtype=bool), np.full(4, 0.25), np.zeros(4)
+        )
         assert bid == 2
-        assert spend.tolist() == [0.75, 1.0, 1.0, 1.0]
+        assert [s for s, _ in after] == [0.75, 1.0, 1.0, 1.0]
         assert state == reference
 
 
@@ -324,9 +333,9 @@ class TestConstraintSet:
             delivery_windows=(DeliveryWindow("w", 2, 4, 1.0),),
             guarantee_windows=(GuaranteeWindow("g", 3, 6, 2.0),),
         )
-        assert cs.active_delivery(3).id == "w"
-        assert cs.active_delivery(4) is None
-        assert cs.window_ids_at(3) == ("w", "g")
+        assert cs.active_windows(3).delivery.id == "w"
+        assert cs.active_windows(4).delivery is None
+        assert cs.active_windows(3).ids == ("w", "g")
 
     def test_field_validation(self):
         with pytest.raises(PacingError):
@@ -413,11 +422,11 @@ class TestConstraintMultipliers:
     def test_without_guarantee_formula_reduces(self):
         state = make_state(lambda_prime=2.0, lambda_tilde=1.0)
         constraints = self._constraints()
-        m = state.multipliers_at(constraints, 0)
-        assert m.mu_k == 0.0 and m.lam_k == 0.0
-        from dualbid.bidding import adjusted_value
+        lam_k, mu_k = state.window_multipliers(constraints.active_windows(0))
+        assert mu_k == 0.0 and lam_k == 0.0
+        from dualbid.bidding import bid_factor
 
-        assert adjusted_value(1.0, m) == pytest.approx(0.5)
+        assert bid_factor(state.lam, state.mu, None, lam_k, mu_k) == pytest.approx(0.5)
 
     def test_overspent_window_raises_lambda_k(self):
         state = make_state()

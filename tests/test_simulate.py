@@ -1,5 +1,6 @@
 """Simulator tests: stream generation, episode accounting, budget safety."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dualbid.cli import main
 from dualbid.oracle import LogRecord, MultiplierProfile, OpportunityLog, replay, solve_lambda_star
 from dualbid.scenario import parse_scenario
 from dualbid.simulate import (
@@ -99,7 +101,7 @@ class TestStream:
                     value=o.value,
                     mechanism=o.mechanism,
                     clearing_bid=o.clearing_bid if realized else None,
-                    windows=scenario.constraints.window_ids_at(o.interval),
+                    windows=scenario.constraints.active_windows(o.interval).ids,
                 )
                 for o in stream
             ]
@@ -402,6 +404,81 @@ def test_no_row_is_shaded_after_the_budget_runs_out(monkeypatch):
     bid = np.count_nonzero(first & (trace.adjusted_value > 0))
     # each first-price row bid is shaded once (720 rows, 721 shaded in all)
     assert bid <= sum(calls) <= np.count_nonzero(first & (trace.interval <= cut))
+
+
+def _budget_out() -> dict:
+    """A first-price episode whose budget runs out inside interval 14 of 60."""
+    return mixed_scenario(
+        intervals=60, budget=15.0, agent={"initialization": {"lambda0": 2.0}, "xi": 0.1}
+    )
+
+
+def test_cumulative_columns_add_the_trace_one_row_at_a_time():
+    # cum_spend and cum_value are the running totals of the cost and won
+    # value columns, each added as a float in stream order, and cost is what
+    # a win pays: the bid at first price, max(clearing, reserve) at second
+    episode = run_episode(parse_scenario(_budget_out()))
+    trace, stream = episode.trace, episode.stream
+    assert episode.state.spent_total >= 15.0 > trace.cum_spend[trace.adjusted_value > 0][-2]
+    spend = value = 0.0
+    spends, values = [], []
+    for cost, won, v in zip(trace.cost.tolist(), trace.won.tolist(), trace.value.tolist()):
+        spend += cost
+        value += v if won else 0.0
+        spends.append(spend)
+        values.append(value)
+    assert trace.cum_spend.tobytes() == np.array(spends).tobytes()
+    assert trace.cum_value.tobytes() == np.array(values).tobytes()
+    assert (spend, value) == (episode.state.spent_total, episode.state.value_total)
+    price = np.maximum(stream.clearing_bid, stream.table.reserve)
+    paid = np.where(stream.table.first_price, trace.bid, price)
+    assert np.array_equal(trace.won, trace.bid >= price)
+    assert trace.cost.tobytes() == np.where(trace.won, paid, 0.0).tobytes()
+
+
+def _stationary_batch_10() -> dict:
+    cfg = json.loads((SCENARIOS / "stationary.json").read_text())
+    cfg["agent"]["batch"] = 10
+    return cfg
+
+
+# sha256 of trace.csv and metrics.csv from `dualbid run`
+EPISODE_DIGESTS = {
+    # second price, count batches
+    "stationary_batch_10": (
+        _stationary_batch_10,
+        "fa37db80d2e8902ab16015e660760cd8b27c4e3fe55d6a4b81d1c4335f8194e5",
+        "23f422df710489e069492c145bccc6689f6c973e065e1c9ecd431e33b24a116a",
+    ),
+    # a cut-off inside a segment, then halted segments
+    "budget_out": (
+        _budget_out,
+        "9d9275a348fbe1c5fadfaea7606f0188e4781648e42b435967e99d42f4c6cbf0",
+        "5b466189f1d8f74b808a7cd6dbb0fa9096299faef4dd8a5bc9a42c77c8b4b658",
+    ),
+    # count batches over first-price rows
+    "first_price_batch_7": (
+        lambda: mixed_scenario(intervals=60, budget=30.0, agent={"batch": 7}),
+        "bc72131246568b5fcdf41570f7efa0b1b1deeb05b1a3316481ebce7546496092",
+        "1516a5d02e5416ff223ea7573ff7b6441a3b73ba679101846077af6a803bebc2",
+    ),
+    "first_price_ftl": (
+        lambda: mixed_scenario(intervals=60, budget=30.0, agent={"mode": "ftl"}),
+        "e62f9382a320aac5eadd19245747a6cc3a09abf77a1199a44f9a9d282a960200",
+        "5b3085f562a40e2c3c348be78428763b31f09a38b2fe2846a66746f169d0785a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EPISODE_DIGESTS))
+def test_episodes_are_pinned(tmp_path, capsys, name):
+    # the episode's trace and metrics, byte for byte
+    build, *digests = EPISODE_DIGESTS[name]
+    path, out = tmp_path / "scenario.json", tmp_path / "out"
+    path.write_text(json.dumps(build()))
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    for file, digest in zip(("trace.csv", "metrics.csv"), digests):
+        assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest, file
 
 
 class TestConvergenceRegressions:
