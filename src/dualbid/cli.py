@@ -94,17 +94,16 @@ def _g6(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _prepare_outputs(out_dir: Path, names: list[str], force: bool) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if force:
-        return
-    existing = [n for n in names if (out_dir / n).exists()]
+def _prepare_outputs(names: list[str], force: bool, *out_dirs: Path) -> None:
+    """Make out_dirs, unless one of them holds one of names and not force."""
+    existing = [] if force else [d / n for d in out_dirs for n in names if (d / n).exists()]
     if existing:
         raise CliError(
-            f"refusing to overwrite {', '.join(str(out_dir / n) for n in existing)} "
-            "(pass --force)",
+            f"refusing to overwrite {', '.join(map(str, existing))} (pass --force)",
             EXIT_VALIDATION,
         )
+    for out_dir in out_dirs:
+        out_dir.mkdir(parents=True, exist_ok=True)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -207,7 +206,7 @@ def cmd_run(args) -> int:
     except (ScenarioError, FileNotFoundError) as exc:
         raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION) from None
     out_dir = Path(args.out)
-    _prepare_outputs(out_dir, RUN_OUTPUTS, args.force)
+    _prepare_outputs(RUN_OUTPUTS, args.force, out_dir)
     try:
         episode = run_episode(scenario, compute_roi=args.roi)
     except SimulationError as exc:
@@ -300,7 +299,7 @@ def cmd_compare(args) -> int:
     agent_value, agent_spend = (_metric(metrics, key) for key in ("total_value", "total_spend"))
 
     out_dir = Path(args.out) if args.out else run_dir
-    _prepare_outputs(out_dir, ["compare.csv", "oracle_curves.csv", "roi.csv"], args.force)
+    _prepare_outputs(["compare.csv", "oracle_curves.csv", "roi.csv"], args.force, out_dir)
 
     stream = generate_stream(scenario)
     log = realized_log(scenario, stream)
@@ -432,7 +431,7 @@ def cmd_coldstart(args) -> int:
         raise CliError(f"invalid coldstart input: {exc}", EXIT_VALIDATION) from None
     if args.out:
         out_dir = Path(args.out)
-        _prepare_outputs(out_dir, ["coldstart_grid.csv"], args.force)
+        _prepare_outputs(["coldstart_grid.csv"], args.force, out_dir)
         center = result.lam if not result.unconstrained else 1.0
         grid = np.geomspace(center / 100.0, center * 100.0, 81)
         total = sum(p.forecast_count for p in priors)
@@ -475,8 +474,8 @@ def cmd_sweep(args) -> int:
     last = base + args.sweep_seeds - 1
     _check_seed(last, "base seed + --sweep-seeds - 1")
     seeds = list(range(base, last + 1))
-    for seed in seeds:  # before any worker starts
-        _prepare_outputs(Path(args.out) / f"seed_{seed}", RUN_OUTPUTS, args.force)
+    # every seed's outputs, before any worker starts
+    _prepare_outputs(RUN_OUTPUTS, args.force, *(Path(args.out) / f"seed_{s}" for s in seeds))
     workers = min(args.jobs, os.cpu_count() or 1, len(seeds))
     if workers > 1:
         # only here: the import loads multiprocessing, ~10 ms a CLI call
@@ -577,7 +576,7 @@ def cmd_oracle(args) -> int:
         raise CliError(f"invalid constraints: {exc}", EXIT_VALIDATION) from None
 
     out_dir = Path(args.out)
-    _prepare_outputs(out_dir, ["oracle_multipliers.csv", "oracle_curves.csv"], args.force)
+    _prepare_outputs(["oracle_multipliers.csv", "oracle_curves.csv"], args.force, out_dir)
     try:
         if not constraints.budget_only:
             kkt = solve_kkt_grid(log, constraints)

@@ -151,7 +151,6 @@ class ConstraintSet:
         return [self._pieces[i] for i in at.tolist()]
 
 
-
 @dataclass(frozen=True)
 class ForecastModel:
     """Either an expected opportunity total for the horizon or per-interval

@@ -716,7 +716,7 @@ class TestSweep:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "refusing to overwrite" in err and str(out / "seed_100" / "trace.csv") in err
-        assert not (out / "seed_101" / "trace.csv").exists()
+        assert not (out / "seed_101").exists()
 
     def test_worker_failure_keeps_its_message_and_code(self, tmp_path, capsys):
         # cold start needs a lognormal competing-bid model: each episode
