@@ -471,7 +471,7 @@ EPISODE_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", list(EPISODE_DIGESTS))
-def test_episodes_are_pinned(tmp_path, capsys, name):
+def test_episodes_are_pinned(tmp_path, name):
     # the episode's trace and metrics, byte for byte
     build, *digests = EPISODE_DIGESTS[name]
     path, out = tmp_path / "scenario.json", tmp_path / "out"
