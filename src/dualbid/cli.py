@@ -79,6 +79,7 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 RUN_OUTPUTS = ["trace.csv", "metrics.csv", "config_resolved.json"]
+SWEEP_SEEDS_LIMIT = 10_000  # a sweep lists its seeds and their outputs before any runs
 
 
 class CliError(Exception):
@@ -466,6 +467,10 @@ def cmd_sweep(args) -> int:
     for flag, n in (("--jobs", args.jobs), ("--sweep-seeds", args.sweep_seeds)):
         if n < 1:
             raise CliError(f"{flag} must be >= 1, got {n}", EXIT_VALIDATION)
+    if args.sweep_seeds > SWEEP_SEEDS_LIMIT:
+        raise CliError(
+            f"--sweep-seeds must be <= {SWEEP_SEEDS_LIMIT}, got {args.sweep_seeds}", EXIT_VALIDATION
+        )
     _check_seed(args.seed)
     try:
         base = load_scenario(args.scenario, seed_override=args.seed).seed

@@ -60,89 +60,48 @@ class LogRecord:
 
 
 class OpportunityLog:
-    """Ordered opportunity records, held as columns for replay."""
+    """Ordered opportunity records, held as columns for replay: times,
+    values, clearing bids (NaN in distributional records), the mechanism of
+    each record (a code into mechanisms) and their table, and codes for the
+    placement and the window combination of each record.  Placements and
+    window combinations are numbered in order of first appearance, and only
+    those that appear are kept.  A log is built from hand-made records or
+    straight from columns (from_columns); either way its records are built
+    from the columns when first read."""
 
     def __init__(self, records: list[LogRecord]):
-        if not records:
-            raise OracleError("opportunity log must not be empty")
         times = [r.time for r in records]
         if any(b < a for a, b in zip(times, times[1:])):
             raise OracleError("record times must be nondecreasing")
-        self.records = list(records)
-        self.arrays = LogColumns.from_records(self.records)
+        mechanisms: dict[MechanismSpec, int] = {}
+        placements: dict[str, int] = {}
+        combos: dict[tuple[str, ...], int] = {}
+        self._set_columns(
+            time=times,
+            values=[r.value for r in records],
+            clearing=[np.nan if r.clearing_bid is None else r.clearing_bid for r in records],
+            mechanism_codes=[mechanisms.setdefault(r.mechanism, len(mechanisms)) for r in records],
+            mechanisms=mechanisms,
+            placement_codes=[placements.setdefault(r.placement, len(placements)) for r in records],
+            placement_names=list(placements),
+            combo_codes=[combos.setdefault(r.windows, len(combos)) for r in records],
+            window_combos=list(combos),
+        )
 
     @classmethod
-    def from_columns(cls, columns: LogColumns) -> OpportunityLog:
+    def from_columns(cls, **columns) -> OpportunityLog:
         """A log over columns built in time order, such as a simulated
-        stream's; its records are built when first read."""
-        if len(columns) == 0:
-            raise OracleError("opportunity log must not be empty")
+        stream's, passed by the names _set_columns takes."""
         log = object.__new__(cls)
-        log.arrays = columns
+        log._set_columns(**columns)
         return log
 
-    @cached_property
-    def records(self) -> list[LogRecord]:
-        return self.arrays.records()
-
-    def __len__(self) -> int:
-        return len(self.arrays)
-
-    @cached_property
-    def _realized_spends(self) -> dict[float, RealizedSpend]:
-        return {}
-
-    def realized_spend(self, bid_cap: float) -> RealizedSpend:
-        """The log's rows as a RealizedSpend at bid_cap, built once per bid
-        cap, so that the lambda* search and the oracle curve share one sort."""
-        built = self._realized_spends
-        if bid_cap not in built:
-            cols = self.arrays
-            built[bid_cap] = RealizedSpend(cols.values, cols.clearing, cols.table, bid_cap)
-        return built[bid_cap]
-
-    def segments(self, windows, bid_cap: float) -> dict[tuple[str, ...], RealizedSpend]:
-        """realized_spend(bid_cap) by segment, the rows that share which of
-        the windows named they are in, keyed by those windows in order of
-        first appearance (the whole, where all rows share them)."""
-        cols, rs = self.arrays, self.realized_spend(bid_cap)
-        keys = [tuple(w for w in combo if w in windows) for combo in cols.window_combos]
-        if len(set(keys)) == 1:
-            return {keys[0]: rs}
-        codes = lambda key: [c for c, k in enumerate(keys) if k == key]
-        return {key: rs.rows(np.isin(cols.combo_codes, codes(key))) for key in dict.fromkeys(keys)}
-
-    @property
-    def mode(self) -> str:
-        realized = int(np.count_nonzero(self.arrays.realized))
-        if realized == 0:
-            return "distributional"
-        if realized == len(self):
-            return "realized"
-        return "mixed"
-
-
-def _by_first_appearance(codes: np.ndarray, names) -> tuple[np.ndarray, list]:
-    """codes renumbered, and names kept, in order of first appearance."""
-    used, first = np.unique(codes, return_index=True)
-    order = used[np.argsort(first)]
-    renumber = np.zeros(len(names), dtype=np.intp)
-    renumber[order] = np.arange(len(order))
-    return renumber[codes], [names[c] for c in order]
-
-
-class LogColumns:
-    """Per-record columns of a log: times, values, clearing bids (NaN in
-    distributional records), the mechanism of each record (a code into
-    mechanisms) and their table, and codes for the placement and the window
-    combination of each record.  Placements and window combinations are
-    numbered in order of first appearance, and only those that appear are
-    kept."""
-
-    def __init__(
+    def _set_columns(
         self, time, values, clearing, mechanisms, mechanism_codes, placement_names,
         placement_codes, window_combos, combo_codes,
     ):  # fmt: skip
+        if len(values) == 0:
+            raise OracleError("opportunity log must not be empty")
         self.time = np.asarray(time, dtype=float)
         self.values = np.asarray(values, dtype=float)
         self.clearing = np.asarray(clearing, dtype=float)
@@ -162,41 +121,10 @@ class LogColumns:
             for w in windows
         }
 
-    @classmethod
-    def from_records(cls, records: list[LogRecord]) -> LogColumns:
-        mechanisms: dict[MechanismSpec, int] = {}
-        placements: dict[str, int] = {}
-        combos: dict[tuple[str, ...], int] = {}
-        return cls(
-            time=[r.time for r in records],
-            values=[r.value for r in records],
-            clearing=[np.nan if r.clearing_bid is None else r.clearing_bid for r in records],
-            mechanism_codes=[mechanisms.setdefault(r.mechanism, len(mechanisms)) for r in records],
-            mechanisms=mechanisms,
-            placement_codes=[placements.setdefault(r.placement, len(placements)) for r in records],
-            placement_names=list(placements),
-            combo_codes=[combos.setdefault(r.windows, len(combos)) for r in records],
-            window_combos=list(combos),
-        )
-
     def __len__(self) -> int:
         return len(self.values)
 
-    def distributional(self) -> LogColumns:
-        """The same records with every clearing bid NaN, their auctions kept
-        as smooth G/H models; every other column is shared, not copied."""
-        twin = copy.copy(self)
-        twin.__dict__.pop("price", None)
-        twin.clearing = np.full(len(self), np.nan)
-        twin.realized = np.zeros(len(self), dtype=bool)
-        return twin
-
     @cached_property
-    def price(self) -> np.ndarray:
-        """The least bid that wins each realized record's auction (ties
-        win): max(clearing, reserve); NaN in distributional records."""
-        return np.maximum(self.clearing, self.table.reserve)
-
     def records(self) -> list[LogRecord]:
         clearing = [None if np.isnan(c) else c for c in self.clearing.tolist()]
         rows = zip(self.time.tolist(), self.placement_codes.tolist(), self.values.tolist(),
@@ -205,6 +133,64 @@ class LogColumns:
             LogRecord(t, self.placement_names[p], v, self.mechanisms[m], c, self.window_combos[k])
             for t, p, v, m, c, k in rows
         ]
+
+    @cached_property
+    def price(self) -> np.ndarray:
+        """The least bid that wins each realized record's auction (ties
+        win): max(clearing, reserve); NaN in distributional records."""
+        return np.maximum(self.clearing, self.table.reserve)
+
+    def distributional(self) -> OpportunityLog:
+        """The same records with every clearing bid NaN, their auctions kept
+        as smooth G/H models; every other column is shared, not copied, and
+        no cache (price, records, realized spends) is carried over."""
+        twin = copy.copy(self)
+        for cache in ("price", "records", "_realized_spends"):
+            twin.__dict__.pop(cache, None)
+        twin.clearing = np.full(len(self), np.nan)
+        twin.realized = np.zeros(len(self), dtype=bool)
+        return twin
+
+    @cached_property
+    def _realized_spends(self) -> dict[float, RealizedSpend]:
+        return {}
+
+    def realized_spend(self, bid_cap: float) -> RealizedSpend:
+        """The log's rows as a RealizedSpend at bid_cap, built once per bid
+        cap, so that the lambda* search and the oracle curve share one sort."""
+        built = self._realized_spends
+        if bid_cap not in built:
+            built[bid_cap] = RealizedSpend(self.values, self.clearing, self.table, bid_cap)
+        return built[bid_cap]
+
+    def segments(self, windows, bid_cap: float) -> dict[tuple[str, ...], RealizedSpend]:
+        """realized_spend(bid_cap) by segment, the rows that share which of
+        the windows named they are in, keyed by those windows in order of
+        first appearance (the whole, where all rows share them)."""
+        rs = self.realized_spend(bid_cap)
+        keys = [tuple(w for w in combo if w in windows) for combo in self.window_combos]
+        if len(set(keys)) == 1:
+            return {keys[0]: rs}
+        codes = lambda key: [c for c, k in enumerate(keys) if k == key]
+        return {key: rs.rows(np.isin(self.combo_codes, codes(key))) for key in dict.fromkeys(keys)}
+
+    @property
+    def mode(self) -> str:
+        realized = int(np.count_nonzero(self.realized))
+        if realized == 0:
+            return "distributional"
+        if realized == len(self):
+            return "realized"
+        return "mixed"
+
+
+def _by_first_appearance(codes: np.ndarray, names) -> tuple[np.ndarray, list]:
+    """codes renumbered, and names kept, in order of first appearance."""
+    used, first = np.unique(codes, return_index=True)
+    order = used[np.argsort(first)]
+    renumber = np.zeros(len(names), dtype=np.intp)
+    renumber[order] = np.arange(len(order))
+    return renumber[codes], [names[c] for c in order]
 
 
 @dataclass(frozen=True)
@@ -263,27 +249,25 @@ def _replay_bids(
 def _row_bids(log: OpportunityLog, profile: MultiplierProfile, bid_cap: float) -> np.ndarray:
     """Every record's bid at the given multipliers, as _replay_bids bids it.
     Each read of a whole log, a replay or its spend alone, calls it once."""
-    cols = log.arrays
-    factors = np.array([profile.vector_for(c).factor for c in cols.window_combos])
-    return _replay_bids(cols.table, factors[cols.combo_codes] * cols.values, cols.price, bid_cap)
+    factors = np.array([profile.vector_for(c).factor for c in log.window_combos])
+    return _replay_bids(log.table, factors[log.combo_codes] * log.values, log.price, bid_cap)
 
 
 def _spend_value(
     log: OpportunityLog, profile: MultiplierProfile, bid_cap: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-record spend and value at the given multipliers."""
-    cols = log.arrays
     bids = _row_bids(log, profile, bid_cap)
-    model = ~cols.realized
+    model = ~log.realized
     if model.all():
-        spend, win = cols.table.cost_and_win(bids)
-        return spend, cols.values * win
-    won, spend = resolve(cols.table, bids, cols.clearing)
-    value = np.where(won, cols.values, 0.0)
+        spend, win = log.table.cost_and_win(bids)
+        return spend, log.values * win
+    won, spend = resolve(log.table, bids, log.clearing)
+    value = np.where(won, log.values, 0.0)
     if model.any():
-        cost, win = cols.table.cost_and_win(bids)
+        cost, win = log.table.cost_and_win(bids)
         spend[model] = cost[model]
-        value[model] = (cols.values * win)[model]
+        value[model] = (log.values * win)[model]
     return spend, value
 
 
@@ -294,17 +278,16 @@ def replay(
     multipliers; exact in distributional mode, deterministic in realized.
     A realized first-price row that loses at any shade is not shaded (see
     _replay_bids): it keeps cost 0 and value 0, as shading it would give."""
-    cols = log.arrays
     spend, value = _spend_value(log, profile, bid_cap)
-    n = len(cols.placement_names)
-    p_spend = np.bincount(cols.placement_codes, weights=spend, minlength=n)
-    p_value = np.bincount(cols.placement_codes, weights=value, minlength=n)
-    placements = zip(cols.placement_names, p_spend.tolist(), p_value.tolist())
+    n = len(log.placement_names)
+    p_spend = np.bincount(log.placement_codes, weights=spend, minlength=n)
+    p_value = np.bincount(log.placement_codes, weights=value, minlength=n)
+    placements = zip(log.placement_names, p_spend.tolist(), p_value.tolist())
     return ReplayResult(
         float(spend.sum()),
         float(value.sum()),
         {name: (s, v) for name, s, v in placements},
-        {w: (float(spend[m].sum()), float(value[m].sum())) for w, m in cols.window_masks.items()},
+        {w: (float(spend[m].sum()), float(value[m].sum())) for w, m in log.window_masks.items()},
     )
 
 
@@ -822,7 +805,7 @@ class _SpendCurve:
         """at(lam).spend on a distributional log, bit for bit, from the
         expected cost of the bids alone (MechanismTable.expected_cost)."""
         bids = _row_bids(self.log, self.profile_of(lam), self.bid_cap)
-        spend = float(self.log.arrays.table.expected_cost(bids).sum())
+        spend = float(self.log.table.expected_cost(bids).sum())
         self._guard(lam, spend)
         return spend
 
@@ -1080,10 +1063,18 @@ class KktConstraint:
         return _KKT_KINDS[self.kind][0] * (self.level(rep) / self.target - 1.0)
 
     def give_up_note(self, rep: ReplayResult) -> str:
-        """The quantity at the multiplier's limit, the nearest it comes."""
+        """The quantity at the multiplier's limit, the nearest it comes,
+        where it misses the target; else the multiplier held and the level."""
         sign, _, what, target = _KKT_KINDS[self.kind]
-        best, side = ("max", "<") if sign < 0 else ("min", ">")
         name = self.kind if self.window is None else f"{self.kind} {self.window!r}"
+        if self.excess(rep) <= 0:
+            multiplier = "mu" if self.kind in ("cost_target", "guarantee") else "lam"
+            multiplier += "" if self.window is None else f"_{self.window}"
+            return (
+                f"{name}: {multiplier} held at its limit {self.limit:g}, "
+                f"{what} {self.level(rep):g} against its {target} {self.target:g}"
+            )
+        best, side = ("max", "<") if sign < 0 else ("min", ">")
         bound = f"{side} {target} {self.target:g}"
         return f"{name} infeasible: {best} achievable {what} {self.level(rep):g} {bound}"
 
@@ -1115,7 +1106,7 @@ def check_kkt_constraints(constraints, log: OpportunityLog | None = None) -> str
     delivery windows, if any; OracleError, naming the windows, where two do,
     or a record is in two windows of one kind."""
     deliveries = constraints.delivery_windows
-    combos = log.arrays.window_combos if log else ()
+    combos = log.window_combos if log else ()
 
     def on_deliveries(g) -> bool:
         if log is None:
@@ -1214,13 +1205,13 @@ def solve_kkt_grid(
     infeasible; a realized residual above KKT_REL_TOL, a note on its step.
     """
     shared = check_kkt_constraints(constraints, log)
-    cols, C = log.arrays, constraints.cost_target
+    C = constraints.cost_target
     budget = KktConstraint("budget", None, constraints.budget, LAMBDA_LIMIT)
     costs = [KktConstraint("cost_target", None, C, 1e6 / C)] if C is not None else []
     caps = [KktConstraint("delivery", w.id, w.cap, 1e8) for w in constraints.delivery_windows]
     floors = [KktConstraint("guarantee", w.id, w.floor, 1e4) for w in constraints.guarantee_windows]
     outer = next((c for c in floors if c.window == shared), None)
-    combos = cols.window_combos
+    combos = log.window_combos
     lifted = [c for c in caps if outer and any({c.window, outer.window} <= set(k) for k in combos)]
     tol = KKT_REL_TOL if log.mode == "distributional" else None
     rs = log.realized_spend(bid_cap) if log.mode == "realized" else None
@@ -1272,7 +1263,7 @@ def solve_kkt_grid(
         cap and the cost target's."""
         lo, hi = np.zeros(len(log)), np.full(len(log), math.inf)
         for c, t in held.items():
-            rows = slice(None) if c.window is None else cols.window_masks.get(c.window, [])
+            rows = slice(None) if c.window is None else log.window_masks.get(c.window, [])
             if c.kind == "guarantee":
                 lo[rows] = min(t, budget_factor(LAMBDA_FLOOR))
             else:
@@ -1410,7 +1401,7 @@ def marginal_roi(
         raise OracleError("marginal ROI needs a distributional log")
     lam, bracket = _SpendCurve(log, bid_cap, MultiplierProfile).solve(budget)
     if bracket is None:
-        return MarginalRoi(dict.fromkeys(log.arrays.placement_names, 0.0), (), lam)
+        return MarginalRoi(dict.fromkeys(log.placement_names, 0.0), (), lam)
     _, hi, lo = _replays_around(log, lam, bid_cap)
     roi: dict[str, float] = {}
     inactive: list[str] = []
@@ -1445,16 +1436,15 @@ def fixed_bid_baseline(
     comparison is a replay's."""
     if log.mode != "realized":
         raise OracleError("the fixed-bid baseline needs a realized log")
-    cols = log.arrays
-    order = np.argsort(cols.price)
-    prices, first = cols.price[order], cols.table.first_price[order]
+    order = np.argsort(log.price)
+    prices, first = log.price[order], log.table.first_price[order]
     # per count of cheapest auctions won: their second-price spend and first-price count
     s2 = np.concatenate(([0.0], np.cumsum(np.where(first, 0.0, prices))))
     n1 = np.concatenate(([0], np.cumsum(first)))
 
     def outcome(bid: float) -> tuple[float, float]:
-        won, spend = resolve(cols.table, np.full(len(log), bid), cols.clearing)
-        return float(spend.sum()), float(np.where(won, cols.values, 0.0).sum())
+        won, spend = resolve(log.table, np.full(len(log), bid), log.clearing)
+        return float(spend.sum()), float(np.where(won, log.values, 0.0).sum())
 
     def fits(bid: float) -> bool:
         k = np.searchsorted(prices, bid, side="right")

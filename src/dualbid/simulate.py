@@ -39,7 +39,7 @@ import numpy as np
 from .bidding import LAMBDA_FLOOR, bid_factor, optimal_bids
 from .coldstart import ColdStartResult, PlacementPriors, solve_lambda0_multi
 from .mechanisms import LognormalBids, MechanismSpec, MechanismTable
-from .oracle import LogColumns, OpportunityLog, RealizedSpend, first_price_limits, marginal_roi
+from .oracle import OpportunityLog, RealizedSpend, first_price_limits, marginal_roi
 from .pacing import ForecastModel, PacingState, apply_batch_update, normalize
 from .scenario import PlacementConfig, ScenarioConfig
 
@@ -225,17 +225,15 @@ def realized_log(scenario: ScenarioConfig, stream: OpportunityStream) -> Opportu
         for active in scenario.constraints.window_table(scenario.intervals)
     ]
     return OpportunityLog.from_columns(
-        LogColumns(
-            time=stream.interval + stream.jitter,
-            values=stream.value,
-            clearing=stream.clearing_bid,
-            mechanisms=stream.cells,
-            mechanism_codes=stream.cell,
-            placement_names=stream.placement_ids,
-            placement_codes=stream.placement,
-            window_combos=list(combos),
-            combo_codes=np.array(per_interval, dtype=np.intp)[stream.interval],
-        )
+        time=stream.interval + stream.jitter,
+        values=stream.value,
+        clearing=stream.clearing_bid,
+        mechanisms=stream.cells,
+        mechanism_codes=stream.cell,
+        placement_names=stream.placement_ids,
+        placement_codes=stream.placement,
+        window_combos=list(combos),
+        combo_codes=np.array(per_interval, dtype=np.intp)[stream.interval],
     )
 
 
@@ -243,13 +241,11 @@ def distributional_log(
     scenario: ScenarioConfig, stream: OpportunityStream, realized: OpportunityLog | None = None
 ) -> OpportunityLog:
     """Stream with auctions kept as smooth G/H models instead of resolved
-    clearing bids; used for derivative-based diagnostics.  Its columns are
-    those of realized, the stream's realized log (built here where none is
-    given), with every clearing bid NaN (LogColumns.distributional); the
-    two logs share arrays and a mechanism table, not a log's caches."""
-    if realized is None:
-        realized = realized_log(scenario, stream)
-    return OpportunityLog.from_columns(realized.arrays.distributional())
+    clearing bids; used for derivative-based diagnostics.  It is the twin of
+    realized, the stream's realized log (built here where none is given),
+    with every clearing bid NaN (OpportunityLog.distributional): the two
+    logs share their columns and mechanism table, not their caches."""
+    return (realized or realized_log(scenario, stream)).distributional()
 
 
 def build_forecast(scenario: ScenarioConfig) -> ForecastModel:

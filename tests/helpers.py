@@ -107,25 +107,24 @@ def replay_shading_every_row(
     shaded by optimal_bids, also the ones that lose at any shade, and every
     sum is taken as replay takes it.  Returns (ReplayResult, won, adjusted),
     won and adjusted per record."""
-    cols = log.arrays
     adjusted = np.array(
         [adjusted_value(r.value, profile.vector_for(r.windows)) for r in log.records]
     )
-    bids = optimal_bids(cols.table, adjusted, bid_cap)
-    won, spend = resolve(cols.table, bids, cols.clearing)
-    value = np.where(won, cols.values, 0.0)
-    n = len(cols.placement_names)
-    p_spend = np.bincount(cols.placement_codes, weights=spend, minlength=n)
-    p_value = np.bincount(cols.placement_codes, weights=value, minlength=n)
+    bids = optimal_bids(log.table, adjusted, bid_cap)
+    won, spend = resolve(log.table, bids, log.clearing)
+    value = np.where(won, log.values, 0.0)
+    n = len(log.placement_names)
+    p_spend = np.bincount(log.placement_codes, weights=spend, minlength=n)
+    p_value = np.bincount(log.placement_codes, weights=value, minlength=n)
     result = ReplayResult(
         spend=float(spend.sum()),
         value=float(value.sum()),
         per_placement={
-            name: (float(s), float(v)) for name, s, v in zip(cols.placement_names, p_spend, p_value)
+            name: (float(s), float(v)) for name, s, v in zip(log.placement_names, p_spend, p_value)
         },
         per_window={
             w: (float(spend[mask].sum()), float(value[mask].sum()))
-            for w, mask in cols.window_masks.items()
+            for w, mask in log.window_masks.items()
         },
     )
     return result, won, adjusted
@@ -269,10 +268,9 @@ def ftl_lambda_by_replay(
 def baseline_bid_by_replay(log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP):
     """The fixed-bid baseline's bisection on the bid, resolving every
     auction at every step.  Returns the bid."""
-    cols = log.arrays
 
     def spend(bid: float) -> float:
-        return float(resolve(cols.table, np.full(len(log), bid), cols.clearing)[1].sum())
+        return float(resolve(log.table, np.full(len(log), bid), log.clearing)[1].sum())
 
     lo, hi = 0.0, bid_cap
     if spend(hi) <= budget:
@@ -324,12 +322,11 @@ def kkt_lp(
     and floor, and of the cost target, >= 0."""
     from scipy.optimize import linprog
 
-    cols = log.arrays
-    assert log.mode == "realized" and not cols.table.first_price.any()
-    price, values = cols.price, cols.values
+    assert log.mode == "realized" and not log.table.first_price.any()
+    price, values = log.price, log.values
     floors = floors or {}
-    rows = [price] + [np.where(cols.window_masks[w], price, 0.0) for w in caps]
-    rows += [np.where(cols.window_masks[w], -values, 0.0) for w in floors]
+    rows = [price] + [np.where(log.window_masks[w], price, 0.0) for w in caps]
+    rows += [np.where(log.window_masks[w], -values, 0.0) for w in floors]
     bounds = [budget, *caps.values(), *(-f for f in floors.values())]
     if cost_target is not None:
         rows.append(price - cost_target * values)

@@ -45,6 +45,12 @@ def test_patched_signatures():
         assert list(inspect.signature(fn).parameters)[1] == "adjusted"
 
 
+def test_every_patched_name_resolves(spans):
+    targets = [t[:2] for t in spans.SPAN_TARGETS + spans.COUNT_TARGETS]
+    missing = [f"{m}.{a}" for m, a in targets if not hasattr(importlib.import_module(m), a)]
+    assert missing == []
+
+
 def test_tracer_install_and_uninstall(spans):
     from dualbid.oracle import solve_lambda_star
     from dualbid.simulate import generate_stream, realized_log, run_episode

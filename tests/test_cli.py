@@ -746,6 +746,21 @@ class TestSweep:
         assert main(argv) == 2
         assert not out.exists()
 
+    def test_sweep_seeds_past_their_limit_exit_2(self, tmp_path, monkeypatch, capsys):
+        import dualbid.cli as cli
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode was started")
+
+        monkeypatch.setattr(cli, "cmd_run", no_episode)
+        scenario = write_scenario(tmp_path, small_scenario(intervals=5))
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--jobs", "1"]
+        assert main(argv + ["--sweep-seeds", str(cli.SWEEP_SEEDS_LIMIT + 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"--sweep-seeds must be <= {cli.SWEEP_SEEDS_LIMIT}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "scenario"])
     def test_seeds_past_the_limit_exit_2(self, tmp_path, capsys, from_file):
         base = 2**64 - 2

@@ -51,10 +51,9 @@ def _shipped(name: str, **windows):
 
 def rep_won(log, profile) -> np.ndarray:
     """The records a replay at profile wins."""
-    cols = log.arrays
-    factors = np.array([profile.vector_for(combo).factor for combo in cols.window_combos])
-    bids = optimal_bids(cols.table, factors[cols.combo_codes] * cols.values, DEFAULT_BID_CAP)
-    return resolve(cols.table, bids, cols.clearing)[0]
+    factors = np.array([profile.vector_for(combo).factor for combo in log.window_combos])
+    bids = optimal_bids(log.table, factors[log.combo_codes] * log.values, DEFAULT_BID_CAP)
+    return resolve(log.table, bids, log.clearing)[0]
 
 
 def _stationary_two_windows():
@@ -103,11 +102,10 @@ def test_kkt_matches_the_lp(build):
             effective = profile.vector_for((w,)).factor
             assert effective == pytest.approx(lp.factor((w,), cost_target), rel=1e-6), w
 
-    cols = log.arrays
-    price = cols.price
-    limits = win_limits(cols.values, cols.clearing, cols.table, DEFAULT_BID_CAP)
-    factors = np.array([profile.vector_for(combo).factor for combo in cols.window_combos])
-    won = limits <= factors[cols.combo_codes]
+    price = log.price
+    limits = win_limits(log.values, log.clearing, log.table, DEFAULT_BID_CAP)
+    factors = np.array([profile.vector_for(combo).factor for combo in log.window_combos])
+    won = limits <= factors[log.combo_codes]
     assert np.array_equal(won, rep_won(log, profile))
     binding_floors = [w for w in floors if lp.window_duals[w] > BINDS]
     if not binding_floors and lp.cost_dual <= BINDS:
@@ -118,4 +116,4 @@ def test_kkt_matches_the_lp(build):
 
     binding = sum(d > BINDS for d in lp.window_duals.values()) + (lp.cost_dual > BINDS)
     assert rep.value <= lp.value * (1.0 + 1e-12)
-    assert lp.value - rep.value <= (binding + 1) * cols.values.max()
+    assert lp.value - rep.value <= (binding + 1) * log.values.max()

@@ -29,7 +29,7 @@ from dualbid.oracle import (
     solve_lambda_star,
 )
 from dualbid.pacing import ConstraintSet, DeliveryWindow, GuaranteeWindow
-from dualbid.scenario import load_scenario
+from dualbid.scenario import load_scenario, parse_scenario
 from dualbid.simulate import distributional_log, generate_stream
 from helpers import (
     count_reads,
@@ -220,7 +220,7 @@ class TestSolveLambdaStar:
         # replay at the same multipliers sums, with window multipliers too
         log, _, bid_cap = shipped_dlog
         first_price = quantile_lognormal_log(300, UNIFORM_FP, -1.0, 0.4)
-        windows = dict.fromkeys(log.arrays.window_masks, 0.5)
+        windows = dict.fromkeys(log.window_masks, 0.5)
         for log, profile_of in (
             (log, MultiplierProfile),
             (log, lambda lam: MultiplierProfile(lam, window_lambda=windows)),
@@ -603,6 +603,47 @@ def test_mixed_constrained_scenario_keeps_its_cap(monkeypatch):
     assert kkt.feasible and replays <= 5 and shades <= 20
 
 
+def test_give_up_notes_compare_only_a_missed_target():
+    # mu is held at its limit here with the cost per result below the
+    # target, so its note names the multiplier instead of a bound that
+    # does not hold; the guarantee floor is missed, and its bound holds
+    import dualbid.simulate as simulate
+    from test_pacing import _windowed_stationary
+
+    scenario = parse_scenario(_windowed_stationary())
+    log = simulate.realized_log(scenario, generate_stream(scenario))
+    kkt = solve_kkt_grid(log, scenario.constraints)
+    assert not kkt.feasible and kkt.profile.mu == 1e6 / 0.3
+    assert kkt.notes[:2] == (
+        "cost_target: mu held at its limit 3.33333e+06, spend / value 0.203322 against its "
+        "target 0.3",
+        "guarantee 'g' infeasible: max achievable value 32.0298 < floor 110",
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,window,note",
+    [
+        ("budget", None, "budget: lam held at its limit 100, spend 2 against its budget 4"),
+        (
+            "cost_target",
+            None,
+            "cost_target: mu held at its limit 100, spend / value 0.5 against its target 4",
+        ),
+        ("delivery", "d", "delivery 'd': lam_d held at its limit 100, spend 1 against its cap 4"),
+        (
+            "guarantee",
+            "g",
+            "guarantee 'g': mu_g held at its limit 100, value 5 against its floor 4",
+        ),
+    ],
+    ids=["budget", "cost_target", "delivery", "guarantee"],
+)
+def test_give_up_note_names_a_multiplier_held_within_its_target(kind, window, note):
+    rep = oracle.ReplayResult(2.0, 4.0, {}, {"d": (1.0, 3.0), "g": (2.0, 5.0)})
+    assert oracle.KktConstraint(kind, window, 4.0, 100.0).give_up_note(rep) == note
+
+
 @pytest.fixture(scope="module", params=["stationary.json", "mixed_constrained.json"])
 def shipped_dlog(request):
     """A shipped scenario's distributional log, its budget and bid cap."""
@@ -654,7 +695,7 @@ class TestMarginalRoi:
         # around it
         assert len(reads) == solve_reads + 1 and len(replays) == 2
         assert roi.lam == lam and roi.inactive == ()
-        assert list(roi.roi) == log.arrays.placement_names
+        assert list(roi.roi) == log.placement_names
         for value in roi.roi.values():
             assert abs(value - lam) / lam <= 1e-5
 
@@ -815,8 +856,12 @@ def test_replay_matches_per_record_reference():
 
 
 def test_log_validation():
-    with pytest.raises(OracleError):
+    columns = ("time", "values", "clearing", "mechanisms", "mechanism_codes", "placement_names",
+               "placement_codes", "window_combos", "combo_codes")  # fmt: skip
+    with pytest.raises(OracleError, match="must not be empty"):
         OpportunityLog([])
+    with pytest.raises(OracleError, match="must not be empty"):
+        OpportunityLog.from_columns(**dict.fromkeys(columns, []))
     with pytest.raises(OracleError):
         OpportunityLog(
             [

@@ -158,15 +158,14 @@ def test_limits_are_certified_to_the_float(rounding):
     adjusted = ROUNDINGS[rounding]
     values, clearing, mechs = second_price_rows()
     log = log_of(values, clearing, mechs)
-    cols = log.arrays
-    limits = win_limits(cols.values, cols.clearing, cols.table, CAP)
-    price = np.maximum(cols.clearing, cols.table.reserve)
+    limits = win_limits(log.values, log.clearing, log.table, CAP)
+    price = np.maximum(log.clearing, log.table.reserve)
 
     def wins(rows, f):
-        return np.minimum(f * cols.values[rows], CAP) >= price[rows]
+        return np.minimum(f * log.values[rows], CAP) >= price[rows]
 
     def wins_at(rows, lam):
-        return np.minimum(adjusted(lam, cols.values[rows]), CAP) >= price[rows]
+        return np.minimum(adjusted(lam, log.values[rows]), CAP) >= price[rows]
 
     finite = np.flatnonzero(np.isfinite(limits) & (limits > 0))
     assert finite.size > 300
@@ -201,15 +200,13 @@ def test_budget_adjusted_is_the_episode_bid():
 
 def test_first_price_rows_have_no_limit():
     log = mixed_log()
-    cols = log.arrays
-    limits = win_limits(cols.values, cols.clearing, cols.table, CAP)
-    assert np.array_equal(np.isnan(limits), cols.table.first_price)
+    limits = win_limits(log.values, log.clearing, log.table, CAP)
+    assert np.array_equal(np.isnan(limits), log.table.first_price)
 
 
 def test_step_spend_matches_replay():
     log = mixed_log()
-    cols = log.arrays
-    spend = RealizedSpend(cols.values, cols.clearing, cols.table, CAP)
+    spend = RealizedSpend(log.values, log.clearing, log.table, CAP)
     for lam in np.geomspace(1e-3, 1e3, 60).tolist():
         r = replay(log, MultiplierProfile(lam=lam))
         s, v = spend.at(budget_factor(lam))
@@ -220,8 +217,7 @@ def test_step_spend_matches_replay():
 
 def tie_budgets(log: OpportunityLog) -> list[float]:
     """Budgets that some multiplier's replayed spend meets exactly."""
-    cols = log.arrays
-    limits = win_limits(cols.values, cols.clearing, cols.table, CAP)
+    limits = win_limits(log.values, log.clearing, log.table, CAP)
     finite = np.sort(limits[np.isfinite(limits) & (limits > 0)])
     picks = finite[[len(finite) // 5, len(finite) // 2, 4 * len(finite) // 5]]
     return [replay(log, MultiplierProfile(lam=float(1.0 / f))).spend for f in picks]
@@ -267,11 +263,10 @@ def test_baseline_bid_is_the_largest_fitting_bid(kind):
     # the largest float whose resolved spend fits, so at or above the
     # bisection by full replays and within its final bracket
     log = mixed_log() if kind == "mixed" else log_of(*second_price_rows())
-    cols = log.arrays
-    price = np.sort(np.maximum(cols.clearing, cols.table.reserve))
+    price = np.sort(np.maximum(log.clearing, log.table.reserve))
 
     def spend(bid: float) -> float:
-        return float(resolve(cols.table, np.full(len(log), bid), cols.clearing)[1].sum())
+        return float(resolve(log.table, np.full(len(log), bid), log.clearing)[1].sum())
 
     ties = [spend(p) for p in price[[len(price) // 4, len(price) // 2]]]
     for budget in [0.5, 20.0, 300.0, *ties]:
@@ -486,7 +481,7 @@ def test_clamped_rows_win_what_kkt_profiles_win(kind):
         base, cap = log_of(*second_price_rows()), CAP
     windows = [("w1",) * (i % 5 == 0) or ("w2",) * (i % 7 == 0) for i in range(len(base))]
     log = OpportunityLog([replace(r, windows=w) for r, w in zip(base.records, windows)])
-    masks, rs = log.arrays.window_masks, log.realized_spend(cap)
+    masks, rs = log.window_masks, log.realized_spend(cap)
     cap_w1 = KktConstraint("delivery", "w1", 1.0, 1e8)
     floor_w2 = KktConstraint("guarantee", "w2", 1.0, 1e4)
     cost = KktConstraint("cost_target", None, 0.4, 1e6 / 0.4)
@@ -626,17 +621,16 @@ def _record_shading(monkeypatch) -> list[np.ndarray]:
 @pytest.mark.parametrize("kind", ["first_price", "mixed"])
 def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
     log, cap = (first_price_log(), SMALL_CAP) if kind == "first_price" else (mixed_log(), CAP)
-    cols = log.arrays
-    price = np.maximum(cols.clearing, cols.table.reserve)
+    price = np.maximum(log.clearing, log.table.reserve)
     seen = _record_shading(monkeypatch)
-    steps = RealizedSpend(cols.values, cols.clearing, cols.table, cap)
+    steps = RealizedSpend(log.values, log.clearing, log.table, cap)
     counts = {"skipped": 0, "live": 0, "capped": 0, "below_their_limit": 0}
 
     def shaded_only_rows_that_can_win(adjusted):
-        can_win = cols.table.first_price & (np.minimum(adjusted, cap) >= price)
+        can_win = log.table.first_price & (np.minimum(adjusted, cap) >= price)
         shaded = np.concatenate(seen) if seen else np.empty(0)
         np.testing.assert_array_equal(np.sort(shaded), np.sort(adjusted[can_win]))
-        counts["skipped"] += int(np.count_nonzero(cols.table.first_price & ~can_win))
+        counts["skipped"] += int(np.count_nonzero(log.table.first_price & ~can_win))
         counts["live"] += int(np.count_nonzero(can_win))
         counts["capped"] += int(np.count_nonzero(can_win & (adjusted > cap)))
         seen.clear()
@@ -645,7 +639,7 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
         # of the rows that can win, at() shades only those whose factor has
         # reached the least at which they may win (first_price_limits), and
         # every winner is one of them
-        can_win = cols.table.first_price & (np.minimum(adjusted, cap) >= price)
+        can_win = log.table.first_price & (np.minimum(adjusted, cap) >= price)
         may_win = can_win & (f >= steps.least_factors)
         assert not (won & ~may_win).any()
         shaded = np.concatenate(seen) if seen else np.empty(0)
@@ -669,7 +663,7 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
         shaded_only_rows_that_can_win(adjusted)
         if kind == "first_price":
             # every row is first price, so at() wins the same rows as replay
-            assert steps.at(budget_factor(lam)) == (expected.spend, float(cols.values[won].sum()))
+            assert steps.at(budget_factor(lam)) == (expected.spend, float(log.values[won].sum()))
             shaded_only_rows_that_may_win(adjusted, won, budget_factor(lam))
     assert counts["skipped"] and counts["live"]
     assert counts["below_their_limit"] or kind == "mixed", "at() shaded every row that can win"
@@ -692,16 +686,15 @@ def test_first_price_limits_give_a_replays_winners():
             draw = float(r.mechanism.competitor.quantile(rng.random()))
             records[i] = replace(r, clearing_bid=0.1 if i % 16 == 4 else draw)
     log = OpportunityLog(records)
-    cols = log.arrays
-    rows, table = cols.table.first_price_rows
+    rows, table = log.table.first_price_rows
     assert rows.size == len(log)
-    rs = RealizedSpend(cols.values, cols.clearing, cols.table, SMALL_CAP)
+    rs = RealizedSpend(log.values, log.clearing, log.table, SMALL_CAP)
     limits, price = rs._limits, rs._price
-    assert np.isnan(limits[(cols.table.family == EMPIRICAL) & (price > 0)]).all()
-    at_reserve = (price == FP_RESERVE.reserve) & (cols.table.reserve > 0)
-    above_reserve = np.isfinite(limits) & (price > cols.table.reserve) & (cols.table.reserve > 0)
+    assert np.isnan(limits[(log.table.family == EMPIRICAL) & (price > 0)]).all()
+    at_reserve = (price == FP_RESERVE.reserve) & (log.table.reserve > 0)
+    above_reserve = np.isfinite(limits) & (price > log.table.reserve) & (log.table.reserve > 0)
     assert at_reserve.any() and above_reserve.any()
-    np.testing.assert_array_equal(limits[at_reserve], FP_RESERVE.reserve / cols.values[at_reserve])
+    np.testing.assert_array_equal(limits[at_reserve], FP_RESERVE.reserve / log.values[at_reserve])
     sure = np.flatnonzero(np.isfinite(limits) & (limits > 0))
     edge = limits[sure]
     band = (edge - rs.least_factors[sure]) / edge  # each band's relative width below the limit
@@ -717,7 +710,7 @@ def test_first_price_limits_give_a_replays_winners():
     read = list(rs._first_price(factors))
     assert len(read) == len(factors)
     for f, (costs, wins) in zip(factors.tolist(), read):
-        won, cost = resolve(table, optimal_bids(table, f * cols.values, SMALL_CAP), cols.clearing)
+        won, cost = resolve(table, optimal_bids(table, f * log.values, SMALL_CAP), log.clearing)
         np.testing.assert_array_equal(wins, won, err_msg=str(f))
         np.testing.assert_array_equal(costs, cost, err_msg=str(f))
     costs, wins = np.array([c for c, _ in read]), np.array([w for _, w in read])

@@ -280,7 +280,8 @@ class TestEpisode:
         stream = generate_stream(scenario)
         realized = realized_log(scenario, stream)
         realized.realized_spend(1.0)
-        assert not np.isnan(realized.arrays.price).any()  # cached before the twin is made
+        # price and records are cached before the twin is made
+        assert not np.isnan(realized.price).any() and realized.records[0].clearing_bid is not None
         twin = distributional_log(scenario, stream, realized)
         built = distributional_log(scenario, stream)
         assert (realized.mode, twin.mode) == ("realized", "distributional")
@@ -288,9 +289,11 @@ class TestEpisode:
         profile = MultiplierProfile(lam=2.0, window_lambda={"w": 0.5})
         assert replay(twin, profile) == replay(built, profile)
         # the twin's clearing bids and caches are its own
-        assert np.isnan(twin.arrays.price).all() and not np.isnan(realized.arrays.price).any()
-        assert not twin.arrays.realized.any() and realized.arrays.realized.all()
+        assert np.isnan(twin.price).all() and not np.isnan(realized.price).any()
+        assert not twin.realized.any() and realized.realized.all()
         assert list(twin._realized_spends) == [] and list(realized._realized_spends) == [1.0]
+        assert {r.clearing_bid is None for r in twin.records} == {True}
+        assert {r.clearing_bid is None for r in realized.records} == {False}
 
     def test_metrics_rows_are_flat(self, stationary_episode):
         rows = stationary_episode.metrics.as_rows()
