@@ -304,8 +304,8 @@ def optimal_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_C
     value (capped), first price shades it."""
     xs = np.asarray(adjusted, dtype=float)
     bids = np.minimum(xs, bid_cap)
-    rows, first_price = table.first_price_rows
-    if rows.size:
+    if table.first_price.any():
+        rows, first_price = table.first_price_rows
         bids[rows], _ = shade_bids(first_price, xs[rows], bid_cap)
     return bids
 

@@ -84,10 +84,21 @@ _AS241_FAR_TAIL = (
 )  # fmt: skip
 
 
+def _horner(coefficients, x):
+    """The polynomial at x by Horner's rule in place, each step rounded as
+    np.polyval rounds it."""
+    y = x * coefficients[0]
+    for c in coefficients[1:-1]:
+        y += c
+        y *= x
+    y += coefficients[-1]
+    return y
+
+
 def _rational(coefficients, x, scale=1.0):
-    """scale * num(x) / den(x), each polynomial by Horner's rule; scale
-    multiplies the numerator before the division, as AS241 orders it."""
-    num, den = (np.polyval(c, x) for c in coefficients)
+    """scale * num(x) / den(x); scale multiplies the numerator before the
+    division, as AS241 orders it."""
+    num, den = (_horner(c, x) for c in coefficients)
     return scale * num / den
 
 
@@ -361,12 +372,15 @@ class MechanismTable:
     lognormal rows, (lo, hi) for uniform ones), ``reserve``, the
     ``first_price`` mask, and ``model``, the index into ``models`` of the
     competing-bid object behind an empirical or other row (-1 elsewhere).
+    A ``uniform`` table (one distinct spec in from_specs, kept by take) reads
+    each parameter as one scalar in its curves, as a one-row table does.
 
     Curves take bids whose first axis runs over the rows (any further axes
     are extra bids per row); a one-row table takes bids of any shape.
     """
 
-    def __init__(self, family, p1, p2, reserve, first_price, support_top, model, models):
+    def __init__(self, family, p1, p2, reserve, first_price, support_top, model, models,
+                 uniform=False):  # fmt: skip
         self.family = family
         self.p1 = p1
         self.p2 = p2
@@ -375,6 +389,7 @@ class MechanismTable:
         self.support_top = support_top
         self.model = model
         self.models = models
+        self.uniform = uniform
 
     @classmethod
     def from_specs(cls, specs) -> MechanismTable:
@@ -405,6 +420,7 @@ class MechanismTable:
         table = cls(
             family.astype(int), p1.astype(float), p2.astype(float), reserve.astype(float),
             first_price.astype(bool), top.astype(float), model.astype(int), tuple(models),
+            len(index) == 1,
         )  # fmt: skip
         return table.take(np.array(rows, dtype=np.intp))
 
@@ -416,6 +432,7 @@ class MechanismTable:
         return MechanismTable(
             self.family[rows], self.p1[rows], self.p2[rows], self.reserve[rows],
             self.first_price[rows], self.support_top[rows], self.model[rows], self.models,
+            self.uniform,
         )  # fmt: skip
 
     @cached_property
@@ -442,7 +459,7 @@ class MechanismTable:
         """values (one per row) shaped to broadcast against the bids b."""
         if rows is not None:
             values = values[rows]
-        if len(values) == 1:
+        if len(values) == 1 or self.uniform and len(values):
             return values[0]
         return values.reshape(values.shape + (1,) * (b.ndim - 1))
 
@@ -502,7 +519,8 @@ class MechanismTable:
 
     @cached_property
     def _at_reserve(self) -> list[np.ndarray]:
-        return self._curves(("cdf", "partial_expectation"), self.reserve)
+        reserve = self.reserve[:1] if self.uniform else self.reserve
+        return self._curves(("cdf", "partial_expectation"), reserve)
 
     def _above_reserve(self, b: np.ndarray, curve):
         """curve where the bid b reaches the reserve, 0 below it."""

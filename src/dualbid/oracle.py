@@ -91,14 +91,14 @@ class OpportunityLog:
     @classmethod
     def from_columns(cls, **columns) -> OpportunityLog:
         """A log over columns built in time order, such as a simulated
-        stream's, passed by the names _set_columns takes."""
+        stream's (and its mechanism table), by the names _set_columns takes."""
         log = object.__new__(cls)
         log._set_columns(**columns)
         return log
 
     def _set_columns(
         self, time, values, clearing, mechanisms, mechanism_codes, placement_names,
-        placement_codes, window_combos, combo_codes,
+        placement_codes, window_combos, combo_codes, table=None,
     ):  # fmt: skip
         if len(values) == 0:
             raise OracleError("opportunity log must not be empty")
@@ -108,7 +108,9 @@ class OpportunityLog:
         self.realized = ~np.isnan(self.clearing)
         self.mechanisms = tuple(mechanisms)
         self.mechanism_codes = np.asarray(mechanism_codes, dtype=np.intp)
-        self.table = MechanismTable.from_specs(self.mechanisms).take(self.mechanism_codes)
+        if table is None:
+            table = MechanismTable.from_specs(self.mechanisms).take(self.mechanism_codes)
+        self.table = table
         self.placement_codes, self.placement_names = _by_first_appearance(
             np.asarray(placement_codes, dtype=np.intp), placement_names
         )

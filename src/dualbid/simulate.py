@@ -3,11 +3,13 @@
 The stream generator draws, for every (placement, interval) cell, a Poisson
 opportunity count and the per-opportunity values, competing clearing bids,
 interleaving jitter, and result draws from a counter-based random stream
-keyed by (seed, placement, interval) -- so adding a placement or extending
-the horizon never perturbs other cells' draws, and a fixed seed yields a
-byte-identical trace.  The stream is held as columns (``OpportunityStream``),
-ordered by one stable sort on (interval, jitter, placement id), with one
-mechanism per cell.
+keyed by (seed, placement, interval), one Philox state re-keyed per cell --
+so adding a placement or extending the horizon never perturbs other cells'
+draws, and a fixed seed yields a byte-identical trace.  The stream is held
+as columns (``OpportunityStream``), one mechanism per cell, in (interval,
+jitter, placement id) order: cells are drawn interval by interval,
+placements in id order, and each interval's rows are stably argsorted by
+jitter.
 
 An episode pairs the stream with a pacing agent in two passes.  The
 controller pass runs in segments: the opportunities from one multiplier
@@ -31,7 +33,7 @@ its segment would have given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -126,9 +128,9 @@ def drifted_mechanism(placement: PlacementConfig, interval: int) -> MechanismSpe
     """Placement mechanism with the interval's competing-bid drift applied."""
     if placement.bid_mu_drift is None:
         return placement.mechanism
-    offset = placement.bid_mu_drift.offset_at(interval)
-    comp = placement.mechanism.competitor
-    return replace(placement.mechanism, competitor=replace(comp, mu=comp.mu + offset))
+    mech, comp = placement.mechanism, placement.mechanism.competitor
+    mu = comp.mu + placement.bid_mu_drift.offset_at(interval)
+    return MechanismSpec(mech.auction_type, mech.reserve, LognormalBids(mu, comp.sigma))
 
 
 def drifted_value_mu(placement: PlacementConfig, interval: int) -> float:
@@ -141,45 +143,51 @@ def _cell_rngs(seed: int):
     """A function of (placement index, interval) giving that cell's random
     generator, keyed by (seed, placement, interval).
 
-    One Philox serves every cell: its state is set to the cell's key, a zero
-    counter and an empty buffer, so each cell draws what a fresh
-    Philox(key=...) would, without seeding a throwaway SeedSequence from OS
-    entropy per cell.  The generator returned is valid until the next call.
-    The seed is the key's first word as it is, so a seed outside [0, 2**64)
-    raises OverflowError instead of sharing another seed's stream.
+    One Philox serves every cell: a fresh Philox's state (a zero counter, an
+    empty buffer) is re-keyed in place and set per cell, so each cell draws
+    what a fresh Philox(key=...) would, without seeding a SeedSequence from
+    OS entropy per cell.  The generator returned is valid until the next
+    call.  The seed is the key's first word as it is, so a seed outside
+    [0, 2**64) raises OverflowError instead of sharing another seed's stream.
     """
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
+    state = bits.state  # a copy, which no draw changes
+    key = state["state"]["key"]
+    key[0] = seed
 
     def cell_rng(placement_index: int, interval: int) -> np.random.Generator:
-        key = np.array([seed, (placement_index << 32) | interval], dtype=np.uint64)
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        key[1] = (placement_index << 32) | interval
+        bits.state = state
         return rng
 
     return cell_rng
+
+
+def _stream_order(interval: np.ndarray, jitter: np.ndarray) -> np.ndarray:
+    """The stream order of rows drawn interval by interval, the placements of
+    an interval in id order: (interval, jitter, placement id), ties in draw
+    order, from one stable argsort of each interval's jitter."""
+    edges = [0, *(np.flatnonzero(np.diff(interval)) + 1).tolist(), len(jitter)]
+    runs = zip(edges, edges[1:])
+    return np.concatenate([a + jitter[a:b].argsort(kind="stable") for a, b in runs])
 
 
 def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
     """All opportunities for the scenario, interleaved across placements by
     a within-interval jitter and fully reproducible from the seed.
 
-    Each cell draws its jitter, values, clearing-bid uniforms and result
-    draws in that order; the uniforms of every cell become clearing bids in
-    one MechanismTable.quantile call over the stream."""
-    cells: list[MechanismSpec] = []
-    cell_interval: list[int] = []
-    cell_placement: list[int] = []
-    draws: list[tuple[np.ndarray, ...]] = []
+    Cells are numbered by placement, then interval.  Each draws its jitter,
+    values, then clearing-bid and result uniforms in one call; the
+    clearing-bid uniforms become clearing bids in one quantile call."""
+    by_id = sorted(enumerate(scenario.placements), key=lambda item: item[1].id)
     cell_rng = _cell_rngs(scenario.seed)
-    for p_idx, placement in enumerate(scenario.placements):
-        for interval in range(scenario.intervals):
+    drifted: dict[tuple[int, float], MechanismSpec] = {}
+    keys: list[int] = []  # placement index * intervals + interval, per cell
+    mechanisms: list[MechanismSpec] = []
+    draws: list[tuple[np.ndarray, ...]] = []
+    for interval in range(scenario.intervals):
+        for p_idx, placement in by_id:
             intensity = placement.intensity_at(interval)
             if intensity <= 0:
                 continue
@@ -187,33 +195,33 @@ def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
             n = int(rng.poisson(intensity))
             if n == 0:
                 continue
-            mech = drifted_mechanism(placement, interval)
+            mech = placement.mechanism
+            if placement.bid_mu_drift is not None:  # one spec per drift offset
+                drift = (p_idx, placement.bid_mu_drift.offset_at(interval))
+                mech = drifted.get(drift) or drifted_mechanism(placement, interval)
+                drifted[drift] = mech
             jitter = rng.random(n)
             values = rng.lognormal(
                 mean=drifted_value_mu(placement, interval), sigma=placement.value_sigma, size=n
             )
-            clearing_draws = rng.random(n)
-            draws.append((jitter, values, clearing_draws, rng.random(n)))
-            cells.append(mech)
-            cell_interval.append(interval)
-            cell_placement.append(p_idx)
+            uniforms = rng.random(2 * n)
+            draws.append((jitter, values, uniforms[:n], uniforms[n:]))
+            keys.append(p_idx * scenario.intervals + interval)
+            mechanisms.append(mech)
     ids = [p.id for p in scenario.placements]
+    numbered = np.argsort(keys)
+    cells = [mechanisms[c] for c in numbered.tolist()]
     sizes = [len(d[0]) for d in draws]
-    cell = np.repeat(np.arange(len(cells)), sizes)
-    interval = np.array(cell_interval, dtype=np.int64)[cell]
-    placement = np.array(cell_placement, dtype=np.intp)[cell]
+    placement, interval = np.divmod(np.repeat(keys, sizes), scenario.intervals)
     columns = zip(*draws) if draws else [[np.empty(0)]] * 4
     jitter, values, clearing_draws, result_draws = (np.concatenate(c) for c in columns)
-    # stable, so ties keep the cell order: the order of sorting the
-    # opportunities by (interval, jitter, placement id)
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    order = np.lexsort((rank[placement], jitter, interval))
-    table = MechanismTable.from_specs(cells).take(cell[order])
+    order = _stream_order(interval, jitter)
+    cell = np.repeat(numbered.argsort(), sizes)[order]
+    table = MechanismTable.from_specs(cells).take(cell)
     clearing = table.quantile(clearing_draws[order])
     return OpportunityStream(
         ids, cells, interval[order], jitter[order], placement[order], values[order],
-        clearing, result_draws[order], cell[order], table,
+        clearing, result_draws[order], cell, table,
     )  # fmt: skip
 
 
@@ -230,6 +238,7 @@ def realized_log(scenario: ScenarioConfig, stream: OpportunityStream) -> Opportu
         clearing=stream.clearing_bid,
         mechanisms=stream.cells,
         mechanism_codes=stream.cell,
+        table=stream.table,
         placement_names=stream.placement_ids,
         placement_codes=stream.placement,
         window_combos=list(combos),
@@ -405,7 +414,7 @@ def _least_factors(stream: OpportunityStream, history, bid_cap: float) -> np.nda
     """The least factor at which each first-price row of the stream may win
     (NaN on second-price rows), the FTL history's where there is one; None
     without first-price rows."""
-    first = np.flatnonzero(stream.table.first_price)
+    first = stream.table.first_price_rows[0]  # read once, shared with first_price_limits
     if not first.size:
         return None
     if history is not None:

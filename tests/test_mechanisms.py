@@ -1,5 +1,6 @@
 """Mechanism model tests: closed forms, derivative consistency, sampling."""
 
+import copy
 import math
 
 import numpy as np
@@ -505,3 +506,60 @@ def test_expected_cost_evaluates_only_the_curve_its_rows_need(auctions):
     table.expected_cost(np.full(len(table), 2.0))
     first, second = "first_price" in auctions, "second_price" in auctions
     assert model.calls == {"cdf": int(first), "pdf": 0, "partial_expectation": int(second)}
+
+
+UNIFORM_TABLE_SPECS = [
+    (auction, reserve, competitor)
+    for auction in ("second_price", "first_price")
+    for reserve in (0.0, 0.4)
+    for competitor in (LognormalBids(-0.3, 0.8), UniformBids(0.1, 1.5))
+]
+
+
+@pytest.mark.parametrize(
+    "auction, reserve, competitor",
+    UNIFORM_TABLE_SPECS,
+    ids=[f"{a}-{r}-{c.family}" for a, r, c in UNIFORM_TABLE_SPECS],
+)
+def test_a_uniform_table_equals_its_rows_as_one_row_tables(auction, reserve, competitor):
+    # equal specs held by distinct objects make one uniform table, whose
+    # curves read each parameter as one scalar: every row equals itself
+    # evaluated as a one-row table, bit for bit
+    from dualbid.bidding import shade_bids
+
+    n = len(COST_BIDS) * 6
+    table = MechanismTable.from_specs(
+        [MechanismSpec(auction, reserve, copy.copy(competitor)) for _ in range(n)]
+    )
+    assert table.uniform and table.take(np.arange(1, n, 4)).uniform
+    one = MechanismSpec(auction, reserve, competitor).table
+    bids = np.array(COST_BIDS * 6) * np.repeat([0.5, 0.8, 1.0, 1.2, 1.5, 2.0], len(COST_BIDS))
+    u = np.random.default_rng(3).random(n)
+    u[::9] = 0.0
+
+    def each(curve, x):
+        return np.concatenate([np.atleast_1d(curve(one, x[i : i + 1])) for i in range(n)])
+
+    for name in ("cdf", "pdf", "partial_expectation", "expected_cost", "markup"):
+        curve = getattr(MechanismTable, name)
+        assert np.array_equal(_bits(curve(table, bids)), _bits(each(curve, bids))), name
+    assert np.array_equal(_bits(table.quantile(u)), _bits(each(MechanismTable.quantile, u)))
+    H, G = table.cost_and_win(bids)
+    assert np.array_equal(_bits(H), _bits(each(lambda t, b: t.cost_and_win(b)[0], bids)))
+    assert np.array_equal(_bits(G), _bits(each(lambda t, b: t.cost_and_win(b)[1], bids)))
+    shade = lambda t, x: shade_bids(t, x, 1.2)[0]
+    assert np.array_equal(_bits(shade(table, bids)), _bits(each(shade, bids)))
+    # an empty take of a uniform table still evaluates
+    assert table.take(np.arange(0)).expected_cost(np.empty(0)).shape == (0,)
+
+
+def test_a_table_of_two_specs_is_not_uniform():
+    a = MechanismSpec("second_price", 0.0, LognormalBids(-0.3, 0.8))
+    b = MechanismSpec("second_price", 0.0, LognormalBids(-0.2, 0.8))
+    table = MechanismTable.from_specs([a, a, b, a])
+    assert not table.uniform and not table.take(np.arange(2)).uniform
+    assert MechanismTable.from_specs([a, a]).uniform
+    bids = np.array([0.3, 0.7, 0.7, 1.3])
+    rows = (a.table, a.table, b.table, a.table)
+    want = [t.expected_cost(bids[i : i + 1])[0] for i, t in enumerate(rows)]
+    assert np.array_equal(_bits(table.expected_cost(bids)), _bits(want))

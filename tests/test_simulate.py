@@ -13,6 +13,7 @@ from dualbid.oracle import LogRecord, MultiplierProfile, OpportunityLog, replay,
 from dualbid.scenario import parse_scenario
 from dualbid.simulate import (
     TRACE_COLUMNS,
+    _stream_order,
     distributional_log,
     drifted_mechanism,
     generate_stream,
@@ -84,6 +85,25 @@ class TestStream:
         cfg["placements"][1]["drift"] = {"bid_mu": [[0, 0.0], [29, 0.3]]}
         scenario = parse_scenario(cfg)
         assert list(generate_stream(scenario)) == stream_by_sort(scenario)
+
+    def test_stream_order_is_the_three_key_sort(self):
+        # rows drawn interval by interval, the placements of an interval in
+        # id order, go into the order of one stable sort on (interval,
+        # jitter, placement id), drawn cell by cell in list order; jitter
+        # from four values ties rows within a cell and across placements
+        rng = np.random.default_rng(11)
+        rank = np.array([2, 0, 1])  # id rank of each placement in list order
+        cells = np.array([(p, i) for p in range(3) for i in range(12)])
+        placement, interval = np.repeat(cells, rng.integers(0, 7, len(cells)), axis=0).T
+        jitter = rng.integers(0, 4, len(interval)) / 4.0
+        rows = np.stack([interval, jitter, placement])
+        ties, counts = np.unique(rows, axis=1, return_counts=True)
+        assert counts.max() > 1  # within a cell
+        assert len(np.unique(ties[:2], axis=1)[0]) < ties.shape[1]  # across placements
+        want = np.lexsort((rank[placement], jitter, interval))
+        drawn = np.lexsort((rank[placement], interval))  # stable: cells keep their draw order
+        got = drawn[_stream_order(interval[drawn], jitter[drawn])]
+        assert np.array_equal(got, want)
 
     def test_logs_match_records(self):
         cfg = mixed_scenario(
@@ -218,12 +238,14 @@ class TestEpisode:
         import dualbid.bidding as bidding
         import dualbid.simulate as simulate
 
-        rows, shaded = [], []
+        rows, shaded, split = [], [], []
         bid, shade = simulate.optimal_bids, bidding.shade_bids
 
         def counting(table, adjusted, bid_cap):
             rows.append(len(adjusted))
-            return bid(table, adjusted, bid_cap)
+            bids = bid(table, adjusted, bid_cap)
+            split.append("first_price_rows" in vars(table))
+            return bids
 
         def shading(table, adjusted, bid_cap):
             shaded.append(np.array(adjusted))
@@ -237,6 +259,7 @@ class TestEpisode:
         # every opportunity is bid exactly once
         assert sum(rows) == len(episode.stream) == 17645
         assert not shaded
+        assert not any(split)  # no table without first-price rows is split
         # first price: a segment bids the rows that may win, and one call
         # after the last bids the rest
         rows.clear()
@@ -251,6 +274,7 @@ class TestEpisode:
         # 927 segments, most of which shade nothing (measured: 63 calls)
         assert len(rows) - 1 == 927
         assert len(shaded) <= 70
+        assert sum(split) == len(shaded)  # only a call that shades splits its table
 
     def test_ftl_mode(self):
         cfg = stationary_scenario(
@@ -482,6 +506,119 @@ def test_episodes_are_pinned(tmp_path, name):
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
     for file, digest in zip(("trace.csv", "metrics.csv"), digests):
         assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest, file
+
+
+def _drifted_reversed() -> dict:
+    """Two placements whose ids sort opposite to their list order, the
+    first-price one with a competing-bid drift."""
+    cfg = mixed_scenario(intervals=40)
+    cfg["placements"][0]["id"] = "zeta"
+    cfg["placements"][1]["drift"] = {"bid_mu": [[0, 0.0], [39, 0.3]]}
+    return cfg
+
+
+def _shipped(name: str):
+    return lambda: json.loads((SCENARIOS / name).read_text())
+
+
+def _column_digests(stream) -> dict[str, str]:
+    """sha256 of each stream column's dtype and bytes, of its mechanism
+    table's columns, and of the repr of its cells."""
+    table = stream.table
+    columns = {
+        name: getattr(stream, name)
+        for name in ("interval", "jitter", "placement", "value", "clearing_bid",
+                     "result_draw", "cell")
+    }  # fmt: skip
+    columns.update(
+        (f"table.{name}", getattr(table, name))
+        for name in ("family", "p1", "p2", "reserve", "first_price", "support_top", "model")
+    )
+    digests = {
+        name: hashlib.sha256(str(c.dtype).encode() + np.ascontiguousarray(c).tobytes()).hexdigest()
+        for name, c in columns.items()
+    }
+    digests["cells"] = hashlib.sha256(repr(stream.cells).encode()).hexdigest()
+    return digests
+
+
+# sha256 of every column of generate_stream's output (see _column_digests)
+STREAM_DIGESTS = {
+    "stationary": (_shipped("stationary.json"), {
+        "interval": "bebf6f81b44ad326e9cf27360c5d071315f99459b81d331305fabe4fb531c627",
+        "jitter": "b36ba7c42e636c4c30a87205433d40b68c33166ce0e8a7cdf1b6c0b034f86241",
+        "placement": "f7426b44501f919ff27778e42f89bbb5cc14f63fa3bff82af6f40291257a8746",
+        "value": "62e7b36e2106bf2ee78d7ace76a370857a7b054d309f739d870605d8ea04ef3a",
+        "clearing_bid": "6498fdfbcc3b91f959e30bc31b5b2ef060b257f5eccb47cb09e6e50dd028b765",
+        "result_draw": "72c633d74f82833a3faedb67b44e4cc1e1a170ed7f9d8eaea27ae85bd93c42c5",
+        "cell": "bebf6f81b44ad326e9cf27360c5d071315f99459b81d331305fabe4fb531c627",
+        "table.family": "f7426b44501f919ff27778e42f89bbb5cc14f63fa3bff82af6f40291257a8746",
+        "table.p1": "d484bd15d49710e325f0724d20f0efa8f57e7a523f7cfc2918b4f7495e8f844d",
+        "table.p2": "6eb8f238aabce33a9f472613fbe1facb50d9dc5563949d1749a9df1e430c681c",
+        "table.reserve": "d484bd15d49710e325f0724d20f0efa8f57e7a523f7cfc2918b4f7495e8f844d",
+        "table.first_price": "cb03258ad51e20fd5fc3701dcefd126e4545bb6683c834e48e4946fd5fca3e9f",
+        "table.support_top": "714dac8bd78cc832ac085abb6e071259f1c3e2b76a8ce15bcdc078719f5eb01e",
+        "table.model": "b25335db3d6186f788ba63ae6741a017199930d84ab090c9f3900de1e0988c98",
+        "cells": "e9b97025d30130c5a1fc9ca8628f7e1b5ad7c4cd7e3586346b993e7c3ec62d51",
+    }),
+    "mixed_constrained": (_shipped("mixed_constrained.json"), {
+        "interval": "e100f74b7c19eccfda97a6b8dbbfb6ec704febdc1b06974b38d8fb5c282d0bc3",
+        "jitter": "3a22d3787f7f38b3621bbae18e3fb36d3562b1db1cf5700979c86e2835d2dc29",
+        "placement": "fb292a1850843e41fbe5abf136a39ac017b0b79d6f965f3f0997a7f6fad28a07",
+        "value": "6431aebe4bc49c7cdf8709fefb6cfd67937c68a301bd312fcc16ec6d23826397",
+        "clearing_bid": "9ee8efd25f5a1cb27b982c1d6c4d55bcf2ab757b41c0763be5d14a45b99d1bb4",
+        "result_draw": "72e2d7ff71ed36ffc89b46a75053d4c13400668f102faad1f2ef24cdd63f9a04",
+        "cell": "1b7e5e10f2fcd1b5bd6a07742b8905d34411e966ee45020317c9161225bab3e2",
+        "table.family": "f206c0a94bd92d682cbc57ad94074b347ed6a4a586edb0fc4e935838913dcd19",
+        "table.p1": "486845489ffca3c3e24692be23fcb2d79d392aedf96fb0a73db0fd422ce95d49",
+        "table.p2": "ef63fea6eaf804567dfc9b8bd1ab0a1e1105e34a2c9d9c371ef57501c30839a8",
+        "table.reserve": "d3a607c2e3e1ed43c7ddccd3c98c92235321b6792f61b759d0bac45938ce5284",
+        "table.first_price": "69067b3e932daacab2c5e1076fff1ca5978ed0ecc044e35236ce14b6dc0e14c6",
+        "table.support_top": "20067f29670f1bf4391b4306feab2111237255a9e56f7226d043b5616ee9c168",
+        "table.model": "ec142ebe063a94f8c47aae361cce70bcfa24fc47defc4f88d39fc437cef9339f",
+        "cells": "f54b016b2a08e10c98101c1c24880c8377e13c94d80af8dc708310feab648d87",
+    }),
+    "guaranteed": (_shipped("guaranteed.json"), {
+        "interval": "2b4b29c76f031b6166d5d08c1b28c8b017b1af4a3987ab61ac35540e31933fe6",
+        "jitter": "d63f183d3f57b2bb2c21a7cda6b895c6b44d6a8bd101c3f8a6d95d0e81539ce1",
+        "placement": "e7366756b60db99c582f5143b6bea7eb17d97e4eacd5b11439c70c792d78eed3",
+        "value": "9e9cc23fd866c5f24c8e8dbbc256490fc2a37fd416d52f515248f3d7da7226e6",
+        "clearing_bid": "67537e14f0f9dd35885663f061b9bc5785cb5fc9905b1117a63199ef3aa5bc96",
+        "result_draw": "a17c93d07a2861ea021e1f3f9717c8e4ec87fe3a755dce1236a4393da7f8102b",
+        "cell": "2b4b29c76f031b6166d5d08c1b28c8b017b1af4a3987ab61ac35540e31933fe6",
+        "table.family": "e7366756b60db99c582f5143b6bea7eb17d97e4eacd5b11439c70c792d78eed3",
+        "table.p1": "8adf94337bb9a100b4ba6e3b9b0ab9413e9f7e5d9d051dc3fe6813c2f1d3b34d",
+        "table.p2": "03eaac31a780d62aec4334e0b51e2a41fbc6116c6d2c6093e7b2d52d9627ca80",
+        "table.reserve": "8adf94337bb9a100b4ba6e3b9b0ab9413e9f7e5d9d051dc3fe6813c2f1d3b34d",
+        "table.first_price": "f6579a0098cf91d3cc1654965986fdb3e95e48463b1459a098d80e715dc888fd",
+        "table.support_top": "3a47ee2e560f615e41fbfad4325e717303de5bc8938681862b04cba70c084c7d",
+        "table.model": "a0a2d36d8e32ea4802d6201f97680c2bb374797860041b75ce03b06bf16b80e3",
+        "cells": "756acea8528fab24935dbf6e7004403874847226d50bb9b2e547b1eaef168c21",
+    }),
+    "drifted_reversed": (_drifted_reversed, {
+        "interval": "5ce3220a5c8636b3ee70f5494857c08673109ea66919586e9ec6c672dea7dcd4",
+        "jitter": "b03f3e3a09bfa2a22d7597edafd41bccd8a481db8c02101e25aa1aa768e7e1d8",
+        "placement": "225087b7ba1fb3faff68419f91e78492ce91ba622f529d3d5d66950b0fdac702",
+        "value": "d7d5077eb3baa15b61967036fb8b438293f312278af410ec0cd39fedcd45790f",
+        "clearing_bid": "6055c9d6fb2459c7e880a2eaa7a4700a7a52c19fd110ebe8e29a2d791d9dbd81",
+        "result_draw": "68a939f16f446ba60a9fab9e29a9893d81fb86e1ae593f265b8cebecec03f27c",
+        "cell": "46a54b77df684adf5abf4b1e67d5261187bf13e5a6324e697e35bcd74bf354cb",
+        "table.family": "0d1cf4272f081772870d52cc2d081ee68b7b4977f341340cb162498ec39a00a6",
+        "table.p1": "46e0a542c6175265d343e08fa6f18bc54c3eeac93762ca386283fc23783ee38b",
+        "table.p2": "8f064de433b4a6a07c1131d5b287cb1f4b5ee314d4c4e6942e7b92412045abd7",
+        "table.reserve": "4d2fec57530cc7ee6475d394282b772f88a43fe7177f2c247a9912a40f184950",
+        "table.first_price": "43ad314a9bc223131acbb3f17ce921b9ebb541ab6b919a5a71d926f8aae64875",
+        "table.support_top": "f1761c0015c1a3d0b2ffa441f65ea418f761b82e75271f727cb5a6fa81d36e81",
+        "table.model": "3372ea95086c4c4c70f20cad9f51604ac27c8233ba93480e071721759366e7ae",
+        "cells": "f8feca638485f487da9b25df9063b6a2e58d1b095a42da48a3c90e0e4cee747e",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAM_DIGESTS))
+def test_streams_are_pinned(name):
+    build, digests = STREAM_DIGESTS[name]
+    assert _column_digests(generate_stream(parse_scenario(build()))) == digests
 
 
 class TestConvergenceRegressions:
