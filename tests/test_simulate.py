@@ -88,9 +88,9 @@ class TestStream:
 
     def test_stream_order_is_the_three_key_sort(self):
         # rows drawn interval by interval, the placements of an interval in
-        # id order, go into the order of one stable sort on (interval,
-        # jitter, placement id), drawn cell by cell in list order; jitter
-        # from four values ties rows within a cell and across placements
+        # id order, go into the order that a stable sort on (interval,
+        # jitter, placement id) gives rows drawn cell by cell in list order;
+        # jitter from four values ties rows within a cell and across placements
         rng = np.random.default_rng(11)
         rank = np.array([2, 0, 1])  # id rank of each placement in list order
         cells = np.array([(p, i) for p in range(3) for i in range(12)])
