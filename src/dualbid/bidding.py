@@ -24,6 +24,7 @@ from .mechanisms import (
     MechanismError,
     MechanismSpec,
     MechanismTable,
+    _normal_ufuncs,
     cost_derivative,
     expected_cost,
     win_density,
@@ -148,10 +149,10 @@ def _lognormal_newton(mu: np.ndarray, sigma: np.ndarray, xs: np.ndarray) -> np.n
     the root without overshooting.  ln R is formed from log_ndtr, so R never
     overflows.  Each row stops once its own step is below 1e-10 max(1, |z|)
     (the next step would move it by rounding only), independently of the
-    others.  scipy.special is imported once per call, not at module load
-    (see mechanisms._lognormal_curves).
+    others.  log_ndtr is scipy's, loaded alone by mechanisms._normal_ufuncs
+    at a process's first curve or shade (about 2 ms and 1 MB).
     """
-    from scipy.special import log_ndtr
+    _, log_ndtr = _normal_ufuncs()
 
     t = np.log(xs) - mu
     z = t / sigma

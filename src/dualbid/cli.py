@@ -368,9 +368,16 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _read_sample_file(path: str) -> list[float]:
+def _read_input(path: str, flag: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"{flag}: {exc}", EXIT_VALIDATION) from None
+
+
+def _read_samples(path: str, flag: str) -> list[float]:
     values = []
-    for i, line in enumerate(Path(path).read_text().splitlines()):
+    for i, line in enumerate(_read_input(path, flag).splitlines()):
         line = line.strip()
         if not line:
             continue
@@ -378,6 +385,8 @@ def _read_sample_file(path: str) -> list[float]:
             values.append(float(line))
         except ValueError:
             raise CliError(f"{path}:{i + 1}: not a number: {line!r}", EXIT_VALIDATION) from None
+        if not math.isfinite(values[-1]):
+            raise CliError(f"{path}:{i + 1}: not a finite number: {line!r}", EXIT_VALIDATION)
     return values
 
 
@@ -395,7 +404,7 @@ def _prior_number(entry: dict, i: int, key: str) -> float:
 
 def _coldstart_priors(args) -> list[PlacementPriors]:
     if args.priors:
-        data = json.loads(Path(args.priors).read_text())
+        data = json.loads(_read_input(args.priors, "--priors"))
         if not isinstance(data, list):
             raise ColdStartError(f"--priors: expected a JSON list, got {type(data).__name__}")
         priors = []
@@ -409,8 +418,8 @@ def _coldstart_priors(args) -> list[PlacementPriors]:
             raise CliError("need both --bid-samples and --value-samples", EXIT_VALIDATION)
         if args.count is None:
             raise CliError("--count is required with sample files", EXIT_VALIDATION)
-        bid_mu, bid_sigma = fit_lognormal(_read_sample_file(args.bid_samples))
-        value_mu, value_sigma = fit_lognormal(_read_sample_file(args.value_samples))
+        bid_mu, bid_sigma = fit_lognormal(_read_samples(args.bid_samples, "--bid-samples"))
+        value_mu, value_sigma = fit_lognormal(_read_samples(args.value_samples, "--value-samples"))
         for name, sigma in (("bid", bid_sigma), ("value", value_sigma)):
             if sigma <= 1e-6:
                 print(f"warning: degenerate {name} samples, sigma floored at 1e-6")
@@ -562,7 +571,10 @@ def load_log_csv(path: str | Path) -> OpportunityLog:
 
 
 def cmd_oracle(args) -> int:
-    log = load_log_csv(args.log)
+    try:
+        log = load_log_csv(args.log)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"--log: {exc}", EXIT_VALIDATION) from None
     delivery, guarantee = ((), ())
     if args.windows:
         try:

@@ -44,12 +44,9 @@ class PlacementPriors:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ColdStartError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if not self.bid_sigma > 0:
-            raise ColdStartError(f"bid_sigma must be > 0, got {self.bid_sigma}")
-        if not self.value_sigma > 0:
-            raise ColdStartError(f"value_sigma must be > 0, got {self.value_sigma}")
-        if not self.forecast_count > 0:
-            raise ColdStartError(f"forecast_count must be > 0, got {self.forecast_count}")
+        for name in ("bid_sigma", "value_sigma", "forecast_count"):
+            if not getattr(self, name) > 0:
+                raise ColdStartError(f"{name} must be > 0, got {getattr(self, name)}")
 
     def mean_competing_bid(self) -> float:
         return math.exp(self.bid_mu + 0.5 * self.bid_sigma**2)
@@ -129,8 +126,8 @@ def solve_lambda0_multi(placements: list[PlacementPriors], budget: float) -> Col
         return sum(p.forecast_count * expected_spend_per_opportunity(p, lam) for p in placements)
 
     max_spend = sum(p.forecast_count * p.mean_competing_bid() for p in placements)
+    total = sum(p.forecast_count for p in placements)
     if budget >= max_spend:
-        total = sum(p.forecast_count for p in placements)
         return ColdStartResult(lam=LAMBDA_FLOOR, unconstrained=True, spend_rate=max_spend / total)
 
     lo, hi = 1e-12, 1e12
@@ -143,7 +140,6 @@ def solve_lambda0_multi(placements: list[PlacementPriors], budget: float) -> Col
         if hi / lo - 1.0 <= 1e-9:
             break
     lam = math.sqrt(lo * hi)
-    total = sum(p.forecast_count for p in placements)
     return ColdStartResult(lam=lam, unconstrained=False, spend_rate=aggregate(lam) / total)
 
 

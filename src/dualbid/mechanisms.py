@@ -27,8 +27,11 @@ rows).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib import machinery, util
+from pathlib import Path
 
 import numpy as np
 
@@ -301,14 +304,32 @@ class RealizedLandscape:
 LOGNORMAL, UNIFORM, EMPIRICAL, OTHER = range(4)
 
 
-def _lognormal_curves(names, b, mu, sigma):
-    """The named curves of lognormal rows, all from one log of the bids.
+def _normal_ufuncs():
+    """scipy's ndtr and log_ndtr from their extension module's file alone
+    (about 2 ms and 1 MB; scipy.special's __init__ costs 21 MB and 0.1-0.25 s),
+    registered in sys.modules for a later import of scipy.special to reuse.
+    Where the file is missing, fails to load or lacks them: scipy.special's."""
+    name = "scipy.special._special_ufuncs"
+    try:
+        if (module := sys.modules.get(name)) is None:
+            special = Path(util.find_spec("scipy").origin).parent / "special"
+            paths = (special / f"_special_ufuncs{s}" for s in machinery.EXTENSION_SUFFIXES)
+            path = str(next(p for p in paths if p.is_file()))
+            loader = machinery.ExtensionFileLoader(name, path)
+            module = util.module_from_spec(util.spec_from_file_location(name, path, loader=loader))
+            loader.exec_module(module)
+            sys.modules[name] = module
+        return module.ndtr, module.log_ndtr
+    except (ImportError, OSError, AttributeError, StopIteration):
+        import scipy.special as module
+    return module.ndtr, module.log_ndtr
 
-    scipy.special is imported here rather than at the top of the module:
-    loading it costs more than a second-price episode, and only these
-    curves and first-price shading (bidding._lognormal_newton) need it.
-    """
-    from scipy.special import ndtr
+
+def _lognormal_curves(names, b, mu, sigma):
+    """The named curves of lognormal rows, all from one log of the bids; Phi
+    is scipy's ndtr, loaded alone by _normal_ufuncs at a process's first
+    curve or shade (about 2 ms and 1 MB)."""
+    ndtr, _ = _normal_ufuncs()
 
     positive = b > 0
     safe = np.where(positive, b, 1.0)

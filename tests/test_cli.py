@@ -8,6 +8,7 @@ import math
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -232,31 +233,57 @@ class TestRun:
 
 
 # Importing scipy.special takes longer than a second-price episode runs, so
-# only lognormal G/H curves and first-price shading import it, when called;
-# the process pool (multiprocessing) is imported by a parallel sweep alone.
-NO_SCIPY_RUNS = """
-import sys
+# no second-price run loads any of scipy.  Lognormal G/H curves and
+# first-price shading load the one extension module that holds ndtr and
+# log_ndtr (mechanisms._normal_ufuncs), when called, and nothing else of
+# scipy; a later import of scipy.special reuses it.  The process pool
+# (multiprocessing) is imported by a parallel sweep alone.
+SCIPY_LOADS = """
+import json, sys
 sys.path.insert(0, sys.argv[1])
 import dualbid.cli
-for scenario, out in zip(sys.argv[2::2], sys.argv[3::2]):
-    assert dualbid.cli.main(["run", "--scenario", scenario, "--out", out]) == 0
+for argv in json.loads(sys.argv[2]):
+    assert dualbid.cli.main(argv) == 0, argv
+    print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 assert "concurrent.futures.process" not in sys.modules
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+import scipy.special
+from dualbid.mechanisms import _normal_ufuncs
+assert _normal_ufuncs() == (scipy.special.ndtr, scipy.special.log_ndtr)
 """
 
 
-def test_second_price_runs_do_not_load_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def scipy_loads(tmp_path_factory):
+    """The scipy modules loaded after each of two second-price runs and then
+    a first-price run and its compare, in one fresh interpreter."""
+    tmp_path = tmp_path_factory.mktemp("scipy_loads")
     stationary = ROOT / "scenarios" / "stationary.json"
     ftl = json.loads(stationary.read_text())
     ftl["agent"]["mode"] = "ftl"
-    args = [str(ROOT / "src"), str(stationary), str(tmp_path / "run")]
-    args += [str(write_scenario(tmp_path, ftl, "ftl.json")), str(tmp_path / "ftl")]
+    commands = [
+        ["run", "--scenario", str(stationary), "--out", str(tmp_path / "run")],
+        ["run", "--scenario", str(write_scenario(tmp_path, ftl, "ftl.json")), "--out",
+         str(tmp_path / "ftl")],
+        ["run", "--scenario", str(MIXED_CONSTRAINED), "--out", str(tmp_path / "mixed")],
+        ["compare", "--run", str(tmp_path / "mixed")],
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_RUNS, *args], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", SCIPY_LOADS, str(ROOT / "src"), json.dumps(commands)],
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "run" / "trace.csv").is_file() and (tmp_path / "ftl" / "trace.csv").is_file()
+    for name in ("run", "ftl", "mixed"):
+        assert (tmp_path / name / "trace.csv").is_file()
+    assert (tmp_path / "mixed" / "compare.csv").is_file()
+    return [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+
+
+def test_second_price_runs_do_not_load_scipy(scipy_loads):
+    assert scipy_loads[:2] == [[], []]
+
+
+def test_first_price_run_and_compare_load_only_the_normal_ufuncs(scipy_loads):
+    assert scipy_loads[2:] == [["scipy.special._special_ufuncs"]] * 2
 
 
 class TestCompare:
@@ -599,6 +626,40 @@ class TestColdstart:
         )
         assert code == 0
         assert "floored" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--bid-samples", "--value-samples", "--priors"])
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(None, "[Errno 2] No such file or directory: "), (b"1.0\n\xff\n", "'utf-8' codec")],
+        ids=["missing", "not_utf8"],
+    )
+    def test_unreadable_input_file_exits_2_naming_its_flag(
+        self, tmp_path, capsys, flag, content, reason
+    ):
+        samples, unreadable = tmp_path / "samples.txt", tmp_path / "unreadable"
+        samples.write_text("1.0\n2.0\n")
+        if content is not None:
+            unreadable.write_bytes(content)
+        files = {} if flag == "--priors" else {"--bid-samples": samples, "--value-samples": samples}
+        files[flag] = unreadable
+        args = ["coldstart", "--budget", "5.0", "--count", "100"]
+        assert main(args + [x for kv in files.items() for x in map(str, kv)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: {reason}")
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("flag", ["--bid-samples", "--value-samples"])
+    def test_non_finite_sample_line_exits_2(self, tmp_path, capsys, flag, text):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("1.0\n2.0\n")
+        bad.write_text(f"1.0\n\n{text}\n2.0\n")
+        files = {"--bid-samples": good, "--value-samples": good, flag: bad}
+        args = ["coldstart", "--budget", "5.0", "--count", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the exit
+            assert main(args + [x for kv in files.items() for x in map(str, kv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}:3: not a finite number: {text!r}\n"
+        assert captured.out == ""
 
     def test_grid_csv_written(self, tmp_path):
         out = tmp_path / "cold"
@@ -1058,6 +1119,21 @@ class TestOracleCommand:
         args = ["oracle", "--log", str(log), "--budget", "1.0", "--out", str(tmp_path / "o")]
         assert main(args) == 2
         assert "row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("missing.csv", "[Errno 2] No such file"), ("", "[Errno 21] Is a directory"),
+         ("latin1.csv", "'utf-8' codec")],
+    )
+    def test_unreadable_log_exits_2_naming_its_flag(self, tmp_path, capsys, name, reason):
+        log = tmp_path / name
+        if name == "latin1.csv":
+            self._write_log(log)
+            log.write_bytes(log.read_bytes().replace(b",p,", b",p\xe9,"))
+        args = ["oracle", "--log", str(log), "--budget", "1.0", "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert f"error: --log: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_schema_mismatch_exits_2(self, tmp_path):
         log = tmp_path / "log.csv"

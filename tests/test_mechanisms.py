@@ -1,13 +1,18 @@
 """Mechanism model tests: closed forms, derivative consistency, sampling."""
 
 import copy
+import importlib.machinery
+import importlib.util
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import quad
 
+from dualbid import mechanisms
 from dualbid.mechanisms import (
     EmpiricalBids,
     LognormalBids,
@@ -284,6 +289,39 @@ class TestNdtri:
         assert type(ndtri(0.975)) is float
         assert ndtri(0.975) == pytest.approx(1.959963984540054, rel=1e-15)
         assert np.isnan(ndtri(np.array([-0.1, 1.1, np.nan]))).all()
+
+
+class TestNormalUfuncs:
+    UFUNCS = "scipy.special._special_ufuncs"
+
+    def test_the_extension_file_gives_scipys_ndtr_and_log_ndtr_bit_for_bit(self, monkeypatch):
+        # scipy.special is imported at the top of this file, so drop its
+        # extension module from sys.modules to make the loader read the file
+        monkeypatch.delitem(sys.modules, self.UFUNCS)
+        ndtr, log_ndtr = mechanisms._normal_ufuncs()
+        loaded = sys.modules[self.UFUNCS]
+        assert loaded.__file__.endswith(tuple(importlib.machinery.EXTENSION_SUFFIXES))
+        x = np.concatenate([np.linspace(-40.0, 40.0, 8001), [np.inf, -np.inf, np.nan]])
+        assert ndtr(x).tobytes() == special.ndtr(x).tobytes()
+        assert log_ndtr(x).tobytes() == special.log_ndtr(x).tobytes()
+        assert mechanisms._normal_ufuncs() == (loaded.ndtr, loaded.log_ndtr)
+
+    @pytest.mark.parametrize("failure", ["no_scipy", "not_an_extension", "no_ndtr"])
+    def test_a_failed_lookup_falls_back_to_scipy_special(self, monkeypatch, tmp_path, failure):
+        if failure == "no_ndtr":  # a module of that name without the two ufuncs
+            monkeypatch.setitem(sys.modules, self.UFUNCS, types.ModuleType("stub"))
+        else:
+            monkeypatch.delitem(sys.modules, self.UFUNCS)
+            package = tmp_path / "scipy"
+            (package / "special").mkdir(parents=True)
+            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+            (package / "special" / f"_special_ufuncs{suffix}").write_bytes(b"not a library")
+            spec = types.SimpleNamespace(origin=str(package / "__init__.py"))
+            found = None if failure == "no_scipy" else spec
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name: found)
+        assert mechanisms._normal_ufuncs() == (special.ndtr, special.log_ndtr)
+        if failure != "no_ndtr":
+            assert self.UFUNCS not in sys.modules
 
 
 def test_table_quantile_equals_each_rows_own_quantile():
