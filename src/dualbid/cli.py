@@ -68,17 +68,24 @@ from .scenario import (
 from .simulate import (
     TRACE_COLUMNS,
     SimulationError,
+    StreamError,
     Trace,
     distributional_log,
-    generate_stream,
+    load_stream,
     realized_log,
     run_episode,
+    save_stream,
 )
+
+# compare reads the stream its run saved and no longer draws one; the name
+# stays bound here for the benchmark's tracer, which wraps it in this module
+from .simulate import generate_stream  # noqa: F401
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
-RUN_OUTPUTS = ["trace.csv", "metrics.csv", "config_resolved.json"]
+RUN_OUTPUTS = ["trace.csv", "metrics.csv", "config_resolved.json", "stream.npy"]
+COMPARE_OUTPUTS = ["compare.csv", "oracle_curves.csv", "roi.csv"]
 SWEEP_SEEDS_LIMIT = 10_000  # a sweep lists its seeds and their outputs before any runs
 
 
@@ -123,11 +130,10 @@ def _write_kv_csv(path: Path, rows: list[tuple[str, object]]) -> None:
 
 
 def _read_kv_csv(path: Path) -> dict[str, str]:
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["key", "value"]:
-            raise CliError(f"{path}: expected key,value columns", EXIT_VALIDATION)
-        return {row["key"]: row["value"] for row in reader}
+    reader = csv.DictReader(io.StringIO(_read_input(path, str(path)), newline=""))
+    if reader.fieldnames != ["key", "value"]:
+        raise CliError(f"{path}: expected key,value columns", EXIT_VALIDATION)
+    return {row["key"]: row["value"] for row in reader}
 
 
 def _csv_field(text: str) -> str:
@@ -200,12 +206,30 @@ def _check_seed(seed: int | None, flag: str = "--seed") -> None:
         raise CliError(f"{flag} must be in [0, 2**64), got {seed}", EXIT_VALIDATION)
 
 
+def _read_input(path: str | Path, flag: str) -> str:
+    """The text of an input file, its newlines as they are; a file that
+    cannot be read (missing, a directory, not UTF-8) is a validation error
+    naming flag, the option or the file it was read for."""
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"{flag}: {exc}", EXIT_VALIDATION) from None
+
+
+def _load_scenario(args):
+    """--scenario, seeded by --seed where given."""
+    try:
+        return load_scenario(args.scenario, seed_override=args.seed)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"--scenario: {exc}", EXIT_VALIDATION) from None
+    except ScenarioError as exc:
+        raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION) from None
+
+
 def cmd_run(args) -> int:
     _check_seed(args.seed)
-    try:
-        scenario = load_scenario(args.scenario, seed_override=args.seed)
-    except (ScenarioError, FileNotFoundError) as exc:
-        raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION) from None
+    scenario = _load_scenario(args)
     out_dir = Path(args.out)
     _prepare_outputs(RUN_OUTPUTS, args.force, out_dir)
     try:
@@ -218,6 +242,7 @@ def cmd_run(args) -> int:
     (out_dir / "config_resolved.json").write_text(
         json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
     )
+    save_stream(out_dir / "stream.npy", episode.stream)
     m = episode.metrics
     print(
         f"spend={_g6(m.total_spend)} results={_g6(m.total_value)} "
@@ -286,23 +311,34 @@ def _metric(metrics: dict[str, str], key: str) -> float:
 
 def cmd_compare(args) -> int:
     run_dir = Path(args.run)
-    config_path = run_dir / "config_resolved.json"
-    metrics_path = run_dir / "metrics.csv"
-    for p in (config_path, metrics_path):
+    config_path, metrics_path, stream_path = (
+        run_dir / name for name in ("config_resolved.json", "metrics.csv", "stream.npy")
+    )
+    for p in (config_path, metrics_path, stream_path):
         if not p.exists():
             raise CliError(f"missing run artifact {p}", EXIT_VALIDATION)
     try:
-        scenario = parse_scenario(json.loads(config_path.read_text()))
+        scenario = parse_scenario(json.loads(_read_input(config_path, str(config_path))))
         check_kkt_constraints(scenario.constraints)
     except (ScenarioError, OracleError, json.JSONDecodeError) as exc:
         raise CliError(f"bad resolved config: {exc}", EXIT_VALIDATION) from None
     metrics = _read_kv_csv(metrics_path)
     agent_value, agent_spend = (_metric(metrics, key) for key in ("total_value", "total_spend"))
+    # the auctions the run took part in, as it saved them
+    try:
+        stream = load_stream(stream_path, scenario)
+    except (OSError, StreamError) as exc:
+        raise CliError(f"{stream_path}: {exc}", EXIT_VALIDATION) from None
+    if len(stream) != _metric(metrics, "n_opportunities"):
+        raise CliError(
+            f"{stream_path}: {len(stream)} rows, but metrics.csv n_opportunities is "
+            f"{metrics['n_opportunities']}",
+            EXIT_VALIDATION,
+        )
 
     out_dir = Path(args.out) if args.out else run_dir
-    _prepare_outputs(["compare.csv", "oracle_curves.csv", "roi.csv"], args.force, out_dir)
+    _prepare_outputs(COMPARE_OUTPUTS, args.force, out_dir)
 
-    stream = generate_stream(scenario)
     log = realized_log(scenario, stream)
     constraints = scenario.constraints
     budget = constraints.budget
@@ -366,13 +402,6 @@ def cmd_compare(args) -> int:
         f"baseline_value_ratio={_g6(baseline_ratio)}"
     )
     return EXIT_OK
-
-
-def _read_input(path: str, flag: str) -> str:
-    try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"{flag}: {exc}", EXIT_VALIDATION) from None
 
 
 def _read_samples(path: str, flag: str) -> list[float]:
@@ -481,10 +510,7 @@ def cmd_sweep(args) -> int:
             f"--sweep-seeds must be <= {SWEEP_SEEDS_LIMIT}, got {args.sweep_seeds}", EXIT_VALIDATION
         )
     _check_seed(args.seed)
-    try:
-        base = load_scenario(args.scenario, seed_override=args.seed).seed
-    except (ScenarioError, FileNotFoundError) as exc:
-        raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION) from None
+    base = _load_scenario(args).seed
     last = base + args.sweep_seeds - 1
     _check_seed(last, "base seed + --sweep-seeds - 1")
     seeds = list(range(base, last + 1))

@@ -145,11 +145,13 @@ def solve_lambda0_multi(placements: list[PlacementPriors], budget: float) -> Col
 
 def fit_lognormal(samples) -> tuple[float, float]:
     """Log-moment fit: mean and unbiased standard deviation of the log
-    samples, with the deviation floored at 1e-6 to keep the model proper."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size < 2:
+    samples, with the deviation floored at 1e-6 to keep the model proper.
+    Fewer than 2 samples, or one that is not finite and > 0, raise
+    ColdStartError before numpy reads them."""
+    values = [float(x) for x in samples]
+    if len(values) < 2:
         raise ColdStartError("need at least 2 samples to fit a lognormal")
-    if np.any(arr <= 0):
-        raise ColdStartError("lognormal fit requires strictly positive samples")
-    logs = np.log(arr)
+    if not all(0 < x < math.inf for x in values):
+        raise ColdStartError("lognormal fit requires finite, strictly positive samples")
+    logs = np.log(values)
     return float(logs.mean()), max(float(logs.std(ddof=1)), 1e-6)

@@ -9,7 +9,8 @@ draws, and a fixed seed yields a byte-identical trace.  The stream is held
 as columns (``OpportunityStream``), one mechanism per cell, in (interval,
 jitter, placement id) order: cells are drawn interval by interval,
 placements in id order, and each interval's rows are stably argsorted by
-jitter.
+jitter.  A run saves its stream's row columns (save_stream), and compare
+reads them back (load_stream) to judge the auctions the run took part in.
 
 An episode pairs the stream with a pacing agent in two passes.  The
 controller pass runs in segments: the opportunities from one multiplier
@@ -33,6 +34,7 @@ its segment would have given.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -173,6 +175,24 @@ def _stream_order(interval: np.ndarray, jitter: np.ndarray) -> np.ndarray:
     return np.concatenate([a + jitter[a:b].argsort(kind="stable") for a, b in runs])
 
 
+def _cells(scenario: ScenarioConfig, keys, cell: np.ndarray):
+    """The mechanism of each cell key in keys, placement index * intervals
+    + interval, one spec shared per drift offset of a placement; and the
+    mechanism table of the rows, cell being each row's index into keys."""
+    drifted: dict[tuple[int, float], MechanismSpec] = {}
+    cells = []
+    for key in keys:
+        p_idx, interval = divmod(key, scenario.intervals)
+        placement = scenario.placements[p_idx]
+        mech = placement.mechanism
+        if placement.bid_mu_drift is not None:
+            drift = (p_idx, placement.bid_mu_drift.offset_at(interval))
+            mech = drifted.get(drift) or drifted_mechanism(placement, interval)
+            drifted[drift] = mech
+        cells.append(mech)
+    return cells, MechanismTable.from_specs(cells).take(cell)
+
+
 def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
     """All opportunities for the scenario, interleaved across placements by
     a within-interval jitter and fully reproducible from the seed.
@@ -182,9 +202,7 @@ def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
     clearing-bid uniforms become clearing bids in one quantile call."""
     by_id = sorted(enumerate(scenario.placements), key=lambda item: item[1].id)
     cell_rng = _cell_rngs(scenario.seed)
-    drifted: dict[tuple[int, float], MechanismSpec] = {}
     keys: list[int] = []  # placement index * intervals + interval, per cell
-    mechanisms: list[MechanismSpec] = []
     draws: list[tuple[np.ndarray, ...]] = []
     for interval in range(scenario.intervals):
         for p_idx, placement in by_id:
@@ -195,11 +213,6 @@ def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
             n = int(rng.poisson(intensity))
             if n == 0:
                 continue
-            mech = placement.mechanism
-            if placement.bid_mu_drift is not None:  # one spec per drift offset
-                drift = (p_idx, placement.bid_mu_drift.offset_at(interval))
-                mech = drifted.get(drift) or drifted_mechanism(placement, interval)
-                drifted[drift] = mech
             jitter = rng.random(n)
             values = rng.lognormal(
                 mean=drifted_value_mu(placement, interval), sigma=placement.value_sigma, size=n
@@ -207,22 +220,117 @@ def generate_stream(scenario: ScenarioConfig) -> OpportunityStream:
             uniforms = rng.random(2 * n)
             draws.append((jitter, values, uniforms[:n], uniforms[n:]))
             keys.append(p_idx * scenario.intervals + interval)
-            mechanisms.append(mech)
     ids = [p.id for p in scenario.placements]
-    numbered = np.argsort(keys)
-    cells = [mechanisms[c] for c in numbered.tolist()]
+    cell_keys = np.array(keys, dtype=np.int64)
+    numbered = cell_keys.argsort()
     sizes = [len(d[0]) for d in draws]
-    placement, interval = np.divmod(np.repeat(keys, sizes), scenario.intervals)
+    placement, interval = np.divmod(np.repeat(cell_keys, sizes), scenario.intervals)
     columns = zip(*draws) if draws else [[np.empty(0)]] * 4
     jitter, values, clearing_draws, result_draws = (np.concatenate(c) for c in columns)
     order = _stream_order(interval, jitter)
     cell = np.repeat(numbered.argsort(), sizes)[order]
-    table = MechanismTable.from_specs(cells).take(cell)
+    cells, table = _cells(scenario, cell_keys[numbered].tolist(), cell)
     clearing = table.quantile(clearing_draws[order])
     return OpportunityStream(
         ids, cells, interval[order], jitter[order], placement[order], values[order],
         clearing, result_draws[order], cell, table,
     )  # fmt: skip
+
+
+# the columns of an OpportunityStream that save_stream writes, with their dtypes
+STREAM_COLUMNS = {
+    "interval": np.dtype(np.int64),
+    "jitter": np.dtype(np.float64),
+    "placement": np.dtype(np.int64),
+    "value": np.dtype(np.float64),
+    "clearing_bid": np.dtype(np.float64),
+    "result_draw": np.dtype(np.float64),
+}
+
+
+class StreamError(ValueError):
+    """A stream file that load_stream cannot take for its scenario."""
+
+
+def save_stream(path, stream: OpportunityStream) -> None:
+    """The stream's STREAM_COLUMNS as consecutive .npy records in one file,
+    in that order: 48 bytes a row, which load_stream reads back bit for bit."""
+    with open(path, "wb") as fh:
+        for name in STREAM_COLUMNS:
+            np.save(fh, getattr(stream, name), allow_pickle=False)
+
+
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _load_column(fh, name: str, size: int) -> np.ndarray:
+    """The next .npy record of fh as column name of a file of size bytes.
+
+    The header is read and checked before the data: a record that is not a
+    1-D array of the column's dtype, or whose data would run past the end of
+    the file, is refused before any array is allocated.  The data is then
+    read as raw values of that dtype, so no pickle is ever loaded.  (np.load
+    would allocate whatever shape the header states and parse the header a
+    second time.)"""
+    try:
+        version = np.lib.format.read_magic(fh)
+        if version not in _NPY_HEADERS:
+            raise ValueError(f"unsupported .npy format version {version}")
+        shape, _, dtype = _NPY_HEADERS[version](fh)
+    except ValueError as exc:  # a record numpy cannot read
+        raise StreamError(f"{name}: {exc}") from None
+    if len(shape) != 1 or dtype != STREAM_COLUMNS[name]:
+        raise StreamError(
+            f"{name}: expected a 1-D {STREAM_COLUMNS[name]} record, got {dtype} of shape {shape}"
+        )
+    if shape[0] * dtype.itemsize > size - fh.tell():
+        raise StreamError(f"{name}: {shape[0]} rows, more than the file holds")
+    return np.fromfile(fh, dtype, count=shape[0])
+
+
+def load_stream(path, scenario: ScenarioConfig) -> OpportunityStream:
+    """The stream save_stream wrote, its cells and mechanism table rebuilt
+    from each row's cell key as generate_stream builds them (_cells).
+
+    Raises StreamError unless the file is six 1-D records of STREAM_COLUMNS'
+    dtypes and one length with nothing after them, and its rows could have
+    been drawn for scenario: intervals in [0, intervals) and not decreasing,
+    placement codes in range, jitter and result draws in [0, 1), values
+    and clearing bids finite and >= 0.  An unreadable file raises OSError."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        columns = {name: _load_column(fh, name, size) for name in STREAM_COLUMNS}
+        if fh.read(1):
+            raise StreamError(f"{size - fh.tell() + 1} bytes after the last record")
+    lengths = {len(c) for c in columns.values()}
+    if len(lengths) > 1:
+        raise StreamError(f"records of different lengths: {sorted(lengths)}")
+    interval, jitter, placement, value, clearing, result = columns.values()
+    fall = np.flatnonzero(interval[1:] < interval[:-1])
+    if fall.size:
+        row = int(fall[0]) + 1
+        raise StreamError(f"interval: row {row}: {interval[row]} after {interval[row - 1]}")
+    intervals, n_placements = scenario.intervals, len(scenario.placements)
+    bounds = {
+        "interval": (interval, 0, intervals),
+        "placement": (placement, 0, n_placements),
+        "jitter": (jitter, 0.0, 1.0),
+        "result_draw": (result, 0.0, 1.0),
+        "value": (value, 0.0, np.inf),
+        "clearing_bid": (clearing, 0.0, np.inf),
+    }
+    for name, (column, lo, hi) in bounds.items():
+        bad = np.flatnonzero(~((column >= lo) & (column < hi)))  # NaN is bad
+        if bad.size:
+            row = int(bad[0])
+            raise StreamError(f"{name}: row {row}: {column[row].item()!r} outside [{lo}, {hi})")
+    keys, cell = np.unique(placement * intervals + interval, return_inverse=True)
+    cells, table = _cells(scenario, keys.tolist(), cell)
+    ids = [p.id for p in scenario.placements]
+    return OpportunityStream(ids, cells, *columns.values(), cell, table)
 
 
 def realized_log(scenario: ScenarioConfig, stream: OpportunityStream) -> OpportunityLog:

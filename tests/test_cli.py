@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import hashlib
+import io
 import json
 import math
 import pickle
@@ -11,9 +12,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dualbid.cli import CliError, main
+from dualbid.cli import COMPARE_OUTPUTS, RUN_OUTPUTS, CliError, main
 from dualbid.scenario import INTERVAL_LIMIT, OPPORTUNITY_LIMIT
 from helpers import mixed_scenario, stationary_scenario
 
@@ -494,9 +496,10 @@ class TestCompare:
         capsys.readouterr()
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("the stream was generated")
+            raise AssertionError("the stream was generated or read")
 
         monkeypatch.setattr("dualbid.cli.generate_stream", unreachable)
+        monkeypatch.setattr("dualbid.cli.load_stream", unreachable)
         assert main(["compare", "--run", str(out)]) == 2
         err = capsys.readouterr().err
         assert "'g1'" in err and "'g2'" in err
@@ -579,6 +582,189 @@ class TestCompare:
         assert main(["compare", "--run", str(out), "--force"]) == 2
         assert key in capsys.readouterr().err
         assert not (out / "compare.csv").exists()
+
+
+def _stream_columns(path: Path) -> dict[str, np.ndarray]:
+    names = ("interval", "jitter", "placement", "value", "clearing_bid", "result_draw")
+    with path.open("rb") as fh:
+        return {name: np.load(fh) for name in names}
+
+
+def _records(*columns) -> bytes:
+    """The columns as consecutive .npy records, as save_stream writes them."""
+    buf = io.BytesIO()
+    for column in columns:
+        np.save(buf, column)
+    return buf.getvalue()
+
+
+def _changed(name, change):
+    """A stream file whose column name is change(column)."""
+    return lambda c: _records(*(change(x) if n == name else x for n, x in c.items()))
+
+
+def _set(name, row, x):
+    def change(column):
+        column[row] = x
+        return column
+
+    return _changed(name, change)
+
+
+def _huge_jitter(c) -> bytes:
+    """A jitter header that states 10**12 rows, before the jitter's data."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (10**12,)}
+    )
+    rest = _records(*list(c.values())[1:])
+    return _records(c["interval"]) + header.getvalue() + rest[rest.index(b"\n") + 1 :]
+
+
+# each malformed stream.npy: a function of the saved columns giving the
+# file's bytes, and a part of the error
+MALFORMED_STREAMS = {
+    "five_records": (lambda c: _records(*list(c.values())[:5]), "result_draw: EOF"),
+    "seven_records": (lambda c: _records(*c.values(), c["jitter"]), "bytes after the last"),
+    "trailing_byte": (lambda c: _records(*c.values()) + b"\0", "1 bytes after the last record"),
+    "not_npy": (lambda c: b"interval,jitter\n0,0.5\n", "interval: the magic string"),
+    "float_intervals": (_changed("interval", np.float64), "interval: expected a 1-D int64"),
+    "float32_values": (_changed("value", np.float32), "value: expected a 1-D float64"),
+    "object_column": (_changed("jitter", lambda x: x.astype(object)), "jitter: expected a 1-D"),
+    "two_dim": (_changed("jitter", lambda x: x.reshape(1, -1)), "jitter: expected a 1-D"),
+    "huge_header": (_huge_jitter, "jitter: 1000000000000 rows, more than the file holds"),
+    "lengths_differ": (_changed("jitter", lambda x: x[:-1]), "records of different lengths"),
+    "row_count": (
+        lambda c: _records(*(x[:-1] for x in c.values())),
+        "rows, but metrics.csv n_opportunities is",
+    ),
+    "negative_interval": (_set("interval", 0, -1), "interval: row 0: -1 outside [0, 40)"),
+    "interval_past_horizon": (_set("interval", -1, 40), "40 outside [0, 40)"),
+    "intervals_decrease": (_set("interval", 0, 39), "interval: row 1: 0 after 39"),
+    "placement_code": (_set("placement", 3, 1), "placement: row 3: 1 outside [0, 1)"),
+    "negative_placement": (_set("placement", 0, -1), "placement: row 0: -1 outside"),
+    "jitter_one": (_set("jitter", 2, 1.0), "jitter: row 2: 1.0 outside [0.0, 1.0)"),
+    "negative_jitter": (_set("jitter", 2, -0.0625), "jitter: row 2: -0.0625 outside"),
+    "nan_result_draw": (_set("result_draw", 5, math.nan), "result_draw: row 5: nan outside"),
+    "infinite_value": (_set("value", 1, math.inf), "value: row 1: inf outside [0.0, inf)"),
+    "negative_value": (_set("value", 1, -1.0), "value: row 1: -1.0 outside"),
+    "nan_clearing_bid": (_set("clearing_bid", 4, math.nan), "clearing_bid: row 4: nan"),
+    "negative_clearing_bid": (_set("clearing_bid", 4, -math.inf), "clearing_bid: row 4: -inf"),
+}
+
+
+class TestStreamArtifact:
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("run")
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, small_scenario())),
+                     "--out", str(out)]) == 0  # fmt: skip
+        return out
+
+    def test_run_and_compare_write_exactly_their_outputs(self, tmp_path, run_dir):
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(RUN_OUTPUTS)
+        assert "stream.npy" in RUN_OUTPUTS  # so --force and sweep's check cover it
+        out = tmp_path / "cmp"
+        assert main(["compare", "--run", str(run_dir), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(COMPARE_OUTPUTS)
+        assert main(["compare", "--run", str(run_dir), "--out", str(run_dir)]) == 0
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(RUN_OUTPUTS + COMPARE_OUTPUTS)
+        for name in COMPARE_OUTPUTS:
+            assert (run_dir / name).read_bytes() == (out / name).read_bytes()
+            (run_dir / name).unlink()
+
+    def test_an_existing_stream_is_not_overwritten(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "stream.npy").write_bytes(b"kept")
+        scenario = write_scenario(tmp_path, small_scenario(intervals=5))
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert str(out / "stream.npy") in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["stream.npy"]
+
+    def test_compare_judges_the_saved_auctions_whatever_the_seed(self, tmp_path, run_dir):
+        # the stream is the run's: a seed edited after the run draws nothing new
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for name in RUN_OUTPUTS:
+            (copy / name).write_bytes((run_dir / name).read_bytes())
+        assert main(["compare", "--run", str(copy), "--out", str(tmp_path / "a")]) == 0
+        config = json.loads((copy / "config_resolved.json").read_text())
+        config["seed"] += 1
+        (copy / "config_resolved.json").write_text(json.dumps(config))
+        assert main(["compare", "--run", str(copy), "--out", str(tmp_path / "b")]) == 0
+        for name in COMPARE_OUTPUTS:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_count_batches_see_every_row(self, tmp_path):
+        # the episode counts every row of the stream, after the budget too
+        cfg = mixed_scenario(intervals=30, budget=4.0, agent={"batch": 7})
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert float(read_kv(out / "metrics.csv")["budget_utilization"]) > 0.9
+        assert main(["compare", "--run", str(out)]) == 0
+
+    @pytest.mark.parametrize("case", list(MALFORMED_STREAMS))
+    def test_malformed_stream_exits_2_naming_it(self, tmp_path, capsys, run_dir, case):
+        make, message = MALFORMED_STREAMS[case]
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in RUN_OUTPUTS:
+            (out / name).write_bytes((run_dir / name).read_bytes())
+        stream = out / "stream.npy"
+        stream.write_bytes(make(_stream_columns(stream)))
+        capsys.readouterr()
+        assert main(["compare", "--run", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stream}: ") and message in err, err
+        assert not any((out / name).exists() for name in COMPARE_OUTPUTS)
+
+
+# how each input is made unreadable, and the start of the reason given
+UNREADABLE = {
+    "missing": "[Errno 2] No such file or directory",
+    "directory": "[Errno 21] Is a directory",
+    "not_utf8": "'utf-8' codec can't decode",
+}
+
+
+@pytest.mark.parametrize("how", list(UNREADABLE))
+@pytest.mark.parametrize(
+    "target", ["run", "sweep", "config_resolved.json", "metrics.csv", "stream.npy"]
+)
+def test_unreadable_input_exits_2_naming_it(tmp_path, capsys, target, how):
+    """--scenario of run and sweep, and each file compare reads from the run
+    directory: missing, a directory, or not UTF-8, each exits 2 with
+    `error: <flag or file>: <reason>` (a missing run artifact says so) and
+    writes nothing."""
+    scenario, out = tmp_path / "scenario.json", tmp_path / "out"
+    scenario.write_text(json.dumps(small_scenario(intervals=5)))
+    if target in ("run", "sweep"):
+        path, name = scenario, "--scenario"
+        argv = [target, "--scenario", str(scenario), "--out", str(out)]
+        argv += ["--sweep-seeds", "2", "--jobs", "1"] if target == "sweep" else []
+    else:
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+        path = name = out / target
+        argv = ["compare", "--run", str(out)]
+    path.unlink()
+    if how == "directory":
+        path.mkdir()
+    elif how == "not_utf8":
+        path.write_bytes(b'{"seed": 1, "\xff": 2}\n')
+    listing = lambda: sorted(p.name for p in out.iterdir()) if out.exists() else None
+    before = listing()
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert listing() == before
+    err = capsys.readouterr().err
+    if how == "missing" and target not in ("run", "sweep"):
+        assert err == f"error: missing run artifact {path}\n"
+    elif how == "not_utf8" and target == "stream.npy":
+        assert err.startswith(f"error: {name}: interval: the magic string is not correct")
+    else:
+        assert err.startswith(f"error: {name}: {UNREADABLE[how]}"), err
 
 
 class TestColdstart:

@@ -1,6 +1,7 @@
 """Cold-start tests: the normal-CDF identity, spend curve, and inversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,13 @@ class TestFitLognormal:
             fit_lognormal([1.0, -2.0])
         with pytest.raises(ColdStartError):
             fit_lognormal([1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sample_raises_before_numpy_warns(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ColdStartError, match="finite"):
+                fit_lognormal([1.0, bad, 2.0])
 
 
 def test_priors_validation():

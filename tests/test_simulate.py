@@ -18,8 +18,10 @@ from dualbid.simulate import (
     drifted_mechanism,
     generate_stream,
     initial_multiplier,
+    load_stream,
     realized_log,
     run_episode,
+    save_stream,
 )
 from helpers import episode_shading_every_row, mixed_scenario, stationary_scenario, stream_by_sort
 
@@ -619,6 +621,34 @@ STREAM_DIGESTS = {
 def test_streams_are_pinned(name):
     build, digests = STREAM_DIGESTS[name]
     assert _column_digests(generate_stream(parse_scenario(build()))) == digests
+
+
+def _shared(cells) -> list[int]:
+    """For each cell, the index of the first cell that is the same object."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(c), i) for i, c in enumerate(cells)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        STREAM_DIGESTS["mixed_constrained"][0],  # drift and first price
+        STREAM_DIGESTS["drifted_reversed"][0],  # ids opposite to list order
+        _stationary_batch_10,  # count batches
+    ],
+    ids=["mixed_constrained", "drifted_reversed", "stationary_batch_10"],
+)
+def test_saved_stream_loads_bit_for_bit(tmp_path, build):
+    scenario = parse_scenario(build())
+    stream = generate_stream(scenario)
+    save_stream(tmp_path / "stream.npy", stream)
+    assert (tmp_path / "stream.npy").stat().st_size == 6 * 128 + 48 * len(stream)
+    loaded = load_stream(tmp_path / "stream.npy", scenario)
+    assert _column_digests(loaded) == _column_digests(stream)
+    assert loaded.cells == stream.cells and _shared(loaded.cells) == _shared(stream.cells)
+    assert loaded.placement_ids == stream.placement_ids
+    assert (loaded.table.uniform, loaded.table.models) == (stream.table.uniform, stream.table.models)
+    assert list(loaded) == list(stream)
 
 
 class TestConvergenceRegressions:
