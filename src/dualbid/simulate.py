@@ -260,12 +260,6 @@ def save_stream(path, stream: OpportunityStream) -> None:
             np.save(fh, getattr(stream, name), allow_pickle=False)
 
 
-_NPY_HEADERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
-
-
 def _load_column(fh, name: str, size: int) -> np.ndarray:
     """The next .npy record of fh as column name of a file of size bytes.
 
@@ -277,9 +271,9 @@ def _load_column(fh, name: str, size: int) -> np.ndarray:
     second time.)"""
     try:
         version = np.lib.format.read_magic(fh)
-        if version not in _NPY_HEADERS:
+        if version != (1, 0):  # the version np.save writes for these columns
             raise ValueError(f"unsupported .npy format version {version}")
-        shape, _, dtype = _NPY_HEADERS[version](fh)
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
     except ValueError as exc:  # a record numpy cannot read
         raise StreamError(f"{name}: {exc}") from None
     if len(shape) != 1 or dtype != STREAM_COLUMNS[name]:

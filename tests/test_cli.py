@@ -17,6 +17,7 @@ import pytest
 
 from dualbid.cli import COMPARE_OUTPUTS, RUN_OUTPUTS, CliError, main
 from dualbid.scenario import INTERVAL_LIMIT, OPPORTUNITY_LIMIT
+from dualbid.simulate import STREAM_COLUMNS
 from helpers import mixed_scenario, stationary_scenario
 
 
@@ -585,9 +586,8 @@ class TestCompare:
 
 
 def _stream_columns(path: Path) -> dict[str, np.ndarray]:
-    names = ("interval", "jitter", "placement", "value", "clearing_bid", "result_draw")
     with path.open("rb") as fh:
-        return {name: np.load(fh) for name in names}
+        return {name: np.load(fh) for name in STREAM_COLUMNS}
 
 
 def _records(*columns) -> bytes:
@@ -621,6 +621,14 @@ def _huge_jitter(c) -> bytes:
     return _records(c["interval"]) + header.getvalue() + rest[rest.index(b"\n") + 1 :]
 
 
+def _version_2(c) -> bytes:
+    """The columns as .npy records of format version 2.0."""
+    buf = io.BytesIO()
+    for column in c.values():
+        np.lib.format.write_array(buf, column, version=(2, 0))
+    return buf.getvalue()
+
+
 # each malformed stream.npy: a function of the saved columns giving the
 # file's bytes, and a part of the error
 MALFORMED_STREAMS = {
@@ -628,6 +636,7 @@ MALFORMED_STREAMS = {
     "seven_records": (lambda c: _records(*c.values(), c["jitter"]), "bytes after the last"),
     "trailing_byte": (lambda c: _records(*c.values()) + b"\0", "1 bytes after the last record"),
     "not_npy": (lambda c: b"interval,jitter\n0,0.5\n", "interval: the magic string"),
+    "npy_version_2": (_version_2, "interval: unsupported .npy format version (2, 0)"),
     "float_intervals": (_changed("interval", np.float64), "interval: expected a 1-D int64"),
     "float32_values": (_changed("value", np.float32), "value: expected a 1-D float64"),
     "object_column": (_changed("jitter", lambda x: x.astype(object)), "jitter: expected a 1-D"),
