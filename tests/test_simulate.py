@@ -623,12 +623,6 @@ def test_streams_are_pinned(name):
     assert _column_digests(generate_stream(parse_scenario(build()))) == digests
 
 
-def _shared(cells) -> list[int]:
-    """For each cell, the index of the first cell that is the same object."""
-    first: dict[int, int] = {}
-    return [first.setdefault(id(c), i) for i, c in enumerate(cells)]
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -645,7 +639,9 @@ def test_saved_stream_loads_bit_for_bit(tmp_path, build):
     assert (tmp_path / "stream.npy").stat().st_size == 6 * 128 + 48 * len(stream)
     loaded = load_stream(tmp_path / "stream.npy", scenario)
     assert _column_digests(loaded) == _column_digests(stream)
-    assert loaded.cells == stream.cells and _shared(loaded.cells) == _shared(stream.cells)
+    assert loaded.cells == stream.cells
+    # one spec per distinct mechanism: cells of one drift offset share it
+    assert len({id(c) for c in loaded.cells}) == len(set(loaded.cells))
     assert loaded.placement_ids == stream.placement_ids
     assert (loaded.table.uniform, loaded.table.models) == (stream.table.uniform, stream.table.models)
     assert list(loaded) == list(stream)
