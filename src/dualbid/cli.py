@@ -269,24 +269,29 @@ def _write_oracle_curves(
     lam* being profile.lam; the other multipliers stay at profile's.
 
     On a realized log each point is read from the log's own RealizedSpend,
-    the one lambda* was searched on: with window multipliers, from its rows
-    of each segment (the rows that share their windows, see
-    OpportunityLog.segments) at the factor profile gives them, summed
-    segment by segment.  The winners are a replay's, and spend and value
-    are within n * eps relative of a replay's (see RealizedSpend).  The
-    first-price rows that may win at some point are shaded in one call per
-    segment.  On any other log each point is a replay."""
+    the one lambda* was searched on: with no multiplier but lam, in one
+    read of all its rows; else from its rows grouped by which of profile's
+    windows they are in (the rows of each group share one factor at each
+    point), at the factor profile gives them, summed group by group.  The
+    winners are a replay's, and spend and value are within n * eps
+    relative of a replay's (see RealizedSpend).  The first-price rows that
+    may win at some point are shaded in one call per group.  On any other
+    log each point is a replay."""
     center = max(profile.lam, LAMBDA_FLOOR)
     windows = {*profile.window_lambda, *profile.window_mu}
     lams = np.geomspace(center / 8.0, center * 8.0, 33).tolist()
     if log.mode == "realized":
-        spend = value = 0.0
-        for key, part in log.segments(windows, bid_cap).items():
-            fs = budget_factor(np.asarray(lams))
-            if profile.mu or windows:
+        rs = log.realized_spend(bid_cap)
+        if not (profile.mu or windows):
+            spend, value = rs.at(budget_factor(np.asarray(lams)))
+        else:
+            keys = [tuple(w for w in combo if w in windows) for combo in log.window_combos]
+            spend = value = 0.0
+            for key in dict.fromkeys(keys):
                 fs = np.array([profile.with_lam(lam).vector_for(key).factor for lam in lams])
-            s, v = part.at(fs)
-            spend, value = spend + s, value + v
+                group = np.isin(log.combo_codes, [c for c, k in enumerate(keys) if k == key])
+                s, v = rs.rows(group).at(fs)
+                spend, value = spend + s, value + v
         spends, values = spend.tolist(), value.tolist()
     else:
         results = [replay(log, profile.with_lam(lam), bid_cap) for lam in lams]

@@ -165,17 +165,6 @@ class OpportunityLog:
             built[bid_cap] = RealizedSpend(self.values, self.clearing, self.table, bid_cap)
         return built[bid_cap]
 
-    def segments(self, windows, bid_cap: float) -> dict[tuple[str, ...], RealizedSpend]:
-        """realized_spend(bid_cap) by segment, the rows that share which of
-        the windows named they are in, keyed by those windows in order of
-        first appearance (the whole, where all rows share them)."""
-        rs = self.realized_spend(bid_cap)
-        keys = [tuple(w for w in combo if w in windows) for combo in self.window_combos]
-        if len(set(keys)) == 1:
-            return {keys[0]: rs}
-        codes = lambda key: [c for c, k in enumerate(keys) if k == key]
-        return {key: rs.rows(np.isin(self.combo_codes, codes(key))) for key in dict.fromkeys(keys)}
-
     @property
     def mode(self) -> str:
         realized = int(np.count_nonzero(self.realized))
@@ -458,7 +447,7 @@ class RealizedSpend:
     shares these rows' limits (see solve_kkt_grid).
     """
 
-    _bounds = None  # per-row factor bounds (lo, hi), see clamped
+    _bounds = None  # per-row factor bounds and scale (lo, hi, scale), see clamped
 
     def __init__(self, values, clearing, table: MechanismTable, bid_cap: float):
         self.values = np.asarray(values, dtype=float)
@@ -527,23 +516,26 @@ class RealizedSpend:
             setattr(part, name, renumber(order) if order.size else order)
         return part
 
-    def clamped(self, lo, hi) -> RealizedSpend:
-        """The rows bidding at factor max(lo, min(f, hi)) at f (lo and hi per
-        row, or one for all), self where none binds.  A win limit L becomes 0
-        where L <= lo, +inf where L > hi, and stays L otherwise; a first-price
-        row's least factor is mapped alike, and the row is shaded at its
-        clamped factor.  A clamped RealizedSpend is not clamped again."""
+    def clamped(self, lo, hi, scale=1.0) -> RealizedSpend:
+        """The rows bidding at factor max(lo, scale * min(f, hi)) at f (lo, hi
+        and scale per row, or one for all), self where none binds or scales.
+        A win limit L becomes 0 where L <= lo, +inf where L / scale > hi, and
+        L / scale otherwise; a first-price row's least factor is mapped
+        alike, and the row is shaded at its clamped factor.  A clamped
+        RealizedSpend is not clamped again."""
         if self._bounds is not None:
             raise ValueError("a clamped RealizedSpend is not clamped again")
-        lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), len(self)) for b in (lo, hi))
-        if not ((lo > 0).any() or (hi < math.inf).any()):
+        lo, hi, scale = (
+            np.broadcast_to(np.asarray(b, dtype=float), len(self)) for b in (lo, hi, scale)
+        )
+        if not ((lo > 0).any() or (hi < math.inf).any() or (scale != 1.0).any()):
             return self
         part = self.rows(slice(None))
-        part._bounds = lo, hi
+        part._bounds = lo, hi, scale
         # NaN (a first-price row with no limit, or a second-price row's least
         # factor) stays NaN, and +inf (a row that wins at no factor) +inf
         part._limits, part.least_factors = (
-            np.where((x <= lo) & (x < math.inf), 0.0, np.where(x > hi, math.inf, x))
+            np.where((x <= lo) & (x < math.inf), 0.0, np.where(x / scale > hi, math.inf, x / scale))
             for x in (self._limits, self.least_factors)
         )
         part._sort()
@@ -553,8 +545,8 @@ class RealizedSpend:
         """f, or the rows' factors at f where clamped."""
         if self._bounds is None:
             return f
-        lo, hi = self._bounds
-        return np.maximum(lo[rows], np.minimum(f, hi[rows]))
+        lo, hi, scale = self._bounds
+        return np.maximum(lo[rows], scale[rows] * np.minimum(f, hi[rows]))
 
     @cached_property
     def _sorted_limits(self) -> np.ndarray:
@@ -811,31 +803,22 @@ class _SpendCurve:
         self._guard(lam, spend)
         return spend
 
-    def solve(
-        self, budget: float, read=None
-    ) -> tuple[float, tuple[float, float, float, float] | None]:
+    def solve(self, budget: float) -> tuple[float, tuple[float, float, float, float] | None]:
         """The budget multiplier on this curve, and its search bracket.
 
-        A step function (a realized or mixed log) is bisected on spend minus
-        budget, its sign a replay's: read(lam), where given, is the spend
-        summed in another order (by segment, see solve_kkt_grid), replayed
-        where it lands within _RESUM_REL of budget.
-
-        A smooth (distributional) curve is searched on ln(spend / budget), to
-        log1p(LAMBDA_REL_TOL): the band |spend - budget| <= LAMBDA_REL_TOL *
-        budget, read on a scale where spend is close to linear in ln(lam).
-        Zero spend reads as -inf, a step the search takes at the midpoint.
-        Each of its reads is of spend alone (see spend)."""
+        A step function (a realized or mixed log) is bisected on replayed
+        spend minus budget.  A smooth (distributional) curve is searched on
+        ln(spend / budget), to log1p(LAMBDA_REL_TOL): the band |spend -
+        budget| <= LAMBDA_REL_TOL * budget, read on a scale where spend is
+        close to linear in ln(lam).  Zero spend reads as -inf, a step the
+        search takes at the midpoint.  Each of its reads is of spend alone
+        (see spend)."""
 
         def excess(lam: float) -> float:
             if self.smooth:
                 spend = self.spend(lam)
                 return math.log(spend / budget) if spend > 0 else -math.inf
-            spend = read(lam) if read else None
-            if spend is None or abs(spend - budget) <= _RESUM_REL * budget:
-                return self.at(lam).spend - budget
-            self._guard(lam, spend)
-            return spend - budget
+            return self.at(lam).spend - budget
 
         tol = math.log1p(LAMBDA_REL_TOL) if self.smooth else None
         found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT, tol)
@@ -1217,21 +1200,18 @@ def solve_kkt_grid(
     lifted = [c for c in caps if outer and any({c.window, outer.window} <= set(k) for k in combos)]
     tol = KKT_REL_TOL if log.mode == "distributional" else None
     rs = log.realized_spend(bid_cap) if log.mode == "realized" else None
-    # a realized log by segment, each read at the factor a profile gives it
-    parts = log.segments([c.window for c in caps + floors], bid_cap) if rs is not None else {}
-
-    def read(profile: MultiplierProfile, window=None) -> tuple[float, float]:
-        """Spend and value at profile of window's rows (all, for None)."""
-        sv = [p.at(profile.vector_for(k).factor) for k, p in parts.items() if window in (None, *k)]
-        return sum(s for s, _ in sv), sum(v for _, v in sv)
+    no_rows = np.zeros(len(log), dtype=bool)
+    mask = lambda window: log.window_masks.get(window, no_rows)
 
     def result(c: KktConstraint, spend: float, value: float) -> ReplayResult:
         return ReplayResult(spend, value, {}, {c.window: (spend, value)})
 
-    def excess(c: KktConstraint, profile: MultiplierProfile) -> float:
-        """c's excess at profile, its sign always a replay's."""
-        if parts:
-            e = c.excess(result(c, *read(profile, c.window)))
+    def excess(c: KktConstraint, profile: MultiplierProfile, spend=None, f=None) -> float:
+        """c's excess at profile, its sign always a replay's: read from the
+        RealizedSpend spend at factor f where given, else (or where that
+        lands within _RESUM_REL of the target) from a replay."""
+        if spend is not None:
+            e = c.excess(result(c, *spend.at(f)))
             if abs(e) > _RESUM_REL:
                 return e
         return c.excess(replay(log, profile, bid_cap))
@@ -1259,32 +1239,37 @@ def solve_kkt_grid(
         near, far = (step, below) if c.kind == "guarantee" else (below, step)
         return near, (far, c.level(result(c, *spend.at(far))))
 
-    def bounds(held) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's factor bounds at the thresholds held: its floor (one
-        given up at the largest factor a search reads), and the least of its
-        cap and the cost target's."""
-        lo, hi = np.zeros(len(log)), np.full(len(log), math.inf)
+    def clamp(held, boosts) -> RealizedSpend | None:
+        """The realized log's rows bidding at the thresholds held and outer's
+        boost (None on any other log): at f, a row bids the factor max(lo,
+        s * min(f, hi)), lo its floor (one given up at the largest factor a
+        search reads), hi the least of its cap and the cost target's, and s
+        1 + boost on outer's rows, 1 on the rest."""
+        if rs is None:
+            return None
+        lo, hi, scale = np.zeros(len(log)), np.full(len(log), math.inf), np.ones(len(log))
         for c, t in held.items():
-            rows = slice(None) if c.window is None else log.window_masks.get(c.window, [])
+            rows = slice(None) if c.window is None else mask(c.window)
             if c.kind == "guarantee":
                 lo[rows] = min(t, budget_factor(LAMBDA_FLOOR))
             else:
                 hi[rows] = np.minimum(hi[rows], t)
-        return lo, hi
+        for window, boost in boosts.items():
+            scale[mask(window)] = 1.0 + boost
+        return rs.clamped(lo, hi, scale)
 
     def threshold(c: KktConstraint, boosts) -> tuple:
         """c's threshold on its rows' factor, and (factor, quantity) across its step."""
         is_floor = c.kind == "guarantee"
-        win = parts.get((c.window,)) if c not in lifted else None
+        win = None if rs is None else clamp({}, boosts).rows(mask(c.window))
         step = None if win is None else win.crossing(c.target, is_floor)
         if step is not None:
             return crossed(c, win, step)
         if is_floor:  # on the factor y, as the budget multiplier 1 / y bids it
             factor = lambda y: budget_factor(1.0 / y) if y else 0.0
-            probe = lambda y: MultiplierProfile(1.0 / y if y else math.inf)
-            found = search_multiplier(lambda y: excess(c, probe(y)), 0.0, 1.0 / LAMBDA_FLOOR, tol)
-            return searched(c, found, factor)
-        if win is None:  # on replays, or segments, those outer lifts among them
+            at = lambda y: excess(c, MultiplierProfile(1.0 / y if y else math.inf), win, factor(y))
+            return searched(c, search_multiplier(at, 0.0, 1.0 / LAMBDA_FLOOR, tol), factor)
+        if win is None:  # on replays, those outer lifts among them
             at = lambda x: excess(c, MultiplierProfile(x, window_mu=boosts))
             return searched(c, search_multiplier(at, LAMBDA_FLOOR, c.limit, tol), budget_factor)
         # on x, the window's rows at budget_factor(x)
@@ -1301,39 +1286,41 @@ def solve_kkt_grid(
         return multipliers
 
     def limited(profile: MultiplierProfile) -> bool:
-        return any(m >= c.limit for c, m in multipliers_of(profile).items())
+        """Whether profile holds a multiplier at its limit, where it cannot
+        hold its threshold (outer's boost scales its rows as the clamp does)."""
+        return any(m >= c.limit for c, m in multipliers_of(profile, 0.0).items())
 
     def solve(boost: float | None) -> tuple:
-        """Thresholds and steps, profile and budget curve at outer's boost."""
+        """Thresholds and steps, profile, budget curve, and the log clamped
+        to the profile (None where lam was searched on replays), at outer's
+        boost."""
         boosts = {outer.window: boost} if outer else {}
         steps = fixed | {c: threshold(c, boosts) for c in lifted}
         for cost in costs:
             held = {c: t for c, (t, _) in steps.items()}
-            windowed = rs.clamped(*bounds(held)) if rs is not None and not boosts else None
+            windowed = clamp(held, boosts)
             step = None if windowed is None else windowed.cost_crossing(C)
             if step is not None:
                 steps[cost] = crossed(cost, windowed, step)
             else:
-                at = lambda x: excess(cost, _kkt_profile(x, C, held, boosts))
-                steps[cost] = searched(
-                    cost, search_multiplier(at, LAMBDA_FLOOR, LAMBDA_LIMIT, tol), budget_factor
+                at = lambda x: excess(
+                    cost, _kkt_profile(x, C, held, boosts), windowed, budget_factor(x)
                 )
+                found = search_multiplier(at, LAMBDA_FLOOR, LAMBDA_LIMIT, tol)
+                steps[cost] = searched(cost, found, budget_factor)
         held = {c: t for c, (t, _) in steps.items()}
         curve = _SpendCurve(log, bid_cap, lambda lam: _kkt_profile(lam, C, held, boosts))
-        found = None
-        if rs is not None and not boosts:  # as lambda*, on the log clamped to the thresholds
-            spend = rs.clamped(*bounds(held))
+        spend, found = clamp(held, boosts), None
+        if spend is not None:  # as lambda*, on the log clamped to the thresholds
             resum = None if spend is rs else lambda lam: curve.at(lam).spend
             found = budget_search(spend, budget.target, resum=resum)
-            # the clamp is the profile only where no multiplier is at its limit:
-            # not at the floor, where the cost target's and the caps' are
-            # largest, nor either side of lam's step
-            ends = () if found is None else (LAMBDA_FLOOR, found[0], *(found[1] or ())[:1])
+            # the clamp is the profile only where the profile holds no
+            # multiplier at its limit, on either side of lam's step
+            ends = () if found is None else (found[0], *(found[1] or ())[:1])
             if found is None or any(limited(curve.profile_of(x)) for x in ends):
-                found = None
-        if found is None:  # replays, or segments
-            read_spend = (lambda lam: read(curve.profile_of(lam))[0]) if parts else None
-            lam, bracket = curve.solve(budget.target, read_spend)
+                spend, found = None, None
+        if found is None:  # on replays at the profile
+            lam, bracket = curve.solve(budget.target)
             far = lambda lam: bracket[2]
         else:
             lam, bracket = found
@@ -1341,14 +1328,20 @@ def solve_kkt_grid(
                 budget_factor(lam), budget.target, None, resum and (lambda: resum(lam))
             )
         steps[budget] = lam, bracket and (bracket[0], budget.target + far(bracket[0]))
-        return steps, curve.profile_of(lam), curve
+        return steps, curve.profile_of(lam), curve, spend
 
     boost, found = None, None
     if outer:
-        shortfall = lambda x: excess(outer, solve(x)[1])
+
+        def shortfall(x: float) -> float:
+            """outer's excess at boost x, read from its rows of the clamp."""
+            _, profile, _, spend = solve(x)
+            rows = None if spend is None else spend.rows(mask(outer.window))
+            return excess(outer, profile, rows, budget_factor(profile.lam))
+
         found = search_multiplier(shortfall, 0.0, outer.limit, tol=tol, width_rel=1e-7)
         boost = found[0] if found else outer.limit
-    steps, profile, curve = solve(boost)
+    steps, profile, curve, _ = solve(boost)
     rep = curve.at(profile.lam)
     multipliers = multipliers_of(profile, boost)
     if found and found[1]:  # outer's step in mu_k = boost * (1 + mu * C)

@@ -218,7 +218,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                     'notes': ['guarantee_g residual 0.0383 exceeds rel_tol 0.0001: realized value '
                               "in 'g' steps from 17.3072112751 at mu_g=1.3308851718902588 to "
                               '18.1593868207 at mu_g=1.330885261297226, either side of its step'],
-                    'replays': 238,
+                    'replays': 18,
                     'residuals': {'budget': '7.249756350802272e-14',
                                   'guarantee_g': '0.03829256974029449'},
                     'window_lambda': {'d': '0.0'},
@@ -302,7 +302,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                                                'realized spend steps from 6.49913740128 at '
                                                'lam=3.0856700847516549 to 6.18736629278 at '
                                                'lam=3.0856700847543834, either side of its step'],
-                                     'replays': 1,
+                                     'replays': 42,
                                      'residuals': {'budget': '0.01500309176929504'},
                                      'window_lambda': {},
                                      'window_mu': {'g': '10000.0'}},
@@ -411,7 +411,7 @@ PINS = {('dist', 'all'): {'feasible': True,
                                             'realized spend steps from 7.73038229085 at '
                                             'lam=3.2205346813816504 to 6.81486138584 at '
                                             'lam=3.2205346813843789, either side of its step'],
-                                  'replays': 1,
+                                  'replays': 42,
                                   'residuals': {'budget': '0.029819672018484455'},
                                   'window_lambda': {},
                                   'window_mu': {'g': '10000.0'}},

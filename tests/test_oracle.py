@@ -530,13 +530,13 @@ class TestKktGrid:
         sides = [replay(log, replace(kkt.profile, lam=lam)).spend for lam in (far, kkt.profile.lam)]
         assert sides[0] > budget >= sides[1] == kkt.replay.spend
 
-    def test_a_cost_target_its_multiplier_cannot_hold_at_the_floor(self):
+    def test_a_cost_target_whose_cap_lies_below_it_is_met_above_the_floor(self):
         # the rows in "g" cost about 0.85 per result, so the cost target's
-        # cap (0.22) lies below its target (0.26): below lam = 1 / 0.22, mu
-        # is held at its limit and with it g's floor broken, and the profile
-        # at the floor multiplier fits the budget.  lam is the least that
-        # fits at the profile, the floor, though the log clamped to every
-        # threshold would hold both and fit only from lam = 11.08 on.
+        # cap (0.22) lies below its target (0.26): below lam = 1 / 0.22 the
+        # profile holds mu at its limit, and with it g's floor broken, though
+        # it fits the budget at the floor multiplier.  lam is searched on the
+        # log clamped to every threshold, which holds both, and fits from
+        # lam = 11.08 on, where the profile holds every threshold
         fp, sp = MechanismSpec("first_price", 0.0, UniformBids(0.0, 1.0)), UNIFORM_SP
         fp_logn = MechanismSpec("first_price", 0.05, LognormalBids(-0.3, 0.8))
         rows = [
@@ -547,8 +547,11 @@ class TestKktGrid:
         log = OpportunityLog([LogRecord(float(i), "p", *row) for i, row in enumerate(rows)])
         floor = (GuaranteeWindow("g", 0, 1, 0.13),)
         kkt = solve_kkt_grid(log, ConstraintSet(1.08, cost_target=0.26, guarantee_windows=floor))
-        assert kkt.profile.lam == LAMBDA_FLOOR and kkt.profile.mu == 1e6 / 0.26
-        assert kkt.unconstrained and kkt.replay.spend <= 1.08 and not kkt.feasible
+        assert kkt.feasible and not kkt.unconstrained
+        assert kkt.profile.lam == pytest.approx(11.08, rel=1e-3)
+        rep = replay(log, kkt.profile)
+        assert rep.spend <= 1.08 and rep.spend <= 0.26 * rep.value
+        assert rep.per_window["g"][1] >= 0.13
 
     def test_realized_result_keeps_window_cap(self):
         # the inner budget solve depends only on the multipliers, so the
