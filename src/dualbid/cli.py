@@ -598,7 +598,10 @@ def load_log_csv(path: str | Path) -> OpportunityLog:
                 raise CliError(f"{path}: row {i + 1}: {exc}", EXIT_VALIDATION) from None
     if not records:
         raise CliError(f"{path}: empty log", EXIT_VALIDATION)
-    return OpportunityLog(records)
+    try:
+        return OpportunityLog(records)
+    except OracleError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_VALIDATION) from None
 
 
 def cmd_oracle(args) -> int:
@@ -608,9 +611,10 @@ def cmd_oracle(args) -> int:
         raise CliError(f"--log: {exc}", EXIT_VALIDATION) from None
     delivery, guarantee = ((), ())
     if args.windows:
+        text = _read_input(args.windows, "--windows")
         try:
-            delivery, guarantee = parse_windows(json.loads(Path(args.windows).read_text()))
-        except (ScenarioError, json.JSONDecodeError, OSError) as exc:
+            delivery, guarantee = parse_windows(json.loads(text))
+        except (ScenarioError, json.JSONDecodeError) as exc:
             raise CliError(f"invalid windows file: {exc}", EXIT_VALIDATION) from None
     try:
         constraints = ConstraintSet(

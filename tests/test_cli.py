@@ -1315,19 +1315,33 @@ class TestOracleCommand:
         assert main(args) == 2
         assert "row 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--log", "--windows"])
     @pytest.mark.parametrize(
         "name, reason",
         [("missing.csv", "[Errno 2] No such file"), ("", "[Errno 21] Is a directory"),
          ("latin1.csv", "'utf-8' codec")],
     )
-    def test_unreadable_log_exits_2_naming_its_flag(self, tmp_path, capsys, name, reason):
-        log = tmp_path / name
+    def test_unreadable_log_exits_2_naming_its_flag(self, tmp_path, capsys, name, reason, flag):
+        # an unreadable --log, or --windows next to a readable log
+        path = tmp_path / name
         if name == "latin1.csv":
-            self._write_log(log)
-            log.write_bytes(log.read_bytes().replace(b",p,", b",p\xe9,"))
+            self._write_log(path)
+            path.write_bytes(path.read_bytes().replace(b",p,", b",p\xe9,"))
+        args = ["oracle", flag, str(path), "--budget", "1.0", "--out", str(tmp_path / "o")]
+        if flag == "--windows":
+            self._write_log(tmp_path / "log.csv")
+            args += ["--log", str(tmp_path / "log.csv")]
+        assert main(args) == 2
+        assert f"error: {flag}: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_log_whose_times_decrease_exits_2_naming_it(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        self._write_log(log)
+        log.write_text(log.read_text().replace("\n2,p,", "\n0.5,p,"))
         args = ["oracle", "--log", str(log), "--budget", "1.0", "--out", str(tmp_path / "o")]
         assert main(args) == 2
-        assert f"error: --log: {reason}" in capsys.readouterr().err
+        assert f"error: {log}: record times must be nondecreasing" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_schema_mismatch_exits_2(self, tmp_path):
