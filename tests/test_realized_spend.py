@@ -470,33 +470,38 @@ def test_ftl_solves_at_the_agents_bid_cap(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["second_price", "first_price"])
 def test_clamped_rows_win_what_kkt_profiles_win(kind):
-    # at thresholds held, _kkt_profile gives a row the factor max(lo, min(f,
-    # hi)), to a few floats: lo its guarantee window's floor, hi the least of
-    # its delivery window's cap and the cost target's; the log clamped to
+    # at thresholds held, _kkt_profile gives a row the factor max(lo, s *
+    # min(f, hi)), to a few floats: lo its guarantee window's floor, hi the
+    # least of its delivery window's cap and the cost target's, and s 1 +
+    # boost on the rows of a guarantee window boosted on delivery records
+    # (w2 on some of w1's in the last case), else 1; the log clamped to
     # those bounds wins what a replay at the profile wins, in all and in
     # each window
     if kind == "first_price":
         base, cap = first_price_log(), SMALL_CAP
     else:
         base, cap = log_of(*second_price_rows()), CAP
-    windows = [("w1",) * (i % 5 == 0) or ("w2",) * (i % 7 == 0) for i in range(len(base))]
-    log = OpportunityLog([replace(r, windows=w) for r, w in zip(base.records, windows)])
-    masks, rs = log.window_masks, log.realized_spend(cap)
+    disjoint = [("w1",) * (i % 5 == 0) or ("w2",) * (i % 7 == 0) for i in range(len(base))]
+    nested = [("w1",) * (i % 5 < 2) + ("w2",) * (i % 3 == 0) for i in range(len(base))]
     cap_w1 = KktConstraint("delivery", "w1", 1.0, 1e8)
     floor_w2 = KktConstraint("guarantee", "w2", 1.0, 1e4)
     cost = KktConstraint("cost_target", None, 0.4, 1e6 / 0.4)
-    for held in (
-        {cap_w1: 0.8, floor_w2: 1.5},
-        {cap_w1: 0.8, floor_w2: 1.5, cost: 1.2},
-        {floor_w2: 0.3, cost: 2.5},
+    for windows, held, boosts in (
+        (disjoint, {cap_w1: 0.8, floor_w2: 1.5}, {}),
+        (disjoint, {cap_w1: 0.8, floor_w2: 1.5, cost: 1.2}, {}),
+        (disjoint, {floor_w2: 0.3, cost: 2.5}, {}),
+        (nested, {cap_w1: 0.8, cost: 1.2}, {"w2": 0.7}),
     ):
+        log = OpportunityLog([replace(r, windows=w) for r, w in zip(base.records, windows)])
+        masks, rs = log.window_masks, log.realized_spend(cap)
         top = held.get(cost, math.inf)
-        lo, hi = np.zeros(len(log)), np.full(len(log), top)
-        lo[masks["w2"]] = held[floor_w2]
+        lo, hi, scale = np.zeros(len(log)), np.full(len(log), top), np.ones(len(log))
+        lo[masks["w2"]] = held.get(floor_w2, 0.0)
         hi[masks["w1"]] = min(held.get(cap_w1, math.inf), top)
-        clamped = rs.clamped(lo, hi)
+        scale[masks["w2"]] = 1.0 + boosts.get("w2", 0.0)
+        clamped = rs.clamped(lo, hi, scale)
         for lam in np.geomspace(0.1, 20.0, 7).tolist():
-            expected = replay(log, oracle._kkt_profile(lam, cost.target, held), cap)
+            expected = replay(log, oracle._kkt_profile(lam, cost.target, held, boosts), cap)
             f = budget_factor(lam)
             read = clamped.at(f)
             assert read == pytest.approx((expected.spend, expected.value), rel=1e-12, abs=1e-300)
