@@ -339,6 +339,60 @@ def kkt_lp(
     return LpSolution(-res.fun, res.x, float(duals[0]), windows, cost_dual, tuple(caps))
 
 
+# a first-price row is shaded to decide whether it wins near its win limit
+# (see oracle.first_price_limits), and wins within this of it, relative
+_ABOVE_LIMIT = 1e-8
+
+
+def best_threshold_policy(log: OpportunityLog, constraints, bid_cap: float = DEFAULT_BID_CAP):
+    """The best value of a threshold policy on a realized log, or None where
+    none meets the budget and every constraint: each window combination's
+    rows bid one factor of their own, so each combination wins a prefix of
+    its rows sorted by win limit.
+
+    Every prefix of every combination is enumerated as a won set: its
+    spend and value are read through rs.rows(mask).at(f) at the least
+    factor that wins it, its last row's limit (a first-price prefix also a
+    hair above, where its shaded bid decides), so a first-price prefix
+    pays the least it can.  Within a combination a prefix that costs more
+    and wins less than another is dropped, since every constraint is
+    monotone in spend and value alike; the rest are combined exhaustively.
+    Meant for logs of a few combinations of a few dozen rows."""
+    rs = log.realized_spend(bid_cap)
+    combos = log.window_combos
+    fronts = []  # per combination: the spend and value of its undominated won sets
+    for k in range(len(combos)):
+        part = rs.rows(log.combo_codes == k)
+        limits = np.unique(part._limits[np.isfinite(part._limits)])
+        spend, value = part.at(np.concatenate(([0.0], limits, limits * (1.0 + _ABOVE_LIMIT))))
+        order = np.lexsort((-value, spend))  # cheapest first, the most value first among ties
+        spend, value = spend[order], value[order]
+        kept = value > np.maximum.accumulate(np.concatenate(([-1.0], value[:-1])))
+        fronts.append((spend[kept], value[kept]))
+
+    shape = [len(s) for s, _ in fronts]
+
+    def total(parts) -> np.ndarray:
+        """The sum, over every choice of one won set per combination."""
+        out = np.zeros(shape)
+        for k, a in enumerate(parts):
+            out = out + a.reshape([-1 if i == k else 1 for i in range(len(shape))])
+        return out
+
+    def in_window(w, i):  # the spends (i = 0) or values (i = 1) of w's combinations
+        return total([f[i] if w in combo else np.zeros(len(f[i])) for f, combo in zip(fronts, combos)])
+
+    spend, value = total([f[0] for f in fronts]), total([f[1] for f in fronts])
+    ok = spend <= constraints.budget
+    if constraints.cost_target is not None:
+        ok &= spend <= constraints.cost_target * value
+    for w in constraints.delivery_windows:
+        ok &= in_window(w.id, 0) <= w.cap
+    for w in constraints.guarantee_windows:
+        ok &= in_window(w.id, 1) >= w.floor
+    return float(value[ok].max()) if ok.any() else None
+
+
 def auction_history(values, clearing, mech: MechanismSpec) -> RealizedSpend:
     """Past auctions under one mechanism, in order, as FTL replays them."""
     table = MechanismTable.from_specs([mech] * len(values))
