@@ -269,11 +269,10 @@ def _write_oracle_curves(
     lam* being profile.lam; the other multipliers stay at profile's.
 
     On a realized log each point is read from the log's own RealizedSpend,
-    the one lambda* was searched on: with no multiplier but lam, in one
-    read of all its rows; else from its rows grouped by which of profile's
-    windows they are in (the rows of each group share one factor at each
-    point), at the factor profile gives them, summed group by group.  The
-    winners are a replay's, and spend and value are within n * eps
+    the one lambda* was searched on: in one read where lam is the only
+    multiplier, else summed over its rows grouped by which of profile's
+    windows they are in, each group read at the factor profile gives it.
+    The winners are a replay's, and spend and value are within n * eps
     relative of a replay's (see RealizedSpend).  The first-price rows that
     may win at some point are shaded in one call per group.  On any other
     log each point is a replay."""
@@ -611,9 +610,8 @@ def cmd_oracle(args) -> int:
         raise CliError(f"--log: {exc}", EXIT_VALIDATION) from None
     delivery, guarantee = ((), ())
     if args.windows:
-        text = _read_input(args.windows, "--windows")
         try:
-            delivery, guarantee = parse_windows(json.loads(text))
+            delivery, guarantee = parse_windows(json.loads(_read_input(args.windows, "--windows")))
         except (ScenarioError, json.JSONDecodeError) as exc:
             raise CliError(f"invalid windows file: {exc}", EXIT_VALIDATION) from None
     try:

@@ -3,8 +3,8 @@
 Given every opportunity's value and auction model (distributional mode) or
 resolved competing bid (realized mode), replay answers "what would we have
 spent and won at multipliers m".  Multipliers move a bid only through the
-factor of its row (MultiplierVector.factor), one per segment of rows that
-share their windows, so each constraint is a threshold on a factor: a
+factor of its row (MultiplierVector.factor), one per combination of
+windows, so each constraint is a threshold on a factor: a
 delivery window caps its rows' factor, a guarantee window floors it, the
 cost target caps the global one, and the budget multiplier is searched last,
 as for lambda*.  A realized second-price row wins exactly while its factor
@@ -12,9 +12,9 @@ reaches its win limit, so there a threshold is one scan of sorted limits;
 elsewhere search_multiplier finds it.  A realized first-price row has a
 win limit too, from the markup at its price: a read of spend shades only
 the rows that may win, and the budget multiplier's search reads spend only
-inside a bracket narrowed in a handful of reads.  A log clamped to the
-thresholds (RealizedSpend.clamped) is searched so too, for the budget
-multiplier of a KKT solve.  Everything here is the ground truth the online
+inside a bracket narrowed in a handful of reads.  Every search of a
+realized KKT solve reads the log clamped to its thresholds
+(RealizedSpend.clamped).  Everything here is the ground truth the online
 controllers are judged against.
 """
 
@@ -441,10 +441,12 @@ class RealizedSpend:
     so they agree with replay's to n * eps relative.  A log builds its own
     once per bid cap (OpportunityLog.realized_spend).
 
-    rows(key) is a subset of the rows, and clamped(lo, hi) the rows bidding
-    at factors held between per-row bounds, as a delivery cap, a guarantee
-    floor and a cost target hold them, each a RealizedSpend of its own that
-    shares these rows' limits (see solve_kkt_grid).
+    rows(key) is a subset of the rows, and clamped(lo, hi, scale) the rows
+    bidding at factors held between per-row bounds, as a delivery cap, a
+    guarantee floor and a cost target hold them, and scaled after the cap,
+    as a guarantee window's boost on delivery records scales them, each a
+    RealizedSpend of its own that shares these rows' limits (see
+    solve_kkt_grid).
     """
 
     _bounds = None  # per-row factor bounds and scale (lo, hi, scale), see clamped
@@ -784,9 +786,8 @@ class _SpendCurve:
     """Spend at the budget multiplier lam and profile_of(lam): on a
     distributional log from the bids' expected cost alone (spend), on any
     other from memoized replays (at, which also serves callers that need
-    value or sums), or from spend summed in another order (see solve).
-    Every read passes one monotonicity guard, which names the offending
-    record on violation."""
+    value or sums).  Every read passes one monotonicity guard, which names
+    the offending record on violation."""
 
     def __init__(self, log, bid_cap: float, profile_of):
         self.log, self.bid_cap, self.profile_of = log, bid_cap, profile_of
@@ -1170,22 +1171,24 @@ def solve_kkt_grid(
     lambda* (which this is, for a budget alone), at the multipliers
     _kkt_profile maps the thresholds to.
 
-    On a realized log a window's threshold is read on its rows: a scan of
-    sorted win limits (crossing), else, a cap's, a bracketed budget_search.
-    The cost target's cap is one scan of the log clamped to the windows'
-    thresholds (cost_crossing), and lam is budget_search on the log clamped
-    to every threshold, a row bidding at max(floor, min(f, cap)), as if no
-    multiplier had a limit; where the profile holds one at its limit (at
-    the floor multiplier, or either side of lam's step), lam is searched by
-    segment instead.  _kkt_profile holds a factor to a float at or a few
-    from its threshold, so a sum within _RESUM_REL of the budget is
-    replayed at the profile.  Other searches read the log by segment, the
-    rows that share their windows, each at the factor a profile gives it;
-    other logs are searched by Illinois steps on replays.  A guarantee window
-    on records of delivery windows lifts rows under their caps, which no
-    clamp expresses: its multiplier (relative to 1 + mu * C) is one outer
-    search, read by segment.  A multiplier at its limit, or a constraint the
-    replay breaks (a budget held below the cost target's band by a guarantee
+    On a realized log every search reads one clamped RealizedSpend, each
+    row bidding max(floor, s * min(f, cap)) at f, and every sign it reads
+    is a replay's (a sum within _RESUM_REL of its target is replayed at
+    the profile; _kkt_profile holds a factor to a float at or a few from
+    its threshold).  A window's threshold is read on its rows: a scan of
+    sorted win limits (crossing), else a bracketed budget_search for a
+    cap, a search on the factor for a floor.  The cost target's cap is a
+    scan of the log clamped to the windows' thresholds (cost_crossing),
+    else a search on it, and lam is budget_search on the log clamped to
+    every threshold.  Where the profile at the lam found, or at its
+    bracket's far end, holds a multiplier at its limit, the clamp is not
+    the profile there, and lam is searched on replays at the profile.
+    Other logs are searched by Illinois steps on replays.  A guarantee
+    window on records of delivery windows scales its rows by s = 1 + its
+    boost, after their caps: the boost (its multiplier relative to 1 + mu *
+    C) is one outer search, each step reading the window's rows of that
+    step's clamp.  A multiplier at its limit, or a constraint the replay
+    breaks (a budget held below the cost target's band by a guarantee
     floor, say), gets a note (and no residual) and makes the solution
     infeasible; a realized residual above KKT_REL_TOL, a note on its step.
     """
@@ -1200,8 +1203,7 @@ def solve_kkt_grid(
     lifted = [c for c in caps if outer and any({c.window, outer.window} <= set(k) for k in combos)]
     tol = KKT_REL_TOL if log.mode == "distributional" else None
     rs = log.realized_spend(bid_cap) if log.mode == "realized" else None
-    no_rows = np.zeros(len(log), dtype=bool)
-    mask = lambda window: log.window_masks.get(window, no_rows)
+    mask = lambda window: log.window_masks.get(window, np.zeros(len(log), dtype=bool))
 
     def result(c: KktConstraint, spend: float, value: float) -> ReplayResult:
         return ReplayResult(spend, value, {}, {c.window: (spend, value)})
@@ -1269,7 +1271,7 @@ def solve_kkt_grid(
             factor = lambda y: budget_factor(1.0 / y) if y else 0.0
             at = lambda y: excess(c, MultiplierProfile(1.0 / y if y else math.inf), win, factor(y))
             return searched(c, search_multiplier(at, 0.0, 1.0 / LAMBDA_FLOOR, tol), factor)
-        if win is None:  # on replays, those outer lifts among them
+        if win is None:  # on replays
             at = lambda x: excess(c, MultiplierProfile(x, window_mu=boosts))
             return searched(c, search_multiplier(at, LAMBDA_FLOOR, c.limit, tol), budget_factor)
         # on x, the window's rows at budget_factor(x)
@@ -1285,9 +1287,7 @@ def solve_kkt_grid(
         multipliers |= {c: boost if c is outer else profile.window_mu[c.window] for c in floors}
         return multipliers
 
-    def limited(profile: MultiplierProfile) -> bool:
-        """Whether profile holds a multiplier at its limit, where it cannot
-        hold its threshold (outer's boost scales its rows as the clamp does)."""
+    def limited(profile: MultiplierProfile) -> bool:  # outer's boost scales as the clamp does
         return any(m >= c.limit for c, m in multipliers_of(profile, 0.0).items())
 
     def solve(boost: float | None) -> tuple:
@@ -1333,8 +1333,7 @@ def solve_kkt_grid(
     boost, found = None, None
     if outer:
 
-        def shortfall(x: float) -> float:
-            """outer's excess at boost x, read from its rows of the clamp."""
+        def shortfall(x: float) -> float:  # outer's excess, read from its rows of the clamp
             _, profile, _, spend = solve(x)
             rows = None if spend is None else spend.rows(mask(outer.window))
             return excess(outer, profile, rows, budget_factor(profile.lam))

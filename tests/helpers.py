@@ -380,7 +380,7 @@ def best_threshold_policy(log: OpportunityLog, constraints, bid_cap: float = DEF
         return out
 
     def in_window(w, i):  # the spends (i = 0) or values (i = 1) of w's combinations
-        return total([f[i] if w in combo else np.zeros(len(f[i])) for f, combo in zip(fronts, combos)])
+        return total([f[i] * (w in combo) for f, combo in zip(fronts, combos)])
 
     spend, value = total([f[0] for f in fronts]), total([f[1] for f in fronts])
     ok = spend <= constraints.budget
