@@ -20,6 +20,7 @@ import numpy as np
 from .mechanisms import (
     EMPIRICAL,
     LOGNORMAL,
+    OTHER,
     UNIFORM,
     MechanismError,
     MechanismSpec,
@@ -35,8 +36,6 @@ LAMBDA_FLOOR = 1e-9
 DEFAULT_BID_CAP = 1e4
 
 _INVERT_REL_TOL = 1e-9
-_HALVINGS = 48
-_FINE_HALVINGS = 64  # from 2**-48 of [r, hi] down to adjacent floats
 _NEWTON_STEPS = 64
 _NEWTON_STEP_TOL = 1e-10
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -136,7 +135,7 @@ def _solves_markup(markup: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _lognormal_newton(mu: np.ndarray, sigma: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Markup roots of lognormal rows with no reserve, by Newton in z.
+    """Markup roots of lognormal rows, reserve aside, by Newton in z.
 
     In the standardized log bid z = (ln b - mu) / sigma the markup is
     b (1 + sigma R(z)) with R = Phi / phi, so b + G/g = x reads
@@ -171,62 +170,6 @@ def _lognormal_newton(mu: np.ndarray, sigma: np.ndarray, xs: np.ndarray) -> np.n
     return np.exp(mu + sigma * z)
 
 
-def _halve(table: MechanismTable, xs: np.ndarray, lo: np.ndarray, up: np.ndarray, times: int):
-    """[lo, up] halved the given number of times round markup(b) = x."""
-    for _ in range(times):
-        mid = 0.5 * (lo + up)
-        below = table.markup(mid) < xs
-        lo, up = np.where(below, mid, lo), np.where(below, up, mid)
-    return 0.5 * (lo + up), lo, up
-
-
-def _bisect(table: MechanismTable, xs: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """First-price bids of the rows no closed form or Newton step shades:
-    lognormal rows with a reserve r, uniform rows with r above the support
-    bottom, and Newton rows whose bid failed the gate.
-
-    Below r the bid cannot win, and from r on the surplus (x - b) G(b) rises
-    while the markup b + G/g is below x and falls after it (G is
-    log-concave above r).  So a row whose bid cannot reach r
-    (hi = min(x, bid_cap) < r) bids hi and loses; a row whose markup jumps
-    over x at r (markup(r) >= x, +inf for r above a uniform support) bids
-    exactly r; and every other row bisects markup(b) = x on [r, hi].  A bid
-    that fails the residual gate after 48 halvings bids hi where
-    markup(hi) < x (the root lies above the cap), or the finite support top
-    where x >= markup(top) (a certain win).  Otherwise its markup is steep
-    (x thousands of times the bid), and _FINE_HALVINGS more halvings take
-    it to adjacent floats; a bid that still fails the gate raises
-    MechanismError naming the row.
-    """
-    r = table.reserve
-    bids, lo, up = _halve(table, xs, r, hi, _HALVINGS)
-    short = hi < r
-    at_reserve = table.markup(r) >= xs
-    bids = np.where(short, hi, np.where(at_reserve, r, bids))
-    missed = np.flatnonzero(~(short | at_reserve | _solves_markup(table.markup(bids), xs)))
-    if not missed.size:
-        return bids
-    part, x, cap = table.take(missed), xs[missed], hi[missed]
-    top = part.support_top
-    finite = np.isfinite(top)
-    capped = part.markup(cap) < x
-    certain = finite & (top <= cap) & (x >= part.markup(np.where(finite, top, 1.0)))
-    bids[missed] = np.where(capped, cap, top)
-    steep = missed[~(capped | certain)]
-    if steep.size:
-        part, x = table.take(steep), xs[steep]
-        bids[steep] = fine = _halve(part, x, lo[steep], up[steep], _FINE_HALVINGS)[0]
-        solved = _solves_markup(part.markup(fine), x)
-        if not solved.all():
-            j = steep[np.argmin(solved)]
-            raise MechanismError(
-                f"first-price shading found no bid for adjusted value {float(xs[j])!r} on a "
-                f"row with competing bids ({float(table.p1[j])!r}, {float(table.p2[j])!r}) "
-                f"and reserve {float(r[j])!r}"
-            )
-    return bids
-
-
 def shade_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP):
     """First-price shading of every table row: the bid in
     [0, min(adjusted, bid_cap)] that maximizes the surplus
@@ -234,44 +177,68 @@ def shade_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP
     in reach.  Returns (bids, False); the flag is kept for callers that
     unpack a pair, and is never set.
 
-    Uniform rows with the reserve at or below the support bottom invert in
-    closed form (the map is 2b - lo on the support).  Empirical rows take
-    their best atom (see _step_bids).  Lognormal rows with no reserve solve
-    by Newton in the standardized log bid (see _lognormal_newton), capped at
-    min(adjusted, bid_cap); where the markup at the bid cap is still below
-    the adjusted value, the root lies above the cap and the bid is the cap
-    (G is log-concave, so the markup increases).  Every other row, and every
-    Newton row whose bid fails the residual gate |markup(b) - adjusted| <=
-    1e-9 max(1, adjusted) (a non-finite or unconverged step), is shaded by
-    _bisect: at the reserve where the markup jumps over the adjusted value,
-    by bisection above it otherwise.  Each lognormal and uniform row's bid
-    is exact: the surplus has no higher point in reach.
+    Empirical rows take their best atom (see _step_bids).  Every other row
+    takes one root of the markup with no reserve: uniform rows in closed
+    form, (x + lo) / 2 held at the support top (the map is 2b - lo on the
+    support), lognormal rows by Newton in the standardized log bid (see
+    _lognormal_newton).  A reserve r zeroes G below r and leaves the markup
+    unchanged above it, so the reserve is a clamp on that root: with
+    hi = min(adjusted, bid_cap) each row bids min(max(root, r), hi).  That
+    is hi where hi < r (the row cannot win); r where the root lies below r
+    (the markup, increasing as G is log-concave, jumps over the adjusted
+    value at r); and hi where the root lies above hi (the surplus rises all
+    the way to the cap).  Each lognormal and uniform row's bid is exact:
+    the surplus has no higher point in reach.
+
+    Every lognormal bid strictly between r and bid_cap passes the residual
+    gate |markup(b) - adjusted| <= 1e-9 max(1, adjusted).  One that fails
+    it bids hi where the table's markup at hi passes the gate (rows whose
+    curves underflow, where the markup reads b itself); any other failure,
+    or a row whose competing bids are of no built-in family, raises
+    MechanismError naming the row.
     """
     xs = np.atleast_1d(np.asarray(adjusted, dtype=float))
     hi = np.minimum(xs, bid_cap)
-    bids = np.zeros_like(xs)
-    closed = (table.family == UNIFORM) & (table.reserve <= table.p1)
-    steps = table.family == EMPIRICAL
-    rest = ~closed & ~steps & (xs > 0)
-    if closed.any():
-        lo, top, x = table.p1[closed], table.p2[closed], xs[closed]
-        bids[closed] = np.where(x >= 2.0 * top - lo, top, np.where(x >= lo, 0.5 * (x + lo), x))
+    family = table.family
+    other = np.flatnonzero(family == OTHER)
+    if other.size:
+        raise MechanismError(
+            f"first-price shading has no rule for row {int(other[0])}'s competing bids "
+            f"{table.models[table.model[other[0]]]!r}"
+        )
+    roots = xs.copy()  # rows with no root (x <= 0, or x = inf) are held to hi
+    lognormal = family == LOGNORMAL
+    uniform = family == UNIFORM
+    if uniform.any():
+        lo, top, x = table.p1[uniform], table.p2[uniform], xs[uniform]
+        roots[uniform] = np.where(x >= 2.0 * top - lo, top, 0.5 * (x + lo))
+    newton = lognormal & (xs > 0) & (xs < np.inf)
+    if newton.any():
+        roots[newton] = _lognormal_newton(table.p1[newton], table.p2[newton], xs[newton])
+    bids = np.minimum(np.maximum(roots, table.reserve), hi)
+    steps = family == EMPIRICAL
     if steps.any():
         bids[steps] = _step_bids(table.take(steps), xs[steps], hi[steps])
-    newton = rest & (table.family == LOGNORMAL) & (table.reserve <= 0) & np.isfinite(xs)
-    if newton.any():
-        rows = np.flatnonzero(newton)
-        x = xs[rows]
-        shaded = np.minimum(_lognormal_newton(table.p1[rows], table.p2[rows], x), hi[rows])
-        bids[rows] = shaded
-        markup = (table if newton.all() else table.take(rows)).markup(shaded)
-        # below the root the markup is under x, so the surplus rises all the
-        # way to a cap that the markup has not reached: the cap is the bid
-        capped = (shaded == bid_cap) & (markup < x)
-        rest[rows] = ~(_solves_markup(markup, x) | capped)
-    if rest.any():
-        bids[rest] = _bisect(table if rest.all() else table.take(rest), xs[rest], hi[rest])
-    return np.minimum(bids, hi), False
+    if lognormal.any():
+        # a NaN from Newton is neither clamped nor at the cap, so it is gated
+        inside = lognormal & ~((bids <= table.reserve) | (bids >= bid_cap))
+        if lognormal.all():
+            missed = inside & ~_solves_markup(table.markup(bids), xs)
+        else:
+            missed = inside.copy()
+            missed[inside] = ~_solves_markup(table.take(inside).markup(bids[inside]), xs[inside])
+        if missed.any():
+            rows = np.flatnonzero(missed)
+            held = _solves_markup(table.take(rows).markup(hi[rows]), xs[rows])
+            if not held.all():
+                j = rows[np.argmin(held)]
+                raise MechanismError(
+                    f"first-price shading found no bid for adjusted value {float(xs[j])!r} on "
+                    f"row {int(j)}, with competing bids ({float(table.p1[j])!r}, "
+                    f"{float(table.p2[j])!r}) and reserve {float(table.reserve[j])!r}"
+                )
+            bids[rows] = hi[rows]
+    return bids, False
 
 
 def optimal_bid(

@@ -358,17 +358,17 @@ def first_price_limits(values, clearing, table: MechanismTable, bid_cap: float):
     """Each realized first-price row's win limit L and the least factor F at
     which it may win, as arrays over the first-price rows in row order.
 
-    A lognormal or uniform row's bid rises with its adjusted value x (see
-    bidding._bisect), so it wins exactly while x = fl(f * value) >= t: its
-    reserve r where it is priced at r (it bids r from x = r on), and
-    markup(price) above r (its bid reaches the price there), read from one
-    table.markup call; L = t / value.  It loses for certain below
-    F = (t - band) / value, band = _BAND_REL * max(1, t); between F and
-    about L + band / value it is shaded to decide.  An empirical row (or any
-    other bid model), or one whose t is not finite, has no limit, L = NaN,
-    and F = 0: it is shaded wherever it can win, as replay shades it.  A
-    row priced 0 gets 0 for both, one that wins at no factor (priced above
-    the bid cap, or worth 0 at a price above 0) +inf."""
+    A lognormal or uniform row's bid rises with its adjusted value x (the
+    reserve clamps its markup root, see bidding.shade_bids), so it wins
+    exactly while x = fl(f * value) >= t: its reserve r where it is priced
+    at r (it bids r from x = r on), and markup(price) above r (its bid
+    reaches the price there), read from one table.markup call;
+    L = t / value.  It loses for certain below F = (t - band) / value,
+    band = _BAND_REL * max(1, t); between F and about L + band / value it
+    is shaded to decide.  An empirical row, or one whose t is not finite,
+    has no limit, L = NaN, and F = 0: it is shaded wherever it can win, as
+    replay shades it.  A row priced 0 gets 0 for both, one that wins at no
+    factor (priced above the bid cap, or worth 0 at a price above 0) +inf."""
     rows, fp = table.first_price_rows
     v = np.asarray(values, dtype=float)[rows]
     c = np.asarray(clearing, dtype=float)[rows]

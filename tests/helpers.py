@@ -68,6 +68,22 @@ def threshold_lambda(outcomes: list[tuple[float, float]], budget: float):
     return None
 
 
+def markup_bisection(table: MechanismTable, xs, hi) -> np.ndarray:
+    """First-price bids by bisecting markup(b) = x on [min(r, hi), hi], r
+    each row's reserve: 48 halvings, then 64 more down to adjacent floats,
+    with no special cases.  A row whose markup is over x from r on ends at
+    r, one whose markup stays below x ends at hi, and one with hi < r has
+    the one point hi."""
+    xs = np.asarray(xs, dtype=float)
+    up = np.asarray(hi, dtype=float)
+    lo = np.minimum(table.reserve, up)
+    for _ in range(48 + 64):
+        mid = 0.5 * (lo + up)
+        below = table.markup(mid) < xs
+        lo, up = np.where(below, mid, lo), np.where(below, up, mid)
+    return 0.5 * (lo + up)
+
+
 def replay_by_record(
     log: OpportunityLog, profile: MultiplierProfile, bid_cap: float = DEFAULT_BID_CAP
 ):

@@ -1,15 +1,15 @@
 """Bid engine tests: adjusted values, markup inversion, surplus optimality."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dualbid import bidding
 from dualbid.bidding import (
     DEFAULT_BID_CAP,
     LAMBDA_FLOOR,
     MultiplierVector,
-    _bisect,
     adjusted_value,
     make_bid,
     optimal_bid,
@@ -20,12 +20,14 @@ from dualbid.bidding import (
 from dualbid.mechanisms import (
     EmpiricalBids,
     LognormalBids,
+    MechanismError,
     MechanismSpec,
     MechanismTable,
     UniformBids,
     resolve,
     win_prob,
 )
+from helpers import markup_bisection
 
 UNIFORM_FP = MechanismSpec("first_price", 0.0, UniformBids(0.0, 1.0))
 UNIFORM_SP = MechanismSpec("second_price", 0.0, UniformBids(0.0, 1.0))
@@ -182,18 +184,10 @@ def test_make_bid_flags_clamped_denominator():
     assert decision.bid == DEFAULT_BID_CAP
 
 
-def test_reserve_jump_first_price():
-    # with a reserve the optimum may sit exactly at the reserve price
-    mech = MechanismSpec("first_price", 0.5, UniformBids(0.0, 1.0))
-    x = 0.7
-    decision = optimal_bid(mech, x)
-    grid = np.linspace(0.0, x, 10_001)
-    best = float(np.max(surplus(mech, x, grid)))
-    assert decision.surplus_at_bid >= best - 1e-6
-    assert decision.bid == 0.5
-    # random lognormal and uniform rows, half with a reserve (some above a
-    # uniform support), at three bid caps: no bid's surplus falls below the
-    # best of a grid on [0, min(x, bid_cap)] and of the reserve itself
+def _reserve_rows():
+    """(bid_cap, specs, xs) at three bid caps: 1,500 random first-price
+    lognormal and uniform rows each, half with a reserve (some above a
+    uniform support)."""
     rng = np.random.default_rng(19)
     n = 1500
     for bid_cap in (DEFAULT_BID_CAP, 2.0, 0.5):
@@ -208,8 +202,23 @@ def test_reserve_jump_first_price():
             )
             for i, (r, a) in enumerate(zip(reserves, rng.uniform(0.0, 1.0, n)))
         ]
+        yield bid_cap, specs, rng.lognormal(0.3, 0.8, n)
+
+
+def test_reserve_jump_first_price():
+    # with a reserve the optimum may sit exactly at the reserve price
+    mech = MechanismSpec("first_price", 0.5, UniformBids(0.0, 1.0))
+    x = 0.7
+    decision = optimal_bid(mech, x)
+    grid = np.linspace(0.0, x, 10_001)
+    best = float(np.max(surplus(mech, x, grid)))
+    assert decision.surplus_at_bid >= best - 1e-6
+    assert decision.bid == 0.5
+    # at every cap no bid's surplus falls below the best of a grid on
+    # [0, min(x, bid_cap)] and of the reserve itself, and the reserve is a
+    # clamp on the row's bid at reserve 0, bit for bit
+    for bid_cap, specs, xs in _reserve_rows():
         table = MechanismTable.from_specs(specs)
-        xs = rng.lognormal(0.3, 0.8, n)
         bids, fell_back = shade_bids(table, xs, bid_cap)
         hi = np.minimum(xs, bid_cap)
         assert not fell_back and np.all((bids >= 0.0) & (bids <= hi))
@@ -219,6 +228,14 @@ def test_reserve_jump_first_price():
         )
         short = table.surplus(xs[:, None], candidates).max(axis=1) - table.surplus(xs, bids)
         assert short.max() <= 1e-6, f"cap {bid_cap}: row {short.argmax()} short by {short.max()}"
+        free = MechanismTable.from_specs(
+            [MechanismSpec("first_price", 0.0, spec.competitor) for spec in specs]
+        )
+        b0, _ = shade_bids(free, xs, bid_cap)
+        r = table.reserve
+        clamped = np.where(hi < r, hi, np.minimum(np.maximum(b0, r), hi))
+        assert (r > 0).sum() > len(xs) // 3 and (hi < r).any() and (b0 < r).any()
+        np.testing.assert_array_equal(bids.view(np.int64), clamped.view(np.int64))
 
 
 def test_reserve_above_a_uniform_support_bids_the_reserve():
@@ -262,12 +279,42 @@ def test_shade_bids_rows_are_independent():
         MechanismSpec("first_price", 0.6, UniformBids(0.0, 1.0)),
         MechanismSpec("first_price", 0.0, EmpiricalBids(tuple(rng.lognormal(0.0, 0.5, 20)))),
     ] + drifted
+    # sigma 0.2 rows far below their median, where the table's curves
+    # underflow and its markup reads b itself: Newton's root, 0.2-0.4%
+    # below x, fails the gate from x = e^-14 on, and those rows bid x
+    tiny = [MechanismSpec("first_price", 0.0, LognormalBids(0.0, 0.2))] * 11
+    tiny_xs = np.exp(np.linspace(-20.0, -10.0, 11))
+    mechs += tiny
     table = MechanismTable.from_specs(mechs)
     extreme = np.exp(rng.choice([-1.0, 1.0], len(drifted)) * rng.uniform(6.0, 25.0, len(drifted)))
-    xs = np.concatenate([rng.uniform(0.0, 3.0, len(mechs) - len(drifted)), extreme])
+    xs = np.concatenate(
+        [rng.uniform(0.0, 3.0, len(mechs) - len(drifted) - len(tiny)), extreme, tiny_xs]
+    )
     bids, _ = shade_bids(table, xs)
     for mech, x, bid in zip(mechs, xs, bids):
         assert shade_bids(mech.table, x)[0][0] == bid
+    tiny_table, tiny_bids = MechanismTable.from_specs(tiny), bids[-len(tiny):]
+    assert tiny_table.cdf(tiny_xs).max() == 0.0
+    held = tiny_xs >= math.exp(-14.0)
+    assert held.sum() == 5 and np.array_equal(tiny_bids[held], tiny_xs[held])
+    assert np.all(tiny_bids[~held] < tiny_xs[~held])
+    for b in (tiny_bids, tiny_xs):
+        assert np.all(np.abs(tiny_table.markup(b) - tiny_xs) <= 1e-9 * np.maximum(1.0, tiny_xs))
+
+
+def test_first_price_row_of_no_built_in_family_is_refused():
+    class ParetoBids:
+        """Pareto(1, 2) competing bids: a model of no built-in family."""
+
+        family = "pareto"
+        support_top = math.inf
+
+        def cdf(self, b):
+            return 1.0 - 1.0 / np.maximum(np.asarray(b, dtype=float), 1.0) ** 2
+
+    table = MechanismTable.from_specs([LOGN_FP, MechanismSpec("first_price", 0.0, ParetoBids())])
+    with pytest.raises(MechanismError, match="row 1"):
+        shade_bids(table, np.array([1.0, 2.0]))
 
 
 def test_table_rows_deduplicate_by_value():
@@ -309,30 +356,23 @@ def test_lognormal_newton_matches_bisection():
     bids, fell_back = shade_bids(table, xs, NO_CAP)
     assert not fell_back and np.all(np.isfinite(bids)) and np.all(bids > 0)
     assert np.all(np.abs(table.markup(bids) - xs) <= 1e-9 * np.maximum(1.0, xs))
-    # 48 halvings of [0, x] resolve the bid only to (x/b) 2^-49, coarser
-    # than 1e-12 of it once x/b is in the hundreds, so the reference
-    # bisects [0, 2b]; a root outside that bracket would leave it at 2b,
-    # where it fails its own residual check
-    reference = _bisect(table, xs, np.minimum(2.0 * bids, xs))
+    # 112 halvings of [0, x] resolve the bid to adjacent floats, also where
+    # x/b is in the millions
+    reference = markup_bisection(table, xs, xs)
     assert np.all(np.abs(table.markup(reference) - xs) <= 1e-9 * np.maximum(1.0, xs))
     np.testing.assert_allclose(bids, reference, rtol=1e-12, atol=0.0)
-    # where the full-bracket bisection is fine enough, it agrees too
-    full = _bisect(table, xs, xs)
-    fine = xs / bids < 100.0
-    assert fine.sum() > len(xs) // 4
-    np.testing.assert_allclose(bids[fine], full[fine], rtol=1e-12, atol=0.0)
-
-
-def test_lognormal_rows_skip_bisection(monkeypatch):
-    # every grid row meets the residual gate by Newton alone
-    table, _, _, xs = _lognormal_grid()
-
-    def no_bisection(*args):
-        raise AssertionError("a lognormal row with no reserve reached the bisection")
-
-    monkeypatch.setattr(bidding, "_bisect", no_bisection)
-    bids, fell_back = shade_bids(table, xs, NO_CAP)
-    assert not fell_back and np.all(bids > 0)
+    # the reserve rows, lognormal and uniform: every bid strictly between
+    # the reserve and both hi and the support top passes the gate, and
+    # every bid is the bisection's on [r, hi]
+    for bid_cap, specs, xs in _reserve_rows():
+        table = MechanismTable.from_specs(specs)
+        bids, _ = shade_bids(table, xs, bid_cap)
+        hi = np.minimum(xs, bid_cap)
+        free = (bids > table.reserve) & (bids < np.minimum(hi, table.support_top))
+        assert free.sum() > 100
+        gap = np.abs(table.take(free).markup(bids[free]) - xs[free])
+        assert np.all(gap <= 1e-9 * np.maximum(1.0, xs[free]))
+        np.testing.assert_allclose(bids, markup_bisection(table, xs, hi), rtol=1e-12, atol=0.0)
 
 
 def test_lognormal_shading_is_scale_equivariant():
@@ -346,14 +386,9 @@ def test_lognormal_shading_is_scale_equivariant():
     np.testing.assert_allclose(bids, np.exp(mus) * scaled, rtol=1e-12, atol=0.0)
 
 
-def test_lognormal_bid_cap_returns_the_cap(monkeypatch):
+def test_lognormal_bid_cap_returns_the_cap():
     # the markup at the cap is below the target, so the root lies above the
-    # cap and the surplus rises all the way to it: the cap is the bid,
-    # without the bisection or the grid search
-    def no_search(*args):
-        raise AssertionError("a binding cap took the bisection")
-
-    monkeypatch.setattr(bidding, "_bisect", no_search)
+    # cap and the surplus rises all the way to it: the cap is the bid
     mech = MechanismSpec("first_price", 0.0, LognormalBids(0.0, 0.8))
     assert mech.table.markup(np.array([1.0]))[0] < 50.0
     bids, fell_back = shade_bids(mech.table, 50.0, bid_cap=1.0)

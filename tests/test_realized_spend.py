@@ -590,7 +590,7 @@ SMALL_CAP = 2.0  # below some prices and adjusted values, so it binds
 
 def first_price_log() -> OpportunityLog:
     """Realized first-price rows down every shading path (lognormal by
-    Newton and, with a reserve, by bisection; uniform in closed form;
+    Newton, with and without a reserve to clamp to; uniform in closed form;
     empirical by atoms), with zero prices and a price at the bid cap, in
     two placements and two overlapping windows."""
     rng = np.random.default_rng(23)
@@ -678,8 +678,8 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
 def test_first_price_limits_give_a_replays_winners():
     # the first-price rows at() shades at a factor (those that may win, see
     # first_price_limits) win and pay exactly what shading every row gives:
-    # lognormal rows by Newton and, with a reserve, by bisection above it
-    # or at it (limit reserve / value), uniform rows in closed form, and
+    # lognormal rows by Newton and, with a reserve, clamped to it or left
+    # above it (limit reserve / value), uniform rows in closed form, and
     # empirical rows, which have no limit, at 200 factors and at factors
     # inside the band round some rows' limits
     kinds = (FP, FP_UNIFORM, FP_EMPIRICAL, FP, FP_RESERVE, FP_UNIFORM, FP_EMPIRICAL, FP_RESERVE)
@@ -727,7 +727,7 @@ def test_first_price_limits_give_a_replays_winners():
 def first_price_log_with_limits(n: int = 300) -> OpportunityLog:
     """Realized first-price rows that all have a win limit: lognormal by
     Newton, uniform in closed form, and lognormal priced above its reserve
-    (bisection), with zero prices."""
+    (Newton, then the reserve clamp), with zero prices."""
     rng = np.random.default_rng(31)
     mechs = (FP, FP_UNIFORM, FP_RESERVE)
     records = []

@@ -29,6 +29,11 @@ from helpers import best_threshold_policy
 SP = MechanismSpec("second_price", 0.0, UniformBids(0.0, 1.0))
 FP = MechanismSpec("first_price", 0.0, UniformBids(0.0, 1.0))
 FP_LOGN = MechanismSpec("first_price", 0.0, LognormalBids(-0.3, 0.8))
+# the same first-price rows with a reserve, which shading clamps to
+RESERVED = (
+    MechanismSpec("first_price", 0.3, UniformBids(0.0, 1.0)),
+    MechanismSpec("first_price", 0.05, LognormalBids(-0.3, 0.8)),
+)
 
 # which windows a row may be in, by layout: each has at most three combinations
 LAYOUTS = {
@@ -40,18 +45,24 @@ LAYOUTS = {
     "overlap": [("d",), ("d", "g"), ("g",)],
 }
 SEEDS = range(80)  # even seeds second price, odd ones mostly first price
+RESERVED_SEEDS = range(1, 40, 2)
 
 
-def problem(seed: int) -> tuple[OpportunityLog, ConstraintSet]:
+def problem(
+    seed: int, first_price: tuple[MechanismSpec, MechanismSpec] = (FP, FP_LOGN)
+) -> tuple[OpportunityLog, ConstraintSet]:
     """A random realized log and constraints set from its replay at lam = 2:
     a budget, at random a cost target, and a cap and a floor on the windows
-    of the layout, each drawn to bind, to be slack or to be out of reach."""
+    of the layout, each drawn to bind, to be slack or to be out of reach.
+    An odd seed's first-price rows are first_price's uniform and lognormal
+    mechanisms."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 25))
     layout = list(LAYOUTS)[int(rng.integers(len(LAYOUTS)))]
     combos = LAYOUTS[layout]
     if seed % 2:
-        mechs = [(SP, FP, FP_LOGN, FP)[int(k)] for k in rng.integers(4, size=n)]
+        uniform, lognormal = first_price
+        mechs = [(SP, uniform, lognormal, uniform)[int(k)] for k in rng.integers(4, size=n)]
     else:
         mechs = [SP] * n
     records = [
@@ -94,8 +105,8 @@ def meets(log: OpportunityLog, profile: MultiplierProfile, constraints: Constrai
     return ok
 
 
-def check(seed: int) -> None:
-    log, constraints = problem(seed)
+def check(seed: int, first_price: tuple[MechanismSpec, MechanismSpec] = (FP, FP_LOGN)) -> None:
+    log, constraints = problem(seed, first_price)
     best = best_threshold_policy(log, constraints)
     kkt = solve_kkt_grid(log, constraints)
     assert kkt.feasible == (best is not None), (seed, kkt.notes, best)
@@ -108,6 +119,11 @@ def check(seed: int) -> None:
 def test_oracle_is_infeasible_exactly_where_no_threshold_policy_is_feasible(chunk):
     for seed in SEEDS[chunk::4]:
         check(seed)
+
+
+@pytest.mark.parametrize("seed", RESERVED_SEEDS)
+def test_oracle_matches_threshold_policies_on_reserved_rows(seed):
+    check(seed, RESERVED)
 
 
 # Seeds past SEEDS where the oracle reports infeasible though a threshold
