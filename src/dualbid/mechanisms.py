@@ -308,7 +308,11 @@ def _normal_ufuncs():
     """scipy's ndtr and log_ndtr from their extension module's file alone
     (about 2 ms and 1 MB; scipy.special's __init__ costs 21 MB and 0.1-0.25 s),
     registered in sys.modules for a later import of scipy.special to reuse.
-    Where the file is missing, fails to load or lacks them: scipy.special's."""
+    Where the file is missing, fails to load or lacks them: scipy.special's.
+    A later import does not bind the module as scipy.special's attribute
+    _special_ufuncs; binding it here would need scipy.special imported, which
+    this loader exists to avoid, and scipy.special.ndtr and log_ndtr are the
+    very objects returned here."""
     name = "scipy.special._special_ufuncs"
     try:
         if (module := sys.modules.get(name)) is None:
@@ -328,11 +332,12 @@ def _normal_ufuncs():
 def _lognormal_curves(names, b, mu, sigma):
     """The named curves of lognormal rows, all from one log of the bids; Phi
     is scipy's ndtr, loaded alone by _normal_ufuncs at a process's first
-    curve or shade (about 2 ms and 1 MB)."""
+    curve or shade (about 2 ms and 1 MB).  Each curve is 0 at a bid that is
+    not > 0; bids all > 0 skip that mask, which changes no value there."""
     ndtr, _ = _normal_ufuncs()
 
-    positive = b > 0
-    safe = np.where(positive, b, 1.0)
+    positive = None if b.size and b.min() > 0 else b > 0
+    safe = b if positive is None else np.where(positive, b, 1.0)
     ln_b = np.log(safe)
     curves = []
     for name in names:
@@ -343,7 +348,7 @@ def _lognormal_curves(names, b, mu, sigma):
             curve = np.exp(-0.5 * z * z) / (safe * sigma * _SQRT_2PI)
         else:  # partial_expectation: the integral of z dF(z) from 0 to b
             curve = np.exp(mu + 0.5 * sigma**2) * ndtr((ln_b - mu - sigma**2) / sigma)
-        curves.append(np.where(positive, curve, 0.0))
+        curves.append(curve if positive is None else np.where(positive, curve, 0.0))
     return curves
 
 
@@ -398,6 +403,7 @@ class MechanismTable:
 
     Curves take bids whose first axis runs over the rows (any further axes
     are extra bids per row); a one-row table takes bids of any shape.
+    Bids are >= 0, as the one-row views below require.
     """
 
     def __init__(self, family, p1, p2, reserve, first_price, support_top, model, models,
@@ -539,12 +545,20 @@ class MechanismTable:
         return self._curves(("partial_expectation",), b)[0]
 
     @cached_property
+    def _reserved(self) -> bool:
+        """Whether any row has a reserve above 0."""
+        return bool((self.reserve > 0).any())
+
+    @cached_property
     def _at_reserve(self) -> list[np.ndarray]:
         reserve = self.reserve[:1] if self.uniform else self.reserve
         return self._curves(("cdf", "partial_expectation"), reserve)
 
     def _above_reserve(self, b: np.ndarray, curve):
-        """curve where the bid b reaches the reserve, 0 below it."""
+        """curve where the bid b reaches the reserve, 0 below it: curve
+        itself on a table with no reserve, as every bid read is >= 0."""
+        if not self._reserved:
+            return curve
         return np.where(b >= self._column(self.reserve, b), curve, 0.0)
 
     def win_prob(self, b):
@@ -564,10 +578,16 @@ class MechanismTable:
         cdf, pe = self._curves(("cdf", "partial_expectation"), b)
         G = self._above_reserve(b, cdf)
         second = self._second_price_cost(b, pe)
+        if not self.first_price.any():
+            return second, G
         return np.where(self._column(self.first_price, b), b * G, second), G
 
     def _second_price_cost(self, b: np.ndarray, pe):
-        """H(b) of second-price rows, from the partial expectation pe at b."""
+        """H(b) of second-price rows, from the partial expectation pe at b:
+        pe itself on a table with no reserve, as r G(r) and PE(r) are 0 at
+        r = 0 and every bid read is >= 0."""
+        if not self._reserved:
+            return pe
         cdf_r, pe_r = (self._column(v, b) for v in self._at_reserve)
         reserve = self._column(self.reserve, b)
         return self._above_reserve(b, reserve * cdf_r + np.maximum(pe - pe_r, 0.0))

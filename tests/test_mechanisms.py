@@ -3,6 +3,7 @@
 import copy
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import sys
 import types
@@ -421,22 +422,38 @@ FUSED_SPECS = [
 ]
 
 
+COST_BIDS = (0.0, 0.3, 0.4, 0.7, 1.3, 1.6, 40.0)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
 def test_one_curve_pass_matches_each_curve_on_its_own():
-    specs = FUSED_SPECS * 7
-    table = MechanismTable.from_specs(specs)
-    # each spec meets each bid: zero, below, at and above the reserve, and
-    # above the support top
-    bids = np.array([[0.0, 0.3, 0.4, 0.7, 1.3, 1.6, 40.0][i % 7] for i in range(len(specs))])
-    H, G = table.cost_and_win(bids)
-    H_ref, G_ref, markup_ref = _curves_one_at_a_time(table, bids)
-    np.testing.assert_array_equal(G, G_ref)
-    np.testing.assert_array_equal(H, H_ref)
-    np.testing.assert_array_equal(table.markup(bids), markup_ref)
-    np.testing.assert_array_equal(table.win_prob(bids), G)
-    np.testing.assert_array_equal(table.expected_cost(bids), H)
-    for i, spec in enumerate(specs):
-        assert win_prob(spec, bids[i]) == G[i]
-        assert expected_cost(spec, bids[i]) == H[i]
+    # with and without reserves and first-price rows, which a table skips
+    # where it has none; and with a 0.0 bid, which masks a lognormal row's
+    # curves, and without
+    spec_sets = (
+        FUSED_SPECS,
+        [s for s in FUSED_SPECS if s.reserve == 0.0],
+        [s for s in FUSED_SPECS if s.reserve == 0.0 and not s.is_first_price],
+    )
+    for base, bid_set in itertools.product(spec_sets, (COST_BIDS, COST_BIDS[1:])):
+        # each spec meets each bid: below, at and above the reserve, and
+        # above the support top
+        specs = base * len(bid_set)
+        table = MechanismTable.from_specs(specs)
+        bids = np.repeat(bid_set, len(base))
+        H, G = table.cost_and_win(bids)
+        H_ref, G_ref, markup_ref = _curves_one_at_a_time(table, bids)
+        np.testing.assert_array_equal(G, G_ref)
+        np.testing.assert_array_equal(H, H_ref)
+        np.testing.assert_array_equal(table.markup(bids), markup_ref)
+        np.testing.assert_array_equal(table.win_prob(bids), G)
+        np.testing.assert_array_equal(table.expected_cost(bids), H)
+        for i, spec in enumerate(specs):
+            assert win_prob(spec, bids[i]) == G[i]
+            assert expected_cost(spec, bids[i]) == H[i]
 
 
 @pytest.mark.parametrize(
@@ -452,6 +469,14 @@ def test_one_curve_pass_on_a_one_row_table_takes_2d_bids(spec):
     np.testing.assert_array_equal(spec.table.markup(bids), markup_ref)
     np.testing.assert_array_equal(win_prob(spec, bids), G)
     np.testing.assert_array_equal(expected_cost(spec, bids), H)
+    # bids all > 0 read each curve unmasked; a 0.0 bid appended masks them,
+    # and changes no bit of the others
+    positive = np.array(COST_BIDS[1:])
+    for name in ("cdf", "pdf", "partial_expectation", "win_prob", "win_density",
+                 "expected_cost", "cost_derivative", "markup"):  # fmt: skip
+        curve = getattr(MechanismTable, name)
+        masked = curve(spec.table, np.append(positive, 0.0))[:-1]
+        assert np.array_equal(_bits(curve(spec.table, positive)), _bits(masked)), name
 
 
 @pytest.mark.parametrize(
@@ -498,16 +523,11 @@ class _ParetoBids:
         return 2.0 - 2.0 / np.maximum(np.asarray(b, dtype=float), 1.0)
 
 
-COST_BIDS = (0.0, 0.3, 0.4, 0.7, 1.3, 1.6, 40.0)
 AUCTIONS = {
     "second": ("second_price",),
     "first": ("first_price",),
     "mixed": ("first_price", "second_price"),
 }
-
-
-def _bits(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).view(np.int64)
 
 
 @pytest.mark.parametrize("auctions", AUCTIONS.values(), ids=AUCTIONS)
@@ -537,13 +557,20 @@ def test_expected_cost_alone_equals_cost_and_win_bit_for_bit(auctions):
 
 @pytest.mark.parametrize("auctions", AUCTIONS.values(), ids=AUCTIONS)
 def test_expected_cost_evaluates_only_the_curve_its_rows_need(auctions):
+    first, second = "first_price" in auctions, "second_price" in auctions
+    want = {"cdf": int(first), "pdf": 0, "partial_expectation": int(second)}
     model = _ParetoBids()
     table = MechanismTable.from_specs([MechanismSpec(a, 0.4, model) for a in auctions])
     table.expected_cost(np.full(len(table), 0.3))  # the curves at the reserve, read once
     model.calls = dict.fromkeys(model.calls, 0)
     table.expected_cost(np.full(len(table), 2.0))
-    first, second = "first_price" in auctions, "second_price" in auctions
-    assert model.calls == {"cdf": int(first), "pdf": 0, "partial_expectation": int(second)}
+    assert model.calls == want
+    # a table with no reserve never reads the curves at it, not even at its
+    # first read
+    model = _ParetoBids()
+    table = MechanismTable.from_specs([MechanismSpec(a, 0.0, model) for a in auctions])
+    table.expected_cost(np.full(len(table), 2.0))
+    assert model.calls == want
 
 
 UNIFORM_TABLE_SPECS = [
