@@ -73,6 +73,7 @@ from .simulate import (
     distributional_log,
     load_stream,
     realized_log,
+    realized_lambda_star,
     run_episode,
     save_stream,
 )
@@ -392,9 +393,12 @@ def cmd_compare(args) -> int:
     _write_oracle_curves(out_dir / "oracle_curves.csv", log, profile, scenario.agent.bid_cap)
 
     # the budget-only ROI, as run --roi writes it: 0.0 per placement when
-    # the budget-only lambda* does not bind, whatever the KKT solution binds
+    # the budget-only lambda* does not bind, whatever the KKT solution binds;
+    # its search starts at the realized budget-only lambda*, as run --roi's does
     dlog = distributional_log(scenario, stream, log)
-    roi = marginal_roi(dlog, budget, bid_cap=scenario.agent.bid_cap)
+    bid_cap = scenario.agent.bid_cap
+    start = lam_star if constraints.budget_only else realized_lambda_star(log, budget, bid_cap)
+    roi = marginal_roi(dlog, budget, bid_cap=bid_cap, start=start)
     roi_rows = [(pid, repr(roi.roi[pid])) for pid in sorted(roi.roi)]
     roi_rows += [(pid, "inactive") for pid in roi.inactive]
     _write_csv(out_dir / "roi.csv", ["placement_id", "marginal_roi"], roi_rows)
@@ -560,12 +564,18 @@ def load_log_csv(path: str | Path) -> OpportunityLog:
     """Read an opportunity log CSV (schema in the module docstring)."""
     records = []
     with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _LOG_COLUMNS:
+        reader = csv.reader(fh)
+        if next(reader, None) != _LOG_COLUMNS:
             raise CliError(
                 f"{path}: expected columns {','.join(_LOG_COLUMNS)}", EXIT_VALIDATION
             )
-        for i, row in enumerate(reader):
+        for i, fields in enumerate(fields for fields in reader if fields):
+            if len(fields) != len(_LOG_COLUMNS):
+                raise CliError(
+                    f"{path}: row {i + 1}: {len(fields)} fields, expected {len(_LOG_COLUMNS)}",
+                    EXIT_VALIDATION,
+                )
+            row = dict(zip(_LOG_COLUMNS, fields))
             family = row["competitor_family"]
             if family == "lognormal":
                 comp = {"family": family, "mu": row["competitor_p1"], "sigma": row["competitor_p2"]}
@@ -673,61 +683,76 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dualbid", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+# each subcommand's help, handler and arguments (flag, add_argument keywords)
+SUBCOMMANDS = {
+    "run": ("run one scenario episode", cmd_run, [
+        ("--scenario", dict(required=True)),
+        ("--out", dict(required=True)),
+        ("--seed", dict(type=int, default=None)),
+        ("--force", dict(action="store_true")),
+        ("--roi", dict(action="store_true", help="include marginal ROI in metrics")),
+    ]),
+    "compare": ("compare a finished run against the hindsight oracle", cmd_compare, [
+        ("--run", dict(required=True, help="output directory of a completed run")),
+        ("--out", dict(default=None)),
+        ("--force", dict(action="store_true")),
+    ]),
+    "coldstart": ("closed-form initial multiplier", cmd_coldstart, [
+        ("--budget", dict(type=float, required=True)),
+        ("--count", dict(type=float, default=None, help="forecast opportunity count")),
+        ("--bid-mu", dict(type=float, default=None)),
+        ("--bid-sigma", dict(type=float, default=None)),
+        ("--value-mu", dict(type=float, default=None)),
+        ("--value-sigma", dict(type=float, default=None)),
+        ("--bid-samples", dict(default=None, help="file with one bid per line")),
+        ("--value-samples", dict(default=None, help="file with one value per line")),
+        ("--priors", dict(default=None, help="JSON list of per-placement priors")),
+        ("--out", dict(default=None)),
+        ("--force", dict(action="store_true")),
+    ]),
+    "sweep": ("run several seeds with isolated outputs", cmd_sweep, [
+        ("--scenario", dict(required=True)),
+        ("--out", dict(required=True)),
+        ("--sweep-seeds", dict(type=int, required=True)),
+        ("--seed", dict(type=int, default=None, help="base seed (default: scenario)")),
+        ("--jobs", dict(type=int, default=4)),
+        ("--force", dict(action="store_true")),
+    ]),
+    "oracle": ("hindsight multipliers for a log CSV", cmd_oracle, [
+        ("--log", dict(required=True)),
+        ("--budget", dict(type=float, required=True)),
+        ("--cost-target", dict(type=float, default=None)),
+        ("--windows", dict(default=None, help="JSON window constraint definitions")),
+        ("--out", dict(required=True)),
+        ("--force", dict(action="store_true")),
+    ]),
+}  # fmt: skip
 
-    p_run = sub.add_parser("run", help="run one scenario episode")
-    p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--out", required=True)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--force", action="store_true")
-    p_run.add_argument("--roi", action="store_true", help="include marginal ROI in metrics")
-    p_run.set_defaults(func=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="compare a finished run against the hindsight oracle")
-    p_cmp.add_argument("--run", required=True, help="output directory of a completed run")
-    p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--force", action="store_true")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_cold = sub.add_parser("coldstart", help="closed-form initial multiplier")
-    p_cold.add_argument("--budget", type=float, required=True)
-    p_cold.add_argument("--count", type=float, default=None, help="forecast opportunity count")
-    p_cold.add_argument("--bid-mu", type=float, default=None)
-    p_cold.add_argument("--bid-sigma", type=float, default=None)
-    p_cold.add_argument("--value-mu", type=float, default=None)
-    p_cold.add_argument("--value-sigma", type=float, default=None)
-    p_cold.add_argument("--bid-samples", default=None, help="file with one bid per line")
-    p_cold.add_argument("--value-samples", default=None, help="file with one value per line")
-    p_cold.add_argument("--priors", default=None, help="JSON list of per-placement priors")
-    p_cold.add_argument("--out", default=None)
-    p_cold.add_argument("--force", action="store_true")
-    p_cold.set_defaults(func=cmd_coldstart)
-
-    p_sweep = sub.add_parser("sweep", help="run several seeds with isolated outputs")
-    p_sweep.add_argument("--scenario", required=True)
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--sweep-seeds", type=int, required=True)
-    p_sweep.add_argument("--seed", type=int, default=None, help="base seed (default: scenario)")
-    p_sweep.add_argument("--jobs", type=int, default=4)
-    p_sweep.add_argument("--force", action="store_true")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_oracle = sub.add_parser("oracle", help="hindsight multipliers for a log CSV")
-    p_oracle.add_argument("--log", required=True)
-    p_oracle.add_argument("--budget", type=float, required=True)
-    p_oracle.add_argument("--cost-target", type=float, default=None)
-    p_oracle.add_argument("--windows", default=None, help="JSON window constraint definitions")
-    p_oracle.add_argument("--out", required=True)
-    p_oracle.add_argument("--force", action="store_true")
-    p_oracle.set_defaults(func=cmd_oracle)
-
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Where command names a subcommand, only its parser
+    is built: the others' would never be read, and building them is most of
+    the cost of parsing.  The usage line names every subcommand either way,
+    so every message the parser prints reads the same."""
+    parser = argparse.ArgumentParser(
+        prog="dualbid",
+        usage="%(prog)s [-h] {" + ",".join(SUBCOMMANDS) + "} ...",
+        description=__doc__.splitlines()[0],
+    )
+    sub = parser.add_subparsers(dest="command", required=True, prog="dualbid")
+    for name, (help_text, func, arguments) in SUBCOMMANDS.items():
+        if command in SUBCOMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

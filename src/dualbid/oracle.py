@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -780,6 +781,20 @@ class RealizedSpend:
 
 
 LAMBDA_REL_TOL = 1e-6  # lambda* matches spend to the budget to this on smooth logs
+# search_multiplier's first step from a start, as a factor: on the benchmark
+# panels the realized lambda* lies within two such steps of the
+# distributional one, so the bracket is one step wide, narrow enough for two
+# Illinois steps to reach LAMBDA_REL_TOL
+START_STEP = 1.045
+
+
+def _doubling(factor: float):
+    """factor, factor, factor**2, factor**4, ...: the factors of steps each
+    ending twice as far, in ln x, from where the first began."""
+    yield factor
+    while True:
+        yield factor
+        factor *= factor
 
 
 class _SpendCurve:
@@ -804,8 +819,11 @@ class _SpendCurve:
         self._guard(lam, spend)
         return spend
 
-    def solve(self, budget: float) -> tuple[float, tuple[float, float, float, float] | None]:
-        """The budget multiplier on this curve, and its search bracket.
+    def solve(
+        self, budget: float, start: float | None = None
+    ) -> tuple[float, tuple[float, float, float, float] | None]:
+        """The budget multiplier on this curve, and its search bracket, the
+        search started at start where given (see search_multiplier).
 
         A step function (a realized or mixed log) is bisected on replayed
         spend minus budget.  A smooth (distributional) curve is searched on
@@ -822,7 +840,7 @@ class _SpendCurve:
             return self.at(lam).spend - budget
 
         tol = math.log1p(LAMBDA_REL_TOL) if self.smooth else None
-        found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT, tol)
+        found = search_multiplier(excess, LAMBDA_FLOOR, LAMBDA_LIMIT, tol, start=start)
         if found is None:
             raise OracleError("could not bracket the budget multiplier")
         return found
@@ -851,21 +869,31 @@ def search_multiplier(
     limit: float,
     tol: float | None = None,
     width_rel: float = 1e-12,
+    start: float | None = None,
 ) -> tuple[float, tuple[float, float, float, float] | None] | None:
     """Smallest multiplier x >= floor at which the non-increasing excess(x)
     (spend - budget, window spend - cap, shortfall, ...) is <= 0.
 
-    The excess is read first at min(1, limit).  Where it fits there, the
-    floor is read: (floor, None) is returned where the floor fits too, and
-    otherwise the bracket is (floor, min(1, limit)).  Where it does not
-    fit, neither does the floor, which is not read: the search steps up from
-    1 by factors of 4 to a bracket.  With a bracket (lo, hi), excess(lo) >
-    0 >= excess(hi), it narrows it until |excess| <= tol, returning that point,
-    or until its width is <= width_rel * max(1, hi), returning hi, the side
-    that fits, with the final bracket (lo, hi, excess(lo), excess(hi)).
-    None when the excess is still positive at limit.  Against reading the
-    floor first, this reads once fewer wherever the answer lies above 1,
-    and once more where the floor fits, for the same point and bracket.
+    With no start, the excess is read first at min(1, limit).  Where it
+    fits there, the floor is read: (floor, None) is returned where the
+    floor fits too, and otherwise the bracket is (floor, min(1, limit)).
+    Where it does not fit, neither does the floor, which is not read: the
+    search steps up from 1 by factors of 4 to a bracket.  Against reading
+    the floor first, this reads once fewer wherever the answer lies above
+    1, and once more where the floor fits, for the same point and bracket.
+
+    A start, a guess at the answer, is read first instead, and the search
+    steps away from it, down where it fits and up where it does not, each
+    step ending twice as far from the start as the last (factors
+    START_STEP, START_STEP, START_STEP**2, START_STEP**4, ...), until the
+    excess changes sign; it stops at the floor ((floor, None) where the
+    floor fits) or at limit.
+
+    With a bracket (lo, hi), excess(lo) > 0 >= excess(hi), the search
+    narrows it until |excess| <= tol, returning that point, or until its
+    width is <= width_rel * max(1, hi), returning hi, the side that fits,
+    with the final bracket (lo, hi, excess(lo), excess(hi)).  None when the
+    excess is still positive at limit.
 
     tol marks a smooth curve: each point is then the Illinois regula falsi
     step (Dowell & Jarratt 1971) in ln x, the secant through the bracket's
@@ -873,18 +901,22 @@ def search_multiplier(
     the midpoint when lo is 0, an excess is not finite, or the secant falls
     outside (lo, hi).  A step function (tol None) is bisected.
     """
-    lo, hi = floor, min(1.0, limit)
-    r_hi = excess(hi)
-    if r_hi <= 0:
-        r_lo = excess(floor)
-        if r_lo <= 0:
-            return floor, None
-    while r_hi > 0:
-        if hi >= limit:
-            return None
-        lo, r_lo = hi, r_hi
-        hi = min(4.0 * hi, limit)
-        r_hi = excess(hi)
+    x = min(1.0, limit) if start is None else min(max(start, floor), limit)
+    r = excess(x)
+    down = r <= 0  # x fits: the answer lies at or below it
+    if start is not None:
+        factors = _doubling(START_STEP)
+    else:
+        factors = itertools.repeat(math.inf if down else 4.0)  # down: straight to the floor
+    for factor in factors:
+        near, r_near = x, r
+        x = max(floor, x / factor) if down else min(limit, x * factor)
+        if x == near:
+            return (floor, None) if down else None
+        r = excess(x)
+        if (r <= 0) != down:
+            break
+    lo, hi, r_lo, r_hi = (x, near, r, r_near) if down else (near, x, r_near, r)
     if tol is None:
         while hi - lo > width_rel * max(1.0, hi):
             mid = 0.5 * (lo + hi)
@@ -963,8 +995,9 @@ def solve_lambda_star(
     If replayed spend at the floor multiplier fits the budget, the floor is
     returned flagged unconstrained.  On a distributional log (a smooth
     curve), Illinois regula falsi on ln(spend / budget) matches spend to
-    budget within LAMBDA_REL_TOL in about 7 reads of spend alone (see
-    _SpendCurve.spend).  On a realized or mixed log (a step function)
+    budget within LAMBDA_REL_TOL in about 7 reads of spend alone from 1
+    (see _SpendCurve.spend); marginal_roi searches the same curve from a
+    start near the answer in about 4.  On a realized or mixed log (a step function)
     bisection returns the high, never overspending side of the step.  A
     realized log's bisection is budget_search on its RealizedSpend: a
     second-price log's signs all come from its sorted
@@ -1378,12 +1411,20 @@ class MarginalRoi:
 
 
 def marginal_roi(
-    log: OpportunityLog, budget: float, bid_cap: float = DEFAULT_BID_CAP
+    log: OpportunityLog,
+    budget: float,
+    bid_cap: float = DEFAULT_BID_CAP,
+    start: float | None = None,
 ) -> MarginalRoi:
     """Value gained per extra unit of spend on each placement at the joint
     optimum, dV_p / dS_p, from the two replays of the whole log around
-    lambda* (see _replays_around).  lambda* is solve_lambda_star's, from
-    the same reads of spend alone, with no replay at it.  Proposition 1,
+    lambda* (see _replays_around).  lambda* is searched as
+    solve_lambda_star searches it, by reads of spend alone with no replay
+    at it, but from start where given (see search_multiplier): compare and
+    run --roi start at the budget-only lambda* of the log's realized twin,
+    which lies within a few percent of the answer on the shipped
+    scenarios, so the search reads spend about 4 times instead of the 7 it
+    takes from 1, and lands in the same LAMBDA_REL_TOL band.  Proposition 1,
     V'(lam) = lam * S'(lam), holds record by record on a distributional
     log, so every active ROI is lambda* up to the O(1e-8) error of the
     central difference.  A placement whose spend does not move between the
@@ -1393,7 +1434,7 @@ def marginal_roi(
         raise OracleError(f"budget must be finite and > 0, got {budget}")
     if log.mode != "distributional":
         raise OracleError("marginal ROI needs a distributional log")
-    lam, bracket = _SpendCurve(log, bid_cap, MultiplierProfile).solve(budget)
+    lam, bracket = _SpendCurve(log, bid_cap, MultiplierProfile).solve(budget, start)
     if bracket is None:
         return MarginalRoi(dict.fromkeys(log.placement_names, 0.0), (), lam)
     _, hi, lo = _replays_around(log, lam, bid_cap)

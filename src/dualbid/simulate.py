@@ -43,7 +43,7 @@ import numpy as np
 from .bidding import LAMBDA_FLOOR, bid_factor, optimal_bids
 from .coldstart import ColdStartResult, PlacementPriors, solve_lambda0_multi
 from .mechanisms import LognormalBids, MechanismSpec, MechanismTable
-from .oracle import OpportunityLog, RealizedSpend, first_price_limits, marginal_roi
+from .oracle import OpportunityLog, RealizedSpend, budget_search, first_price_limits, marginal_roi
 from .pacing import ForecastModel, PacingState, apply_batch_update, normalize
 from .scenario import PlacementConfig, ScenarioConfig
 
@@ -359,6 +359,15 @@ def distributional_log(
     return (realized or realized_log(scenario, stream)).distributional()
 
 
+def realized_lambda_star(realized: OpportunityLog, budget: float, bid_cap: float) -> float | None:
+    """The budget-only lambda* of a realized log (solve_lambda_star's,
+    without its replay at the answer), where the ROI search of its
+    distributional twin starts (marginal_roi); None where no multiplier
+    up to LAMBDA_LIMIT fits the budget."""
+    found = budget_search(realized.realized_spend(bid_cap), budget)
+    return None if found is None else found[0]
+
+
 def build_forecast(scenario: ScenarioConfig) -> ForecastModel:
     if scenario.agent.pacing.forecast_mode == "relative":
         per_interval = np.array(
@@ -668,10 +677,12 @@ def run_episode(scenario: ScenarioConfig, compute_roi: bool = False) -> EpisodeR
         placement_value=placement_value,
     )
     if compute_roi and stream:
+        realized = realized_log(scenario, stream)
         roi = marginal_roi(
-            distributional_log(scenario, stream),
+            distributional_log(scenario, stream, realized),
             constraints.budget,
-            bid_cap=scenario.agent.bid_cap,
+            bid_cap=bid_cap,
+            start=realized_lambda_star(realized, constraints.budget, bid_cap),
         )
         metrics.placement_roi = dict(roi.roi)
     return EpisodeResult(

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, file outputs, determinism, subcommands."""
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import io
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualbid.cli import COMPARE_OUTPUTS, RUN_OUTPUTS, CliError, main
+from dualbid.cli import COMPARE_OUTPUTS, RUN_OUTPUTS, SUBCOMMANDS, CliError, build_parser, main
 from dualbid.scenario import INTERVAL_LIMIT, OPPORTUNITY_LIMIT
 from dualbid.simulate import STREAM_COLUMNS
 from helpers import mixed_scenario, stationary_scenario
@@ -397,9 +398,9 @@ class TestCompare:
             "compare.csv": "1000b7d7521e751d9905bd98835dde414d78bdaa27bf9432018daf76a7fa1194",
             "oracle_curves.csv": "0a4e09f4be15f16560f8a21fe2a444d915922e83eecf5804bd4f96fc5bfd7396",
             # each ROI is lambda* of the distributional log (test_oracle.TestMarginalRoi),
-            # which lies in a reference bisection's spend band
-            # (test_oracle.TestSolveLambdaStar.test_smooth_solve_lies_in_reference_band)
-            "roi.csv": "29b28ccca6fdc6f5d968b815f48429c9f40d27c7939db2a057c073438373790c",
+            # searched from the realized budget-only lambda*, which lies in a
+            # reference bisection's spend band (test_oracle.TestMarginalRoiStart)
+            "roi.csv": "03b613aac2b74b8af611e29ba1c253f4482c436ee194f77c31d18e1fc12593e2",
         }
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
@@ -414,7 +415,7 @@ class TestCompare:
         digests = {
             "compare.csv": "8edfd9b90abed7dcca3c5725f48bfe6906e5354955e2366e43f801dc30b9a5ea",
             "oracle_curves.csv": "29584b1a621d165291c5a1741868bb0aff06d0e4cacbf5a16e81ad809b063a06",
-            "roi.csv": "02bec2b93a0266d5fc0e6b8880815a35c813ef7f5acbce7b441278635109325d",
+            "roi.csv": "187f23d1f2a071c8e13a99e88ddefcfa97f1b2369403610e46d995b1dac2e7f3",
         }
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
@@ -510,6 +511,8 @@ class TestCompare:
         "cfg, zero",
         [
             pytest.param(None, False, id="stationary"),
+            # budget only, with a first-price placement
+            pytest.param(mixed_scenario(intervals=60, budget=30.0), False, id="first_price"),
             # the budget-only lambda* binds, the KKT solution binds the cost
             # target instead
             pytest.param(
@@ -1344,7 +1347,64 @@ class TestOracleCommand:
         assert f"error: {log}: record times must be nondecreasing" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "edit, fields", [(lambda row: row[: row.rindex(",")], 9), (lambda row: row + ",x", 11)]
+    )
+    def test_row_of_the_wrong_length_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch, edit, fields
+    ):
+        # a short row used to crash with exit 1, a long one to lose its extra fields
+        log = tmp_path / "log.csv"
+        self._write_log(log)
+        lines = log.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        log.write_text("\n".join(lines) + "\n")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the log was replayed")
+
+        monkeypatch.setattr("dualbid.oracle.replay", unreachable)
+        args = ["oracle", "--log", str(log), "--budget", "1.0", "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert f"error: {log}: row 2: {fields} fields, expected 10" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_schema_mismatch_exits_2(self, tmp_path):
         log = tmp_path / "log.csv"
         log.write_text("time,value\n0,1\n")
         assert main(["oracle", "--log", str(log), "--budget", "1.0", "--out", str(tmp_path / "o")]) == 2
+
+
+def _parsed(parse, argv: list[str]) -> tuple[object, str, str]:
+    """The exit code, standard output and standard error of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+    return exit_info.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_one_subcommand_parser_helps_as_the_full_one(command):
+    # main builds the parser of the subcommand it runs alone
+    help_of = lambda parser: _parsed(parser.parse_args, [command, "--help"])
+    assert help_of(build_parser(command)) == help_of(build_parser())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["bogus"],
+        ["run"],
+        ["compare", "--run"],
+        ["oracle", "--log", "x.csv"],
+        ["coldstart", "--budget", "abc"],
+        ["run", "--scenario", "s.json", "--out", "o", "extra"],
+    ],
+)
+def test_main_parses_as_the_full_parser(argv):
+    # the same message and exit code where argv names no subcommand, and
+    # where one subcommand's parser refuses its flags
+    assert _parsed(main, argv) == _parsed(build_parser().parse_args, argv)

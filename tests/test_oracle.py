@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from dualbid import oracle
-from dualbid.bidding import LAMBDA_FLOOR
+from dualbid.bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR
 from dualbid.coldstart import PlacementPriors, expected_spend_per_opportunity, solve_lambda0
 from dualbid.mechanisms import LognormalBids, MechanismSpec, UniformBids
 from dualbid.oracle import (
@@ -30,7 +30,8 @@ from dualbid.oracle import (
 )
 from dualbid.pacing import ConstraintSet, DeliveryWindow, GuaranteeWindow
 from dualbid.scenario import load_scenario, parse_scenario
-from dualbid.simulate import distributional_log, generate_stream
+from dualbid.simulate import distributional_log, generate_stream, realized_lambda_star
+from dualbid.simulate import realized_log as sim_realized_log
 from helpers import (
     count_reads,
     enumerate_best_winset,
@@ -152,6 +153,44 @@ class TestSearchMultiplier:
         )
         assert x == pytest.approx(2.0, rel=1e-12)
         assert len(seen) <= 25
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_start_steps_away_twice_as_far_each_time(self, above):
+        # linear in ln x, the root at 2: from 2 * f**3 down (or 2 / f**3 up)
+        # by f, f, f**2, a bracket of width f**2, and one secant step onto it
+        f = oracle.START_STEP
+        seen = []
+        side = 1 if above else -1
+        x, _ = search_multiplier(
+            lambda x: seen.append(x) or math.log(2.0 / x),
+            1e-9, 1e6, tol=1e-12, start=2.0 * f ** (3 * side),
+        )  # fmt: skip
+        steps = [2.0 * f ** (k * side) for k in (3, 2, 1, -1)]
+        assert seen[:4] == pytest.approx(steps, rel=1e-12)
+        assert seen[4:] == [x] and x == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "excess, floor, limit, tol, want",
+        [
+            (lambda x: math.log(2.0 / x), 1e-9, 1e6, 1e-12, 2.0),
+            (lambda x: (2.0 / x) ** 8 - 1.0, 1e-3, 1e6, 1e-12, 2.0),
+            (lambda x: 0.3 - x, 0.0, 10.0, 1e-12, 0.3),
+            (lambda x: 1.0 if x < 5.3 else -1.0, 1e-9, 1e6, None, 5.3),
+        ],
+    )
+    @pytest.mark.parametrize("start", [1e-9, 0.01, 1.0, 50.0, 1e6])
+    def test_any_start_finds_the_same_root(self, excess, floor, limit, tol, want, start):
+        x, (lo, hi, _, _) = search_multiplier(excess, floor, limit, tol, start=start)
+        assert lo <= x <= hi
+        if tol is None:
+            assert lo < want <= hi == x and hi - lo <= 1e-12 * hi
+        else:
+            assert abs(excess(x)) <= tol
+
+    def test_start_reaches_the_floor_and_the_limit(self):
+        assert search_multiplier(lambda x: -1.0, 1e-9, 10.0, start=2.0) == (1e-9, None)
+        assert search_multiplier(lambda x: -1.0, 1e-9, 10.0, start=1e-9) == (1e-9, None)
+        assert search_multiplier(lambda x: 1.0, 0.0, 100.0, start=3.0) is None
 
     @pytest.mark.parametrize(
         "excess, floor, limit, tol",
@@ -648,11 +687,20 @@ def test_give_up_note_names_a_multiplier_held_within_its_target(kind, window, no
 
 
 @pytest.fixture(scope="module", params=["stationary.json", "mixed_constrained.json"])
-def shipped_dlog(request):
-    """A shipped scenario's distributional log, its budget and bid cap."""
+def shipped_twins(request):
+    """A shipped scenario's realized log, its distributional twin, its
+    budget and bid cap."""
     scenario = load_scenario(SCENARIOS / request.param)
-    log = distributional_log(scenario, generate_stream(scenario))
-    return log, scenario.constraints.budget, scenario.agent.bid_cap
+    stream = generate_stream(scenario)
+    realized = sim_realized_log(scenario, stream)
+    log = distributional_log(scenario, stream, realized)
+    return realized, log, scenario.constraints.budget, scenario.agent.bid_cap
+
+
+@pytest.fixture(scope="module")
+def shipped_dlog(shipped_twins):
+    """A shipped scenario's distributional log, its budget and bid cap."""
+    return shipped_twins[1:]
 
 
 class TestMarginalRoi:
@@ -750,6 +798,69 @@ class TestMarginalRoi:
         # lambda* from reads of spend alone (none of them a replay), then the
         # two replays around it; it took 10 replays when every read was one
         assert len(reads) - len(replays) <= 7 and len(replays) == 2
+
+
+def twin_logs(clearing: float, n: int = 400) -> tuple[OpportunityLog, OpportunityLog]:
+    """A realized log whose every clearing bid is clearing, and its
+    distributional twin: n second-price lognormal(0, 1) auctions."""
+    records = quantile_lognormal_log(n, LOGN_SP, -1.0, 0.5).records
+    realized = OpportunityLog(
+        [LogRecord(r.time, r.placement, r.value, r.mechanism, clearing) for r in records]
+    )
+    return realized, realized.distributional()
+
+
+class TestMarginalRoiStart:
+    """marginal_roi's search started at the realized budget-only lambda*,
+    as compare and run --roi start it."""
+
+    def test_starts_near_the_answer_in_at_most_4_reads(self, shipped_twins, monkeypatch):
+        realized, log, budget, bid_cap = shipped_twins
+        start = realized_lambda_star(realized, budget, bid_cap)
+        reads, replays = count_reads(monkeypatch)
+        roi = marginal_roi(log, budget, bid_cap=bid_cap, start=start)
+        monkeypatch.undo()
+        # the start, one step to a bracket and two Illinois steps, where the
+        # default start of 1 reads spend 7 times
+        assert len(reads) - len(replays) <= 4 and len(replays) == 2
+        lo, hi = lambda_band_by_bisection(log, budget, LAMBDA_REL_TOL, bid_cap)
+        assert lo < roi.lam <= hi
+        assert roi.inactive == ()
+        for value in roi.roi.values():
+            assert abs(value - roi.lam) / roi.lam <= 1e-5
+
+    def test_realized_floor_distributional_binds(self, monkeypatch):
+        # every clearing bid 0.5: the realized spend at the floor, 200, fits
+        # the budget, and the expected spend there, about 660, does not
+        realized, log = twin_logs(0.5)
+        budget = 400.0
+        start = realized_lambda_star(realized, budget, DEFAULT_BID_CAP)
+        assert start == LAMBDA_FLOOR
+        reads, replays = count_reads(monkeypatch)
+        roi = marginal_roi(log, budget, start=start)
+        monkeypatch.undo()
+        # ten steps up from the floor, each twice as far from it as the
+        # last, and the Illinois steps across a wide bracket (13 reads from
+        # the default start)
+        assert len(reads) - len(replays) <= 24 and len(replays) == 2
+        lo, hi = lambda_band_by_bisection(log, budget, LAMBDA_REL_TOL)
+        assert lo < roi.lam <= hi
+        assert abs(roi.roi["p"] - roi.lam) / roi.lam <= 1e-5
+
+    def test_realized_binds_distributional_floor(self, monkeypatch):
+        # every clearing bid 3: the realized spend at the floor, 1200, does
+        # not fit the budget, and the expected spend there, about 660, does
+        realized, log = twin_logs(3.0)
+        budget = 800.0
+        start = realized_lambda_star(realized, budget, DEFAULT_BID_CAP)
+        assert start > LAMBDA_FLOOR
+        reads, replays = count_reads(monkeypatch)
+        roi = marginal_roi(log, budget, start=start)
+        monkeypatch.undo()
+        # steps down to the floor, each twice as far from the start as the
+        # last, where the default start reads spend twice
+        assert len(reads) <= 12 and replays == []
+        assert roi.lam == LAMBDA_FLOOR and roi.roi == {"p": 0.0}
 
 
 @pytest.mark.parametrize("solve", [solve_lambda_star, marginal_roi])
