@@ -227,7 +227,7 @@ def _replay_bids(
     and ties win, so a row priced above it (max(clearing, reserve)) loses
     at any shade, and unshaded too.  A NaN price (distributional) is shaded.
     Replay passes every row; RealizedSpend passes only the first-price rows
-    that may win at its factor (see first_price_limits)."""
+    that may win at its factor (see win_limits)."""
     bids = np.minimum(adjusted, bid_cap)
     rows, first_price = table.first_price_rows
     live = ~(bids[rows] < price[rows])
@@ -316,71 +316,72 @@ def budget_lambda(f: float) -> float:
     return lam
 
 
-def win_limits(values, clearing, table: MechanismTable, bid_cap: float) -> np.ndarray:
-    """Each realized second-price row's win limit: the least factor f >= 0
-    at which its bid min(fl(f * value), bid_cap) is >= its price
-    max(clearing, reserve), so that it wins exactly while f >= its limit.
-    A row priced 0 gets 0, one that wins at no factor (priced above the bid
-    cap, or worth 0 at a price above 0) +inf, and a first-price row NaN."""
-    price = np.maximum(clearing, table.reserve)
-    limits = np.full(len(price), np.nan)
-    second = np.flatnonzero(~table.first_price)
-    v, p = np.asarray(values, dtype=float)[second], price[second]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(p > bid_cap, np.inf, np.where(p > 0, p / v, 0.0))
-    rows = np.flatnonzero((f > 0) & (f < np.inf))
-    # the cap allows these prices, so fl(f * v) >= p, rising with f, decides;
-    # from p / v, a row that wins steps down while the float below still
-    # wins, and one that loses steps up until it wins
-    won = f[rows] * v[rows] >= p[rows]
-    down, up = rows[won], rows[~won]
-    for _ in range(_LIMIT_STEPS):
-        below = np.nextafter(f[down], -np.inf)
-        more = below * v[down] >= p[down]
-        down = down[more]
-        f[down] = below[more]
-        f[up] = np.nextafter(f[up], np.inf)
-        up = up[~(f[up] * v[up] >= p[up])]
-        if not (down.size or up.size):
-            break
-    else:
-        raise OracleError("win limits did not settle")
-    limits[second] = f
-    return limits
-
-
 # A first-price row whose adjusted value lies within this of markup(price),
 # relative to max(1, markup(price)), is shaded to decide whether it wins: far
 # wider than the gate every shaded bid passes (1e-9 max(1, adjusted)).
 _BAND_REL = 1e-6
 
 
-def first_price_limits(values, clearing, table: MechanismTable, bid_cap: float):
-    """Each realized first-price row's win limit L and the least factor F at
-    which it may win, as arrays over the first-price rows in row order.
+def win_limits(values, clearing, table: MechanismTable, bid_cap: float):
+    """Each realized row's win limit L and, on first-price rows, the least
+    factor F at which it may win (NaN on second-price rows), as arrays over
+    the rows.  A row priced 0 gets 0 for both, one that wins at no factor
+    (priced above the bid cap, or worth 0 at a price above 0) +inf.
 
-    A lognormal or uniform row's bid rises with its adjusted value x (the
-    reserve clamps its markup root, see bidding.shade_bids), so it wins
-    exactly while x = fl(f * value) >= t: its reserve r where it is priced
-    at r (it bids r from x = r on), and markup(price) above r (its bid
-    reaches the price there), read from one table.markup call;
-    L = t / value.  It loses for certain below F = (t - band) / value,
-    band = _BAND_REL * max(1, t); between F and about L + band / value it
-    is shaded to decide.  An empirical row, or one whose t is not finite,
-    has no limit, L = NaN, and F = 0: it is shaded wherever it can win, as
-    replay shades it.  A row priced 0 gets 0 for both, one that wins at no
-    factor (priced above the bid cap, or worth 0 at a price above 0) +inf."""
-    rows, fp = table.first_price_rows
-    v = np.asarray(values, dtype=float)[rows]
-    c = np.asarray(clearing, dtype=float)[rows]
-    p = np.maximum(c, fp.reserve)
-    t = np.where(c <= fp.reserve, fp.reserve, fp.markup(p))
-    sure = np.isin(fp.family, (LOGNORMAL, UNIFORM)) & np.isfinite(t)
+    A second-price row wins exactly while f >= L: L is the least factor at
+    which its bid min(fl(f * value), bid_cap) is >= its price
+    max(clearing, reserve).
+
+    A lognormal or uniform first-price row's bid rises with its adjusted
+    value x (the reserve clamps its markup root, see bidding.shade_bids), so
+    it wins exactly while x = fl(f * value) >= t: its reserve r where it is
+    priced at r (it bids r from x = r on), and markup(price) above r (its
+    bid reaches the price there), read only on those rows; L = t / value.
+    It loses for certain below F = (t - band) / value, band = _BAND_REL *
+    max(1, t); between F and about L + band / value it is shaded to decide.
+    An empirical row, or one whose t is not finite, has no limit, L = NaN,
+    and F = 0: it is shaded wherever it can win, as replay shades it."""
+    v = np.asarray(values, dtype=float)
+    c = np.asarray(clearing, dtype=float)
+    price = np.maximum(c, table.reserve)
+    # the shared cases: priced 0 gets 0; above the bid cap, or worth 0 at a
+    # price above 0 (p / 0), +inf; any other row p / v, until set below
     with np.errstate(divide="ignore", invalid="ignore"):
-        L = np.where(sure, t / v, np.nan)
-        F = np.where(sure, np.maximum(t - _BAND_REL * np.maximum(1.0, t), 0.0) / v, 0.0)
-    never = (p > bid_cap) | ((v == 0) & (p > 0))
-    return tuple(np.where(never, np.inf, np.where(p > 0, x, 0.0)) for x in (L, F))
+        limits = np.where(price > bid_cap, np.inf, np.where(price > 0, price / v, 0.0))
+    least = np.where(table.first_price, limits, np.nan)
+    rows = np.flatnonzero(~table.first_price & (limits > 0) & (limits < np.inf))
+    # the cap allows these prices, so fl(f * v) >= p, rising with f, decides;
+    # from p / v, a row that wins steps down while the float below still
+    # wins, and one that loses steps up until it wins
+    won = limits[rows] * v[rows] >= price[rows]
+    down, up = rows[won], rows[~won]
+    for _ in range(_LIMIT_STEPS):
+        below = np.nextafter(limits[down], -np.inf)
+        more = below * v[down] >= price[down]
+        down = down[more]
+        limits[down] = below[more]
+        limits[up] = np.nextafter(limits[up], np.inf)
+        up = up[~(limits[up] * v[up] >= price[up])]
+        if not (down.size or up.size):
+            break
+    else:
+        raise OracleError("win limits did not settle")
+    first = np.flatnonzero(table.first_price)
+    if not first.size:
+        return limits, least
+    # the first-price rows priced above 0 that can win
+    first = first[(price[first] > 0) & (price[first] <= bid_cap) & (v[first] != 0)]
+    limits[first], least[first] = np.nan, 0.0
+    family = table.family[first]
+    sure = first[(family == LOGNORMAL) | (family == UNIFORM)]
+    t = table.reserve[sure]
+    above = np.flatnonzero(c[sure] > t)
+    if above.size:
+        t[above] = table.take(sure[above]).markup(price[sure[above]])
+    sure, t = sure[np.isfinite(t)], t[np.isfinite(t)]
+    limits[sure] = t / v[sure]
+    least[sure] = np.maximum(t - _BAND_REL * np.maximum(1.0, t), 0.0) / v[sure]
+    return limits, least
 
 
 class _Monotone:
@@ -432,7 +433,7 @@ class RealizedSpend:
     with cumulative price and value, give their spend and value at any f by
     one searchsorted.  A first-price row pays a shaded bid that moves with
     f, but it loses for certain below the least factor at which it may win
-    (see first_price_limits).  Sorted by that factor, the rows that may win
+    (see win_limits).  Sorted by that factor, the rows that may win
     at f are a prefix, and only they are shaded (and of those, only the ones
     whose unshaded bid reaches their price, see _replay_bids).  That factor
     is least_factors, per row (NaN on second-price rows).
@@ -458,17 +459,7 @@ class RealizedSpend:
         self.table = table
         self.bid_cap = bid_cap
         self._price = np.maximum(self.clearing, table.reserve)
-        # every row's win limit, and the least factor at which a first-price
-        # row may win (NaN on second-price rows; a read-only view of one NaN
-        # where there are only those)
-        self._limits = win_limits(self.values, self.clearing, table, bid_cap)
-        self.least_factors = np.broadcast_to(np.nan, len(self.values))
-        first = np.flatnonzero(table.first_price)
-        if first.size:
-            self.least_factors = np.full(len(self.values), np.nan)
-            self._limits[first], self.least_factors[first] = first_price_limits(
-                self.values, self.clearing, table, bid_cap
-            )
+        self._limits, self.least_factors = win_limits(self.values, self.clearing, table, bid_cap)
         self._sort()
 
     def _sort(self) -> None:
@@ -632,26 +623,25 @@ class RealizedSpend:
         where no read told).  hi is +inf where spend fits at
         budget_factor(LAMBDA_FLOOR), the largest factor a budget search
         reads.  With second-price rows only, hi is the crossing and lo the
-        float below it (None where crossing is).  None with a first-price
-        row that has no win limit (see first_price_limits).
+        float below it (None where crossing is).
 
-        Otherwise lo and hi are factors at which excess was read, so every
-        sign is a replay's.  Spend is P(f), the cumulative price of the rows
-        whose win limit f has reached (a first-price row bids its price at
-        its limit), plus D(f), what first-price winners bid above their
-        prices, which rises smoothly with f.  Each read gives D at one
-        factor, and the next read is where P plus D, on the line through
-        the last two reads in ln f, crosses target: inside a gap of the
-        merged sorted limits, kept off the bracket's ends, or just below the
-        limit whose step jumps over it.  A handful of reads narrow the
-        bracket to 2**-45 relative (a second-price step to adjacent floats);
-        after _BRACKET_READS it is returned as it is.  Each read passes guard
-        (see excess)."""
+        With first-price rows, lo and hi are factors at which excess was
+        read, so every sign is a replay's.  Spend is P(f), the cumulative
+        price of the rows whose win limit f has reached (a first-price row
+        bids its price at its limit), plus D(f), the rest: what first-price
+        winners bid above their prices, and the whole spend of the rows with
+        no limit (see win_limits), 0 at f = 0 and rising with f.  Each read
+        gives D at one factor, and the next read is where P plus D, on the
+        line through the last two reads in ln f, crosses target: inside a
+        gap of the merged sorted limits, kept off the bracket's ends, or
+        just below the limit whose step jumps over it.  A handful of reads
+        narrow the bracket to 2**-45 relative (a second-price step to
+        adjacent floats); after _BRACKET_READS it is returned as it is, as
+        where target falls on a jump of D (a row with no limit starting to
+        win), which no line finds.  Each read passes guard (see excess)."""
         if not self._first_order.size:
             step = self.crossing(target)
             return None if step is None else (math.nextafter(step, -math.inf), step)
-        if np.isnan(self._limits).any():  # rows with no limit: read at every step
-            return None
         limits, price, first = self._steps
         top = budget_factor(LAMBDA_FLOOR)
 
@@ -963,8 +953,8 @@ def budget_search(
 
     spend.bracket(target) gives the sign of every lam whose factor lies
     outside the bracket, turned once into bounds on lam (budget_lambda), so
-    only the steps inside it read spend (on second-price rows, none; with
-    no bracket, every step).  The search takes the same steps as one
+    only the steps inside it read spend (on second-price rows, none; where
+    crossing is None, every step).  The search takes the same steps as one
     reading spend at every step, so it returns the same lam and bracket
     ends, though the bracket's excesses are only signs where spend was not
     read.  A step's spend within _RESUM_REL of target is resum(lam) where
@@ -972,7 +962,7 @@ def budget_search(
     spend.replay_spend.  Where guarded, every spend read, the bracket's and
     the steps', passes one monotonicity guard (RealizedSpend.guard)."""
     guard = spend.guard() if guarded else None
-    lo, hi = spend.bracket(target, guard) or (0.0, math.inf)  # no bracket: read every step
+    lo, hi = spend.bracket(target, guard) or (0.0, math.inf)  # no crossing: read every step
     above = math.nextafter(lo, math.inf)
     fits = budget_lambda(above)
     over = fits if hi == above else budget_lambda(hi)  # a second-price step: one float wide
@@ -1000,10 +990,12 @@ def solve_lambda_star(
     start near the answer in about 4.  On a realized or mixed log (a step function)
     bisection returns the high, never overspending side of the step.  A
     realized log's bisection is budget_search on its RealizedSpend: a
-    second-price log's signs all come from its sorted
-    limits, and a first-price log reads spend about a dozen times (shading
-    only the rows that may win), where reading it at every step took about
-    45, for the same lam.  Every spend read passes a monotonicity guard,
+    second-price log's signs all come from its sorted limits, and a
+    first-price log reads spend a handful of times (shading only the rows
+    that may win), where reading it at every step takes about 45, for the
+    same lam.  Rows with no win limit (empirical) read about as often as
+    every step where the budget falls on a jump of their spend, which only
+    bisection finds (see RealizedSpend.bracket).  Every spend read passes a monotonicity guard,
     which raises an OracleError naming the record where spend rises with
     the multiplier.  Spend and value are replayed at the result, and
     bracket is the final bracket of the search.

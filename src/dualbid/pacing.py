@@ -546,9 +546,10 @@ def ftl_update(
     of one sorted history, at the factor budget_factor(lam) the episode bids
     at lam.  Found by oracle.budget_search, the lambda* search: with
     second-price auctions only, the crossing of the budget pace gives the
-    sign of every step at once; first-price auctions narrow a bracket on
-    the factor in a handful of reads, each shading only the auctions that
-    may win, and the steps inside it read spend.  Either way the signs the
+    sign of every step at once; first-price auctions, with or without a
+    win limit, narrow a bracket on the factor in a handful of reads, each
+    shading only the auctions that may win, and the steps inside it read
+    spend.  Either way the signs the
     search reads are those of a full replay.  Replayed spend is a step
     function of lam, so the search returns the conservative high side of
     its final bracket.  An episode paces on whatever its history spends:

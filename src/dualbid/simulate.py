@@ -26,7 +26,7 @@ the multipliers repeat each segment's, and cum_spend and cum_value are
 running sums of the cost and won value columns, the controller's additions.
 
 A first-price row whose factor lies below the least factor at which it may
-win (oracle.first_price_limits) loses for certain: its segment resolves it
+win (oracle.win_limits) loses for certain: its segment resolves it
 as a loss without shading it, and every such row that was bid is shaded in
 one call after the last segment.  Shading is per row, so its bid is the one
 its segment would have given.
@@ -43,7 +43,7 @@ import numpy as np
 from .bidding import LAMBDA_FLOOR, bid_factor, optimal_bids
 from .coldstart import ColdStartResult, PlacementPriors, solve_lambda0_multi
 from .mechanisms import LognormalBids, MechanismSpec, MechanismTable
-from .oracle import OpportunityLog, RealizedSpend, budget_search, first_price_limits, marginal_roi
+from .oracle import OpportunityLog, RealizedSpend, budget_search, marginal_roi, win_limits
 from .pacing import ForecastModel, PacingState, apply_batch_update, normalize
 from .scenario import PlacementConfig, ScenarioConfig
 
@@ -525,13 +525,13 @@ def _least_factors(stream: OpportunityStream, history, bid_cap: float) -> np.nda
     """The least factor at which each first-price row of the stream may win
     (NaN on second-price rows), the FTL history's where there is one; None
     without first-price rows."""
-    first = stream.table.first_price_rows[0]  # read once, shared with first_price_limits
+    first, table = stream.table.first_price_rows
     if not first.size:
         return None
     if history is not None:
         return history.least_factors
     least = np.full(len(stream), np.nan)
-    least[first] = first_price_limits(stream.value, stream.clearing_bid, stream.table, bid_cap)[1]
+    least[first] = win_limits(stream.value[first], stream.clearing_bid[first], table, bid_cap)[1]
     return least
 
 

@@ -356,7 +356,7 @@ def kkt_lp(
 
 
 # a first-price row is shaded to decide whether it wins near its win limit
-# (see oracle.first_price_limits), and wins within this of it, relative
+# (see oracle.win_limits), and wins within this of it, relative
 _ABOVE_LIMIT = 1e-8
 
 

@@ -859,6 +859,30 @@ class TestColdstart:
         assert captured.err == f"error: {bad}:3: not a finite number: {text!r}\n"
         assert captured.out == ""
 
+    def test_bid_samples_without_value_samples_exit_2(self, tmp_path, capsys):
+        bids = tmp_path / "bids.txt"
+        bids.write_text("1.0\n2.0\n")
+        args = ["coldstart", "--budget", "5.0", "--count", "100", "--bid-samples", str(bids)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: need both --bid-samples and --value-samples\n"
+
+    def test_sample_files_without_count_exit_2(self, tmp_path, capsys):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("1.0\n2.0\n")
+        files = ["--bid-samples", str(samples), "--value-samples", str(samples)]
+        assert main(["coldstart", "--budget", "5.0", *files]) == 2
+        assert capsys.readouterr().err == "error: --count is required with sample files\n"
+
+    def test_sample_line_that_is_not_a_number_exits_2(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("1.0\n2.0\n")
+        bad.write_text("1.0\n\n1,5\n")
+        files = ["--bid-samples", str(good), "--value-samples", str(bad)]
+        assert main(["coldstart", "--budget", "5.0", "--count", "100", *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}:3: not a number: '1,5'\n"
+        assert captured.out == ""
+
     def test_grid_csv_written(self, tmp_path):
         out = tmp_path / "cold"
         code = main(
@@ -1367,6 +1391,27 @@ class TestOracleCommand:
         args = ["oracle", "--log", str(log), "--budget", "1.0", "--out", str(tmp_path / "o")]
         assert main(args) == 2
         assert f"error: {log}: row 2: {fields} fields, expected 10" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unsupported_competitor_family_exits_2_naming_its_row(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        self._write_log(log)
+        lines = log.read_text().splitlines()
+        lines[3] = lines[3].replace(",uniform,", ",empirical,")
+        log.write_text("\n".join(lines) + "\n")
+        args = ["oracle", "--log", str(log), "--budget", "1.0", "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {log}: row 3: unsupported competitor family 'empirical'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_log_with_no_rows_exits_2_naming_it(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        self._write_log(log)
+        log.write_text(log.read_text().splitlines()[0] + "\n\n")
+        args = ["oracle", "--log", str(log), "--budget", "1.0", "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {log}: empty log\n"
         assert not (tmp_path / "o").exists()
 
     def test_schema_mismatch_exits_2(self, tmp_path):

@@ -110,7 +110,7 @@ def test_kkt_matches_the_lp(build):
             assert effective == pytest.approx(lp.factor((w,), cost_target), rel=1e-6), w
 
     price = log.price
-    limits = win_limits(log.values, log.clearing, log.table, DEFAULT_BID_CAP)
+    limits = win_limits(log.values, log.clearing, log.table, DEFAULT_BID_CAP)[0]
     factors = np.array([profile.vector_for(combo).factor for combo in log.window_combos])
     won = limits <= factors[log.combo_codes]
     assert np.array_equal(won, rep_won(log, profile))

@@ -158,6 +158,26 @@ class TestPaceRatio:
         cfg = PacingConfig(xi=0.1)
         assert pace_ratio(state, cfg, ForecastModel(total=1000.0), 0) is None
 
+    def test_zero_share_interval_skipped(self):
+        # relative forecast: an interval expected to see no traffic has no
+        # target spend to compare against
+        state = make_state()
+        state.interval_spend = 3.0
+        state.interval_wins = 10
+        cfg = PacingConfig(xi=0.1, forecast_mode="relative")
+        assert pace_ratio(state, cfg, ForecastModel(shares=(0.0, 1.0)), 0) is None
+
+    def test_mpc_with_the_budget_spent(self):
+        # no budget left: any spend is infinitely over pace, read as 1e12
+        state = make_state()
+        state.spent_total = 100.0
+        state.opportunities_seen = 600
+        state.interval_count = 100
+        state.interval_spend = 12.0
+        state.interval_wins = 100
+        cfg = PacingConfig(xi=0.1, mpc=True)
+        assert pace_ratio(state, cfg, ForecastModel(total=1000.0), 5) == 1e12
+
     def test_sparse_interval_uses_smoothed_spend(self):
         state = make_state()
         state.interval_count = 100

@@ -11,7 +11,7 @@ episode's stream, which keep their rows' limits and order; the KKT solve
 reads a window's rows (RealizedSpend.rows) and the log clamped to its
 thresholds (RealizedSpend.clamped), which wins what a replay at the
 multipliers holding those thresholds wins.  A first-price
-row has a win limit from the markup at its price (first_price_limits):
+row has a win limit from the markup at its price (win_limits):
 RealizedSpend shades only the rows that may win, and lambda* narrows a
 bracket on the factor in a handful of reads, for the same lam bit for bit.
 """
@@ -49,7 +49,7 @@ from dualbid.oracle import (
 )
 from dualbid.pacing import ftl_update
 from dualbid.scenario import parse_scenario
-from dualbid.simulate import OpportunityStream, generate_stream, run_episode
+from dualbid.simulate import OpportunityStream, generate_stream, realized_log, run_episode
 from helpers import (
     baseline_bid_by_replay,
     ftl_lambda_by_replay,
@@ -134,7 +134,7 @@ def test_winner_sets_equal_limit_sets(rounding):
     adjusted = ROUNDINGS[rounding]
     values, clearing, mechs = second_price_rows()
     table = MechanismTable.from_specs(mechs)
-    limits = win_limits(values, clearing, table, CAP)
+    limits = win_limits(values, clearing, table, CAP)[0]
     finite = limits[np.isfinite(limits) & (limits > 0)]
     lams = np.concatenate(
         [
@@ -158,7 +158,7 @@ def test_limits_are_certified_to_the_float(rounding):
     adjusted = ROUNDINGS[rounding]
     values, clearing, mechs = second_price_rows()
     log = log_of(values, clearing, mechs)
-    limits = win_limits(log.values, log.clearing, log.table, CAP)
+    limits = win_limits(log.values, log.clearing, log.table, CAP)[0]
     price = np.maximum(log.clearing, log.table.reserve)
 
     def wins(rows, f):
@@ -189,19 +189,13 @@ def test_budget_adjusted_is_the_episode_bid():
     # bit for bit the adjusted value an episode bids at lam, on a grid with
     # the floor, multipliers below it and every row's win limit (with ties)
     values, clearing, mechs = second_price_rows()
-    limits = win_limits(values, clearing, MechanismTable.from_specs(mechs), CAP)
+    limits = win_limits(values, clearing, MechanismTable.from_specs(mechs), CAP)[0]
     finite = limits[np.isfinite(limits) & (limits > 0)]
     assert len(np.unique(finite)) < len(finite)
     lams = [0.0, 0.5 * LAMBDA_FLOOR, LAMBDA_FLOOR, *np.geomspace(1e-6, 1e15, 50), *(1.0 / finite)]
     for lam in lams:
         expected = MultiplierVector(lam=float(lam)).factor * values
         assert np.array_equal(budget_factor(float(lam)) * values, expected), lam
-
-
-def test_first_price_rows_have_no_limit():
-    log = mixed_log()
-    limits = win_limits(log.values, log.clearing, log.table, CAP)
-    assert np.array_equal(np.isnan(limits), log.table.first_price)
 
 
 def test_step_spend_matches_replay():
@@ -217,7 +211,7 @@ def test_step_spend_matches_replay():
 
 def tie_budgets(log: OpportunityLog) -> list[float]:
     """Budgets that some multiplier's replayed spend meets exactly."""
-    limits = win_limits(log.values, log.clearing, log.table, CAP)
+    limits = win_limits(log.values, log.clearing, log.table, CAP)[0][~log.table.first_price]
     finite = np.sort(limits[np.isfinite(limits) & (limits > 0)])
     picks = finite[[len(finite) // 5, len(finite) // 2, 4 * len(finite) // 5]]
     return [replay(log, MultiplierProfile(lam=float(1.0 / f))).spend for f in picks]
@@ -293,7 +287,8 @@ def _tie_budgets(scope: OpportunityStream, expected_total: float) -> list[float]
     """Budgets whose pace target over scope is (up to the rounding of the
     target) the spend replayed at a row's win limit: a cumulative spend
     lands on the target, inside the re-summing band."""
-    limits = win_limits(scope.value, scope.clearing_bid, scope.table, CAP)
+    limits = win_limits(scope.value, scope.clearing_bid, scope.table, CAP)[0]
+    limits = limits[~scope.table.first_price]
     finite = np.sort(limits[np.isfinite(limits) & (limits > 0)])
     budgets = []
     for f in finite[[len(finite) // 4, len(finite) // 2]].tolist():
@@ -361,7 +356,7 @@ def test_sums_near_their_target_are_left_to_a_replay():
     values, prices = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.4, 0.9])
     table = MechanismTable.from_specs([SP]).take(np.zeros(3, dtype=np.intp))
     rs = RealizedSpend(values, prices, table, CAP)
-    limits = np.sort(win_limits(values, prices, table, CAP))  # cumulative spend 0.1, 0.5, 1.4
+    limits = np.sort(win_limits(values, prices, table, CAP)[0])  # cumulative spend 0.1, 0.5, 1.4
     assert rs.crossing(0.5) is None and rs.crossing(0.5 * (1 + 1e-12)) is None
     assert rs.crossing(0.5 * (1 + 1e-6)) == limits[2]
     assert rs.crossing(3.0, of_value=True) is None
@@ -545,12 +540,12 @@ def _spend_falling_at_half(self, f):
 
 def test_step_path_keeps_the_monotonicity_guard(monkeypatch):
     # empirical rows have no win limit (the only first-price rows without
-    # one), so lambda* gets no bracket and reads spend at every step: each read
-    # passes the same guard as replays.  FTL paces on the same spend
-    # unguarded.
+    # one), so their whole spend is the part of the bracket's model that
+    # moves between limits; every spend lambda* reads, the bracket's and the
+    # steps', passes the same guard as replays.  FTL paces on the same
+    # spend unguarded.
     log = first_price_log()
     rs = log.realized_spend(DEFAULT_BID_CAP)
-    assert rs.bracket(0.45) is None
     monkeypatch.setattr(RealizedSpend, "at", _spend_falling_at_half)
     with pytest.raises(oracle.OracleError, match="increases with the multiplier"):
         solve_lambda_star(log, 0.45)
@@ -610,6 +605,62 @@ def first_price_log() -> OpportunityLog:
     return OpportunityLog(records)
 
 
+@pytest.mark.parametrize("cap", [CAP, SMALL_CAP])
+def test_win_limits_of_both_formats(cap):
+    # one call gives every row's win limit L and least factor F: a
+    # second-price row's L certified to the float, F NaN; a lognormal or
+    # uniform first-price row's L its reserve, where it is priced at it, or
+    # markup(price), over its value, F the band below; an empirical row
+    # (NaN, 0); a row priced 0 (0, 0) and one that wins at no factor
+    # (inf, inf) in either format
+    records = mixed_log().records + first_price_log().records
+    log = OpportunityLog([replace(r, time=float(i)) for i, r in enumerate(records)])
+    table, values, price = log.table, log.values, log.price
+    limits, least = win_limits(values, log.clearing, table, cap)
+    first = table.first_price
+    free, never = price == 0, (price > cap) | ((values == 0) & (price > 0))
+    live = ~free & ~never
+    assert (limits[free] == 0).all() and (limits[never] == np.inf).all()
+    assert (least[free & first] == 0).all() and (least[never & first] == np.inf).all()
+    assert np.isnan(least[~first]).all()
+
+    second = np.flatnonzero(live & ~first)
+    edge = limits[second]
+    assert (np.minimum(edge * values[second], cap) >= price[second]).all()
+    below = np.nextafter(edge, -np.inf) * values[second]
+    assert not (np.minimum(below, cap) >= price[second]).any()
+
+    empirical = live & first & (table.family == EMPIRICAL)
+    assert empirical.any() and np.isnan(limits[empirical]).all() and (least[empirical] == 0).all()
+    sure = np.flatnonzero(live & first & (table.family != EMPIRICAL))
+    at_reserve = log.clearing[sure] <= table.reserve[sure]
+    assert at_reserve.any() and (table.reserve[sure[at_reserve]] > 0).all()
+    assert (~at_reserve).any()
+    t = np.where(at_reserve, table.reserve[sure], table.take(sure).markup(price[sure]))
+    np.testing.assert_array_equal(limits[sure], t / values[sure])
+    band = np.maximum(t - oracle._BAND_REL * np.maximum(1.0, t), 0.0)
+    np.testing.assert_array_equal(least[sure], band / values[sure])
+
+
+def test_win_limits_read_markup_only_where_a_limit_exists(monkeypatch):
+    # markup(price) sets a lognormal or uniform first-price row's limit, so
+    # it is read on the rows priced above their reserve that can win, and
+    # on no empirical row, whose kernel density it would evaluate in vain
+    rows_read = []
+    markup = MechanismTable.markup
+    monkeypatch.setattr(
+        MechanismTable, "markup", lambda self, b: rows_read.append(len(self)) or markup(self, b)
+    )
+    log = first_price_log()
+    empirical = log.table.family == EMPIRICAL
+    win_limits(log.values[empirical], log.clearing[empirical], log.table.take(empirical), CAP)
+    assert rows_read == []
+    win_limits(log.values, log.clearing, log.table, SMALL_CAP)
+    price = log.price
+    read = ~empirical & (log.clearing > log.table.reserve) & (price <= SMALL_CAP) & (log.values > 0)
+    assert rows_read == [np.count_nonzero(read)] and 0 < rows_read[0] < len(log)
+
+
 def _record_shading(monkeypatch) -> list[np.ndarray]:
     """The adjusted values of every shade_bids call the oracle makes."""
     seen = []
@@ -642,7 +693,7 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
 
     def shaded_only_rows_that_may_win(adjusted, won, f):
         # of the rows that can win, at() shades only those whose factor has
-        # reached the least at which they may win (first_price_limits), and
+        # reached the least at which they may win (win_limits), and
         # every winner is one of them
         can_win = log.table.first_price & (np.minimum(adjusted, cap) >= price)
         may_win = can_win & (f >= steps.least_factors)
@@ -677,7 +728,7 @@ def test_skipping_certain_losers_changes_no_replay(kind, monkeypatch):
 
 def test_first_price_limits_give_a_replays_winners():
     # the first-price rows at() shades at a factor (those that may win, see
-    # first_price_limits) win and pay exactly what shading every row gives:
+    # win_limits) win and pay exactly what shading every row gives:
     # lognormal rows by Newton and, with a reserve, clamped to it or left
     # above it (limit reserve / value), uniform rows in closed form, and
     # empirical rows, which have no limit, at 200 factors and at factors
@@ -769,6 +820,48 @@ def test_first_price_lambda_star_is_bit_identical_to_full_replays(monkeypatch):
         assert sol.spend == replay(log, MultiplierProfile(lam=lam)).spend <= budget
     # a search reading spend at every step reads it about 45 times
     assert max(counts) <= oracle._BRACKET_READS and sum(counts) <= 10 * len(budgets)
+
+
+def _empirical_and_lognormal_scenario():
+    """Two first-price placements over 12 intervals: one whose competing bid
+    is empirical (200 samples of lognormal(-0.3, 0.8)), one lognormal."""
+    cfg = mixed_scenario(intervals=12)
+    samples = np.random.default_rng(0).lognormal(-0.3, 0.8, 200).round(6).tolist()
+    competitor = {"family": "empirical", "samples": samples}
+    cfg["placements"][0].update(auction="first_price", competitor=competitor)
+    return parse_scenario(cfg)
+
+
+def test_lambda_star_brackets_rows_with_no_limit(monkeypatch):
+    # the empirical rows' spend joins the part of the bracket's model that
+    # moves between limits, so lambda* narrows a bracket on such a log too,
+    # for the lam of replaying every step (a search reading every step
+    # reads spend 42 to 45 times here).  Where the budget falls on the jump
+    # of an empirical row's spend, which no limit marks, only the search's
+    # bisection finds it: it reads as often, plus at most _BRACKET_READS.
+    # FTL paces on the same history at the lam of resolving every entry at
+    # every step.
+    scenario = _empirical_and_lognormal_scenario()
+    stream = generate_stream(scenario)
+    history = RealizedSpend(stream.value, stream.clearing_bid, stream.table, CAP)
+    assert np.isnan(history._limits).any() and not np.isnan(history._limits).all()
+    log = realized_log(scenario, stream)
+    reads = []
+    original = RealizedSpend.at
+    monkeypatch.setattr(RealizedSpend, "at", lambda self, f: reads.append(f) or original(self, f))
+    counts = []
+    for budget in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
+        reads.clear()
+        sol = solve_lambda_star(log, budget)
+        counts.append(len(reads))
+        lam, bracket = lambda_star_by_replay(log, budget)
+        assert sol.lam == lam and sol.bracket == bracket[:2], budget
+        if budget == 2.0:  # pinned: the lam of reading spend at every step
+            assert sol.lam == 3.6902788460602096
+    assert sum(count <= 16 for count in counts) >= 4 and max(counts) <= 50, counts
+    for budget in (2.0, 8.0):
+        lam, _ = ftl_lambda_by_replay(stream, budget, len(stream))
+        assert ftl_update(history, budget, len(stream)).lam == lam, budget
 
 
 def test_lambda_star_over_rows_priced_at_a_reserve():

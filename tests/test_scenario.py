@@ -131,3 +131,29 @@ class TestDriftSchedule:
     def test_coverage(self):
         assert DriftSchedule(knots=((0, 0.0), (99, 1.0))).covers(100)
         assert not DriftSchedule(knots=((5, 0.0), (99, 1.0))).covers(100)
+
+
+@pytest.mark.parametrize("step", ["epsilon", "xi"])
+def test_round_trip_echoes_every_optional_field(step):
+    # every optional agent and placement field is echoed, and the echo
+    # parses back to the same scenario
+    cfg = mixed_scenario(intervals=40)
+    agent = {"mode": "ftl", "ftl_window": 300, "lambda_prime": 1.5, "batch": 25, "mpc": True}
+    agent |= {"bid_cap": 50.0, "constraint_xi": 0.5, "initialization": {"lambda0": 2.0}}
+    cfg["agent"] = {**agent, step: 0.05}
+    feed, network = cfg["placements"]
+    feed.update(reserve=0.1, intensity=[float(i % 5) for i in range(40)])
+    feed["drift"] = {"bid_mu": [[0, 0.0], [39, 0.4]], "value_mu": [[0, 0.0], [20, -0.3], [39, -0.3]]}
+    network["competitor"] = {"family": "uniform", "lo": 0.1, "hi": 1.5}
+    cfg["placements"].append(
+        {**network, "id": "exchange", "competitor": {"family": "empirical", "samples": [0.2, 0.9]}}
+    )
+    scenario = parse_scenario(cfg)
+    echo = scenario_to_dict(scenario)
+    assert parse_scenario(echo) == scenario
+    for key, value in cfg["agent"].items():
+        assert echo["agent"][key] == value, key
+    assert {"epsilon": "xi", "xi": "epsilon"}[step] not in echo["agent"]
+    for given, echoed in zip(cfg["placements"], echo["placements"]):
+        for key, value in given.items():
+            assert echoed[key] == value, (given["id"], key)

@@ -16,6 +16,7 @@ from dualbid.simulate import (
     _stream_order,
     distributional_log,
     drifted_mechanism,
+    drifted_value_mu,
     generate_stream,
     initial_multiplier,
     load_stream,
@@ -142,6 +143,17 @@ class TestStream:
                 assert list(got.per_placement) == list(want.per_placement)
                 assert list(got.per_window) == list(want.per_window)
 
+    def test_cells_that_draw_nothing_leave_the_others_unchanged(self):
+        # at intensity 0.5 many cells draw no opportunity and are skipped;
+        # every other cell draws what a fresh Philox keyed to it draws
+        cfg = mixed_scenario(intervals=40)
+        cfg["placements"][0]["intensity"] = 0.5
+        scenario = parse_scenario(cfg)
+        stream = generate_stream(scenario)
+        feed = stream.placement == stream.placement_ids.index("feed")
+        assert 0 < len(np.unique(stream.interval[feed])) < 30
+        assert list(stream) == stream_by_sort(scenario)
+
     def test_stream_is_time_ordered(self, stationary):
         stream = generate_stream(stationary)
         keys = [(o.interval, o.jitter) for o in stream]
@@ -159,6 +171,23 @@ class TestDrift:
         scenario = parse_scenario(cfg)
         mech = drifted_mechanism(scenario.placements[0], 50)
         assert mech.competitor.mu == pytest.approx(0.25)
+
+
+    def test_value_drift_scales_values(self):
+        # a value_mu offset moves the log-mean of every value of its
+        # interval, so each value is the undrifted one times exp(offset)
+        cfg = stationary_scenario(intervals=20)
+        plain = generate_stream(parse_scenario(cfg))
+        cfg["placements"][0]["drift"] = {"value_mu": [[0, 0.0], [19, 0.6]]}
+        scenario = parse_scenario(cfg)
+        drifted = generate_stream(scenario)
+        feed = scenario.placements[0]
+        offsets = np.array([drifted_value_mu(feed, i) - feed.value_mu for i in range(20)])
+        assert np.array_equal(drifted.interval, plain.interval) and offsets.std() > 0.1
+        np.testing.assert_allclose(
+            drifted.value, plain.value * np.exp(offsets[drifted.interval]), rtol=1e-12
+        )
+        np.testing.assert_array_equal(drifted.clearing_bid, plain.clearing_bid)
 
 
 class TestEpisode:
