@@ -13,7 +13,7 @@ price auction it is shaded down through the inverse of b + G(b)/g(b).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -244,20 +244,17 @@ def shade_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP
 def optimal_bid(
     mech: MechanismSpec, adjusted: float, bid_cap: float = DEFAULT_BID_CAP
 ) -> BidDecision:
-    """Surplus-maximizing bid for an adjusted value.
-
-    Second price bids the adjusted value itself; first price shades it
-    (shade_bids on the mechanism's one-row table).  A bid held at a bid cap
-    below the adjusted value is flagged bid_capped.
+    """Surplus-maximizing bid for an adjusted value: optimal_bids on the
+    mechanism's one-row table.  An adjusted value of 0 bids 0 without
+    shading, so even a first-price row of no built-in family, which shading
+    refuses, bids it.  A bid held at a bid cap below the adjusted value is
+    flagged bid_capped.
     """
     if adjusted < 0:
         raise ValueError("adjusted value must be >= 0")
     if adjusted == 0.0:
         return BidDecision(bid=0.0, adjusted_value=0.0, surplus_at_bid=0.0)
-    if mech.is_first_price:
-        bid = float(shade_bids(mech.table, adjusted, bid_cap)[0][0])
-    else:
-        bid = min(adjusted, bid_cap)
+    bid = float(optimal_bids(mech.table, [adjusted], bid_cap)[0])
     flags = ("bid_capped",) if bid == bid_cap < adjusted else ()
     return BidDecision(
         bid=bid,
@@ -267,14 +264,23 @@ def optimal_bid(
     )
 
 
-def optimal_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP):
+def optimal_bids(table: MechanismTable, adjusted, bid_cap: float = DEFAULT_BID_CAP, price=None):
     """Bids for every table row at its adjusted value: second price bids the
-    value (capped), first price shades it."""
+    value (capped), first price shades it.  Where each row's price
+    max(clearing, reserve) is given, a first-price row priced above its
+    unshaded bid min(adjusted, bid_cap) loses at any shade (shading only
+    lowers a bid, and ties win), so it keeps that bid unshaded; a NaN price
+    is shaded."""
     xs = np.asarray(adjusted, dtype=float)
     bids = np.minimum(xs, bid_cap)
     if table.first_price.any():
         rows, first_price = table.first_price_rows
-        bids[rows], _ = shade_bids(first_price, xs[rows], bid_cap)
+        if price is not None:
+            live = ~(bids[rows] < price[rows])
+            if not live.all():
+                rows, first_price = rows[live], first_price.take(live)
+        if rows.size:
+            bids[rows], _ = shade_bids(first_price, xs[rows], bid_cap)
     return bids
 
 
@@ -289,12 +295,7 @@ def make_bid(
     adjusted = adjusted_value(value, m)
     decision = optimal_bid(mech, adjusted, bid_cap)
     if m.denominator < LAMBDA_FLOOR:
-        decision = BidDecision(
-            bid=decision.bid,
-            adjusted_value=decision.adjusted_value,
-            surplus_at_bid=decision.surplus_at_bid,
-            flags=decision.flags + ("denominator_clamped",),
-        )
+        decision = replace(decision, flags=decision.flags + ("denominator_clamped",))
     return decision
 
 

@@ -31,8 +31,12 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, shade_bids
+from .bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, optimal_bids
 from .mechanisms import LOGNORMAL, UNIFORM, MechanismSpec, MechanismTable, resolve
+
+# the oracle shades through optimal_bids; shade_bids stays bound here because
+# bench/spans.py traces it in every namespace that binds it
+from .bidding import shade_bids  # noqa: F401
 
 
 class OracleError(ValueError):
@@ -219,30 +223,12 @@ class ReplayResult:
     per_window: dict[str, tuple[float, float]]
 
 
-def _replay_bids(
-    table: MechanismTable, adjusted: np.ndarray, price: np.ndarray, bid_cap: float
-) -> np.ndarray:
-    """optimal_bids, except that a first-price row that loses at any shade
-    keeps its unshaded bid min(adjusted, bid_cap): shading only lowers a bid,
-    and ties win, so a row priced above it (max(clearing, reserve)) loses
-    at any shade, and unshaded too.  A NaN price (distributional) is shaded.
-    Replay passes every row; RealizedSpend passes only the first-price rows
-    that may win at its factor (see win_limits)."""
-    bids = np.minimum(adjusted, bid_cap)
-    rows, first_price = table.first_price_rows
-    live = ~(bids[rows] < price[rows])
-    if not live.all():
-        rows, first_price = rows[live], first_price.take(live)
-    if rows.size:
-        bids[rows], _ = shade_bids(first_price, adjusted[rows], bid_cap)
-    return bids
-
-
 def _row_bids(log: OpportunityLog, profile: MultiplierProfile, bid_cap: float) -> np.ndarray:
-    """Every record's bid at the given multipliers, as _replay_bids bids it.
-    Each read of a whole log, a replay or its spend alone, calls it once."""
+    """Every record's bid at the given multipliers, from optimal_bids at its
+    price: a first-price record that loses at any shade is not shaded.  Each
+    read of a whole log, a replay or its spend alone, calls it once."""
     factors = np.array([profile.vector_for(c).factor for c in log.window_combos])
-    return _replay_bids(log.table, factors[log.combo_codes] * log.values, log.price, bid_cap)
+    return optimal_bids(log.table, factors[log.combo_codes] * log.values, bid_cap, log.price)
 
 
 def _spend_value(
@@ -269,7 +255,7 @@ def replay(
     """Total and per-placement/per-window spend and value at the given
     multipliers; exact in distributional mode, deterministic in realized.
     A realized first-price row that loses at any shade is not shaded (see
-    _replay_bids): it keeps cost 0 and value 0, as shading it would give."""
+    _row_bids): it keeps cost 0 and value 0, as shading it would give."""
     spend, value = _spend_value(log, profile, bid_cap)
     n = len(log.placement_names)
     p_spend = np.bincount(log.placement_codes, weights=spend, minlength=n)
@@ -308,9 +294,9 @@ def budget_lambda(f: float) -> float:
     fits exactly while the factor is below f fits exactly from lam on."""
     if not f > 0:
         return math.inf
+    # every float below fl(1 / f) lies below 1 / f, so its factor is >= f:
+    # the least multiplier is at or above the start
     lam = max(1.0 / f, LAMBDA_FLOOR)
-    while lam > LAMBDA_FLOOR and budget_factor(down := math.nextafter(lam, 0.0)) < f:
-        lam = down
     while not budget_factor(lam) < f:
         lam = math.nextafter(lam, math.inf)
     return lam
@@ -435,8 +421,9 @@ class RealizedSpend:
     f, but it loses for certain below the least factor at which it may win
     (see win_limits).  Sorted by that factor, the rows that may win
     at f are a prefix, and only they are shaded (and of those, only the ones
-    whose unshaded bid reaches their price, see _replay_bids).  That factor
-    is least_factors, per row (NaN on second-price rows).
+    whose unshaded bid reaches their price: bidding.optimal_bids is given
+    their prices).  That factor is least_factors, per row (NaN on
+    second-price rows).
 
     At any f, at(f) wins exactly the rows a replay wins and pays each the
     same.  Only the sums differ: cumulative in limit order, not row order,
@@ -732,7 +719,7 @@ class RealizedSpend:
             rows = self._first_order[pick]
             table = self.table.take(rows)
             adjusted = self._factors(np.repeat(fs[a:b], counts[a:b]), rows) * self.values[rows]
-            bids = _replay_bids(table, adjusted, self._price[rows], self.bid_cap)
+            bids = optimal_bids(table, adjusted, self.bid_cap, self._price[rows])
             won, cost = resolve(table, bids, self.clearing[rows])
             end = 0
             for count in counts[a:b].tolist():
@@ -743,7 +730,7 @@ class RealizedSpend:
 
     def _costs(self, f: float) -> np.ndarray:
         """Every row's cost at f, from its bid, as replay resolves it."""
-        bids = _replay_bids(self.table, self._factors(f) * self.values, self._price, self.bid_cap)
+        bids = optimal_bids(self.table, self._factors(f) * self.values, self.bid_cap, self._price)
         return resolve(self.table, bids, self.clearing)[1]
 
     def replay_spend(self, f: float) -> float:

@@ -385,6 +385,8 @@ def parse_scenario(data, seed_override: int | None = None) -> ScenarioConfig:
         )
     except ValueError as exc:
         raise ScenarioError("scenario", str(exc)) from None
+    if not scenario.expected_total() > 0:
+        raise ScenarioError("placements", "every intensity is 0, so no opportunity can arrive")
     if scenario.expected_total() > OPPORTUNITY_LIMIT:
         totals = [p.expected_total(intervals) for p in placements]
         raise ScenarioError(

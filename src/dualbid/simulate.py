@@ -35,7 +35,7 @@ its segment would have given.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -70,9 +70,9 @@ class OpportunityStream:
     Columns: ``interval``, ``jitter``, ``placement`` (a code into
     ``placement_ids``), ``value``, ``clearing_bid``, ``result_draw``, and
     ``cell``, the index into ``cells`` of the mechanism each opportunity was
-    drawn under; ``table`` holds that mechanism per row.  An int index
-    yields an ``Opportunity`` row view; a slice, mask or index array yields
-    the sub-stream.
+    drawn under; ``table`` holds that mechanism per row.  A slice, mask or
+    index array yields the sub-stream (take), and iterating yields each row
+    as an ``Opportunity``.
     """
 
     def __init__(
@@ -100,18 +100,7 @@ class OpportunityStream:
             self.result_draw[rows], self.cell[rows], self.table.take(rows),
         )  # fmt: skip
 
-    def __getitem__(self, key):
-        if not isinstance(key, (int, np.integer)):
-            return self.take(key)
-        return Opportunity(
-            interval=int(self.interval[key]),
-            jitter=float(self.jitter[key]),
-            placement=self.placement_ids[self.placement[key]],
-            value=float(self.value[key]),
-            clearing_bid=float(self.clearing_bid[key]),
-            mechanism=self.cells[self.cell[key]],
-            result_draw=float(self.result_draw[key]),
-        )
+    __getitem__ = take
 
     def __iter__(self):
         columns = (
@@ -493,22 +482,8 @@ class EpisodeMetrics:
     placement_roi: dict[str, float] | None = None
 
     def as_rows(self) -> list[tuple[str, float]]:
-        rows = [
-            ("budget", self.budget),
-            ("total_spend", self.total_spend),
-            ("total_value", self.total_value),
-            ("results_realized", self.results_realized),
-            ("n_opportunities", self.n_opportunities),
-            ("n_wins", self.n_wins),
-            ("budget_utilization", self.budget_utilization),
-            ("cost_per_result", self.cost_per_result),
-            ("cost_per_result_realized", self.cost_per_result_realized),
-            ("lambda0", self.lambda0),
-            ("lambda_prime", self.lambda_prime),
-            ("final_lambda_tilde", self.final_lambda_tilde),
-            ("final_lambda", self.final_lambda),
-            ("max_single_cost", self.max_single_cost),
-        ]
+        # the scalar fields, in declaration order
+        rows = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type in ("int", "float")]
         for wid in sorted(self.window_spend):
             rows.append((f"window_{wid}_spend", self.window_spend[wid]))
             rows.append((f"window_{wid}_value", self.window_value[wid]))

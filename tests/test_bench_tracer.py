@@ -3,6 +3,7 @@ functions by module and name from outside.  Every name it patches must
 still resolve, keep the argument positions its row counters read, and be
 restored afterwards.  bench/ is only read here."""
 
+import ast
 import importlib
 import inspect
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 from dualbid.scenario import parse_scenario
 from helpers import mixed_scenario
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 REQUIRED = {
     ("dualbid.simulate", "optimal_bids"),
@@ -49,6 +51,28 @@ def test_every_patched_name_resolves(spans):
     targets = [t[:2] for t in spans.SPAN_TARGETS + spans.COUNT_TARGETS]
     missing = [f"{m}.{a}" for m, a in targets if not hasattr(importlib.import_module(m), a)]
     assert missing == []
+
+
+def test_every_import_kept_for_the_tracer_is_traced(spans):
+    """A name a package module imports with `# noqa: F401` and never reads
+    is bound only for the tracer to wrap; once the tracer stops wrapping it,
+    this names the import to drop."""
+    kept = set()
+    for path in (ROOT / "src" / "dualbid").glob("*.py"):
+        if path.name == "__init__.py":  # its imports are the package's API
+            continue
+        source = path.read_text()
+        lines, tree = source.splitlines(), ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        kept |= {
+            (f"dualbid.{path.stem}", alias.asname or alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if "noqa: F401" in lines[alias.lineno - 1] and (alias.asname or alias.name) not in read
+        }
+    targets = {t[:2] for t in spans.SPAN_TARGETS + spans.COUNT_TARGETS}
+    assert kept and sorted(kept - targets) == []
 
 
 def test_tracer_install_and_uninstall(spans):

@@ -1,11 +1,13 @@
 """Bid engine tests: adjusted values, markup inversion, surplus optimality."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import dualbid.bidding as bidding
 from dualbid.bidding import (
     DEFAULT_BID_CAP,
     LAMBDA_FLOOR,
@@ -13,6 +15,7 @@ from dualbid.bidding import (
     adjusted_value,
     make_bid,
     optimal_bid,
+    optimal_bids,
     shade_bids,
     stationarity_residual,
     surplus,
@@ -182,6 +185,81 @@ def test_make_bid_flags_clamped_denominator():
     decision = make_bid(UNIFORM_SP, 1.0, MultiplierVector(lam=0.0))
     assert "denominator_clamped" in decision.flags
     assert decision.bid == DEFAULT_BID_CAP
+
+
+def _every_format_and_family(rng) -> list[MechanismSpec]:
+    """Second-price rows, and first-price rows of every built-in family, each
+    with and without a reserve."""
+    empirical = EmpiricalBids(tuple(rng.lognormal(0.0, 0.6, 15)))
+    return [
+        LOGN_SP,
+        MechanismSpec("second_price", 0.4, UniformBids(0.0, 1.0)),
+        LOGN_FP,
+        MechanismSpec("first_price", 0.5, LognormalBids(-0.3, 0.8)),
+        UNIFORM_FP,
+        MechanismSpec("first_price", 0.3, UniformBids(0.1, 1.2)),
+        MechanismSpec("first_price", 0.0, empirical),
+        MechanismSpec("first_price", 0.4, empirical),
+    ]
+
+
+@pytest.mark.parametrize("bid_cap", [DEFAULT_BID_CAP, 0.8])
+def test_optimal_bids_leave_a_certain_loser_unshaded(bid_cap, monkeypatch):
+    # a row priced above its unshaded bid min(x, cap) loses at any shade and
+    # bids exactly that; every other row, a NaN price included, bids as it
+    # does with no price, and only the first-price rows among them are shaded
+    rng = np.random.default_rng(31)
+    specs = _every_format_and_family(rng)
+    n = 24 * len(specs)
+    table = MechanismTable.from_specs(specs).take(np.arange(n) % len(specs))
+    xs = rng.lognormal(-0.3, 0.8, n)
+    hi = np.minimum(xs, bid_cap)
+    prices = np.stack(
+        [np.full(n, np.nan), np.zeros(n), np.full(n, bid_cap), np.full(n, 2.0 * bid_cap),
+         hi, np.nextafter(hi, np.inf), 0.5 * hi]  # fmt: skip
+    )
+    price = prices[rng.integers(0, len(prices), n), np.arange(n)]
+    lost = price > hi
+    unpriced = optimal_bids(table, xs, bid_cap)
+    shaded = []
+    original = bidding.shade_bids
+    monkeypatch.setattr(
+        bidding, "shade_bids", lambda t, x, cap: shaded.append(len(x)) or original(t, x, cap)
+    )
+    bids = optimal_bids(table, xs, bid_cap, price)
+    assert shaded == [np.count_nonzero(table.first_price & ~lost)]
+    assert (lost & table.first_price).any() and (unpriced[lost] < hi[lost]).any()
+    assert np.array_equal(bids[lost].view(np.int64), hi[lost].view(np.int64))
+    assert np.array_equal(bids[~lost].view(np.int64), unpriced[~lost].view(np.int64))
+
+
+@pytest.mark.parametrize("bid_cap", [DEFAULT_BID_CAP, 0.7])
+def test_optimal_bid_is_a_one_row_view_of_optimal_bids(bid_cap):
+    rng = np.random.default_rng(37)
+    capped = 0
+    for mech in _every_format_and_family(rng):
+        for x in [0.0, *rng.lognormal(-0.3, 0.8, 8).tolist()]:
+            decision = optimal_bid(mech, x, bid_cap)
+            row = optimal_bids(mech.table, [x], bid_cap)
+            assert np.array_equal(np.array([decision.bid]).view(np.int64), row.view(np.int64))
+            assert decision.flags == (("bid_capped",) if decision.bid == bid_cap < x else ())
+            # make_bid adds its own flag to optimal_bid's decision
+            assert make_bid(mech, x, MultiplierVector(lam=1.0), bid_cap) == decision
+            floor = MultiplierVector(lam=0.0)
+            clamped = make_bid(mech, x, floor, bid_cap)
+            expected = optimal_bid(mech, adjusted_value(x, floor), bid_cap)
+            assert clamped.flags == expected.flags + ("denominator_clamped",)
+            assert clamped == replace(expected, flags=clamped.flags)
+            capped += "bid_capped" in decision.flags + clamped.flags
+    assert capped > 0
+
+
+def test_optimal_bid_of_zero_shades_nothing(monkeypatch):
+    # so a first-price row of no built-in family, which shading refuses,
+    # bids 0 at an adjusted value of 0
+    monkeypatch.setattr(bidding, "shade_bids", None)
+    for mech in (LOGN_FP, UNIFORM_FP):
+        assert optimal_bid(mech, 0.0) == bidding.BidDecision(0.0, 0.0, 0.0)
 
 
 def _reserve_rows():

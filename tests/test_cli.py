@@ -207,6 +207,64 @@ class TestRun:
         assert f"invalid scenario: {field}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("forecast", ["total", "relative"])
+    @pytest.mark.parametrize("schedule", [False, True], ids=["constant", "schedule"])
+    def test_scenario_expecting_no_opportunity_exits_2(
+        self, tmp_path, capsys, forecast, schedule
+    ):
+        # no run of it can succeed: the episode would fail on its forecast
+        cfg = small_scenario(agent={"forecast": forecast})
+        cfg["placements"][0]["intensity"] = [0.0] * cfg["intervals"] if schedule else 0.0
+        scenario, out = write_scenario(tmp_path, cfg), tmp_path / "o"
+        for argv in (
+            ["run", "--scenario", str(scenario), "--out", str(out)],
+            ["sweep", "--scenario", str(scenario), "--out", str(out), "--sweep-seeds", "2"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "invalid scenario: placements: every intensity is 0" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("agent", "batch"), 0, "agent: batch_size must be > 0, got 0"),
+            (("agent", "ftl_window"), 0, "agent: ftl_window must be > 0, got 0"),
+            (("agent", "forecast"), "weekly", "agent: unknown forecast mode 'weekly'"),
+            (("intervals",), 0, "scenario: intervals must be > 0, got 0"),
+            (("placements",), [], "scenario: at least one placement required"),
+            (("placements", 1, "id"), "feed", "scenario: placement ids must be unique"),
+            (("placements", 1, "drift", "bid_mu"), [],
+             "placements[1].drift.bid_mu: drift schedule needs at least one knot"),
+            (("placements", 1, "competitor", "sigma"), DROP,
+             "placements[1]: competitor spec needs a 'sigma' field"),
+            (("agent", "initialization"), "warm",
+             "agent.initialization: expected 'coldstart' or {'lambda0': x}, got 'warm'"),
+            ((), "{not json", "file: invalid JSON: "),
+        ],  # fmt: skip
+        ids=["batch", "ftl_window", "forecast", "intervals", "no_placement", "same_id",
+             "empty_drift", "no_sigma", "initialization", "not_json"],  # fmt: skip
+    )
+    def test_invalid_field_exits_2_naming_it(self, tmp_path, capsys, keys, value, message):
+        cfg = json.loads(MIXED_CONSTRAINED.read_text())
+        if keys[-1:] == ("ftl_window",):  # FTL refuses the window, and takes no xi
+            del cfg["delivery_windows"], cfg["agent"]["xi"]
+            cfg["agent"]["mode"] = "ftl"
+        parent = cfg
+        for key in keys[:-1]:
+            parent = parent[key]
+        if not keys:
+            cfg = value
+        elif value is DROP:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+        path, out = tmp_path / "scenario.json", tmp_path / "o"
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        assert f"error: invalid scenario: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "keys, value, field",
         [

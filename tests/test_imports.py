@@ -3,9 +3,10 @@
 A scan of the syntax trees (ast) of the package's modules and the test
 modules, in place of a linter: an imported name that no expression reads
 fails, unless its import line says `# noqa: F401` (an import kept for
-another module to read or patch: pacing's shade_bids and cli's
-generate_stream, which the bench tracer wraps in those modules).  The
-package's __init__.py is skipped: its imports are the package's API.
+another module to read or patch: oracle's and pacing's shade_bids and cli's
+generate_stream, which the bench tracer wraps in those modules, see
+test_bench_tracer.py).  The package's __init__.py is skipped: its imports
+are the package's API.
 """
 
 import ast

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dualbid import oracle
+from dualbid import bidding, oracle
 from dualbid.bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR
 from dualbid.coldstart import PlacementPriors, expected_spend_per_opportunity, solve_lambda0
 from dualbid.mechanisms import LognormalBids, MechanismSpec, UniformBids
@@ -615,9 +615,9 @@ def _shipped_kkt(name: str, monkeypatch):
 
     scenario = load_scenario(SCENARIOS / name)
     log = simulate.realized_log(scenario, generate_stream(scenario))
-    replays, shades, original, shade = [], [], oracle.replay, oracle.shade_bids
+    replays, shades, original, shade = [], [], oracle.replay, bidding.shade_bids
     monkeypatch.setattr(oracle, "replay", lambda *a: replays.append(1) or original(*a))
-    monkeypatch.setattr(oracle, "shade_bids", lambda *a: shades.append(1) or shade(*a))
+    monkeypatch.setattr(bidding, "shade_bids", lambda *a: shades.append(1) or shade(*a))
     kkt = solve_kkt_grid(log, scenario.constraints, scenario.agent.bid_cap)
     return kkt, len(replays), len(shades)
 
@@ -901,6 +901,11 @@ class TestProp1:
         assert check.v_prime == pytest.approx(0.0, abs=1e-9)
         assert check.s_prime == pytest.approx(0.0, abs=1e-9)
         assert check.residual == pytest.approx(0.0, abs=1e-9)
+
+    def test_multiplier_must_be_positive(self):
+        log = quantile_lognormal_log(20, UNIFORM_SP, 1.0, 0.3)
+        with pytest.raises(OracleError, match="lam must be > 0, got 0"):
+            prop1_residual(log, 0)
 
 
 class TestFixedBidBaseline:

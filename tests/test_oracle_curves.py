@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dualbid.bidding as bidding
 import dualbid.cli as cli
 import dualbid.oracle as oracle
 from dualbid.bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR
@@ -151,8 +152,8 @@ def test_budget_only_compare_shades_in_few_calls(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
     calls = []
-    original = oracle.shade_bids
-    monkeypatch.setattr(oracle, "shade_bids", lambda *args: calls.append(args) or original(*args))
+    original = bidding.shade_bids
+    monkeypatch.setattr(bidding, "shade_bids", lambda *args: calls.append(args) or original(*args))
     assert main(["compare", "--run", str(out)]) == 0
     assert read_kv(out / "compare.csv")["oracle_unconstrained"] == "False"
     assert len(calls) <= 20

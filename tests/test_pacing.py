@@ -395,6 +395,14 @@ class TestConfigValidation:
         with pytest.raises(PacingError):
             ForecastModel(shares=(0.5, 0.4))
 
+    def test_forecast_model_names_what_is_wrong(self):
+        with pytest.raises(PacingError, match="forecast total must be > 0, got 0"):
+            ForecastModel(total=0)
+        with pytest.raises(PacingError, match="forecast shares must be >= 0"):
+            ForecastModel(shares=(1.5, -0.5))
+        with pytest.raises(PacingError, match="no per-interval shares"):
+            ForecastModel(total=1).share(0)
+
 
 class TestConstraintMultipliers:
     def _constraints(self, **kw):

@@ -22,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dualbid.bidding as bidding
 import dualbid.oracle as oracle
 import dualbid.pacing as pacing
 from dualbid.bidding import DEFAULT_BID_CAP, LAMBDA_FLOOR, MultiplierVector, optimal_bids
@@ -303,6 +304,13 @@ def test_budget_lambda_is_the_least_multiplier_below_a_factor():
     # lam whose factor lies below it, so that lam >= bound reads each sign
     rng = np.random.default_rng(11)
     factors = [*np.exp(rng.uniform(-30.0, 30.0, 200)).tolist(), 1.0, 1.0 / LAMBDA_FLOOR]
+    # one float either side of fl(1 / x): the least multiplier lies near x,
+    # where rounding alone decides it
+    factors += [
+        math.nextafter(1.0 / x, to)
+        for x in np.exp(rng.uniform(-30.0, 30.0, 200)).tolist()
+        for to in (-math.inf, math.inf)
+    ]
     for f in factors + [math.nextafter(1.0 / LAMBDA_FLOOR, math.inf), math.inf, 1e-300]:
         lam = oracle.budget_lambda(f)
         assert lam >= LAMBDA_FLOOR and budget_factor(lam) < f, f
@@ -461,6 +469,14 @@ def test_ftl_solves_at_the_agents_bid_cap(monkeypatch):
         uncapped += ftl_lambda_by_replay(stream[:n], budget, total, window)[0] != lam
     # the cap binds: replayed without it, the history gives other multipliers
     assert uncapped
+
+
+def test_a_clamped_realized_spend_is_not_clamped_again():
+    rs = mixed_log().realized_spend(CAP)
+    assert rs.clamped(0.0, math.inf) is rs  # no bound binds
+    clamped = rs.clamped(0.5, 2.0)
+    with pytest.raises(ValueError, match="not clamped again"):
+        clamped.clamped(0.0, math.inf)
 
 
 @pytest.mark.parametrize("kind", ["second_price", "first_price"])
@@ -664,13 +680,13 @@ def test_win_limits_read_markup_only_where_a_limit_exists(monkeypatch):
 def _record_shading(monkeypatch) -> list[np.ndarray]:
     """The adjusted values of every shade_bids call the oracle makes."""
     seen = []
-    original = oracle.shade_bids
+    original = bidding.shade_bids
 
     def recording(table, adjusted, bid_cap):
         seen.append(np.asarray(adjusted, dtype=float).copy())
         return original(table, adjusted, bid_cap)
 
-    monkeypatch.setattr(oracle, "shade_bids", recording)
+    monkeypatch.setattr(bidding, "shade_bids", recording)
     return seen
 
 

@@ -47,9 +47,15 @@ def stationary_lambda_star(stationary):
 
 class TestStream:
     def test_zero_intensity_is_empty(self):
-        cfg = stationary_scenario()
-        cfg["placements"][0]["intensity"] = 0.0
-        assert len(generate_stream(parse_scenario(cfg))) == 0
+        # a scenario expecting no opportunity at all is refused, so the
+        # placement at intensity 0 sits beside one that draws
+        cfg = mixed_scenario(intervals=40)
+        cfg["placements"][1]["intensity"] = 0.0
+        stream = generate_stream(parse_scenario(cfg))
+        network = stream[stream.placement == stream.placement_ids.index("network")]
+        assert len(network) == 0
+        cfg["placements"] = cfg["placements"][:1]
+        assert len(stream) > 0 and list(stream) == list(generate_stream(parse_scenario(cfg)))
 
     def test_poisson_total_count(self):
         cfg = stationary_scenario(intervals=100)
